@@ -29,7 +29,6 @@ approximates.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,8 +45,12 @@ from .exactpoly import (
     RationalLike,
     UniPoly,
     form_discriminant,
+    form_resultant,
     homogenize,
     rat,
+    rational_cubic_roots,
+    rational_sqrt,
+    solve_linear,
     tensor_forms,
 )
 from .hermite_aj import NormalizationViolated, UnitViolation, hermite_pair_forms
@@ -134,104 +137,7 @@ class ParameterConstraintViolated(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# small exact helpers
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i * i != n:
-                out.append(n // i)
-        i += 1
-    return out
-
-
-def _rational_sqrt(c: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None if not a square."""
-    if c < 0:
-        return None
-    num, den = c.numerator, c.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def _rational_cubic_roots(b: Fraction, c: Fraction, d: Fraction) -> list[Fraction]:
-    """All rational roots of the monic cubic x^3 + b x^2 + c x + d."""
-    lcm = 1
-    for q in (b.denominator, c.denominator, d.denominator):
-        lcm = lcm * q // math.gcd(lcm, q)
-    ints = [lcm, int(b * lcm), int(c * lcm), int(d * lcm)]
-    roots: set[Fraction] = set()
-    while ints[-1] == 0:
-        roots.add(Fraction(0))
-        ints.pop()
-        if len(ints) == 1:
-            return sorted(roots)
-    for num in _divisors(ints[-1]):
-        for den in _divisors(ints[0]):
-            if math.gcd(num, den) != 1:
-                continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                acc = Fraction(0)
-                for coeff in ints:
-                    acc = acc * cand + coeff
-                if acc == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square rational system exactly by Gaussian elimination."""
-    n = len(rhs)
-    rows = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular linear system")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
-
-
-def _form_resultant2(p: HomPoly, q: HomPoly) -> Fraction:
-    """Resultant of two binary forms of declared degree two (4x4 Sylvester).
-
-    Unlike the affine resultant this sees roots at infinity, so it vanishes
-    exactly when the forms share a projective zero (or one is zero).
-    """
-    p0, p1, p2 = p.coeffs
-    q0, q1, q2 = q.coeffs
-    m = [
-        [p0, p1, p2, Fraction(0)],
-        [Fraction(0), p0, p1, p2],
-        [q0, q1, q2, Fraction(0)],
-        [Fraction(0), q0, q1, q2],
-    ]
-
-    def det3(a):
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-
-    total = Fraction(0)
-    for j in range(4):
-        minor = [[m[r][col] for col in range(4) if col != j] for r in range(1, 4)]
-        term = m[0][j] * det3(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+# forms from their restriction to an affine line
 
 
 def form_from_line_restriction(
@@ -259,7 +165,7 @@ def form_from_line_restriction(
     cols = [first ** (degree - k) * second**k for k in range(degree + 1)]
     matrix = [[cols[k].coeff(m) for k in range(degree + 1)] for m in range(degree + 1)]
     rhs = [p.coeff(m) for m in range(degree + 1)]
-    return HomPoly.of(vars, _solve_linear(matrix, rhs))
+    return HomPoly.of(vars, solve_linear(matrix, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -998,7 +904,7 @@ def bilinear_quadruple_surface(quad: BilinearQuadruple) -> QuadrupleCoverSurface
             )
         pair_forms[(i, j)] = p
     for i, j, k in itertools.combinations(range(4), 3):
-        if _form_resultant2(pair_forms[(i, j)], pair_forms[(i, k)]) == 0:
+        if form_resultant(pair_forms[(i, j)], pair_forms[(i, k)]) == 0:
             raise GenericityViolated(f"curves {i}, {j} and {k} meet in a point")
 
     b = pair_forms[(0, 1)] * pair_forms[(2, 3)]
@@ -1176,7 +1082,7 @@ def normalize_three_i0star(
     sq0 = _coeff_tuple(sq, 2, "quadratic part")
     lin0 = _coeff_tuple(lin, 3, "linear part")
     cst0 = _coeff_tuple(cst, 4, "constant part")
-    roots = _rational_cubic_roots(sq0[0], lin0[0], cst0[0])
+    roots = rational_cubic_roots(sq0[0], lin0[0], cst0[0])
     if not roots:
         raise NoRationalCubicRoot("no rational shift clears the leading cubic entry")
     roots.sort(key=lambda r: (abs(r), 1 if r < 0 else 0))
@@ -1184,7 +1090,7 @@ def normalize_three_i0star(
     for rho in roots:
         sqv, linv, cstv = shift_cubic_term(sq0, lin0, cst0, rho)
         disc = sqv[0] * sqv[0] - 4 * linv[0]
-        root = _rational_sqrt(disc)
+        root = rational_sqrt(disc)
         if root is not None and root != 0:
             chosen = (sqv, linv, cstv, root)
             break

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .exactpoly import (
     DegreeMismatch,
@@ -24,6 +23,7 @@ from .exactpoly import (
     form_sqrt,
     homogenize,
     multiplicity_in,
+    rational_cubic_roots,
     refine_against,
     squarefree_split,
 )
@@ -387,87 +387,6 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
 # ---------------------------------------------------------------------------
 
 
-def _lcm(values):
-    out = 1
-    for v in values:
-        g = out
-        a, b = g, v
-        while b:
-            a, b = b, a % b
-        out = out // a * v
-    return out
-
-
-def _integer_roots_monic_cubic(b: int, c: int, d: int) -> list[int]:
-    """All integer roots of y^3 + b y^2 + c y + d, without factoring.
-
-    The real line splits into at most three monotone pieces at the critical
-    points of the cubic; binary search finds the integer root on each piece.
-    """
-
-    def q(y: int) -> int:
-        return ((y + b) * y + c) * y + d
-
-    bound = 1 + max(abs(b), abs(c), abs(d))
-
-    def search(lo: int, hi: int, increasing: bool) -> int | None:
-        lo, hi = max(lo, -bound), min(hi, bound)
-        if lo > hi:
-            return None
-        qlo, qhi = q(lo), q(hi)
-        if qlo == 0:
-            return lo
-        if qhi == 0:
-            return hi
-        if increasing and (qlo > 0 or qhi < 0):
-            return None
-        if not increasing and (qlo < 0 or qhi > 0):
-            return None
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            v = q(mid)
-            if v == 0:
-                return mid
-            if (v < 0) == increasing:
-                lo = mid
-            else:
-                hi = mid
-        return None
-
-    roots = set()
-    disc = b * b - 3 * c
-    if disc <= 0:
-        # strictly monotone increasing apart from a possible flat point
-        r = search(-bound, bound, True)
-        if r is not None:
-            roots.add(r)
-    else:
-        rt = isqrt(disc)
-        # integer brackets strictly outside / inside the critical interval
-        e1 = (-b - rt) // 3 - 1
-        m1 = (-b - rt) // 3 + 1
-        m2 = (-b + rt) // 3
-        e2 = (-b + rt) // 3 + 2
-        for lo, hi, inc in ((-bound, e1, True), (m1, m2, False), (e2, bound, True)):
-            r = search(lo, hi, inc)
-            if r is not None:
-                roots.add(r)
-        # the two integers the brackets may skip
-        for y in (e1 + 1, m2 + 1):
-            if q(y) == 0:
-                roots.add(y)
-    return sorted(roots)
-
-
-def _rational_roots_monic_cubic(p2: Fraction, p1: Fraction, p0: Fraction) -> list[Fraction]:
-    """Rational roots of x^3 + p2 x^2 + p1 x + p0 over Q."""
-    scale = _lcm([p2.denominator, p1.denominator, p0.denominator])
-    b = int(p2 * scale)
-    c = int(p1 * scale * scale)
-    d = int(p0 * scale ** 3)
-    return [Fraction(y, scale) for y in _integer_roots_monic_cubic(b, c, d)]
-
-
 def _trunc(p: UniPoly, order: int) -> UniPoly:
     return UniPoly.from_coeffs(p.coeffs[:order])
 
@@ -528,7 +447,7 @@ def two_torsion_sections(model: WeierstrassModel) -> tuple[HomPoly, ...]:
         a4s = model.a4.as_unipoly().shift(s0)
         a6s = model.a6.as_unipoly().shift(s0)
         order = 2 * w + 1
-        for x0 in _rational_roots_monic_cubic(a2s.coeff(0), a4s.coeff(0), a6s.coeff(0)):
+        for x0 in rational_cubic_roots(a2s.coeff(0), a4s.coeff(0), a6s.coeff(0)):
             series = _lift_cubic_root(a2s, a4s, a6s, x0, order)
             candidate = series.shift(-s0)
             if candidate.degree > 2 * w:

@@ -10,6 +10,17 @@ Three representations cover everything the rest of the package needs:
 * ``BiHomPoly``: forms homogeneous in two pairs of variables separately
   (bidegree ``(d1, d2)``), stored as a coefficient matrix.
 
+The module is also the one home of the exact scalar primitives the other
+layers build on:
+
+* ``rational_sqrt``: square root of a rational, or None;
+* ``rational_cubic_roots``: rational roots of a monic cubic, by bisection;
+* ``bareiss_det``: fraction-free determinant of an integer matrix;
+* ``solve_linear``: exact Gauss-Jordan solve of a square rational system;
+* ``resultant`` and ``form_resultant``: Sylvester resultants of
+  polynomials at their actual degrees and of binary forms at their
+  declared degrees.
+
 Everything is exact; nothing here ever rounds.
 """
 
@@ -18,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -33,6 +45,10 @@ class DegreeMismatch(ValueError):
 
 class ExactDivisionError(ArithmeticError):
     """Division that was promised to be exact left a remainder."""
+
+
+class SingularSystem(ValueError):
+    """A square linear system has no unique solution."""
 
 
 class ParseError(ValueError):
@@ -57,6 +73,146 @@ def rat(value: RationalLike) -> Fraction:
 
 def _ratseq(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(rat(v) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# exact scalar primitives
+# ---------------------------------------------------------------------------
+
+
+def rational_sqrt(c: Fraction) -> Fraction | None:
+    """Exact nonnegative square root of a rational, or None if not a square."""
+    if c < 0:
+        return None
+    rn, rd = isqrt(c.numerator), isqrt(c.denominator)
+    if rn * rn != c.numerator or rd * rd != c.denominator:
+        return None
+    return Fraction(rn, rd)
+
+
+def _integer_cubic_roots(b: int, c: int, d: int) -> list[int]:
+    """All integer roots of y^3 + b y^2 + c y + d, without factoring.
+
+    The real line splits into at most three monotone pieces at the critical
+    points of the cubic; binary search finds the integer root on each piece.
+    """
+
+    def q(y: int) -> int:
+        return ((y + b) * y + c) * y + d
+
+    bound = 1 + max(abs(b), abs(c), abs(d))
+
+    def search(lo: int, hi: int, increasing: bool) -> int | None:
+        lo, hi = max(lo, -bound), min(hi, bound)
+        if lo > hi:
+            return None
+        qlo, qhi = q(lo), q(hi)
+        if qlo == 0:
+            return lo
+        if qhi == 0:
+            return hi
+        if increasing and (qlo > 0 or qhi < 0):
+            return None
+        if not increasing and (qlo < 0 or qhi > 0):
+            return None
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            v = q(mid)
+            if v == 0:
+                return mid
+            if (v < 0) == increasing:
+                lo = mid
+            else:
+                hi = mid
+        return None
+
+    roots = set()
+    disc = b * b - 3 * c
+    if disc <= 0:
+        # strictly monotone increasing apart from a possible flat point
+        r = search(-bound, bound, True)
+        if r is not None:
+            roots.add(r)
+    else:
+        rt = isqrt(disc)
+        # integer brackets strictly outside / inside the critical interval
+        e1 = (-b - rt) // 3 - 1
+        m1 = (-b - rt) // 3 + 1
+        m2 = (-b + rt) // 3
+        e2 = (-b + rt) // 3 + 2
+        for lo, hi, inc in ((-bound, e1, True), (m1, m2, False), (e2, bound, True)):
+            r = search(lo, hi, inc)
+            if r is not None:
+                roots.add(r)
+        # the two integers the brackets may skip
+        for y in (e1 + 1, m2 + 1):
+            if q(y) == 0:
+                roots.add(y)
+    return sorted(roots)
+
+
+def rational_cubic_roots(p2: Fraction, p1: Fraction, p0: Fraction) -> list[Fraction]:
+    """The distinct rational roots of x^3 + p2 x^2 + p1 x + p0, ascending.
+
+    Scaling x = y / m by the lcm m of the denominators gives a monic integer
+    cubic in y, whose rational roots are integers.
+    """
+    scale = lcm(p2.denominator, p1.denominator, p0.denominator)
+    b = int(p2 * scale)
+    c = int(p1 * scale * scale)
+    d = int(p0 * scale ** 3)
+    return [Fraction(y, scale) for y in _integer_cubic_roots(b, c, d)]
+
+
+def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    Works on a copy; the input is left unchanged.
+    """
+    m = [list(row) for row in matrix]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def solve_linear(
+    matrix: Sequence[Sequence[RationalLike]], rhs: Sequence[RationalLike]
+) -> list[Fraction]:
+    """The solution x of ``matrix x = rhs`` by exact Gauss-Jordan elimination.
+
+    Raises ``SingularSystem`` when the square matrix is singular.
+    """
+    n = len(rhs)
+    rows = [[rat(x) for x in matrix[i]] + [rat(rhs[i])] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise SingularSystem("singular linear system")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +406,22 @@ def _render_terms(terms: Sequence[tuple[Fraction, tuple[tuple[str, int], ...]]])
 
 def _int_clear(p: UniPoly) -> list[int]:
     """Scale p by a positive rational into a primitive integer list."""
-    from math import gcd as igcd, lcm
-
     den = 1
     for c in p.coeffs:
         den = lcm(den, c.denominator)
     ints = [int(c * den) for c in p.coeffs]
     g = 0
     for v in ints:
-        g = igcd(g, v)
+        g = gcd(g, v)
     if g:
         ints = [v // g for v in ints]
     return ints
 
 
 def _int_primitive(coeffs: list[int]) -> list[int]:
-    from math import gcd as igcd
-
     g = 0
     for v in coeffs:
-        g = igcd(g, v)
+        g = gcd(g, v)
     if g == 0:
         return []
     return [v // g for v in coeffs]
@@ -403,30 +555,28 @@ def _refine_factor_uni(f: UniPoly, q: UniPoly) -> list[tuple[UniPoly, int]]:
 
 
 def multiplicity_in(q: UniPoly | "HomPoly", f: UniPoly | "HomPoly") -> int:
-    """Largest k with f^k dividing q; q must be nonzero."""
-    if isinstance(q, HomPoly):
-        assert isinstance(f, HomPoly)
-        if q.is_zero:
-            raise DegreeTooLow("multiplicity in the zero form is undefined")
-        k = 0
-        r = q
-        while True:
-            ok, nxt = _try_divide_form(r, f)
-            if not ok:
-                return k
-            r = nxt
-            k += 1
-    assert isinstance(f, UniPoly)
+    """Largest k with f^k dividing q; q must be nonzero and f nonconstant.
+
+    Raises ``DegreeTooLow`` for a zero ``q`` or a nonzero constant ``f``
+    (which divides to every power), ``ZeroDivisionError`` for a zero ``f``.
+    """
     if q.is_zero:
         raise DegreeTooLow("multiplicity in the zero polynomial is undefined")
-    k = 0
+    if f.is_zero:
+        raise ZeroDivisionError("multiplicity of the zero divisor")
+    if f.degree == 0:
+        raise DegreeTooLow("a constant divisor divides to every power")
+    bound = q.degree // f.degree
     r = q
-    while True:
-        quo, rem = r.divmod(f)
-        if not rem.is_zero:
+    for k in range(bound):
+        if isinstance(r, HomPoly):
+            ok, r = _try_divide_form(r, f)
+        else:
+            r, rem = r.divmod(f)
+            ok = rem.is_zero
+        if not ok:
             return k
-        r = quo
-        k += 1
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -434,27 +584,17 @@ def multiplicity_in(q: UniPoly | "HomPoly", f: UniPoly | "HomPoly") -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _sylvester_resultant(pc: Sequence[Fraction], qc: Sequence[Fraction]) -> Fraction:
+    """Determinant of the Sylvester matrix of two coefficient rows given in
+    descending order, at the degrees ``len(pc) - 1`` and ``len(qc) - 1``."""
+    m, n = len(pc) - 1, len(qc) - 1
+    dp = lcm(*(c.denominator for c in pc))
+    dq = lcm(*(c.denominator for c in qc))
+    pi = [int(c * dp) for c in pc]
+    qi = [int(c * dq) for c in qc]
+    rows = [[0] * i + pi + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + qi + [0] * (m - 1 - i) for i in range(m)]
+    return Fraction(bareiss_det(rows), dp**n * dq**m)
 
 
 def resultant(p: UniPoly, q: UniPoly) -> Fraction:
@@ -470,35 +610,7 @@ def resultant(p: UniPoly, q: UniPoly) -> Fraction:
         if other.degree <= 0 and not other.is_zero:
             return Fraction(1)
         return Fraction(0)
-    m, n = p.degree, q.degree
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    from math import lcm
-
-    dp = 1
-    for c in p.coeffs:
-        dp = lcm(dp, c.denominator)
-    dq = 1
-    for c in q.coeffs:
-        dq = lcm(dq, c.denominator)
-    pi = [int(c * dp) for c in p.coeffs]
-    qi = [int(c * dq) for c in q.coeffs]
-    size = m + n
-    rows: list[list[int]] = []
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(pi)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(qi)):
-            row[i + j] = c
-        rows.append(row)
-    det = _bareiss_det(rows)
-    return Fraction(det, dp**n * dq**m)
+    return _sylvester_resultant(p.coeffs[::-1], q.coeffs[::-1])
 
 
 def discriminant_univ(p: UniPoly) -> Fraction:
@@ -718,6 +830,20 @@ def form_discriminant(f: HomPoly) -> Fraction:
     return discriminant_form(f.as_unipoly(), f.degree)
 
 
+def form_resultant(p: HomPoly, q: HomPoly) -> Fraction:
+    """Resultant of two binary forms at their declared degrees.
+
+    This is the Sylvester determinant of the coefficient rows, so it equals
+    ``resultant(p.as_unipoly(), q.as_unipoly())`` when both first
+    coefficients are nonzero.  Unlike that affine resultant it sees roots at
+    infinity: for forms of positive degree it vanishes exactly when they
+    share a zero on the projective line (every point is a zero of the zero
+    form).
+    """
+    p._check_vars(q)
+    return _sylvester_resultant(p.coeffs, q.coeffs)
+
+
 def _try_divide_form(p: HomPoly, f: HomPoly) -> tuple[bool, HomPoly | None]:
     if f.is_zero:
         raise ZeroDivisionError("division by the zero form")
@@ -798,17 +924,6 @@ def _refine_factor_form(f: HomPoly, q: HomPoly) -> list[tuple[HomPoly, int]]:
     return pieces
 
 
-def _fraction_sqrt(c: Fraction) -> Fraction | None:
-    from math import isqrt
-
-    if c < 0:
-        return None
-    rn, rd = isqrt(c.numerator), isqrt(c.denominator)
-    if rn * rn != c.numerator or rd * rd != c.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
 def poly_sqrt(p: UniPoly) -> UniPoly | None:
     """Exact polynomial square root with positive leading coefficient,
     or None when ``p`` is not a square in Q[x]."""
@@ -817,7 +932,7 @@ def poly_sqrt(p: UniPoly) -> UniPoly | None:
     if p.degree % 2:
         return None
     half = p.degree // 2
-    lead = _fraction_sqrt(p.leading)
+    lead = rational_sqrt(p.leading)
     if lead is None:
         return None
     sigma = [Fraction(0)] * (half + 1)

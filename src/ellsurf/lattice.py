@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .exactpoly import bareiss_det, solve_linear
+
 
 class UnknownLattice(ValueError):
     """Name not in the constructor catalog."""
@@ -231,26 +233,7 @@ def two_param_polarization(c: int) -> GramLattice:
 
 def determinant(lat: GramLattice) -> int:
     """Determinant of the Gram matrix (fraction-free elimination)."""
-    n = lat.rank
-    if n == 0:
-        return 1
-    m = [list(row) for row in lat.gram]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return bareiss_det(lat.gram)
 
 
 def signature(lat: GramLattice) -> tuple[int, int]:
@@ -374,23 +357,6 @@ def discriminant_group(lat: GramLattice) -> list[int]:
     return [d for d in diag if d > 1]
 
 
-def _solve_rational(gram, rhs: list[int]) -> list[Fraction]:
-    n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise DegenerateLattice("Gram matrix is singular")
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
-
-
 @dataclass(frozen=True)
 class TwoElemInvariants:
     """Rank, signature, length, and parity; parity is None when the
@@ -432,7 +398,7 @@ def two_elementary_invariants(lat: GramLattice) -> TwoElemInvariants:
             if d != 2:
                 continue
             y = [uinv[r][idx] for r in range(lat.rank)]
-            z = _solve_rational(lat.gram, y)
+            z = solve_linear(lat.gram, y)
             q = sum(Fraction(yr) * zr for yr, zr in zip(y, z))
             if q.denominator != 1:
                 parity = 1

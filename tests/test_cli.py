@@ -2,11 +2,13 @@
 
 Covers the scenario grammar (including error positions), the bundled
 corpus, report statuses and exit codes, the byte-stability of the JSON
-emitter, and the expected-error convention.
+emitter, pinned report digests of the scenarios that run through the exact
+primitives, and the expected-error convention.
 """
 
-import io
 import contextlib
+import hashlib
+import io
 import json
 
 import pytest
@@ -415,6 +417,91 @@ def test_emit_json_carries_no_timing():
     assert "wall" not in text and "ms" not in json.loads(text)
 
 
+# sha256 prefixes of emit_json for one scenario at root seeds 0-3, recorded
+# before the exact primitives moved into exactpoly.  The scenarios are the
+# ones that run through the rewired cubic roots, square root, form
+# resultant, linear solve and determinant; a kernel change that alters any
+# of their reports fails here even when the run is byte-stable.
+_PINNED_DIGESTS = {
+    "fiberwise-j-match": (
+        "61f2f2da681b3bdc", "df1d76cb3b42fb4b",
+        "9e33f72e931a786b", "71fc89101faab279",
+    ),
+    "glued-cover-lattice": (
+        "5b2446d64eee2422", "409ac46f5bc02bae",
+        "e0c4c0895260f327", "76aa2f0969b26abb",
+    ),
+    "nikulin-rank8-profile": (
+        "7029bd1a4ab2eca7", "acd32a7c6328a847",
+        "465c072240402fad", "53b03d2a8f497e24",
+    ),
+    "normalize-roundtrip": (
+        "fdde760fd3bbfd5a", "3d6c11a2f6fa7301",
+        "0d86e68a7997f636", "f17e5925b4dca0db",
+    ),
+    "polarization-classes": (
+        "07467851bab5cf67", "10e83ac47880716c",
+        "f925dac459b048d1", "2843a25ce6e21c51",
+    ),
+    "polarization-even-profile": (
+        "e90da9013616898e", "af34c1b4f988333d",
+        "9fbad0377da1a83e", "19f56729d81046b4",
+    ),
+    "polarization-odd-profile": (
+        "c71b2c545da311d1", "2a01b9fa6521e48e",
+        "4be85fd144f8e1a6", "8fda44ae3e958bad",
+    ),
+    "quadruple-cover-fibers": (
+        "17f413097465177e", "6d0f5080ce24046c",
+        "6bc0c6db1a062b60", "5c1f6c54e9225f2a",
+    ),
+    "rank10-lattice-match": (
+        "f74a1898668edf0c", "7f7df71be1cf827c",
+        "fe8d5a2bf9058efd", "24b4690887e155da",
+    ),
+    "rank12-selfglue-profile": (
+        "55acba166d647ffa", "2cf3097b1af1ec80",
+        "12cb5d3543e179b9", "2d333b138d6003e8",
+    ),
+    "rank14-lattice-chain": (
+        "80d49561a74d3d53", "d345c147059522be",
+        "a9d11e6c4742d650", "aaed77ec648226de",
+    ),
+    "refibered-pencil-stars": (
+        "8db2fd19c8d3a0ee", "1eb53059e65bd832",
+        "847b72b59ccf2c9a", "bc0aa283695b3e4a",
+    ),
+    "refibration-match": (
+        "f918dec66798b213", "35f7c0848618dac8",
+        "900090ec720d2f9d", "318d4868cda49b7b",
+    ),
+    "star-chain-one": (
+        "c6dffa5c2ddf5603", "7df4c0af0642794e",
+        "761a8198fa8374f8", "14a579d4a5174016",
+    ),
+    "star-chain-three": (
+        "686887bf575d9dd0", "177846e665eed35d",
+        "17e698df2965e204", "0d1ed4fab53242cb",
+    ),
+    "star-chain-two": (
+        "73da718fb67dafe5", "aedadd0ab84f966b",
+        "af92888fe8cfa567", "85e16c08d1141799",
+    ),
+    "three-lines-stars": (
+        "de61779b340e4c8c", "fe1a2ea4d4c08173",
+        "9a5905e7162cba50", "b3d4def1390311a6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DIGESTS))
+def test_emit_json_digest_is_pinned(name):
+    (scenario,) = [sc for sc in cli.bundled_scenarios() if sc.name == name]
+    for seed, expected in enumerate(_PINNED_DIGESTS[name]):
+        text = cli.emit_json(cli.run_suite([scenario], seed), seed)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == expected, seed
+
+
 def test_emit_json_fiber_places_schema():
     doc = json.loads(cli.emit_json(cheap_reports(7), 7))
     frozen = [e for e in doc["scenarios"] if e["name"] == "frozen-torsion-pair"][0]
@@ -520,3 +607,14 @@ def test_main_exit_two_paths(tmp_path):
     ):
         code, _, _ = call_main(argv)
         assert code == 2, argv
+
+
+def test_main_fiberwise_j_at_seed_four():
+    # seed 4 draws a coupling coordinate at a two-torsion abscissa, where
+    # the (2,2) curve is singular; the sampler must draw again
+    code, out, _ = call_main(
+        ["verify", "--filter", "fiberwise-j-match", "--seed", "4", "--format", "json"]
+    )
+    assert code == 0
+    (entry,) = json.loads(out)["scenarios"]
+    assert entry["status"] == "pass"

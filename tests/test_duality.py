@@ -129,6 +129,19 @@ def test_base_change_cover_geometry():
         assert du.base_change_k3(r, d0, d_inf) == expected
 
 
+def test_base_change_at_the_origin_substitutes_squares():
+    # with d0 = d_inf = 0 the cover map is [u^2 : v^2]
+    f4 = HomPoly.of(ST, (1, 0, 0, 0, 1))
+    g6 = HomPoly.of(ST, (0, 1, 0, 0, 0, 1, 1))
+    model = du.base_change_k3(du.RESData(f4, g6), 0, 0)
+    assert model.weight == 2
+    assert (model.a4.degree, model.a6.degree) == (8, 12)
+    u_sq, v_sq = HomPoly.of(uv, (1, 0, 0)), HomPoly.of(uv, (0, 0, 1))
+    assert model.a4 == f4.substitute(u_sq, v_sq)
+    assert model.a6 == g6.substitute(u_sq, v_sq)
+    assert fiber_configuration(model).summary() == {"I1": 24}
+
+
 def test_base_change_generic_configuration():
     rng = random.Random(202)
     for _ in range(5):
@@ -161,6 +174,15 @@ def test_twist_gates_and_places():
             ST, (1, Fraction(-1, 1) / d_inf)
         )
         assert label_product(cfg, "I0*") == expected
+
+
+def test_twist_at_the_origin():
+    r = du.RESData(HomPoly.of(ST, (1, 0, 0, 0, 1)), HomPoly.of(ST, (0, 1, 0, 0, 0, 1, 1)))
+    model = du.twist_model(r, 0, 0)
+    assert model.weight == 2
+    cfg = fiber_configuration(model)
+    assert cfg.summary() == {"I0*": 2, "I1": 12}
+    assert cfg.euler_total == 24
 
 
 def test_twist_preserves_j_invariant():
@@ -239,6 +261,31 @@ def test_ruling_swap_reading_identity():
             term = tensor_forms(power, data.swap.coeffs[j].substitute(u_sq, v_sq))
             total = term if total is None else total + term
         assert total == data.branch
+
+
+def test_ruling_swap_frozen_coefficients():
+    # A = 0, C = s^4, D = t^4: only the outer coefficients survive
+    swap = du.ruling_swap(
+        HomPoly.zero(ST, 4), HomPoly.of(ST, (1, 0, 0, 0, 0)), HomPoly.of(ST, (0, 0, 0, 0, 1))
+    )
+    assert swap.coeffs[4] == HomPoly.of(UV, (1, 0, 0))
+    assert swap.coeffs[0] == HomPoly.of(UV, (0, 0, 1))
+    assert all(swap.coeffs[j].is_zero for j in (1, 2, 3))
+    assert swap.f == HomPoly.of(UV, (0, 0, -4, 0, 0))
+    assert swap.g.is_zero
+
+
+def test_ruling_swap_matches_the_curve_equation():
+    # C(s,t) U^2 - A(s,t) U V + D(s,t) V^2 = sum_j a_j(U,V) s^j t^(4-j)
+    rng = random.Random(233)
+    for _ in range(5):
+        a, c, d = (random_form(rng, ST, 4, -9, 9) for _ in range(3))
+        swap = du.ruling_swap(a, c, d)
+        for _ in range(10):
+            s0, t0, u0, v0 = (rng.randint(-9, 9) for _ in range(4))
+            lhs = c(s0, t0) * u0 * u0 - a(s0, t0) * u0 * v0 + d(s0, t0) * v0 * v0
+            rhs = sum(swap.coeffs[j](u0, v0) * s0**j * t0 ** (4 - j) for j in range(5))
+            assert lhs == rhs
 
 
 def test_ruling_swap_degree_gate():

@@ -1,8 +1,8 @@
-"""Unit tests for the exact polynomial kernel.
+"""Unit tests for the exact polynomial kernel and its scalar primitives.
 
 sympy appears here only as the independent cross-check oracle for
-resultants, discriminants and squarefree parts; the package itself never
-imports it.
+resultants, discriminants, squarefree parts, cubic roots and
+determinants; the package itself never imports it.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 from hypothesis import given, settings
+from sympy.polys.subresultants_qq_zz import sylvester
 from hypothesis import strategies as st
 
 from ellsurf.exactpoly import (
@@ -22,19 +23,25 @@ from ellsurf.exactpoly import (
     ExactDivisionError,
     HomPoly,
     ParseError,
+    SingularSystem,
     UniPoly,
+    bareiss_det,
     discriminant_form,
     discriminant_univ,
     divexact_form,
     form_discriminant,
+    form_resultant,
     gcd_form,
     gcd_poly,
     homogenize,
     multiplicity_in,
     parse_hompoly,
     parse_rational,
+    rational_cubic_roots,
+    rational_sqrt,
     refine_against,
     resultant,
+    solve_linear,
     squarefree_split,
     tensor_forms,
 )
@@ -244,6 +251,18 @@ class TestSquarefree:
         split = squarefree_split(UniPoly.of(0, 0, 1))
         assert refine_against(split, UniPoly.zero()) == split
 
+    def test_multiplicity_of_a_constant_divisor_is_refused(self):
+        with pytest.raises(DegreeTooLow):
+            multiplicity_in(UniPoly.of(1, 1), UniPoly.of(2))
+        assert multiplicity_in(UniPoly.of(1, 1) ** 3 * 5, UniPoly.of(2, 2)) == 3
+
+    def test_form_multiplicity_of_a_constant_divisor_is_refused(self):
+        ST = ("s", "t")
+        with pytest.raises(DegreeTooLow):
+            multiplicity_in(HomPoly.of(ST, (1, 1)), HomPoly.of(ST, (3,)))
+        t_ = HomPoly.of(ST, (0, 1))
+        assert multiplicity_in(t_**4 * HomPoly.of(ST, (1, 1)), t_) == 4
+
 
 class TestHomPoly:
     def test_arithmetic_and_degree_guards(self):
@@ -350,3 +369,171 @@ class TestParsing:
     def test_cancelling_terms_keep_declared_degree(self):
         F = parse_hompoly("s*t - s*t", ("s", "t"))
         assert F.is_zero and F.degree == 2
+
+
+# ---------------------------------------------------------------------------
+# scalar primitives
+
+
+def _sympy_rational_roots(p2, p1, p0):
+    poly = sp.Poly(
+        [1, sp.Rational(p2), sp.Rational(p1), sp.Rational(p0)], _X, domain="QQ"
+    )
+    return sorted(sp.roots(poly, filter="Q"))
+
+
+class TestScalarPrimitives:
+    def test_rational_sqrt(self):
+        assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+        assert rational_sqrt(Fraction(0)) == 0
+        assert rational_sqrt(Fraction(2)) is None
+        assert rational_sqrt(Fraction(4, 3)) is None
+        assert rational_sqrt(Fraction(-4)) is None
+
+    def test_cubic_roots_of_random_cubics_against_sympy(self):
+        rng = random.Random(301)
+        for _ in range(150):
+            p2, p1, p0 = (
+                Fraction(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(3)
+            )
+            ours = rational_cubic_roots(p2, p1, p0)
+            assert [sp.Rational(r) for r in ours] == _sympy_rational_roots(p2, p1, p0)
+
+    def test_cubic_roots_of_split_cubics_against_sympy(self):
+        # products of rational linear factors, with repeated roots and zero
+        rng = random.Random(302)
+        for _ in range(150):
+            roots = [Fraction(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(3)]
+            pick = rng.random()
+            if pick < 0.25:
+                roots[1] = roots[0]  # double root
+            elif pick < 0.35:
+                roots[1] = roots[2] = roots[0]  # triple root
+            elif pick < 0.5:
+                roots[2] = Fraction(0)  # zero constant term
+            r0, r1, r2 = roots
+            p2 = -(r0 + r1 + r2)
+            p1 = r0 * r1 + r0 * r2 + r1 * r2
+            p0 = -r0 * r1 * r2
+            ours = rational_cubic_roots(p2, p1, p0)
+            assert ours == sorted(set(roots))
+            assert [sp.Rational(r) for r in ours] == _sympy_rational_roots(p2, p1, p0)
+
+    def test_cubic_roots_with_large_constant_term(self):
+        # |p0| near 10^14: enumerating divisors of p0 would take seconds
+        big = 10**9 + 7
+        cases = [
+            (Fraction(7), Fraction(-3), Fraction(10**14 + 31)),
+            # (x - big) (x^2 + 3 x + 100003)
+            (Fraction(3 - big), Fraction(100003 - 3 * big), Fraction(-100003 * big)),
+            # (x - big/3)^2 (x + 5)
+            (
+                Fraction(5) - Fraction(2 * big, 3),
+                Fraction(big * big, 9) - Fraction(10 * big, 3),
+                Fraction(5 * big * big, 9),
+            ),
+        ]
+        for p2, p1, p0 in cases:
+            ours = rational_cubic_roots(p2, p1, p0)
+            assert [sp.Rational(r) for r in ours] == _sympy_rational_roots(p2, p1, p0)
+        assert rational_cubic_roots(*cases[1]) == [Fraction(big)]
+
+    def test_bareiss_det_against_sympy(self):
+        rng = random.Random(303)
+        for n in range(0, 7):
+            for _ in range(15):
+                m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                if n >= 2 and rng.random() < 0.3:
+                    m[-1] = list(m[0])  # singular
+                if n >= 1 and rng.random() < 0.3:
+                    m[0][0] = 0  # forces a row swap
+                frozen = [list(row) for row in m]
+                assert bareiss_det(m) == sp.Matrix(n, n, [x for row in m for x in row]).det()
+                assert m == frozen  # the input is not consumed
+
+    def test_solve_linear_against_sympy(self):
+        rng = random.Random(304)
+        done = 0
+        while done < 20:
+            n = rng.randint(1, 5)
+            m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            rhs = [rng.randint(-9, 9) for _ in range(n)]
+            sm = sp.Matrix(n, n, [sp.Rational(x) for row in m for x in row])
+            if sm.det() == 0:
+                continue
+            expected = sm.LUsolve(sp.Matrix(rhs))
+            assert [sp.Rational(x) for x in solve_linear(m, rhs)] == list(expected)
+            done += 1
+
+    def test_solve_linear_refuses_a_singular_system(self):
+        with pytest.raises(SingularSystem):
+            solve_linear([[1, 2], [2, 4]], [1, 2])
+        with pytest.raises(SingularSystem):
+            solve_linear([[0, 0, 1], [0, 1, 0], [0, 1, 1]], [1, 1, 1])
+
+
+_S, _T = sp.symbols("s t")
+
+
+def _sympy_form_resultant(p: HomPoly, q: HomPoly):
+    # The resultant of binary forms is unchanged by the unimodular move
+    # t -> t + lam*s.  Pick lam so both moved forms keep their declared
+    # degree in s, then take the affine resultant at t = 1 as the
+    # determinant of sympy's own Sylvester matrix (sympy's `resultant`
+    # flips the sign of that determinant for some degree pairs, e.g. it
+    # gives 1 for (s + 1, s^3) where the Sylvester determinant is -1).
+    def expr(f):
+        d = f.degree
+        return sum(sp.Rational(c) * _S ** (d - k) * _T**k for k, c in enumerate(f.coeffs))
+
+    ep, eq = expr(p), expr(q)
+    lam = next(
+        lam for lam in range(10) if ep.subs({_S: 1, _T: lam}) != 0 and eq.subs({_S: 1, _T: lam}) != 0
+    )
+    moved_p = sp.expand(ep.subs(_T, 1 + lam * _S))
+    moved_q = sp.expand(eq.subs(_T, 1 + lam * _S))
+    return sylvester(moved_p, moved_q, _S, 1).det()
+
+
+class TestFormResultant:
+    ST = ("s", "t")
+
+    def test_against_sympy_including_roots_at_infinity(self):
+        rng = random.Random(305)
+        done = 0
+        while done < 80:
+            forms = []
+            for _ in range(2):
+                deg = rng.randint(1, 4)
+                cs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(deg + 1)]
+                if rng.random() < 0.4:
+                    cs[0] = Fraction(0)  # a root at infinity
+                forms.append(HomPoly.of(self.ST, cs))
+            p, q = forms
+            if p.is_zero or q.is_zero:
+                continue
+            assert sp.Rational(form_resultant(p, q)) == _sympy_form_resultant(p, q)
+            done += 1
+
+    def test_shared_root_at_infinity_is_seen(self):
+        t_ = HomPoly.of(self.ST, (0, 1))
+        p = t_ * HomPoly.of(self.ST, (1, -1))
+        q = t_ * HomPoly.of(self.ST, (1, 2))
+        assert form_resultant(p, q) == 0
+        # the affine resultant drops the common zero at [1:0]
+        assert resultant(p.as_unipoly(), q.as_unipoly()) != 0
+
+    def test_matches_affine_resultant_at_full_degree(self):
+        p = HomPoly.of(self.ST, (2, -1, 3))
+        q = HomPoly.of(self.ST, (1, 0, 0, -5))
+        assert form_resultant(p, q) == resultant(p.as_unipoly(), q.as_unipoly())
+
+    def test_constant_and_zero_forms(self):
+        c = HomPoly.of(self.ST, (3,))
+        q = HomPoly.of(self.ST, (1, 0, 0, -5))
+        assert form_resultant(c, q) == 27
+        assert form_resultant(HomPoly.zero(self.ST, 2), q) == 0
+
+    def test_variable_pairs_must_agree(self):
+        with pytest.raises(DegreeMismatch):
+            form_resultant(HomPoly.of(self.ST, (1, 1)), HomPoly.of(("u", "v"), (1, 1)))

@@ -68,6 +68,11 @@ def test_reduction_frozen_pairs():
         assert (cub.f, cub.g) == pair
 
 
+def test_reduction_frozen_discriminants():
+    assert jacobian_quartic(QuarticCurve.of(0, 0, -1, 0, 1)).discriminant == 0
+    assert jacobian_quartic(QuarticCurve.of(1, 2, 0, 0, 1)).discriminant == -176
+
+
 def test_reduction_discriminant_matches_quartic():
     rng = random.Random(101)
     for _ in range(40):
@@ -212,6 +217,24 @@ def test_pointwise_map_base_and_conjugate():
     assert abel_jacobi(h, (0, -1), (0, -1)).is_infinity
     conj = abel_jacobi(h, (0, -1), (0, 1))
     assert jacobian_quartic(h).contains(conj.xi, conj.eta)
+
+
+def test_pointwise_map_conjugate_lands_on_cubic():
+    # the conjugate of the base point, on random curves through a
+    # rational point with fractional coordinates
+    rng = random.Random(116)
+    done = 0
+    while done < 25:
+        x0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        w0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if w0 == 0:
+            continue
+        a1, a2, a3, a4 = (rand_frac(rng, -5, 5) for _ in range(4))
+        a0 = w0**2 - (a1 * x0 + a2 * x0**2 + a3 * x0**3 + a4 * x0**4)
+        h = QuarticCurve.of(a0, a1, a2, a3, a4)
+        conj = abel_jacobi(h, (x0, -w0), (x0, w0))
+        assert jacobian_quartic(h).contains(conj.xi, conj.eta)
+        done += 1
 
 
 def test_pointwise_map_error_gates():
