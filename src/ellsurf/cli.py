@@ -8,9 +8,14 @@ holding, or a specific error).  ``verify`` runs a selection of scenarios
 and renders a report as aligned text or as JSON; the JSON form carries no
 timing data and is byte-stable for a fixed seed, so runs can be diffed.
 
-Randomized families re-sample rejected draws using genericity predicates
+Each family is declared once, next to its code, as a :class:`Family`; one
+driver in :func:`run` owns the rng, the trial loop and the first trial's
+witness.  Randomized families draw their inputs through :func:`_draw`,
+which re-samples rejected draws using genericity predicates
 (squarefreeness and coprimality of specific discriminant factors), never
-the expected answer, so resampling cannot bias a check.
+the expected answer, so resampling cannot bias a check; after
+``DRAW_BUDGET`` attempts it raises :class:`SamplerExhausted`, reported as
+an error instead of a hang.
 """
 
 from __future__ import annotations
@@ -66,6 +71,10 @@ from .hermite_aj import (
 
 DEFAULT_TRIALS = 100
 
+# attempts one draw may make before it gives up; over root seeds 0-19 no
+# bundled scenario needs more than 12
+DRAW_BUDGET = 100
+
 _KINDS = (
     "fiber-config",
     "lattice-identity",
@@ -83,11 +92,64 @@ _COVER = ("u", "v")
 
 
 class _CheckFailure(Exception):
-    """An expectation did not hold; carries extra artifact detail."""
+    """An expectation did not hold; carries extra artifact detail.
 
-    def __init__(self, message: str, details: dict | None = None):
+    ``instance`` names the instance of a trial that failed, when a trial
+    checks more than one.
+    """
+
+    def __init__(
+        self, message: str, details: dict | None = None, instance: str | None = None
+    ):
         super().__init__(message)
         self.details = details or {}
+        self.instance = instance
+
+    def in_trial(self, k: int) -> _CheckFailure:
+        where = f"trial {k}"
+        if self.instance is not None:
+            where += f" ({self.instance})"
+        return _CheckFailure(f"{where}: {self}", self.details)
+
+
+class SamplerExhausted(RuntimeError):
+    """A sampler made ``DRAW_BUDGET`` attempts and accepted none of them."""
+
+
+@dataclass(frozen=True)
+class Family:
+    """One scenario family, declared next to its check with :func:`_family`.
+
+    ``check(sc, rng)`` runs one trial: it raises ``_CheckFailure`` or
+    returns the trial's witness, kept from the first trial as
+    ``first_instance`` (or, when ``tally`` names an artifact, counted over
+    the trials that return true).  A family that is not ``randomized``
+    runs its check once and the check returns every artifact.  ``inputs``
+    maps each input the check reads to its directive, ``constraint`` is a
+    (predicate, message) pair the inputs must meet, and ``extra`` holds
+    fixed artifacts.
+    """
+
+    kind: str
+    check: Callable
+    randomized: bool = True
+    inputs: dict[str, str] = field(default_factory=dict)
+    constraint: tuple[Callable, str] | None = None
+    extra: dict = field(default_factory=dict)
+    tally: str | None = None
+
+
+_FAMILIES: dict[str, Family] = {}
+
+
+def _family(name: str, kind: str, **declared) -> Callable:
+    """Declare the decorated per-trial check as the family ``name``."""
+
+    def register(check: Callable) -> Callable:
+        _FAMILIES[name] = Family(kind, check, **declared)
+        return check
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +397,15 @@ def _validate_scenario(sc: Scenario, source: str) -> None:
     def bad(message: str) -> ParseError:
         return ParseError(f"{source}: scenario {sc.name!r}: {message}", 1, 1)
 
-    has_outcome = (
+    outcome = (
         sc.expect_pass
-        or sc.expect_error is not None
         or sc.expect_fibers is not None
         or sc.expect_match is not None
         or bool(sc.expect_invariants)
     )
-    if not has_outcome:
+    if sc.expect_error is None and not outcome:
         raise bad("no expectation declared")
-    if sc.expect_error is not None and (
-        sc.expect_pass
-        or sc.expect_fibers is not None
-        or sc.expect_match is not None
-        or sc.expect_invariants
-    ):
+    if sc.expect_error is not None and outcome:
         raise bad("'expect error' excludes every other expectation")
 
     if sc.kind == "lattice-identity":
@@ -384,20 +440,12 @@ def _validate_scenario(sc: Scenario, source: str) -> None:
         if sc.expect_error is None and not sc.expect_pass:
             raise bad("this kind needs 'expect pass' or 'expect error'")
 
-    for pname in fam.needs_polys:
-        if pname not in sc.polys:
-            raise bad(f"family {sc.family!r} needs poly {pname!r}")
-    for rname in fam.needs_rats:
-        if rname not in sc.rats:
-            raise bad(f"family {sc.family!r} needs rat {rname!r}")
-    for qname in fam.needs_quartics:
-        if qname not in sc.quartics:
-            raise bad(f"family {sc.family!r} needs quartic {qname!r}")
-    if sc.family == "star-chain" and sc.rats["level"] not in (7, 8, 9):
-        raise bad("star-chain level must be 7, 8 or 9")
-    if sc.family == "alternate-pair":
-        if sc.polys["trace"].degree != 4 or sc.polys["norm"].degree != 8:
-            raise bad("alternate-pair needs trace of degree 4, norm of degree 8")
+    for name, directive in fam.inputs.items():
+        table = {"poly": sc.polys, "rat": sc.rats, "quartic": sc.quartics}[directive]
+        if name not in table:
+            raise bad(f"family {sc.family!r} needs {directive} {name!r}")
+    if fam.constraint is not None and not fam.constraint[0](sc):
+        raise bad(fam.constraint[1])
 
 
 def load_scenario(path: str) -> Scenario:
@@ -420,106 +468,102 @@ def bundled_scenarios() -> list[Scenario]:
 # discriminant factors, never a comparison with the expected answer
 
 
+def _draw(make: Callable, accept: Callable | None = None):
+    """Call ``make()`` until it gives a candidate that ``accept`` takes.
+
+    ``make`` returns None for a candidate it rejects while building it;
+    without ``accept`` every built candidate is taken.  Raises
+    :class:`SamplerExhausted` after ``DRAW_BUDGET`` attempts.
+    """
+    for _ in range(DRAW_BUDGET):
+        candidate = make()
+        if candidate is not None and (accept is None or accept(candidate)):
+            return candidate
+    raise SamplerExhausted(f"no acceptable draw in {DRAW_BUDGET} attempts")
+
+
+def _ints(rng: random.Random, n: int, lo: int, hi: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(rng.randint(lo, hi)) for _ in range(n))
+
+
 def _random_form(rng: random.Random, vars, degree: int, lo=-9, hi=9) -> HomPoly:
-    while True:
-        coeffs = tuple(Fraction(rng.randint(lo, hi)) for _ in range(degree + 1))
-        if any(coeffs):
-            return HomPoly.of(vars, coeffs)
+    return HomPoly.of(vars, _draw(lambda: _ints(rng, degree + 1, lo, hi), any))
+
+
+def _random_quartic(rng: random.Random, lo=-9, hi=9) -> QuarticCurve:
+    return QuarticCurve.of(*_ints(rng, 5, lo, hi))
 
 
 def _separable(form: HomPoly) -> bool:
     return not form.is_zero and form_discriminant(form) != 0
 
 
-def _sample_rational_surface(rng: random.Random) -> du.RESData:
-    while True:
+def _sample_rational_surface(rng: random.Random, generic=_separable) -> du.RESData:
+    """A rational elliptic surface whose reduced discriminant is ``generic``."""
+
+    def make():
         f = _random_form(rng, _FIRST, 4)
         g = _random_form(rng, _FIRST, 6)
         try:
-            r = du.RESData(f, g)
+            return du.RESData(f, g)
         except ValueError:
-            continue
-        if _separable(r.reduced_discriminant()):
-            return r
+            return None
 
-
-def _sample_cover_parameters(rng: random.Random, r: du.RESData):
-    disc = r.reduced_discriminant()
-    while True:
-        d0 = Fraction(rng.randint(-9, 9))
-        d_inf = Fraction(rng.randint(-9, 9))
-        if (1 - d0) * (1 - d_inf) * (1 - d0 * d_inf) == 0:
-            continue
-        if disc(d0, 1) == 0 or disc(1, d_inf) == 0 or disc(1, 1) == 0:
-            continue
-        return d0, d_inf
+    return _draw(make, lambda r: generic(r.reduced_discriminant()))
 
 
 def _sample_isogeny_pair(rng: random.Random) -> du.AlternatePair:
-    while True:
-        trace = _random_form(rng, _FIRST, 4, -6, 6)
-        left = _random_form(rng, _FIRST, 4, -6, 6)
-        right = _random_form(rng, _FIRST, 4, -6, 6)
+    def make():
+        trace, left, right = (_random_form(rng, _FIRST, 4, -6, 6) for _ in range(3))
         norm = left * right
-        complement = trace * trace - 4 * norm
-        if _separable(norm * complement):
+        if _separable(norm * (trace * trace - 4 * norm)):
             return du.AlternatePair(trace, norm, split=(left, right))
+        return None
+
+    return _draw(make)
 
 
 def _sample_correspondence_triple(rng: random.Random):
-    while True:
-        d0, a0, g0, a1, a2, g2 = (Fraction(rng.randint(-6, 6)) for _ in range(6))
+    def make():
+        d0, a0, g0, a1, a2, g2 = _ints(rng, 6, -6, 6)
         gamma = HomPoly.of(_SECOND, (g2, a2, g0))
         alpha = HomPoly.of(_SECOND, (a2, a1, a0))
         delta = HomPoly.of(_SECOND, (g0, a0, d0))
         prod = gamma * delta
         disc = alpha * alpha - 4 * prod
         if prod.is_zero or disc.is_zero:
-            continue
-        if not _separable(prod * disc):
-            continue
-        if (prod * disc)(0, 1) == 0 or (prod * disc)(1, 0) == 0:
-            continue
-        return alpha, gamma, delta
+            return None
+        both = prod * disc
+        if _separable(both) and both(0, 1) != 0 and both(1, 0) != 0:
+            return alpha, gamma, delta
+        return None
+
+    return _draw(make)
 
 
 def _sample_full_torsion_forms(rng: random.Random):
-    while True:
-        trace = _random_form(rng, _FIRST, 4, -6, 6)
-        difference = _random_form(rng, _FIRST, 4, -6, 6)
-        product = (trace * trace - difference * difference) * difference
-        if not product.is_zero and _separable(product):
+    def make():
+        trace, difference = (_random_form(rng, _FIRST, 4, -6, 6) for _ in range(2))
+        if _separable((trace * trace - difference * difference) * difference):
             return trace, difference
+        return None
+
+    return _draw(make)
 
 
-def _reduced_pair_generic(f: HomPoly, g: HomPoly) -> bool:
-    disc = 4 * f**3 + 27 * g**2
-    if not _separable(disc):
-        return False
-    return disc.coeffs[0] != 0 and disc(0, 1) != 0 and disc(1, 1) != 0
+def _draw_quadruple(rows: Callable) -> du.QuadrupleCoverSurface:
+    """Draw the double cover of a generic quadruple of bilinear curves,
+    whose two torsion factors are coprime and squarefree."""
 
-
-def _sample_reduced_pair(rng: random.Random):
-    while True:
-        f = _random_form(rng, _SECOND, 2)
-        g = _random_form(rng, _SECOND, 3)
-        if _reduced_pair_generic(f, g):
-            return f, g
-
-
-def _sample_generic_quadruple(rng: random.Random) -> du.BilinearQuadruple:
-    while True:
-        rows = tuple(
-            tuple(Fraction(rng.randint(-5, 5)) for _ in range(4)) for _ in range(4)
-        )
+    def make():
         try:
-            quad = du.BilinearQuadruple.of(rows)
-            surface = du.bilinear_quadruple_surface(quad)
+            surface = du.bilinear_quadruple_surface(du.BilinearQuadruple.of(rows()))
         except du.GenericityViolated:
-            continue
+            return None
         b, c = surface.torsion_factors
-        if _separable(b * c * (b - c)):
-            return quad
+        return surface if _separable(b * c * (b - c)) else None
+
+    return _draw(make)
 
 
 def _interpolated_row(base, x1, x2, lam1, lam2):
@@ -532,74 +576,51 @@ def _interpolated_row(base, x1, x2, lam1, lam2):
     return (p1, a1 - p1 * x1, p3, b1 - p3 * x1)
 
 
-def _sample_refiber_quadruple(rng: random.Random) -> du.BilinearQuadruple:
+def _refiber_rows(rng: random.Random):
     # pairs (0, 3) and (1, 2) meet over rational s values, so the
     # refibration's rationality gates always pass
-    while True:
-        row0 = tuple(Fraction(rng.randint(-5, 5)) for _ in range(4))
-        row1 = tuple(Fraction(rng.randint(-5, 5)) for _ in range(4))
-        xs = rng.sample(range(-6, 7), 4)
-        lams = [Fraction(rng.randint(1, 4)) for _ in range(4)]
-        try:
-            row3 = _interpolated_row(
-                row0, Fraction(xs[0]), Fraction(xs[1]), lams[0], lams[1]
-            )
-            row2 = _interpolated_row(
-                row1, Fraction(xs[2]), Fraction(xs[3]), lams[2], lams[3]
-            )
-            quad = du.BilinearQuadruple.of((row0, row1, row2, row3))
-            surface = du.bilinear_quadruple_surface(quad)
-        except du.GenericityViolated:
-            continue
-        b, c = surface.torsion_factors
-        if _separable(b * c * (b - c)):
-            return quad
+    row0, row1 = _ints(rng, 4, -5, 5), _ints(rng, 4, -5, 5)
+    xs = [Fraction(x) for x in rng.sample(range(-6, 7), 4)]
+    lams = _ints(rng, 4, 1, 4)
+    row3 = _interpolated_row(row0, xs[0], xs[1], lams[0], lams[1])
+    row2 = _interpolated_row(row1, xs[2], xs[3], lams[2], lams[3])
+    return row0, row1, row2, row3
 
 
 def _sample_three_lines_params(rng: random.Random, **fixed) -> du.ThreeLinesCubicParams:
     names = ("mu", "nu", "c0", "c1", "d0", "d1", "d2", "e0", "e1", "e2")
-    while True:
-        draw = {key: Fraction(rng.randint(-5, 5)) for key in names}
-        draw.update({k: Fraction(v) for k, v in fixed.items()})
+
+    def make():
+        draw = dict(zip(names, _ints(rng, 10, -5, 5)), **fixed)
         try:
             return du.ThreeLinesCubicParams.of(**draw)
         except du.ParameterConstraintViolated:
-            continue
+            return None
+
+    return _draw(make)
 
 
-def _star_chain_profile(params: du.ThreeLinesCubicParams):
-    """(infinity multiplicity, finite discriminant factor) of the model."""
-    model = du.three_lines_cubic_model(params)
-    delta = invariants(model).delta
-    stars = homogenize(
-        (UniPoly.of(params.mu, 1) ** 6) * (UniPoly.of(params.nu, 1) ** 6),
-        delta.vars,
-        12,
-    )
-    finite = divexact_form(delta, stars).as_unipoly()
-    return 12 - finite.degree, finite
-
-
-def _finite_factor_generic(params: du.ThreeLinesCubicParams, finite: UniPoly) -> bool:
-    """Separable nodal factor avoiding both pinned star places."""
+def _at_chain_level(params: du.ThreeLinesCubicParams, level: int) -> bool:
+    """The star at infinity of the three-lines model has ``level``, and the
+    finite nodal factor is separable and avoids both pinned star places."""
+    try:
+        delta = invariants(du.three_lines_cubic_model(params)).delta
+    except DegenerateModel:
+        return False
+    stars = (UniPoly.of(params.mu, 1) ** 6) * (UniPoly.of(params.nu, 1) ** 6)
+    finite = divexact_form(delta, homogenize(stars, delta.vars, 12)).as_unipoly()
+    if 12 - finite.degree != level:
+        return False
     if finite.is_zero or discriminant_form(finite, finite.degree) == 0:
         return False
     return finite(-params.mu) != 0 and finite(-params.nu) != 0
 
 
-def _sample_chain_params(rng: random.Random, level: int, fixed: dict):
-    while True:
-        params = _sample_three_lines_params(rng, **fixed)
-        try:
-            deficit, finite = _star_chain_profile(params)
-        except DegenerateModel:
-            continue
-        if deficit == level and _finite_factor_generic(params, finite):
-            return params
-
-
-def _random_quartic(rng: random.Random, lo=-9, hi=9) -> QuarticCurve:
-    return QuarticCurve.of(*(Fraction(rng.randint(lo, hi)) for _ in range(5)))
+def _sample_chain_params(rng: random.Random, level: int, **fixed):
+    return _draw(
+        lambda: _sample_three_lines_params(rng, **fixed),
+        lambda params: _at_chain_level(params, level),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -624,235 +645,268 @@ def _fmt_multiset(counts: dict[str, int]) -> str:
     return " + ".join(f"{n}*{label}" for label, n in sorted(counts.items()))
 
 
-def _check_configuration(
-    sc: Scenario, cfg: FiberConfiguration, context: str
-) -> None:
-    got = cfg.summary()
-    if got != sc.expect_fibers:
-        raise _CheckFailure(
-            f"{context}: fiber counts {_fmt_multiset(got)} "
-            f"instead of {_fmt_multiset(sc.expect_fibers)}",
-            {"fiber_table": _fiber_table(cfg)},
-        )
-    if sc.expect_euler is not None and cfg.euler_total != sc.expect_euler:
-        raise _CheckFailure(
-            f"{context}: Euler number {cfg.euler_total} "
-            f"instead of {sc.expect_euler}",
-            {"fiber_table": _fiber_table(cfg)},
-        )
-
-
-def _fiber_suite(sc, rng, trials, build) -> dict:
-    first = None
-    for k in range(trials):
-        for tag, model in build(sc, rng):
-            cfg = fiber_configuration(model)
-            _check_configuration(sc, cfg, f"trial {k} ({tag})")
-            if first is None:
-                first = {
-                    "instance": tag,
-                    "weight": cfg.weight,
-                    "euler": cfg.euler_total,
-                    "places": _fiber_table(cfg),
-                }
-    return {"trials": trials, "first_instance": first}
-
-
-def _fiber_family(build) -> Callable:
-    def runner(sc, rng, trials):
-        return _fiber_suite(sc, rng, trials, build)
-
-    return runner
-
-
-def _build_rational_base(sc, rng):
-    return [("rational elliptic surface", _sample_rational_surface(rng).model())]
-
-
-def _build_base_change(sc, rng):
-    r = _sample_rational_surface(rng)
-    d0, d_inf = _sample_cover_parameters(rng, r)
-    return [(f"cover at ({d0}, {d_inf})", du.base_change_k3(r, d0, d_inf))]
-
-
-def _build_twist(sc, rng):
-    r = _sample_rational_surface(rng)
-    d0, d_inf = _sample_cover_parameters(rng, r)
-    return [(f"twist at ({d0}, {d_inf})", du.twist_model(r, d0, d_inf))]
-
-
-def _build_torsion_pair(sc, rng):
-    return [("trace/norm member", _sample_isogeny_pair(rng).model())]
-
-
-def _build_alternate_pair(sc, rng):
-    pair = du.AlternatePair(sc.polys["trace"], sc.polys["norm"])
-    return [("declared trace/norm member", pair.model())]
-
-
-def _build_three_lines(sc, rng):
-    params = _sample_chain_params(rng, 6, {})
-    return [("three-lines cubic", du.three_lines_cubic_model(params))]
-
-
-def _build_star_chain(sc, rng):
-    level = int(sc.rats["level"])
-    fixed = {7: {"d2": 0}, 8: {"d2": 0, "e2": 0}, 9: {"d2": 0, "e2": 0, "e1": 0, "d1": 0}}
-    params = _sample_chain_params(rng, level, fixed[level])
-    return [(f"sharpened chain, level {level}", du.three_lines_cubic_model(params))]
-
-
-def _build_correspondence(keys):
-    def build(sc, rng):
-        alpha, gamma, delta = _sample_correspondence_triple(rng)
-        table = du.correspondence_surfaces(alpha, gamma, delta)
-        return [(key, table[key]) for key in keys]
-
-    return build
-
-
-def _build_subfamily(kind):
-    def build(sc, rng):
-        f, g = _sample_reduced_pair(rng)
-        return [(f"{kind} member", du.subfamily_models(kind, f, g))]
-
-    return build
-
-
-def _build_full_torsion_alt(sc, rng):
-    trace, difference = _sample_full_torsion_forms(rng)
-    table = du.full_torsion_surfaces(trace, difference)
-    return [("full-torsion member", table["alt"])]
-
-
-def _build_refibered_pencil(sc, rng):
-    while True:
-        quad = _sample_refiber_quadruple(rng)
-        rj = du.refibration_jacobian(quad)
-        try:
-            deficit, finite = _star_chain_profile(rj.params)
-        except DegenerateModel:
-            continue
-        if deficit == 6 and _finite_factor_generic(rj.params, finite):
-            return [("refibered pencil", rj.model)]
-
-
-def _run_quadruple_cover(sc, rng, trials):
-    first = None
-    for k in range(trials):
-        quad = _sample_generic_quadruple(rng)
-        surface = du.bilinear_quadruple_surface(quad)
-        cfg = fiber_configuration(surface.model)
-        _check_configuration(sc, cfg, f"trial {k} (quadruple cover)")
-        sections = two_torsion_sections(surface.model)
-        b, c = surface.torsion_factors
-        if len(sections) != 3 or not {b, c} <= set(sections):
-            raise _CheckFailure(
-                f"trial {k}: two-torsion does not split into both branch factors"
+def _fibers(sc: Scenario, instances) -> dict:
+    """Check the fibers of each (tag, model); the first one is the witness."""
+    witness = None
+    for tag, model in instances:
+        cfg = fiber_configuration(model)
+        got = cfg.summary()
+        problem = None
+        if got != sc.expect_fibers:
+            problem = (
+                f"fiber counts {_fmt_multiset(got)} "
+                f"instead of {_fmt_multiset(sc.expect_fibers)}"
             )
-        if first is None:
-            first = {
-                "instance": "quadruple cover",
+        elif sc.expect_euler is not None and cfg.euler_total != sc.expect_euler:
+            problem = f"Euler number {cfg.euler_total} instead of {sc.expect_euler}"
+        if problem is not None:
+            raise _CheckFailure(problem, {"fiber_table": _fiber_table(cfg)}, tag)
+        if witness is None:
+            witness = {
+                "instance": tag,
                 "weight": cfg.weight,
                 "euler": cfg.euler_total,
                 "places": _fiber_table(cfg),
             }
-    return {"trials": trials, "first_instance": first, "torsion_sections": 3}
+    return witness
+
+
+@_family("rational-base", "fiber-config")
+def _rational_base(sc, rng):
+    model = _sample_rational_surface(rng).model()
+    return _fibers(sc, [("rational elliptic surface", model)])
+
+
+def _cover(tag: str, build: Callable) -> Callable:
+    def check(sc, rng):
+        # no choice of (d0, d_inf) helps a discriminant vanishing at (1, 1),
+        # so that place rejects the surface itself
+        r = _sample_rational_surface(
+            rng, lambda disc: _separable(disc) and disc(1, 1) != 0
+        )
+        disc = r.reduced_discriminant()
+
+        def generic(pair) -> bool:
+            d0, d_inf = pair
+            if (1 - d0) * (1 - d_inf) * (1 - d0 * d_inf) == 0:
+                return False
+            return disc(d0, 1) != 0 and disc(1, d_inf) != 0
+
+        d0, d_inf = _draw(lambda: _ints(rng, 2, -9, 9), generic)
+        return _fibers(sc, [(f"{tag} at ({d0}, {d_inf})", build(r, d0, d_inf))])
+
+    return check
+
+
+_family("base-change", "fiber-config")(_cover("cover", du.base_change_k3))
+_family("quadratic-twist", "fiber-config")(_cover("twist", du.twist_model))
+
+
+@_family("torsion-pair", "fiber-config")
+def _torsion_pair(sc, rng):
+    return _fibers(sc, [("trace/norm member", _sample_isogeny_pair(rng).model())])
+
+
+@_family(
+    "alternate-pair",
+    "fiber-config",
+    randomized=False,
+    inputs={"trace": "poly", "norm": "poly"},
+    constraint=(
+        lambda sc: sc.polys["trace"].degree == 4 and sc.polys["norm"].degree == 8,
+        "alternate-pair needs trace of degree 4, norm of degree 8",
+    ),
+)
+def _alternate_pair(sc, rng):
+    # the declared pair is checked, and reported, as a single trial
+    pair = du.AlternatePair(sc.polys["trace"], sc.polys["norm"])
+    instance = [("declared trace/norm member", pair.model())]
+    trial = Family("fiber-config", lambda sc, rng: _fibers(sc, instance))
+    return _trials(trial, sc, rng, 1)
+
+
+@_family("quadruple-cover", "fiber-config", extra={"torsion_sections": 3})
+def _quadruple_cover(sc, rng):
+    surface = _draw_quadruple(lambda: tuple(_ints(rng, 4, -5, 5) for _ in range(4)))
+    witness = _fibers(sc, [("quadruple cover", surface.model)])
+    sections = two_torsion_sections(surface.model)
+    b, c = surface.torsion_factors
+    if len(sections) != 3 or not {b, c} <= set(sections):
+        raise _CheckFailure("two-torsion does not split into both branch factors")
+    return witness
+
+
+@_family("three-lines", "fiber-config")
+def _three_lines(sc, rng):
+    params = _sample_chain_params(rng, 6)
+    return _fibers(sc, [("three-lines cubic", du.three_lines_cubic_model(params))])
+
+
+_CHAIN_ZEROS = {7: ("d2",), 8: ("d2", "e2"), 9: ("d2", "e2", "e1", "d1")}
+
+
+@_family(
+    "star-chain",
+    "fiber-config",
+    inputs={"level": "rat"},
+    constraint=(
+        lambda sc: sc.rats["level"] in _CHAIN_ZEROS,
+        "star-chain level must be 7, 8 or 9",
+    ),
+)
+def _star_chain(sc, rng):
+    level = int(sc.rats["level"])
+    params = _sample_chain_params(rng, level, **dict.fromkeys(_CHAIN_ZEROS[level], 0))
+    model = du.three_lines_cubic_model(params)
+    return _fibers(sc, [(f"sharpened chain, level {level}", model)])
+
+
+def _correspondence(keys: tuple[str, str]) -> Callable:
+    def check(sc, rng):
+        table = du.correspondence_surfaces(*_sample_correspondence_triple(rng))
+        return _fibers(sc, [(key, table[key]) for key in keys])
+
+    return check
+
+
+_family("correspondence-cover", "fiber-config")(_correspondence(("cover1", "cover2")))
+_family("correspondence-quotient", "fiber-config")(_correspondence(("quot1", "quot2")))
+_family("correspondence-rational", "fiber-config")(_correspondence(("rat1", "rat2")))
+
+
+def _reduced_pair_generic(pair) -> bool:
+    f, g = pair
+    disc = 4 * f**3 + 27 * g**2
+    if not _separable(disc):
+        return False
+    return disc.coeffs[0] != 0 and disc(0, 1) != 0 and disc(1, 1) != 0
+
+
+def _subfamily(kind: str) -> Callable:
+    def check(sc, rng):
+        f, g = _draw(
+            lambda: (_random_form(rng, _SECOND, 2), _random_form(rng, _SECOND, 3)),
+            _reduced_pair_generic,
+        )
+        return _fibers(sc, [(f"{kind} member", du.subfamily_models(kind, f, g))])
+
+    return check
+
+
+_family("tower-fourfold-cover", "fiber-config")(_subfamily("cover4"))
+_family("tower-double-cover", "fiber-config")(_subfamily("cover2"))
+_family("tower-twisted-quotient", "fiber-config")(_subfamily("twist"))
+_family("tower-rational-quotient", "fiber-config")(_subfamily("rational"))
+
+
+@_family("full-torsion-alternate", "fiber-config")
+def _full_torsion_alt(sc, rng):
+    table = du.full_torsion_surfaces(*_sample_full_torsion_forms(rng))
+    return _fibers(sc, [("full-torsion member", table["alt"])])
+
+
+@_family("refibered-pencil", "fiber-config")
+def _refibered_pencil(sc, rng):
+    def make():
+        quad = _draw_quadruple(lambda: _refiber_rows(rng)).quadruple
+        return du.refibration_jacobian(quad)
+
+    rj = _draw(make, lambda rj: _at_chain_level(rj.params, 6))
+    return _fibers(sc, [("refibered pencil", rj.model)])
 
 
 # ---------------------------------------------------------------------------
 # polynomial-identity families
 
+_ANCHORS = tuple(Fraction(a) for a in (-2, -1, 0, 1, 2, 3))
 
-def _run_coupling_product(sc, rng, trials):
-    anchors = tuple(Fraction(a) for a in (-2, -1, 0, 1, 2, 3))
-    witness = None
-    for k in range(trials):
-        h = _random_quartic(rng)
-        p = h.poly()
-        polys = correspondence_polys(h)
-        if not (polys.pairing.is_symmetric and polys.cofactor.is_symmetric):
-            raise _CheckFailure(f"trial {k}: coupling data lost symmetry")
-        if polys.pairing.diagonal() != p:
-            raise _CheckFailure(f"trial {k}: pairing diagonal differs from the quartic")
-        second = p.derivative().derivative()
-        expected_diag = Fraction(1, 3) * (p * second) - Fraction(1, 4) * (
-            p.derivative() * p.derivative()
+
+@_family(
+    "coupling-product", "hermite-identity", extra={"anchors": [str(a) for a in _ANCHORS]}
+)
+def _coupling_product(sc, rng):
+    h = _random_quartic(rng)
+    p = h.poly()
+    polys = correspondence_polys(h)
+    if not (polys.pairing.is_symmetric and polys.cofactor.is_symmetric):
+        raise _CheckFailure("coupling data lost symmetry")
+    if polys.pairing.diagonal() != p:
+        raise _CheckFailure("pairing diagonal differs from the quartic")
+    second = p.derivative().derivative()
+    expected_diag = Fraction(1, 3) * (p * second) - Fraction(1, 4) * (
+        p.derivative() * p.derivative()
+    )
+    if polys.cofactor_diagonal != expected_diag:
+        raise _CheckFailure("cofactor diagonal formula failed")
+    for x0 in _ANCHORS:
+        lhs = (
+            polys.pairing.at_second(x0) ** 2
+            + polys.cofactor.at_second(x0) * UniPoly.of(-x0, 1) ** 2
         )
-        if polys.cofactor_diagonal != expected_diag:
-            raise _CheckFailure(f"trial {k}: cofactor diagonal formula failed")
-        for x0 in anchors:
-            lhs = (
-                polys.pairing.at_second(x0) ** 2
-                + polys.cofactor.at_second(x0) * UniPoly.of(-x0, 1) ** 2
-            )
-            if lhs != p * p(x0):
-                raise _CheckFailure(
-                    f"trial {k}: product identity failed at anchor {x0}",
-                    {"quartic": _frs(h.coeffs)},
-                )
-        if witness is None:
-            witness = {"quartic": _frs(h.coeffs)}
-    return {"trials": trials, "anchors": [str(a) for a in anchors], "first_instance": witness}
-
-
-def _run_discriminant_relation(sc, rng, trials):
-    witness = None
-    for k in range(trials):
-        h = _random_quartic(rng)
-        dp, dq, g = discr_relation_check(h)
-        if dq != g * g * dp:
+        if lhs != p * p(x0):
             raise _CheckFailure(
-                f"trial {k}: resolvent discriminant is not g^2 times the quartic one",
-                {"quartic": _frs(h.coeffs)},
+                f"product identity failed at anchor {x0}", {"quartic": _frs(h.coeffs)}
             )
-        if dp != jacobian_quartic(h).discriminant:
-            raise _CheckFailure(
-                f"trial {k}: quartic discriminant differs from -4f^3 - 27g^2",
-                {"quartic": _frs(h.coeffs)},
-            )
-        if witness is None:
-            witness = {"quartic": _frs(h.coeffs), "disc": str(dp)}
-    return {"trials": trials, "first_instance": witness}
+    return {"quartic": _frs(h.coeffs)}
 
 
-def _sample_two_point_curve(rng):
-    while True:
-        x0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        w0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        px = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        pw = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+@_family("discriminant-relation", "hermite-identity")
+def _discriminant_relation(sc, rng):
+    h = _random_quartic(rng)
+    dp, dq, g = discr_relation_check(h)
+    if dq != g * g * dp:
+        raise _CheckFailure(
+            "resolvent discriminant is not g^2 times the quartic one",
+            {"quartic": _frs(h.coeffs)},
+        )
+    if dp != jacobian_quartic(h).discriminant:
+        raise _CheckFailure(
+            "quartic discriminant differs from -4f^3 - 27g^2",
+            {"quartic": _frs(h.coeffs)},
+        )
+    return {"quartic": _frs(h.coeffs), "disc": str(dp)}
+
+
+@_family("pointwise-map", "hermite-identity")
+def _pointwise_map(sc, rng):
+    def two_point_curve():
+        x0, w0, px, pw = (
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)
+        )
         if w0 == 0 or px == x0:
-            continue
-        a2, a3, a4 = (Fraction(rng.randint(-9, 9)) for _ in range(3))
+            return None
+        a2, a3, a4 = _ints(rng, 3, -9, 9)
         rhs0 = w0**2 - (a2 * x0**2 + a3 * x0**3 + a4 * x0**4)
         rhs1 = pw**2 - (a2 * px**2 + a3 * px**3 + a4 * px**4)
         a1 = (rhs1 - rhs0) / (px - x0)
         a0 = rhs0 - a1 * x0
         return QuarticCurve.of(a0, a1, a2, a3, a4), (x0, -w0), (px, pw)
 
-
-def _run_pointwise_map(sc, rng, trials):
-    witness = None
-    for k in range(trials):
-        h, base, point = _sample_two_point_curve(rng)
-        if not abel_jacobi(h, base, base).is_infinity:
-            raise _CheckFailure(f"trial {k}: the base point did not map to the origin")
-        img = abel_jacobi(h, base, point)
-        if not img.is_infinity and not jacobian_quartic(h).contains(img.xi, img.eta):
-            raise _CheckFailure(
-                f"trial {k}: image is off the reduced cubic",
-                {"quartic": _frs(h.coeffs), "image": [str(img.xi), str(img.eta)]},
-            )
-        if witness is None:
-            witness = {
-                "quartic": _frs(h.coeffs),
-                "image": "infinity" if img.is_infinity else [str(img.xi), str(img.eta)],
-            }
-    return {"trials": trials, "first_instance": witness}
+    h, base, point = _draw(two_point_curve)
+    if not abel_jacobi(h, base, base).is_infinity:
+        raise _CheckFailure("the base point did not map to the origin")
+    img = abel_jacobi(h, base, point)
+    if not img.is_infinity and not jacobian_quartic(h).contains(img.xi, img.eta):
+        raise _CheckFailure(
+            "image is off the reduced cubic",
+            {"quartic": _frs(h.coeffs), "image": [str(img.xi), str(img.eta)]},
+        )
+    return {
+        "quartic": _frs(h.coeffs),
+        "image": "infinity" if img.is_infinity else [str(img.xi), str(img.eta)],
+    }
 
 
-def _run_pointwise_anchor(sc, rng, trials):
+_ANCHOR_RATS = ("base_x", "base_w", "point_x", "point_w", "image_xi", "image_eta")
+
+
+@_family(
+    "pointwise-map-anchor",
+    "hermite-identity",
+    randomized=False,
+    inputs=dict.fromkeys(_ANCHOR_RATS, "rat") | {"curve": "quartic"},
+)
+def _pointwise_anchor(sc, rng):
     h = sc.quartics["curve"]
     base = (sc.rats["base_x"], sc.rats["base_w"])
     point = (sc.rats["point_x"], sc.rats["point_w"])
@@ -868,42 +922,34 @@ def _run_pointwise_anchor(sc, rng, trials):
     return {"image": [str(img.xi), str(img.eta)]}
 
 
-def _run_fiberwise_j(sc, rng, trials):
-    witness = None
-    for k in range(trials):
-        while True:
-            h = _random_quartic(rng, -6, 6)
-            if h.discriminant() != 0:
-                break
-        cubic = jacobian_quartic(h)
-        xi = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        # at the abscissa of a two-torsion point the (2,2) curve is singular
-        while cubic.rhs(xi) == 0:
-            xi = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        b = correspondence_22(h, xi)
-        if j_invariant_quartic(h) != j_invariant_22(b):
-            raise _CheckFailure(
-                f"trial {k}: the two j-invariants differ",
-                {"quartic": _frs(h.coeffs), "xi": str(xi)},
-            )
-        if witness is None:
-            witness = {
-                "quartic": _frs(h.coeffs),
-                "xi": str(xi),
-                "j": f"{j_invariant_quartic(h)}",
-            }
-    return {"trials": trials, "first_instance": witness}
-
-
-def _run_quartic_double_cover(sc, rng, trials):
-    data = double_quadric_from_quartic(
-        sc.rats["a0"],
-        sc.rats["a1"],
-        sc.rats["a2"],
-        sc.rats["xi"],
-        sc.rats["c0"],
-        sc.rats["c_inf"],
+@_family("fiberwise-j", "hermite-identity")
+def _fiberwise_j(sc, rng):
+    h = _draw(lambda: _random_quartic(rng, -6, 6), lambda h: h.discriminant() != 0)
+    cubic = jacobian_quartic(h)
+    # at the abscissa of a two-torsion point the (2,2) curve is singular
+    xi = _draw(
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        lambda xi: cubic.rhs(xi) != 0,
     )
+    b = correspondence_22(h, xi)
+    if j_invariant_quartic(h) != j_invariant_22(b):
+        raise _CheckFailure(
+            "the two j-invariants differ", {"quartic": _frs(h.coeffs), "xi": str(xi)}
+        )
+    return {"quartic": _frs(h.coeffs), "xi": str(xi), "j": f"{j_invariant_quartic(h)}"}
+
+
+_DOUBLE_COVER_RATS = ("a0", "a1", "a2", "xi", "c0", "c_inf")
+
+
+@_family(
+    "quartic-double-cover",
+    "hermite-identity",
+    randomized=False,
+    inputs=dict.fromkeys(_DOUBLE_COVER_RATS, "rat"),
+)
+def _quartic_double_cover(sc, rng):
+    data = double_quadric_from_quartic(*(sc.rats[name] for name in _DOUBLE_COVER_RATS))
     corr = data.correspondence
     first = ("S", "T")
     s_sq = HomPoly.var_power(first, 0, 1) ** 2
@@ -931,261 +977,211 @@ def _run_quartic_double_cover(sc, rng, trials):
 # round-trip families
 
 
-def _run_isogeny_square(sc, rng, trials):
-    for k in range(trials):
-        trace = _random_form(rng, _FIRST, 4)
-        norm = _random_form(rng, _FIRST, 8)
-        pair = du.AlternatePair(trace, norm)
-        again = du.two_isogeny_dual(du.two_isogeny_dual(pair))
-        if again.trace != 4 * trace or again.norm != 16 * norm:
-            raise _CheckFailure(
-                f"trial {k}: double dual is not multiplication by four"
-            )
-    return {"trials": trials, "scaling": ["4", "16"]}
-
-
-def _run_isogeny_place_swap(sc, rng, trials):
-    first = None
-    for k in range(trials):
-        pair = _sample_isogeny_pair(rng)
-        dual = du.two_isogeny_dual(pair)
-        cfg = fiber_configuration(pair.model())
-        cfg_dual = fiber_configuration(dual.model())
-        if cfg.euler_total != cfg_dual.euler_total:
-            raise _CheckFailure(f"trial {k}: Euler numbers differ across the isogeny")
-        mine = {label: _label_places(cfg, label) for label in ("I1", "I2")}
-        theirs = {label: _label_places(cfg_dual, label) for label in ("I1", "I2")}
-        if mine["I2"] != theirs["I1"] or mine["I1"] != theirs["I2"]:
-            raise _CheckFailure(
-                f"trial {k}: the isogeny did not swap the two sets of places"
-            )
-        if first is None:
-            first = {
-                "summary": cfg.summary(),
-                "dual_summary": cfg_dual.summary(),
-            }
-    return {"trials": trials, "first_instance": first}
+@_family("isogeny-square", "construction-roundtrip", extra={"scaling": ["4", "16"]})
+def _isogeny_square(sc, rng):
+    trace = _random_form(rng, _FIRST, 4)
+    norm = _random_form(rng, _FIRST, 8)
+    again = du.two_isogeny_dual(du.two_isogeny_dual(du.AlternatePair(trace, norm)))
+    if again.trace != 4 * trace or again.norm != 16 * norm:
+        raise _CheckFailure("double dual is not multiplication by four")
 
 
 def _label_places(cfg: FiberConfiguration, label: str) -> set:
     return {p.place for p in cfg.places if p.kodaira.label == label}
 
 
-def _run_involution_square(sc, rng, trials):
-    for k in range(trials):
-        trace = _random_form(rng, _FIRST, 4)
-        left = _random_form(rng, _FIRST, 4)
-        right = _random_form(rng, _FIRST, 4)
-        if du.moduli_involution(trace, left, right, 0, 0) != (-trace, left, right):
-            raise _CheckFailure(f"trial {k}: base-point normal form failed")
-        while True:
-            d0 = Fraction(rng.randint(-9, 9))
-            d_inf = Fraction(rng.randint(-9, 9))
-            if d0 * d_inf != 1:
-                break
-        once = du.moduli_involution(trace, left, right, d0, d_inf)
-        twice = du.moduli_involution(*once, d0, d_inf)
-        scale = (d0 * d_inf - 1) ** 2
-        if twice != (scale * trace, scale * left, scale * right):
-            raise _CheckFailure(
-                f"trial {k}: involution square is not the fixed scalar "
-                f"(d0*d_inf - 1)^2"
-            )
-        combo = once[0] * once[0] - 4 * once[1] * once[2]
-        fixed = trace * trace - 4 * left * right
-        if combo != scale * fixed:
-            raise _CheckFailure(
-                f"trial {k}: branch combination scaled by the wrong factor"
-            )
-    return {"trials": trials, "scalar": "(d0*d_inf - 1)^2"}
+@_family("isogeny-place-swap", "construction-roundtrip")
+def _isogeny_place_swap(sc, rng):
+    pair = _sample_isogeny_pair(rng)
+    dual = du.two_isogeny_dual(pair)
+    cfg = fiber_configuration(pair.model())
+    cfg_dual = fiber_configuration(dual.model())
+    if cfg.euler_total != cfg_dual.euler_total:
+        raise _CheckFailure("Euler numbers differ across the isogeny")
+    mine = {label: _label_places(cfg, label) for label in ("I1", "I2")}
+    theirs = {label: _label_places(cfg_dual, label) for label in ("I1", "I2")}
+    if mine["I2"] != theirs["I1"] or mine["I1"] != theirs["I2"]:
+        raise _CheckFailure("the isogeny did not swap the two sets of places")
+    return {"summary": cfg.summary(), "dual_summary": cfg_dual.summary()}
 
 
-def _run_normalize_roundtrip(sc, rng, trials):
-    seen_mirror = 0
-    for k in range(trials):
-        params = _sample_three_lines_params(rng)
-        sq, lin, cst = du.general_form_coefficients(params)
-        back = du.normalize_three_i0star(params.mu, params.nu, sq, lin, cst)
-        if params.c1 > 0:
-            if back != params:
-                raise _CheckFailure(f"trial {k}: normalization lost the parameters")
-        else:
-            # documented sign branch: with c1 < 0 the positive square root
-            # is taken unless it collides with the shifted quadratic
-            # coefficient (exactly at d2 = 0), where the parameters come
-            # back verbatim; the model agrees either way
-            seen_mirror += 1
-            if params.d2 == 0:
-                if back != params:
-                    raise _CheckFailure(
-                        f"trial {k}: collision branch altered the parameters"
-                    )
-            elif back.c1 != -params.c1:
-                raise _CheckFailure(f"trial {k}: mirror branch chose the wrong sign")
-            if du.three_lines_cubic_model(back) != du.three_lines_cubic_model(params):
-                raise _CheckFailure(f"trial {k}: mirror branch changed the model")
-    return {"trials": trials, "mirror_branch_trials": seen_mirror}
+def _sample_involution_inputs(rng: random.Random):
+    """Three quartic forms and a line-parameter pair off d0*d_inf = 1."""
+    forms = tuple(_random_form(rng, _FIRST, 4) for _ in range(3))
+    d0, d_inf = _draw(lambda: _ints(rng, 2, -9, 9), lambda d: d[0] * d[1] != 1)
+    return forms, d0, d_inf
 
 
-def _run_refibration_match(sc, rng, trials):
-    for k in range(trials):
-        quad = _sample_refiber_quadruple(rng)
-        surface = du.bilinear_quadruple_surface(quad)
-        b, c = surface.torsion_factors
-        rj = du.refibration_jacobian(quad)
-        tor = du.full_torsion_surfaces(b + c, b - c)
-        if rj.f != tor["f"] or rj.g != tor["g"]:
-            raise _CheckFailure(
-                f"trial {k}: refibration pair differs from the torsion-tower pair"
-            )
-        if (rj.params.mu, rj.params.nu) != (0, 1):
-            raise _CheckFailure(f"trial {k}: default chart is not (0, 1)")
-        other = du.refibration_jacobian(quad, 2, 5)
-        if (other.f, other.g) != (rj.f, rj.g):
-            raise _CheckFailure(f"trial {k}: the reduced pair depends on the chart")
-    return {"trials": trials}
+_SCALAR = {"scalar": "(d0*d_inf - 1)^2"}
+
+
+@_family("involution-square", "construction-roundtrip", extra=_SCALAR)
+def _involution_square(sc, rng):
+    (trace, left, right), d0, d_inf = _sample_involution_inputs(rng)
+    if du.moduli_involution(trace, left, right, 0, 0) != (-trace, left, right):
+        raise _CheckFailure("base-point normal form failed")
+    once = du.moduli_involution(trace, left, right, d0, d_inf)
+    twice = du.moduli_involution(*once, d0, d_inf)
+    scale = (d0 * d_inf - 1) ** 2
+    if twice != (scale * trace, scale * left, scale * right):
+        raise _CheckFailure(
+            "involution square is not the fixed scalar (d0*d_inf - 1)^2"
+        )
+    combo = once[0] * once[0] - 4 * once[1] * once[2]
+    if combo != scale * (trace * trace - 4 * left * right):
+        raise _CheckFailure("branch combination scaled by the wrong factor")
+
+
+@_family("normalize-roundtrip", "construction-roundtrip", tally="mirror_branch_trials")
+def _normalize_roundtrip(sc, rng):
+    params = _sample_three_lines_params(rng)
+    sq, lin, cst = du.general_form_coefficients(params)
+    back = du.normalize_three_i0star(params.mu, params.nu, sq, lin, cst)
+    if params.c1 > 0:
+        if back != params:
+            raise _CheckFailure("normalization lost the parameters")
+        return False
+    # documented sign branch: with c1 < 0 the positive square root is
+    # taken unless it collides with the shifted quadratic coefficient
+    # (exactly at d2 = 0), where the parameters come back verbatim; the
+    # model agrees either way
+    if params.d2 == 0:
+        if back != params:
+            raise _CheckFailure("collision branch altered the parameters")
+    elif back.c1 != -params.c1:
+        raise _CheckFailure("mirror branch chose the wrong sign")
+    if du.three_lines_cubic_model(back) != du.three_lines_cubic_model(params):
+        raise _CheckFailure("mirror branch changed the model")
+    return True
+
+
+@_family("refibration-match", "construction-roundtrip")
+def _refibration_match(sc, rng):
+    surface = _draw_quadruple(lambda: _refiber_rows(rng))
+    b, c = surface.torsion_factors
+    rj = du.refibration_jacobian(surface.quadruple)
+    tor = du.full_torsion_surfaces(b + c, b - c)
+    if rj.f != tor["f"] or rj.g != tor["g"]:
+        raise _CheckFailure("refibration pair differs from the torsion-tower pair")
+    if (rj.params.mu, rj.params.nu) != (0, 1):
+        raise _CheckFailure("default chart is not (0, 1)")
+    other = du.refibration_jacobian(surface.quadruple, 2, 5)
+    if (other.f, other.g) != (rj.f, rj.g):
+        raise _CheckFailure("the reduced pair depends on the chart")
 
 
 # ---------------------------------------------------------------------------
 # table-consistency families
 
+_BRANCH_PAIRS = (
+    "branch_cover1_cover2",
+    "branch_cover1_quot2",
+    "branch_quot1_cover2",
+    "branch_quot1_quot2",
+)
 
-def _run_correspondence_routes(sc, rng, trials):
-    branch_keys = (
-        "branch_cover1_cover2",
-        "branch_cover1_quot2",
-        "branch_quot1_cover2",
-        "branch_quot1_quot2",
+
+@_family(
+    "correspondence-routes",
+    "table-consistency",
+    extra={"branch_pairs": list(_BRANCH_PAIRS)},
+)
+def _correspondence_routes(sc, rng):
+    alpha, gamma, delta = _sample_correspondence_triple(rng)
+    table = du.correspondence_surfaces(alpha, gamma, delta)
+    for key in _BRANCH_PAIRS:
+        one, other = table[key]
+        if one != other:
+            raise _CheckFailure(f"the two readings of {key} differ")
+    if table["cad"] != tuple(form.rename(_SECOND) for form in (gamma, alpha, delta)):
+        raise _CheckFailure("the quotient triple is not the input triple")
+    for key in ("cover1", "quot1", "rat1"):
+        base, dual = table[key], table[key + "_dual"]
+        if dual.a2 != -2 * base.a2 or dual.a4 != base.a2**2 - 4 * base.a4:
+            raise _CheckFailure(f"{key} dual relation failed")
+    for key in ("cover2", "quot2", "rat2"):
+        base, dual = table[key + "_dual"], table[key]
+        if dual.a2 != -2 * base.a2 or dual.a4 != base.a2**2 - 4 * base.a4:
+            raise _CheckFailure(f"{key} dual relation failed on the mirrored side")
+
+
+@_family("extraction-identity", "table-consistency")
+def _extraction_identity(sc, rng):
+    pair = _sample_isogeny_pair(rng)
+    data = du.quadric_double_cover(pair)
+    u_sq, v_sq = HomPoly.of(_COVER, (1, 0, 0)), HomPoly.of(_COVER, (0, 0, 1))
+    total = None
+    for j in range(5):
+        power = HomPoly.of(_FIRST, tuple(1 if i == 4 - j else 0 for i in range(5)))
+        term = tensor_forms(power, data.swap.coeffs[j].substitute(u_sq, v_sq))
+        total = term if total is None else total + term
+    if total != data.branch:
+        raise _CheckFailure("the two branch readings differ")
+    left, right = pair.split
+    flipped = du.quadric_double_cover(
+        du.AlternatePair(pair.trace, pair.norm, split=(right, left))
     )
-    for k in range(trials):
-        alpha, gamma, delta = _sample_correspondence_triple(rng)
-        table = du.correspondence_surfaces(alpha, gamma, delta)
-        for key in branch_keys:
-            one, other = table[key]
-            if one != other:
-                raise _CheckFailure(f"trial {k}: the two readings of {key} differ")
-        if table["cad"] != (
-            gamma.rename(_SECOND),
-            alpha.rename(_SECOND),
-            delta.rename(_SECOND),
-        ):
-            raise _CheckFailure(
-                f"trial {k}: the quotient triple is not the input triple"
-            )
-        for key in ("cover1", "quot1", "rat1"):
-            base, dual = table[key], table[key + "_dual"]
-            if dual.a2 != -2 * base.a2 or dual.a4 != base.a2**2 - 4 * base.a4:
-                raise _CheckFailure(f"trial {k}: {key} dual relation failed")
-        for key in ("cover2", "quot2", "rat2"):
-            base, dual = table[key + "_dual"], table[key]
-            if dual.a2 != -2 * base.a2 or dual.a4 != base.a2**2 - 4 * base.a4:
-                raise _CheckFailure(
-                    f"trial {k}: {key} dual relation failed on the mirrored side"
-                )
-    return {"trials": trials, "branch_pairs": list(branch_keys)}
+    u_lin, v_lin = HomPoly.of(_COVER, (1, 0)), HomPoly.of(_COVER, (0, 1))
+    if data.branch.substitute_pair2(v_lin, u_lin) != flipped.branch:
+        raise _CheckFailure("swapping rulings does not flip the split")
+    try:
+        res = du.RESData(data.swap.f.rename(_FIRST), data.swap.g.rename(_FIRST))
+    except ValueError:
+        return
+    disc = res.reduced_discriminant()
+    if disc(0, 1) == 0 or disc(1, 0) == 0 or disc(1, 1) == 0:
+        return
+    if data.jacobian != du.base_change_k3(res, 0, 0):
+        raise _CheckFailure("jacobian differs from the degree-two base change")
 
 
-def _run_extraction_identity(sc, rng, trials):
-    u_sq = HomPoly.of(_COVER, (1, 0, 0))
-    v_sq = HomPoly.of(_COVER, (0, 0, 1))
-    u_lin = HomPoly.of(_COVER, (1, 0))
-    v_lin = HomPoly.of(_COVER, (0, 1))
-    for k in range(trials):
-        pair = _sample_isogeny_pair(rng)
-        data = du.quadric_double_cover(pair)
-        total = None
-        for j in range(5):
-            power = HomPoly.of(
-                _FIRST, tuple(1 if i == 4 - j else 0 for i in range(5))
-            )
-            term = tensor_forms(power, data.swap.coeffs[j].substitute(u_sq, v_sq))
-            total = term if total is None else total + term
-        if total != data.branch:
-            raise _CheckFailure(f"trial {k}: the two branch readings differ")
-        left, right = pair.split
-        flipped = du.quadric_double_cover(
-            du.AlternatePair(pair.trace, pair.norm, split=(right, left))
-        )
-        if data.branch.substitute_pair2(v_lin, u_lin) != flipped.branch:
-            raise _CheckFailure(
-                f"trial {k}: swapping rulings does not flip the split"
-            )
-        f, g = data.swap.f, data.swap.g
-        try:
-            res = du.RESData(f.rename(_FIRST), g.rename(_FIRST))
-        except ValueError:
-            continue
-        disc = res.reduced_discriminant()
-        if disc(0, 1) == 0 or disc(1, 0) == 0 or disc(1, 1) == 0:
-            continue
-        if data.jacobian != du.base_change_k3(res, 0, 0):
-            raise _CheckFailure(
-                f"trial {k}: jacobian differs from the degree-two base change"
-            )
-    return {"trials": trials}
+_TOWER_STAGES = (
+    ("cover4", "jac_4cover"),
+    ("cover2", "jac_cover"),
+    ("twist", "jac_quot_twisted"),
+    ("rational", "res_quot"),
+)
 
 
-def _run_torsion_tower(sc, rng, trials):
-    stages = (
-        ("cover4", "jac_4cover"),
-        ("cover2", "jac_cover"),
-        ("twist", "jac_quot_twisted"),
-        ("rational", "res_quot"),
+@_family(
+    "torsion-tower",
+    "table-consistency",
+    extra={"stages": [kind for kind, _ in _TOWER_STAGES]},
+)
+def _torsion_tower(sc, rng):
+    trace, difference = _sample_full_torsion_forms(rng)
+    table = du.full_torsion_surfaces(trace, difference)
+    for kind, key in _TOWER_STAGES:
+        if du.subfamily_models(kind, table["f"], table["g"]) != table[key]:
+            raise _CheckFailure(f"subfamily {kind!r} differs from tower entry {key!r}")
+    for key in ("branch_4cover", "branch_cover", "branch_quot"):
+        one, other = table[key]
+        if one != other:
+            raise _CheckFailure(f"the two readings of {key} differ")
+    alt, alt_dual = table["alt"], table["alt_dual"]
+    checks = (
+        alt.a2 == -1 * trace,
+        4 * alt.a4 == trace * trace - difference * difference,
+        alt_dual.a2 == 2 * trace,
+        alt_dual.a4 == difference * difference,
     )
-    for k in range(trials):
-        trace, difference = _sample_full_torsion_forms(rng)
-        table = du.full_torsion_surfaces(trace, difference)
-        f, g = table["f"], table["g"]
-        for kind, key in stages:
-            if du.subfamily_models(kind, f, g) != table[key]:
-                raise _CheckFailure(
-                    f"trial {k}: subfamily {kind!r} differs from tower entry {key!r}"
-                )
-        for key in ("branch_4cover", "branch_cover", "branch_quot"):
-            one, other = table[key]
-            if one != other:
-                raise _CheckFailure(f"trial {k}: the two readings of {key} differ")
-        alt, alt_dual = table["alt"], table["alt_dual"]
-        checks = (
-            alt.a2 == -1 * trace,
-            4 * alt.a4 == trace * trace - difference * difference,
-            alt_dual.a2 == 2 * trace,
-            alt_dual.a4 == difference * difference,
-        )
-        if not all(checks):
-            raise _CheckFailure(f"trial {k}: the isogenous pair lost its normal form")
-    return {"trials": trials, "stages": [kind for kind, _ in stages]}
+    if not all(checks):
+        raise _CheckFailure("the isogenous pair lost its normal form")
 
 
-def _run_deformation_discriminant(sc, rng, trials):
-    for k in range(trials):
-        trace = _random_form(rng, _FIRST, 4)
-        left = _random_form(rng, _FIRST, 4)
-        right = _random_form(rng, _FIRST, 4)
-        while True:
-            d0 = Fraction(rng.randint(-9, 9))
-            d_inf = Fraction(rng.randint(-9, 9))
-            if d0 * d_inf != 1:
-                break
-        fam = du.two_param_family(trace, left, right, d0, d_inf)
-        inv = invariants(fam.model)
-        if inv.delta != 16 * fam.reduced_discriminant:
-            raise _CheckFailure(
-                f"trial {k}: model discriminant is not 16 times the reduced one"
-            )
-        scale = (d0 * d_inf - 1) ** 2
-        fixed = trace * trace - 4 * left * right
-        if fam.model.a2**2 - 4 * fam.model.a4 != scale * fixed:
-            raise _CheckFailure(
-                f"trial {k}: branch combination scaled by the wrong factor"
-            )
-        once = du.moduli_involution(trace, left, right, d0, d_inf)
-        combo = once[0] * once[0] - 4 * once[1] * once[2]
-        if combo != scale * fixed:
-            raise _CheckFailure(
-                f"trial {k}: involution moved the branch combination"
-            )
-    return {"trials": trials, "scalar": "(d0*d_inf - 1)^2"}
+@_family("deformation-discriminant", "table-consistency", extra=_SCALAR)
+def _deformation_discriminant(sc, rng):
+    (trace, left, right), d0, d_inf = _sample_involution_inputs(rng)
+    fam = du.two_param_family(trace, left, right, d0, d_inf)
+    if invariants(fam.model).delta != 16 * fam.reduced_discriminant:
+        raise _CheckFailure("model discriminant is not 16 times the reduced one")
+    scale = (d0 * d_inf - 1) ** 2
+    fixed = trace * trace - 4 * left * right
+    if fam.model.a2**2 - 4 * fam.model.a4 != scale * fixed:
+        raise _CheckFailure("branch combination scaled by the wrong factor")
+    once = du.moduli_involution(trace, left, right, d0, d_inf)
+    if once[0] * once[0] - 4 * once[1] * once[2] != scale * fixed:
+        raise _CheckFailure("involution moved the branch combination")
 
 
 # ---------------------------------------------------------------------------
@@ -1206,6 +1202,15 @@ def _lattice_profile(lat: la.GramLattice) -> dict:
     return profile
 
 
+# expectation -> (profile entry, its name in a failure message)
+_LATTICE_INVARIANTS = {
+    "det": ("determinant", "determinant"),
+    "signature": ("signature", "signature"),
+    "length": ("length", "discriminant-group length"),
+    "parity": ("parity", "parity"),
+}
+
+
 def _run_lattice(sc: Scenario) -> dict:
     names = list(sc.lattices)
     profiles = {name: _lattice_profile(sc.lattices[name]) for name in names}
@@ -1214,34 +1219,19 @@ def _run_lattice(sc: Scenario) -> dict:
     for key, value in sc.expect_invariants:
         for name in names:
             profile = profiles[name]
-            if key == "det" and profile["determinant"] != value:
+            if key == "even":
+                if profile["even"] != value:
+                    kind = "even" if value else "odd"
+                    raise _CheckFailure(f"lattice {name} is not {kind}", artifacts)
+                continue
+            entry, label = _LATTICE_INVARIANTS[key]
+            got = profile.get(entry)
+            if key == "signature":
+                got = tuple(got)
+            if got != value:
                 raise _CheckFailure(
-                    f"lattice {name}: determinant {profile['determinant']} "
-                    f"instead of {value}",
-                    artifacts,
+                    f"lattice {name}: {label} {got} instead of {value}", artifacts
                 )
-            if key == "signature" and tuple(profile["signature"]) != value:
-                raise _CheckFailure(
-                    f"lattice {name}: signature {tuple(profile['signature'])} "
-                    f"instead of {value}",
-                    artifacts,
-                )
-            if key == "length":
-                if profile.get("length") != value:
-                    raise _CheckFailure(
-                        f"lattice {name}: discriminant-group length "
-                        f"{profile.get('length')} instead of {value}",
-                        artifacts,
-                    )
-            if key == "parity" and profile.get("parity") != value:
-                raise _CheckFailure(
-                    f"lattice {name}: parity {profile.get('parity')} "
-                    f"instead of {value}",
-                    artifacts,
-                )
-            if key == "even" and profile["even"] != value:
-                kind = "even" if value else "odd"
-                raise _CheckFailure(f"lattice {name} is not {kind}", artifacts)
 
     if sc.expect_match is not None:
         pairs = {}
@@ -1257,105 +1247,6 @@ def _run_lattice(sc: Scenario) -> dict:
                     )
         artifacts["pairs"] = pairs
     return artifacts
-
-
-# ---------------------------------------------------------------------------
-# the family registry
-
-
-@dataclass(frozen=True)
-class Family:
-    kind: str
-    runner: Callable
-    randomized: bool = True
-    needs_polys: tuple[str, ...] = ()
-    needs_rats: tuple[str, ...] = ()
-    needs_quartics: tuple[str, ...] = ()
-
-
-_FAMILIES: dict[str, Family] = {
-    # fiber configurations
-    "rational-base": Family("fiber-config", _fiber_family(_build_rational_base)),
-    "base-change": Family("fiber-config", _fiber_family(_build_base_change)),
-    "quadratic-twist": Family("fiber-config", _fiber_family(_build_twist)),
-    "torsion-pair": Family("fiber-config", _fiber_family(_build_torsion_pair)),
-    "alternate-pair": Family(
-        "fiber-config",
-        _fiber_family(_build_alternate_pair),
-        randomized=False,
-        needs_polys=("trace", "norm"),
-    ),
-    "quadruple-cover": Family("fiber-config", _run_quadruple_cover),
-    "three-lines": Family("fiber-config", _fiber_family(_build_three_lines)),
-    "star-chain": Family(
-        "fiber-config", _fiber_family(_build_star_chain), needs_rats=("level",)
-    ),
-    "correspondence-cover": Family(
-        "fiber-config", _fiber_family(_build_correspondence(("cover1", "cover2")))
-    ),
-    "correspondence-quotient": Family(
-        "fiber-config", _fiber_family(_build_correspondence(("quot1", "quot2")))
-    ),
-    "correspondence-rational": Family(
-        "fiber-config", _fiber_family(_build_correspondence(("rat1", "rat2")))
-    ),
-    "tower-fourfold-cover": Family(
-        "fiber-config", _fiber_family(_build_subfamily("cover4"))
-    ),
-    "tower-double-cover": Family(
-        "fiber-config", _fiber_family(_build_subfamily("cover2"))
-    ),
-    "tower-twisted-quotient": Family(
-        "fiber-config", _fiber_family(_build_subfamily("twist"))
-    ),
-    "tower-rational-quotient": Family(
-        "fiber-config", _fiber_family(_build_subfamily("rational"))
-    ),
-    "full-torsion-alternate": Family(
-        "fiber-config", _fiber_family(_build_full_torsion_alt)
-    ),
-    "refibered-pencil": Family(
-        "fiber-config", _fiber_family(_build_refibered_pencil)
-    ),
-    # polynomial identities
-    "coupling-product": Family("hermite-identity", _run_coupling_product),
-    "discriminant-relation": Family("hermite-identity", _run_discriminant_relation),
-    "pointwise-map": Family("hermite-identity", _run_pointwise_map),
-    "pointwise-map-anchor": Family(
-        "hermite-identity",
-        _run_pointwise_anchor,
-        randomized=False,
-        needs_quartics=("curve",),
-        needs_rats=(
-            "base_x",
-            "base_w",
-            "point_x",
-            "point_w",
-            "image_xi",
-            "image_eta",
-        ),
-    ),
-    "fiberwise-j": Family("hermite-identity", _run_fiberwise_j),
-    "quartic-double-cover": Family(
-        "hermite-identity",
-        _run_quartic_double_cover,
-        randomized=False,
-        needs_rats=("a0", "a1", "a2", "xi", "c0", "c_inf"),
-    ),
-    # round trips
-    "isogeny-square": Family("construction-roundtrip", _run_isogeny_square),
-    "isogeny-place-swap": Family("construction-roundtrip", _run_isogeny_place_swap),
-    "involution-square": Family("construction-roundtrip", _run_involution_square),
-    "normalize-roundtrip": Family("construction-roundtrip", _run_normalize_roundtrip),
-    "refibration-match": Family("construction-roundtrip", _run_refibration_match),
-    # cross-route tables
-    "correspondence-routes": Family("table-consistency", _run_correspondence_routes),
-    "extraction-identity": Family("table-consistency", _run_extraction_identity),
-    "torsion-tower": Family("table-consistency", _run_torsion_tower),
-    "deformation-discriminant": Family(
-        "table-consistency", _run_deformation_discriminant
-    ),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -1386,24 +1277,40 @@ def _scenario_rng(seed: int, name: str) -> random.Random:
     return random.Random(int(digest[:16], 16))
 
 
+def _trials(family: Family, sc: Scenario, rng: random.Random, trials: int) -> dict:
+    """Run ``trials`` trials of the family's check and collect the artifacts."""
+    artifacts = {"trials": trials, **family.extra}
+    if family.tally is not None:
+        artifacts[family.tally] = 0
+    for k in range(trials):
+        try:
+            result = family.check(sc, rng)
+        except _CheckFailure as failure:
+            raise failure.in_trial(k) from None
+        if family.tally is not None:
+            artifacts[family.tally] += bool(result)
+        elif result is not None:
+            artifacts.setdefault("first_instance", result)
+    return artifacts
+
+
 def run(scenario: Scenario, seed: int, trials_override: int | None = None) -> Report:
     """Run one scenario and return its report."""
     rng = _scenario_rng(seed, scenario.name)
     started = time.perf_counter()
-    if scenario.kind == "lattice-identity":
-        trials = None
-        task = lambda: _run_lattice(scenario)  # noqa: E731
-    else:
-        family = _FAMILIES[scenario.family]
-        if family.randomized:
-            trials = trials_override or scenario.trials or DEFAULT_TRIALS
-        else:
-            trials = None
-        task = lambda: family.runner(scenario, rng, trials or 1)  # noqa: E731
+    family = _FAMILIES.get(scenario.family)  # None for lattice-identity
+    trials = None
+    if family is not None and family.randomized:
+        trials = trials_override or scenario.trials or DEFAULT_TRIALS
 
     status, detail, error, artifacts = "pass", None, None, {}
     try:
-        artifacts = task()
+        if family is None:
+            artifacts = _run_lattice(scenario)
+        elif trials is None:
+            artifacts = family.check(scenario, rng)
+        else:
+            artifacts = _trials(family, scenario, rng, trials)
     except _CheckFailure as failure:
         status, detail = "fail", str(failure)
         artifacts = failure.details
@@ -1460,16 +1367,17 @@ def _jsonify(value):
     return str(value)
 
 
+def _counts(reports: list[Report]) -> dict[str, int]:
+    statuses = ("pass", "fail", "error")
+    return {s: sum(1 for r in reports if r.status == s) for s in statuses}
+
+
 def emit_json(reports: list[Report], seed: int) -> str:
     """Byte-stable JSON report: no timing data, sorted keys."""
     payload = {
         "schema_version": 1,
         "seed": seed,
-        "counts": {
-            "pass": sum(1 for r in reports if r.status == "pass"),
-            "fail": sum(1 for r in reports if r.status == "fail"),
-            "error": sum(1 for r in reports if r.status == "error"),
-        },
+        "counts": _counts(reports),
         "ok": all(r.ok for r in reports),
         "scenarios": [
             {
@@ -1553,14 +1461,10 @@ def emit_text(reports: list[Report], seed: int) -> str:
                 lines.extend(_render_columns([header] + body, "  "))
             lines.append("")
 
-    counts = (
-        sum(1 for r in reports if r.status == "pass"),
-        sum(1 for r in reports if r.status == "fail"),
-        sum(1 for r in reports if r.status == "error"),
-    )
+    counts = _counts(reports)
     total = sum(r.wall_time for r in reports)
     lines.append(
-        f"{counts[0]} passed, {counts[1]} failed, {counts[2]} errors"
+        f"{counts['pass']} passed, {counts['fail']} failed, {counts['error']} errors"
         f" in {total:.2f} s"
     )
     lines.append("ok" if all(r.ok for r in reports) else "NOT OK")

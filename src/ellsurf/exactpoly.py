@@ -51,6 +51,11 @@ class SingularSystem(ValueError):
     """A square linear system has no unique solution."""
 
 
+class ZeroScale(ValueError):
+    """A scale factor that must be nonzero is zero: rescaling a bilinear
+    form, or a scale or line parameter of the double-quadric data."""
+
+
 class ParseError(ValueError):
     """Text could not be parsed; carries 1-based ``line`` and ``col``."""
 
@@ -845,6 +850,7 @@ def form_resultant(p: HomPoly, q: HomPoly) -> Fraction:
 
 
 def _try_divide_form(p: HomPoly, f: HomPoly) -> tuple[bool, HomPoly | None]:
+    p._check_vars(f)
     if f.is_zero:
         raise ZeroDivisionError("division by the zero form")
     if p.is_zero:
@@ -874,6 +880,7 @@ def gcd_form(p: HomPoly, q: HomPoly) -> HomPoly:
 
     The degree of the result is the actual gcd degree, not padded.
     """
+    p._check_vars(q)
     if p.is_zero and q.is_zero:
         return HomPoly.zero(p.vars, 0)
     if p.is_zero:
@@ -1217,7 +1224,12 @@ def _parse_terms(
         col = m.start(m.lastgroup) + 1 if m.lastgroup else m.start() + 1
         pos = m.end()
         if m.group("num"):
-            val = Fraction(m.group("num"))
+            try:
+                val = Fraction(m.group("num"))
+            except ZeroDivisionError:
+                raise ParseError(
+                    f"zero denominator in {m.group('num')!r}", line, col
+                ) from None
             if current_coeff is None:
                 current_coeff = val
             else:

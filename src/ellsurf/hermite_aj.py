@@ -24,6 +24,7 @@ from .exactpoly import (
     HomPoly,
     RationalLike,
     UniPoly,
+    ZeroScale,
     discriminant_form,
     homogenize,
     rat,
@@ -77,10 +78,6 @@ class UnitViolation(ValueError):
 
 class NormalizationViolated(ValueError):
     """A coefficient triple fails the symmetric normalization."""
-
-
-class ZeroScale(ValueError):
-    """A scale factor (or inverted line parameter) is zero."""
 
 
 def _disc4(p: UniPoly) -> Fraction:

@@ -15,15 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactpoly import bareiss_det, solve_linear
+from .exactpoly import ZeroScale, bareiss_det, solve_linear
 
 
 class UnknownLattice(ValueError):
     """Name not in the constructor catalog."""
-
-
-class ZeroScale(ValueError):
-    """Rescaling a bilinear form by zero destroys the lattice."""
 
 
 class DegenerateLattice(ValueError):

@@ -310,6 +310,20 @@ class TestHomPoly:
         with pytest.raises(ExactDivisionError):
             divexact_form(F, HomPoly.of(("s", "t"), [1, 1]))
 
+    def test_division_and_gcd_need_one_variable_pair(self):
+        st_square = HomPoly.of(("s", "t"), [1, 0, -1])  # s^2 - t^2
+        uv_line = HomPoly.of(("u", "v"), [1, -1])  # u - v
+        with pytest.raises(DegreeMismatch):
+            divexact_form(st_square, uv_line)
+        with pytest.raises(DegreeMismatch):
+            gcd_form(st_square, uv_line)
+        with pytest.raises(DegreeMismatch):
+            gcd_form(HomPoly.zero(("s", "t"), 2), uv_line)
+        with pytest.raises(DegreeMismatch):
+            multiplicity_in(st_square, uv_line)
+        with pytest.raises(DegreeMismatch):
+            refine_against(squarefree_split(uv_line), st_square)
+
     def test_form_discriminant_conventions(self):
         quad = HomPoly.of(("s", "t"), [1, 0, -1])
         assert form_discriminant(quad) == 4
@@ -360,6 +374,12 @@ class TestParsing:
             parse_hompoly("s^2 + t", ("s", "t"))
         with pytest.raises(ParseError):
             parse_hompoly("s^2 - t^2", ("s", "t"), degree=4)
+
+    def test_zero_denominator_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_hompoly("s^4 + 1/0*t^4", ("s", "t"), 4, line=3)
+        assert "zero denominator" in str(err.value)
+        assert (err.value.line, err.value.col) == (3, 7)
 
     def test_zero_form_needs_degree(self):
         assert parse_hompoly("0", ("s", "t"), degree=3).is_zero

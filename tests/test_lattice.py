@@ -132,6 +132,11 @@ class TestConstructors:
         with pytest.raises(ZeroScale):
             rescale(H, 0)
 
+    def test_one_zero_scale_error_for_both_modules(self):
+        from ellsurf import exactpoly, hermite_aj, lattice
+
+        assert lattice.ZeroScale is hermite_aj.ZeroScale is exactpoly.ZeroScale
+
     def test_direct_sum(self):
         hh = direct_sum(H, H)
         assert hh.rank == 4 and signature(hh) == (2, 2)
