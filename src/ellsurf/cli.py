@@ -822,7 +822,9 @@ _ANCHORS = tuple(Fraction(a) for a in (-2, -1, 0, 1, 2, 3))
 
 
 @_family(
-    "coupling-product", "hermite-identity", extra={"anchors": [str(a) for a in _ANCHORS]}
+    "coupling-product",
+    "hermite-identity",
+    extra={"anchors": [str(a) for a in _ANCHORS]},
 )
 def _coupling_product(sc, rng):
     h = _random_quartic(rng)
@@ -1298,7 +1300,7 @@ def run(scenario: Scenario, seed: int, trials_override: int | None = None) -> Re
     """Run one scenario and return its report."""
     rng = _scenario_rng(seed, scenario.name)
     started = time.perf_counter()
-    family = _FAMILIES.get(scenario.family)  # None for lattice-identity
+    family = None if scenario.kind == "lattice-identity" else _FAMILIES[scenario.family]
     trials = None
     if family is not None and family.randomized:
         trials = trials_override or scenario.trials or DEFAULT_TRIALS
