@@ -311,6 +311,24 @@ def test_run_fiber_failure_reports_table():
     }
 
 
+def test_run_failure_details_name_the_trial(monkeypatch):
+    sc = parse(
+        "name wrong-counts\nkind fiber-config\nfamily rational-base\n"
+        "trials 2\nexpect fibers 3*I2\n"
+    )
+    rep = cli.run(sc, seed=3)
+    assert rep.detail == (
+        "trial 0 (rational elliptic surface): fiber counts 12*I1 instead of 3*I2"
+    )
+    monkeypatch.setattr(cli, "j_invariant_22", lambda b: None)
+    bundle = cli.bundled_scenarios()
+    (fiberwise,) = [sc for sc in bundle if sc.name == "fiberwise-j-match"]
+    rep = cli.run(fiberwise, seed=3, trials_override=2)
+    assert rep.status == "fail"
+    assert rep.detail == "trial 0: the two j-invariants differ"
+    assert set(rep.artifacts) == {"quartic", "xi"}
+
+
 def test_run_trials_override_wins():
     sc = parse(FIBER_SMALL)
     rep = cli.run(sc, seed=3, trials_override=1)
