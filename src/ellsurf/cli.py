@@ -347,7 +347,9 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                 raise ParseError("the two variables must differ", lineno, col)
             declared = int(m.group("deg"))
             try:
-                form = parse_hompoly(m.group("expr"), vars, declared, line=lineno)
+                form = parse_hompoly(
+                    m.group("expr"), vars, declared, line=lineno, col=col + m.start("expr")
+                )
             except ParseError as exc:
                 message = str(exc)
                 if "homogeneous" in message or "declared degree" in message:
@@ -415,7 +417,7 @@ def _validate_scenario(sc: Scenario, source: str) -> None:
             raise bad("lattice-identity needs at least one lattice")
         if sc.expect_match is not None and len(sc.lattices) < 2:
             raise bad("match/mismatch needs at least two lattices")
-        if sc.expect_pass or sc.expect_fibers is not None:
+        if sc.expect_pass or sc.expect_fibers is not None or sc.expect_euler is not None:
             raise bad("lattice-identity takes match/mismatch or invariants")
         return
 

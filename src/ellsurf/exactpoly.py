@@ -2,13 +2,19 @@
 
 Three representations cover everything the rest of the package needs:
 
-* ``UniPoly``: dense univariate polynomials with ``fractions.Fraction``
-  coefficients, indexed by ascending degree.
+* ``UniPoly``: dense univariate polynomials, indexed by ascending degree.
 * ``HomPoly``: binary forms with a *declared* degree, so the zero form of
   any degree and forms divisible by either variable are first-class values.
   Coefficient ``k`` multiplies ``s^(d-k) * t^k``.
 * ``BiHomPoly``: forms homogeneous in two pairs of variables separately
-  (bidegree ``(d1, d2)``), stored as a coefficient matrix.
+  (bidegree ``(d1, d2)``), stored as a matrix of ``Fraction`` coefficients.
+
+``UniPoly`` and ``HomPoly`` store a tuple of integer numerators ``num``
+over one positive denominator ``den``, in lowest terms (gcd of ``den`` and
+the content of ``num`` is 1, and ``den`` is 1 for zero), as FLINT's
+``fmpq_poly`` does.  Equal polynomials therefore have equal fields, and
+sums, products, pseudo-division, gcds and resultants run on plain ints.
+``coeffs`` is a cached read-only view of the coefficients as Fractions.
 
 The module is also the one home of the exact scalar primitives the other
 layers build on:
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
@@ -221,19 +228,104 @@ def solve_linear(
 
 
 # ---------------------------------------------------------------------------
+# integer kernels
+# ---------------------------------------------------------------------------
+
+
+def _lowest(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """``num / den``, for ``den > 0``, divided by gcd(content, den); the
+    zero polynomial gets ``den == 1``."""
+    g = gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(n // g for n in num), den // g
+
+
+def _fractions_over_one_den(values: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators; already lowest."""
+    fs = _ratseq(values)
+    den = lcm(*(c.denominator for c in fs))
+    return [c.numerator * (den // c.denominator) for c in fs], den
+
+
+def _combine(
+    a: Sequence[int], da: int, b: Sequence[int], db: int, sign: int
+) -> tuple[list[int], int]:
+    """Numerators of ``a/da + sign * b/db`` over the denominator lcm(da, db);
+    the shorter list is padded with zeros."""
+    g = gcd(da, db)
+    ma, mb = db // g, sign * (da // g)
+    out = [x * ma for x in a]
+    out += [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += y * mb
+    return out, da * ma
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Schoolbook product of two nonempty integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
+
+
+def _int_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of integer coefficient lists (ascending order).
+
+    Returns ``(quo, rem, scale)`` with ``scale * a == quo * b + rem`` and
+    ``deg rem < deg b``.  Each step scales by ``lc(b) / gcd(top, lc(b))``
+    only, so ``scale > 0`` divides ``lc(b)^(deg a - deg b + 1)`` and stays
+    1 whenever ``lc(b)`` divides every leading term on the way.
+    """
+    rem = list(a)
+    d = len(b) - 1
+    lc = b[-1]
+    quo = [0] * max(0, len(rem) - d)
+    scale = 1
+    while len(rem) > d:
+        k = len(rem) - 1 - d
+        top = rem[-1]
+        g = gcd(top, lc) if lc > 0 else -gcd(top, lc)
+        s = lc // g
+        if s != 1:
+            rem = [x * s for x in rem]
+            quo = [x * s for x in quo]
+            scale *= s
+        f = top // g
+        quo[k] = f
+        for i, y in enumerate(b, k):
+            rem[i] -= f * y
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quo, rem, scale
+
+
+# ---------------------------------------------------------------------------
 # univariate polynomials
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Dense univariate polynomial; ``coeffs[i]`` multiplies ``x^i``.
+    """Dense univariate polynomial ``sum(num[i] * x^i) / den``.
 
-    Trailing zeros are stripped, the zero polynomial has ``coeffs == ()``
-    and degree ``-1``.
+    ``num`` holds integers with trailing zeros stripped and ``den > 0``
+    shares no factor with their content, so equal polynomials have equal
+    fields; the zero polynomial is ``num == ()``, ``den == 1``, degree
+    ``-1``.  ``coeffs[i]`` is the rational coefficient of ``x^i``.
     """
 
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
+
+    @staticmethod
+    def _make(num: list[int], den: int) -> UniPoly:
+        while num and num[-1] == 0:
+            num.pop()
+        return UniPoly(*_lowest(num, den))
 
     @staticmethod
     def of(*coeffs: RationalLike) -> UniPoly:
@@ -241,10 +333,7 @@ class UniPoly:
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[RationalLike]) -> UniPoly:
-        cs = list(_ratseq(coeffs))
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return UniPoly(tuple(cs))
+        return UniPoly._make(*_fractions_over_one_den(coeffs))
 
     @staticmethod
     def zero() -> UniPoly:
@@ -258,51 +347,46 @@ class UniPoly:
     def x_power(n: int, c: RationalLike = 1) -> UniPoly:
         return UniPoly.from_coeffs([0] * n + [c])
 
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise DegreeTooLow("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def coeff(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i <= self.degree else Fraction(0)
 
     def __add__(self, other: UniPoly) -> UniPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly.from_coeffs(
-            [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
+        return UniPoly._make(*_combine(self.num, self.den, other.num, other.den, 1))
 
     def __sub__(self, other: UniPoly) -> UniPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly.from_coeffs(
-            [self.coeff(i) - other.coeff(i) for i in range(n)]
-        )
+        return UniPoly._make(*_combine(self.num, self.den, other.num, other.den, -1))
 
     def __neg__(self) -> UniPoly:
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return UniPoly(tuple(-n for n in self.num), self.den)
 
     def __mul__(self, other: UniPoly | RationalLike) -> UniPoly:
         if isinstance(other, UniPoly):
             if self.is_zero or other.is_zero:
                 return UniPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly.from_coeffs(out)
+            return UniPoly._make(_int_mul(self.num, other.num), self.den * other.den)
         c = rat(other)
-        return UniPoly.from_coeffs([c * a for a in self.coeffs])
+        return UniPoly._make(
+            [c.numerator * n for n in self.num], c.denominator * self.den
+        )
 
     def __rmul__(self, other: RationalLike) -> UniPoly:
         return self.__mul__(other)
@@ -320,16 +404,19 @@ class UniPoly:
         return result
 
     def __call__(self, x: RationalLike) -> Fraction:
+        if self.is_zero:
+            return Fraction(0)
         xv = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * xv + c
-        return acc
+        p, q = xv.numerator, xv.denominator
+        # sum(num[i] * p^i * q^(n - i)) by Horner, then divide by q^n * den
+        acc, qpow = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc, self.den * q**self.degree)
 
     def derivative(self) -> UniPoly:
-        return UniPoly.from_coeffs(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
+        return UniPoly._make([i * n for i, n in enumerate(self.num)][1:], self.den)
 
     def shift(self, c: RationalLike) -> UniPoly:
         """Return p(x + c)."""
@@ -346,21 +433,20 @@ class UniPoly:
         return result
 
     def divmod(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
+        """Quotient and remainder over Q.
+
+        With ``self = A/da``, ``other = B/db`` and ``scale * A = Q*B + R``
+        from the integer pseudo-division, the quotient is
+        ``Q * db / (scale * da)`` and the remainder ``R / (scale * da)``.
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q: list[Fraction] = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.leading
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lc
-            q[k] = factor
-            for i in range(d + 1):
-                rem[k + i] -= factor * other.coeffs[i]
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UniPoly.from_coeffs(q), UniPoly.from_coeffs(rem)
+        quo, rem, scale = _int_divmod(self.num, other.num)
+        den = scale * self.den
+        return (
+            UniPoly._make([x * other.den for x in quo], den),
+            UniPoly._make(rem, den),
+        )
 
     def divexact(self, other: UniPoly) -> UniPoly:
         q, r = self.divmod(other)
@@ -409,45 +495,11 @@ def _render_terms(terms: Sequence[tuple[Fraction, tuple[tuple[str, int], ...]]])
 # ---------------------------------------------------------------------------
 
 
-def _int_clear(p: UniPoly) -> list[int]:
-    """Scale p by a positive rational into a primitive integer list."""
-    den = 1
-    for c in p.coeffs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _int_primitive(coeffs: list[int]) -> list[int]:
-    g = 0
-    for v in coeffs:
-        g = gcd(g, v)
+def _int_primitive(coeffs: Sequence[int]) -> list[int]:
+    g = gcd(*coeffs)
     if g == 0:
         return []
     return [v // g for v in coeffs]
-
-
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer coefficient lists (ascending order)."""
-    a = list(a)
-    da, db = len(a) - 1, len(b) - 1
-    lc = b[-1]
-    for _ in range(da - db + 1):
-        if len(a) - 1 < db:
-            break
-        k = len(a) - 1 - db
-        top = a[-1]
-        a = [c * lc for c in a]
-        for i in range(db + 1):
-            a[k + i] -= top * b[i]
-        while a and a[-1] == 0:
-            a.pop()
-    return a
 
 
 def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -461,13 +513,13 @@ def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
         return q.monic()
     if q.is_zero:
         return p.monic()
-    a, b = _int_clear(p), _int_clear(q)
+    a, b = _int_primitive(p.num), _int_primitive(q.num)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _int_primitive(_int_prem(a, b))
+        r = _int_primitive(_int_divmod(a, b)[1])
         a, b = b, r
-    return UniPoly.from_coeffs(a).monic()
+    return UniPoly(tuple(a)).monic()
 
 
 @dataclass(frozen=True)
@@ -589,16 +641,13 @@ def multiplicity_in(q: UniPoly | "HomPoly", f: UniPoly | "HomPoly") -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sylvester_resultant(pc: Sequence[Fraction], qc: Sequence[Fraction]) -> Fraction:
-    """Determinant of the Sylvester matrix of two coefficient rows given in
-    descending order, at the degrees ``len(pc) - 1`` and ``len(qc) - 1``."""
-    m, n = len(pc) - 1, len(qc) - 1
-    dp = lcm(*(c.denominator for c in pc))
-    dq = lcm(*(c.denominator for c in qc))
-    pi = [int(c * dp) for c in pc]
-    qi = [int(c * dq) for c in qc]
-    rows = [[0] * i + pi + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + qi + [0] * (m - 1 - i) for i in range(m)]
+def _sylvester_resultant(pi: Sequence[int], dp: int, qi: Sequence[int], dq: int) -> Fraction:
+    """Determinant of the Sylvester matrix of ``pi/dp`` and ``qi/dq``, integer
+    coefficient rows given in descending order, at the degrees
+    ``len(pi) - 1`` and ``len(qi) - 1``."""
+    m, n = len(pi) - 1, len(qi) - 1
+    rows = [[0] * i + list(pi) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(qi) + [0] * (m - 1 - i) for i in range(m)]
     return Fraction(bareiss_det(rows), dp**n * dq**m)
 
 
@@ -615,7 +664,7 @@ def resultant(p: UniPoly, q: UniPoly) -> Fraction:
         if other.degree <= 0 and not other.is_zero:
             return Fraction(1)
         return Fraction(0)
-    return _sylvester_resultant(p.coeffs[::-1], q.coeffs[::-1])
+    return _sylvester_resultant(p.num[::-1], p.den, q.num[::-1], q.den)
 
 
 def discriminant_univ(p: UniPoly) -> Fraction:
@@ -659,27 +708,40 @@ def discriminant_form(p: UniPoly, degree: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _pair(vars: Sequence[str]) -> tuple[str, str]:
+    """The variable pair of a form: two distinct names."""
+    pair = tuple(vars)
+    if len(pair) != 2 or pair[0] == pair[1]:
+        raise DegreeMismatch(f"a form needs two distinct variables, got {pair}")
+    return pair
+
+
 @dataclass(frozen=True)
 class HomPoly:
-    """Binary form of declared degree ``len(coeffs) - 1``.
+    """Binary form ``sum(num[k] * vars[0]^(d-k) * vars[1]^k) / den`` of
+    declared degree ``d = len(num) - 1``.
 
-    ``coeffs[k]`` multiplies ``vars[0]^(d-k) * vars[1]^k``; all-zero
-    coefficients give the zero form of that degree.
+    ``num`` holds integers and ``den > 0`` shares no factor with their
+    content, so equal forms have equal fields; all-zero numerators give the
+    zero form of that degree (with ``den == 1``).  ``coeffs[k]`` is the
+    rational coefficient of ``vars[0]^(d-k) * vars[1]^k``.
     """
 
     vars: tuple[str, str]
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
 
     @staticmethod
     def of(vars: tuple[str, str], coeffs: Iterable[RationalLike]) -> HomPoly:
-        cs = _ratseq(coeffs)
-        if not cs:
+        pair = _pair(vars)
+        num, den = _fractions_over_one_den(coeffs)
+        if not num:
             raise DegreeTooLow("a form needs at least one coefficient")
-        return HomPoly(tuple(vars), cs)
+        return HomPoly(pair, tuple(num), den)
 
     @staticmethod
     def zero(vars: tuple[str, str], degree: int) -> HomPoly:
-        return HomPoly(tuple(vars), tuple(Fraction(0) for _ in range(degree + 1)))
+        return HomPoly(_pair(vars), (0,) * (degree + 1))
 
     @staticmethod
     def constant(vars: tuple[str, str], c: RationalLike) -> HomPoly:
@@ -687,17 +749,22 @@ class HomPoly:
 
     @staticmethod
     def var_power(vars: tuple[str, str], which: int, degree: int) -> HomPoly:
-        cs = [Fraction(0)] * (degree + 1)
-        cs[0 if which == 0 else degree] = Fraction(1)
-        return HomPoly(tuple(vars), tuple(cs))
+        num = [0] * (degree + 1)
+        num[0 if which == 0 else degree] = 1
+        return HomPoly(_pair(vars), tuple(num))
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def _check_vars(self, other: HomPoly) -> None:
         if self.vars != other.vars:
@@ -705,34 +772,32 @@ class HomPoly:
                 f"variable pairs differ: {self.vars} vs {other.vars}"
             )
 
-    def __add__(self, other: HomPoly) -> HomPoly:
+    def _plus(self, other: HomPoly, sign: int) -> HomPoly:
         self._check_vars(other)
         if self.degree != other.degree:
             raise DegreeMismatch(
                 f"cannot add forms of degrees {self.degree} and {other.degree}"
             )
-        return HomPoly(
-            self.vars, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        num, den = _combine(self.num, self.den, other.num, other.den, sign)
+        return HomPoly(self.vars, *_lowest(num, den))
+
+    def __add__(self, other: HomPoly) -> HomPoly:
+        return self._plus(other, 1)
 
     def __sub__(self, other: HomPoly) -> HomPoly:
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> HomPoly:
-        return HomPoly(self.vars, tuple(-c for c in self.coeffs))
+        return HomPoly(self.vars, tuple(-n for n in self.num), self.den)
 
     def __mul__(self, other: HomPoly | RationalLike) -> HomPoly:
         if isinstance(other, HomPoly):
             self._check_vars(other)
-            out = [Fraction(0)] * (self.degree + other.degree + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return HomPoly(self.vars, tuple(out))
+            num = _int_mul(self.num, other.num)
+            return HomPoly(self.vars, *_lowest(num, self.den * other.den))
         c = rat(other)
-        return HomPoly(self.vars, tuple(c * a for a in self.coeffs))
+        num = [c.numerator * n for n in self.num]
+        return HomPoly(self.vars, *_lowest(num, c.denominator * self.den))
 
     def __rmul__(self, other: RationalLike) -> HomPoly:
         return self.__mul__(other)
@@ -751,19 +816,23 @@ class HomPoly:
 
     def __call__(self, s: RationalLike, t: RationalLike) -> Fraction:
         sv, tv = rat(s), rat(t)
-        d = self.degree
-        acc = Fraction(0)
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                acc += c * sv ** (d - k) * tv**k
-        return acc
+        # with s = a/b and t = c/e the value is
+        # sum(num[k] * (a*e)^(d-k) * (c*b)^k) / (den * (b*e)^d)
+        big_s = sv.numerator * tv.denominator
+        big_t = tv.numerator * sv.denominator
+        acc, tpow = 0, 1
+        for n in self.num:
+            acc = acc * big_s + n * tpow
+            tpow *= big_t
+        scale = sv.denominator * tv.denominator
+        return Fraction(acc, self.den * scale**self.degree)
 
     def swap(self) -> HomPoly:
         """Exchange the two variables (coefficients reverse)."""
-        return HomPoly((self.vars[1], self.vars[0]), tuple(reversed(self.coeffs)))
+        return HomPoly((self.vars[1], self.vars[0]), self.num[::-1], self.den)
 
     def rename(self, vars: tuple[str, str]) -> HomPoly:
-        return HomPoly(tuple(vars), self.coeffs)
+        return HomPoly(_pair(vars), self.num, self.den)
 
     def substitute(self, f: HomPoly, g: HomPoly) -> HomPoly:
         """Plug forms (f, g) of one common degree in for the variables."""
@@ -784,21 +853,18 @@ class HomPoly:
 
     def as_unipoly(self) -> UniPoly:
         """Dehomogenize at ``vars[1] = 1`` (polynomial in ``vars[0]``)."""
-        d = self.degree
-        return UniPoly.from_coeffs([self.coeffs[d - i] for i in range(d + 1)])
+        return UniPoly._make(list(self.num[::-1]), self.den)
 
     def second_var_multiplicity(self) -> int:
         """Multiplicity of the root [1:0], i.e. the power of ``vars[1]``."""
-        if self.is_zero:
-            raise DegreeTooLow("zero form has no root multiplicities")
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
+        for k, n in enumerate(self.num):
+            if n:
                 return k
-        raise AssertionError("unreachable")
+        raise DegreeTooLow("zero form has no root multiplicities")
 
     def leading_in_first(self) -> Fraction:
         """Coefficient of the highest power of ``vars[0]`` present."""
-        return self.coeffs[self.second_var_multiplicity()]
+        return Fraction(self.num[self.second_var_multiplicity()], self.den)
 
     def monic_in_first(self) -> HomPoly:
         return self * (1 / self.leading_in_first())
@@ -822,10 +888,8 @@ def homogenize(p: UniPoly, vars: tuple[str, str], degree: int) -> HomPoly:
         raise DegreeMismatch(
             f"declared degree {degree} below actual degree {p.degree}"
         )
-    cs = [Fraction(0)] * (degree + 1)
-    for i, c in enumerate(p.coeffs):
-        cs[degree - i] = c
-    return HomPoly(tuple(vars), tuple(cs))
+    num = (0,) * (degree - p.degree) + p.num[::-1]
+    return HomPoly(_pair(vars), num, p.den)
 
 
 def form_discriminant(f: HomPoly) -> Fraction:
@@ -846,7 +910,7 @@ def form_resultant(p: HomPoly, q: HomPoly) -> Fraction:
     form).
     """
     p._check_vars(q)
-    return _sylvester_resultant(p.coeffs, q.coeffs)
+    return _sylvester_resultant(p.num, p.den, q.num, q.den)
 
 
 def _try_divide_form(p: HomPoly, f: HomPoly) -> tuple[bool, HomPoly | None]:
@@ -1078,11 +1142,11 @@ class BiHomPoly:
 
     def pair1_coefficient(self, i: int) -> HomPoly:
         """Coefficient of ``vars1[0]^(d1-i) vars1[1]^i`` as a form in vars2."""
-        return HomPoly(self.vars2, self.rows[i])
+        return HomPoly.of(self.vars2, self.rows[i])
 
     def pair2_coefficient(self, j: int) -> HomPoly:
         """Coefficient of ``vars2[0]^(d2-j) vars2[1]^j`` as a form in vars1."""
-        return HomPoly(self.vars1, tuple(row[j] for row in self.rows))
+        return HomPoly.of(self.vars1, [row[j] for row in self.rows])
 
     def swap_pairs(self) -> BiHomPoly:
         return BiHomPoly(
@@ -1162,51 +1226,59 @@ def parse_hompoly(
     vars: tuple[str, str],
     degree: int | None = None,
     line: int = 1,
+    col: int = 1,
 ) -> HomPoly:
     """Parse a term-sum like ``3*s^2 - 2*s*t + t^2`` into a binary form.
 
     Every term must use only the two declared variables and all terms must
     share one total degree (which must equal ``degree`` when given).
     ``0`` parses to the zero form and needs an explicit ``degree``.
+    ``line`` and ``col`` place the first character of ``text`` in its
+    source; errors report positions relative to them.
     """
-    terms = _parse_terms(text, set(vars), line)
+    terms = _parse_terms(text, set(vars), line, col - 1)
     degrees = {sum(e for _v, e in powers) for _c, powers in terms}
-    if not terms or (len(terms) == 1 and terms[0][0] == 0):
+    if len(terms) == 1 and terms[0][0] == 0:
         if degree is None:
-            raise ParseError("zero form needs an explicit degree", line, 1)
+            raise ParseError("zero form needs an explicit degree", line, col)
         return HomPoly.zero(vars, degree)
     if len(degrees) != 1:
         raise ParseError(
-            f"terms are not homogeneous (total degrees {sorted(degrees)})", line, 1
+            f"terms are not homogeneous (total degrees {sorted(degrees)})", line, col
         )
     d = degrees.pop()
     if degree is not None and degree != d:
-        raise ParseError(f"declared degree {degree} but terms have degree {d}", line, 1)
+        raise ParseError(f"declared degree {degree} but terms have degree {d}", line, col)
     coeffs = [Fraction(0)] * (d + 1)
     for c, powers in terms:
         es = {v: 0 for v in vars}
         for v, e in powers:
             es[v] += e
         coeffs[es[vars[1]]] += c
-    return HomPoly(tuple(vars), tuple(coeffs))
+    return HomPoly.of(vars, coeffs)
 
 
 def _parse_terms(
-    text: str, allowed: set[str], line: int
+    text: str, allowed: set[str], line: int, offset: int
 ) -> list[tuple[Fraction, list[tuple[str, int]]]]:
+    """The signed terms of ``text``, never empty; ``offset`` is added to
+    every reported column."""
     pos = 0
     n = len(text)
     terms: list[tuple[Fraction, list[tuple[str, int]]]] = []
     sign = 1
-    expect_term = True
+    sign_col = 0
     current_coeff: Fraction | None = None
     current_pows: list[tuple[str, int]] = []
     started = False
 
+    def fail(message: str, col: int) -> ParseError:
+        return ParseError(message, line, offset + col)
+
     def flush(col: int) -> None:
         nonlocal sign, current_coeff, current_pows, started
         if not started:
-            raise ParseError("empty term", line, col)
+            raise fail("empty term", col)
         c = current_coeff if current_coeff is not None else Fraction(1)
         terms.append((sign * c, current_pows))
         sign = 1
@@ -1220,16 +1292,14 @@ def _parse_terms(
             if text[pos:].strip() == "":
                 break
             bad = len(text) - len(text[pos:].lstrip())
-            raise ParseError(f"unexpected character {text[bad]!r}", line, bad + 1)
+            raise fail(f"unexpected character {text[bad]!r}", bad + 1)
         col = m.start(m.lastgroup) + 1 if m.lastgroup else m.start() + 1
         pos = m.end()
         if m.group("num"):
             try:
                 val = Fraction(m.group("num"))
             except ZeroDivisionError:
-                raise ParseError(
-                    f"zero denominator in {m.group('num')!r}", line, col
-                ) from None
+                raise fail(f"zero denominator in {m.group('num')!r}", col) from None
             if current_coeff is None:
                 current_coeff = val
             else:
@@ -1238,14 +1308,14 @@ def _parse_terms(
         elif m.group("name"):
             name = m.group("name")
             if name not in allowed:
-                raise ParseError(f"unknown variable {name!r}", line, col)
+                raise fail(f"unknown variable {name!r}", col)
             exp = 1
             m2 = _TOKEN_RE.match(text, pos)
             if m2 and m2.group("op") == "^":
                 pos = m2.end()
                 m3 = _TOKEN_RE.match(text, pos)
                 if not m3 or not m3.group("num") or "/" in m3.group("num"):
-                    raise ParseError("exponent must be a nonnegative integer", line, pos + 1)
+                    raise fail("exponent must be a nonnegative integer", pos + 1)
                 exp = int(m3.group("num"))
                 pos = m3.end()
             current_pows.append((name, exp))
@@ -1257,16 +1327,17 @@ def _parse_terms(
                     flush(col)
                 if op == "-":
                     sign = -sign
-                expect_term = True
+                sign_col = col
             elif op == "*":
                 if not started:
-                    raise ParseError("'*' needs a left operand", line, col)
+                    raise fail("'*' needs a left operand", col)
             else:
-                raise ParseError(f"unsupported operator {op!r}", line, col)
+                raise fail(f"unsupported operator {op!r}", col)
     if started:
         flush(n)
-    elif expect_term and not terms:
-        raise ParseError("empty polynomial text", line, 1)
-    elif sign == -1:
-        raise ParseError("dangling sign", line, n)
+    elif not terms:
+        raise fail("empty polynomial text", 1)
+    else:
+        # the text ends in a '+' or '-' with no term after it
+        raise fail("dangling sign", sign_col)
     return terms

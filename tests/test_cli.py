@@ -131,6 +131,17 @@ def test_parse_error_positions():
         parse("name ok\nbogus directive\n")
 
 
+def test_poly_term_errors_report_the_column_in_the_scenario_line():
+    head = "name x\nkind fiber-config\nfamily alternate-pair\n"
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parse(head + "poly trace on s,t deg 4 = s^4 + 1/0*t^4\n")
+    assert (err.value.line, err.value.col) == (4, 33)
+    # an indented line shifts the column by its indentation
+    with pytest.raises(ParseError, match="unknown variable 'w'") as err:
+        parse(head + "  poly trace on s,t deg 4 = s^4 + w*t^3\n")
+    assert (err.value.line, err.value.col) == (4, 35)
+
+
 def test_parse_error_duplicate_key():
     with pytest.raises(ParseError, match="duplicate"):
         parse("name one\nname two\nkind fiber-config\n")
@@ -214,6 +225,11 @@ def test_validation_unknown_family():
 def test_validation_lattice_match_needs_two():
     with pytest.raises(ParseError):
         parse("name x\nkind lattice-identity\nlattice a = H\nexpect match\n")
+
+
+def test_validation_lattice_scenario_refuses_an_euler_expectation():
+    with pytest.raises(ParseError, match="takes match/mismatch or invariants"):
+        parse("name x\nkind lattice-identity\nlattice a = H\nexpect det -1\nexpect euler 24\n")
 
 
 def test_validation_star_chain_level_range():

@@ -7,6 +7,7 @@ determinants; the package itself never imports it.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -86,6 +87,170 @@ class TestUniPolyRing:
         shifted = p.shift(c)
         for x in (Fraction(0), Fraction(1), Fraction(-2, 3)):
             assert shifted(x) == p(x + c)
+
+
+# ---------------------------------------------------------------------------
+# the integer core, against a Fraction schoolbook oracle kept here
+
+
+def _ref_strip(cs: list[Fraction]) -> list[Fraction]:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Long division of ascending coefficient lists; b has a nonzero top."""
+    rem = _ref_strip(a)
+    quo = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        factor = rem[-1] / b[-1]
+        quo[k] = factor
+        for i, y in enumerate(b):
+            rem[k + i] -= factor * y
+        rem = _ref_strip(rem)
+    return quo, rem
+
+
+def _ref_value(cs: list[Fraction], x: Fraction) -> Fraction:
+    return sum((c * x**i for i, c in enumerate(cs)), Fraction(0))
+
+
+wide_rational = st.builds(
+    lambda sign, n, d: Fraction(sign * n, d),
+    st.sampled_from((1, -1)),
+    st.integers(min_value=2**100, max_value=2**130),
+    st.integers(min_value=2**100, max_value=2**130),
+)
+any_rational = st.one_of(small_rational, wide_rational, st.just(Fraction(0)))
+coeff_lists = st.lists(any_rational, max_size=6)
+nonzero_top_lists = st.lists(any_rational, max_size=5).flatmap(
+    lambda cs: st.builds(lambda top: cs + [top], any_rational.filter(lambda c: c != 0))
+)
+ST = ("s", "t")
+
+
+def _lowest_terms(num: tuple[int, ...], den: int) -> bool:
+    return den > 0 and math.gcd(den, *num) == 1 and (any(num) or den == 1)
+
+
+class TestIntegerCore:
+    @given(a=coeff_lists, b=coeff_lists)
+    def test_products_match_the_schoolbook(self, a, b):
+        p, q = UniPoly.from_coeffs(a), UniPoly.from_coeffs(b)
+        want = _ref_strip(_ref_mul(a, b)) if a and b else []
+        assert list((p * q).coeffs) == want
+        assert _lowest_terms((p * q).num, (p * q).den)
+        if a and b:
+            F, G = HomPoly.of(ST, a), HomPoly.of(ST, b)
+            assert list((F * G).coeffs) == _ref_mul(a, b)
+            assert (F * G).degree == len(a) + len(b) - 2
+
+    @given(a=coeff_lists, b=coeff_lists, c=any_rational)
+    def test_sums_and_scalar_multiples_match_the_schoolbook(self, a, b, c):
+        n = max(len(a), len(b))
+        pa, pb = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+        p, q = UniPoly.from_coeffs(a), UniPoly.from_coeffs(b)
+        assert list((p + q).coeffs) == _ref_strip([x + y for x, y in zip(pa, pb)])
+        assert list((p - q).coeffs) == _ref_strip([x - y for x, y in zip(pa, pb)])
+        assert list((p * c).coeffs) == _ref_strip([c * x for x in a])
+        assert list((-p).coeffs) == _ref_strip([-x for x in a])
+        if n:
+            F, G = HomPoly.of(ST, pa), HomPoly.of(ST, pb)
+            assert list((F - G).coeffs) == [x - y for x, y in zip(pa, pb)]
+            assert list((c * F).coeffs) == [c * x for x in pa]
+            assert _lowest_terms((F - G).num, (F - G).den)
+
+    @given(a=coeff_lists, b=nonzero_top_lists)
+    def test_divmod_matches_long_division(self, a, b):
+        p, f = UniPoly.from_coeffs(a), UniPoly.from_coeffs(b)
+        q, r = p.divmod(f)
+        assert q * f + r == p
+        assert r.degree < f.degree
+        want_q, want_r = _ref_divmod(a, b)
+        assert list(q.coeffs) == _ref_strip(want_q)
+        assert list(r.coeffs) == want_r
+        assert _lowest_terms(q.num, q.den) and _lowest_terms(r.num, r.den)
+
+    @given(a=coeff_lists, x=any_rational, y=any_rational)
+    def test_evaluation_matches_the_schoolbook(self, a, x, y):
+        assert UniPoly.from_coeffs(a)(x) == _ref_value(a, x)
+        if a:
+            d = len(a) - 1
+            want = sum((c * x ** (d - k) * y**k for k, c in enumerate(a)), Fraction(0))
+            assert HomPoly.of(ST, a)(x, y) == want
+
+    @given(
+        p=nonzero_top_lists, q=nonzero_top_lists, g=st.lists(wide_rational, min_size=2, max_size=3)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_gcd_of_wide_coefficients_against_sympy(self, p, q, g):
+        P = UniPoly.from_coeffs(p) * UniPoly.from_coeffs(g)
+        Q = UniPoly.from_coeffs(q) * UniPoly.from_coeffs(g)
+        ours = gcd_poly(P, Q)
+        assert _to_sympy(ours) == sp.gcd(_to_sympy(P), _to_sympy(Q)).monic()
+        assert ours.degree >= len(g) - 1
+
+    def test_equal_values_have_equal_fields_and_hashes(self):
+        half, two_quarters = UniPoly.of(Fraction(2, 4)), UniPoly.of(Fraction(1, 2))
+        assert half == two_quarters and hash(half) == hash(two_quarters)
+        assert (half.num, half.den) == ((1,), 2)
+        assert UniPoly.of(3, 0, 0) == UniPoly.of(3) and UniPoly.of(0, 0) == UniPoly.zero()
+
+    @given(cs=st.lists(any_rational, min_size=1, max_size=6), k=any_rational.filter(lambda c: c != 0))
+    def test_forms_from_differently_scaled_inputs_are_equal(self, cs, k):
+        F = HomPoly.of(ST, cs)
+        G = HomPoly.of(ST, [k * c for c in cs]) * (1 / k)
+        assert G == F and hash(G) == hash(F)
+        assert (G.num, G.den) == (F.num, F.den)
+        assert _lowest_terms(F.num, F.den)
+        assert F.as_unipoly() == UniPoly.from_coeffs(cs[::-1])
+
+    def test_zero_forms_of_every_degree(self):
+        line = HomPoly.of(ST, [Fraction(1, 3), Fraction(-7, 2)])
+        for d in range(9):
+            Z = HomPoly.zero(ST, d)
+            assert Z.is_zero and Z.degree == d and (Z.num, Z.den) == ((0,) * (d + 1), 1)
+            assert Z == HomPoly.of(ST, [Fraction(0, 5)] * (d + 1)) == line**d * 0
+            assert Z != HomPoly.zero(ST, d + 1)
+            assert Z * line == HomPoly.zero(ST, d + 1)
+            assert Z + Z == Z and -Z == Z
+            assert Z(3, Fraction(1, 2)) == 0
+            assert Z.as_unipoly() == UniPoly.zero()
+            assert str(Z) == "0"
+
+    def test_coeffs_is_a_view_of_fractions(self):
+        p = UniPoly.of(1, 2, -3)
+        F = HomPoly.of(ST, [4, Fraction(-6, 4), 0])
+        for poly in (p, F, p * p, F * F, p.divmod(UniPoly.of(2, 1))[0], F.swap()):
+            assert all(type(c) is Fraction for c in poly.coeffs)
+        assert F.coeffs == (Fraction(4), Fraction(-3, 2), Fraction(0))
+        assert F.coeffs is F.coeffs
+        assert p.coeff(7) == 0 and type(p.coeff(1)) is Fraction
+        assert type(p.leading) is Fraction and type(F.leading_in_first()) is Fraction
+
+    def test_forms_need_two_distinct_variables(self):
+        for vars in (("s", "s"), ("s",), ("s", "t", "u")):
+            with pytest.raises(DegreeMismatch):
+                HomPoly.of(vars, [1, 2, 1])
+            with pytest.raises(DegreeMismatch):
+                HomPoly.zero(vars, 2)
+            with pytest.raises(DegreeMismatch):
+                HomPoly.var_power(vars, 0, 2)
+            with pytest.raises(DegreeMismatch):
+                HomPoly.of(ST, [1, 2, 1]).rename(vars)
+            with pytest.raises(DegreeMismatch):
+                homogenize(UniPoly.of(1, 1), vars, 1)
 
 
 class TestGcd:
@@ -380,6 +545,14 @@ class TestParsing:
             parse_hompoly("s^4 + 1/0*t^4", ("s", "t"), 4, line=3)
         assert "zero denominator" in str(err.value)
         assert (err.value.line, err.value.col) == (3, 7)
+
+    def test_trailing_sign_is_a_parse_error(self):
+        for text in ("s +", "s -", "s + t +"):
+            with pytest.raises(ParseError, match="dangling sign"):
+                parse_hompoly(text, ("s", "t"), 1)
+        with pytest.raises(ParseError) as err:
+            parse_hompoly("s +", ("s", "t"), 1, line=2, col=30)
+        assert (err.value.line, err.value.col) == (2, 32)
 
     def test_zero_form_needs_degree(self):
         assert parse_hompoly("0", ("s", "t"), degree=3).is_zero
