@@ -193,12 +193,17 @@ def _parse_int(text: str, line: int, what: str) -> int:
         raise ParseError(f"{what} must be an integer, got {text.strip()!r}", line, 1)
 
 
-def _parse_lattice_expr(text: str, line: int) -> la.GramLattice:
+def _parse_lattice_expr(text: str, line: int, col: int) -> la.GramLattice:
+    """A sum of lattice terms; ``col`` is the column of the text's first
+    character, so an error names the column of its term."""
     summands: list[la.GramLattice] = []
+    offset = 0
     for piece in text.split("+"):
+        at = col + offset + len(piece) - len(piece.lstrip())
+        offset += len(piece) + 1
         m = _LATTICE_TERM_RE.fullmatch(piece)
         if m is None:
-            raise ParseError(f"bad lattice term {piece.strip()!r}", line, 1)
+            raise ParseError(f"bad lattice term {piece.strip()!r}", line, at)
         atom = m.group("atom")
         if atom == "P0":
             base = la.two_param_polarization(0)
@@ -208,15 +213,15 @@ def _parse_lattice_expr(text: str, line: int) -> la.GramLattice:
             try:
                 base = la.standard_lattice(atom)
             except la.UnknownLattice as exc:
-                raise ParseError(str(exc), line, 1) from None
+                raise ParseError(str(exc), line, at) from None
         scale = m.group("scale")
         if scale is not None:
             if int(scale) == 0:
-                raise ParseError("lattice scale must be nonzero", line, 1)
+                raise ParseError("lattice scale must be nonzero", line, at)
             base = la.rescale(base, int(scale))
         power = int(m.group("power") or 1)
         if power < 1:
-            raise ParseError("lattice power must be positive", line, 1)
+            raise ParseError("lattice power must be positive", line, at)
         summands.extend([base] * power)
     return summands[0] if len(summands) == 1 else la.direct_sum(*summands)
 
@@ -380,7 +385,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             else:
                 if vname in sc.lattices:
                     raise ParseError(f"duplicate lattice {vname!r}", lineno, col)
-                sc.lattices[vname] = _parse_lattice_expr(expr, lineno)
+                sc.lattices[vname] = _parse_lattice_expr(expr, lineno, col + m.start("expr"))
         elif key == "expect":
             _parse_expect(rest, lineno, sc)
         else:

@@ -5,17 +5,31 @@ The isomorphism oracle implemented here is deliberately narrow: two even
 indefinite 2-elementary lattices are isometric exactly when their rank,
 signature, length, and parity agree, so ``nikulin_equivalent`` compares
 those invariants and refuses anything outside that hypothesis class.
-All arithmetic is exact (integers and Fractions throughout).
+
+All arithmetic is on integers, and every invariant takes time polynomial
+in the size of the Gram matrix: the Smith form keeps its entries below
+|det|, and the fraction-free eliminations keep theirs to minors of G.
+
+* ``determinant``: fraction-free (Bareiss) elimination;
+* ``signature``: symmetric fraction-free elimination, reading the signs
+  of consecutive leading principal minors (Jacobi's rule);
+* ``discriminant_group``: the Smith form taken modulo |det| (Cohen, *A
+  Course in Computational Algebraic Number Theory*, Alg. 2.4.14), so no
+  entry ever exceeds |det|;
+* parity: one fraction-free Gauss-Jordan pass gives det * G^-1, and
+  parity is 0 exactly when every diagonal entry of G^-1 is an integer.
+
+Gram matrices hold ints; a non-integral entry is refused.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Iterable, NamedTuple, Sequence
 
-from .exactpoly import ZeroScale, bareiss_det, solve_linear
+from .exactpoly import ZeroScale, bareiss_adjugate, bareiss_det
 
 
 class UnknownLattice(ValueError):
@@ -46,14 +60,19 @@ class GramLattice:
         for row in self.gram:
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
+        gram = tuple(
+            tuple(x if type(x) is int else _integral(x) for x in row)
+            for row in self.gram
+        )
         for i in range(n):
             for j in range(i + 1, n):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
+        object.__setattr__(self, "gram", gram)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> GramLattice:
-        return GramLattice(tuple(tuple(int(x) for x in row) for row in rows))
+        return GramLattice(tuple(tuple(row) for row in rows))
 
     @property
     def rank(self) -> int:
@@ -62,6 +81,17 @@ class GramLattice:
     @property
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
+
+
+def _integral(x) -> int:
+    """``x`` as an int; ValueError unless it is an integral number."""
+    try:
+        value = int(x)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != x:
+        raise ValueError(f"Gram matrix entries must be integers, got {x!r}")
+    return value
 
 
 EMPTY = GramLattice(())
@@ -233,128 +263,136 @@ def determinant(lat: GramLattice) -> int:
 
 
 def signature(lat: GramLattice) -> tuple[int, int]:
-    """Counts of positive and negative squares after exact symmetric
-    diagonalization; raises DegenerateLattice on a zero determinant."""
+    """Counts of positive and negative squares; raises DegenerateLattice
+    on a zero determinant.
+
+    Symmetric fraction-free elimination: congruence moves bring a nonzero
+    entry to the diagonal, and the Bareiss update keeps the trailing block
+    integral.  Each pivot is a leading principal minor of a congruent
+    Gram matrix, so by Jacobi's rule a pivot with the sign of the previous
+    one (1 before the first) is a positive square, and a sign change a
+    negative one.
+    """
     n = lat.rank
-    a = [[Fraction(x) for x in row] for row in lat.gram]
+    a = [list(row) for row in lat.gram]
     pos = neg = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
-            pivot_col = next(
-                (j for j in range(k + 1, n) if a[k][j] != 0), None
-            )
-            if pivot_col is None:
-                raise DegenerateLattice("Gram matrix is singular")
-            j = pivot_col
-            # symmetric row+column addition keeps congruence class
-            sign = 1 if a[k][k] + 2 * a[k][j] + a[j][j] != 0 else -1
-            for s in range(n):
-                a[k][s] += sign * a[j][s]
-            for r in range(n):
-                a[r][k] += sign * a[r][j]
-        if a[k][k] > 0:
+            _diagonal_pivot(a, k)
+        p = a[k][k]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
+        top = a[k]
         for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f == 0:
-                continue
-            for s in range(n):
-                a[i][s] -= f * a[k][s]
-            for r in range(n):
-                a[r][i] -= f * a[r][k]
+            row = a[i]
+            f = row[k]
+            for j in range(i, n):
+                row[j] = a[j][i] = (p * row[j] - f * top[j]) // prev
+        prev = p
     return pos, neg
 
 
-def _smith_diagonal_with_row_inverse(
-    gram: tuple[tuple[int, ...], ...]
-) -> tuple[list[int], list[list[int]]]:
-    """Diagonal of the Smith form D = U * gram * V together with U^{-1}
-    (columns of U^{-1} lift the cyclic generators of the cokernel)."""
+def _diagonal_pivot(a: list[list[int]], k: int) -> None:
+    """Make a[k][k] nonzero by a congruence move on indices >= k: swap in a
+    nonzero diagonal entry, or else, all of them being zero, add e_j to e_k
+    across a nonzero a[k][j], which puts 2 a[k][j] on the diagonal.  With
+    neither, row k of the trailing block is zero and the form singular."""
+    n = len(a)
+    r = next((r for r in range(k + 1, n) if a[r][r]), None)
+    if r is not None:
+        a[k], a[r] = a[r], a[k]
+        for row in a:
+            row[k], row[r] = row[r], row[k]
+        return
+    j = next((j for j in range(k + 1, n) if a[k][j]), None)
+    if j is None:
+        raise DegenerateLattice("Gram matrix is singular")
+    a[k] = [x + y for x, y in zip(a[k], a[j])]
+    for row in a:
+        row[k] += row[j]
+
+
+def _elementary_divisors(gram: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Diagonal of the Smith form of a nonsingular integer matrix, in
+    increasing order (each divides the next).
+
+    Works modulo D = |det| (Cohen, Alg. 2.4.14): the columns span a
+    lattice that contains D Z^n, so reducing entries mod D and replacing a
+    cleared pivot p by gcd(p, D) keep that lattice, and every entry stays
+    below D.  Row moves clear the pivot column, then the matrix is
+    transposed so that the pivot row is cleared next, and so on until
+    both are clear.  Only an extended-gcd move can refill the cleared
+    line, and it shrinks the pivot to a proper divisor, as does adding a
+    trailing row with an entry the pivot does not divide, which is needed
+    before the next pivot; a pivot can shrink at most log2(D) times, so
+    each pivot is final after O(log D) sweeps.
+    """
     n = len(gram)
-    a = [list(row) for row in gram]
-    uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j; U^{-1} gets the inverse column operation
-        for s in range(n):
-            a[i][s] += c * a[j][s]
-        for r in range(n):
-            uinv[r][j] -= c * uinv[r][i]
-
-    def negate_row(i):
-        for s in range(n):
-            a[i][s] = -a[i][s]
-        for r in range(n):
-            uinv[r][i] = -uinv[r][i]
-
-    def swap_cols(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-
-    def add_col(i, j, c):
-        for r in range(n):
-            a[r][i] += c * a[r][j]
-
+    d = abs(bareiss_det(gram))
+    if d == 0:
+        raise DegenerateLattice("Gram matrix is singular")
+    a = [[x % d for x in row] for row in gram]
+    divisors: list[int] = []
     k = 0
     while k < n:
-        piv = None
-        for i in range(k, n):
-            for j in range(k, n):
-                if a[i][j] != 0 and (
-                    piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])
-                ):
-                    piv = (i, j)
-        if piv is None:
-            break  # zero tail
-        swap_rows(k, piv[0])
-        swap_cols(k, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    add_row(i, k, -(a[i][k] // a[k][k]))
-                    if a[i][k]:
-                        swap_rows(i, k)
-                        dirty = True
-            for j in range(k + 1, n):
-                if a[k][j]:
-                    add_col(j, k, -(a[k][j] // a[k][k]))
-                    if a[k][j]:
-                        swap_cols(j, k)
-                        dirty = True
-        stuck = False
-        for i in range(k + 1, n):
-            if any(a[i][j] % a[k][k] for j in range(k + 1, n)):
-                add_row(k, i, 1)
-                stuck = True
-                break
-        if stuck:
+        while any(a[k][j] or a[j][k] for j in range(k + 1, n)):
+            _clear_column(a, k, d)
+            a = [list(col) for col in zip(*a)]
+        p = a[k][k] = gcd(a[k][k], d)
+        stray = next(
+            (i for i in range(k + 1, n) for j in range(k + 1, n) if a[i][j] % p), None
+        )
+        if stray is None:
+            divisors.append(p)
+            k += 1
+        else:
+            a[k] = [(x + y) % d for x, y in zip(a[k], a[stray])]
+    return divisors
+
+
+def _clear_column(a: list[list[int]], k: int, d: int) -> None:
+    """Zero a[i][k] for i > k by row moves mod d: a plain subtraction when
+    the pivot p = a[k][k] divides the entry x, else the unimodular move
+    [[u, v], [-x/g, p/g]] that puts g = gcd(p, x) = u p + v x on the
+    pivot.  (A gcd move on a divisible entry would swap rows without
+    shrinking the pivot, and the sweeps could cycle.)"""
+    for i in range(k + 1, len(a)):
+        x = a[i][k]
+        if x == 0:
             continue
-        if a[k][k] < 0:
-            negate_row(k)
-        k += 1
-    return [a[i][i] for i in range(n)], uinv
+        p = a[k][k]
+        if p and x % p == 0:
+            q = x // p
+            a[i] = [(y - q * z) % d for y, z in zip(a[i], a[k])]
+        else:
+            g, u, v = _xgcd(p, x)
+            pg, xg = p // g, x // g
+            a[k], a[i] = (
+                [(u * y + v * z) % d for y, z in zip(a[k], a[i])],
+                [(pg * z - xg * y) % d for y, z in zip(a[k], a[i])],
+            )
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u a + v b = g = gcd(a, b), for a, b >= 0 not both 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return a, u0, v0
 
 
 def discriminant_group(lat: GramLattice) -> list[int]:
     """Elementary divisors (> 1) of the Gram matrix; their product is
     the absolute determinant."""
-    diag, _ = _smith_diagonal_with_row_inverse(lat.gram)
-    if any(d == 0 for d in diag):
-        raise DegenerateLattice("Gram matrix is singular")
-    return [d for d in diag if d > 1]
+    return [e for e in _elementary_divisors(lat.gram) if e > 1]
 
 
-@dataclass(frozen=True)
-class TwoElemInvariants:
+class TwoElemInvariants(NamedTuple):
     """Rank, signature, length, and parity; parity is None when the
     discriminant group is not 2-elementary."""
 
@@ -364,41 +402,26 @@ class TwoElemInvariants:
     is_two_elementary: bool
     parity: int | None
 
-    def require_parity(self) -> int:
-        if self.parity is None:
-            raise NotTwoElementary(
-                "parity is defined only for 2-elementary discriminant groups"
-            )
-        return self.parity
-
 
 def two_elementary_invariants(lat: GramLattice) -> TwoElemInvariants:
     """Invariants (rank, signature, length, parity) of an even lattice.
 
-    Parity is 0 when the discriminant quadratic form is integer-valued on
-    every generator of the (2-elementary) discriminant group, else 1;
-    generators are read off the Smith transform and lifted to the dual.
+    The length counts the elementary divisors equal to 2.  Parity is 0
+    when the discriminant quadratic form is integer-valued on the
+    (2-elementary) discriminant group, else 1.  That form is additive mod
+    Z there, and the dual basis e_i* = G^-1 e_i generates the group with
+    q(e_i*) = (G^-1)_ii, so parity is 0 exactly when det divides every
+    diagonal entry of the adjugate.
     """
     if not lat.is_even:
         raise ValueError("invariants are defined here for even lattices only")
-    diag, uinv = _smith_diagonal_with_row_inverse(lat.gram)
-    if any(d == 0 for d in diag):
-        raise DegenerateLattice("Gram matrix is singular")
-    divisors = [d for d in diag if d > 1]
-    length = sum(1 for d in divisors if d == 2)
-    two_elem = all(d == 2 for d in divisors)
+    divisors = [e for e in _elementary_divisors(lat.gram) if e > 1]
+    length = sum(1 for e in divisors if e == 2)
+    two_elem = all(e == 2 for e in divisors)
     parity: int | None = None
     if two_elem:
-        parity = 0
-        for idx, d in enumerate(diag):
-            if d != 2:
-                continue
-            y = [uinv[r][idx] for r in range(lat.rank)]
-            z = solve_linear(lat.gram, y)
-            q = sum(Fraction(yr) * zr for yr, zr in zip(y, z))
-            if q.denominator != 1:
-                parity = 1
-                break
+        det, adj = bareiss_adjugate(lat.gram)
+        parity = int(any(adj[i][i] % det for i in range(lat.rank)))
     return TwoElemInvariants(
         rank=lat.rank,
         signature=signature(lat) if lat.rank else (0, 0),
@@ -410,7 +433,12 @@ def two_elementary_invariants(lat: GramLattice) -> TwoElemInvariants:
 
 def parity(lat: GramLattice) -> int:
     """Parity of a 2-elementary even lattice; NotTwoElementary otherwise."""
-    return two_elementary_invariants(lat).require_parity()
+    value = two_elementary_invariants(lat).parity
+    if value is None:
+        raise NotTwoElementary(
+            "parity is defined only for 2-elementary discriminant groups"
+        )
+    return value
 
 
 def nikulin_equivalent(first: GramLattice, second: GramLattice) -> bool:

@@ -142,6 +142,24 @@ def test_poly_term_errors_report_the_column_in_the_scenario_line():
     assert (err.value.line, err.value.col) == (4, 35)
 
 
+@pytest.mark.parametrize(
+    "line, message, col",
+    [
+        ("lattice a = H + E7", "no lattice named 'E7'", 17),
+        ("  lattice a = H + E8(0)", "lattice scale must be nonzero", 19),
+        ("lattice a = H + E8(-2)^0", "lattice power must be positive", 17),
+        ("lattice a = H +", "bad lattice term ''", 16),
+        ("lattice a = H + + E8", "bad lattice term ''", 17),
+        ("lattice a = H+E8(2", "bad lattice term 'E8\\(2'", 15),
+    ],
+)
+def test_lattice_term_errors_report_the_column_in_the_scenario_line(line, message, col):
+    head = "name x\nkind lattice-identity\n"
+    with pytest.raises(ParseError, match=message) as err:
+        parse(head + line + "\nexpect det -1\n")
+    assert (err.value.line, err.value.col) == (3, col)
+
+
 def test_parse_error_duplicate_key():
     with pytest.raises(ParseError, match="duplicate"):
         parse("name one\nname two\nkind fiber-config\n")

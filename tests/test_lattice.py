@@ -1,17 +1,22 @@
 """Tests for the integer quadratic-form toolkit.
 
 Smith forms and determinants are cross-checked against sympy on random
-matrices; the named-lattice identities are pinned as frozen invariant
-tuples.
+matrices, signatures against the characteristic polynomial, and parity
+against a brute-force sum over the discriminant group; the named-lattice
+identities are pinned as frozen invariant tuples, and every invariant must
+survive large unimodular changes of basis.
 """
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
 from sympy.matrices.normalforms import smith_normal_form
 
+from ellsurf import cli
 from ellsurf.lattice import (
     EMPTY,
     DegenerateLattice,
@@ -160,6 +165,22 @@ class TestConstructors:
             GramLattice.from_rows([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             GramLattice.from_rows([[1, 2, 3], [2, 1, 1]])
+
+    def test_non_integral_entries_are_refused(self):
+        with pytest.raises(ValueError, match="integers"):
+            GramLattice.from_rows([[Fraction(5, 2), 1], [1, 2.7]])
+        with pytest.raises(ValueError, match="integers"):
+            GramLattice.from_rows([[2, 1], [1, 2.7]])
+        with pytest.raises(ValueError, match="integers"):
+            GramLattice(((Fraction(1, 2),),))
+        with pytest.raises(ValueError, match="integers"):
+            GramLattice(((2, Fraction(1, 3)), (Fraction(1, 3), 2)))
+
+    def test_integral_values_become_ints(self):
+        lat = GramLattice(((Fraction(4, 2), 1.0), (1, -2)))
+        assert lat.gram == ((2, 1), (1, -2))
+        assert all(type(x) is int for row in lat.gram for x in row)
+        assert GramLattice.from_rows([[Fraction(2)]]) == standard_lattice("<2>")
 
 
 class TestDeterminantAndSmith:
@@ -312,3 +333,169 @@ class TestTwoParamPolarization:
             two_param_polarization(2)
         with pytest.raises(UnknownLattice):
             two_param_polarization(-1)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: sympy and brute force, never the lattice kernels
+
+
+def random_symmetric(rng: random.Random, n: int, bound: int) -> list[list[int]]:
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(-bound, bound)
+    return m
+
+
+def singular_symmetric(rng: random.Random, n: int) -> list[list[int]]:
+    """T^T S T for a symmetric (n-1)x(n-1) S and an (n-1)xn T: rank < n."""
+    s = sp.Matrix(random_symmetric(rng, n - 1, 6))
+    t = sp.Matrix(n - 1, n, lambda i, j: rng.randint(-3, 3))
+    return [[int(x) for x in row] for row in (t.T * s * t).tolist()]
+
+
+def descartes_signature(m: list[list[int]]) -> tuple[int, int] | None:
+    """(positive, negative) eigenvalue counts of a symmetric matrix from
+    the sign changes of its characteristic polynomial at x and at -x (exact,
+    since every root is real); None when 0 is an eigenvalue."""
+    coeffs = [int(c) for c in sp.Matrix(m).charpoly().all_coeffs()]
+    if coeffs[-1] == 0:
+        return None
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    degree = len(coeffs) - 1
+    mirrored = [c * (-1) ** (degree - k) for k, c in enumerate(coeffs)]
+    return changes(coeffs), changes(mirrored)
+
+
+def brute_force_parity(lat: GramLattice) -> int:
+    """0 when y^T G^-1 y is an integer for every y in {0,1}^n, else 1: for a
+    2-elementary lattice those dual vectors cover the discriminant group."""
+    g = sp.Matrix(lat.gram)
+    det = int(g.det())
+    a = [[int(x * det) for x in row] for row in g.inv().tolist()]  # det * G^-1
+    n = lat.rank
+    for y in itertools.product((0, 1), repeat=n):
+        support = [i for i in range(n) if y[i]]
+        if sum(a[i][j] for i in support for j in support) % det:
+            return 1
+    return 0
+
+
+class TestOracles:
+    def test_signature_vs_characteristic_polynomial(self):
+        rng = random.Random(41)
+        for case in range(90):
+            n = rng.randint(1, 8)
+            if case % 3 == 2 and n > 1:
+                m = singular_symmetric(rng, n)
+            else:
+                m = random_symmetric(rng, n, 9)
+            if case % 3 == 1:
+                for i in range(n):
+                    m[i][i] = 0
+            expected = descartes_signature(m)
+            lat = GramLattice.from_rows(m)
+            if expected is None:
+                with pytest.raises(DegenerateLattice):
+                    signature(lat)
+            else:
+                assert signature(lat) == expected, m
+
+    def test_signature_of_zero_diagonal_forms(self):
+        # only off-diagonal entries: every pivot comes from a row/column sum
+        hh = direct_sum(H, H, H)
+        assert signature(hh) == descartes_signature([list(r) for r in hh.gram]) == (3, 3)
+        m = [[0, 3, 5], [3, 0, 7], [5, 7, 0]]
+        assert signature(GramLattice.from_rows(m)) == descartes_signature(m)
+        with pytest.raises(DegenerateLattice):
+            signature(GramLattice.from_rows([[0, 0, 1], [0, 0, 0], [1, 0, 0]]))
+
+    def test_discriminant_group_vs_sympy_smith_form(self):
+        rng = random.Random(42)
+        done = 0
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            m = random_symmetric(rng, n, 50)
+            if sp.Matrix(m).det() == 0:
+                continue
+            snf = smith_normal_form(sp.Matrix(m), domain=sp.ZZ)
+            expected = sorted(abs(int(snf[i, i])) for i in range(n))
+            expected = [d for d in expected if d > 1]
+            assert discriminant_group(GramLattice.from_rows(m)) == expected
+            done += 1
+        assert done >= 150
+
+    def test_discriminant_group_of_singular_matrices(self):
+        rng = random.Random(43)
+        for n in range(2, 9):
+            with pytest.raises(DegenerateLattice):
+                discriminant_group(GramLattice.from_rows(singular_symmetric(rng, n)))
+
+    def test_parity_vs_brute_force(self):
+        rng = random.Random(44)
+        pm2 = direct_sum(standard_lattice("<2>"), standard_lattice("<-2>"))
+        lattices = [
+            pm2, H, rescale(H, 2), A1M, D4M, D6M, N, rescale(E8, -2),
+            direct_sum(H, N), direct_sum(H, rescale(E8, -2)),
+            direct_sum(rescale(H, 2), N),
+            direct_sum(pm2, D4M), direct_sum(H, D4M, A1M, A1M), direct_sum(D6M, A1M, A1M),
+            direct_sum(A1M, A1M, A1M), direct_sum(rescale(H, 2), D4M, D4M),
+        ]
+        lattices += [congruent(lat, random_unimodular(rng, lat.rank)) for lat in lattices]
+        seen = set()
+        for lat in lattices:
+            assert lat.rank <= 10 and two_elementary_invariants(lat).is_two_elementary
+            expected = brute_force_parity(lat)
+            assert parity(lat) == two_elementary_invariants(lat).parity == expected
+            seen.add(expected)
+        assert seen == {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# regression gate: invariants under large unimodular changes of basis
+
+
+def scenario_lattices() -> list[GramLattice]:
+    return [
+        lat
+        for sc in cli.bundled_scenarios()
+        if sc.kind == "lattice-identity"
+        for lat in sc.lattices.values()
+    ]
+
+
+def elementary_conjugate(lat: GramLattice, moves: int, rng: random.Random) -> GramLattice:
+    """U^T G U for U a product of ``moves`` elementary moves e_i += c e_j."""
+    g = [list(row) for row in lat.gram]
+    n = len(g)
+    if n < 2:
+        return lat
+    for _ in range(moves):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in g:
+            row[i] += c * row[j]
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+    return GramLattice.from_rows(g)
+
+
+class TestLargeBasisChanges:
+    @pytest.mark.parametrize("moves", [60, 120])
+    def test_invariants_survive_unimodular_conjugation(self, moves):
+        widest = 0
+        for k, source in enumerate(catalog() + scenario_lattices()):
+            conj = elementary_conjugate(source, moves, random.Random(f"{k}/{moves}"))
+            if source.rank >= 8:
+                widest = max(widest, max(abs(x).bit_length() for row in conj.gram for x in row))
+            assert determinant(conj) == determinant(source)
+            assert signature(conj) == signature(source)
+            assert discriminant_group(conj) == discriminant_group(source)
+            inv = two_elementary_invariants(source)
+            assert two_elementary_invariants(conj) == inv
+            if inv.is_two_elementary and min(inv.signature) > 0:
+                assert nikulin_equivalent(source, conj) is True
+        assert widest >= 12
