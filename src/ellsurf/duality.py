@@ -50,7 +50,6 @@ from .exactpoly import (
     rat,
     rational_cubic_roots,
     rational_sqrt,
-    solve_linear,
     tensor_forms,
 )
 from .hermite_aj import NormalizationViolated, UnitViolation, hermite_pair_forms
@@ -151,7 +150,9 @@ def form_from_line_restriction(
 
     Restricting a binary form to the affine line (x + mu, x + nu) is a
     linear isomorphism onto polynomials of degree <= degree whenever
-    mu != nu; this inverts it by an exact linear solve.
+    mu != nu.  Its inverse is the closed form
+    F = sum_k p_k (mu*V - nu*U)^k (U - V)^(degree-k) / (mu - nu)^degree,
+    since mu*V - nu*U and U - V restrict to (mu - nu)*x and mu - nu.
     """
     muv, nuv = rat(mu), rat(nu)
     if muv == nuv:
@@ -160,12 +161,10 @@ def form_from_line_restriction(
         raise DegreeMismatch(
             f"polynomial degree {p.degree} exceeds declared degree {degree}"
         )
-    first = UniPoly.of(muv, 1)
-    second = UniPoly.of(nuv, 1)
-    cols = [first ** (degree - k) * second**k for k in range(degree + 1)]
-    matrix = [[cols[k].coeff(m) for k in range(degree + 1)] for m in range(degree + 1)]
-    rhs = [p.coeff(m) for m in range(degree + 1)]
-    return HomPoly.of(vars, solve_linear(matrix, rhs))
+    line = HomPoly.of(vars, (-nuv, muv))
+    diff = HomPoly.of(vars, (1, -1))
+    # homogenize puts p_k on vars[0]^k vars[1]^(degree-k)
+    return homogenize(p, vars, degree).substitute(line, diff) * (1 / (muv - nuv) ** degree)
 
 
 # ---------------------------------------------------------------------------

@@ -92,11 +92,6 @@ class KodairaType:
         return self.label
 
 
-def euler_number(fiber: KodairaType) -> int:
-    """Euler number contributed by one fiber of this type."""
-    return fiber.euler
-
-
 # ---------------------------------------------------------------------------
 # models and invariants
 # ---------------------------------------------------------------------------
@@ -161,14 +156,6 @@ class ModelInvariants:
     c4: HomPoly
     c6: HomPoly
     delta: HomPoly
-
-    @property
-    def j_numerator(self) -> HomPoly:
-        return self.c4 ** 3
-
-    @property
-    def j_denominator(self) -> HomPoly:
-        return self.delta
 
 
 def invariants(model: WeierstrassModel) -> ModelInvariants:
@@ -460,10 +447,13 @@ def two_torsion_sections(model: WeierstrassModel) -> tuple[HomPoly, ...]:
 
 
 def _regular_base_point(delta_aff: UniPoly) -> Fraction:
-    """A rational base point where the affine discriminant does not vanish."""
-    k = 0
-    while True:
-        for cand in ((Fraction(k),) if k == 0 else (Fraction(k), Fraction(-k))):
-            if delta_aff(cand) != 0:
-                return cand
-        k += 1
+    """A rational base point where the affine discriminant does not vanish.
+
+    A nonzero polynomial of degree n has at most n roots, so one of the
+    first n + 1 candidates 0, 1, -1, 2, -2, ... is regular.
+    """
+    for k in range(delta_aff.degree + 1):
+        cand = Fraction((k + 1) // 2 if k % 2 else -(k // 2))
+        if delta_aff(cand) != 0:
+            return cand
+    raise DegenerateModel("the discriminant vanishes identically")

@@ -7,14 +7,15 @@ Three representations cover everything the rest of the package needs:
   any degree and forms divisible by either variable are first-class values.
   Coefficient ``k`` multiplies ``s^(d-k) * t^k``.
 * ``BiHomPoly``: forms homogeneous in two pairs of variables separately
-  (bidegree ``(d1, d2)``), stored as a matrix of ``Fraction`` coefficients.
+  (bidegree ``(d1, d2)``), stored as rows of a coefficient matrix.
 
-``UniPoly`` and ``HomPoly`` store a tuple of integer numerators ``num``
-over one positive denominator ``den``, in lowest terms (gcd of ``den`` and
-the content of ``num`` is 1, and ``den`` is 1 for zero), as FLINT's
-``fmpq_poly`` does.  Equal polynomials therefore have equal fields, and
-sums, products, pseudo-division, gcds and resultants run on plain ints.
-``coeffs`` is a cached read-only view of the coefficients as Fractions.
+All three store integer numerators ``num`` (a tuple, or for ``BiHomPoly``
+a tuple of row tuples) over one positive denominator ``den``, in lowest
+terms (gcd of ``den`` and the content of ``num`` is 1, and ``den`` is 1
+for zero), as FLINT's ``fmpq_poly`` does.  Equal polynomials therefore
+have equal fields, and sums, products, pseudo-division, gcds and
+resultants run on plain ints.  ``coeffs`` (``rows`` for ``BiHomPoly``) is
+a cached read-only view of the coefficients as Fractions.
 
 The module is also the one home of the exact scalar primitives the other
 layers build on:
@@ -25,8 +26,6 @@ layers build on:
 * ``bareiss_adjugate``: determinant and adjugate (det * M^-1) of a
   nonsingular integer matrix by one fraction-free Gauss-Jordan pass, so
   the lattice invariants never leave the integers;
-* ``solve_linear``: exact Gauss-Jordan solve of a square rational system
-  (over Fractions; the duality constructions are its only callers);
 * ``resultant`` and ``form_resultant``: Sylvester resultants of
   polynomials at their actual degrees and of binary forms at their
   declared degrees.
@@ -238,29 +237,6 @@ def bareiss_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[in
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
-def solve_linear(
-    matrix: Sequence[Sequence[RationalLike]], rhs: Sequence[RationalLike]
-) -> list[Fraction]:
-    """The solution x of ``matrix x = rhs`` by exact Gauss-Jordan elimination.
-
-    Raises ``SingularSystem`` when the square matrix is singular.
-    """
-    n = len(rhs)
-    rows = [[rat(x) for x in matrix[i]] + [rat(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSystem("singular linear system")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # integer kernels
 # ---------------------------------------------------------------------------
@@ -304,6 +280,16 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for k, y in enumerate(b, i):
                 out[k] += x * y
     return out
+
+
+def _hom_value(num: Sequence[int], big_s: int, big_t: int) -> int:
+    """``sum(num[k] * big_s^(d-k) * big_t^k)`` for ``d = len(num) - 1``, by
+    Horner's rule."""
+    acc, tpow = 0, 1
+    for n in num:
+        acc = acc * big_s + n * tpow
+        tpow *= big_t
+    return acc
 
 
 def _int_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
@@ -376,10 +362,6 @@ class UniPoly:
     @staticmethod
     def constant(c: RationalLike) -> UniPoly:
         return UniPoly.from_coeffs([c])
-
-    @staticmethod
-    def x_power(n: int, c: RationalLike = 1) -> UniPoly:
-        return UniPoly.from_coeffs([0] * n + [c])
 
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -458,12 +440,6 @@ class UniPoly:
         result = UniPoly.zero()
         for a in reversed(self.coeffs):
             result = result * UniPoly.of(cv, 1) + UniPoly.constant(a)
-        return result
-
-    def compose(self, inner: UniPoly) -> UniPoly:
-        result = UniPoly.zero()
-        for a in reversed(self.coeffs):
-            result = result * inner + UniPoly.constant(a)
         return result
 
     def divmod(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -628,11 +604,15 @@ def refine_against(split: SquarefreeSplit, q: UniPoly | "HomPoly") -> Squarefree
 
 
 def _refine_factor_uni(f: UniPoly, q: UniPoly) -> list[tuple[UniPoly, int]]:
+    """The parts of ``f`` dividing the nonzero ``q`` exactly k times, with k.
+
+    Each pass that does not stop divides a factor of degree >= 1 out of
+    ``r``, so at most ``deg q + 1`` passes are made.
+    """
     pieces: list[tuple[UniPoly, int]] = []
     g = f
     r = q
-    k = 0
-    while True:
+    for k in range(q.degree + 1):
         d = gcd_poly(g, r)
         e = g.divexact(d)
         if e.degree > 0:
@@ -641,7 +621,6 @@ def _refine_factor_uni(f: UniPoly, q: UniPoly) -> list[tuple[UniPoly, int]]:
             break
         g = d
         r = r.divexact(d)
-        k += 1
     return pieces
 
 
@@ -852,12 +831,9 @@ class HomPoly:
         sv, tv = rat(s), rat(t)
         # with s = a/b and t = c/e the value is
         # sum(num[k] * (a*e)^(d-k) * (c*b)^k) / (den * (b*e)^d)
-        big_s = sv.numerator * tv.denominator
-        big_t = tv.numerator * sv.denominator
-        acc, tpow = 0, 1
-        for n in self.num:
-            acc = acc * big_s + n * tpow
-            tpow *= big_t
+        acc = _hom_value(
+            self.num, sv.numerator * tv.denominator, tv.numerator * sv.denominator
+        )
         scale = sv.denominator * tv.denominator
         return Fraction(acc, self.den * scale**self.degree)
 
@@ -1012,11 +988,11 @@ def _squarefree_split_form(p: HomPoly) -> SquarefreeSplit:
 
 
 def _refine_factor_form(f: HomPoly, q: HomPoly) -> list[tuple[HomPoly, int]]:
+    """The form version of ``_refine_factor_uni``, with the same bound."""
     pieces: list[tuple[HomPoly, int]] = []
     g = f
     r = q
-    k = 0
-    while True:
+    for k in range(q.degree + 1):
         d = gcd_form(g, r)
         e = divexact_form(g, d)
         if e.degree > 0:
@@ -1025,7 +1001,6 @@ def _refine_factor_form(f: HomPoly, q: HomPoly) -> list[tuple[HomPoly, int]]:
             break
         g = d
         r = divexact_form(r, d)
-        k += 1
     return pieces
 
 
@@ -1073,87 +1048,105 @@ def form_sqrt(f: HomPoly) -> HomPoly | None:
 # ---------------------------------------------------------------------------
 
 
+def _bihom(
+    vars1: tuple[str, str], vars2: tuple[str, str], flat: Sequence[int], width: int, den: int
+) -> BiHomPoly:
+    """The bidegree form with row-major numerators ``flat`` (rows of
+    ``width`` entries) over ``den > 0``, brought to lowest terms."""
+    num, den = _lowest(flat, den)
+    rows = tuple(num[k : k + width] for k in range(0, len(num), width))
+    return BiHomPoly(vars1, vars2, rows, den)
+
+
 @dataclass(frozen=True)
 class BiHomPoly:
-    """Form of bidegree ``(d1, d2)`` in two separate variable pairs.
+    """Form ``sum(num[i][j] * m_ij) / den`` of bidegree ``(d1, d2)`` in two
+    separate variable pairs, with the monomial
+    ``m_ij = vars1[0]^(d1-i) vars1[1]^i * vars2[0]^(d2-j) vars2[1]^j``.
 
-    ``rows[i][j]`` multiplies
-    ``vars1[0]^(d1-i) vars1[1]^i * vars2[0]^(d2-j) vars2[1]^j``.
+    ``num`` holds ``d1 + 1`` rows of ``d2 + 1`` integers and ``den > 0``
+    shares no factor with their content, so equal forms have equal fields.
+    ``rows[i][j]`` is the rational coefficient of ``m_ij``.
     """
 
     vars1: tuple[str, str]
     vars2: tuple[str, str]
-    rows: tuple[tuple[Fraction, ...], ...]
+    num: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     @staticmethod
-    def zero(vars1: tuple[str, str], vars2: tuple[str, str], d1: int, d2: int) -> BiHomPoly:
-        return BiHomPoly(
-            tuple(vars1),
-            tuple(vars2),
-            tuple(tuple(Fraction(0) for _ in range(d2 + 1)) for _ in range(d1 + 1)),
-        )
+    def of(
+        vars1: tuple[str, str],
+        vars2: tuple[str, str],
+        rows: Sequence[Sequence[RationalLike]],
+    ) -> BiHomPoly:
+        width = len(rows[0]) if rows else 0
+        if width == 0 or any(len(row) != width for row in rows):
+            raise DegreeMismatch("a bidegree form needs equal nonempty rows")
+        num, den = _fractions_over_one_den(c for row in rows for c in row)
+        return _bihom(_pair(vars1), _pair(vars2), num, width, den)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(tuple(Fraction(n, den) for n in row) for row in self.num)
 
     @property
     def deg1(self) -> int:
-        return len(self.rows) - 1
+        return len(self.num) - 1
 
     @property
     def deg2(self) -> int:
-        return len(self.rows[0]) - 1
+        return len(self.num[0]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for row in self.rows for c in row)
+        return not any(map(any, self.num))
+
+    @property
+    def is_symmetric(self) -> bool:
+        """Whether the coefficient matrix equals its transpose, i.e. the
+        form is unchanged when the two pairs exchange their values."""
+        return self.num == tuple(zip(*self.num))
+
+    def _flat(self) -> list[int]:
+        return [n for row in self.num for n in row]
 
     def _check(self, other: BiHomPoly) -> None:
         if self.vars1 != other.vars1 or self.vars2 != other.vars2:
             raise DegreeMismatch("variable pairs differ")
 
-    def __add__(self, other: BiHomPoly) -> BiHomPoly:
+    def _plus(self, other: BiHomPoly, sign: int) -> BiHomPoly:
         self._check(other)
-        if self.deg1 != other.deg1 or self.deg2 != other.deg2:
+        if (self.deg1, self.deg2) != (other.deg1, other.deg2):
             raise DegreeMismatch("cannot add forms of different bidegrees")
-        return BiHomPoly(
-            self.vars1,
-            self.vars2,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-        )
+        flat, den = _combine(self._flat(), self.den, other._flat(), other.den, sign)
+        return _bihom(self.vars1, self.vars2, flat, self.deg2 + 1, den)
+
+    def __add__(self, other: BiHomPoly) -> BiHomPoly:
+        return self._plus(other, 1)
 
     def __sub__(self, other: BiHomPoly) -> BiHomPoly:
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> BiHomPoly:
-        return BiHomPoly(
-            self.vars1,
-            self.vars2,
-            tuple(tuple(-c for c in row) for row in self.rows),
-        )
+        rows = tuple(tuple(-n for n in row) for row in self.num)
+        return BiHomPoly(self.vars1, self.vars2, rows, self.den)
 
     def __mul__(self, other: BiHomPoly | RationalLike) -> BiHomPoly:
         if isinstance(other, BiHomPoly):
             self._check(other)
-            d1 = self.deg1 + other.deg1
-            d2 = self.deg2 + other.deg2
-            out = [[Fraction(0)] * (d2 + 1) for _ in range(d1 + 1)]
-            for i, row in enumerate(self.rows):
-                for j, a in enumerate(row):
-                    if a == 0:
-                        continue
-                    for k, orow in enumerate(other.rows):
-                        for l, b in enumerate(orow):
-                            out[i + k][j + l] += a * b
-            return BiHomPoly(
-                self.vars1, self.vars2, tuple(tuple(r) for r in out)
-            )
+            # rows padded to the product's width multiply as one long
+            # polynomial: entry (i, j) sits at i * width + j and j + l
+            # never carries into the next row
+            width = self.deg2 + other.deg2 + 1
+            a = [n for row in self.num for n in row + (0,) * other.deg2]
+            b = [n for row in other.num for n in row + (0,) * self.deg2]
+            flat = _int_mul(a, b)[: (self.deg1 + other.deg1 + 1) * width]
+            return _bihom(self.vars1, self.vars2, flat, width, self.den * other.den)
         c = rat(other)
-        return BiHomPoly(
-            self.vars1,
-            self.vars2,
-            tuple(tuple(c * v for v in row) for row in self.rows),
-        )
+        flat = [c.numerator * n for n in self._flat()]
+        return _bihom(self.vars1, self.vars2, flat, self.deg2 + 1, c.denominator * self.den)
 
     def __rmul__(self, other: RationalLike) -> BiHomPoly:
         return self.__mul__(other)
@@ -1165,47 +1158,44 @@ class BiHomPoly:
         u: RationalLike,
         v: RationalLike,
     ) -> Fraction:
-        sv, tv, uv, vv = rat(s), rat(t), rat(u), rat(v)
-        d1, d2 = self.deg1, self.deg2
-        acc = Fraction(0)
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if c != 0:
-                    acc += c * sv ** (d1 - i) * tv**i * uv ** (d2 - j) * vv**j
-        return acc
-
-    def pair1_coefficient(self, i: int) -> HomPoly:
-        """Coefficient of ``vars1[0]^(d1-i) vars1[1]^i`` as a form in vars2."""
-        return HomPoly.of(self.vars2, self.rows[i])
+        return self.specialize_pair2(u, v)(s, t)
 
     def pair2_coefficient(self, j: int) -> HomPoly:
         """Coefficient of ``vars2[0]^(d2-j) vars2[1]^j`` as a form in vars1."""
-        return HomPoly.of(self.vars1, [row[j] for row in self.rows])
+        return HomPoly(self.vars1, *_lowest([row[j] for row in self.num], self.den))
 
-    def swap_pairs(self) -> BiHomPoly:
-        return BiHomPoly(
-            self.vars2,
-            self.vars1,
-            tuple(
-                tuple(self.rows[i][j] for i in range(self.deg1 + 1))
-                for j in range(self.deg2 + 1)
-            ),
-        )
+    def specialize_pair2(self, u: RationalLike, v: RationalLike) -> HomPoly:
+        """The form in vars1 left when the second pair takes the value (u, v)."""
+        uv, vv = rat(u), rat(v)
+        big_u, big_v = uv.numerator * vv.denominator, vv.numerator * uv.denominator
+        num = [_hom_value(row, big_u, big_v) for row in self.num]
+        scale = (uv.denominator * vv.denominator) ** self.deg2
+        return HomPoly(self.vars1, *_lowest(num, self.den * scale))
+
+    def diagonal(self) -> HomPoly:
+        """The restriction to ``vars2 = vars1``, of degree d1 + d2 in vars1."""
+        out = [0] * (self.deg1 + self.deg2 + 1)
+        for i, row in enumerate(self.num):
+            for k, n in enumerate(row, i):
+                out[k] += n
+        return HomPoly(self.vars1, *_lowest(out, self.den))
 
     def substitute_pair2(self, f: HomPoly, g: HomPoly) -> BiHomPoly:
-        """Plug one-degree forms (f, g) in for the second variable pair."""
+        """Plug forms (f, g) of one common degree in for the second pair."""
         f._check_vars(g)
         if f.degree != g.degree:
             raise DegreeMismatch("substituted forms must share a degree")
         d2 = self.deg2
-        result: BiHomPoly | None = None
-        for j in range(d2 + 1):
-            coeff_form = self.pair2_coefficient(j)
-            piece_form = (f ** (d2 - j)) * (g**j)
-            term = tensor_forms(coeff_form, piece_form.rename(f.vars))
-            result = term if result is None else result + term
-        assert result is not None
-        return result
+        pieces = [f ** (d2 - j) * g**j for j in range(d2 + 1)]
+        den = lcm(*(p.den for p in pieces))
+        scaled = [[n * (den // p.den) for n in p.num] for p in pieces]
+        width = len(scaled[0])
+        flat = [
+            sum(c * piece[k] for c, piece in zip(row, scaled))
+            for row in self.num
+            for k in range(width)
+        ]
+        return _bihom(self.vars1, f.vars, flat, width, self.den * den)
 
     def text(self) -> str:
         d1, d2 = self.deg1, self.deg2
@@ -1232,11 +1222,8 @@ class BiHomPoly:
 
 def tensor_forms(p: HomPoly, q: HomPoly) -> BiHomPoly:
     """Outer product: a form in ``vars1`` times a form in ``vars2``."""
-    return BiHomPoly(
-        p.vars,
-        q.vars,
-        tuple(tuple(a * b for b in q.coeffs) for a in p.coeffs),
-    )
+    flat = [a * b for a in p.num for b in q.num]
+    return _bihom(p.vars, q.vars, flat, len(q.num), p.den * q.den)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ symmetric coupling polynomial relating two copies of the curve,
 j-invariants for both presentations, and the double-quadric branch data
 generated by a quartic curve together with two line parameters.
 
+The coupling polynomials in two affine coordinates x and x0 are
+bidegree-(2,2) ``BiHomPoly`` forms in the pairs (U, V) and (S, T), with
+x = U/V and x0 = S/T; their affine reading is ``form(x, 1, x0, 1)``.
+
 All arithmetic is exact; every identity below holds as a polynomial
 equality over the rationals.
 """
@@ -26,7 +30,6 @@ from .exactpoly import (
     UniPoly,
     ZeroScale,
     discriminant_form,
-    homogenize,
     rat,
     tensor_forms,
 )
@@ -34,7 +37,6 @@ from .exactpoly import (
 __all__ = [
     "AJImage",
     "BasePointRamified",
-    "BiQuadratic",
     "Biquadratic22",
     "CorrespondencePolys",
     "FamilyParams",
@@ -220,89 +222,11 @@ def hermite_pair_forms(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BiQuadratic:
-    """Affine polynomial of bidegree at most (2, 2).
-
-    ``rows[i][j]`` multiplies ``x^i * x0^j`` where x is the first
-    argument and x0 the second.
-    """
-
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    @staticmethod
-    def from_rows(rows) -> BiQuadratic:
-        grid = tuple(tuple(rat(c) for c in row) for row in rows)
-        if len(grid) != 3 or any(len(row) != 3 for row in grid):
-            raise ValueError("expected a 3x3 coefficient grid")
-        return BiQuadratic(grid)
-
-    @staticmethod
-    def zero() -> BiQuadratic:
-        return BiQuadratic(tuple(tuple(Fraction(0) for _ in range(3)) for _ in range(3)))
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
-    def __call__(self, x: RationalLike, x0: RationalLike) -> Fraction:
-        xv, yv = rat(x), rat(x0)
-        acc = Fraction(0)
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if c != 0:
-                    acc += c * xv**i * yv**j
-        return acc
-
-    def __add__(self, other: BiQuadratic) -> BiQuadratic:
-        return BiQuadratic(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
-
-    def __sub__(self, other: BiQuadratic) -> BiQuadratic:
-        return self + (-other)
-
-    def __neg__(self) -> BiQuadratic:
-        return BiQuadratic(tuple(tuple(-c for c in row) for row in self.rows))
-
-    def __mul__(self, other: RationalLike) -> BiQuadratic:
-        c = rat(other)
-        return BiQuadratic(tuple(tuple(c * v for v in row) for row in self.rows))
-
-    def __rmul__(self, other: RationalLike) -> BiQuadratic:
-        return self.__mul__(other)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i] for i in range(3) for j in range(i)
-        )
-
-    def diagonal(self) -> UniPoly:
-        """The restriction to x0 = x, a polynomial of degree at most 4."""
-        coeffs = [Fraction(0)] * 5
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                coeffs[i + j] += c
-        return UniPoly.from_coeffs(coeffs)
-
-    def second_coefficient(self, j: int) -> UniPoly:
-        """Coefficient of ``x0^j`` as a polynomial in x."""
-        return UniPoly.from_coeffs(tuple(self.rows[i][j] for i in range(3)))
-
-    def at_second(self, value: RationalLike) -> UniPoly:
-        """Specialize the second argument to a rational value."""
-        c = rat(value)
-        out = UniPoly.zero()
-        for j in range(3):
-            out = out + self.second_coefficient(j) * (c**j)
-        return out
-
+_X_PAIR = ("U", "V")
+_X0_PAIR = ("S", "T")
 
 # x^2 - 2*x*x0 + x0^2
-_SEPARATION_SQUARE = BiQuadratic.from_rows(((0, 0, 1), (0, -2, 0), (1, 0, 0)))
+_SEPARATION_SQUARE = BiHomPoly.of(_X_PAIR, _X0_PAIR, ((0, 0, 1), (0, -2, 0), (1, 0, 0)))
 
 
 @dataclass(frozen=True)
@@ -311,22 +235,26 @@ class CorrespondencePolys:
 
     ``pairing`` restricts to P on the diagonal; ``cofactor`` is the
     bi-quadratic with pairing^2 + cofactor*(x - x0)^2 = P(x)*P(x0); its
-    diagonal equals (1/3)*P*P'' - (1/4)*P'^2.
+    diagonal equals (1/3)*P*P'' - (1/4)*P'^2.  Both are symmetric
+    bidegree-(2,2) forms, read affinely at x = U/V and x0 = S/T.
     """
 
-    pairing: BiQuadratic
-    cofactor: BiQuadratic
+    pairing: BiHomPoly
+    cofactor: BiHomPoly
     cofactor_diagonal: UniPoly
 
 
 def correspondence_polys(h: QuarticCurve) -> CorrespondencePolys:
     a0, a1, a2, a3, a4 = h.coeffs
-    pairing = BiQuadratic.from_rows(
+    # row i, column j multiplies x^(2-i) * x0^(2-j)
+    pairing = BiHomPoly.of(
+        _X_PAIR,
+        _X0_PAIR,
         (
-            (a0, a1 / 2, a2 / 6),
-            (a1 / 2, Fraction(2, 3) * a2, a3 / 2),
-            (a2 / 6, a3 / 2, a4),
-        )
+            (a4, a3 / 2, a2 / 6),
+            (a3 / 2, Fraction(2, 3) * a2, a1 / 2),
+            (a2 / 6, a1 / 2, a0),
+        ),
     )
     corner = (8 * a0 * a2 - 3 * a1**2) / 12
     edge = (6 * a0 * a3 - a1 * a2) / 6
@@ -334,14 +262,16 @@ def correspondence_polys(h: QuarticCurve) -> CorrespondencePolys:
     center = (36 * a0 * a4 + 9 * a1 * a3 - 5 * a2**2) / 18
     upper_edge = (6 * a1 * a4 - a2 * a3) / 6
     upper_corner = (8 * a2 * a4 - 3 * a3**2) / 12
-    cofactor = BiQuadratic.from_rows(
+    cofactor = BiHomPoly.of(
+        _X_PAIR,
+        _X0_PAIR,
         (
-            (corner, edge, outer),
-            (edge, center, upper_edge),
-            (outer, upper_edge, upper_corner),
-        )
+            (upper_corner, upper_edge, outer),
+            (upper_edge, center, edge),
+            (outer, edge, corner),
+        ),
     )
-    return CorrespondencePolys(pairing, cofactor, cofactor.diagonal())
+    return CorrespondencePolys(pairing, cofactor, cofactor.diagonal().as_unipoly())
 
 
 def discr_relation_check(h: QuarticCurve) -> tuple[Fraction, Fraction, Fraction]:
@@ -416,7 +346,7 @@ def abel_jacobi(
         return AJImage.at(-q(x0) / value_p, bracket / (2 * w0**3))
     pairing = correspondence_polys(h).pairing
     dx = px - x0
-    xi = 2 * (pairing(px, x0) - pw * w0) / dx**2
+    xi = 2 * (pairing(px, 1, x0, 1) - pw * w0) / dx**2
     dp = h.poly().derivative()
     eta = 4 * pw * w0 * (pw - w0) / dx**3 - (dp(px) * w0 + dp(x0) * pw) / dx**2
     return AJImage.at(xi, eta)
@@ -431,12 +361,12 @@ def abel_jacobi(
 class Biquadratic22:
     """A symmetric bidegree-(2,2) curve in two affine line coordinates.
 
-    ``phi`` is the affine polynomial; the form triple collects powers of
-    the second coordinate: phi(x, x0) = gamma(x,1)*x0^2 + alpha(x,1)*x0
-    + delta(x,1).
+    ``phi`` is the form in x = U/V and x0 = S/T; the form triple collects
+    powers of the second coordinate: phi(x, 1, x0, 1) = gamma(x,1)*x0^2
+    + alpha(x,1)*x0 + delta(x,1).
     """
 
-    phi: BiQuadratic
+    phi: BiHomPoly
     gamma: HomPoly
     alpha: HomPoly
     delta: HomPoly
@@ -453,9 +383,7 @@ def correspondence_22(
     x = rat(xi)
     polys = correspondence_polys(h)
     phi = (x * x) * _SEPARATION_SQUARE - (4 * x) * polys.pairing - 4 * polys.cofactor
-    gamma = homogenize(phi.second_coefficient(2), vars, 2)
-    alpha = homogenize(phi.second_coefficient(1), vars, 2)
-    delta = homogenize(phi.second_coefficient(0), vars, 2)
+    gamma, alpha, delta = (phi.pair2_coefficient(j).rename(vars) for j in range(3))
     return Biquadratic22(phi, gamma, alpha, delta)
 
 
@@ -703,15 +631,13 @@ def double_quadric_from_quartic(
         raise SingularCurve("the quartic curve is singular")
     corr = correspondence_22(curve, xi)
     params = FamilyParams.from_triple(corr.gamma, corr.alpha, corr.delta, c0v, civ)
-    first = ("S", "T")
-    second = ("U", "V")
-    line0 = HomPoly.of(first, (1, -c0v))
-    line_inf = HomPoly.of(first, (-civ, 1))
-    u_factor = HomPoly.var_power(second, 0, 1)
-    v_factor = HomPoly.var_power(second, 1, 1)
-    quadric = BiHomPoly(
-        first, second, (corr.gamma.coeffs, corr.alpha.coeffs, corr.delta.coeffs)
-    )
+    line0 = HomPoly.of(_X0_PAIR, (1, -c0v))
+    line_inf = HomPoly.of(_X0_PAIR, (-civ, 1))
+    u_factor = HomPoly.var_power(_X_PAIR, 0, 1)
+    v_factor = HomPoly.var_power(_X_PAIR, 1, 1)
+    # gamma, alpha, delta are the coefficients of S^2, S*T, T^2 in phi, and
+    # phi is symmetric, so phi read in (S, T) x (U, V) is the quadric
+    quadric = BiHomPoly(_X0_PAIR, _X_PAIR, corr.phi.num, corr.phi.den)
     branch = tensor_forms(line0 * line_inf, u_factor * v_factor) * quadric
     from . import duality  # deferred: duality builds on this module
 

@@ -18,7 +18,7 @@ from ellsurf.exactpoly import HomPoly, UniPoly, discriminant_form, form_discrimi
 
 
 def _tpow(k: int) -> UniPoly:
-    return UniPoly.x_power(k)
+    return UniPoly.from_coeffs([0] * k + [1])
 
 
 def constructed_short_models(max_vdelta: int = 14) -> list[tuple[UniPoly, UniPoly]]:

@@ -18,7 +18,6 @@ from ellsurf.elliptic import (
     KodairaType,
     NonMinimal,
     WeierstrassModel,
-    euler_number,
     fiber_configuration,
     invariants,
     kodaira_from_valuations,
@@ -85,7 +84,6 @@ class TestKodairaType:
         for lab, e in expected.items():
             fiber = KodairaType.parse(lab)
             assert fiber.euler == e
-            assert euler_number(fiber) == e
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -272,8 +270,6 @@ class TestModelBasics:
         assert tw.weight == 2
         i0, i1 = invariants(m), invariants(tw)
         assert i1.c4 ** 3 * i0.delta == i0.c4 ** 3 * i1.delta
-        assert i0.j_numerator == i0.c4 ** 3
-        assert i0.j_denominator == i0.delta
 
 
 class TestFiberConfiguration:
@@ -348,6 +344,16 @@ class TestFiberConfiguration:
 
 
 class TestTwoTorsionSections:
+    def test_regular_base_point_is_among_the_first_deg_plus_one_candidates(self):
+        from ellsurf.elliptic import _regular_base_point
+
+        delta = UniPoly.of(1)
+        for root, next_free in ((0, 1), (1, -1), (-1, 2), (2, -2), (-2, 3)):
+            delta = delta * UniPoly.of(-root, 1) * 7
+            assert _regular_base_point(delta) == next_free
+        with pytest.raises(DegenerateModel):
+            _regular_base_point(UniPoly.zero())
+
     def test_split_family(self):
         m = WeierstrassModel(P("5*s^2"), P("4*s^4"), HomPoly.zero(V, 6), 1)
         secs = two_torsion_sections(m)

@@ -43,7 +43,6 @@ from ellsurf.exactpoly import (
     rational_sqrt,
     refine_against,
     resultant,
-    solve_linear,
     squarefree_split,
     tensor_forms,
 )
@@ -413,6 +412,14 @@ class TestSquarefree:
                 extra = gcd_poly(f, q.divexact(f**v))
                 assert extra.degree == 0
 
+    def test_refine_against_a_top_power_takes_every_pass(self):
+        # a linear factor dividing q to the power deg q is only split off
+        # on the last of the deg q + 1 passes
+        for f in (UniPoly.of(-1, 1), HomPoly.of(ST, (1, -1)), HomPoly.of(ST, (0, 1))):
+            split = squarefree_split(f)
+            for n in range(1, 7):
+                assert refine_against(split, f**n) == split
+
     def test_refine_against_zero_is_identity(self):
         split = squarefree_split(UniPoly.of(0, 0, 1))
         assert refine_against(split, UniPoly.zero()) == split
@@ -497,21 +504,76 @@ class TestHomPoly:
         assert form_discriminant(double) == 0
 
 
+# ---------------------------------------------------------------------------
+# bidegree forms, against Fraction grids kept here
+
+
+UV = ("u", "v")
+
+
+@st.composite
+def grids(draw, d1=None, d2=None):
+    """A (d1 + 1) x (d2 + 1) Fraction grid, sometimes with a zero row."""
+    d1 = draw(st.integers(0, 3)) if d1 is None else d1
+    d2 = draw(st.integers(0, 3)) if d2 is None else d2
+    rows = [draw(st.lists(any_rational, min_size=d2 + 1, max_size=d2 + 1)) for _ in range(d1 + 1)]
+    blank = draw(st.integers(-1, d1))
+    if blank >= 0:
+        rows[blank] = [Fraction(0)] * (d2 + 1)
+    return rows
+
+
+@st.composite
+def grid_pairs(draw):
+    d1, d2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return draw(grids(d1, d2)), draw(grids(d1, d2))
+
+
+def _ref_grid_mul(a, b):
+    out = [[Fraction(0)] * (len(a[0]) + len(b[0]) - 1) for _ in range(len(a) + len(b) - 1)]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            for k, orow in enumerate(b):
+                for l, y in enumerate(orow):
+                    out[i + k][j + l] += x * y
+    return out
+
+
+def _ref_grid_value(grid, s, t, u, v):
+    d1, d2 = len(grid) - 1, len(grid[0]) - 1
+    return sum(
+        (
+            c * s ** (d1 - i) * t**i * u ** (d2 - j) * v**j
+            for i, row in enumerate(grid)
+            for j, c in enumerate(row)
+        ),
+        Fraction(0),
+    )
+
+
+def _ref_affine22(grid, x, x0):
+    """phi(x, x0) with grid[i][j] the coefficient of x^(2-i) * x0^(2-j)."""
+    return sum(
+        (c * x ** (2 - i) * x0 ** (2 - j) for i, row in enumerate(grid) for j, c in enumerate(row)),
+        Fraction(0),
+    )
+
+
+def _grid(B: BiHomPoly) -> list[list[Fraction]]:
+    assert _lowest_terms(tuple(n for row in B.num for n in row), B.den)
+    assert all(type(c) is Fraction for row in B.rows for c in row)
+    return [list(row) for row in B.rows]
+
+
 class TestBiHomPoly:
     def test_tensor_and_coefficient_extraction(self):
         p = HomPoly.of(("s", "t"), [1, 2])
         q = HomPoly.of(("u", "v"), [3, 0, -1])
         B = tensor_forms(p, q)
         assert B.deg1 == 1 and B.deg2 == 2
-        assert B.pair1_coefficient(0) == q * 1
+        assert B.rows[0] == q.coeffs
         assert B.pair2_coefficient(2) == p * -1
         assert B(1, 1, 2, 1) == p(1, 1) * q(2, 1)
-
-    def test_swap_pairs_transposes(self):
-        p = HomPoly.of(("s", "t"), [1, 2])
-        q = HomPoly.of(("u", "v"), [3, 0, -1])
-        B = tensor_forms(p, q)
-        assert B.swap_pairs() == tensor_forms(q, p)
 
     def test_substitute_pair2(self):
         p = HomPoly.of(("s", "t"), [1, 0])
@@ -520,7 +582,85 @@ class TestBiHomPoly:
         uu = HomPoly.of(("a", "b"), [1, 0, 0])
         vv = HomPoly.of(("a", "b"), [0, 0, 1])
         C = B.substitute_pair2(uu, vv)
-        assert C.pair1_coefficient(0) == HomPoly.of(("a", "b"), [1, 0, 0, 0, -1])
+        assert C == tensor_forms(p, HomPoly.of(("a", "b"), [1, 0, 0, 0, -1]))
+
+    @given(a=grids(), b=grids(), p=st.lists(any_rational, min_size=1, max_size=4),
+           q=st.lists(any_rational, min_size=1, max_size=4))
+    @settings(deadline=None)
+    def test_products_and_tensors_match_the_grid_schoolbook(self, a, b, p, q):
+        A, B = BiHomPoly.of(ST, UV, a), BiHomPoly.of(ST, UV, b)
+        assert _grid(A * B) == _ref_grid_mul(a, b)
+        assert _grid(tensor_forms(HomPoly.of(ST, p), HomPoly.of(UV, q))) == [
+            [x * y for y in q] for x in p
+        ]
+
+    @given(ab=grid_pairs(), c=any_rational)
+    def test_sums_and_scalar_multiples_match_the_grid_schoolbook(self, ab, c):
+        a, b = ab
+        A, B = BiHomPoly.of(ST, UV, a), BiHomPoly.of(ST, UV, b)
+        pairs = [list(zip(ra, rb)) for ra, rb in zip(a, b)]
+        assert _grid(A + B) == [[x + y for x, y in row] for row in pairs]
+        assert _grid(A - B) == [[x - y for x, y in row] for row in pairs]
+        assert _grid(-A) == [[-x for x in row] for row in a]
+        assert _grid(c * A) == _grid(A * c) == [[c * x for x in row] for row in a]
+        assert (A - A).is_zero and (A - A).den == 1
+
+    @given(a=grids(), f=st.lists(any_rational, min_size=1, max_size=3), data=st.data())
+    @settings(deadline=None)
+    def test_coefficients_substitution_and_values_match_the_grid(self, a, f, data):
+        A = BiHomPoly.of(ST, UV, a)
+        for j in range(len(a[0])):
+            assert list(A.pair2_coefficient(j).coeffs) == [row[j] for row in a]
+        s, t, u, v = (data.draw(any_rational) for _ in range(4))
+        assert A(s, t, u, v) == _ref_grid_value(a, s, t, u, v)
+        d2 = len(a[0]) - 1
+        assert list(A.specialize_pair2(u, v).coeffs) == [
+            sum((c * u ** (d2 - j) * v**j for j, c in enumerate(row)), Fraction(0)) for row in a
+        ]
+        g = data.draw(st.lists(any_rational, min_size=len(f), max_size=len(f)))
+        pieces = []
+        for j in range(d2 + 1):
+            piece = [Fraction(1)]
+            for factor in [f] * (d2 - j) + [g] * j:
+                piece = _ref_grid_mul([piece], [factor])[0]
+            pieces.append(piece)
+        want = [
+            [sum((c * piece[k] for c, piece in zip(row, pieces)), Fraction(0)) for k in range(len(pieces[0]))]
+            for row in a
+        ]
+        AB = ("a", "b")
+        C = A.substitute_pair2(HomPoly.of(AB, f), HomPoly.of(AB, g))
+        assert C.vars2 == AB and _grid(C) == want
+
+    @given(a=grids(), k=any_rational.filter(lambda c: c != 0))
+    def test_differently_scaled_inputs_give_equal_fields_and_hashes(self, a, k):
+        A = BiHomPoly.of(ST, UV, a)
+        B = BiHomPoly.of(ST, UV, [[k * c for c in row] for row in a]) * (1 / k)
+        assert B == A and hash(B) == hash(A)
+        assert (B.num, B.den) == (A.num, A.den)
+        assert _grid(A) == a
+
+    def test_rows_must_form_a_rectangle(self):
+        for rows in ([], [[]], [[1, 2], [3]]):
+            with pytest.raises(DegreeMismatch):
+                BiHomPoly.of(ST, UV, rows)
+        with pytest.raises(DegreeMismatch):
+            BiHomPoly.of(ST, ("u", "u"), [[1]])
+
+    @given(a=grids(2, 2), symmetric=st.booleans(), x=any_rational, x0=any_rational)
+    def test_22_readings_match_the_affine_grid(self, a, symmetric, x, x0):
+        if symmetric:
+            a = [[a[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
+        A = BiHomPoly.of(ST, UV, a)
+        assert A.diagonal().as_unipoly()(x) == _ref_affine22(a, x, x)
+        assert A.specialize_pair2(x0, 1).as_unipoly()(x) == _ref_affine22(a, x, x0)
+        # a bidegree-(2,2) polynomial is pinned by its values on a 3 x 3 grid
+        points = (Fraction(0), Fraction(1), Fraction(-2, 3))
+        swapped = all(
+            _ref_affine22(a, y, y0) == _ref_affine22(a, y0, y) for y in points for y0 in points
+        )
+        assert A.is_symmetric == swapped
+        assert symmetric <= A.is_symmetric
 
 
 class TestParsing:
@@ -670,26 +810,6 @@ class TestScalarPrimitives:
             bareiss_adjugate([[2, 4], [1, 2]])
         with pytest.raises(SingularSystem):
             bareiss_adjugate([[0, 0], [0, 0]])
-
-    def test_solve_linear_against_sympy(self):
-        rng = random.Random(304)
-        done = 0
-        while done < 20:
-            n = rng.randint(1, 5)
-            m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-            rhs = [rng.randint(-9, 9) for _ in range(n)]
-            sm = sp.Matrix(n, n, [sp.Rational(x) for row in m for x in row])
-            if sm.det() == 0:
-                continue
-            expected = sm.LUsolve(sp.Matrix(rhs))
-            assert [sp.Rational(x) for x in solve_linear(m, rhs)] == list(expected)
-            done += 1
-
-    def test_solve_linear_refuses_a_singular_system(self):
-        with pytest.raises(SingularSystem):
-            solve_linear([[1, 2], [2, 4]], [1, 2])
-        with pytest.raises(SingularSystem):
-            solve_linear([[0, 0, 1], [0, 1, 0], [0, 1, 1]], [1, 1, 1])
 
 
 _S, _T = sp.symbols("s t")

@@ -11,10 +11,9 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from ellsurf.exactpoly import DegreeMismatch, HomPoly, UniPoly
+from ellsurf.exactpoly import BiHomPoly, DegreeMismatch, HomPoly, UniPoly
 from ellsurf.hermite_aj import (
     BasePointRamified,
-    BiQuadratic,
     Biquadratic22,
     FamilyParams,
     NormalizationViolated,
@@ -153,11 +152,11 @@ def test_coupling_product_identity():
         polys = correspondence_polys(h)
         assert polys.pairing.is_symmetric
         assert polys.cofactor.is_symmetric
-        assert polys.pairing.diagonal() == p
+        assert polys.pairing.diagonal().as_unipoly() == p
         for x0 in samples:
             lhs = (
-                polys.pairing.at_second(x0) * polys.pairing.at_second(x0)
-                + polys.cofactor.at_second(x0) * UniPoly.of(-x0, 1) ** 2
+                polys.pairing.specialize_pair2(x0, 1).as_unipoly() ** 2
+                + polys.cofactor.specialize_pair2(x0, 1).as_unipoly() * UniPoly.of(-x0, 1) ** 2
             )
             assert lhs == p * p(x0)
 
@@ -178,12 +177,13 @@ def test_coupling_cofactor_degenerates_for_pure_power():
 
 
 def test_coupling_cofactor_keeps_leading_coefficient_factors():
-    # the three entries that are quadratic in the leading coefficient
+    # the three entries that are quadratic in the leading coefficient;
+    # rows[i][j] multiplies x^(2-i) * x0^(2-j)
     h = QuarticCurve.of(1, 1, 1, 1, 3)
     cof = correspondence_polys(h).cofactor
-    assert cof.coeff(2, 2) == Fraction(8 * 1 * 3 - 3 * 1, 12)
-    assert cof.coeff(0, 2) == Fraction(36 * 1 * 3 - 1, 36)
-    assert cof.coeff(1, 1) == Fraction(36 * 1 * 3 + 9 * 1 * 1 - 5 * 1, 18)
+    assert cof.rows[0][0] == Fraction(8 * 1 * 3 - 3 * 1, 12)
+    assert cof.rows[2][0] == Fraction(36 * 1 * 3 - 1, 36)
+    assert cof.rows[1][1] == Fraction(36 * 1 * 3 + 9 * 1 * 1 - 5 * 1, 18)
 
 
 def test_discriminant_relation_frozen_rows():
@@ -272,7 +272,7 @@ def test_pointwise_map_symbolic_identity():
         # anchor exactly as the implementation does for base (x0, -w0)
         ax, aw = sp.Rational(x0), sp.Rational(w0)
         r_sym = sum(
-            sp.Rational(pairing.coeff(i, j)) * x**i * ax**j
+            sp.Rational(pairing.rows[2 - i][2 - j]) * x**i * ax**j
             for i in range(3)
             for j in range(3)
         )
@@ -315,11 +315,8 @@ def test_pointwise_map_lands_on_cubic():
 
 
 def phi_from_triple(gamma: HomPoly, alpha: HomPoly, delta: HomPoly) -> Biquadratic22:
-    rows = tuple(
-        tuple(form.as_unipoly().coeff(i) for form in (delta, alpha, gamma))
-        for i in range(3)
-    )
-    return Biquadratic22(BiQuadratic.from_rows(rows), gamma, alpha, delta)
+    rows = tuple(zip(gamma.coeffs, alpha.coeffs, delta.coeffs))
+    return Biquadratic22(BiHomPoly.of(UV, ("S", "T"), rows), gamma, alpha, delta)
 
 
 def test_22_symmetry_and_reading():
@@ -335,7 +332,7 @@ def test_22_symmetry_and_reading():
         for xs in (Fraction(2), Fraction(-1), Fraction(1, 2)):
             for x0s in (Fraction(3), Fraction(-2)):
                 val = b.gamma(xs, 1) * x0s**2 + b.alpha(xs, 1) * x0s + b.delta(xs, 1)
-                assert val == b.phi(xs, x0s)
+                assert val == b.phi(xs, 1, x0s, 1)
         done += 1
 
 
@@ -355,7 +352,7 @@ def test_22_preserves_j_invariant():
 def test_22_diagonal_at_zero_coordinate():
     h = QuarticCurve.of(1, 2, 0, 0, 1)
     b = correspondence_22(h, 0)
-    assert b.phi.diagonal() == -4 * correspondence_polys(h).cofactor_diagonal
+    assert b.phi.diagonal().as_unipoly() == -4 * correspondence_polys(h).cofactor_diagonal
 
 
 def test_j_invariant_gates():
