@@ -866,15 +866,12 @@ class QuadrupleCoverSurface:
 
     ``torsion_factors`` holds the two degree-four forms b = P01 P23 and
     c = P02 P13 (products of pair eliminants) giving the two-torsion model
-    x (x - b)(x - c); ``refiber_triples[i]`` is the coefficient triple
-    (p_i - q_i, p_i, -q_i) of the ascending s-coefficients of b and c,
-    which are the building blocks of the second fibration's chart forms.
+    x (x - b)(x - c).
     """
 
     quadruple: BilinearQuadruple
     torsion_factors: tuple[HomPoly, HomPoly]
     model: WeierstrassModel
-    refiber_triples: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
 
 def bilinear_quadruple_surface(quad: BilinearQuadruple) -> QuadrupleCoverSurface:
@@ -911,12 +908,7 @@ def bilinear_quadruple_surface(quad: BilinearQuadruple) -> QuadrupleCoverSurface
     model = WeierstrassModel(
         -(b + c), b * c, HomPoly.zero(_FIRST_COVER, 12), 2
     )
-    b_aff, c_aff = b.as_unipoly(), c.as_unipoly()
-    triples = tuple(
-        (b_aff.coeff(i) - c_aff.coeff(i), b_aff.coeff(i), -c_aff.coeff(i))
-        for i in range(5)
-    )
-    return QuadrupleCoverSurface(quad, (b, c), model, triples)
+    return QuadrupleCoverSurface(quad, (b, c), model)
 
 
 # ---------------------------------------------------------------------------
@@ -1107,7 +1099,8 @@ def normalize_three_i0star(
     c1t, c0t = sqv
     d2t, d1t, d0t = linv
     e3t, e2t, e1t, e0t = cstv
-    assert e3t == 0
+    if e3t != 0:
+        raise NoRationalCubicRoot(f"the shift by {rho} left the leading cubic entry {e3t}")
     c1 = root
     if c1 == c1t:
         c1 = -root

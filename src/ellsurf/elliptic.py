@@ -22,7 +22,6 @@ from .exactpoly import (
     UniPoly,
     form_sqrt,
     homogenize,
-    multiplicity_in,
     rational_cubic_roots,
     refine_against,
     squarefree_split,
@@ -350,21 +349,19 @@ class FiberConfiguration:
 def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
     """Locate and classify every singular fiber of the model.
 
-    The discriminant is split into squarefree pieces, refined until each
-    piece has a uniform valuation in c4 and in c6 as well, and each piece
-    is classified after local minimalization.
+    The discriminant is split into squarefree pieces, each with its
+    valuation in delta; ``refine_against`` splits each piece further by
+    its valuation in c4 and then in c6 and returns those valuations, and
+    each place is classified after local minimalization.
     """
     inv = invariants(model)
-    split = squarefree_split(inv.delta)
-    split = refine_against(split, inv.c4)
-    split = refine_against(split, inv.c6)
     places = []
-    for f, m in split.factors:
-        v4 = None if inv.c4.is_zero else multiplicity_in(inv.c4, f)
-        v6 = None if inv.c6.is_zero else multiplicity_in(inv.c6, f)
-        reduced, k = minimalize_at(v4, v6, m)
-        fiber = kodaira_from_valuations(*reduced)
-        places.append(FiberPlace(f, fiber, v4, v6, m, k))
+    for f, m in squarefree_split(inv.delta).factors:
+        for g, v4 in refine_against(f, inv.c4):
+            for h, v6 in refine_against(g, inv.c6):
+                reduced, k = minimalize_at(v4, v6, m)
+                fiber = kodaira_from_valuations(*reduced)
+                places.append(FiberPlace(h, fiber, v4, v6, m, k))
     places.sort(key=lambda p: (p.place.degree, p.place.coeffs))
     return FiberConfiguration(model.weight, tuple(places))
 

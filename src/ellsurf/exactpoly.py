@@ -578,77 +578,6 @@ def squarefree_split(p: UniPoly | "HomPoly") -> SquarefreeSplit:
     return SquarefreeSplit(unit, tuple(factors))
 
 
-def refine_against(split: SquarefreeSplit, q: UniPoly | "HomPoly") -> SquarefreeSplit:
-    """Subdivide each factor so every part divides ``q`` to a uniform power.
-
-    Refining against the zero polynomial is a no-op (every factor divides
-    it to any power).
-    """
-    if isinstance(q, HomPoly):
-        if q.is_zero:
-            return split
-        out: list[tuple[HomPoly, int]] = []
-        for f, m in split.factors:
-            for piece, _v in _refine_factor_form(f, q):
-                out.append((piece, m))
-        out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-        return SquarefreeSplit(split.unit, tuple(out))
-    if q.is_zero:
-        return split
-    out_u: list[tuple[UniPoly, int]] = []
-    for f, m in split.factors:
-        for piece, _v in _refine_factor_uni(f, q):
-            out_u.append((piece, m))
-    out_u.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return SquarefreeSplit(split.unit, tuple(out_u))
-
-
-def _refine_factor_uni(f: UniPoly, q: UniPoly) -> list[tuple[UniPoly, int]]:
-    """The parts of ``f`` dividing the nonzero ``q`` exactly k times, with k.
-
-    Each pass that does not stop divides a factor of degree >= 1 out of
-    ``r``, so at most ``deg q + 1`` passes are made.
-    """
-    pieces: list[tuple[UniPoly, int]] = []
-    g = f
-    r = q
-    for k in range(q.degree + 1):
-        d = gcd_poly(g, r)
-        e = g.divexact(d)
-        if e.degree > 0:
-            pieces.append((e.monic(), k))
-        if d.degree == 0:
-            break
-        g = d
-        r = r.divexact(d)
-    return pieces
-
-
-def multiplicity_in(q: UniPoly | "HomPoly", f: UniPoly | "HomPoly") -> int:
-    """Largest k with f^k dividing q; q must be nonzero and f nonconstant.
-
-    Raises ``DegreeTooLow`` for a zero ``q`` or a nonzero constant ``f``
-    (which divides to every power), ``ZeroDivisionError`` for a zero ``f``.
-    """
-    if q.is_zero:
-        raise DegreeTooLow("multiplicity in the zero polynomial is undefined")
-    if f.is_zero:
-        raise ZeroDivisionError("multiplicity of the zero divisor")
-    if f.degree == 0:
-        raise DegreeTooLow("a constant divisor divides to every power")
-    bound = q.degree // f.degree
-    r = q
-    for k in range(bound):
-        if isinstance(r, HomPoly):
-            ok, r = _try_divide_form(r, f)
-        else:
-            r, rem = r.divmod(f)
-            ok = rem.is_zero
-        if not ok:
-            return k
-    return bound
-
-
 # ---------------------------------------------------------------------------
 # resultants and discriminants
 # ---------------------------------------------------------------------------
@@ -846,20 +775,8 @@ class HomPoly:
 
     def substitute(self, f: HomPoly, g: HomPoly) -> HomPoly:
         """Plug forms (f, g) of one common degree in for the variables."""
-        f._check_vars(g)
-        if f.degree != g.degree:
-            raise DegreeMismatch("substituted forms must share a degree")
-        d = self.degree
-        result = HomPoly.zero(f.vars, d * f.degree)
-        fpows = [HomPoly.constant(f.vars, 1)]
-        gpows = [HomPoly.constant(f.vars, 1)]
-        for _ in range(d):
-            fpows.append(fpows[-1] * f)
-            gpows.append(gpows[-1] * g)
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                result = result + fpows[d - k] * gpows[k] * c
-        return result
+        flat, den = _substituted((self.num,), f, g)
+        return HomPoly(f.vars, *_lowest(flat, self.den * den))
 
     def as_unipoly(self) -> UniPoly:
         """Dehomogenize at ``vars[1] = 1`` (polynomial in ``vars[0]``)."""
@@ -890,6 +807,37 @@ class HomPoly:
 
     def __str__(self) -> str:
         return self.text()
+
+
+def _substituted(
+    rows: Sequence[Sequence[int]], f: HomPoly, g: HomPoly
+) -> tuple[list[int], int]:
+    """Row-major numerators, over one common denominator, of every row
+    ``r`` read as the form ``sum(r[k] * f^(d-k) * g^k)``, ``d = len(r) - 1``.
+
+    ``f`` and ``g`` must share a variable pair and a degree; the powers
+    ``f^(d-k) * g^k`` are built once for all rows, over the denominator
+    ``(den f * den g)^d``.
+    """
+    f._check_vars(g)
+    if f.degree != g.degree:
+        raise DegreeMismatch("substituted forms must share a degree")
+    d = len(rows[0]) - 1
+    fpows, gpows = [[1]], [[1]]
+    for _ in range(d):
+        fpows.append(_int_mul(fpows[-1], f.num))
+        gpows.append(_int_mul(gpows[-1], g.num))
+    pieces = []
+    for k in range(d + 1):
+        scale = f.den**k * g.den ** (d - k)
+        pieces.append([n * scale for n in _int_mul(fpows[d - k], gpows[k])])
+    width = len(pieces[0])
+    flat = [
+        sum(c * piece[i] for c, piece in zip(row, pieces))
+        for row in rows
+        for i in range(width)
+    ]
+    return flat, (f.den * g.den) ** d
 
 
 def homogenize(p: UniPoly, vars: tuple[str, str], degree: int) -> HomPoly:
@@ -923,30 +871,18 @@ def form_resultant(p: HomPoly, q: HomPoly) -> Fraction:
     return _sylvester_resultant(p.num, p.den, q.num, q.den)
 
 
-def _try_divide_form(p: HomPoly, f: HomPoly) -> tuple[bool, HomPoly | None]:
+def divexact_form(p: HomPoly, f: HomPoly) -> HomPoly:
+    """The form ``p / f``; raises ``ExactDivisionError`` on a remainder."""
     p._check_vars(f)
     if f.is_zero:
         raise ZeroDivisionError("division by the zero form")
     if p.is_zero:
-        return True, HomPoly.zero(p.vars, max(p.degree - f.degree, 0))
-    if p.degree < f.degree:
-        return False, None
-    ord_p = p.second_var_multiplicity()
-    ord_f = f.second_var_multiplicity()
-    if ord_p < ord_f:
-        return False, None
-    quo, rem = p.as_unipoly().divmod(f.as_unipoly())
-    if not rem.is_zero:
-        return False, None
-    return True, homogenize(quo, p.vars, p.degree - f.degree)
-
-
-def divexact_form(p: HomPoly, f: HomPoly) -> HomPoly:
-    ok, q = _try_divide_form(p, f)
-    if not ok:
-        raise ExactDivisionError("form division left a remainder")
-    assert q is not None
-    return q
+        return HomPoly.zero(p.vars, max(p.degree - f.degree, 0))
+    if p.degree >= f.degree and p.second_var_multiplicity() >= f.second_var_multiplicity():
+        quo, rem = p.as_unipoly().divmod(f.as_unipoly())
+        if rem.is_zero:
+            return homogenize(quo, p.vars, p.degree - f.degree)
+    raise ExactDivisionError("form division left a remainder")
 
 
 def gcd_form(p: HomPoly, q: HomPoly) -> HomPoly:
@@ -987,9 +923,20 @@ def _squarefree_split_form(p: HomPoly) -> SquarefreeSplit:
     return SquarefreeSplit(unit, tuple(factors))
 
 
-def _refine_factor_form(f: HomPoly, q: HomPoly) -> list[tuple[HomPoly, int]]:
-    """The form version of ``_refine_factor_uni``, with the same bound."""
-    pieces: list[tuple[HomPoly, int]] = []
+def refine_against(f: HomPoly, q: HomPoly) -> list[tuple[HomPoly, int | None]]:
+    """Split the squarefree form ``f`` by the valuations of its places in ``q``.
+
+    Returns ``(piece, k)`` pairs: the pieces are coprime, monic in the
+    first variable, multiply to ``f`` up to a unit, and every place of
+    ``piece`` divides ``q`` exactly ``k`` times.  The zero ``q`` gives
+    ``[(f, None)]`` (every place divides it to any power).  Each pass that
+    does not stop divides a factor of degree >= 1 out of ``r``, so at most
+    ``deg q + 1`` passes are made.
+    """
+    f._check_vars(q)
+    if q.is_zero:
+        return [(f, None)]
+    pieces: list[tuple[HomPoly, int | None]] = []
     g = f
     r = q
     for k in range(q.degree + 1):
@@ -1182,20 +1129,8 @@ class BiHomPoly:
 
     def substitute_pair2(self, f: HomPoly, g: HomPoly) -> BiHomPoly:
         """Plug forms (f, g) of one common degree in for the second pair."""
-        f._check_vars(g)
-        if f.degree != g.degree:
-            raise DegreeMismatch("substituted forms must share a degree")
-        d2 = self.deg2
-        pieces = [f ** (d2 - j) * g**j for j in range(d2 + 1)]
-        den = lcm(*(p.den for p in pieces))
-        scaled = [[n * (den // p.den) for n in p.num] for p in pieces]
-        width = len(scaled[0])
-        flat = [
-            sum(c * piece[k] for c, piece in zip(row, scaled))
-            for row in self.num
-            for k in range(width)
-        ]
-        return _bihom(self.vars1, f.vars, flat, width, self.den * den)
+        flat, den = _substituted(self.num, f, g)
+        return _bihom(self.vars1, f.vars, flat, self.deg2 * f.degree + 1, self.den * den)
 
     def text(self) -> str:
         d1, d2 = self.deg1, self.deg2

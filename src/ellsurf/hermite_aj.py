@@ -277,15 +277,14 @@ def correspondence_polys(h: QuarticCurve) -> CorrespondencePolys:
 def discr_relation_check(h: QuarticCurve) -> tuple[Fraction, Fraction, Fraction]:
     """Return (Discr(P), Discr(Q), g) for Q the cofactor diagonal.
 
-    Both discriminants are taken at declared degree four; the relations
+    Both discriminants are taken at declared degree four.  The relations
     Discr(Q) = g^2 * Discr(P) and Discr(P) = -4f^3 - 27g^2 hold
-    identically and are asserted here.
+    identically; this only computes the three numbers, and the
+    ``discriminant-relation`` check family tests both relations.
     """
     cubic = jacobian_quartic(h)
     disc_p = h.discriminant()
     disc_q = _disc4(correspondence_polys(h).cofactor_diagonal)
-    assert disc_p == cubic.discriminant
-    assert disc_q == cubic.g**2 * disc_p
     return disc_p, disc_q, cubic.g
 
 
@@ -595,8 +594,8 @@ class QuarticSurfaceData:
 
     The branch locus is the product of two (1,0)-lines in the first
     ruling, the two coordinate sections of the second ruling, and the
-    symmetric (2,2) curve; ``surfaces`` holds the full dictionary of
-    associated models and branch identities.
+    symmetric (2,2) curve.  The associated models are
+    ``duality.correspondence_surfaces`` of the coupling triple.
     """
 
     curve: QuarticCurve
@@ -607,7 +606,6 @@ class QuarticSurfaceData:
     ruling_factors: tuple[HomPoly, HomPoly]
     quadric: BiHomPoly
     branch: BiHomPoly
-    surfaces: dict
 
 
 def double_quadric_from_quartic(
@@ -639,9 +637,6 @@ def double_quadric_from_quartic(
     # phi is symmetric, so phi read in (S, T) x (U, V) is the quadric
     quadric = BiHomPoly(_X0_PAIR, _X_PAIR, corr.phi.num, corr.phi.den)
     branch = tensor_forms(line0 * line_inf, u_factor * v_factor) * quadric
-    from . import duality  # deferred: duality builds on this module
-
-    surfaces = duality.correspondence_surfaces(corr.alpha, corr.gamma, corr.delta)
     return QuarticSurfaceData(
         curve,
         rat(xi),
@@ -651,5 +646,4 @@ def double_quadric_from_quartic(
         (u_factor, v_factor),
         quadric,
         branch,
-        surfaces,
     )

@@ -8,7 +8,8 @@ the residual-cubic double-root case through an inverse quadratic twist,
 and restart after a (2, 3)-rescale when the model is not minimal.
 
 This is the test suite's oracle against the valuation-table classifier in
-the package; it shares no classification logic with it.
+the package; it shares no classification logic with it.  ``form_multiplicities``
+is the matching oracle for the valuations themselves, by sympy factoring.
 """
 
 from __future__ import annotations
@@ -16,6 +17,23 @@ from __future__ import annotations
 import sympy as sp
 
 t, X = sp.symbols("t X")
+
+
+def form_multiplicities(coeffs) -> dict | None:
+    """Irreducible factors of the binary form sum(coeffs[k] u^(d-k) v^k),
+    each mapped to its multiplicity: the affine ones as monic polynomials
+    in ``t`` (read as u/v), the place v = 0 as "infinity".  None for the
+    zero form."""
+    if not any(coeffs):
+        return None
+    d = len(coeffs) - 1
+    affine = sum(sp.Rational(c) * t ** (d - k) for k, c in enumerate(coeffs))
+    _unit, factors = sp.Poly(affine, t, domain="QQ").factor_list()
+    found = {g.monic().as_expr(): m for g, m in factors}
+    at_infinity = next(k for k, c in enumerate(coeffs) if c)
+    if at_infinity:
+        found["infinity"] = at_infinity
+    return found
 
 
 def _poly(expr) -> sp.Poly:

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from ellsurf import cli
+from ellsurf import cli, hermite_aj
 from ellsurf.exactpoly import DegreeMismatch, ParseError
 
 
@@ -361,6 +361,25 @@ def test_run_failure_details_name_the_trial(monkeypatch):
     assert rep.status == "fail"
     assert rep.detail == "trial 0: the two j-invariants differ"
     assert set(rep.artifacts) == {"quartic", "xi"}
+
+
+def test_run_discriminant_relation_failure_names_the_trial(monkeypatch):
+    real = hermite_aj.jacobian_quartic
+
+    def shifted(h):
+        cubic = real(h)
+        return hermite_aj.ShortCubic(cubic.f, cubic.g + 1)
+
+    monkeypatch.setattr(hermite_aj, "jacobian_quartic", shifted)
+    (relation,) = [
+        sc for sc in cli.bundled_scenarios() if sc.name == "discriminant-relation"
+    ]
+    rep = cli.run(relation, seed=0, trials_override=2)
+    assert rep.status == "fail"
+    assert rep.detail == (
+        "trial 0: resolvent discriminant is not g^2 times the quartic one"
+    )
+    assert set(rep.artifacts) == {"quartic"}
 
 
 def test_run_trials_override_wins():

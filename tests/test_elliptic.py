@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+import corpus
 from corpus import constructed_short_models
+from ellsurf import duality as du
 from ellsurf.elliptic import (
     DegenerateModel,
     InconsistentValuations,
@@ -33,7 +35,7 @@ from ellsurf.exactpoly import (
     parse_hompoly,
 )
 from tate_oracle import t as T_SYM
-from tate_oracle import tate_fiber_at_origin
+from tate_oracle import form_multiplicities, tate_fiber_at_origin
 
 V = ("s", "t")
 
@@ -341,6 +343,54 @@ class TestFiberConfiguration:
                 continue
             assert cfg.euler_total + 12 * cfg.reductions_total == 12 * w
             done += 1
+
+
+def _valuation_corpus() -> list[WeierstrassModel]:
+    models = []
+    for a4, a6 in constructed_short_models():
+        w = max(1, -(-a4.degree // 4), -(-a6.degree // 6))
+        models.append(
+            WeierstrassModel(
+                HomPoly.zero(V, 2 * w), homogenize(a4, V, 4 * w), homogenize(a6, V, 6 * w), w
+            )
+        )
+    rng = random.Random(20261018)
+    r = corpus.sample_rational_surface(rng)
+    cover = corpus.sample_cover_parameters(rng, r)
+    pair = corpus.sample_isogeny_pair(rng)
+    models += [
+        r.model(),
+        du.base_change_k3(r, *cover),
+        du.twist_model(r, *cover),
+        pair.model(),
+        du.two_isogeny_dual(pair).model(),
+        du.bilinear_quadruple_surface(corpus.sample_generic_quadruple(rng)).model,
+        du.three_lines_cubic_model(corpus.sample_three_lines_params(rng)),
+        # c4 = 0, with II* over s = 0 and II at infinity
+        WeierstrassModel(HomPoly.zero(V, 2), HomPoly.zero(V, 4), P("s^5*t"), 1),
+        # c6 = 0, with III* over s = 0 and III at infinity
+        WeierstrassModel(HomPoly.zero(V, 2), P("s^3*t"), HomPoly.zero(V, 6), 1),
+    ]
+    return models
+
+
+class TestValuationsAgainstSympy:
+    def test_every_place_carries_its_sympy_multiplicities(self):
+        for model in _valuation_corpus():
+            inv = invariants(model)
+            in_c4 = form_multiplicities(inv.c4.coeffs)
+            in_c6 = form_multiplicities(inv.c6.coeffs)
+            in_delta = form_multiplicities(inv.delta.coeffs)
+            covered = set()
+            for place in fiber_configuration(model).places:
+                factors = form_multiplicities(place.place.coeffs)
+                assert factors and all(m == 1 for m in factors.values())
+                for factor in factors:
+                    assert place.v_c4 == (None if in_c4 is None else in_c4.get(factor, 0))
+                    assert place.v_c6 == (None if in_c6 is None else in_c6.get(factor, 0))
+                    assert place.v_delta == in_delta[factor]
+                covered |= set(factors)
+            assert covered == set(in_delta)
 
 
 class TestTwoTorsionSections:

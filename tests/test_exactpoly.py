@@ -1,8 +1,9 @@
 """Unit tests for the exact polynomial kernel and its scalar primitives.
 
 sympy appears here only as the independent cross-check oracle for
-resultants, discriminants, squarefree parts, cubic roots and
-determinants; the package itself never imports it.
+resultants, discriminants, squarefree parts, cubic roots, determinants
+and the multiplicities of ``refine_against`` (through
+``tate_oracle.form_multiplicities``); the package itself never imports it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sympy as sp
 from hypothesis import given, settings
 from sympy.polys.subresultants_qq_zz import sylvester
 from hypothesis import strategies as st
+from tate_oracle import form_multiplicities
 
 from ellsurf.exactpoly import (
     BiHomPoly,
@@ -36,7 +38,6 @@ from ellsurf.exactpoly import (
     gcd_form,
     gcd_poly,
     homogenize,
-    multiplicity_in,
     parse_hompoly,
     parse_rational,
     rational_cubic_roots,
@@ -394,47 +395,41 @@ class TestSquarefree:
 
     def test_refine_against_uniform_powers(self):
         rng = random.Random(7)
-        x = UniPoly.of(0, 1)
+        quad = HomPoly.of(ST, (1, 0, 1))  # s^2 + t^2, irreducible over Q
+        outside = HomPoly.of(ST, (1, 0, -2))  # s^2 - 2 t^2, coprime to f
         for _ in range(50):
-            roots = rng.sample(range(-6, 7), k=4)
-            delta = UniPoly.constant(1)
-            for r in roots:
-                delta = delta * (x - UniPoly.constant(r)) ** rng.randint(1, 3)
-            q = UniPoly.constant(1)
-            for r in roots[:2]:
-                q = q * (x - UniPoly.constant(r)) ** rng.randint(0, 3)
-            q = q * UniPoly.of(1, 0, 1)
-            split = refine_against(squarefree_split(delta), q)
-            assert split.reconstruct() == delta
-            for f, _m in split.factors:
-                v = multiplicity_in(q, f)
-                # uniform: no further subfactor divides q more often
-                extra = gcd_poly(f, q.divexact(f**v))
-                assert extra.degree == 0
+            lines = [HomPoly.of(ST, (1, -r)) for r in rng.sample(range(-6, 7), k=3)]
+            lines.append(HomPoly.of(ST, (0, 1)))  # the place t at infinity
+            rng.shuffle(lines)
+            f = quad
+            for line in lines:
+                f = f * line
+            q = outside
+            for g in (lines[0], lines[1], quad):
+                q = q * g ** rng.randint(0, 3)
+            pieces = refine_against(f, q)
+            product = HomPoly.constant(ST, 1)
+            for piece, _k in pieces:
+                product = product * piece
+            assert product == f.monic_in_first()
+            ks = [k for _piece, k in pieces]
+            assert len(set(ks)) == len(ks)
+            in_q = form_multiplicities(q.coeffs)
+            for piece, k in pieces:
+                assert piece.leading_in_first() == 1
+                for factor in form_multiplicities(piece.coeffs):
+                    assert in_q.get(factor, 0) == k
 
     def test_refine_against_a_top_power_takes_every_pass(self):
         # a linear factor dividing q to the power deg q is only split off
         # on the last of the deg q + 1 passes
-        for f in (UniPoly.of(-1, 1), HomPoly.of(ST, (1, -1)), HomPoly.of(ST, (0, 1))):
-            split = squarefree_split(f)
+        for f in (HomPoly.of(ST, (1, -1)), HomPoly.of(ST, (0, 1))):
             for n in range(1, 7):
-                assert refine_against(split, f**n) == split
+                assert refine_against(f, f**n) == [(f, n)]
 
     def test_refine_against_zero_is_identity(self):
-        split = squarefree_split(UniPoly.of(0, 0, 1))
-        assert refine_against(split, UniPoly.zero()) == split
-
-    def test_multiplicity_of_a_constant_divisor_is_refused(self):
-        with pytest.raises(DegreeTooLow):
-            multiplicity_in(UniPoly.of(1, 1), UniPoly.of(2))
-        assert multiplicity_in(UniPoly.of(1, 1) ** 3 * 5, UniPoly.of(2, 2)) == 3
-
-    def test_form_multiplicity_of_a_constant_divisor_is_refused(self):
-        ST = ("s", "t")
-        with pytest.raises(DegreeTooLow):
-            multiplicity_in(HomPoly.of(ST, (1, 1)), HomPoly.of(ST, (3,)))
-        t_ = HomPoly.of(ST, (0, 1))
-        assert multiplicity_in(t_**4 * HomPoly.of(ST, (1, 1)), t_) == 4
+        f = HomPoly.of(ST, (0, 1, 0))
+        assert refine_against(f, HomPoly.zero(ST, 3)) == [(f, None)]
 
 
 class TestHomPoly:
@@ -493,9 +488,9 @@ class TestHomPoly:
         with pytest.raises(DegreeMismatch):
             gcd_form(HomPoly.zero(("s", "t"), 2), uv_line)
         with pytest.raises(DegreeMismatch):
-            multiplicity_in(st_square, uv_line)
+            refine_against(uv_line, st_square)
         with pytest.raises(DegreeMismatch):
-            refine_against(squarefree_split(uv_line), st_square)
+            refine_against(uv_line, HomPoly.zero(("s", "t"), 2))
 
     def test_form_discriminant_conventions(self):
         quad = HomPoly.of(("s", "t"), [1, 0, -1])

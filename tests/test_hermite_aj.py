@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from ellsurf.duality import correspondence_surfaces
 from ellsurf.exactpoly import BiHomPoly, DegreeMismatch, HomPoly, UniPoly
 from ellsurf.hermite_aj import (
     BasePointRamified,
@@ -496,8 +497,9 @@ def test_double_quadric_structure():
     assert data.params.c_inf == 3
     # the depressed curve satisfies the exchange constraint
     assert exchange_constraint(data.params) == 0
+    surfaces = correspondence_surfaces(corr.alpha, corr.gamma, corr.delta)
     for key in ("cover1", "quot1", "rat1", "cover2", "quot2", "rat2"):
-        assert key in data.surfaces
+        assert key in surfaces
 
 
 def test_double_quadric_gates():

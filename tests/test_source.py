@@ -1,7 +1,9 @@
 """Checks on the package source itself.
 
 Every loop in ``ellsurf`` must state its bound: a ``while`` loop on a
-constant true condition is refused.
+constant true condition is refused.  Every failed check must raise a
+named error: ``python -O`` strips ``assert`` statements, so none is
+allowed.
 """
 
 import ast
@@ -21,18 +23,40 @@ def _unbounded_loops(tree: ast.AST) -> list[int]:
     ]
 
 
+def _asserts(tree: ast.AST) -> list[int]:
+    """Line numbers of the ``assert`` statements."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def _package_findings(check) -> dict[str, list[int]]:
+    root = Path(ellsurf.__file__).parent
+    modules = sorted(root.rglob("*.py"))
+    assert modules
+    return {
+        str(path.relative_to(root)): lines
+        for path in modules
+        if (lines := check(ast.parse(path.read_text(), str(path))))
+    }
+
+
 def test_the_check_sees_constant_conditions_only():
     source = "while True:\n    pass\nwhile 1:\n    pass\nwhile x:\n    pass\nwhile 0:\n    pass\n"
     assert _unbounded_loops(ast.parse(source)) == [1, 3]
 
 
 def test_no_unbounded_while_loops():
-    root = Path(ellsurf.__file__).parent
-    modules = sorted(root.rglob("*.py"))
-    assert modules
-    found = {
-        str(path.relative_to(root)): lines
-        for path in modules
-        if (lines := _unbounded_loops(ast.parse(path.read_text(), str(path))))
-    }
-    assert found == {}
+    assert _package_findings(_unbounded_loops) == {}
+
+
+def test_the_check_sees_assert_statements_only():
+    source = (
+        "assert x\n"
+        "def f():\n    assert x == 0, 'msg'\n"
+        "if not x:\n    raise ValueError('x')\n"
+        "asserted = 'assert x'\n"
+    )
+    assert _asserts(ast.parse(source)) == [1, 3]
+
+
+def test_no_assert_statements():
+    assert _package_findings(_asserts) == {}
