@@ -75,6 +75,12 @@ DEFAULT_TRIALS = 100
 # bundled scenario needs more than 12
 DRAW_BUDGET = 100
 
+# the largest total rank a lattice expression may ask for, so that a short
+# term such as A2^3000 or A99999999 cannot ask for a huge Gram matrix; the
+# paper's largest lattice, the K3 lattice, has rank 22, and the bundled
+# scenarios reach 14
+MAX_LATTICE_RANK = 64
+
 _KINDS = (
     "fiber-config",
     "lattice-identity",
@@ -184,6 +190,7 @@ _LATTICE_TERM_RE = re.compile(
     r"\s*(?P<atom><-?2>|[A-Z][A-Za-z0-9]*)\s*"
     r"(?:\(\s*(?P<scale>-?\d+)\s*\))?\s*(?:\^\s*(?P<power>\d+))?\s*$"
 )
+_ROOT_INDEX_RE = re.compile(r"[AD](\d+)")
 
 
 def _parse_int(text: str, line: int, what: str) -> int:
@@ -198,6 +205,8 @@ def _parse_lattice_expr(text: str, line: int, col: int) -> la.GramLattice:
     character, so an error names the column of its term."""
     summands: list[la.GramLattice] = []
     offset = 0
+    rank = 0
+    too_large = f"lattice rank above {MAX_LATTICE_RANK}"
     for piece in text.split("+"):
         at = col + offset + len(piece) - len(piece.lstrip())
         offset += len(piece) + 1
@@ -205,6 +214,9 @@ def _parse_lattice_expr(text: str, line: int, col: int) -> la.GramLattice:
         if m is None:
             raise ParseError(f"bad lattice term {piece.strip()!r}", line, at)
         atom = m.group("atom")
+        index = _ROOT_INDEX_RE.fullmatch(atom)
+        if index and rank + int(index.group(1)) > MAX_LATTICE_RANK:
+            raise ParseError(too_large, line, at)
         if atom == "P0":
             base = la.two_param_polarization(0)
         elif atom == "P1":
@@ -222,6 +234,9 @@ def _parse_lattice_expr(text: str, line: int, col: int) -> la.GramLattice:
         power = int(m.group("power") or 1)
         if power < 1:
             raise ParseError("lattice power must be positive", line, at)
+        rank += base.rank * power
+        if rank > MAX_LATTICE_RANK:
+            raise ParseError(too_large, line, at)
         summands.extend([base] * power)
     return summands[0] if len(summands) == 1 else la.direct_sum(*summands)
 
@@ -232,11 +247,11 @@ def _parse_fiber_multiset(text: str, line: int) -> dict[str, int]:
         m = _FIBER_ITEM_RE.fullmatch(item)
         if m is None:
             raise ParseError(f"bad fiber item {item.strip()!r}", line, 1)
-        count, label = int(m.group(1)), m.group(2)
+        count, text_label = int(m.group(1)), m.group(2)
         try:
-            KodairaType.parse(label)
-        except Exception:
-            raise ParseError(f"unknown fiber label {label!r}", line, 1) from None
+            label = KodairaType.parse(text_label).label
+        except ValueError:
+            raise ParseError(f"unknown fiber label {text_label!r}", line, 1) from None
         if label in counts:
             raise ParseError(f"fiber label {label} listed twice", line, 1)
         if count < 1:

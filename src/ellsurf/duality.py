@@ -331,18 +331,6 @@ class RulingSwapData:
     f: HomPoly
     g: HomPoly
 
-    def jacobian_model(self) -> WeierstrassModel:
-        """Twisted relative Jacobian: x^3 + U^2 V^2 f x + U^3 V^3 g."""
-        uv = HomPoly.var_power(self.f.vars, 0, 1) * HomPoly.var_power(
-            self.f.vars, 1, 1
-        )
-        return WeierstrassModel(
-            HomPoly.zero(self.f.vars, 4),
-            uv * uv * self.f,
-            uv * uv * uv * self.g,
-            2,
-        )
-
 
 def ruling_swap(trace: HomPoly, left: HomPoly, right: HomPoly) -> RulingSwapData:
     """Refiber the quadric double cover along its second ruling.

@@ -136,17 +136,6 @@ class WeierstrassModel:
             )
         return ((x + self.a2) * x + self.a4) * x + self.a6
 
-    def shift_x(self, u: HomPoly) -> WeierstrassModel:
-        """Substitute x -> x + u; u must be a form of degree 2w."""
-        if u.degree != 2 * self.weight:
-            raise DegreeMismatch(
-                f"shift form must have degree {2 * self.weight}, got {u.degree}"
-            )
-        a2 = self.a2 + 3 * u
-        a4 = self.a4 + 2 * self.a2 * u + 3 * u * u
-        a6 = self.rhs_at(u)
-        return WeierstrassModel(a2, a4, a6, self.weight)
-
 
 @dataclass(frozen=True)
 class ModelInvariants:
@@ -332,10 +321,6 @@ class FiberConfiguration:
         """Sum of deg(place) * euler(type); equals 12 * weight for a model
         that is minimal everywhere."""
         return sum(p.degree * p.kodaira.euler for p in self.places)
-
-    @property
-    def reductions_total(self) -> int:
-        return sum(p.degree * p.reductions for p in self.places)
 
     def summary(self) -> dict[str, int]:
         """Point counts per fiber label, keyed and ordered by label."""

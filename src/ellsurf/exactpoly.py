@@ -26,9 +26,16 @@ layers build on:
 * ``bareiss_adjugate``: determinant and adjugate (det * M^-1) of a
   nonsingular integer matrix by one fraction-free Gauss-Jordan pass, so
   the lattice invariants never leave the integers;
-* ``resultant`` and ``form_resultant``: Sylvester resultants of
-  polynomials at their actual degrees and of binary forms at their
-  declared degrees.
+* ``form_resultant``: the one resultant, the Sylvester determinant of two
+  binary forms at their declared degrees; ``resultant`` reads polynomials
+  as forms at their actual degrees.
+
+A binary form at its declared degree is also the one input of the
+discriminant, the squarefree split and the square root, so a root at
+infinity is never a special case.  The discriminant of a form ``f`` of
+degree ``n >= 2`` is the classical identity (Gelfand-Kapranov-Zelevinsky)
+
+    disc(f) = (-1)^(n(n-1)/2) * res(df/ds, df/dt) / n^(n-2).
 
 Everything is exact; nothing here ever rounds.
 """
@@ -501,7 +508,7 @@ def _render_terms(terms: Sequence[tuple[Fraction, tuple[tuple[str, int], ...]]])
 
 
 # ---------------------------------------------------------------------------
-# gcd / squarefree machinery
+# gcd
 # ---------------------------------------------------------------------------
 
 
@@ -530,119 +537,6 @@ def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
         r = _int_primitive(_int_divmod(a, b)[1])
         a, b = b, r
     return UniPoly(tuple(a)).monic()
-
-
-@dataclass(frozen=True)
-class SquarefreeSplit:
-    """``poly == unit * product(factor^multiplicity)`` with squarefree,
-    pairwise coprime, normalized factors (monic, or monic in the first
-    variable for binary forms)."""
-
-    unit: Fraction
-    factors: tuple[tuple[object, int], ...]
-
-    def reconstruct(self):
-        result = None
-        for f, m in self.factors:
-            piece = f ** m
-            result = piece if result is None else result * piece
-        if result is None:
-            raise DegreeTooLow("split has no factors; caller holds the degree-0 case")
-        return result * self.unit
-
-
-def squarefree_split(p: UniPoly | "HomPoly") -> SquarefreeSplit:
-    """Yun decomposition; exact over Q."""
-    if isinstance(p, HomPoly):
-        return _squarefree_split_form(p)
-    if p.is_zero:
-        raise DegreeTooLow("zero polynomial has no squarefree decomposition")
-    unit = p.leading
-    if p.degree == 0:
-        return SquarefreeSplit(unit, ())
-    work = p.monic()
-    factors: list[tuple[UniPoly, int]] = []
-    dp = work.derivative()
-    g = gcd_poly(work, dp)
-    c = work.divexact(g)
-    d = dp.divexact(g) - c.derivative()
-    i = 1
-    while c.degree > 0:
-        f = gcd_poly(c, d)
-        if f.degree > 0:
-            factors.append((f, i))
-        c = c.divexact(f)
-        d = d.divexact(f) - c.derivative()
-        i += 1
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return SquarefreeSplit(unit, tuple(factors))
-
-
-# ---------------------------------------------------------------------------
-# resultants and discriminants
-# ---------------------------------------------------------------------------
-
-
-def _sylvester_resultant(pi: Sequence[int], dp: int, qi: Sequence[int], dq: int) -> Fraction:
-    """Determinant of the Sylvester matrix of ``pi/dp`` and ``qi/dq``, integer
-    coefficient rows given in descending order, at the degrees
-    ``len(pi) - 1`` and ``len(qi) - 1``."""
-    m, n = len(pi) - 1, len(qi) - 1
-    rows = [[0] * i + list(pi) + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + list(qi) + [0] * (m - 1 - i) for i in range(m)]
-    return Fraction(bareiss_det(rows), dp**n * dq**m)
-
-
-def resultant(p: UniPoly, q: UniPoly) -> Fraction:
-    """Sylvester-matrix resultant, exact.
-
-    Conventions: ``res(p, q) = lc(p)^deg(q) * lc(q)^deg(p) * prod(roots
-    differences)``; if either input is a nonzero constant ``c`` the result
-    is ``c^deg(other)``; the resultant with the zero polynomial is 0
-    (and 1 if the other input is a nonzero constant).
-    """
-    if p.is_zero or q.is_zero:
-        other = q if p.is_zero else p
-        if other.degree <= 0 and not other.is_zero:
-            return Fraction(1)
-        return Fraction(0)
-    return _sylvester_resultant(p.num[::-1], p.den, q.num[::-1], q.den)
-
-
-def discriminant_univ(p: UniPoly) -> Fraction:
-    """Discriminant at the actual degree: for degree n,
-    ``(-1)^(n(n-1)/2) res(p, p') / lc(p)``. Needs degree >= 2."""
-    n = p.degree
-    if n < 2:
-        raise DegreeTooLow("discriminant needs degree >= 2")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) / p.leading
-
-
-def discriminant_form(p: UniPoly, degree: int) -> Fraction:
-    """Discriminant of ``p`` read as a binary form of declared ``degree``.
-
-    A degree drop of one (root at infinity) multiplies the actual-degree
-    discriminant by ``lc^2``; a drop of two or more makes it zero.
-    """
-    if degree < 2:
-        raise DegreeTooLow("form discriminant needs declared degree >= 2")
-    if p.is_zero:
-        raise DegreeTooLow("form discriminant of the zero form is undefined")
-    drop = degree - p.degree
-    if drop < 0:
-        raise DegreeMismatch("actual degree exceeds the declared degree")
-    if drop >= 2:
-        return Fraction(0)
-    if p.degree >= 2:
-        base = discriminant_univ(p)
-    elif p.degree == 1:
-        base = Fraction(1)
-    else:
-        raise DegreeTooLow("constant cannot carry declared degree < 2 here")
-    if drop == 1:
-        base *= p.leading**2
-    return base
 
 
 # ---------------------------------------------------------------------------
@@ -850,25 +744,72 @@ def homogenize(p: UniPoly, vars: tuple[str, str], degree: int) -> HomPoly:
     return HomPoly(_pair(vars), num, p.den)
 
 
-def form_discriminant(f: HomPoly) -> Fraction:
-    """Discriminant of a binary form at its declared degree."""
-    if f.is_zero:
-        raise DegreeTooLow("zero form has no discriminant")
-    return discriminant_form(f.as_unipoly(), f.degree)
-
-
 def form_resultant(p: HomPoly, q: HomPoly) -> Fraction:
     """Resultant of two binary forms at their declared degrees.
 
-    This is the Sylvester determinant of the coefficient rows, so it equals
-    ``resultant(p.as_unipoly(), q.as_unipoly())`` when both first
-    coefficients are nonzero.  Unlike that affine resultant it sees roots at
-    infinity: for forms of positive degree it vanishes exactly when they
-    share a zero on the projective line (every point is a zero of the zero
-    form).
+    This is the determinant of the Sylvester matrix of the coefficient
+    rows, so it sees roots at infinity: for forms of positive degree it
+    vanishes exactly when they share a zero on the projective line (every
+    point is a zero of the zero form).  A constant ``c`` against a form of
+    degree ``n`` gives ``c^n``.
     """
     p._check_vars(q)
-    return _sylvester_resultant(p.num, p.den, q.num, q.den)
+    m, n = p.degree, q.degree
+    rows = [[0] * i + list(p.num) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(q.num) + [0] * (m - 1 - i) for i in range(m)]
+    return Fraction(bareiss_det(rows), p.den**n * q.den**m)
+
+
+# the variable pair a polynomial is read in when it becomes a form
+_AFFINE = ("x", "y")
+
+
+def resultant(p: UniPoly, q: UniPoly) -> Fraction:
+    """Resultant of two polynomials at their actual degrees.
+
+    Conventions: ``res(p, q) = lc(p)^deg(q) * lc(q)^deg(p) * prod(roots
+    differences)``; if either input is a nonzero constant ``c`` the result
+    is ``c^deg(other)``; the resultant with the zero polynomial is 0
+    (and 1 if the other input is a nonzero constant).
+    """
+    if p.is_zero or q.is_zero:
+        other = q if p.is_zero else p
+        if other.degree <= 0 and not other.is_zero:
+            return Fraction(1)
+        return Fraction(0)
+    return form_resultant(
+        homogenize(p, _AFFINE, p.degree), homogenize(q, _AFFINE, q.degree)
+    )
+
+
+def form_discriminant(f: HomPoly) -> Fraction:
+    """Discriminant of a binary form at its declared degree ``n >= 2``:
+    ``(-1)^(n(n-1)/2) * form_resultant(df/ds, df/dt) / n^(n-2)``.
+
+    The identity holds for every coefficient vector, so a root at infinity
+    needs no rule of its own (one of multiplicity >= 2 makes the value 0).
+    """
+    n = f.degree
+    if n < 2:
+        raise DegreeTooLow("form discriminant needs declared degree >= 2")
+    if f.is_zero:
+        raise DegreeTooLow("zero form has no discriminant")
+    d_s = [(n - k) * c for k, c in enumerate(f.num[:-1])]
+    d_t = [k * c for k, c in enumerate(f.num)][1:]
+    res = form_resultant(
+        HomPoly(f.vars, *_lowest(d_s, f.den)), HomPoly(f.vars, *_lowest(d_t, f.den))
+    )
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * res / n ** (n - 2)
+
+
+def discriminant_form(p: UniPoly, degree: int) -> Fraction:
+    """Discriminant of ``p`` read as a binary form of declared ``degree``."""
+    # before homogenize, so a low declared degree is DegreeTooLow even when
+    # it is also below the actual degree
+    if degree < 2:
+        raise DegreeTooLow("form discriminant needs declared degree >= 2")
+    return form_discriminant(homogenize(p, _AFFINE, degree))
 
 
 def divexact_form(p: HomPoly, f: HomPoly) -> HomPoly:
@@ -903,24 +844,42 @@ def gcd_form(p: HomPoly, q: HomPoly) -> HomPoly:
     return lifted.monic_in_first()
 
 
-def _squarefree_split_form(p: HomPoly) -> SquarefreeSplit:
-    if p.is_zero:
+@dataclass(frozen=True)
+class SquarefreeSplit:
+    """``form == unit * product(factor^multiplicity)`` with squarefree,
+    pairwise coprime factors, monic in the first variable."""
+
+    unit: Fraction
+    factors: tuple[tuple[HomPoly, int], ...]
+
+
+def squarefree_split(f: HomPoly) -> SquarefreeSplit:
+    """Yun decomposition of a nonzero binary form; exact over Q.
+
+    Yun's loop runs on the affine part (``vars[1] = 1``), where no
+    multiplicity exceeds its degree; the power of ``vars[1]`` is the
+    factor at infinity.  Factors are sorted by degree, then coefficients.
+    """
+    if f.is_zero:
         raise DegreeTooLow("zero form has no squarefree decomposition")
-    e = p.second_var_multiplicity()
-    u = p.as_unipoly()
-    factors: list[tuple[HomPoly, int]] = []
-    if u.degree == 0:
-        unit = u.coeffs[0]
-    else:
-        s = squarefree_split(u)
-        unit = s.unit
-        factors = [
-            (homogenize(f, p.vars, f.degree), m) for f, m in s.factors
-        ]
-    if e > 0:
-        factors.append((HomPoly.var_power(p.vars, 1, 1), e))
+    e = f.second_var_multiplicity()
+    u = f.as_unipoly()
+    factors = [(HomPoly.var_power(f.vars, 1, 1), e)] if e else []
+    c = u.monic()
+    dc = c.derivative()
+    g = gcd_poly(c, dc)
+    c = c.divexact(g)
+    d = dc.divexact(g) - c.derivative()
+    for i in range(1, u.degree + 1):
+        if c.degree == 0:
+            break
+        g = gcd_poly(c, d)
+        if g.degree > 0:
+            factors.append((homogenize(g, f.vars, g.degree), i))
+        c = c.divexact(g)
+        d = d.divexact(g) - c.derivative()
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return SquarefreeSplit(unit, tuple(factors))
+    return SquarefreeSplit(u.leading, tuple(factors))
 
 
 def refine_against(f: HomPoly, q: HomPoly) -> list[tuple[HomPoly, int | None]]:
@@ -951,43 +910,31 @@ def refine_against(f: HomPoly, q: HomPoly) -> list[tuple[HomPoly, int | None]]:
     return pieces
 
 
-def poly_sqrt(p: UniPoly) -> UniPoly | None:
-    """Exact polynomial square root with positive leading coefficient,
-    or None when ``p`` is not a square in Q[x]."""
-    if p.is_zero:
-        return p
-    if p.degree % 2:
-        return None
-    half = p.degree // 2
-    lead = rational_sqrt(p.leading)
-    if lead is None:
-        return None
-    sigma = [Fraction(0)] * (half + 1)
-    sigma[half] = lead
-    for k in range(1, half + 1):
-        # match the coefficient of x^(2*half - k)
-        target = p.coeff(2 * half - k)
-        acc = Fraction(0)
-        for i in range(1, k):
-            acc += sigma[half - i] * sigma[half - k + i]
-        sigma[half - k] = (target - acc) / (2 * lead)
-    cand = UniPoly.from_coeffs(sigma)
-    return cand if cand * cand == p else None
-
-
 def form_sqrt(f: HomPoly) -> HomPoly | None:
-    """Exact square root of a binary form (declared half degree), or None."""
+    """Exact square root of a binary form (declared half degree) with a
+    positive leading coefficient in the first variable, or None."""
     if f.degree % 2:
         return None
     half = f.degree // 2
     if f.is_zero:
         return HomPoly.zero(f.vars, half)
-    if f.second_var_multiplicity() % 2:
+    e = f.second_var_multiplicity()
+    if e % 2:
         return None
-    root = poly_sqrt(f.as_unipoly())
-    if root is None:
+    c = f.coeffs
+    lead = rational_sqrt(c[e])
+    if lead is None:
         return None
-    return homogenize(root, f.vars, half)
+    # root[j] multiplies s^(half-j) t^j; it is zero below a = e/2, and
+    # matching the coefficient of t^(k+a) in root^2 gives root[k]
+    a = e // 2
+    root = [Fraction(0)] * (half + 1)
+    root[a] = lead
+    for k in range(a + 1, half + 1):
+        acc = sum((root[i] * root[k + a - i] for i in range(a + 1, k)), Fraction(0))
+        root[k] = (c[k + a] - acc) / (2 * lead)
+    cand = HomPoly.of(f.vars, root)
+    return cand if cand * cand == f else None
 
 
 # ---------------------------------------------------------------------------

@@ -135,10 +135,6 @@ class QuarticCurve:
         """Declared-degree-four discriminant of the defining polynomial."""
         return _disc4(self.poly())
 
-    @property
-    def is_smooth(self) -> bool:
-        return self.discriminant() != 0
-
 
 @dataclass(frozen=True)
 class ShortCubic:
@@ -154,10 +150,6 @@ class ShortCubic:
     @property
     def discriminant(self) -> Fraction:
         return -4 * self.f**3 - 27 * self.g**2
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.discriminant != 0
 
     def rhs(self, xi: RationalLike) -> Fraction:
         x = rat(xi)

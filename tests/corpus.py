@@ -6,6 +6,7 @@ random families of the golden fiber-configuration suites: every sampler
 enforces a genericity predicate stated in terms of squarefreeness and
 coprimality of specific discriminant factors, never in terms of the
 expected fiber counts, so resampling cannot bias the assertions.
+``shift_x`` is the coordinate change the tests use as a metamorphic move.
 """
 
 from __future__ import annotations
@@ -14,7 +15,16 @@ import random
 from fractions import Fraction
 
 from ellsurf import duality as du
+from ellsurf.elliptic import WeierstrassModel
 from ellsurf.exactpoly import HomPoly, UniPoly, discriminant_form, form_discriminant
+
+
+def shift_x(model: WeierstrassModel, u: HomPoly) -> WeierstrassModel:
+    """The model under x -> x + u, for a form u of degree 2w; c4, c6 and
+    delta do not change."""
+    a2 = model.a2 + 3 * u
+    a4 = model.a4 + 2 * model.a2 * u + 3 * u * u
+    return WeierstrassModel(a2, a4, model.rhs_at(u), model.weight)
 
 
 def _tpow(k: int) -> UniPoly:

@@ -160,6 +160,22 @@ def test_lattice_term_errors_report_the_column_in_the_scenario_line(line, messag
     assert (err.value.line, err.value.col) == (3, col)
 
 
+@pytest.mark.parametrize(
+    "expr, col", [("A65", 13), ("A33^2", 13), ("A2^33", 13), ("H + A63", 17)]
+)
+def test_lattice_expressions_above_rank_64_are_refused_at_their_term(expr, col):
+    head = "name x\nkind lattice-identity\n"
+    with pytest.raises(ParseError, match="lattice rank above 64") as err:
+        parse(head + f"lattice a = {expr}\nexpect det -1\n")
+    assert (err.value.line, err.value.col) == (3, col)
+
+
+@pytest.mark.parametrize("expr", ["A64", "A32^2"])
+def test_lattice_expressions_of_rank_64_parse(expr):
+    sc = parse(f"name x\nkind lattice-identity\nlattice a = {expr}\nexpect det -1\n")
+    assert sc.lattices["a"].rank == 64
+
+
 def test_parse_error_duplicate_key():
     with pytest.raises(ParseError, match="duplicate"):
         parse("name one\nname two\nkind fiber-config\n")
@@ -189,6 +205,24 @@ def test_parse_error_duplicate_fiber_label():
             "name x\nkind fiber-config\nfamily rational-base\n"
             "expect fibers 3*I1 + 2*I1\n"
         )
+
+
+FULL_TORSION_FIBERS = (
+    "name full-torsion-alternate-fibers\nkind fiber-config\n"
+    "family full-torsion-alternate\ntrials 2\nexpect fibers {}\nexpect euler 24\n"
+)
+
+
+def test_a_fiber_label_is_kept_in_its_canonical_spelling():
+    sc = parse(FULL_TORSION_FIBERS.format("12*I02"))
+    assert sc.expect_fibers == {"I2": 12}
+    rep = cli.run(sc, seed=0)
+    assert rep.status == "pass", rep.detail
+
+
+def test_one_fiber_type_under_two_spellings_is_listed_twice():
+    with pytest.raises(ParseError, match="fiber label I2 listed twice"):
+        parse(FULL_TORSION_FIBERS.format("6*I2 + 6*I02"))
 
 
 def test_parse_error_unknown_lattice_atom():

@@ -24,6 +24,7 @@ from corpus import (
     sample_refiber_quadruple,
     sample_three_lines_params,
     separable,
+    shift_x,
     star_chain_profile,
     three_lines_generic,
 )
@@ -333,6 +334,15 @@ def test_quadric_cover_jacobian_is_base_change():
         assert data.jacobian == du.base_change_k3(res, 0, 0)
 
 
+def _twisted_jacobian(swap: du.RulingSwapData) -> WeierstrassModel:
+    """Twisted relative Jacobian of the swap: x^3 + U^2 V^2 f x + U^3 V^3 g."""
+    vars = swap.f.vars
+    uv_form = HomPoly.of(vars, (0, 1, 0))
+    return WeierstrassModel(
+        HomPoly.zero(vars, 4), uv_form**2 * swap.f, uv_form**3 * swap.g, 2
+    )
+
+
 def test_ruling_swap_jacobian_configuration():
     rng = random.Random(210)
     done = 0
@@ -344,7 +354,7 @@ def test_ruling_swap_jacobian_configuration():
             continue
         if disc(0, 1) == 0 or disc(1, 0) == 0:
             continue
-        model = data.swap.jacobian_model()
+        model = _twisted_jacobian(data.swap)
         cfg = fiber_configuration(model)
         assert cfg.summary() == {"I0*": 2, "I1": 12}
         assert label_product(cfg, "I0*") == HomPoly.of(UV, (0, 1, 0))
@@ -751,7 +761,7 @@ def test_normalization_shifted_roundtrip():
         5 * UniPoly.of(0, 1) * UniPoly.of(0, 1, 1), ("t", "h"), 4
     )
     shifted_model = du.star_triple_model(0, 1, sq_f, lin_f, cst_f)
-    assert shifted_model.shift_x(shift_form) == du.three_lines_cubic_model(params)
+    assert shift_x(shifted_model, shift_form) == du.three_lines_cubic_model(params)
 
 
 def test_normalization_error_gates():

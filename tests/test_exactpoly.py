@@ -4,6 +4,9 @@ sympy appears here only as the independent cross-check oracle for
 resultants, discriminants, squarefree parts, cubic roots, determinants
 and the multiplicities of ``refine_against`` (through
 ``tate_oracle.form_multiplicities``); the package itself never imports it.
+The discriminant oracle reads sympy's affine discriminant at the declared
+degree by the classical degree-drop rule, not by the identity the package
+uses.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from ellsurf.exactpoly import (
     bareiss_adjugate,
     bareiss_det,
     discriminant_form,
-    discriminant_univ,
     divexact_form,
     form_discriminant,
     form_resultant,
+    form_sqrt,
     gcd_form,
     gcd_poly,
     homogenize,
@@ -283,21 +286,54 @@ class TestGcd:
         assert _to_sympy(ours) == theirs
 
 
+def _disc(p: UniPoly):
+    """The discriminant of ``p`` at its actual degree."""
+    return discriminant_form(p, p.degree)
+
+
+def _sympy_discriminant_form(p: UniPoly, degree: int):
+    """sympy's discriminant of the affine polynomial ``p``, read at the
+    declared ``degree`` by the drop rule: a drop of one (a simple root at
+    infinity) multiplies it by lc^2, a drop of two or more makes it 0."""
+    drop = degree - p.degree
+    if drop >= 2:
+        return 0
+    base = sp.discriminant(_to_sympy(p)) if p.degree >= 2 else 1
+    return base * sp.Rational(p.leading) ** (2 * drop)
+
+
+@st.composite
+def binary_forms(draw):
+    """Forms (a square) * (a factor) * t^k of declared degree 0..7: a
+    repeated factor when the squared part has degree 1, zero leading
+    coefficients (roots at infinity) when k > 0, the zero form when a part
+    is zero."""
+    square = HomPoly.of(ST, draw(st.lists(small_rational, min_size=1, max_size=2)))
+    rest = HomPoly.of(ST, draw(st.lists(small_rational, min_size=1, max_size=4)))
+    at_infinity = HomPoly.var_power(ST, 1, draw(st.integers(0, 2)))
+    return square * square * rest * at_infinity
+
+
+invertible_matrices = st.tuples(*[st.integers(-3, 3)] * 4).filter(
+    lambda m: m[0] * m[3] != m[1] * m[2]
+)
+
+
 class TestResultantDiscriminant:
     def test_frozen_values(self):
-        assert discriminant_univ(UniPoly.of(0, -4, 0, 1)) == 256
-        assert discriminant_univ(UniPoly.of(1, 0, 0, 0, 1)) == 256
+        assert _disc(UniPoly.of(0, -4, 0, 1)) == 256
+        assert _disc(UniPoly.of(1, 0, 0, 0, 1)) == 256
 
     def test_short_cubic_convention(self):
         f, g = Fraction(-4), Fraction(4)
         cubic = UniPoly.of(g, f, 0, 1)
-        assert discriminant_univ(cubic) == -4 * f**3 - 27 * g**2
+        assert _disc(cubic) == -4 * f**3 - 27 * g**2
 
     def test_degree_too_low(self):
         with pytest.raises(DegreeTooLow):
-            discriminant_univ(UniPoly.of(3, 1))
+            _disc(UniPoly.of(3, 1))
         with pytest.raises(DegreeTooLow):
-            discriminant_univ(UniPoly.constant(5))
+            _disc(UniPoly.constant(5))
 
     @given(p=unipolys(max_degree=4, allow_zero=False), q=unipolys(max_degree=4, allow_zero=False))
     @settings(max_examples=60)
@@ -342,18 +378,59 @@ class TestResultantDiscriminant:
     def test_discriminant_shift_invariant(self, p, c):
         if p.degree < 2:
             return
-        assert discriminant_univ(p.shift(c)) == discriminant_univ(p)
+        assert _disc(p.shift(c)) == _disc(p)
 
     def test_form_discriminant_degree_drop(self):
         # declared degree 4 on an actual cubic multiplies disc by lc^2
         q = UniPoly.of(-1, 0, 4, 4)
-        assert discriminant_univ(q) == -176
+        assert _disc(q) == -176
         assert discriminant_form(q, 4) == 16 * -176
         # drop of two or more kills it
         assert discriminant_form(UniPoly.of(1, 1), 4) == 0
         assert discriminant_form(UniPoly.of(3, 1), 2) == 1 * 1
         with pytest.raises(DegreeMismatch):
             discriminant_form(UniPoly.of(1, 0, 0, 1), 2)
+
+    def test_form_discriminant_against_the_drop_rule_oracle(self):
+        rng = random.Random(20261018)
+        for degree in range(2, 9):
+            for drop in (0, 0, 1, 1, 2, 3):
+                actual = degree - drop
+                cs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(actual)]
+                if rng.random() < 0.3 and actual >= 2:
+                    cs[0] = cs[1] = Fraction(0)  # a double root at 0
+                p = UniPoly.from_coeffs(cs + [Fraction(rng.choice([1, -2, 3]), rng.randint(1, 2))])
+                expected = _sympy_discriminant_form(p, degree)
+                assert sp.Rational(discriminant_form(p, degree)) == expected
+                assert sp.Rational(form_discriminant(homogenize(p, ST, degree))) == expected
+
+    @given(f=binary_forms(), g=binary_forms(), m=invertible_matrices)
+    @settings(max_examples=80)
+    def test_resultant_under_a_change_of_coordinates(self, f, g, m):
+        a, b, c, d = m
+        det = a * d - b * c
+        moved = [h.substitute(HomPoly.of(ST, (a, b)), HomPoly.of(ST, (c, d))) for h in (f, g)]
+        expected = det ** (f.degree * g.degree) * form_resultant(f, g)
+        assert form_resultant(*moved) == expected
+
+    @given(f=binary_forms(), m=invertible_matrices)
+    @settings(max_examples=80)
+    def test_discriminant_under_a_change_of_coordinates(self, f, m):
+        n = f.degree
+        if n < 2 or f.is_zero:
+            return
+        a, b, c, d = m
+        moved = f.substitute(HomPoly.of(ST, (a, b)), HomPoly.of(ST, (c, d)))
+        det = a * d - b * c
+        assert form_discriminant(moved) == det ** (n * (n - 1)) * form_discriminant(f)
+
+
+def _reconstruct(split) -> HomPoly:
+    """``unit * product(factor^multiplicity)``: the form a split describes."""
+    result = HomPoly.constant(ST, split.unit)
+    for f, m in split.factors:
+        result = result * f**m
+    return result
 
 
 class TestSquarefree:
@@ -368,28 +445,30 @@ class TestSquarefree:
                     Fraction(rng.choice([1, 2, 3, -1]))
                 ]
                 p = p * (UniPoly.from_coeffs(coeffs) ** rng.randint(1, 3))
-            split = squarefree_split(p)
-            assert split.reconstruct() == p
+            form = homogenize(p, ST, p.degree)
+            split = squarefree_split(form)
+            assert _reconstruct(split) == form
             for f, _m in split.factors:
-                assert f.leading == 1
-                assert gcd_poly(f, f.derivative()).degree == 0
+                assert f.leading_in_first() == 1
+                u = f.as_unipoly()
+                assert gcd_poly(u, u.derivative()).degree == 0
 
     @given(p=unipolys(max_degree=4, allow_zero=False))
     @settings(max_examples=60)
     def test_squarefree_part_matches_sympy(self, p):
         if p.degree == 0:
             return
-        ours = UniPoly.constant(1)
-        for f, _m in squarefree_split(p).factors:
+        ours = HomPoly.constant(ST, 1)
+        for f, _m in squarefree_split(homogenize(p, ST, p.degree)).factors:
             ours = ours * f
         theirs = _to_sympy(p).div(_to_sympy(gcd_poly(p, p.derivative())))[0].monic()
-        assert _to_sympy(ours.monic()).as_expr() == theirs.as_expr()
+        assert _to_sympy(ours.as_unipoly().monic()).as_expr() == theirs.as_expr()
 
     def test_form_split_keeps_second_variable_factor(self):
         F = HomPoly.of(("s", "t"), [0, 0, 2, 0, -2])
         split = squarefree_split(F)
         assert split.unit == 2
-        assert split.reconstruct() == F
+        assert _reconstruct(split) == F
         factor_texts = {(str(f), m) for f, m in split.factors}
         assert factor_texts == {("t", 2), ("s^2 - t^2", 1)}
 
@@ -497,6 +576,25 @@ class TestHomPoly:
         assert form_discriminant(quad) == 4
         double = HomPoly.of(("s", "t"), [0, 0, 1, 0, 0])  # s^2 t^2
         assert form_discriminant(double) == 0
+
+    def test_form_sqrt(self):
+        t_ = HomPoly.of(ST, (0, 1))
+        for root in (
+            HomPoly.of(ST, (2, -1, Fraction(3, 2))),
+            t_ * HomPoly.of(ST, (Fraction(1, 3), 0, -4)),  # the square has a t^2 factor
+            t_**2,
+            HomPoly.of(ST, (5,)),
+        ):
+            assert form_sqrt(root * root) == root
+            assert form_sqrt((-root) * (-root)) == root
+        assert form_sqrt(HomPoly.zero(ST, 4)) == HomPoly.zero(ST, 2)
+        # non-squares: an odd degree, a sum of squares, non-square leading
+        # coefficients, and s^3 (s + t)
+        for text in ("s^3", "s^2 + t^2", "2*s^2", "-s^2*t^2", "s^4 + s^3*t"):
+            assert form_sqrt(parse_hompoly(text, ST)) is None
+        # an odd power of t is never part of a square, even in an even degree
+        for text in ("s*t^3", "s^3*t", "s^3*t^3"):
+            assert form_sqrt(parse_hompoly(text, ST)) is None
 
 
 # ---------------------------------------------------------------------------
