@@ -193,11 +193,13 @@ _LATTICE_TERM_RE = re.compile(
 _ROOT_INDEX_RE = re.compile(r"[AD](\d+)")
 
 
-def _parse_int(text: str, line: int, what: str) -> int:
+def _parse_int(text: str, line: int, col: int, what: str) -> int:
+    """An integer; ``col`` is the column of the text's first character."""
     try:
         return int(text.strip())
     except ValueError:
-        raise ParseError(f"{what} must be an integer, got {text.strip()!r}", line, 1)
+        at = col + len(text) - len(text.lstrip())
+        raise ParseError(f"{what} must be an integer, got {text.strip()!r}", line, at)
 
 
 def _parse_lattice_expr(text: str, line: int, col: int) -> la.GramLattice:
@@ -241,32 +243,39 @@ def _parse_lattice_expr(text: str, line: int, col: int) -> la.GramLattice:
     return summands[0] if len(summands) == 1 else la.direct_sum(*summands)
 
 
-def _parse_fiber_multiset(text: str, line: int) -> dict[str, int]:
+def _parse_fiber_multiset(text: str, line: int, col: int) -> dict[str, int]:
+    """Fiber counts; ``col`` is the column of the text's first character,
+    so an error names the column of its item."""
     counts: dict[str, int] = {}
+    offset = 0
     for item in text.split("+"):
+        at = col + offset + len(item) - len(item.lstrip())
+        offset += len(item) + 1
         m = _FIBER_ITEM_RE.fullmatch(item)
         if m is None:
-            raise ParseError(f"bad fiber item {item.strip()!r}", line, 1)
+            raise ParseError(f"bad fiber item {item.strip()!r}", line, at)
         count, text_label = int(m.group(1)), m.group(2)
         try:
             label = KodairaType.parse(text_label).label
         except ValueError:
-            raise ParseError(f"unknown fiber label {text_label!r}", line, 1) from None
+            raise ParseError(f"unknown fiber label {text_label!r}", line, at) from None
         if label in counts:
-            raise ParseError(f"fiber label {label} listed twice", line, 1)
+            raise ParseError(f"fiber label {label} listed twice", line, at)
         if count < 1:
-            raise ParseError("fiber counts must be positive", line, 1)
+            raise ParseError("fiber counts must be positive", line, at)
         counts[label] = count
     return counts
 
 
-def _parse_expect(rest: str, line: int, sc: Scenario) -> None:
+def _parse_expect(rest: str, line: int, col: int, sc: Scenario) -> None:
+    """One ``expect`` directive; ``col`` is the column of ``rest``."""
     head, _, tail = rest.partition(" ")
+    at = col + len(rest) - len(tail.lstrip())
     tail = tail.strip()
 
     def once(flag: bool, what: str) -> None:
         if flag:
-            raise ParseError(f"duplicate expectation {what!r}", line, 1)
+            raise ParseError(f"duplicate expectation {what!r}", line, col)
 
     if head == "pass":
         once(sc.expect_pass, "pass")
@@ -274,35 +283,39 @@ def _parse_expect(rest: str, line: int, sc: Scenario) -> None:
     elif head == "error":
         once(sc.expect_error is not None, "error")
         if not _IDENT_RE.fullmatch(tail):
-            raise ParseError(f"bad error name {tail!r}", line, 1)
+            raise ParseError(f"bad error name {tail!r}", line, at)
         sc.expect_error = tail
     elif head == "fibers":
         once(sc.expect_fibers is not None, "fibers")
-        sc.expect_fibers = _parse_fiber_multiset(tail, line)
+        sc.expect_fibers = _parse_fiber_multiset(tail, line, at)
     elif head == "euler":
         once(sc.expect_euler is not None, "euler")
-        sc.expect_euler = _parse_int(tail, line, "euler number")
+        sc.expect_euler = _parse_int(tail, line, at, "euler number")
     elif head in ("match", "mismatch"):
         once(sc.expect_match is not None, head)
         sc.expect_match = head == "match"
     elif head in ("det", "length", "parity"):
         once(any(k == head for k, _ in sc.expect_invariants), head)
-        value = _parse_int(tail, line, head)
+        value = _parse_int(tail, line, at, head)
         if head == "parity" and value not in (0, 1):
-            raise ParseError("parity must be 0 or 1", line, 1)
+            raise ParseError("parity must be 0 or 1", line, at)
         sc.expect_invariants.append((head, value))
     elif head == "signature":
         once(any(k == "signature" for k, _ in sc.expect_invariants), head)
         parts = tail.split(",")
         if len(parts) != 2:
-            raise ParseError("signature expects 'plus,minus'", line, 1)
-        sig = tuple(_parse_int(p, line, "signature entry") for p in parts)
+            raise ParseError("signature expects 'plus,minus'", line, at)
+        plus, minus = parts
+        sig = (
+            _parse_int(plus, line, at, "signature entry"),
+            _parse_int(minus, line, at + len(plus) + 1, "signature entry"),
+        )
         sc.expect_invariants.append(("signature", sig))
     elif head in ("even", "odd"):
         once(any(k == "even" for k, _ in sc.expect_invariants), head)
         sc.expect_invariants.append(("even", head == "even"))
     else:
-        raise ParseError(f"unknown expectation {head!r}", line, 1)
+        raise ParseError(f"unknown expectation {head!r}", line, col)
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
@@ -325,7 +338,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         col = len(line) - len(line.lstrip()) + 1
         line = line.strip()
         key = line.split(None, 1)[0]
-        rest = line[len(key):].strip() if len(line) > len(key) else ""
+        rest = line[len(key):].strip()
+        rest_col = col + len(line) - len(rest)
 
         if key == "name":
             if name is not None:
@@ -348,16 +362,16 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         elif key == "trials":
             if trials is not None:
                 raise ParseError("duplicate trials line", lineno, col)
-            trials = _parse_int(rest, lineno, "trials")
+            trials = _parse_int(rest, lineno, rest_col, "trials")
             if trials < 1:
-                raise ParseError("trials must be positive", lineno, col)
+                raise ParseError("trials must be positive", lineno, rest_col)
         elif key == "poly":
             m = _POLY_RE.match(line)
             if m is None:
                 raise ParseError(
                     "expected 'poly <name> on <v1>,<v2> deg <n> = <terms>'",
                     lineno,
-                    1,
+                    col,
                 )
             pname = m.group("name")
             if pname in sc.polys:
@@ -381,10 +395,11 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             if m is None or m.group("key") != key:
                 raise ParseError(f"expected '{key} <name> = <value>'", lineno, col)
             vname, expr = m.group("name"), m.group("expr")
+            expr_col = col + m.start("expr")
             if key == "rat":
                 if vname in sc.rats:
                     raise ParseError(f"duplicate rat {vname!r}", lineno, col)
-                sc.rats[vname] = parse_rational(expr, line=lineno)
+                sc.rats[vname] = parse_rational(expr, line=lineno, col=expr_col)
             elif key == "quartic":
                 if vname in sc.quartics:
                     raise ParseError(f"duplicate quartic {vname!r}", lineno, col)
@@ -393,16 +408,19 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                     raise ParseError(
                         "quartic expects five comma-separated coefficients",
                         lineno,
-                        1,
+                        col,
                     )
-                coeffs = [parse_rational(p, line=lineno) for p in parts]
+                coeffs, at = [], expr_col
+                for part in parts:
+                    coeffs.append(parse_rational(part, line=lineno, col=at))
+                    at += len(part) + 1
                 sc.quartics[vname] = QuarticCurve.of(*coeffs)
             else:
                 if vname in sc.lattices:
                     raise ParseError(f"duplicate lattice {vname!r}", lineno, col)
-                sc.lattices[vname] = _parse_lattice_expr(expr, lineno, col + m.start("expr"))
+                sc.lattices[vname] = _parse_lattice_expr(expr, lineno, expr_col)
         elif key == "expect":
-            _parse_expect(rest, lineno, sc)
+            _parse_expect(rest, lineno, rest_col, sc)
         else:
             raise ParseError(f"unknown directive {key!r}", lineno, col)
 

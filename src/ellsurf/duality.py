@@ -12,10 +12,13 @@ data from exact rational input:
   their two rulings (``quadric_double_cover``, ``ruling_swap``) and the
   two-parameter deformation obtained by moving a pair of section lines
   (``two_param_family``, ``moduli_involution``);
-* the tower of models attached to a symmetric correspondence family
-  (``correspondence_surfaces``) and to a family with full two-torsion
-  (``full_torsion_surfaces``), plus the small tower shared by both
-  (``subfamily_models``);
+* the towers of models that read one family on a ruling of the quadric
+  (on its quotient pair, twisted there by a line, or on a double or
+  fourfold cover), each built from one table of readings: the symmetric
+  correspondence family (``correspondence_surfaces``), the family with
+  full two-torsion (``full_torsion_surfaces``), and the small tower of a
+  short pair (``subfamily_models``), which checks the full-torsion tower
+  and so shares no code with it;
 * double covers branched over four bilinear curves on the quadric
   (``bilinear_quadruple_surface``) and the relative Jacobian of their
   second, genus-one fibration (``refibration_jacobian``), which lands in
@@ -28,7 +31,9 @@ approximates.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -519,6 +524,48 @@ def moduli_involution(
 
 
 # ---------------------------------------------------------------------------
+# reading a form on a ruling of the quadric
+
+
+def _ruling_readings(quot: tuple[str, str], cover: tuple[str, str]) -> dict:
+    """The three readings of a binary form on one ruling, by name.
+
+    ``rat`` renames the form onto the quotient pair ``quot``; ``quot``
+    also twists it by the two coordinate points, multiplying a form of
+    degree 2k by (xy)^k; ``cover`` pulls it back to the double-cover pair
+    ``cover`` along (x, y) -> (x^2, y^2).
+    """
+    squares = HomPoly.of(cover, (1, 0, 0)), HomPoly.of(cover, (0, 0, 1))
+    xy = HomPoly.of(quot, (0, 1, 0))
+    twists = {2: xy, 4: xy * xy}
+    return {
+        "cover": lambda form: form.substitute(*squares),
+        "quot": lambda form: twists[form.degree] * form.rename(quot),
+        "rat": lambda form: form.rename(quot),
+    }
+
+
+_RULINGS = (
+    _ruling_readings(_FIRST_QUOT, _FIRST_COVER),
+    _ruling_readings(_SECOND_QUOT, _SECOND_COVER),
+)
+# The monomials U^2, UV, V^2 of the (2,2) curve under each reading of each
+# ruling: the curve sum_j c_j(S,T) m_j(U,V) read on both is a branch form.
+_MONOMIALS = tuple(
+    HomPoly.of(_SECOND_QUOT, row) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+)
+_READ_MONOMIALS = tuple(
+    {kind: [r(m) for m in _MONOMIALS] for kind, r in readings.items()}
+    for readings in _RULINGS
+)
+
+
+def _tensor_sum(firsts, seconds) -> BiHomPoly:
+    """sum_j firsts[j] (x) seconds[j]."""
+    return functools.reduce(operator.add, map(tensor_forms, firsts, seconds))
+
+
+# ---------------------------------------------------------------------------
 # the symmetric correspondence tower
 
 
@@ -528,21 +575,22 @@ def correspondence_surfaces(
     """All models attached to a ruling-symmetric correspondence family.
 
     The inputs are the degree-two coefficient forms of the bidegree-(2,2)
-    curve gamma(S,T) U^2 + alpha(S,T) UV + delta(S,T) V^2 and must satisfy
-    the exchange normalization (the form is invariant under swapping the
-    pairs (S,T) and (U,V)); otherwise ``NormalizationViolated`` is raised.
-    Under the normalization the same three forms describe the curve read
-    against either ruling.
+    curve gamma(S,T) U^2 + alpha(S,T) UV + delta(S,T) V^2, which must be
+    invariant under exchanging the pairs (S,T) and (U,V)
+    (``NormalizationViolated`` otherwise), so the same triple describes
+    the curve on either ruling.
 
-    The returned dictionary holds the triple read against the second
-    ruling under ``"cad"`` and twelve Weierstrass models: double covers
-    (``cover1``, ``cover2``), twisted quotients (``quot1``, ``quot2``) and
-    weight-one quotients (``rat1``, ``rat2``) of both rulings, each with
-    its fiberwise two-isogeny dual under the ``_dual`` suffix.  The four
-    ``branch_*`` keys hold pairs of bidegree-(4,4) forms built through two
-    independent routes (once from each ruling's reading); each pair is
-    equal, and reproduces the branch data of the corresponding double
-    cover.
+    Each reading r of a ruling (``_ruling_readings``) gives the pair
+    (-r(alpha), r(gamma delta)) and its two-isogeny dual: ``rat1``,
+    ``quot1`` and ``cover1`` are the pair's models, with the dual's under
+    the ``_dual`` suffix; on the second ruling the roles are exchanged.
+    ``"cad"`` is the ``rat`` reading of (gamma, alpha, delta) on the
+    second ruling.  ``branch_<r1>1_<r2>2``, for r1 and r2 in
+    {cover, quot}, holds the branch form of that double cover of the
+    quadric read by two independent routes, sum_j r1(c_j) (x) r2(m_j) and
+    sum_j r1(m_j) (x) r2(c_j) with c = (gamma, alpha, delta) and
+    m = (x^2, xy, y^2); the two are equal.  Raises ``DegenerateModel``
+    when gamma delta or alpha^2 - 4 gamma delta vanishes identically.
     """
     alpha._check_vars(gamma)
     alpha._check_vars(delta)
@@ -556,119 +604,47 @@ def correspondence_surfaces(
             "triple is not symmetric under exchanging the two rulings"
         )
 
-    prod = gamma * delta
-    disc = alpha * alpha - 4 * prod
-
-    def tower(base2, base4, vars, weight):
-        zero = HomPoly.zero(vars, 6 * weight)
-        return (
-            WeierstrassModel(base2, base4, zero, weight),
-            WeierstrassModel(-2 * base2, base2 * base2 - 4 * base4, zero, weight),
+    # (gamma, alpha, delta, gamma delta) under each reading of each ruling
+    forms = (gamma, alpha, delta, gamma * delta)
+    read = [
+        {kind: [r(form) for form in forms] for kind, r in readings.items()}
+        for readings in _RULINGS
+    ]
+    table: dict[str, object] = {"cad": tuple(read[1]["rat"][:3])}
+    for kind in ("cover", "quot", "rat"):
+        for ruling, side in enumerate(read, 1):
+            _, r_alpha, _, r_prod = side[kind]
+            pair = AlternatePair(-r_alpha, r_prod)
+            listed, dual = pair.model(), two_isogeny_dual(pair).model()
+            if ruling == 2:
+                listed, dual = dual, listed
+            table[f"{kind}{ruling}"] = listed
+            table[f"{kind}{ruling}_dual"] = dual
+    for first, second in itertools.product(("cover", "quot"), repeat=2):
+        c1, c2 = read[0][first][:3], read[1][second][:3]
+        table[f"branch_{first}1_{second}2"] = (
+            _tensor_sum(c1, _READ_MONOMIALS[1][second]),
+            _tensor_sum(_READ_MONOMIALS[0][first], c2),
         )
-
-    s_sq = HomPoly.of(_FIRST_COVER, (1, 0, 0))
-    t_sq = HomPoly.of(_FIRST_COVER, (0, 0, 1))
-    u_sq = HomPoly.of(_SECOND_COVER, (1, 0, 0))
-    v_sq = HomPoly.of(_SECOND_COVER, (0, 0, 1))
-    alpha_s = alpha.substitute(s_sq, t_sq)
-    prod_s = prod.substitute(s_sq, t_sq)
-    alpha_u = alpha.substitute(u_sq, v_sq)
-    prod_u = prod.substitute(u_sq, v_sq)
-
-    alpha_q1 = alpha.rename(_FIRST_QUOT)
-    prod_q1 = prod.rename(_FIRST_QUOT)
-    alpha_q2 = alpha.rename(_SECOND_QUOT)
-    prod_q2 = prod.rename(_SECOND_QUOT)
-    st = HomPoly.var_power(_FIRST_QUOT, 0, 1) * HomPoly.var_power(_FIRST_QUOT, 1, 1)
-    uv = HomPoly.var_power(_SECOND_QUOT, 0, 1) * HomPoly.var_power(_SECOND_QUOT, 1, 1)
-
-    cover1, cover1_dual = tower(alpha_s, prod_s, _FIRST_COVER, 2)
-    cover2_dual, cover2 = tower(alpha_u, prod_u, _SECOND_COVER, 2)
-    quot1, quot1_dual = tower(st * alpha_q1, st * st * prod_q1, _FIRST_QUOT, 2)
-    quot2_dual, quot2 = tower(uv * alpha_q2, uv * uv * prod_q2, _SECOND_QUOT, 2)
-    rat1, rat1_dual = tower(alpha_q1, prod_q1, _FIRST_QUOT, 1)
-    rat2_dual, rat2 = tower(alpha_q2, prod_q2, _SECOND_QUOT, 1)
-
-    # Both routes for each branch pair: read the curve against the first
-    # ruling (left entry) and against the second (right entry).
-    gamma_s = gamma.substitute(s_sq, t_sq)
-    delta_s = delta.substitute(s_sq, t_sq)
-    gamma_u = gamma.substitute(u_sq, v_sq)
-    delta_u = delta.substitute(u_sq, v_sq)
-    gamma_q1 = gamma.rename(_FIRST_QUOT)
-    delta_q1 = delta.rename(_FIRST_QUOT)
-    gamma_q2 = gamma.rename(_SECOND_QUOT)
-    delta_q2 = delta.rename(_SECOND_QUOT)
-
-    u4 = HomPoly.var_power(_SECOND_COVER, 0, 4)
-    v4 = HomPoly.var_power(_SECOND_COVER, 1, 4)
-    u2v2 = u_sq * v_sq
-    s4 = HomPoly.var_power(_FIRST_COVER, 0, 4)
-    t4 = HomPoly.var_power(_FIRST_COVER, 1, 4)
-    s2t2 = s_sq * t_sq
-    s3t = HomPoly.of(_FIRST_QUOT, (0, 1, 0, 0, 0))
-    s2t2_q = HomPoly.of(_FIRST_QUOT, (0, 0, 1, 0, 0))
-    st3 = HomPoly.of(_FIRST_QUOT, (0, 0, 0, 1, 0))
-    u3v = HomPoly.of(_SECOND_QUOT, (0, 1, 0, 0, 0))
-    u2v2_q = HomPoly.of(_SECOND_QUOT, (0, 0, 1, 0, 0))
-    uv3 = HomPoly.of(_SECOND_QUOT, (0, 0, 0, 1, 0))
-
-    branch_cc = (
-        tensor_forms(gamma_s, u4)
-        + tensor_forms(alpha_s, u2v2)
-        + tensor_forms(delta_s, v4),
-        tensor_forms(s4, gamma_u)
-        + tensor_forms(s2t2, alpha_u)
-        + tensor_forms(t4, delta_u),
-    )
-    branch_cq = (
-        tensor_forms(gamma_s, u3v)
-        + tensor_forms(alpha_s, u2v2_q)
-        + tensor_forms(delta_s, uv3),
-        tensor_forms(s4, uv * gamma_q2)
-        + tensor_forms(s2t2, uv * alpha_q2)
-        + tensor_forms(t4, uv * delta_q2),
-    )
-    branch_qc = (
-        tensor_forms(st * gamma_q1, u4)
-        + tensor_forms(st * alpha_q1, u2v2)
-        + tensor_forms(st * delta_q1, v4),
-        tensor_forms(s3t, gamma_u)
-        + tensor_forms(s2t2_q, alpha_u)
-        + tensor_forms(st3, delta_u),
-    )
-    branch_qq = (
-        tensor_forms(st * gamma_q1, u3v)
-        + tensor_forms(st * alpha_q1, u2v2_q)
-        + tensor_forms(st * delta_q1, uv3),
-        tensor_forms(s3t, uv * gamma_q2)
-        + tensor_forms(s2t2_q, uv * alpha_q2)
-        + tensor_forms(st3, uv * delta_q2),
-    )
-
-    return {
-        "cad": (gamma_q2, alpha_q2, delta_q2),
-        "cover1": cover1,
-        "cover1_dual": cover1_dual,
-        "cover2": cover2,
-        "cover2_dual": cover2_dual,
-        "quot1": quot1,
-        "quot1_dual": quot1_dual,
-        "quot2": quot2,
-        "quot2_dual": quot2_dual,
-        "rat1": rat1,
-        "rat1_dual": rat1_dual,
-        "rat2": rat2,
-        "rat2_dual": rat2_dual,
-        "branch_cover1_cover2": branch_cc,
-        "branch_cover1_quot2": branch_cq,
-        "branch_quot1_cover2": branch_qc,
-        "branch_quot1_quot2": branch_qq,
-    }
+    return table
 
 
 # ---------------------------------------------------------------------------
 # the full two-torsion tower
+
+# The three readings of the second ruling: the forms (x, y) put in for
+# (U, V) and the line the reading is twisted by.  ``4cover`` puts in
+# ((u^2 - v^2)^2, (u^2 + v^2)^2) with line 1, ``cover`` (u^2, v^2) with
+# u^2 - v^2, and ``quot`` (U, V) with UV(U - V).
+_TORSION_READINGS = {
+    name: (tuple(HomPoly.of(vars, row) for row in xy), HomPoly.of(vars, line))
+    for name, vars, xy, line in (
+        ("4cover", _FOURFOLD, ((1, 0, -2, 0, 1), (1, 0, 2, 0, 1)), (1,)),
+        ("cover", _SECOND_COVER, ((1, 0, 0), (0, 0, 1)), (1, 0, -1)),
+        ("quot", _SECOND_QUOT, ((1, 0), (0, 1)), (0, 1, -1, 0)),
+    )
+}
+_ONE_FIRST = HomPoly.constant(_FIRST_COVER, 1)
 
 
 def full_torsion_surfaces(trace: HomPoly, difference: HomPoly) -> dict[str, object]:
@@ -679,14 +655,18 @@ def full_torsion_surfaces(trace: HomPoly, difference: HomPoly) -> dict[str, obje
     Requires difference != 0 and trace^2 != difference^2 as forms
     (``DegenerateInput`` otherwise).
 
-    Keys: the coefficient forms ``"a"`` (five linear forms a_i(U, V) with
-    sum_i a_i s^(4-i) t^i the refibered branch quartic) and their Jacobian
-    pair ``"f"``, ``"g"``; the two-torsion model ``alt`` and its
-    two-isogeny dual ``alt_dual``; branch-form pairs built through two
-    independent routes (``branch_4cover``, ``branch_cover``,
-    ``branch_quot``, each a pair of equal bidegree-(4,4) forms); and the
-    Jacobian tower ``jac_4cover``, ``jac_cover``, ``jac_quot_twisted``,
-    ``res_cover``, ``res_quot``.
+    Keys: the linear forms ``"a"``, a_i(U, V) = low_i U + high_i V with
+    low = (trace - difference) / 2 and high = -(trace + difference) / 2,
+    so that sum_i a_i s^(4-i) t^i is the refibered branch quartic, and
+    their Jacobian pair ``"f"``, ``"g"``; the two-torsion model ``alt``
+    and its two-isogeny dual ``alt_dual``; the Jacobian tower
+    ``jac_4cover``, ``jac_cover``, ``jac_quot_twisted``, ``res_cover``,
+    ``res_quot``; and for each reading ((x, y), line) of the second ruling
+    in ``_TORSION_READINGS``, ``branch_<reading>``: the bidegree-(4,4)
+    branch form read by two independent routes,
+    (sum_i s^(4-i) t^i (x) a_i(x, y)) (1 (x) line) and
+    low (x) line x + high (x) line y, which are equal.  The ``4cover``
+    route is this (low, high) reading at ((u^2 - v^2)^2, (u^2 + v^2)^2).
     """
     trace._check_vars(difference)
     if {trace.degree, difference.degree} != {4}:
@@ -699,109 +679,45 @@ def full_torsion_surfaces(trace: HomPoly, difference: HomPoly) -> dict[str, obje
     trace_c = trace.rename(_FIRST_COVER)
     diff_c = difference.rename(_FIRST_COVER)
     half = Fraction(1, 2)
-    coeffs = tuple(
-        HomPoly.of(
-            _SECOND_QUOT,
-            (
-                (trace_c.coeffs[i] - diff_c.coeffs[i]) * half,
-                -(trace_c.coeffs[i] + diff_c.coeffs[i]) * half,
-            ),
-        )
-        for i in range(5)
-    )
+    low = (trace_c - diff_c) * half
+    high = -(trace_c + diff_c) * half
+    coeffs = tuple(HomPoly.of(_SECOND_QUOT, a) for a in zip(low.coeffs, high.coeffs))
     f, g = hermite_pair_forms(*coeffs)
 
     norm = (trace_c * trace_c - diff_c * diff_c) * Fraction(1, 4)
     alt_pair = AlternatePair(trace_c, norm)
-    alt = alt_pair.model()
-    alt_dual = two_isogeny_dual(alt_pair).model()
+    table: dict[str, object] = {
+        "a": coeffs,
+        "f": f,
+        "g": g,
+        "alt": alt_pair.model(),
+        "alt_dual": two_isogeny_dual(alt_pair).model(),
+    }
 
-    # power-of-variable forms on the three base charts
-    u_sq = HomPoly.of(_SECOND_COVER, (1, 0, 0))
-    v_sq = HomPoly.of(_SECOND_COVER, (0, 0, 1))
-    u2_minus_v2 = HomPoly.of(_SECOND_COVER, (1, 0, -1))
-    cover_sq = HomPoly.of(_FOURFOLD, (1, 0, -1)) ** 2
-    cover_sum = HomPoly.of(_FOURFOLD, (1, 0, 1)) ** 2
-    u_q = HomPoly.var_power(_SECOND_QUOT, 0, 1)
-    v_q = HomPoly.var_power(_SECOND_QUOT, 1, 1)
-    uv_line = u_q * v_q * (u_q - v_q)
-
-    def a_sum(u_form: HomPoly, v_form: HomPoly) -> BiHomPoly:
-        """sum_i s^(4-i) t^i (x) a_i(u_form, v_form), the refibered branch."""
-        powers = [
-            HomPoly.of(_FIRST_COVER, tuple(1 if k == i else 0 for k in range(5)))
-            for i in range(5)
-        ]
-        terms = [
-            tensor_forms(powers[i], coeffs[i].substitute(u_form, v_form))
-            for i in range(5)
-        ]
-        total = terms[0]
-        for term in terms[1:]:
-            total = total + term
-        return total
-
-    quarter_u4 = HomPoly.var_power(_FOURFOLD, 0, 4)
-    quarter_v4 = HomPoly.var_power(_FOURFOLD, 1, 4)
-    quarter_u2v2 = (
-        HomPoly.var_power(_FOURFOLD, 0, 2) * HomPoly.var_power(_FOURFOLD, 1, 2)
-    )
-    branch_4cover = (
-        a_sum(cover_sq, cover_sum),
-        tensor_forms(-diff_c, quarter_u4)
-        + tensor_forms(-2 * trace_c, quarter_u2v2)
-        + tensor_forms(-diff_c, quarter_v4),
-    )
-
-    one_c = HomPoly.constant(_FIRST_COVER, 1)
-    branch_cover = (
-        tensor_forms((trace_c - diff_c) * half, u2_minus_v2 * u_sq)
-        + tensor_forms(-(trace_c + diff_c) * half, u2_minus_v2 * v_sq),
-        a_sum(u_sq, v_sq) * tensor_forms(one_c, u2_minus_v2),
-    )
-    branch_quot = (
-        tensor_forms((trace_c - diff_c) * half, uv_line * u_q)
-        + tensor_forms(-(trace_c + diff_c) * half, uv_line * v_q),
-        a_sum(u_q, v_q) * tensor_forms(one_c, uv_line),
-    )
+    # sum_i s^(4-i) t^i (x) a_i(U, V): row i holds the coefficients of a_i
+    refibered = BiHomPoly.of(_FIRST_COVER, _SECOND_QUOT, [a.coeffs for a in coeffs])
+    for name, ((x, y), line) in _TORSION_READINGS.items():
+        table[f"branch_{name}"] = (
+            refibered.substitute_pair2(x, y) * tensor_forms(_ONE_FIRST, line),
+            tensor_forms(low, line * x) + tensor_forms(high, line * y),
+        )
 
     def jac(a4: HomPoly, a6: HomPoly, vars, weight: int) -> WeierstrassModel:
         return WeierstrassModel(HomPoly.zero(vars, 2 * weight), a4, a6, weight)
 
-    jac_4cover = jac(
-        f.substitute(cover_sq, cover_sum),
-        g.substitute(cover_sq, cover_sum),
-        _FOURFOLD,
-        2,
+    (x4, y4), _ = _TORSION_READINGS["4cover"]
+    (u_sq, v_sq), cover_line = _TORSION_READINGS["cover"]
+    _, quot_line = _TORSION_READINGS["quot"]
+    f_cover, g_cover = f.substitute(u_sq, v_sq), g.substitute(u_sq, v_sq)
+    u_minus_v = HomPoly.of(_SECOND_QUOT, (1, -1))
+    table["jac_4cover"] = jac(f.substitute(x4, y4), g.substitute(x4, y4), _FOURFOLD, 2)
+    table["jac_cover"] = jac(
+        cover_line**2 * f_cover, cover_line**3 * g_cover, _SECOND_COVER, 2
     )
-    jac_cover = jac(
-        u2_minus_v2**2 * f.substitute(u_sq, v_sq),
-        u2_minus_v2**3 * g.substitute(u_sq, v_sq),
-        _SECOND_COVER,
-        2,
-    )
-    jac_quot_twisted = jac(uv_line**2 * f, uv_line**3 * g, _SECOND_QUOT, 2)
-    u_minus_v = u_q - v_q
-    res_cover = jac(
-        f.substitute(u_sq, v_sq), g.substitute(u_sq, v_sq), _SECOND_COVER, 1
-    )
-    res_quot = jac(u_minus_v**2 * f, u_minus_v**3 * g, _SECOND_QUOT, 1)
-
-    return {
-        "a": coeffs,
-        "f": f,
-        "g": g,
-        "alt": alt,
-        "alt_dual": alt_dual,
-        "branch_4cover": branch_4cover,
-        "branch_cover": branch_cover,
-        "branch_quot": branch_quot,
-        "jac_4cover": jac_4cover,
-        "jac_cover": jac_cover,
-        "jac_quot_twisted": jac_quot_twisted,
-        "res_cover": res_cover,
-        "res_quot": res_quot,
-    }
+    table["jac_quot_twisted"] = jac(quot_line**2 * f, quot_line**3 * g, _SECOND_QUOT, 2)
+    table["res_cover"] = jac(f_cover, g_cover, _SECOND_COVER, 1)
+    table["res_quot"] = jac(u_minus_v**2 * f, u_minus_v**3 * g, _SECOND_QUOT, 1)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -1185,23 +1101,40 @@ def refibration_jacobian(
 # the shared subfamily tower
 
 
-_SUBFAMILY_KINDS = ("cover4", "cover2", "twist", "rational")
+# kind -> (the forms put in for the pair of (f, g), or the pair the
+# quotient kinds rename onto; the line the model is twisted by, or None).
+# Kept apart from ``_TORSION_READINGS``: the torsion-tower check compares
+# this tower with the one ``full_torsion_surfaces`` writes out.
+_SUBFAMILY_TOWER = {
+    "cover4": (
+        (HomPoly.of(_FOURFOLD, (1, 0, -1)) ** 2, HomPoly.of(_FOURFOLD, (1, 0, 1)) ** 2),
+        None,
+    ),
+    "cover2": (
+        (HomPoly.of(_SECOND_COVER, (1, 0, 0)), HomPoly.of(_SECOND_COVER, (0, 0, 1))),
+        HomPoly.of(_SECOND_COVER, (1, 0, -1)),
+    ),
+    "twist": (_SECOND_QUOT, HomPoly.of(_SECOND_QUOT, (0, 1, -1, 0))),
+    "rational": (_SECOND_QUOT, HomPoly.of(_SECOND_QUOT, (1, -1))),
+}
 
 
 def subfamily_models(kind: str, f: HomPoly, g: HomPoly) -> WeierstrassModel:
     """One member of the model tower attached to a short pair (f, g).
 
     ``f`` and ``g`` are forms of degrees two and three on a shared pair.
-    Kinds:
+    Each kind reads the pair on the second ruling and may twist it by a
+    line L, giving the model x^3 + L^2 f' x + L^3 g' of weight
+    deg(L^2 f') / 4:
 
-    * ``"cover4"``: weight two on the fourfold-cover coordinates, with
-      f and g evaluated at ((u^2 - v^2)^2, (u^2 + v^2)^2);
-    * ``"cover2"``: weight two on the double-cover coordinates, with
-      coefficients (u^2 - v^2)^2 f(u^2, v^2) and (u^2 - v^2)^3 g(u^2, v^2);
-    * ``"twist"``: weight two on the quotient coordinates, twisted by
-      UV(U - V);
-    * ``"rational"``: weight one on the quotient coordinates, twisted by
-      (U - V).
+    * ``"cover4"``: on the fourfold-cover coordinates, with f and g
+      evaluated at ((u^2 - v^2)^2, (u^2 + v^2)^2), untwisted (weight two);
+    * ``"cover2"``: on the double-cover coordinates, evaluated at
+      (u^2, v^2) and twisted by u^2 - v^2 (weight two);
+    * ``"twist"``: renamed onto the quotient coordinates and twisted by
+      UV(U - V) (weight two);
+    * ``"rational"``: renamed onto the quotient coordinates and twisted by
+      U - V (weight one).
 
     Raises ``DegenerateModel`` if the resulting discriminant vanishes
     identically.
@@ -1209,46 +1142,17 @@ def subfamily_models(kind: str, f: HomPoly, g: HomPoly) -> WeierstrassModel:
     f._check_vars(g)
     if (f.degree, g.degree) != (2, 3):
         raise DegreeMismatch("subfamily tower needs degrees (2, 3)")
-    if kind == "cover4":
-        vars = _FOURFOLD
-        sq_diff = HomPoly.of(vars, (1, 0, -1)) ** 2
-        sq_sum = HomPoly.of(vars, (1, 0, 1)) ** 2
-        model = WeierstrassModel(
-            HomPoly.zero(vars, 4),
-            f.substitute(sq_diff, sq_sum),
-            g.substitute(sq_diff, sq_sum),
-            2,
-        )
-    elif kind == "cover2":
-        vars = _SECOND_COVER
-        u_sq = HomPoly.of(vars, (1, 0, 0))
-        v_sq = HomPoly.of(vars, (0, 0, 1))
-        diff = HomPoly.of(vars, (1, 0, -1))
-        model = WeierstrassModel(
-            HomPoly.zero(vars, 4),
-            diff**2 * f.substitute(u_sq, v_sq),
-            diff**3 * g.substitute(u_sq, v_sq),
-            2,
-        )
-    elif kind == "twist":
-        vars = _SECOND_QUOT
-        u_q = HomPoly.var_power(vars, 0, 1)
-        v_q = HomPoly.var_power(vars, 1, 1)
-        line = u_q * v_q * (u_q - v_q)
-        f_q = f.rename(vars)
-        g_q = g.rename(vars)
-        model = WeierstrassModel(
-            HomPoly.zero(vars, 4), line**2 * f_q, line**3 * g_q, 2
-        )
-    elif kind == "rational":
-        vars = _SECOND_QUOT
-        line = HomPoly.of(vars, (1, -1))
-        f_q = f.rename(vars)
-        g_q = g.rename(vars)
-        model = WeierstrassModel(
-            HomPoly.zero(vars, 2), line**2 * f_q, line**3 * g_q, 1
-        )
+    if kind not in _SUBFAMILY_TOWER:
+        kinds = tuple(_SUBFAMILY_TOWER)
+        raise ValueError(f"unknown kind {kind!r}; expected one of {kinds}")
+    into, line = _SUBFAMILY_TOWER[kind]
+    if isinstance(into[0], str):
+        a4, a6 = f.rename(into), g.rename(into)
     else:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {_SUBFAMILY_KINDS}")
+        a4, a6 = f.substitute(*into), g.substitute(*into)
+    if line is not None:
+        a4, a6 = line**2 * a4, line**3 * a6
+    weight = a4.degree // 4
+    model = WeierstrassModel(HomPoly.zero(a4.vars, 2 * weight), a4, a6, weight)
     invariants(model)
     return model

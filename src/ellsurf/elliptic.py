@@ -121,13 +121,6 @@ class WeierstrassModel:
     def vars(self) -> tuple[str, str]:
         return self.a2.vars
 
-    @staticmethod
-    def build(a2: HomPoly, a4: HomPoly, a6: HomPoly) -> WeierstrassModel:
-        """Infer the weight from the declared degree of ``a2``."""
-        if a2.degree % 2:
-            raise DegreeMismatch("a2 must have even declared degree")
-        return WeierstrassModel(a2, a4, a6, a2.degree // 2)
-
     def rhs_at(self, x: HomPoly) -> HomPoly:
         """Evaluate x^3 + a2 x^2 + a4 x + a6 at a form of degree 2w."""
         if x.degree != 2 * self.weight:

@@ -1117,11 +1117,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-def parse_rational(text: str, line: int = 1) -> Fraction:
+def parse_rational(text: str, line: int = 1, col: int = 1) -> Fraction:
+    """A rational like ``-3/4``; ``line`` and ``col`` place the first
+    character of ``text``, and an error names the column of the number."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text.strip()!r}: {exc}", line, 1) from None
+        at = col + len(text) - len(text.lstrip())
+        raise ParseError(f"bad rational {text.strip()!r}: {exc}", line, at) from None
 
 
 def parse_hompoly(

@@ -143,10 +143,6 @@ class ShortCubic:
     f: Fraction
     g: Fraction
 
-    @staticmethod
-    def of(f: RationalLike, g: RationalLike) -> ShortCubic:
-        return ShortCubic(rat(f), rat(g))
-
     @property
     def discriminant(self) -> Fraction:
         return -4 * self.f**3 - 27 * self.g**2

@@ -192,19 +192,43 @@ def test_parse_error_bad_scenario_name():
 
 
 def test_parse_error_bad_fiber_label():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse(
             "name x\nkind fiber-config\nfamily rational-base\n"
             "expect fibers 3*I1 + 2*XYZ\n"
         )
+    assert (err.value.line, err.value.col) == (4, 22)
 
 
 def test_parse_error_duplicate_fiber_label():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse(
             "name x\nkind fiber-config\nfamily rational-base\n"
             "expect fibers 3*I1 + 2*I1\n"
         )
+    assert (err.value.line, err.value.col) == (4, 22)
+
+
+@pytest.mark.parametrize(
+    "line, message, col",
+    [
+        ("expect fibers 12*I1 + 0*I2", "fiber counts must be positive", 23),
+        ("expect fibers 12*I1 + 2*I1", "fiber label I1 listed twice", 23),
+        ("trials x", "trials must be an integer", 8),
+        ("expect euler zz", "euler number must be an integer", 14),
+        ("expect parity 3", "parity must be 0 or 1", 15),
+        ("expect signature 1,x", "signature entry must be an integer", 20),
+        ("rat level = 1/0", "bad rational '1/0'", 13),
+        ("quartic q = 1, 2, x, 4, 5", "bad rational 'x'", 19),
+        ("  poly f on s t = 3", "expected 'poly <name>", 3),
+        ("  quartic q = 1, 2", "quartic expects five", 3),
+    ],
+)
+def test_value_errors_report_the_column_in_the_scenario_line(line, message, col):
+    head = "name x\nkind fiber-config\nfamily rational-base\n"
+    with pytest.raises(ParseError, match=message) as err:
+        parse(head + line + "\n")
+    assert (err.value.line, err.value.col) == (4, col)
 
 
 FULL_TORSION_FIBERS = (

@@ -511,6 +511,125 @@ def test_correspondence_tower_configurations():
             assert cfg.euler_total == 12
 
 
+# A pointwise oracle for the towers.  It evaluates every returned form from
+# its coefficients at random rational points and compares with the curve
+# Phi = gamma(S,T) U^2 + alpha(S,T) UV + delta(S,T) V^2, or with the
+# full-torsion and subfamily formulas, written out here.  A ``cover``
+# reading evaluates at squares, a ``quot`` reading multiplies by st or uv.
+
+
+def _form_at(form, x, y):
+    d = form.degree
+    return sum(c * x ** (d - k) * y**k for k, c in enumerate(form.coeffs))
+
+
+def _bi_at(form, s, t, u, v):
+    d1, d2 = form.deg1, form.deg2
+    return sum(
+        c * s ** (d1 - i) * t**i * u ** (d2 - j) * v**j
+        for i, row in enumerate(form.rows)
+        for j, c in enumerate(row)
+    )
+
+
+def _random_point(rng, n):
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+
+
+def _random_normalized_triple(rng):
+    """(alpha, gamma, delta) invariant under exchanging the rulings, with
+    gamma delta and alpha^2 - 4 gamma delta nonzero."""
+    for _ in range(100):
+        d0, a0, g0, a1, a2, g2 = (rng.randint(-6, 6) for _ in range(6))
+        gamma = HomPoly.of(UV, (g2, a2, g0))
+        alpha = HomPoly.of(UV, (a2, a1, a0))
+        delta = HomPoly.of(UV, (g0, a0, d0))
+        prod = gamma * delta
+        if not prod.is_zero and not (alpha * alpha - 4 * prod).is_zero:
+            return alpha, gamma, delta
+    raise AssertionError("no nondegenerate triple drawn")
+
+
+# reading -> (value of the pair at (x, y), factor) on either ruling
+_READ_AT = {
+    "cover": lambda x, y: ((x * x, y * y), 1),
+    "quot": lambda x, y: ((x, y), x * y),
+    "rat": lambda x, y: ((x, y), 1),
+}
+
+
+def test_correspondence_branch_pairs_match_the_curve_pointwise():
+    rng = random.Random(240)
+    for _ in range(6):
+        alpha, gamma, delta = _random_normalized_triple(rng)
+        table = du.correspondence_surfaces(alpha, gamma, delta)
+
+        def phi(s, t, u, v):
+            return (
+                _form_at(gamma, s, t) * u * u
+                + _form_at(alpha, s, t) * u * v
+                + _form_at(delta, s, t) * v * v
+            )
+
+        for first in ("cover", "quot"):
+            for second in ("cover", "quot"):
+                pair = table[f"branch_{first}1_{second}2"]
+                for _ in range(3):
+                    s, t, u, v = _random_point(rng, 4)
+                    (s1, t1), k1 = _READ_AT[first](s, t)
+                    (u1, v1), k2 = _READ_AT[second](u, v)
+                    want = k1 * k2 * phi(s1, t1, u1, v1)
+                    assert [_bi_at(form, s, t, u, v) for form in pair] == [want, want]
+
+
+def test_correspondence_models_match_the_readings_pointwise():
+    rng = random.Random(241)
+    pairs = {1: (("S", "T"), ("s", "t")), 2: (UV, uv)}
+    for _ in range(6):
+        alpha, gamma, delta = _random_normalized_triple(rng)
+        table = du.correspondence_surfaces(alpha, gamma, delta)
+        g_q2, a_q2, d_q2 = table["cad"]
+        for kind in ("cover", "quot", "rat"):
+            for ruling in (1, 2):
+                x, y = _random_point(rng, 2)
+                (x1, y1), k = _READ_AT[kind](x, y)
+                a = k * _form_at(alpha, x1, y1)
+                prod = k * k * _form_at(gamma, x1, y1) * _form_at(delta, x1, y1)
+                listed = table[f"{kind}{ruling}"], table[f"{kind}{ruling}_dual"]
+                pair_model, dual_model = listed if ruling == 1 else listed[::-1]
+                vars = pairs[ruling][0 if kind != "cover" else 1]
+                weight = 1 if kind == "rat" else 2
+                for model, a2, a4 in (
+                    (pair_model, a, prod),
+                    (dual_model, -2 * a, a * a - 4 * prod),
+                ):
+                    assert (model.vars, model.weight) == (vars, weight)
+                    assert _form_at(model.a2, x, y) == a2
+                    assert _form_at(model.a4, x, y) == a4
+                    assert model.a6.is_zero
+        x, y = _random_point(rng, 2)
+        assert [_form_at(form, x, y) for form in (g_q2, a_q2, d_q2)] == [
+            _form_at(form, x, y) for form in (gamma, alpha, delta)
+        ]
+        assert g_q2.vars == UV
+
+
+def test_correspondence_refuses_a_degenerate_triple():
+    # delta = 0 forces gamma and alpha to vanish at [0:1] under the
+    # normalization; gamma delta = 0 makes every norm form vanish
+    gamma = HomPoly.of(UV, (1, 2, 0))
+    alpha = HomPoly.of(UV, (2, 3, 0))
+    with pytest.raises(DegenerateModel):
+        du.correspondence_surfaces(alpha, gamma, HomPoly.zero(UV, 2))
+    # the double curve (SU + TV)^2: alpha^2 - 4 gamma delta = 0
+    with pytest.raises(DegenerateModel):
+        du.correspondence_surfaces(
+            HomPoly.of(UV, (0, 2, 0)),
+            HomPoly.of(UV, (1, 0, 0)),
+            HomPoly.of(UV, (0, 0, 1)),
+        )
+
+
 # ---------------------------------------------------------------------------
 # the full two-torsion tower
 
@@ -540,6 +659,79 @@ def test_full_torsion_structure():
         assert tor["alt"].a2 == -trace_c
         assert tor["alt_dual"].a4 == diff_c**2
         assert tor["alt_dual"].a2 == 2 * trace_c
+
+
+# the full-torsion readings of the second ruling at (u, v): the values put
+# in for (U, V) and the twisting line
+_TORSION_AT = {
+    "4cover": lambda u, v: (((u * u - v * v) ** 2, (u * u + v * v) ** 2), 1),
+    "cover": lambda u, v: ((u * u, v * v), u * u - v * v),
+    "quot": lambda u, v: ((u, v), u * v * (u - v)),
+}
+
+
+def test_full_torsion_branches_match_the_readings_pointwise():
+    rng = random.Random(242)
+    for _ in range(6):
+        trace = random_form(rng, ST, 4, -6, 6)
+        diff = random_form(rng, ST, 4, -6, 6)
+        if (trace * trace - diff * diff).is_zero:
+            continue
+        tor = du.full_torsion_surfaces(trace, diff)
+        for _ in range(3):
+            s, t, u, v = _random_point(rng, 4)
+            low = (_form_at(trace, s, t) - _form_at(diff, s, t)) / 2
+            high = -(_form_at(trace, s, t) + _form_at(diff, s, t)) / 2
+            quartic = sum(
+                _form_at(a, u, v) * s ** (4 - i) * t**i for i, a in enumerate(tor["a"])
+            )
+            assert quartic == low * u + high * v
+            for name, reading in _TORSION_AT.items():
+                (x, y), line = reading(u, v)
+                want = line * (low * x + high * y)
+                pair = tor[f"branch_{name}"]
+                assert [_bi_at(form, s, t, u, v) for form in pair] == [want, want]
+
+
+# subfamily kind -> (the values put in for the pair of (f, g) at (u, v), the
+# twisting line, the weight); the quotient kinds put in (u, v) itself
+_SUBFAMILY_AT = {
+    "cover4": lambda u, v: (((u * u - v * v) ** 2, (u * u + v * v) ** 2), 1, 2),
+    "cover2": lambda u, v: ((u * u, v * v), u * u - v * v, 2),
+    "twist": lambda u, v: ((u, v), u * v * (u - v), 2),
+    "rational": lambda u, v: ((u, v), u - v, 1),
+}
+_SUBFAMILY_VARS = {"cover4": ("ut", "vt"), "cover2": uv, "twist": UV, "rational": UV}
+
+
+def _check_short_model(model, kind, f, g, rng):
+    assert model.vars == _SUBFAMILY_VARS[kind]
+    for _ in range(3):
+        u, v = _random_point(rng, 2)
+        (x, y), line, weight = _SUBFAMILY_AT[kind](u, v)
+        assert model.weight == weight
+        assert model.a2.is_zero
+        assert _form_at(model.a4, u, v) == line**2 * _form_at(f, x, y)
+        assert _form_at(model.a6, u, v) == line**3 * _form_at(g, x, y)
+
+
+def test_full_torsion_jacobian_tower_pointwise():
+    rng = random.Random(243)
+    for _ in range(4):
+        tor = du.full_torsion_surfaces(*sample_full_torsion_forms(rng))
+        f, g = tor["f"], tor["g"]
+        for kind, key in (
+            ("cover4", "jac_4cover"),
+            ("cover2", "jac_cover"),
+            ("twist", "jac_quot_twisted"),
+            ("rational", "res_quot"),
+        ):
+            _check_short_model(tor[key], kind, f, g, rng)
+        u, v = _random_point(rng, 2)
+        res_cover = tor["res_cover"]
+        assert (res_cover.vars, res_cover.weight) == (uv, 1)
+        assert _form_at(res_cover.a4, u, v) == _form_at(f, u * u, v * v)
+        assert _form_at(res_cover.a6, u, v) == _form_at(g, u * u, v * v)
 
 
 def test_full_torsion_tower_matches_subfamilies():
@@ -870,6 +1062,17 @@ def test_subfamily_configurations_and_places():
         assert cfg_r.euler_total == 12
         assert label_product(cfg_r, "I0*") == HomPoly.of(UV, (1, -1))
         done += 1
+
+
+def test_subfamily_models_match_their_formulas_pointwise():
+    rng = random.Random(244)
+    for _ in range(5):
+        f = random_form(rng, UV, 2, -6, 6)
+        g = random_form(rng, UV, 3, -6, 6)
+        if (4 * f**3 + 27 * g**2).is_zero:
+            continue
+        for kind in _SUBFAMILY_AT:
+            _check_short_model(du.subfamily_models(kind, f, g), kind, f, g, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -222,11 +222,11 @@ class TestModelBasics:
             WeierstrassModel(
                 HomPoly.zero(V, 2), HomPoly.zero(V, 4), HomPoly.zero(V, 5), 1
             )
-        m = WeierstrassModel.build(P("s^2"), HomPoly.zero(V, 4), P("t^6"))
+        m = WeierstrassModel(P("s^2"), HomPoly.zero(V, 4), P("t^6"), 1)
         assert m.weight == 1
 
     def test_rhs_and_shift_guards(self):
-        m = WeierstrassModel.build(P("s^2"), HomPoly.zero(V, 4), P("t^6"))
+        m = WeierstrassModel(P("s^2"), HomPoly.zero(V, 4), P("t^6"), 1)
         with pytest.raises(DegreeMismatch):
             m.rhs_at(P("s"))
 

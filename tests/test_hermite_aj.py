@@ -361,7 +361,7 @@ def test_j_invariant_gates():
     with pytest.raises(SingularCurve):
         j_invariant_quartic(QuarticCurve.of(0, 0, -1, 0, 1))
     with pytest.raises(SingularCurve):
-        ShortCubic.of(0, 0).j_invariant()
+        ShortCubic(Fraction(0), Fraction(0)).j_invariant()
 
 
 def test_exchange_constraint_tracks_cubic_term():

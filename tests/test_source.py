@@ -5,7 +5,9 @@ Every loop in ``ellsurf`` must state its bound: a ``while`` loop on a
 constant true condition is refused.  Every failed check must raise a
 named error: ``python -O`` strips ``assert`` statements, so none is
 allowed.  ``tests/tate_oracle.py`` judges the package's fiber classifier,
-so it must never import ``ellsurf``.
+so it must never import ``ellsurf``.  The two routes of a cross-route
+check must stay separate: neither may reach the other in the package's
+name-level reference graph.
 """
 
 import ast
@@ -94,3 +96,85 @@ def test_the_check_sees_imports_of_the_package_only():
 def test_the_fiber_type_oracle_imports_nothing_from_the_package():
     oracle = Path(__file__).with_name("tate_oracle.py")
     assert _package_imports(ast.parse(oracle.read_text(), str(oracle))) == []
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) for the module's functions, classes, methods and
+    module-level assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _reference_graph(trees) -> dict[str, set[str]]:
+    """Each defined name to the defined names its definition mentions, as a
+    bare name or as an attribute.  Names are not resolved to modules or
+    classes, and a class mentions what its methods do, so the graph
+    over-approximates every call."""
+    definitions = [pair for tree in trees for pair in _definitions(tree)]
+    defined = {name for name, _ in definitions}
+    graph: dict[str, set[str]] = {name: set() for name in defined}
+    for name, node in definitions:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id in defined:
+                graph[name].add(sub.id)
+            elif isinstance(sub, ast.Attribute) and sub.attr in defined:
+                graph[name].add(sub.attr)
+    return graph
+
+
+def _reaches(graph: dict[str, set[str]], start: str) -> set[str]:
+    """The names reachable from ``start`` in one or more steps."""
+    seen: set[str] = set()
+    todo = [start]
+    for name in todo:
+        for nxt in graph[name] - seen:
+            seen.add(nxt)
+            todo.append(nxt)
+    return seen
+
+
+def test_the_reference_graph_follows_names_attributes_and_constants():
+    source = (
+        "def a():\n    return b()\n"
+        "def b():\n    return C().m()\n"
+        "class C:\n    def m(self):\n        return _K\n"
+        "_K = d\n"
+        "def d():\n    pass\n"
+        "def e():\n    return 'a'\n"
+    )
+    graph = _reference_graph([ast.parse(source)])
+    assert _reaches(graph, "a") == {"b", "C", "m", "_K", "d"}
+    assert _reaches(graph, "d") == set()
+    assert _reaches(graph, "e") == set()
+
+
+# pairs of routes that a cross-route check compares: full_torsion_surfaces
+# against subfamily_models in the torsion-tower check, the refibration
+# against the full-torsion Jacobian pair, and the quadric double cover
+# against the degree-two base change
+_SEPARATE_ROUTES = [
+    ("full_torsion_surfaces", "subfamily_models"),
+    ("refibration_jacobian", "full_torsion_surfaces"),
+    ("refibration_jacobian", "hermite_pair_forms"),
+    ("quadric_double_cover", "base_change_k3"),
+]
+
+
+def test_the_routes_of_a_cross_route_check_never_reach_each_other():
+    root = Path(ellsurf.__file__).parent
+    paths = sorted(root.rglob("*.py"))
+    graph = _reference_graph(ast.parse(path.read_text(), str(path)) for path in paths)
+    for one, other in _SEPARATE_ROUTES:
+        assert other not in _reaches(graph, one), (one, other)
+        assert one not in _reaches(graph, other), (other, one)
