@@ -57,7 +57,7 @@ from .exactpoly import (
     rational_sqrt,
     tensor_forms,
 )
-from .hermite_aj import NormalizationViolated, UnitViolation, hermite_pair_forms
+from .hermite_aj import FamilyParams, UnitViolation, hermite_pair_forms
 
 __all__ = [
     "AlternatePair",
@@ -318,8 +318,10 @@ def two_isogeny_dual(pair: AlternatePair) -> AlternatePair:
 class RulingSwapData:
     """Refibration data for the curve left U^2 - trace UV + right V^2 = 0.
 
-    Reading the bidegree-(4, 2) branch form against the second ruling
-    turns the three degree-four coefficients into five degree-two forms:
+    The three forms are the inputs of :func:`ruling_swap`, which keeps
+    only what it derives from them.  Reading the bidegree-(4, 2) branch
+    form against the second ruling turns the three degree-four
+    coefficients into five degree-two forms:
     ``coeffs[j]`` is the coefficient of s^j t^(4-j), so that
 
         left(s,t) U^2 - trace(s,t) UV + right(s,t) V^2
@@ -329,9 +331,6 @@ class RulingSwapData:
     that quartic family.
     """
 
-    trace: HomPoly
-    left: HomPoly
-    right: HomPoly
     coeffs: tuple[HomPoly, HomPoly, HomPoly, HomPoly, HomPoly]
     f: HomPoly
     g: HomPoly
@@ -357,7 +356,7 @@ def ruling_swap(trace: HomPoly, left: HomPoly, right: HomPoly) -> RulingSwapData
         for j in range(5)
     )
     f, g = hermite_pair_forms(*coeffs)
-    return RulingSwapData(trace, left, right, coeffs, f, g)
+    return RulingSwapData(coeffs, f, g)
 
 
 @dataclass(frozen=True)
@@ -577,8 +576,8 @@ def correspondence_surfaces(
     The inputs are the degree-two coefficient forms of the bidegree-(2,2)
     curve gamma(S,T) U^2 + alpha(S,T) UV + delta(S,T) V^2, which must be
     invariant under exchanging the pairs (S,T) and (U,V)
-    (``NormalizationViolated`` otherwise), so the same triple describes
-    the curve on either ruling.
+    (``FamilyParams.from_triple`` raises ``NormalizationViolated``
+    otherwise), so the same triple describes the curve on either ruling.
 
     Each reading r of a ruling (``_ruling_readings``) gives the pair
     (-r(alpha), r(gamma delta)) and its two-isogeny dual: ``rat1``,
@@ -592,17 +591,7 @@ def correspondence_surfaces(
     m = (x^2, xy, y^2); the two are equal.  Raises ``DegenerateModel``
     when gamma delta or alpha^2 - 4 gamma delta vanishes identically.
     """
-    alpha._check_vars(gamma)
-    alpha._check_vars(delta)
-    if {alpha.degree, gamma.degree, delta.degree} != {2}:
-        raise DegreeMismatch("correspondence data needs three degree-two forms")
-    g2, g1, g0 = gamma.coeffs
-    a2, a1, a0 = alpha.coeffs
-    d2, d1, d0 = delta.coeffs
-    if g1 != a2 or d2 != g0 or d1 != a0:
-        raise NormalizationViolated(
-            "triple is not symmetric under exchanging the two rulings"
-        )
+    FamilyParams.from_triple(gamma, alpha, delta, 0, 0)
 
     # (gamma, alpha, delta, gamma delta) under each reading of each ruling
     forms = (gamma, alpha, delta, gamma * delta)

@@ -531,43 +531,18 @@ def surface_symmetry(
             1 / p.c0, 1 / p.c_inf,
         )
     if case == "d":
-        d0, a0, g0, a1, a2, g2 = (
-            p.delta0, p.alpha0, p.gamma0, p.alpha1, p.alpha2, p.gamma2,
-        )
+        # the move (x, y) -> (x + c0 y, c_inf x + y) on both rulings: on
+        # (S, T) it recombines the triple, on (U, V) it substitutes into
+        # each form
         c0, ci = p.c0, p.c_inf
-        new_d0 = g2 * c0**4 + 2 * a2 * c0**3 + (a1 + 2 * g0) * c0**2 + 2 * a0 * c0 + d0
-        new_a0 = (
-            (a2 * ci + 2 * g2) * c0**3
-            + ((a1 + 2 * g0) * ci + 3 * a2) * c0**2
-            + (3 * a0 * ci + a1 + 2 * g0) * c0
-            + 2 * d0 * ci
-            + a0
+        gamma, alpha, delta = p.triple(_X_PAIR)
+        moved = (
+            gamma + ci * alpha + ci * ci * delta,
+            2 * c0 * gamma + (1 + c0 * ci) * alpha + 2 * ci * delta,
+            c0 * c0 * gamma + c0 * alpha + delta,
         )
-        new_g0 = (
-            (g0 * ci**2 + a2 * ci + g2) * c0**2
-            + (a0 * ci**2 + a1 * ci + a2) * c0
-            + d0 * ci**2
-            + a0 * ci
-            + g0
-        )
-        new_a1 = (
-            (a1 * ci**2 + 4 * a2 * ci + 4 * g2) * c0**2
-            + (4 * a0 * ci**2 + 2 * (a1 + 4 * g0) * ci + 4 * a2) * c0
-            + 4 * d0 * ci**2
-            + 4 * a0 * ci
-            + a1
-        )
-        new_a2 = (
-            (a0 * c0 + 2 * d0) * ci**3
-            + ((a1 + 2 * g0) * c0 + 3 * a0) * ci**2
-            + (3 * a2 * c0 + a1 + 2 * g0) * ci
-            + 2 * g2 * c0
-            + a2
-        )
-        new_g2 = g2 + 2 * a2 * ci + (a1 + 2 * g0) * ci**2 + 2 * a0 * ci**3 + d0 * ci**4
-        return FamilyParams(
-            new_d0, new_a0, new_g0, new_a1, new_a2, new_g2, -c0, -ci
-        )
+        u, v = HomPoly.of(_X_PAIR, (1, c0)), HomPoly.of(_X_PAIR, (ci, 1))
+        return FamilyParams.from_triple(*(f.substitute(u, v) for f in moved), -c0, -ci)
     raise ValueError(f"unknown symmetry case {case!r}")
 
 
@@ -582,12 +557,12 @@ class QuarticSurfaceData:
 
     The branch locus is the product of two (1,0)-lines in the first
     ruling, the two coordinate sections of the second ruling, and the
-    symmetric (2,2) curve.  The associated models are
-    ``duality.correspondence_surfaces`` of the coupling triple.
+    symmetric (2,2) curve.  ``params`` holds the coupling triple of the
+    curve at Jacobian coordinate xi together with the line parameters;
+    the curve and xi themselves are not kept.  The associated models
+    are ``duality.correspondence_surfaces`` of the coupling triple.
     """
 
-    curve: QuarticCurve
-    xi: Fraction
     params: FamilyParams
     correspondence: Biquadratic22
     line_factors: tuple[HomPoly, HomPoly]
@@ -626,8 +601,6 @@ def double_quadric_from_quartic(
     quadric = BiHomPoly(_X0_PAIR, _X_PAIR, corr.phi.num, corr.phi.den)
     branch = tensor_forms(line0 * line_inf, u_factor * v_factor) * quadric
     return QuarticSurfaceData(
-        curve,
-        rat(xi),
         params,
         corr,
         (line0, line_inf),

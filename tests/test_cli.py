@@ -67,8 +67,8 @@ def test_parse_full_scenario_fields():
     assert sc.kind == "fiber-config"
     assert sc.family == "torsion-pair"
     assert sc.trials == 5
-    assert sc.expect_fibers == {"I1": 8, "I2": 8}
-    assert sc.expect_euler == 24
+    assert sc.expect["fibers"] == {"I1": 8, "I2": 8}
+    assert sc.expect["euler"] == 24
 
 
 def test_parse_polynomial_inputs():
@@ -121,7 +121,7 @@ def test_parse_lattice_expressions():
     )
     lat = sc.lattices["a"]
     assert lat.rank == 14
-    assert ("det", 64) in sc.expect_invariants
+    assert sc.expect["det"] == 64
 
 
 def test_parse_error_positions():
@@ -239,7 +239,7 @@ FULL_TORSION_FIBERS = (
 
 def test_a_fiber_label_is_kept_in_its_canonical_spelling():
     sc = parse(FULL_TORSION_FIBERS.format("12*I02"))
-    assert sc.expect_fibers == {"I2": 12}
+    assert sc.expect["fibers"] == {"I2": 12}
     rep = cli.run(sc, seed=0)
     assert rep.status == "pass", rep.detail
 
@@ -331,6 +331,124 @@ def test_validation_missing_named_inputs():
             "name x\nkind fiber-config\nfamily alternate-pair\n"
             "poly trace on s,t deg 4 = s^4\nexpect fibers 8*I1 + 8*I2\n"
         )
+
+
+# one well-formed line of each expectation head
+EXPECTATION_LINES = {
+    "pass": "expect pass",
+    "error": "expect error SingularCurve",
+    "fibers": "expect fibers 12*I1",
+    "euler": "expect euler 12",
+    "match": "expect match",
+    "mismatch": "expect mismatch",
+    "det": "expect det -4",
+    "signature": "expect signature 1,1",
+    "length": "expect length 2",
+    "parity": "expect parity 1",
+    "even": "expect even",
+    "odd": "expect odd",
+}
+
+# the head and body lines of a minimal scenario of each kind
+KIND_BODIES = {
+    "fiber-config": "family rational-base",
+    "lattice-identity": "lattice a = H\nlattice b = H(2)",
+    "hermite-identity": "family coupling-product",
+    "construction-roundtrip": "family isogeny-square",
+    "table-consistency": "family extraction-identity",
+}
+
+# the expectation heads each kind takes, ``error`` aside
+KIND_TAKES = {
+    "fiber-config": {"fibers", "euler"},
+    "lattice-identity": {"match", "mismatch", "det", "signature", "length", "parity", "even", "odd"},
+    "hermite-identity": {"pass"},
+    "construction-roundtrip": {"pass"},
+    "table-consistency": {"pass"},
+}
+
+# an outcome each kind takes, for the one head (euler) that is not an outcome
+KIND_OUTCOMES = {
+    "fiber-config": "expect fibers 12*I1",
+    "lattice-identity": "expect det -4",
+    "hermite-identity": "expect pass",
+    "construction-roundtrip": "expect pass",
+    "table-consistency": "expect pass",
+}
+
+
+def minimal_scenario(kind: str, *lines: str) -> str:
+    return "\n".join(["name x", f"kind {kind}", KIND_BODIES[kind], *lines]) + "\n"
+
+
+@pytest.mark.parametrize("head", sorted(EXPECTATION_LINES))
+@pytest.mark.parametrize("kind", sorted(KIND_BODIES))
+def test_a_kind_takes_exactly_its_expectations(kind, head):
+    lines = [EXPECTATION_LINES[head]]
+    if head == "euler":
+        lines.append(KIND_OUTCOMES[kind])
+    text = minimal_scenario(kind, *lines)
+    if head == "error" or head in KIND_TAKES[kind]:
+        sc = parse(text)
+        assert sc.kind == kind
+    else:
+        with pytest.raises(ParseError):
+            parse(text)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(head, head) for head in sorted(EXPECTATION_LINES)]
+    + [("match", "mismatch"), ("mismatch", "match"), ("even", "odd"), ("odd", "even")],
+)
+def test_a_repeated_expectation_is_refused_by_its_second_head(first, second):
+    text = minimal_scenario(
+        "lattice-identity", EXPECTATION_LINES[first], EXPECTATION_LINES[second]
+    )
+    with pytest.raises(ParseError, match=f"duplicate expectation '{second}'") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (6, 8)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("name y", "duplicate name line"),
+        ("kind fiber-config", "duplicate kind line"),
+        ("family rational-base", "duplicate family line"),
+        ("trials 3\ntrials 3", "duplicate trials line"),
+        ("rat r = 1\nrat r = 2", "duplicate rat 'r'"),
+        ("quartic q = 1, 0, 0, 0, 1\nquartic q = 1, 0, 0, 0, 1", "duplicate quartic 'q'"),
+        ("poly f on s,t deg 1 = s\npoly f on s,t deg 1 = t", "duplicate poly 'f'"),
+        ("lattice a = H\nlattice a = H", "duplicate lattice 'a'"),
+    ],
+)
+def test_a_repeated_directive_is_refused(line, message):
+    with pytest.raises(ParseError, match=message):
+        parse(minimal_scenario("fiber-config", line, "expect fibers 12*I1"))
+
+
+@pytest.mark.parametrize("head", ["pass", "match", "mismatch", "even", "odd"])
+def test_an_expectation_without_a_value_refuses_trailing_text(head):
+    text = minimal_scenario("lattice-identity", f"expect {head}  please")
+    with pytest.raises(ParseError, match=f"'expect {head}' takes no value") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (5, 10 + len(head))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "family alternate-pair\npoly trace on s,t deg 4 = s^4\n"
+        "poly norm on s,t deg 8 = s^8 - t^8",
+        "family rational-base\ntrials 1",
+    ],
+)
+def test_a_fiber_scenario_whose_expected_error_never_comes_fails(body):
+    sc = parse(f"name x\nkind fiber-config\n{body}\nexpect error DegenerateModel\n")
+    rep = cli.run(sc, seed=0)
+    assert rep.status == "fail"
+    assert rep.detail == "expected error DegenerateModel but the run completed"
 
 
 # ---------------------------------------------------------------------------

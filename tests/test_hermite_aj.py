@@ -425,6 +425,30 @@ def test_moves_involutions():
         assert twice == surface_symmetry(p, "a", lam=scale)
 
 
+def phi_at(p: FamilyParams, u, v, s, t) -> Fraction:
+    """gamma(u,v) s^2 + alpha(u,v) s t + delta(u,v) t^2, read from the six
+    coefficients."""
+    gamma = p.gamma2 * u * u + p.alpha2 * u * v + p.gamma0 * v * v
+    alpha = p.alpha2 * u * u + p.alpha1 * u * v + p.alpha0 * v * v
+    delta = p.gamma0 * u * u + p.alpha0 * u * v + p.delta0 * v * v
+    return gamma * s * s + alpha * s * t + delta * t * t
+
+
+def test_absorbing_the_lines_moves_both_rulings_pointwise():
+    # case "d" is (U, V) -> (U + c0 V, c_inf U + V) on both rulings
+    rng = random.Random(116)
+    for _ in range(30):
+        p = sample_params(rng)
+        c0, ci = p.c0, p.c_inf
+        moved = surface_symmetry(p, "d")
+        assert (moved.c0, moved.c_inf) == (-c0, -ci)
+        for _ in range(3):
+            u, v, s, t = (rand_frac(rng) for _ in range(4))
+            assert phi_at(moved, u, v, s, t) == phi_at(
+                p, u + c0 * v, ci * u + v, s + c0 * t, ci * s + t
+            )
+
+
 def test_moves_scaling_group_laws():
     rng = random.Random(114)
     for _ in range(10):

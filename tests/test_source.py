@@ -5,9 +5,9 @@ Every loop in ``ellsurf`` must state its bound: a ``while`` loop on a
 constant true condition is refused.  Every failed check must raise a
 named error: ``python -O`` strips ``assert`` statements, so none is
 allowed.  ``tests/tate_oracle.py`` judges the package's fiber classifier,
-so it must never import ``ellsurf``.  The two routes of a cross-route
-check must stay separate: neither may reach the other in the package's
-name-level reference graph.
+so it must never import ``ellsurf``.  Every module-level import must be
+used.  The two routes of a cross-route check must stay separate: neither
+may reach the other in the package's name-level reference graph.
 """
 
 import ast
@@ -78,6 +78,50 @@ def test_the_check_sees_assert_statements_only():
 
 def test_no_assert_statements():
     assert _package_findings(_asserts) == {}
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names bound by module-level imports that the module never
+    mentions; a name listed in ``__all__`` counts as mentioned."""
+    mentioned = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            mentioned |= {elt.value for elt in node.value.elts}
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in mentioned:
+                    unused.append(bound)
+    return unused
+
+
+def test_the_check_sees_unused_module_level_imports_only():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from re import compile, match as m\n"
+        "from .exactpoly import HomPoly\n"
+        "from .lattice import GramLattice\n"
+        "__all__ = ['GramLattice']\n"
+        "def f(x: HomPoly):\n    import shutil\n    return sys.argv, m\n"
+        "name = 'compile js'\n"
+    )
+    assert _unused_imports(ast.parse(source)) == ["os", "os", "js", "compile"]
+
+
+def test_no_unused_imports():
+    findings = _package_findings(_unused_imports)
+    # the package's __init__ imports its modules to re-export them
+    findings.pop("__init__.py", None)
+    assert findings == {}
 
 
 def test_the_check_sees_imports_of_the_package_only():
