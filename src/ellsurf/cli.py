@@ -50,10 +50,9 @@ from .exactpoly import (
     HomPoly,
     ParseError,
     UniPoly,
-    discriminant_form,
     divexact_form,
-    form_discriminant,
     homogenize,
+    is_separable,
     parse_hompoly,
     parse_rational,
     tensor_forms,
@@ -299,9 +298,9 @@ def _parse_fiber_multiset(text: str, line: int, col: int) -> dict[str, int]:
 
 def _parse_expect(rest: str, line: int, col: int, sc: Scenario) -> None:
     """One ``expect`` directive; ``col`` is the column of ``rest``."""
-    head, _, tail = rest.partition(" ")
-    at = col + len(rest) - len(tail.lstrip())
-    tail = tail.strip()
+    head = rest.split(None, 1)[0] if rest else ""
+    tail = rest[len(head):].lstrip()
+    at = col + len(rest) - len(tail)
     key, value = _NO_VALUE.get(head, (head, None))
     if key in sc.expect:
         raise ParseError(f"duplicate expectation {head!r}", line, col)
@@ -498,11 +497,7 @@ def _random_quartic(rng: random.Random, lo=-9, hi=9) -> QuarticCurve:
     return QuarticCurve.of(*_ints(rng, 5, lo, hi))
 
 
-def _separable(form: HomPoly) -> bool:
-    return not form.is_zero and form_discriminant(form) != 0
-
-
-def _sample_rational_surface(rng: random.Random, generic=_separable) -> du.RESData:
+def _sample_rational_surface(rng: random.Random, generic=is_separable) -> du.RESData:
     """A rational elliptic surface whose reduced discriminant is ``generic``."""
 
     def make():
@@ -520,7 +515,7 @@ def _sample_isogeny_pair(rng: random.Random) -> du.AlternatePair:
     def make():
         trace, left, right = (_random_form(rng, _FIRST, 4, -6, 6) for _ in range(3))
         norm = left * right
-        if _separable(norm * (trace * trace - 4 * norm)):
+        if is_separable(norm * (trace * trace - 4 * norm)):
             return du.AlternatePair(trace, norm, split=(left, right))
         return None
 
@@ -535,7 +530,7 @@ def _sample_correspondence_triple(rng: random.Random):
         if prod.is_zero or disc.is_zero:
             return None
         both = prod * disc
-        if _separable(both) and both(0, 1) != 0 and both(1, 0) != 0:
+        if is_separable(both) and both(0, 1) != 0 and both(1, 0) != 0:
             return alpha, gamma, delta
         return None
 
@@ -545,7 +540,7 @@ def _sample_correspondence_triple(rng: random.Random):
 def _sample_full_torsion_forms(rng: random.Random):
     def make():
         trace, difference = (_random_form(rng, _FIRST, 4, -6, 6) for _ in range(2))
-        if _separable((trace * trace - difference * difference) * difference):
+        if is_separable((trace * trace - difference * difference) * difference):
             return trace, difference
         return None
 
@@ -562,7 +557,7 @@ def _draw_quadruple(rows: Callable) -> du.QuadrupleCoverSurface:
         except du.GenericityViolated:
             return None
         b, c = surface.torsion_factors
-        return surface if _separable(b * c * (b - c)) else None
+        return surface if is_separable(b * c * (b - c)) else None
 
     return _draw(make)
 
@@ -612,7 +607,7 @@ def _at_chain_level(params: du.ThreeLinesCubicParams, level: int) -> bool:
     finite = divexact_form(delta, homogenize(stars, delta.vars, 12)).as_unipoly()
     if 12 - finite.degree != level:
         return False
-    if finite.is_zero or discriminant_form(finite, finite.degree) == 0:
+    if finite.is_zero or not is_separable(homogenize(finite, delta.vars, finite.degree)):
         return False
     return finite(-params.mu) != 0 and finite(-params.nu) != 0
 
@@ -681,7 +676,7 @@ def _cover(tag: str, build: Callable) -> Callable:
         # no choice of (d0, d_inf) helps a discriminant vanishing at (1, 1),
         # so that place rejects the surface itself
         r = _sample_rational_surface(
-            rng, lambda disc: _separable(disc) and disc(1, 1) != 0
+            rng, lambda disc: is_separable(disc) and disc(1, 1) != 0
         )
         disc = r.reduced_discriminant()
 
@@ -776,7 +771,7 @@ _family("correspondence-rational", "fiber-config")(_correspondence(("rat1", "rat
 def _reduced_pair_generic(pair) -> bool:
     f, g = pair
     disc = 4 * f**3 + 27 * g**2
-    if not _separable(disc):
+    if not is_separable(disc):
         return False
     return disc.coeffs[0] != 0 and disc(0, 1) != 0 and disc(1, 1) != 0
 

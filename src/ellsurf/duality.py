@@ -49,9 +49,9 @@ from .exactpoly import (
     HomPoly,
     RationalLike,
     UniPoly,
-    form_discriminant,
     form_resultant,
     homogenize,
+    is_separable,
     rat,
     rational_cubic_roots,
     rational_sqrt,
@@ -787,7 +787,7 @@ def bilinear_quadruple_surface(quad: BilinearQuadruple) -> QuadrupleCoverSurface
         p = quad.pair_form(i, j)
         if p.is_zero:
             raise GenericityViolated(f"curves {i} and {j} share a component")
-        if form_discriminant(p) == 0:
+        if not is_separable(p):
             raise GenericityViolated(
                 f"curves {i} and {j} are tangent: a double intersection point"
             )

@@ -37,6 +37,9 @@ degree ``n >= 2`` is the classical identity (Gelfand-Kapranov-Zelevinsky)
 
     disc(f) = (-1)^(n(n-1)/2) * res(df/ds, df/dt) / n^(n-2).
 
+Whether the discriminant vanishes needs no determinant: ``is_separable``
+asks whether the gcd of the two partials is constant.
+
 Everything is exact; nothing here ever rounds.
 """
 
@@ -782,6 +785,15 @@ def resultant(p: UniPoly, q: UniPoly) -> Fraction:
     )
 
 
+def _partials(f: HomPoly) -> tuple[HomPoly, HomPoly]:
+    """``(df/ds, df/dt)`` of a form of declared degree ``n >= 1``, each of
+    declared degree ``n - 1``."""
+    n = f.degree
+    d_s = [(n - k) * c for k, c in enumerate(f.num[:-1])]
+    d_t = [k * c for k, c in enumerate(f.num)][1:]
+    return HomPoly(f.vars, *_lowest(d_s, f.den)), HomPoly(f.vars, *_lowest(d_t, f.den))
+
+
 def form_discriminant(f: HomPoly) -> Fraction:
     """Discriminant of a binary form at its declared degree ``n >= 2``:
     ``(-1)^(n(n-1)/2) * form_resultant(df/ds, df/dt) / n^(n-2)``.
@@ -794,11 +806,7 @@ def form_discriminant(f: HomPoly) -> Fraction:
         raise DegreeTooLow("form discriminant needs declared degree >= 2")
     if f.is_zero:
         raise DegreeTooLow("zero form has no discriminant")
-    d_s = [(n - k) * c for k, c in enumerate(f.num[:-1])]
-    d_t = [k * c for k, c in enumerate(f.num)][1:]
-    res = form_resultant(
-        HomPoly(f.vars, *_lowest(d_s, f.den)), HomPoly(f.vars, *_lowest(d_t, f.den))
-    )
+    res = form_resultant(*_partials(f))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * res / n ** (n - 2)
 
@@ -842,6 +850,24 @@ def gcd_form(p: HomPoly, q: HomPoly) -> HomPoly:
     g = gcd_poly(p.as_unipoly(), q.as_unipoly())
     lifted = homogenize(g, p.vars, g.degree + e)
     return lifted.monic_in_first()
+
+
+def is_separable(f: HomPoly) -> bool:
+    """Whether a form has no repeated linear factor at its declared degree
+    (a double root at infinity included): the zero test of
+    ``form_discriminant`` without the resultant.
+
+    By the Euler relation ``n * f = s * df/ds + t * df/dt`` a common zero
+    of the two partials is a zero of ``f`` where its gradient vanishes,
+    that is a repeated root, and conversely; so ``f`` is separable exactly
+    when the gcd of its partials is constant.  The zero form is not
+    separable; a nonzero form of degree 0 or 1 is.
+    """
+    if f.is_zero:
+        return False
+    if f.degree < 2:
+        return True
+    return gcd_form(*_partials(f)).degree == 0
 
 
 @dataclass(frozen=True)

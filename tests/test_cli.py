@@ -436,6 +436,22 @@ def test_an_expectation_without_a_value_refuses_trailing_text(head):
     assert (err.value.line, err.value.col) == (5, 10 + len(head))
 
 
+@pytest.mark.parametrize("gap", ["\t", " \t", "\t  "])
+def test_an_expectation_head_ends_at_any_whitespace(gap):
+    sc = parse(
+        minimal_scenario("lattice-identity", f"expect det{gap}-4", f"expect signature{gap}1,1")
+    )
+    assert sc.expect["det"] == -4
+    assert sc.expect["signature"] == (1, 1)
+    # the value column counts every character of the gap
+    with pytest.raises(ParseError, match="parity must be 0 or 1") as err:
+        parse(minimal_scenario("lattice-identity", f"expect parity{gap}3"))
+    assert (err.value.line, err.value.col) == (5, 14 + len(gap))
+    with pytest.raises(ParseError, match="'expect even' takes no value") as err:
+        parse(minimal_scenario("lattice-identity", f"expect even{gap}please"))
+    assert (err.value.line, err.value.col) == (5, 12 + len(gap))
+
+
 @pytest.mark.parametrize(
     "body",
     [

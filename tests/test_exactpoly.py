@@ -41,6 +41,7 @@ from ellsurf.exactpoly import (
     gcd_form,
     gcd_poly,
     homogenize,
+    is_separable,
     parse_hompoly,
     parse_rational,
     rational_cubic_roots,
@@ -423,6 +424,74 @@ class TestResultantDiscriminant:
         moved = f.substitute(HomPoly.of(ST, (a, b)), HomPoly.of(ST, (c, d)))
         det = a * d - b * c
         assert form_discriminant(moved) == det ** (n * (n - 1)) * form_discriminant(f)
+
+
+@st.composite
+def separability_cases(draw):
+    """The zero form of degree 0..6; a monomial ``c * s^a * t^b`` of degree
+    0..8 (among them the constants, ``s^n`` and ``t^n``, whose partial in
+    the other variable is zero); or ``g^2 * h * t^k`` of degree up to 10,
+    with a repeated factor when ``g`` has degree 1 or 2 and a simple or
+    double root at infinity when ``k`` is 1 or 2."""
+    kind = draw(st.sampled_from(["zero", "monomial", "product", "product"]))
+    if kind == "zero":
+        return HomPoly.zero(ST, draw(st.integers(0, 6)))
+    if kind == "monomial":
+        c = draw(small_rational.filter(lambda c: c != 0))
+        a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        return c * HomPoly.var_power(ST, 0, a) * HomPoly.var_power(ST, 1, b)
+    g_size = draw(st.sampled_from([1, 1, 2, 3]))
+    g = HomPoly.of(ST, draw(st.lists(small_rational, min_size=g_size, max_size=g_size)))
+    h = HomPoly.of(ST, draw(st.lists(small_rational, min_size=1, max_size=5)))
+    return g * g * h * HomPoly.var_power(ST, 1, draw(st.integers(0, 2)))
+
+
+def _sympy_separable(f: HomPoly) -> bool:
+    """The oracle verdict: a nonzero form of degree below 2 is separable,
+    and one of degree ``n >= 2`` is when sympy's discriminant, read at
+    degree ``n`` by the drop rule, is nonzero."""
+    if f.is_zero:
+        return False
+    if f.degree < 2:
+        return True
+    return _sympy_discriminant_form(f.as_unipoly(), f.degree) != 0
+
+
+class TestIsSeparable:
+    @pytest.mark.parametrize(
+        "coeffs, separable",
+        [
+            ([1, 0, -1], True),  # s^2 - t^2
+            ([0, 1, 0, -1], True),  # t (s^2 - t^2): a simple root at infinity
+            ([0, 0, 1, 0, -1], False),  # t^2 (s^2 - t^2): a double one
+            ([1, 1, -1, -1], False),  # (s + t)^2 (s - t)
+            ([0, 1, 0], True),  # s t
+            ([1, 0, 0], False),  # s^2
+            ([1, 0, 0, 0, 0], False),  # s^4
+            ([0, 0, 0, 0, 2], False),  # 2 t^4
+            ([Fraction(1, 2), 0, Fraction(-1, 3)], True),
+            ([5], True),
+            ([0, 2], True),
+            ([3, 1], True),
+            ([0], False),
+            ([0, 0], False),
+            ([0, 0, 0, 0, 0], False),
+        ],
+    )
+    def test_verdicts(self, coeffs, separable):
+        assert is_separable(HomPoly.of(ST, coeffs)) is separable
+
+    @given(f=separability_cases())
+    @settings(max_examples=200)
+    def test_against_the_sympy_discriminant(self, f):
+        assert is_separable(f) == _sympy_separable(f)
+
+    @given(f=separability_cases(), m=invertible_matrices)
+    @settings(max_examples=100)
+    def test_invariant_under_a_change_of_coordinates(self, f, m):
+        a, b, c, d = m
+        moved = f.substitute(HomPoly.of(ST, (a, b)), HomPoly.of(ST, (c, d)))
+        assert is_separable(moved) == is_separable(f)
 
 
 def _reconstruct(split) -> HomPoly:
