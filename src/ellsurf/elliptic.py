@@ -330,13 +330,16 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
     The discriminant is split into squarefree pieces, each with its
     valuation in delta; ``refine_against`` splits each piece further by
     its valuation in c4 and then in c6 and returns those valuations, and
-    each place is classified after local minimalization.
+    each place is classified after local minimalization.  A piece with
+    v(c4) = 0 is not refined against c6: at a place of delta,
+    c6^2 = c4^3 - 1728 delta forces v(c6) = 0 there.
     """
     inv = invariants(model)
     places = []
     for f, m in squarefree_split(inv.delta).factors:
         for g, v4 in refine_against(f, inv.c4):
-            for h, v6 in refine_against(g, inv.c6):
+            by_c6 = [(g, 0)] if v4 == 0 else refine_against(g, inv.c6)
+            for h, v6 in by_c6:
                 reduced, k = minimalize_at(v4, v6, m)
                 fiber = kodaira_from_valuations(*reduced)
                 places.append(FiberPlace(h, fiber, v4, v6, m, k))

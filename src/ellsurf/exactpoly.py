@@ -13,9 +13,15 @@ All three store integer numerators ``num`` (a tuple, or for ``BiHomPoly``
 a tuple of row tuples) over one positive denominator ``den``, in lowest
 terms (gcd of ``den`` and the content of ``num`` is 1, and ``den`` is 1
 for zero), as FLINT's ``fmpq_poly`` does.  Equal polynomials therefore
-have equal fields, and sums, products, pseudo-division, gcds and
+have equal fields, and sums, products, powers, pseudo-division, gcds and
 resultants run on plain ints.  ``coeffs`` (``rows`` for ``BiHomPoly``) is
 a cached read-only view of the coefficients as Fractions.
+
+The form gcd and exact division never leave the integer rows either: the
+power of the second variable splits off the ``num`` tuple, and the rest
+is a primitive remainder sequence or one pseudo-division of the reversed
+rows.  Monic normalisation divides ``num`` by its leading entry, and a
+power is ``(num^n, den^n)``, already in lowest terms by Gauss's lemma.
 
 The module is also the one home of the exact scalar primitives the other
 layers build on:
@@ -292,6 +298,25 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _int_pow(num: Sequence[int], den: int, n: int) -> tuple[tuple[int, ...], int]:
+    """``(num^n, den^n)`` by repeated squaring, for ``n >= 0``.
+
+    By Gauss's lemma the content of ``num^n`` is the n-th power of the
+    content of ``num``, so a pair in lowest terms stays in lowest terms.
+    """
+    if n < 0:
+        raise ValueError("negative power")
+    out: Sequence[int] = [1]
+    base, k = num, n
+    while k:
+        if k & 1:
+            out = _int_mul(out, base)
+        k >>= 1
+        if k:
+            base = _int_mul(base, base)
+    return tuple(out), den**n
+
+
 def _hom_value(num: Sequence[int], big_s: int, big_t: int) -> int:
     """``sum(num[k] * big_s^(d-k) * big_t^k)`` for ``d = len(num) - 1``, by
     Horner's rule."""
@@ -418,16 +443,7 @@ class UniPoly:
         return self.__mul__(other)
 
     def __pow__(self, n: int) -> UniPoly:
-        if n < 0:
-            raise ValueError("negative power")
-        result = UniPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return UniPoly(*_int_pow(self.num, self.den, n))
 
     def __call__(self, x: RationalLike) -> Fraction:
         if self.is_zero:
@@ -475,9 +491,11 @@ class UniPoly:
         return q
 
     def monic(self) -> UniPoly:
-        if self.is_zero:
+        """``self`` over its leading coefficient; the zero polynomial is kept."""
+        if self.is_zero or self.num[-1] == self.den:
             return self
-        return self * (1 / self.leading)
+        lead = self.num[-1]
+        return UniPoly(*_lowest([n if lead > 0 else -n for n in self.num], abs(lead)))
 
     def text(self, var: str = "x") -> str:
         return _render_terms(
@@ -522,8 +540,20 @@ def _int_primitive(coeffs: Sequence[int]) -> list[int]:
     return [v // g for v in coeffs]
 
 
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive gcd, with a positive leading coefficient, of two nonzero
+    integer coefficient lists (ascending order, nonzero top entries), by a
+    primitive pseudo-remainder sequence."""
+    a, b = _int_primitive(a), _int_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _int_primitive(_int_divmod(a, b)[1])
+    return a if a[-1] > 0 else [-x for x in a]
+
+
 def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic gcd over Q via a primitive pseudo-remainder sequence.
+    """Monic gcd over Q.
 
     ``gcd_poly(0, 0)`` is the zero polynomial.
     """
@@ -533,13 +563,7 @@ def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
         return q.monic()
     if q.is_zero:
         return p.monic()
-    a, b = _int_primitive(p.num), _int_primitive(q.num)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _int_primitive(_int_divmod(a, b)[1])
-        a, b = b, r
-    return UniPoly(tuple(a)).monic()
+    return UniPoly(tuple(_int_gcd(p.num, q.num))).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -642,16 +666,7 @@ class HomPoly:
         return self.__mul__(other)
 
     def __pow__(self, n: int) -> HomPoly:
-        if n < 0:
-            raise ValueError("negative power")
-        result = HomPoly.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return HomPoly(self.vars, *_int_pow(self.num, self.den, n))
 
     def __call__(self, s: RationalLike, t: RationalLike) -> Fraction:
         sv, tv = rat(s), rat(t)
@@ -691,7 +706,13 @@ class HomPoly:
         return Fraction(self.num[self.second_var_multiplicity()], self.den)
 
     def monic_in_first(self) -> HomPoly:
-        return self * (1 / self.leading_in_first())
+        """``self`` over its coefficient at the highest power of
+        ``vars[0]`` present; the zero form raises ``DegreeTooLow``."""
+        lead = self.num[self.second_var_multiplicity()]
+        if lead == self.den:
+            return self
+        num = [n if lead > 0 else -n for n in self.num]
+        return HomPoly(self.vars, *_lowest(num, abs(lead)))
 
     def text(self) -> str:
         d = self.degree
@@ -820,24 +841,41 @@ def discriminant_form(p: UniPoly, degree: int) -> Fraction:
     return form_discriminant(homogenize(p, _AFFINE, degree))
 
 
+def _affine_row(f: HomPoly) -> tuple[int, tuple[int, ...]]:
+    """``(e, row)`` for a nonzero form ``f = t^e * g(s, t)``: ``e`` is the
+    power of ``vars[1]`` and ``row`` the numerators of ``g(s, 1)`` in
+    ascending powers of ``s``, with a nonzero top entry."""
+    e = f.second_var_multiplicity()
+    return e, f.num[e:][::-1]
+
+
 def divexact_form(p: HomPoly, f: HomPoly) -> HomPoly:
-    """The form ``p / f``; raises ``ExactDivisionError`` on a remainder."""
+    """The form ``p / f``; raises ``ExactDivisionError`` on a remainder.
+
+    The powers of ``vars[1]`` divide first; the rest is one integer
+    pseudo-division of the affine rows, whose quotient has degree
+    ``p.degree - f.degree`` once it is exact.
+    """
     p._check_vars(f)
     if f.is_zero:
         raise ZeroDivisionError("division by the zero form")
     if p.is_zero:
         return HomPoly.zero(p.vars, max(p.degree - f.degree, 0))
-    if p.degree >= f.degree and p.second_var_multiplicity() >= f.second_var_multiplicity():
-        quo, rem = p.as_unipoly().divmod(f.as_unipoly())
-        if rem.is_zero:
-            return homogenize(quo, p.vars, p.degree - f.degree)
+    (ep, a), (ef, b) = _affine_row(p), _affine_row(f)
+    if ep >= ef:
+        quo, rem, scale = _int_divmod(a, b)
+        if not rem:
+            num = [0] * (ep - ef) + [x * f.den for x in reversed(quo)]
+            return HomPoly(p.vars, *_lowest(num, scale * p.den))
     raise ExactDivisionError("form division left a remainder")
 
 
 def gcd_form(p: HomPoly, q: HomPoly) -> HomPoly:
     """Gcd of binary forms, normalized monic in the first variable.
 
-    The degree of the result is the actual gcd degree, not padded.
+    The degree of the result is the actual gcd degree, not padded: the
+    smaller power of ``vars[1]`` times the gcd of the affine rows, which
+    is primitive and so already in lowest terms over its leading entry.
     """
     p._check_vars(q)
     if p.is_zero and q.is_zero:
@@ -846,10 +884,9 @@ def gcd_form(p: HomPoly, q: HomPoly) -> HomPoly:
         return q.monic_in_first()
     if q.is_zero:
         return p.monic_in_first()
-    e = min(p.second_var_multiplicity(), q.second_var_multiplicity())
-    g = gcd_poly(p.as_unipoly(), q.as_unipoly())
-    lifted = homogenize(g, p.vars, g.degree + e)
-    return lifted.monic_in_first()
+    (ep, a), (eq, b) = _affine_row(p), _affine_row(q)
+    g = _int_gcd(a, b)
+    return HomPoly(p.vars, (0,) * min(ep, eq) + tuple(g[::-1]), g[-1])
 
 
 def is_separable(f: HomPoly) -> bool:

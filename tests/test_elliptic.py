@@ -16,6 +16,8 @@ from corpus import constructed_short_models, shift_x
 from ellsurf import duality as du
 from ellsurf.elliptic import (
     DegenerateModel,
+    FiberConfiguration,
+    FiberPlace,
     InconsistentValuations,
     KodairaType,
     NonMinimal,
@@ -33,6 +35,8 @@ from ellsurf.exactpoly import (
     UniPoly,
     homogenize,
     parse_hompoly,
+    refine_against,
+    squarefree_split,
 )
 from tate_oracle import t as T_SYM
 from tate_oracle import form_multiplicities, tate_fiber_at_origin
@@ -390,6 +394,34 @@ class TestValuationsAgainstSympy:
                     assert place.v_delta == in_delta[factor]
                 covered |= set(factors)
             assert covered == set(in_delta)
+
+
+def _refined_twice(model: WeierstrassModel) -> FiberConfiguration:
+    """``fiber_configuration`` as it was before pieces prime to c4 skipped
+    the c6 pass: every piece is refined against c4 and then against c6."""
+    inv = invariants(model)
+    places = []
+    for f, m in squarefree_split(inv.delta).factors:
+        for g, v4 in refine_against(f, inv.c4):
+            for h, v6 in refine_against(g, inv.c6):
+                reduced, k = minimalize_at(v4, v6, m)
+                places.append(FiberPlace(h, kodaira_from_valuations(*reduced), v4, v6, m, k))
+    places.sort(key=lambda p: (p.place.degree, p.place.coeffs))
+    return FiberConfiguration(model.weight, tuple(places))
+
+
+class TestC6PassSkip:
+    def test_places_prime_to_c4_match_the_double_refinement(self):
+        models = _valuation_corpus()
+        skipped = 0
+        for model in models:
+            config = fiber_configuration(model)
+            assert config == _refined_twice(model)
+            skipped += sum(p.v_c4 == 0 for p in config.places)
+        assert skipped > 0
+        invs = [invariants(m) for m in models]
+        assert any(inv.c4.is_zero for inv in invs)
+        assert any(inv.c6.is_zero for inv in invs)
 
 
 class TestTwoTorsionSections:

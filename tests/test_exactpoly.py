@@ -667,6 +667,155 @@ class TestHomPoly:
 
 
 # ---------------------------------------------------------------------------
+# the form kernels on the integer rows, against the affine round trip they
+# replace: dehomogenize, work on UniPoly, homogenize, and make monic
+# through a Fraction scalar
+
+
+def _round_trip_monic(f: HomPoly) -> HomPoly:
+    return f * (1 / f.leading_in_first())
+
+
+def _round_trip_gcd_form(p: HomPoly, q: HomPoly) -> HomPoly:
+    if p.is_zero and q.is_zero:
+        return HomPoly.zero(p.vars, 0)
+    if p.is_zero or q.is_zero:
+        return _round_trip_monic(q if p.is_zero else p)
+    e = min(p.second_var_multiplicity(), q.second_var_multiplicity())
+    g = gcd_poly(p.as_unipoly(), q.as_unipoly())
+    return _round_trip_monic(homogenize(g, p.vars, g.degree + e))
+
+
+def _round_trip_divexact_form(p: HomPoly, f: HomPoly) -> HomPoly:
+    if p.is_zero:
+        return HomPoly.zero(p.vars, max(p.degree - f.degree, 0))
+    if p.degree >= f.degree and p.second_var_multiplicity() >= f.second_var_multiplicity():
+        quo, rem = p.as_unipoly().divmod(f.as_unipoly())
+        if rem.is_zero:
+            return homogenize(quo, p.vars, p.degree - f.degree)
+    raise ExactDivisionError("form division left a remainder")
+
+
+def _fields(f: HomPoly):
+    return f.vars, f.num, f.den
+
+
+_S, _T = sp.symbols("s t")
+
+
+def _form_expr(f: HomPoly):
+    d = f.degree
+    return sum(
+        (sp.Rational(c.numerator, c.denominator) * _S ** (d - k) * _T**k for k, c in enumerate(f.coeffs)),
+        sp.Integer(0),
+    )
+
+
+@st.composite
+def forms_at_infinity(draw, max_part=3):
+    """``c * g * t^e`` with ``e <= 3``: ``g`` has rational coefficients with
+    denominators up to 4 and up to ``max_part + 1`` of them, and ``c`` is
+    zero now and then, which gives the zero form of that degree."""
+    g = HomPoly.of(ST, draw(st.lists(small_rational, min_size=1, max_size=max_part + 1)))
+    t_e = HomPoly.var_power(ST, 1, draw(st.integers(0, 3)))
+    return draw(st.sampled_from([1, 1, 1, 1, 0])) * g * t_e
+
+
+class TestFormKernelsOnTheRows:
+    @given(common=forms_at_infinity(2), a=forms_at_infinity(), b=forms_at_infinity())
+    @settings(max_examples=150)
+    def test_gcd_matches_the_affine_round_trip_and_sympy(self, common, a, b):
+        p, q = common * a, common * b
+        ours = gcd_form(p, q)
+        assert _fields(ours) == _fields(_round_trip_gcd_form(p, q))
+        theirs = sp.gcd(_form_expr(p), _form_expr(q))
+        if theirs == 0:
+            assert ours.is_zero
+            return
+        ratio = sp.cancel(_form_expr(ours) / theirs)
+        assert ratio.is_Rational and ratio != 0
+        if not common.is_zero:
+            divexact_form(ours, common.monic_in_first())
+
+    @given(f=forms_at_infinity(), quo=forms_at_infinity(), other=forms_at_infinity())
+    @settings(max_examples=150)
+    def test_divexact_matches_the_affine_round_trip(self, f, quo, other):
+        if f.is_zero:
+            return
+        for p in (f * quo, other):
+            try:
+                want = _round_trip_divexact_form(p, f)
+            except ExactDivisionError:
+                with pytest.raises(ExactDivisionError):
+                    divexact_form(p, f)
+            else:
+                assert _fields(divexact_form(p, f)) == _fields(want)
+        assert divexact_form(f * quo, f) == quo
+
+    @pytest.mark.parametrize(
+        "dividend, divisor, want",
+        [
+            # the degree and the power of t both allow it, but the affine
+            # part s of the dividend is below the affine part s^2
+            ("s*t^3", "s^2", None),
+            ("s*t^3", "s^2*t", None),
+            ("s^2 - t^2", "s + 2*t", None),
+            # constant divisors
+            ("2*s^2 - 3*s*t", "3/2", "4/3*s^2 - 2*s*t"),
+            ("t^3", "-5", "-1/5*t^3"),
+            ("7", "2", "7/2"),
+            # a zero dividend is the zero form of degree max(dp - df, 0)
+            ((2, "0"), "s^3 + t^3", (0, "0")),
+            ((5, "0"), "s^2", (3, "0")),
+            ((4, "0"), "s*t - 1/2*t^2", (2, "0")),
+            # quotients divisible by t keep their leading zeros
+            ("s*t^2 + t^3", "s + t", "t^2"),
+            ("t^3", "t", "t^2"),
+            ("1/3*s*t^4 - t^5", "t^2", "1/3*s*t^2 - t^3"),
+            ("s^2*t^2 - t^4", "s*t - t^2", "s*t + t^2"),
+        ],
+    )
+    def test_divexact_edge_cases(self, dividend, divisor, want):
+        def form(text):
+            degree, text = text if isinstance(text, tuple) else (None, text)
+            return parse_hompoly(text, ST, degree)
+
+        p, f = form(dividend), form(divisor)
+        if want is None:
+            with pytest.raises(ExactDivisionError):
+                divexact_form(p, f)
+            with pytest.raises(ExactDivisionError):
+                _round_trip_divexact_form(p, f)
+            return
+        got = divexact_form(p, f)
+        assert _fields(got) == _fields(form(want))
+        assert _fields(got) == _fields(_round_trip_divexact_form(p, f))
+        assert _lowest_terms(got.num, got.den)
+
+
+class TestPowers:
+    @given(p=unipolys(), f=forms_at_infinity())
+    @settings(max_examples=60)
+    def test_powers_equal_repeated_products(self, p, f):
+        by_uni, by_form = UniPoly.constant(1), HomPoly.constant(ST, 1)
+        for n in range(7):
+            assert ((p**n).num, (p**n).den) == (by_uni.num, by_uni.den)
+            assert _fields(f**n) == _fields(by_form)
+            by_uni, by_form = by_uni * p, by_form * f
+
+    def test_zero_powers(self):
+        for n in range(7):
+            assert UniPoly.zero() ** n == (UniPoly.constant(1) if n == 0 else UniPoly.zero())
+            want = HomPoly.constant(ST, 1) if n == 0 else HomPoly.zero(ST, 2 * n)
+            assert HomPoly.zero(ST, 2) ** n == want
+
+    def test_a_negative_power_is_refused(self):
+        for poly in (UniPoly.of(1, 2), UniPoly.zero(), HomPoly.of(ST, [1, 2]), HomPoly.zero(ST, 1)):
+            with pytest.raises(ValueError):
+                poly ** -1
+
+
+# ---------------------------------------------------------------------------
 # bidegree forms, against Fraction grids kept here
 
 

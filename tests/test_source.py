@@ -7,7 +7,9 @@ named error: ``python -O`` strips ``assert`` statements, so none is
 allowed.  ``tests/tate_oracle.py`` judges the package's fiber classifier,
 so it must never import ``ellsurf``.  Every module-level import must be
 used.  The two routes of a cross-route check must stay separate: neither
-may reach the other in the package's name-level reference graph.
+may reach the other in the package's name-level reference graph.  The
+form kernels run on the integer rows: their definitions never mention
+the affine round trip or the Fraction view.
 """
 
 import ast
@@ -222,3 +224,48 @@ def test_the_routes_of_a_cross_route_check_never_reach_each_other():
     for one, other in _SEPARATE_ROUTES:
         assert other not in _reaches(graph, one), (one, other)
         assert one not in _reaches(graph, other), (other, one)
+
+
+def _mentions(node: ast.AST) -> set[str]:
+    """The bare names and attribute names a definition mentions directly;
+    strings and docstrings are not mentions."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_the_mention_check_sees_names_and_attributes_only():
+    source = (
+        "def f(p):\n"
+        "    \"as_unipoly and Fraction are words here\"\n"
+        "    return p.as_unipoly().coeffs, rat(1), x.num\n"
+    )
+    node = ast.parse(source).body[0]
+    assert _mentions(node) == {"p", "as_unipoly", "coeffs", "rat", "x", "num"}
+
+
+# the form kernels, each run on the num/den rows, and what they must not
+# mention: the round trip through UniPoly and the Fraction view
+_ROW_KERNELS = {
+    "gcd_form": 1,
+    "divexact_form": 1,
+    "refine_against": 1,
+    "monic_in_first": 1,
+    "monic": 1,
+    "__pow__": 2,
+}
+_OFF_THE_ROWS = {"as_unipoly", "homogenize", "coeffs", "leading", "leading_in_first", "rat", "Fraction"}
+
+
+def test_the_form_kernels_stay_on_the_integer_rows():
+    path = Path(ellsurf.__file__).with_name("exactpoly.py")
+    found: dict[str, int] = {}
+    for name, node in _definitions(ast.parse(path.read_text(), str(path))):
+        if name in _ROW_KERNELS:
+            found[name] = found.get(name, 0) + 1
+            assert not _mentions(node) & _OFF_THE_ROWS, (name, node.lineno)
+    assert found == _ROW_KERNELS
