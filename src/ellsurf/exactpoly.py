@@ -15,13 +15,16 @@ terms (gcd of ``den`` and the content of ``num`` is 1, and ``den`` is 1
 for zero), as FLINT's ``fmpq_poly`` does.  Equal polynomials therefore
 have equal fields, and sums, products, powers, pseudo-division, gcds and
 resultants run on plain ints.  ``coeffs`` (``rows`` for ``BiHomPoly``) is
-a cached read-only view of the coefficients as Fractions.
+a cached read-only view of the coefficients as Fractions.  ``UniPoly`` and
+``HomPoly`` share that row arithmetic through one private base, ``_Rows``;
+each adds only how it reads its rows (affine, or a form of declared degree).
 
-The form gcd and exact division never leave the integer rows either: the
-power of the second variable splits off the ``num`` tuple, and the rest
-is a primitive remainder sequence or one pseudo-division of the reversed
-rows.  Monic normalisation divides ``num`` by its leading entry, and a
-power is ``(num^n, den^n)``, already in lowest terms by Gauss's lemma.
+The form gcd, exact division and squarefree split never leave the integer
+rows either: the power of the second variable splits off the ``num``
+tuple, and the rest is a primitive remainder sequence, one pseudo-division
+or Yun's loop on the reversed rows.  Monic normalisation divides ``num``
+by its leading entry.  By Gauss's lemma a quotient by a primitive gcd is
+integral, and a power ``(num^n, den^n)`` is already in lowest terms.
 
 The module is also the one home of the exact scalar primitives the other
 layers build on:
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, TypeVar, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -298,7 +301,7 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _int_pow(num: Sequence[int], den: int, n: int) -> tuple[tuple[int, ...], int]:
+def _int_pow(num: Sequence[int], den: int, n: int) -> tuple[list[int], int]:
     """``(num^n, den^n)`` by repeated squaring, for ``n >= 0``.
 
     By Gauss's lemma the content of ``num^n`` is the n-th power of the
@@ -306,7 +309,7 @@ def _int_pow(num: Sequence[int], den: int, n: int) -> tuple[tuple[int, ...], int
     """
     if n < 0:
         raise ValueError("negative power")
-    out: Sequence[int] = [1]
+    out = [1]
     base, k = num, n
     while k:
         if k & 1:
@@ -314,7 +317,7 @@ def _int_pow(num: Sequence[int], den: int, n: int) -> tuple[tuple[int, ...], int
         k >>= 1
         if k:
             base = _int_mul(base, base)
-    return tuple(out), den**n
+    return out, den**n
 
 
 def _hom_value(num: Sequence[int], big_s: int, big_t: int) -> int:
@@ -325,6 +328,11 @@ def _hom_value(num: Sequence[int], big_s: int, big_t: int) -> int:
         acc = acc * big_s + n * tpow
         tpow *= big_t
     return acc
+
+
+def _int_derivative(num: Sequence[int]) -> list[int]:
+    """The derivative of an ascending integer coefficient list."""
+    return [i * n for i, n in enumerate(num)][1:]
 
 
 def _int_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
@@ -359,44 +367,25 @@ def _int_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials
+# the row arithmetic of UniPoly and HomPoly
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniPoly:
-    """Dense univariate polynomial ``sum(num[i] * x^i) / den``.
+_R = TypeVar("_R", bound="_Rows")
 
-    ``num`` holds integers with trailing zeros stripped and ``den > 0``
-    shares no factor with their content, so equal polynomials have equal
-    fields; the zero polynomial is ``num == ()``, ``den == 1``, degree
-    ``-1``.  ``coeffs[i]`` is the rational coefficient of ``x^i``.
+
+class _Rows:
+    """The arithmetic ``UniPoly`` and ``HomPoly`` share: integer numerators
+    ``num`` over one positive denominator ``den``, in lowest terms.
+
+    Each subclass says how it reads its rows through two hooks:
+    ``_new(num, den)`` makes a value of its own kind from an int list over
+    ``den > 0``, in lowest terms, and ``_check(other, adding)`` refuses an
+    operand that cannot be added (``adding``) or multiplied.
     """
 
     num: tuple[int, ...]
-    den: int = 1
-
-    @staticmethod
-    def _make(num: list[int], den: int) -> UniPoly:
-        while num and num[-1] == 0:
-            num.pop()
-        return UniPoly(*_lowest(num, den))
-
-    @staticmethod
-    def of(*coeffs: RationalLike) -> UniPoly:
-        return UniPoly.from_coeffs(coeffs)
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[RationalLike]) -> UniPoly:
-        return UniPoly._make(*_fractions_over_one_den(coeffs))
-
-    @staticmethod
-    def zero() -> UniPoly:
-        return UniPoly(())
-
-    @staticmethod
-    def constant(c: RationalLike) -> UniPoly:
-        return UniPoly.from_coeffs([c])
+    den: int
 
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -409,64 +398,100 @@ class UniPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not any(self.num)
 
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise DegreeTooLow("zero polynomial has no leading coefficient")
-        return Fraction(self.num[-1], self.den)
+    def _plus(self: _R, other: _R, sign: int) -> _R:
+        self._check(other, True)
+        return self._new(*_combine(self.num, self.den, other.num, other.den, sign))
+
+    def __add__(self: _R, other: _R) -> _R:
+        return self._plus(other, 1)
+
+    def __sub__(self: _R, other: _R) -> _R:
+        return self._plus(other, -1)
+
+    def __neg__(self: _R) -> _R:
+        return self._new([-n for n in self.num], self.den)
+
+    def __mul__(self: _R, other: _R | RationalLike) -> _R:
+        if isinstance(other, type(self)):
+            self._check(other, False)
+            return self._new(_int_mul(self.num, other.num), self.den * other.den)
+        c = rat(other)
+        return self._new([c.numerator * n for n in self.num], c.denominator * self.den)
+
+    def __rmul__(self: _R, other: RationalLike) -> _R:
+        return self.__mul__(other)
+
+    def __pow__(self: _R, n: int) -> _R:
+        return self._new(*_int_pow(self.num, self.den, n))
+
+    def _over_lead(self: _R, lead: int) -> _R:
+        """``self`` over its rational entry ``lead / den``, ``lead != 0``."""
+        if lead == self.den:
+            return self
+        return self._new([n if lead > 0 else -n for n in self.num], abs(lead))
+
+
+# the variable pair a polynomial is read in when it becomes a form
+_AFFINE = ("x", "y")
+
+
+@dataclass(frozen=True)
+class UniPoly(_Rows):
+    """Dense univariate polynomial ``sum(num[i] * x^i) / den``.
+
+    ``num`` holds integers with trailing zeros stripped and ``den > 0``
+    shares no factor with their content, so equal polynomials have equal
+    fields; the zero polynomial is ``num == ()``, ``den == 1``, degree
+    ``-1``.  ``coeffs[i]`` is the rational coefficient of ``x^i``.
+    """
+
+    num: tuple[int, ...]
+    den: int = 1
+
+    @staticmethod
+    def _new(num: list[int], den: int) -> UniPoly:
+        while num and num[-1] == 0:
+            num.pop()
+        return UniPoly(*_lowest(num, den))
+
+    def _check(self, other: UniPoly, adding: bool) -> None:
+        """Any two polynomials add and multiply."""
+
+    @staticmethod
+    def of(*coeffs: RationalLike) -> UniPoly:
+        return UniPoly.from_coeffs(coeffs)
+
+    @staticmethod
+    def from_coeffs(coeffs: Iterable[RationalLike]) -> UniPoly:
+        return UniPoly._new(*_fractions_over_one_den(coeffs))
+
+    @staticmethod
+    def zero() -> UniPoly:
+        return UniPoly(())
 
     def coeff(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i <= self.degree else Fraction(0)
-
-    def __add__(self, other: UniPoly) -> UniPoly:
-        return UniPoly._make(*_combine(self.num, self.den, other.num, other.den, 1))
-
-    def __sub__(self, other: UniPoly) -> UniPoly:
-        return UniPoly._make(*_combine(self.num, self.den, other.num, other.den, -1))
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly(tuple(-n for n in self.num), self.den)
-
-    def __mul__(self, other: UniPoly | RationalLike) -> UniPoly:
-        if isinstance(other, UniPoly):
-            if self.is_zero or other.is_zero:
-                return UniPoly.zero()
-            return UniPoly._make(_int_mul(self.num, other.num), self.den * other.den)
-        c = rat(other)
-        return UniPoly._make(
-            [c.numerator * n for n in self.num], c.denominator * self.den
-        )
-
-    def __rmul__(self, other: RationalLike) -> UniPoly:
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> UniPoly:
-        return UniPoly(*_int_pow(self.num, self.den, n))
 
     def __call__(self, x: RationalLike) -> Fraction:
         if self.is_zero:
             return Fraction(0)
         xv = rat(x)
-        p, q = xv.numerator, xv.denominator
-        # sum(num[i] * p^i * q^(n - i)) by Horner, then divide by q^n * den
-        acc, qpow = 0, 1
-        for c in reversed(self.num):
-            acc = acc * p + c * qpow
-            qpow *= q
-        return Fraction(acc, self.den * q**self.degree)
+        # with x = p/q the value is sum(num[i] * p^i * q^(n-i)) / (den * q^n)
+        acc = _hom_value(self.num[::-1], xv.numerator, xv.denominator)
+        return Fraction(acc, self.den * xv.denominator**self.degree)
 
     def derivative(self) -> UniPoly:
-        return UniPoly._make([i * n for i, n in enumerate(self.num)][1:], self.den)
+        return UniPoly._new(_int_derivative(self.num), self.den)
 
     def shift(self, c: RationalLike) -> UniPoly:
-        """Return p(x + c)."""
-        cv = rat(c)
-        result = UniPoly.zero()
-        for a in reversed(self.coeffs):
-            result = result * UniPoly.of(cv, 1) + UniPoly.constant(a)
-        return result
+        """Return p(x + c): the form of degree ``deg p`` at ``x -> x + c*y``."""
+        if self.degree < 1:
+            return self
+        form = homogenize(self, _AFFINE, self.degree)
+        y = HomPoly.var_power(_AFFINE, 1, 1)
+        return form.substitute(HomPoly.of(_AFFINE, [1, c]), y).as_unipoly()
 
     def divmod(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
         """Quotient and remainder over Q.
@@ -479,23 +504,11 @@ class UniPoly:
             raise ZeroDivisionError("polynomial division by zero")
         quo, rem, scale = _int_divmod(self.num, other.num)
         den = scale * self.den
-        return (
-            UniPoly._make([x * other.den for x in quo], den),
-            UniPoly._make(rem, den),
-        )
-
-    def divexact(self, other: UniPoly) -> UniPoly:
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ExactDivisionError("division left a remainder")
-        return q
+        return UniPoly._new([x * other.den for x in quo], den), UniPoly._new(rem, den)
 
     def monic(self) -> UniPoly:
         """``self`` over its leading coefficient; the zero polynomial is kept."""
-        if self.is_zero or self.num[-1] == self.den:
-            return self
-        lead = self.num[-1]
-        return UniPoly(*_lowest([n if lead > 0 else -n for n in self.num], abs(lead)))
+        return self._over_lead(self.num[-1]) if self.num else self
 
     def text(self, var: str = "x") -> str:
         return _render_terms(
@@ -541,9 +554,9 @@ def _int_primitive(coeffs: Sequence[int]) -> list[int]:
 
 
 def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive gcd, with a positive leading coefficient, of two nonzero
-    integer coefficient lists (ascending order, nonzero top entries), by a
-    primitive pseudo-remainder sequence."""
+    """Primitive gcd, with a positive leading coefficient, of two integer
+    coefficient lists (ascending order), one of which may be zero, by a
+    primitive pseudo-remainder sequence.  A nonzero list has a nonzero top."""
     a, b = _int_primitive(a), _int_primitive(b)
     if len(a) < len(b):
         a, b = b, a
@@ -559,10 +572,6 @@ def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
     """
     if p.is_zero and q.is_zero:
         return UniPoly.zero()
-    if p.is_zero:
-        return q.monic()
-    if q.is_zero:
-        return p.monic()
     return UniPoly(tuple(_int_gcd(p.num, q.num))).monic()
 
 
@@ -580,7 +589,7 @@ def _pair(vars: Sequence[str]) -> tuple[str, str]:
 
 
 @dataclass(frozen=True)
-class HomPoly:
+class HomPoly(_Rows):
     """Binary form ``sum(num[k] * vars[0]^(d-k) * vars[1]^k) / den`` of
     declared degree ``d = len(num) - 1``.
 
@@ -593,6 +602,18 @@ class HomPoly:
     vars: tuple[str, str]
     num: tuple[int, ...]
     den: int = 1
+
+    def _new(self, num: list[int], den: int) -> HomPoly:
+        return HomPoly(self.vars, *_lowest(num, den))
+
+    def _check(self, other: HomPoly, adding: bool = False) -> None:
+        if self.vars != other.vars:
+            raise DegreeMismatch(f"variable pairs differ: {self.vars} vs {other.vars}")
+        if adding and self.degree != other.degree:
+            raise DegreeMismatch(f"cannot add forms of degrees {self.degree} and {other.degree}")
+
+    # the variable-pair check on its own, as the other modules call it
+    _check_vars = _check
 
     @staticmethod
     def of(vars: tuple[str, str], coeffs: Iterable[RationalLike]) -> HomPoly:
@@ -616,58 +637,6 @@ class HomPoly:
         num[0 if which == 0 else degree] = 1
         return HomPoly(_pair(vars), tuple(num))
 
-    @cached_property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        den = self.den
-        return tuple(Fraction(n, den) for n in self.num)
-
-    @property
-    def degree(self) -> int:
-        return len(self.num) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
-    def _check_vars(self, other: HomPoly) -> None:
-        if self.vars != other.vars:
-            raise DegreeMismatch(
-                f"variable pairs differ: {self.vars} vs {other.vars}"
-            )
-
-    def _plus(self, other: HomPoly, sign: int) -> HomPoly:
-        self._check_vars(other)
-        if self.degree != other.degree:
-            raise DegreeMismatch(
-                f"cannot add forms of degrees {self.degree} and {other.degree}"
-            )
-        num, den = _combine(self.num, self.den, other.num, other.den, sign)
-        return HomPoly(self.vars, *_lowest(num, den))
-
-    def __add__(self, other: HomPoly) -> HomPoly:
-        return self._plus(other, 1)
-
-    def __sub__(self, other: HomPoly) -> HomPoly:
-        return self._plus(other, -1)
-
-    def __neg__(self) -> HomPoly:
-        return HomPoly(self.vars, tuple(-n for n in self.num), self.den)
-
-    def __mul__(self, other: HomPoly | RationalLike) -> HomPoly:
-        if isinstance(other, HomPoly):
-            self._check_vars(other)
-            num = _int_mul(self.num, other.num)
-            return HomPoly(self.vars, *_lowest(num, self.den * other.den))
-        c = rat(other)
-        num = [c.numerator * n for n in self.num]
-        return HomPoly(self.vars, *_lowest(num, c.denominator * self.den))
-
-    def __rmul__(self, other: RationalLike) -> HomPoly:
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> HomPoly:
-        return HomPoly(self.vars, *_int_pow(self.num, self.den, n))
-
     def __call__(self, s: RationalLike, t: RationalLike) -> Fraction:
         sv, tv = rat(s), rat(t)
         # with s = a/b and t = c/e the value is
@@ -688,11 +657,11 @@ class HomPoly:
     def substitute(self, f: HomPoly, g: HomPoly) -> HomPoly:
         """Plug forms (f, g) of one common degree in for the variables."""
         flat, den = _substituted((self.num,), f, g)
-        return HomPoly(f.vars, *_lowest(flat, self.den * den))
+        return f._new(flat, self.den * den)
 
     def as_unipoly(self) -> UniPoly:
         """Dehomogenize at ``vars[1] = 1`` (polynomial in ``vars[0]``)."""
-        return UniPoly._make(list(self.num[::-1]), self.den)
+        return UniPoly._new(list(self.num[::-1]), self.den)
 
     def second_var_multiplicity(self) -> int:
         """Multiplicity of the root [1:0], i.e. the power of ``vars[1]``."""
@@ -701,18 +670,10 @@ class HomPoly:
                 return k
         raise DegreeTooLow("zero form has no root multiplicities")
 
-    def leading_in_first(self) -> Fraction:
-        """Coefficient of the highest power of ``vars[0]`` present."""
-        return Fraction(self.num[self.second_var_multiplicity()], self.den)
-
     def monic_in_first(self) -> HomPoly:
         """``self`` over its coefficient at the highest power of
         ``vars[0]`` present; the zero form raises ``DegreeTooLow``."""
-        lead = self.num[self.second_var_multiplicity()]
-        if lead == self.den:
-            return self
-        num = [n if lead > 0 else -n for n in self.num]
-        return HomPoly(self.vars, *_lowest(num, abs(lead)))
+        return self._over_lead(self.num[self.second_var_multiplicity()])
 
     def text(self) -> str:
         d = self.degree
@@ -784,10 +745,6 @@ def form_resultant(p: HomPoly, q: HomPoly) -> Fraction:
     return Fraction(bareiss_det(rows), p.den**n * q.den**m)
 
 
-# the variable pair a polynomial is read in when it becomes a form
-_AFFINE = ("x", "y")
-
-
 def resultant(p: UniPoly, q: UniPoly) -> Fraction:
     """Resultant of two polynomials at their actual degrees.
 
@@ -809,10 +766,8 @@ def resultant(p: UniPoly, q: UniPoly) -> Fraction:
 def _partials(f: HomPoly) -> tuple[HomPoly, HomPoly]:
     """``(df/ds, df/dt)`` of a form of declared degree ``n >= 1``, each of
     declared degree ``n - 1``."""
-    n = f.degree
-    d_s = [(n - k) * c for k, c in enumerate(f.num[:-1])]
-    d_t = [k * c for k, c in enumerate(f.num)][1:]
-    return HomPoly(f.vars, *_lowest(d_s, f.den)), HomPoly(f.vars, *_lowest(d_t, f.den))
+    d_s, d_t = _int_derivative(f.num[::-1])[::-1], _int_derivative(f.num)
+    return f._new(d_s, f.den), f._new(d_t, f.den)
 
 
 def form_discriminant(f: HomPoly) -> Fraction:
@@ -866,7 +821,7 @@ def divexact_form(p: HomPoly, f: HomPoly) -> HomPoly:
         quo, rem, scale = _int_divmod(a, b)
         if not rem:
             num = [0] * (ep - ef) + [x * f.den for x in reversed(quo)]
-            return HomPoly(p.vars, *_lowest(num, scale * p.den))
+            return p._new(num, scale * p.den)
     raise ExactDivisionError("form division left a remainder")
 
 
@@ -919,30 +874,31 @@ class SquarefreeSplit:
 def squarefree_split(f: HomPoly) -> SquarefreeSplit:
     """Yun decomposition of a nonzero binary form; exact over Q.
 
-    Yun's loop runs on the affine part (``vars[1] = 1``), where no
+    Yun's loop runs on the integer affine row (``vars[1] = 1``), where no
     multiplicity exceeds its degree; the power of ``vars[1]`` is the
-    factor at infinity.  Factors are sorted by degree, then coefficients.
+    factor at infinity.  Every divisor is a primitive gcd, so by Gauss's
+    lemma each quotient is integral and the pseudo-division's scale is 1.
+    Each factor is made monic as ``gcd_form`` makes it.  Factors are sorted
+    by degree, then coefficients.
     """
     if f.is_zero:
         raise DegreeTooLow("zero form has no squarefree decomposition")
-    e = f.second_var_multiplicity()
-    u = f.as_unipoly()
+    e, row = _affine_row(f)
     factors = [(HomPoly.var_power(f.vars, 1, 1), e)] if e else []
-    c = u.monic()
-    dc = c.derivative()
-    g = gcd_poly(c, dc)
-    c = c.divexact(g)
-    d = dc.divexact(g) - c.derivative()
-    for i in range(1, u.degree + 1):
-        if c.degree == 0:
+    # pass 0 divides gcd(c, c') out of c; pass i >= 1 splits off the factor
+    # a_i of multiplicity i.  d is zero (then a_i is c itself) or has degree
+    # deg c - 1, its top being lc(c) * sum((j - i) * deg a_j) over j > i
+    c, d = list(row), _int_derivative(row)
+    for i in range(len(row)):
+        g = _int_gcd(c, d)
+        if i and len(g) > 1:
+            factors.append((HomPoly(f.vars, tuple(g[::-1]), g[-1]), i))
+        c = _int_divmod(c, g)[0]
+        d = _combine(_int_divmod(d, g)[0], 1, _int_derivative(c), 1, -1)[0]
+        if len(c) == 1:
             break
-        g = gcd_poly(c, d)
-        if g.degree > 0:
-            factors.append((homogenize(g, f.vars, g.degree), i))
-        c = c.divexact(g)
-        d = d.divexact(g) - c.derivative()
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return SquarefreeSplit(u.leading, tuple(factors))
+    return SquarefreeSplit(Fraction(row[-1], f.den), tuple(factors))
 
 
 def refine_against(f: HomPoly, q: HomPoly) -> list[tuple[HomPoly, int | None]]:

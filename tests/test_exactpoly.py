@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from sympy.polys.subresultants_qq_zz import sylvester
 from hypothesis import strategies as st
 from tate_oracle import form_multiplicities
@@ -30,6 +30,7 @@ from ellsurf.exactpoly import (
     HomPoly,
     ParseError,
     SingularSystem,
+    SquarefreeSplit,
     UniPoly,
     bareiss_adjugate,
     bareiss_det,
@@ -88,10 +89,36 @@ class TestUniPolyRing:
         assert rem.is_zero or rem.degree < q.degree
 
     @given(p=unipolys(), c=small_rational)
+    @example(p=UniPoly.zero(), c=Fraction(3, 2))
+    @example(p=UniPoly.of(-7), c=Fraction(-1, 4))
+    @example(p=UniPoly.of(Fraction(2, 3)), c=Fraction(0))
     def test_shift_evaluates(self, p, c):
         shifted = p.shift(c)
         for x in (Fraction(0), Fraction(1), Fraction(-2, 3)):
             assert shifted(x) == p(x + c)
+        # three points do not pin a polynomial of degree 3 or more
+        want = _loop_shift(p, c)
+        assert (shifted.num, shifted.den) == (want.num, want.den)
+
+
+def _loop_shift(p: UniPoly, c: Fraction) -> UniPoly:
+    """p(x + c) by Horner's rule on UniPoly values."""
+    result = UniPoly.zero()
+    for a in reversed(p.coeffs):
+        result = result * UniPoly.of(c, 1) + UniPoly.of(a)
+    return result
+
+
+def _divexact(p: UniPoly, q: UniPoly) -> UniPoly:
+    """``p / q`` through ``divmod``; the remainder must be zero."""
+    quo, rem = p.divmod(q)
+    assert rem.is_zero, (p, q)
+    return quo
+
+
+def _leading_in_first(f: HomPoly) -> Fraction:
+    """The coefficient of the highest power of the first variable present."""
+    return f.coeffs[f.second_var_multiplicity()]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +269,6 @@ class TestIntegerCore:
         assert F.coeffs == (Fraction(4), Fraction(-3, 2), Fraction(0))
         assert F.coeffs is F.coeffs
         assert p.coeff(7) == 0 and type(p.coeff(1)) is Fraction
-        assert type(p.leading) is Fraction and type(F.leading_in_first()) is Fraction
 
     def test_forms_need_two_distinct_variables(self):
         for vars in (("s", "s"), ("s",), ("s", "t", "u")):
@@ -275,9 +301,9 @@ class TestGcd:
     def test_common_factor_detected(self, p, q, g):
         d = gcd_poly(p * g, q * g)
         assert not d.is_zero
-        assert d.leading == 1
-        (p * g).divexact(d)  # no remainder
-        d.divexact(gcd_poly(d, g.monic()))  # g | d up to the p,q part
+        assert d.num[-1] == d.den
+        _divexact(p * g, d)  # no remainder
+        _divexact(d, gcd_poly(d, g.monic()))  # g | d up to the p,q part
 
     @given(p=unipolys(allow_zero=False), q=unipolys(allow_zero=False))
     @settings(max_examples=60)
@@ -300,7 +326,7 @@ def _sympy_discriminant_form(p: UniPoly, degree: int):
     if drop >= 2:
         return 0
     base = sp.discriminant(_to_sympy(p)) if p.degree >= 2 else 1
-    return base * sp.Rational(p.leading) ** (2 * drop)
+    return base * sp.Rational(p.coeffs[-1]) ** (2 * drop)
 
 
 @st.composite
@@ -334,7 +360,7 @@ class TestResultantDiscriminant:
         with pytest.raises(DegreeTooLow):
             _disc(UniPoly.of(3, 1))
         with pytest.raises(DegreeTooLow):
-            _disc(UniPoly.constant(5))
+            _disc(UniPoly.of(5))
 
     @given(p=unipolys(max_degree=4, allow_zero=False), q=unipolys(max_degree=4, allow_zero=False))
     @settings(max_examples=60)
@@ -502,12 +528,89 @@ def _reconstruct(split) -> HomPoly:
     return result
 
 
+def _round_trip_squarefree_split(f: HomPoly) -> SquarefreeSplit:
+    """Yun's loop on ``UniPoly``: dehomogenize, split, homogenize each
+    factor back.  The integer-row loop must give the same fields."""
+    if f.is_zero:
+        raise DegreeTooLow("zero form has no squarefree decomposition")
+    e = f.second_var_multiplicity()
+    u = f.as_unipoly()
+    factors = [(HomPoly.var_power(f.vars, 1, 1), e)] if e else []
+    c = u.monic()
+    dc = c.derivative()
+    g = gcd_poly(c, dc)
+    c = _divexact(c, g)
+    d = _divexact(dc, g) - c.derivative()
+    for i in range(1, u.degree + 1):
+        if c.degree == 0:
+            break
+        g = gcd_poly(c, d)
+        if g.degree > 0:
+            factors.append((homogenize(g, f.vars, g.degree), i))
+        c = _divexact(c, g)
+        d = _divexact(d, g) - c.derivative()
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return SquarefreeSplit(u.coeffs[-1], tuple(factors))
+
+
+def _split_fields(split: SquarefreeSplit):
+    return type(split.unit), split.unit, [(_fields(f), m) for f, m in split.factors]
+
+
+@st.composite
+def yun_forms(draw):
+    """``c * g^a * h^b * t^e``: ``c`` a nonzero rational, ``g`` and ``h``
+    nonzero forms of degree up to 2, all with denominators up to 4."""
+    part = st.lists(small_rational, min_size=1, max_size=3).filter(any)
+    c = draw(small_rational.filter(lambda c: c != 0))
+    g, h = HomPoly.of(ST, draw(part)), HomPoly.of(ST, draw(part))
+    a, b, e = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return c * g**a * h**b * HomPoly.var_power(ST, 1, e)
+
+
 class TestSquarefree:
+    @given(f=yun_forms())
+    @settings(max_examples=200, deadline=None)
+    def test_the_row_loop_matches_the_unipoly_round_trip(self, f):
+        split = squarefree_split(f)
+        assert _split_fields(split) == _split_fields(_round_trip_squarefree_split(f))
+        assert _reconstruct(split) == f
+
+    @pytest.mark.parametrize(
+        "text, unit, factors",
+        [
+            # d becomes zero: the last factor is c itself
+            ("s^2", 1, [("s", 2)]),
+            ("s^3*t^2", 1, [("t", 2), ("s", 3)]),
+            ("2*t^4", 2, [("t", 4)]),
+            ("7", 7, []),
+            ("-1/3", Fraction(-1, 3), []),
+            # (s + t)^3 (s - t)^2 t
+            (
+                "s^5*t + s^4*t^2 - 2*s^3*t^3 - 2*s^2*t^4 + s*t^5 + t^6",
+                1,
+                [("t", 1), ("s - t", 2), ("s + t", 3)],
+            ),
+            ("-4*s^2 - 4*s*t - t^2", -4, [("s + 1/2*t", 2)]),
+        ],
+    )
+    def test_edge_cases(self, text, unit, factors):
+        f = parse_hompoly(text, ST)
+        split = squarefree_split(f)
+        assert split.unit == unit and type(split.unit) is Fraction
+        assert [(str(g), m) for g, m in split.factors] == factors
+        assert _split_fields(split) == _split_fields(_round_trip_squarefree_split(f))
+
+    def test_the_zero_form_has_no_split(self):
+        for d in range(4):
+            with pytest.raises(DegreeTooLow):
+                squarefree_split(HomPoly.zero(ST, d))
+
     def test_two_hundred_random_products_reconstruct(self):
         rng = random.Random(20260819)
         for _ in range(200):
             n_factors = rng.randint(1, 3)
-            p = UniPoly.constant(Fraction(rng.choice([1, 2, -3, 5]), rng.choice([1, 2])))
+            p = UniPoly.of(Fraction(rng.choice([1, 2, -3, 5]), rng.choice([1, 2])))
             for _ in range(n_factors):
                 deg = rng.randint(1, 2)
                 coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(deg)] + [
@@ -518,7 +621,7 @@ class TestSquarefree:
             split = squarefree_split(form)
             assert _reconstruct(split) == form
             for f, _m in split.factors:
-                assert f.leading_in_first() == 1
+                assert _leading_in_first(f) == 1
                 u = f.as_unipoly()
                 assert gcd_poly(u, u.derivative()).degree == 0
 
@@ -564,7 +667,7 @@ class TestSquarefree:
             assert len(set(ks)) == len(ks)
             in_q = form_multiplicities(q.coeffs)
             for piece, k in pieces:
-                assert piece.leading_in_first() == 1
+                assert _leading_in_first(piece) == 1
                 for factor in form_multiplicities(piece.coeffs):
                     assert in_q.get(factor, 0) == k
 
@@ -673,7 +776,7 @@ class TestHomPoly:
 
 
 def _round_trip_monic(f: HomPoly) -> HomPoly:
-    return f * (1 / f.leading_in_first())
+    return f * (1 / _leading_in_first(f))
 
 
 def _round_trip_gcd_form(p: HomPoly, q: HomPoly) -> HomPoly:
@@ -797,7 +900,7 @@ class TestPowers:
     @given(p=unipolys(), f=forms_at_infinity())
     @settings(max_examples=60)
     def test_powers_equal_repeated_products(self, p, f):
-        by_uni, by_form = UniPoly.constant(1), HomPoly.constant(ST, 1)
+        by_uni, by_form = UniPoly.of(1), HomPoly.constant(ST, 1)
         for n in range(7):
             assert ((p**n).num, (p**n).den) == (by_uni.num, by_uni.den)
             assert _fields(f**n) == _fields(by_form)
@@ -805,7 +908,7 @@ class TestPowers:
 
     def test_zero_powers(self):
         for n in range(7):
-            assert UniPoly.zero() ** n == (UniPoly.constant(1) if n == 0 else UniPoly.zero())
+            assert UniPoly.zero() ** n == (UniPoly.of(1) if n == 0 else UniPoly.zero())
             want = HomPoly.constant(ST, 1) if n == 0 else HomPoly.zero(ST, 2 * n)
             assert HomPoly.zero(ST, 2) ** n == want
 

@@ -9,7 +9,9 @@ so it must never import ``ellsurf``.  Every module-level import must be
 used.  The two routes of a cross-route check must stay separate: neither
 may reach the other in the package's name-level reference graph.  The
 form kernels run on the integer rows: their definitions never mention
-the affine round trip or the Fraction view.
+the affine round trip or the Fraction view, and the squarefree split
+never reaches ``UniPoly``.  ``UniPoly`` and ``HomPoly`` share their row
+arithmetic: neither redefines a method of their common base.
 """
 
 import ast
@@ -248,6 +250,11 @@ def test_the_mention_check_sees_names_and_attributes_only():
     assert _mentions(node) == {"p", "as_unipoly", "coeffs", "rat", "x", "num"}
 
 
+def _exactpoly_tree() -> ast.Module:
+    path = Path(ellsurf.__file__).with_name("exactpoly.py")
+    return ast.parse(path.read_text(), str(path))
+
+
 # the form kernels, each run on the num/den rows, and what they must not
 # mention: the round trip through UniPoly and the Fraction view
 _ROW_KERNELS = {
@@ -256,16 +263,94 @@ _ROW_KERNELS = {
     "refine_against": 1,
     "monic_in_first": 1,
     "monic": 1,
-    "__pow__": 2,
+    "_over_lead": 1,
+    "__pow__": 1,
 }
 _OFF_THE_ROWS = {"as_unipoly", "homogenize", "coeffs", "leading", "leading_in_first", "rat", "Fraction"}
 
 
 def test_the_form_kernels_stay_on_the_integer_rows():
-    path = Path(ellsurf.__file__).with_name("exactpoly.py")
     found: dict[str, int] = {}
-    for name, node in _definitions(ast.parse(path.read_text(), str(path))):
+    for name, node in _definitions(_exactpoly_tree()):
         if name in _ROW_KERNELS:
             found[name] = found.get(name, 0) + 1
             assert not _mentions(node) & _OFF_THE_ROWS, (name, node.lineno)
     assert found == _ROW_KERNELS
+
+
+def _function_closure(tree: ast.Module, start: str) -> dict[str, ast.FunctionDef]:
+    """``start`` and the module-level functions it reaches by mentioning
+    them, directly or through one another; classes are not followed."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo = [start]
+    for name in todo:
+        todo += sorted(_mentions(functions[name]) & functions.keys() - set(todo))
+    return {name: functions[name] for name in todo}
+
+
+def test_the_closure_follows_module_level_functions_only():
+    source = (
+        "def a():\n    return b() + C().m()\n"
+        "def b():\n    return a() + c\n"
+        "c = 1\n"
+        "class C:\n    def m(self):\n        return d()\n"
+        "def d():\n    pass\n"
+    )
+    assert sorted(_function_closure(ast.parse(source), "a")) == ["a", "b"]
+
+
+# Yun's loop runs on the integer affine row, never through UniPoly
+_OFF_THE_SPLIT = {"as_unipoly", "homogenize", "gcd_poly", "UniPoly"}
+
+
+def test_the_squarefree_split_never_reaches_unipoly():
+    closure = _function_closure(_exactpoly_tree(), "squarefree_split")
+    assert {"_int_gcd", "_int_divmod"} <= closure.keys()
+    for name, node in closure.items():
+        assert not _mentions(node) & _OFF_THE_SPLIT, (name, node.lineno)
+
+
+def _redefined(tree: ast.Module, base: str, subclasses) -> dict[str, list[str]]:
+    """Per subclass, the names its body defines (as a method or by plain
+    assignment) that the body of ``base`` defines too."""
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def defined(name: str) -> set[str]:
+        names = set()
+        for item in classes[name].body:
+            if isinstance(item, ast.FunctionDef):
+                names.add(item.name)
+            elif isinstance(item, ast.Assign):
+                names |= {t.id for t in item.targets if isinstance(t, ast.Name)}
+        return names
+
+    shared = defined(base)
+    found = {sub: sorted(defined(sub) & shared) for sub in subclasses}
+    return {sub: names for sub, names in found.items() if names}
+
+
+def test_the_redefinition_check_sees_methods_and_assignments():
+    source = (
+        "class Base:\n    x: int\n    def a(self): pass\n    def b(self): pass\n"
+        "class One(Base):\n    x: int\n    def a(self): pass\n    def c(self): pass\n"
+        "class Two(Base):\n    b = Base.a\n"
+        "class Three(Base):\n    def c(self): pass\n"
+    )
+    found = _redefined(ast.parse(source), "Base", ("One", "Two", "Three"))
+    assert found == {"One": ["a"], "Two": ["b"]}
+
+
+# the row arithmetic UniPoly and HomPoly inherit from _Rows
+_SHARED_ARITHMETIC = {
+    "coeffs", "degree", "is_zero", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__pow__",
+}
+
+
+def test_unipoly_and_hompoly_share_one_row_arithmetic():
+    tree = _exactpoly_tree()
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    base = {item.name for item in classes["_Rows"].body if isinstance(item, ast.FunctionDef)}
+    assert _SHARED_ARITHMETIC <= base
+    for name in ("UniPoly", "HomPoly"):
+        assert [b.id for b in classes[name].bases] == ["_Rows"]
+    assert _redefined(tree, "_Rows", ("UniPoly", "HomPoly")) == {}
