@@ -51,7 +51,6 @@ from .exactpoly import (
     ParseError,
     UniPoly,
     divexact_form,
-    homogenize,
     is_separable,
     parse_hompoly,
     parse_rational,
@@ -603,13 +602,15 @@ def _at_chain_level(params: du.ThreeLinesCubicParams, level: int) -> bool:
         delta = invariants(du.three_lines_cubic_model(params)).delta
     except DegenerateModel:
         return False
-    stars = (UniPoly.of(params.mu, 1) ** 6) * (UniPoly.of(params.nu, 1) ** 6)
-    finite = divexact_form(delta, homogenize(stars, delta.vars, 12)).as_unipoly()
-    if 12 - finite.degree != level:
+    vars = delta.vars
+    stars = (HomPoly.of(vars, (1, params.mu)) * HomPoly.of(vars, (1, params.nu))) ** 6
+    finite = divexact_form(delta, stars)
+    if finite.second_var_multiplicity() != level:
         return False
-    if finite.is_zero or not is_separable(homogenize(finite, delta.vars, finite.degree)):
+    affine = divexact_form(finite, HomPoly.var_power(vars, 1, level))
+    if not is_separable(affine):
         return False
-    return finite(-params.mu) != 0 and finite(-params.nu) != 0
+    return affine(-params.mu, 1) != 0 and affine(-params.nu, 1) != 0
 
 
 def _sample_chain_params(rng: random.Random, level: int, **fixed):

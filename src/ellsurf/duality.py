@@ -48,9 +48,7 @@ from .exactpoly import (
     DegreeMismatch,
     HomPoly,
     RationalLike,
-    UniPoly,
     form_resultant,
-    homogenize,
     is_separable,
     rat,
     rational_cubic_roots,
@@ -145,31 +143,26 @@ class ParameterConstraintViolated(ValueError):
 
 
 def form_from_line_restriction(
-    p: UniPoly,
+    p: HomPoly,
     mu: RationalLike,
     nu: RationalLike,
-    degree: int,
     vars: tuple[str, str] = ("U", "V"),
 ) -> HomPoly:
-    """The unique form F of the declared degree with F(x + mu, x + nu) = p(x).
+    """The unique form F of the degree d of ``p`` with F(x + mu, x + nu) =
+    p(x, 1).
 
     Restricting a binary form to the affine line (x + mu, x + nu) is a
-    linear isomorphism onto polynomials of degree <= degree whenever
-    mu != nu.  Its inverse is the closed form
-    F = sum_k p_k (mu*V - nu*U)^k (U - V)^(degree-k) / (mu - nu)^degree,
+    linear isomorphism onto polynomials of degree <= d whenever mu != nu.
+    With p_k the coefficient of x^k in p(x, 1), its inverse is the closed form
+    F = sum_k p_k (mu*V - nu*U)^k (U - V)^(d-k) / (mu - nu)^d,
     since mu*V - nu*U and U - V restrict to (mu - nu)*x and mu - nu.
     """
     muv, nuv = rat(mu), rat(nu)
     if muv == nuv:
         raise ParameterConstraintViolated("restriction line needs mu != nu")
-    if p.degree > degree:
-        raise DegreeMismatch(
-            f"polynomial degree {p.degree} exceeds declared degree {degree}"
-        )
     line = HomPoly.of(vars, (-nuv, muv))
     diff = HomPoly.of(vars, (1, -1))
-    # homogenize puts p_k on vars[0]^k vars[1]^(degree-k)
-    return homogenize(p, vars, degree).substitute(line, diff) * (1 / (muv - nuv) ** degree)
+    return p.rename(vars).substitute(line, diff) * (1 / (muv - nuv) ** p.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -877,16 +870,13 @@ def star_triple_model(
     sqv = _coeff_tuple(sq, 2, "quadratic part")
     linv = _coeff_tuple(lin, 3, "linear part")
     cstv = _coeff_tuple(cst, 4, "constant part")
-    pencil = UniPoly.of(muv * nuv, muv + nuv, 1)
-    a2 = pencil * UniPoly.of(*reversed(sqv))
-    a4 = pencil**2 * UniPoly.of(*reversed(linv))
-    a6 = pencil**3 * UniPoly.of(*reversed(cstv))
-    return WeierstrassModel(
-        homogenize(a2, _PENCIL, 4),
-        homogenize(a4, _PENCIL, 8),
-        homogenize(a6, _PENCIL, 12),
-        2,
+    stars = (
+        HomPoly.var_power(_PENCIL, 1, 1)
+        * HomPoly.of(_PENCIL, (1, muv))
+        * HomPoly.of(_PENCIL, (1, nuv))
     )
+    sqf, linf, cstf = (HomPoly.of(_PENCIL, v) for v in (sqv, linv, cstv))
+    return WeierstrassModel(stars * sqf, stars**2 * linf, stars**3 * cstf, 2)
 
 
 def shift_cubic_term(sq, lin, cst, rho: RationalLike):
@@ -1053,25 +1043,16 @@ def refibration_jacobian(
     if muv == nuv:
         raise ParameterConstraintViolated("chart parameters must be distinct")
     b, c = surface.torsion_factors
-    b_aff, c_aff = b.as_unipoly(), c.as_unipoly()
-    quartic = [
-        UniPoly.of(
-            b_aff.coeff(i) * muv - c_aff.coeff(i) * nuv,
-            b_aff.coeff(i) - c_aff.coeff(i),
-        )
-        for i in range(5)
-    ]
-    a0q, a1q, a2q, a3q, a4q = quartic
+    # the coefficient of x^i in the quartic is the pencil form
+    # (b_i - c_i) t + (b_i mu - c_i nu) h, b_i = b.coeffs[4 - i]
+    a4q, a3q, a2q, a1q, a0q = (
+        HomPoly.of(_PENCIL, (bi - ci, bi * muv - ci * nuv))
+        for bi, ci in zip(b.coeffs, c.coeffs)
+    )
     sq_poly = a2q
     lin_poly = a1q * a3q - 4 * a0q * a4q
     cst_poly = a1q * a1q * a4q + a0q * a3q * a3q - 4 * a0q * a2q * a4q
-
-    def descending(p: UniPoly, degree: int) -> tuple[Fraction, ...]:
-        return tuple(p.coeff(degree - k) for k in range(degree + 1))
-
-    sq = descending(sq_poly, 1)
-    lin = descending(lin_poly, 2)
-    cst = descending(cst_poly, 3)
+    sq, lin, cst = sq_poly.coeffs, lin_poly.coeffs, cst_poly.coeffs
     model = star_triple_model(muv, nuv, sq, lin, cst)
     params = normalize_three_i0star(muv, nuv, sq, lin, cst)
     third = Fraction(1, 3)
@@ -1079,8 +1060,8 @@ def refibration_jacobian(
     depressed_cst = (
         Fraction(2, 27) * sq_poly**3 - third * sq_poly * lin_poly + cst_poly
     )
-    f_hat = form_from_line_restriction(depressed_lin, muv, nuv, 2, _SECOND_QUOT)
-    g_hat = form_from_line_restriction(depressed_cst, muv, nuv, 3, _SECOND_QUOT)
+    f_hat = form_from_line_restriction(depressed_lin, muv, nuv, _SECOND_QUOT)
+    g_hat = form_from_line_restriction(depressed_cst, muv, nuv, _SECOND_QUOT)
     f_out = f_hat.swap().rename(_SECOND_QUOT)
     g_out = (-g_hat).swap().rename(_SECOND_QUOT)
     return RefibrationJacobian(params, model, f_out, g_out)

@@ -406,32 +406,31 @@ def two_torsion_sections(model: WeierstrassModel) -> tuple[HomPoly, ...]:
             found.append((-model.a2 + root) * half)
             found.append((-model.a2 - root) * half)
     else:
-        delta_aff = inv.delta.as_unipoly()
-        s0 = _regular_base_point(delta_aff)
-        a2s = model.a2.as_unipoly().shift(s0)
-        a4s = model.a4.as_unipoly().shift(s0)
-        a6s = model.a6.as_unipoly().shift(s0)
+        s0 = _regular_base_point(inv.delta)
+        t = HomPoly.var_power(vars, 1, 1)
+        a2s, a4s, a6s = (
+            a.substitute(HomPoly.of(vars, (1, s0)), t).as_unipoly()
+            for a in (model.a2, model.a4, model.a6)
+        )
         order = 2 * w + 1
         for x0 in rational_cubic_roots(a2s.coeff(0), a4s.coeff(0), a6s.coeff(0)):
-            series = _lift_cubic_root(a2s, a4s, a6s, x0, order)
-            candidate = series.shift(-s0)
-            if candidate.degree > 2 * w:
-                continue
-            section = homogenize(candidate, vars, 2 * w)
+            # the series has degree <= 2w, as it is truncated at x^order
+            series = homogenize(_lift_cubic_root(a2s, a4s, a6s, x0, order), vars, 2 * w)
+            section = series.substitute(HomPoly.of(vars, (1, -s0)), t)
             if model.rhs_at(section).is_zero:
                 found.append(section)
     unique = {f.coeffs: f for f in found}
     return tuple(unique[k] for k in sorted(unique))
 
 
-def _regular_base_point(delta_aff: UniPoly) -> Fraction:
-    """A rational base point where the affine discriminant does not vanish.
+def _regular_base_point(delta: HomPoly) -> Fraction:
+    """A rational s0 with delta(s0, 1) != 0.
 
-    A nonzero polynomial of degree n has at most n roots, so one of the
+    A nonzero form of degree n has at most n affine roots, so one of the
     first n + 1 candidates 0, 1, -1, 2, -2, ... is regular.
     """
-    for k in range(delta_aff.degree + 1):
+    for k in range(delta.degree + 1):
         cand = Fraction((k + 1) // 2 if k % 2 else -(k // 2))
-        if delta_aff(cand) != 0:
+        if delta(cand, 1) != 0:
             return cand
     raise DegenerateModel("the discriminant vanishes identically")

@@ -2,7 +2,9 @@
 
 Three representations cover everything the rest of the package needs:
 
-* ``UniPoly``: dense univariate polynomials, indexed by ascending degree.
+* ``UniPoly``: dense univariate polynomials, indexed by ascending degree:
+  the type of one-variable calculus (derivatives, truncated power series).
+  Curves, pencils and sections live on P^1 and are ``HomPoly`` values.
 * ``HomPoly``: binary forms with a *declared* degree, so the zero form of
   any degree and forms divisible by either variable are first-class values.
   Coefficient ``k`` multiplies ``s^(d-k) * t^k``.
@@ -484,14 +486,6 @@ class UniPoly(_Rows):
 
     def derivative(self) -> UniPoly:
         return UniPoly._new(_int_derivative(self.num), self.den)
-
-    def shift(self, c: RationalLike) -> UniPoly:
-        """Return p(x + c): the form of degree ``deg p`` at ``x -> x + c*y``."""
-        if self.degree < 1:
-            return self
-        form = homogenize(self, _AFFINE, self.degree)
-        y = HomPoly.var_power(_AFFINE, 1, 1)
-        return form.substitute(HomPoly.of(_AFFINE, [1, c]), y).as_unipoly()
 
     def divmod(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
         """Quotient and remainder over Q.

@@ -29,7 +29,7 @@ from .exactpoly import (
     RationalLike,
     UniPoly,
     ZeroScale,
-    discriminant_form,
+    form_discriminant,
     rat,
     tensor_forms,
 )
@@ -82,11 +82,9 @@ class NormalizationViolated(ValueError):
     """A coefficient triple fails the symmetric normalization."""
 
 
-def _disc4(p: UniPoly) -> Fraction:
-    """Discriminant of ``p`` as a binary form of declared degree four."""
-    if p.is_zero:
-        return Fraction(0)
-    return discriminant_form(p, 4)
+# the pairs of the two affine coordinates x = U/V and x0 = S/T
+_X_PAIR = ("U", "V")
+_X0_PAIR = ("S", "T")
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +96,11 @@ def _disc4(p: UniPoly) -> Fraction:
 class QuarticCurve:
     """The genus-one curve w^2 = a0 + a1*x + a2*x^2 + a3*x^3 + a4*x^4.
 
-    The defining polynomial is always read at declared degree four, so a
-    vanishing ``a4`` counts as a root at infinity.
+    ``form`` is the quartic as a binary form of declared degree four, read
+    at x = U/V, so a vanishing ``a4`` counts as a root at infinity.
     """
 
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
+    form: HomPoly
 
     @staticmethod
     def of(
@@ -116,24 +110,24 @@ class QuarticCurve:
         a3: RationalLike,
         a4: RationalLike,
     ) -> QuarticCurve:
-        return QuarticCurve(rat(a0), rat(a1), rat(a2), rat(a3), rat(a4))
+        return QuarticCurve(HomPoly.of(_X_PAIR, (a4, a3, a2, a1, a0)))
 
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
-        return (self.a0, self.a1, self.a2, self.a3, self.a4)
+        return self.form.coeffs[::-1]
 
     def poly(self) -> UniPoly:
-        return UniPoly.from_coeffs(self.coeffs)
+        return self.form.as_unipoly()
 
     def rhs(self, x: RationalLike) -> Fraction:
-        return self.poly()(x)
+        return self.form(x, 1)
 
     def contains(self, x: RationalLike, w: RationalLike) -> bool:
         return rat(w) ** 2 == self.rhs(x)
 
     def discriminant(self) -> Fraction:
-        """Declared-degree-four discriminant of the defining polynomial."""
-        return _disc4(self.poly())
+        """Discriminant of the form at declared degree four; 0 for the zero form."""
+        return Fraction(0) if self.form.is_zero else form_discriminant(self.form)
 
 
 @dataclass(frozen=True)
@@ -210,9 +204,6 @@ def hermite_pair_forms(
 # ---------------------------------------------------------------------------
 
 
-_X_PAIR = ("U", "V")
-_X0_PAIR = ("S", "T")
-
 # x^2 - 2*x*x0 + x0^2
 _SEPARATION_SQUARE = BiHomPoly.of(_X_PAIR, _X0_PAIR, ((0, 0, 1), (0, -2, 0), (1, 0, 0)))
 
@@ -233,23 +224,20 @@ class CorrespondencePolys:
 
 
 def correspondence_polys(h: QuarticCurve) -> CorrespondencePolys:
-    a0, a1, a2, a3, a4 = h.coeffs
-    # row i, column j multiplies x^(2-i) * x0^(2-j)
+    # n_k = den * a_k; row i, column j multiplies x^(2-i) * x0^(2-j)
+    n4, n3, n2, n1, n0 = h.form.num
+    den = h.form.den
     pairing = BiHomPoly.of(
         _X_PAIR,
         _X0_PAIR,
-        (
-            (a4, a3 / 2, a2 / 6),
-            (a3 / 2, Fraction(2, 3) * a2, a1 / 2),
-            (a2 / 6, a1 / 2, a0),
-        ),
-    )
-    corner = (8 * a0 * a2 - 3 * a1**2) / 12
-    edge = (6 * a0 * a3 - a1 * a2) / 6
-    outer = (36 * a0 * a4 - a2**2) / 36
-    center = (36 * a0 * a4 + 9 * a1 * a3 - 5 * a2**2) / 18
-    upper_edge = (6 * a1 * a4 - a2 * a3) / 6
-    upper_corner = (8 * a2 * a4 - 3 * a3**2) / 12
+        ((6 * n4, 3 * n3, n2), (3 * n3, 4 * n2, 3 * n1), (n2, 3 * n1, 6 * n0)),
+    ) * Fraction(1, 6 * den)
+    corner = 3 * (8 * n0 * n2 - 3 * n1**2)
+    edge = 6 * (6 * n0 * n3 - n1 * n2)
+    outer = 36 * n0 * n4 - n2**2
+    center = 2 * (36 * n0 * n4 + 9 * n1 * n3 - 5 * n2**2)
+    upper_edge = 6 * (6 * n1 * n4 - n2 * n3)
+    upper_corner = 3 * (8 * n2 * n4 - 3 * n3**2)
     cofactor = BiHomPoly.of(
         _X_PAIR,
         _X0_PAIR,
@@ -258,7 +246,7 @@ def correspondence_polys(h: QuarticCurve) -> CorrespondencePolys:
             (upper_edge, center, edge),
             (outer, edge, corner),
         ),
-    )
+    ) * Fraction(1, 36 * den * den)
     return CorrespondencePolys(pairing, cofactor, cofactor.diagonal().as_unipoly())
 
 
@@ -272,7 +260,7 @@ def discr_relation_check(h: QuarticCurve) -> tuple[Fraction, Fraction, Fraction]
     """
     cubic = jacobian_quartic(h)
     disc_p = h.discriminant()
-    disc_q = _disc4(correspondence_polys(h).cofactor_diagonal)
+    disc_q = QuarticCurve(correspondence_polys(h).cofactor.diagonal()).discriminant()
     return disc_p, disc_q, cubic.g
 
 
@@ -382,15 +370,11 @@ def j_invariant_quartic(h: QuarticCurve) -> Fraction:
 def j_invariant_22(b: Biquadratic22) -> Fraction:
     """j-invariant of a bidegree-(2,2) curve.
 
-    The discriminant in the second coordinate is a declared-degree-four
-    polynomial in the first; its Jacobian cubic carries the j-invariant.
+    The discriminant alpha^2 - 4*gamma*delta in the second coordinate is
+    a form of degree four in the first; its Jacobian cubic carries the
+    j-invariant.
     """
-    ghat = b.gamma.as_unipoly()
-    ahat = b.alpha.as_unipoly()
-    dhat = b.delta.as_unipoly()
-    resolvent = ahat * ahat - 4 * (ghat * dhat)
-    quartic = QuarticCurve.of(*(resolvent.coeff(i) for i in range(5)))
-    return j_invariant_quartic(quartic)
+    return j_invariant_quartic(QuarticCurve(b.alpha * b.alpha - 4 * (b.gamma * b.delta)))
 
 
 # ---------------------------------------------------------------------------

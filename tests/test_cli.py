@@ -11,10 +11,23 @@ import hashlib
 import io
 import json
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ellsurf import cli, hermite_aj
-from ellsurf.exactpoly import DegreeMismatch, ParseError
+from ellsurf import duality as du
+from ellsurf.elliptic import DegenerateModel, invariants
+from ellsurf.exactpoly import (
+    DegreeMismatch,
+    ParseError,
+    UniPoly,
+    divexact_form,
+    homogenize,
+    is_separable,
+)
 
 
 def parse(text: str, source: str = "inline.scn") -> cli.Scenario:
@@ -104,8 +117,8 @@ def test_parse_rationals_and_quartic():
         expect pass
         """
     )
-    assert sc.quartics["curve"].a0 == 1
-    assert sc.quartics["curve"].a4 == 1
+    assert sc.quartics["curve"].coeffs[0] == 1
+    assert sc.quartics["curve"].coeffs[4] == 1
     assert sc.rats["image_eta"] == -2
 
 
@@ -661,6 +674,45 @@ def test_scenario_rng_is_name_keyed():
     d = cli._scenario_rng(8, "alpha").random()
     assert a == b
     assert a != c and a != d
+
+
+def _affine_at_chain_level(params: du.ThreeLinesCubicParams, level: int) -> bool:
+    """The chain-level test read affinely: the finite factor as a
+    polynomial in t, its level the drop of its degree below 12."""
+    try:
+        delta = invariants(du.three_lines_cubic_model(params)).delta
+    except DegenerateModel:
+        return False
+    stars = (UniPoly.of(params.mu, 1) ** 6) * (UniPoly.of(params.nu, 1) ** 6)
+    finite = divexact_form(delta, homogenize(stars, delta.vars, 12)).as_unipoly()
+    if 12 - finite.degree != level:
+        return False
+    if finite.is_zero or not is_separable(homogenize(finite, delta.vars, finite.degree)):
+        return False
+    return finite(-params.mu) != 0 and finite(-params.nu) != 0
+
+
+_LINE_CUBIC_NAMES = ("mu", "nu", "c0", "c1", "d0", "d1", "d2", "e0", "e1", "e2")
+# zero half the time, so the chain zeros d2, e2, e1, d1 come up
+_chain_entry = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=3)
+)
+
+
+@given(values=st.tuples(*(_chain_entry,) * 10))
+@example(values=(4, -1, 0, 5, 3, -5, 2, -2, 5, -5))
+@example(values=(-5, -2, 1, -1, -3, 1, 0, -4, -3, 4))
+@example(values=(-1, 0, -2, 3, 5, 5, 0, -3, -2, 0))
+@example(values=(2, 0, -3, 2, 2, 0, 0, -1, 0, 0))
+@example(values=(Fraction(1, 2), -3, Fraction(2, 3), Fraction(-1, 2), 1, 0, 0, 2, 0, 0))
+@settings(max_examples=60, deadline=None)
+def test_chain_level_matches_the_affine_reading(values):
+    try:
+        params = du.ThreeLinesCubicParams.of(**dict(zip(_LINE_CUBIC_NAMES, values)))
+    except du.ParameterConstraintViolated:
+        assume(False)
+    for level in range(13):
+        assert cli._at_chain_level(params, level) == _affine_at_chain_level(params, level)
 
 
 # ---------------------------------------------------------------------------

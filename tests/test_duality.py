@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from corpus import (
     full_torsion_tower_generic,
@@ -956,6 +958,40 @@ def test_normalization_shifted_roundtrip():
     assert shift_x(shifted_model, shift_form) == du.three_lines_cubic_model(params)
 
 
+small_rational = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+def _unipoly_star_triple_model(mu, nu, sq, lin, cst):
+    """(a2, a4, a6) built affinely in t from p = (t + mu)(t + nu) and the
+    descending tuples, then lifted to the pencil at degrees 4, 8, 12."""
+    pencil = UniPoly.of(mu * nu, mu + nu, 1)
+    a2 = pencil * UniPoly.of(*reversed(sq))
+    a4 = pencil**2 * UniPoly.of(*reversed(lin))
+    a6 = pencil**3 * UniPoly.of(*reversed(cst))
+    return tuple(homogenize(a, ("t", "h"), d) for a, d in ((a2, 4), (a4, 8), (a6, 12)))
+
+
+@given(
+    mu=small_rational,
+    nu=small_rational,
+    sq=st.lists(small_rational, min_size=2, max_size=2),
+    lin=st.lists(small_rational, min_size=3, max_size=3),
+    cst=st.lists(small_rational, min_size=4, max_size=4),
+)
+@example(
+    mu=Fraction(1, 2), nu=Fraction(-2, 3), sq=[0, Fraction(1, 5)],
+    lin=[Fraction(3, 4), 0, 0], cst=[0, 0, 0, Fraction(-7, 2)],
+)
+@settings(max_examples=60, deadline=None)
+def test_star_triple_model_matches_the_affine_construction(mu, nu, sq, lin, cst):
+    assume(mu != nu)
+    model = du.star_triple_model(mu, nu, sq, lin, cst)
+    want = _unipoly_star_triple_model(mu, nu, sq, lin, cst)
+    for got, form in zip((model.a2, model.a4, model.a6), want):
+        assert (got.vars, got.num, got.den) == (form.vars, form.num, form.den)
+    assert model.weight == 2
+
+
 def test_normalization_error_gates():
     with pytest.raises(du.NoRationalCubicRoot):
         du.normalize_three_i0star(0, 1, (1, 0), (0, 0, 0), (1, 0, 0, 7))
@@ -1092,7 +1128,8 @@ def test_line_restriction_roundtrip():
             xs = [Fraction(k) for k in range(degree + 1)]
             values = [form(x + mu, x + nu) for x in xs]
             poly = _interpolate(xs, values)
-            recovered = du.form_from_line_restriction(poly, mu, nu, degree, UV)
+            lifted = homogenize(poly, ST, degree)
+            recovered = du.form_from_line_restriction(lifted, mu, nu, UV)
             assert recovered == form
 
 
@@ -1109,8 +1146,6 @@ def _interpolate(xs, values):
 
 
 def test_line_restriction_gates():
-    p = UniPoly.of(1, 2, 1)
+    p = HomPoly.of(ST, (1, 2, 1))
     with pytest.raises(du.ParameterConstraintViolated):
-        du.form_from_line_restriction(p, 3, 3, 2, UV)
-    with pytest.raises(DegreeMismatch):
-        du.form_from_line_restriction(UniPoly.of(1, 1, 1, 1), 0, 1, 2, UV)
+        du.form_from_line_restriction(p, 3, 3, UV)

@@ -428,12 +428,16 @@ class TestTwoTorsionSections:
     def test_regular_base_point_is_among_the_first_deg_plus_one_candidates(self):
         from ellsurf.elliptic import _regular_base_point
 
-        delta = UniPoly.of(1)
+        delta = HomPoly.constant(V, 1)
         for root, next_free in ((0, 1), (1, -1), (-1, 2), (2, -2), (-2, 3)):
-            delta = delta * UniPoly.of(-root, 1) * 7
+            delta = delta * HomPoly.of(V, (1, -root)) * 7
             assert _regular_base_point(delta) == next_free
+        # a root at infinity is not a candidate and costs none of them
+        at_infinity = delta * HomPoly.var_power(V, 1, 3)
+        assert _regular_base_point(at_infinity) == 3
+        assert _regular_base_point(P("s^2*t")) == 1
         with pytest.raises(DegenerateModel):
-            _regular_base_point(UniPoly.zero())
+            _regular_base_point(HomPoly.zero(V, 4))
 
     def test_split_family(self):
         m = WeierstrassModel(P("5*s^2"), P("4*s^4"), HomPoly.zero(V, 6), 1)

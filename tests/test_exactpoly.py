@@ -88,12 +88,17 @@ class TestUniPolyRing:
         assert quo * q + rem == p
         assert rem.is_zero or rem.degree < q.degree
 
-    @given(p=unipolys(), c=small_rational)
-    @example(p=UniPoly.zero(), c=Fraction(3, 2))
-    @example(p=UniPoly.of(-7), c=Fraction(-1, 4))
-    @example(p=UniPoly.of(Fraction(2, 3)), c=Fraction(0))
-    def test_shift_evaluates(self, p, c):
-        shifted = p.shift(c)
+    @given(p=unipolys(), c=small_rational, extra=st.integers(0, 2))
+    @example(p=UniPoly.zero(), c=Fraction(3, 2), extra=0)
+    @example(p=UniPoly.of(-7), c=Fraction(-1, 4), extra=0)
+    @example(p=UniPoly.of(Fraction(2, 3)), c=Fraction(0), extra=1)
+    def test_shift_evaluates(self, p, c, extra):
+        # the shift two_torsion_sections makes: p read as a form, with roots
+        # at infinity when extra > 0, at s -> s + c*t, then at t = 1
+        vars = ("s", "t")
+        form = homogenize(p, vars, max(p.degree, 0) + extra)
+        line = HomPoly.of(vars, (1, c))
+        shifted = form.substitute(line, HomPoly.var_power(vars, 1, 1)).as_unipoly()
         for x in (Fraction(0), Fraction(1), Fraction(-2, 3)):
             assert shifted(x) == p(x + c)
         # three points do not pin a polynomial of degree 3 or more
@@ -405,7 +410,7 @@ class TestResultantDiscriminant:
     def test_discriminant_shift_invariant(self, p, c):
         if p.degree < 2:
             return
-        assert _disc(p.shift(c)) == _disc(p)
+        assert _disc(_loop_shift(p, c)) == _disc(p)
 
     def test_form_discriminant_degree_drop(self):
         # declared degree 4 on an actual cubic multiplies disc by lc^2

@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ellsurf.duality import correspondence_surfaces
-from ellsurf.exactpoly import BiHomPoly, DegreeMismatch, HomPoly, UniPoly
+from ellsurf.exactpoly import BiHomPoly, DegreeMismatch, HomPoly, UniPoly, discriminant_form
 from ellsurf.hermite_aj import (
     BasePointRamified,
     Biquadratic22,
@@ -88,7 +90,7 @@ def test_reduction_discriminant_against_sympy():
     done = 0
     while done < 15:
         h = rand_curve(rng)
-        if h.a4 == 0:
+        if h.coeffs[4] == 0:
             continue
         expected = sp.discriminant(sympy_poly(h, x), x)
         assert sp.Rational(h.discriminant()) == expected
@@ -200,6 +202,72 @@ def test_discriminant_relation_random():
         h = rand_curve(rng)
         dp, dq, g = discr_relation_check(h)
         assert dq == g**2 * dp
+
+
+# ---------------------------------------------------------------------------
+# the quartic as a form, against the coefficient-tuple reading
+
+
+small_rational = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+quartics = st.builds(QuarticCurve.of, *(small_rational,) * 5)
+
+
+def _fraction_correspondence_polys(h: QuarticCurve):
+    """(pairing, cofactor, cofactor diagonal), each entry computed in
+    Fraction arithmetic from the five coefficients."""
+    a0, a1, a2, a3, a4 = h.coeffs
+    pairing = BiHomPoly.of(
+        UV,
+        ("S", "T"),
+        (
+            (a4, a3 / 2, a2 / 6),
+            (a3 / 2, Fraction(2, 3) * a2, a1 / 2),
+            (a2 / 6, a1 / 2, a0),
+        ),
+    )
+    corner = (8 * a0 * a2 - 3 * a1**2) / 12
+    edge = (6 * a0 * a3 - a1 * a2) / 6
+    outer = (36 * a0 * a4 - a2**2) / 36
+    center = (36 * a0 * a4 + 9 * a1 * a3 - 5 * a2**2) / 18
+    upper_edge = (6 * a1 * a4 - a2 * a3) / 6
+    upper_corner = (8 * a2 * a4 - 3 * a3**2) / 12
+    cofactor = BiHomPoly.of(
+        UV,
+        ("S", "T"),
+        (
+            (upper_corner, upper_edge, outer),
+            (upper_edge, center, edge),
+            (outer, edge, corner),
+        ),
+    )
+    return pairing, cofactor, cofactor.diagonal().as_unipoly()
+
+
+@given(h=quartics)
+@example(h=QuarticCurve.of(Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6), 0, Fraction(1, 4)))
+@example(h=QuarticCurve.of(0, 0, 0, 0, 0))
+@settings(max_examples=80, deadline=None)
+def test_correspondence_polys_match_the_fraction_entries(h):
+    polys = correspondence_polys(h)
+    pairing, cofactor, diagonal = _fraction_correspondence_polys(h)
+    for got, want in ((polys.pairing, pairing), (polys.cofactor, cofactor)):
+        assert (got.vars1, got.vars2, got.num, got.den) == (
+            want.vars1, want.vars2, want.num, want.den
+        )
+    got = polys.cofactor_diagonal
+    assert (got.num, got.den) == (diagonal.num, diagonal.den)
+
+
+@given(h=quartics, x=small_rational)
+@example(h=QuarticCurve.of(1, 2, 0, 0, 0), x=Fraction(-1, 2))
+@settings(max_examples=80, deadline=None)
+def test_the_quartic_form_reads_as_its_coefficients(h, x):
+    assert QuarticCurve.of(*h.coeffs) == h
+    assert (h.form.vars, h.form.degree) == (UV, 4)
+    assert h.rhs(x) == h.poly()(x) == sum(c * x**i for i, c in enumerate(h.coeffs))
+    # the discriminant of the affine polynomial read at declared degree four
+    p = h.poly()
+    assert h.discriminant() == (0 if p.is_zero else discriminant_form(p, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +443,8 @@ def test_exchange_constraint_tracks_cubic_term():
         b = correspondence_22(h, xi)
         params = FamilyParams.from_triple(b.gamma, b.alpha, b.delta, 0, 0)
         cub = jacobian_quartic(h)
-        assert exchange_constraint(params) == -8 * h.a3 * cub.rhs(xi)
-        if h.a3 == 0:
+        assert exchange_constraint(params) == -8 * h.coeffs[3] * cub.rhs(xi)
+        if h.coeffs[3] == 0:
             assert exchange_constraint(params) == 0
         done += 1
 

@@ -11,7 +11,10 @@ may reach the other in the package's name-level reference graph.  The
 form kernels run on the integer rows: their definitions never mention
 the affine round trip or the Fraction view, and the squarefree split
 never reaches ``UniPoly``.  ``UniPoly`` and ``HomPoly`` share their row
-arithmetic: neither redefines a method of their common base.
+arithmetic: neither redefines a method of their common base.  The
+domain layers build curves, pencils and sections as binary forms:
+``duality``, ``cli`` and ``hermite_aj`` never mention the affine round
+trip, and the affine readings that the forms replaced stay deleted.
 """
 
 import ast
@@ -210,12 +213,14 @@ def test_the_reference_graph_follows_names_attributes_and_constants():
 # pairs of routes that a cross-route check compares: full_torsion_surfaces
 # against subfamily_models in the torsion-tower check, the refibration
 # against the full-torsion Jacobian pair, and the quadric double cover
-# against the degree-two base change
+# against the degree-two base change, and the quartic's Jacobian pair, the
+# reference for the same pair with forms as coefficients
 _SEPARATE_ROUTES = [
     ("full_torsion_surfaces", "subfamily_models"),
     ("refibration_jacobian", "full_torsion_surfaces"),
     ("refibration_jacobian", "hermite_pair_forms"),
     ("quadric_double_cover", "base_change_k3"),
+    ("jacobian_quartic", "hermite_pair_forms"),
 ]
 
 
@@ -250,8 +255,8 @@ def test_the_mention_check_sees_names_and_attributes_only():
     assert _mentions(node) == {"p", "as_unipoly", "coeffs", "rat", "x", "num"}
 
 
-def _exactpoly_tree() -> ast.Module:
-    path = Path(ellsurf.__file__).with_name("exactpoly.py")
+def _module_tree(name: str) -> ast.Module:
+    path = Path(ellsurf.__file__).with_name(f"{name}.py")
     return ast.parse(path.read_text(), str(path))
 
 
@@ -271,7 +276,7 @@ _OFF_THE_ROWS = {"as_unipoly", "homogenize", "coeffs", "leading", "leading_in_fi
 
 def test_the_form_kernels_stay_on_the_integer_rows():
     found: dict[str, int] = {}
-    for name, node in _definitions(_exactpoly_tree()):
+    for name, node in _definitions(_module_tree("exactpoly")):
         if name in _ROW_KERNELS:
             found[name] = found.get(name, 0) + 1
             assert not _mentions(node) & _OFF_THE_ROWS, (name, node.lineno)
@@ -304,7 +309,7 @@ _OFF_THE_SPLIT = {"as_unipoly", "homogenize", "gcd_poly", "UniPoly"}
 
 
 def test_the_squarefree_split_never_reaches_unipoly():
-    closure = _function_closure(_exactpoly_tree(), "squarefree_split")
+    closure = _function_closure(_module_tree("exactpoly"), "squarefree_split")
     assert {"_int_gcd", "_int_divmod"} <= closure.keys()
     for name, node in closure.items():
         assert not _mentions(node) & _OFF_THE_SPLIT, (name, node.lineno)
@@ -347,10 +352,71 @@ _SHARED_ARITHMETIC = {
 
 
 def test_unipoly_and_hompoly_share_one_row_arithmetic():
-    tree = _exactpoly_tree()
+    tree = _module_tree("exactpoly")
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
     base = {item.name for item in classes["_Rows"].body if isinstance(item, ast.FunctionDef)}
     assert _SHARED_ARITHMETIC <= base
     for name in ("UniPoly", "HomPoly"):
         assert [b.id for b in classes[name].bases] == ["_Rows"]
     assert _redefined(tree, "_Rows", ("UniPoly", "HomPoly")) == {}
+
+
+def _module_mentions(tree: ast.Module) -> set[str]:
+    """Every name a module mentions: bare names, attribute names, and the
+    names its imports bring in; strings are not mentions."""
+    names = _mentions(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def _nested_definitions(tree: ast.AST) -> set[str]:
+    """The names of all functions and classes, at any depth."""
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    return {node.name for node in ast.walk(tree) if isinstance(node, kinds)}
+
+
+def test_the_module_checks_see_imports_names_and_nested_definitions():
+    source = (
+        "from .exactpoly import UniPoly as U, homogenize\n"
+        "import ellsurf.duality\n"
+        "def f(p):\n"
+        "    'as_unipoly is a word here'\n"
+        "    def descending(q):\n        return q.coeffs\n"
+        "    return descending(p.shift)\n"
+    )
+    tree = ast.parse(source)
+    assert _module_mentions(tree) == {
+        "UniPoly", "homogenize", "ellsurf.duality", "descending", "q", "coeffs", "p", "shift",
+    }
+    assert _nested_definitions(tree) == {"f", "descending"}
+
+
+# the domain layers build curves, pencils and sections as binary forms;
+# what each must not mention of the affine round trip
+_OFF_THE_FORMS = {
+    "duality": {"UniPoly", "as_unipoly", "homogenize"},
+    "cli": {"homogenize"},
+    "hermite_aj": {"discriminant_form", "homogenize"},
+}
+
+
+def test_the_domain_layers_build_forms():
+    for module, banned in _OFF_THE_FORMS.items():
+        found = _module_mentions(_module_tree(module)) & banned
+        assert not found, (module, sorted(found))
+
+
+def _class(tree: ast.Module, name: str) -> ast.ClassDef:
+    return next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+
+
+def test_the_affine_readings_stay_gone():
+    hermite = _module_tree("hermite_aj")
+    quartic = _class(hermite, "QuarticCurve")
+    fields = [item.target.id for item in quartic.body if isinstance(item, ast.AnnAssign)]
+    assert fields == ["form"]
+    assert "_disc4" not in _nested_definitions(hermite)
+    assert "descending" not in _nested_definitions(_module_tree("duality"))
+    assert "shift" not in _nested_definitions(_class(_module_tree("exactpoly"), "UniPoly"))
