@@ -82,6 +82,11 @@ DRAW_BUDGET = 100
 # scenarios reach 14
 MAX_LATTICE_RANK = 64
 
+# the largest degree a poly line may declare, so that "deg 100000" cannot ask
+# for a huge coefficient list; every bundled poly declares 4 or 8, and the
+# largest form the paper uses, a K3 surface's discriminant, has degree 24
+MAX_POLY_DEGREE = 48
+
 # kind -> (the expectations it takes besides ``error``, how a message names
 # them)
 _KINDS = {
@@ -350,8 +355,11 @@ def _parse_input(key: str, m: re.Match, line: int, col: int, source: str):
     vars = (m.group("v1"), m.group("v2"))
     if vars[0] == vars[1]:
         raise ParseError("the two variables must differ", line, col)
+    degree = m.group("deg").lstrip("0") or "0"  # int() refuses over 4 300 digits
+    if len(degree) > len(str(MAX_POLY_DEGREE)) or int(degree) > MAX_POLY_DEGREE:
+        raise ParseError(f"poly degree above {MAX_POLY_DEGREE}", line, col + m.start("deg"))
     try:
-        return parse_hompoly(expr, vars, int(m.group("deg")), line=line, col=at)
+        return parse_hompoly(expr, vars, int(degree), line=line, col=at)
     except ParseError as exc:
         message = str(exc)
         if "homogeneous" in message or "declared degree" in message:

@@ -34,9 +34,6 @@ layers build on:
 * ``rational_sqrt``: square root of a rational, or None;
 * ``rational_cubic_roots``: rational roots of a monic cubic, by bisection;
 * ``bareiss_det``: fraction-free determinant of an integer matrix;
-* ``bareiss_adjugate``: determinant and adjugate (det * M^-1) of a
-  nonsingular integer matrix by one fraction-free Gauss-Jordan pass, so
-  the lattice invariants never leave the integers;
 * ``form_resultant``: the one resultant, the Sylvester determinant of two
   binary forms at their declared degrees; ``resultant`` reads polynomials
   as forms at their actual degrees.
@@ -76,10 +73,6 @@ class DegreeMismatch(ValueError):
 
 class ExactDivisionError(ArithmeticError):
     """Division that was promised to be exact left a remainder."""
-
-
-class SingularSystem(ValueError):
-    """A square linear system has no unique solution."""
 
 
 class ZeroScale(ValueError):
@@ -226,36 +219,6 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def bareiss_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """Determinant and adjugate (det * matrix^-1) of a nonsingular square
-    integer matrix, by one fraction-free Gauss-Jordan pass over [M | I].
-
-    Every step divides exactly by the previous pivot, so all entries stay
-    minors of [M | I].  Raises ``SingularSystem`` when the matrix is
-    singular.
-    """
-    n = len(matrix)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot is None:
-            raise SingularSystem("singular linear system")
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        top = m[k]
-        p = top[k]
-        for i, row in enumerate(m):
-            if i != k:
-                f = row[k]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-    # the left block is now prev * I, so the right block is prev * M^-1
-    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 # ---------------------------------------------------------------------------

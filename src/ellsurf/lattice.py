@@ -16,8 +16,8 @@ in the size of the Gram matrix: the Smith form keeps its entries below
 * ``discriminant_group``: the Smith form taken modulo |det| (Cohen, *A
   Course in Computational Algebraic Number Theory*, Alg. 2.4.14), so no
   entry ever exceeds |det|;
-* parity: one fraction-free Gauss-Jordan pass gives det * G^-1, and
-  parity is 0 exactly when every diagonal entry of G^-1 is an integer.
+* parity: a GF(2) elimination gives a basis of the kernel of G mod 2, the
+  2-torsion of L*/L, and parity is 0 when 4 divides y^T G y for each y.
 
 Gram matrices hold ints; a non-integral entry is refused.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from .exactpoly import ZeroScale, bareiss_adjugate, bareiss_det
+from .exactpoly import ZeroScale, bareiss_det
 
 
 class UnknownLattice(ValueError):
@@ -83,14 +83,14 @@ class GramLattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
 
-def _integral(x) -> int:
+def _integral(x, what: str = "Gram matrix entries") -> int:
     """``x`` as an int; ValueError unless it is an integral number."""
     try:
         value = int(x)
     except (TypeError, ValueError, OverflowError):
         value = None
     if value is None or value != x:
-        raise ValueError(f"Gram matrix entries must be integers, got {x!r}")
+        raise ValueError(f"{what} must be integers, got {x!r}")
     return value
 
 
@@ -214,13 +214,13 @@ def rescale(lat: GramLattice, scale: int) -> GramLattice:
 def glued_overlattice(base: GramLattice, half_coords: Sequence[int]) -> GramLattice:
     """Index-2 overlattice of ``base`` generated by v = (sum c_i e_i)/2.
 
-    The coordinates must not all be even, and v must pair integrally with
-    the base (so the overlattice is again an integer lattice).  The basis
-    of the result is (v, e_i for i != i0) where i0 is the first odd
-    coordinate.
+    The coordinates must be integral values, not all even, and v must
+    pair integrally with the base (so the overlattice is again an integer
+    lattice).  The basis of the result is (v, e_i for i != i0) where i0 is
+    the first odd coordinate.
     """
     n = base.rank
-    w = [int(c) for c in half_coords]
+    w = [_integral(c, "glue coordinates") for c in half_coords]
     if len(w) != n:
         raise ValueError("glue coordinates must match the rank")
     odd = [i for i in range(n) if w[i] % 2]
@@ -392,6 +392,25 @@ def discriminant_group(lat: GramLattice) -> list[int]:
     return [e for e in _elementary_divisors(lat.gram) if e > 1]
 
 
+def _kernel_mod_2(gram: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """A basis of the kernel of G mod 2, each vector as its support.
+
+    Gauss-Jordan elimination over GF(2) on [G | I], one int per row (bit j
+    is column j).  The I parts stay independent, so the rows are distinct;
+    those never taken as a pivot end with a zero G part over a kernel vector.
+    """
+    n = len(gram)
+    rows = [
+        sum((x & 1) << j for j, x in enumerate(row)) | 1 << (n + i)
+        for i, row in enumerate(gram)
+    ]
+    for j in range(n):
+        pivot = next((r for r in rows if r >> j & 1), None)
+        if pivot is not None:
+            rows = [r ^ pivot if r >> j & 1 else r for r in rows if r != pivot]
+    return [[i for i in range(n) if r >> (n + i) & 1] for r in rows]
+
+
 class TwoElemInvariants(NamedTuple):
     """Rank, signature, length, and parity; parity is None when the
     discriminant group is not 2-elementary."""
@@ -408,26 +427,26 @@ def two_elementary_invariants(lat: GramLattice) -> TwoElemInvariants:
 
     The length counts the elementary divisors equal to 2.  Parity is 0
     when the discriminant quadratic form is integer-valued on the
-    (2-elementary) discriminant group, else 1.  That form is additive mod
-    Z there, and the dual basis e_i* = G^-1 e_i generates the group with
-    q(e_i*) = (G^-1)_ii, so parity is 0 exactly when det divides every
-    diagonal entry of the adjugate.
+    (2-elementary) discriminant group, else 1.  x is in L* exactly when
+    G x is integral, so the 2-torsion of L*/L is {y/2 : G y = 0 mod 2}
+    modulo L, the kernel of G mod 2, which for a 2-elementary group has
+    ``length`` dimensions.  There q(y/2) = y^T G y / 4 for any lift y,
+    and q is additive mod Z since 2 b(x, x') = b(x, 2 x') is integral, so
+    parity is 0 exactly when 4 divides y^T G y across a kernel basis.
     """
     if not lat.is_even:
         raise ValueError("invariants are defined here for even lattices only")
-    divisors = [e for e in _elementary_divisors(lat.gram) if e > 1]
+    g = lat.gram
+    divisors = [e for e in _elementary_divisors(g) if e > 1]
     length = sum(1 for e in divisors if e == 2)
     two_elem = all(e == 2 for e in divisors)
-    parity: int | None = None
-    if two_elem:
-        det, adj = bareiss_adjugate(lat.gram)
-        parity = int(any(adj[i][i] % det for i in range(lat.rank)))
+    odd = two_elem and any(sum(g[i][j] for i in y for j in y) % 4 for y in _kernel_mod_2(g))
     return TwoElemInvariants(
         rank=lat.rank,
         signature=signature(lat) if lat.rank else (0, 0),
         length=length,
         is_two_elementary=two_elem,
-        parity=parity,
+        parity=int(odd) if two_elem else None,
     )
 
 

@@ -173,6 +173,22 @@ def test_lattice_term_errors_report_the_column_in_the_scenario_line(line, messag
     assert (err.value.line, err.value.col) == (3, col)
 
 
+@pytest.mark.parametrize("deg", ["49", "100000", "1000000000", "0" * 9 + "49", "9" * 5000])
+def test_poly_degrees_above_48_are_refused_at_their_column(deg):
+    # refused before any coefficient list is built, even for a zero form
+    head = "name x\nkind fiber-config\nfamily rational-base\n"
+    with pytest.raises(ParseError, match="poly degree above 48") as err:
+        parse(head + f"  poly junk on s,t deg {deg} = 0\n")
+    assert (err.value.line, err.value.col) == (4, 24)
+
+
+@pytest.mark.parametrize("deg", ["48", "0048"])
+def test_poly_of_degree_48_parses(deg):
+    body = f"poly junk on s,t deg {deg} = s^48 - t^48\nexpect fibers 12*I1"
+    sc = parse(minimal_scenario("fiber-config", body))
+    assert sc.polys["junk"].degree == 48
+
+
 @pytest.mark.parametrize(
     "expr, col", [("A65", 13), ("A33^2", 13), ("A2^33", 13), ("H + A63", 17)]
 )

@@ -29,10 +29,8 @@ from ellsurf.exactpoly import (
     ExactDivisionError,
     HomPoly,
     ParseError,
-    SingularSystem,
     SquarefreeSplit,
     UniPoly,
-    bareiss_adjugate,
     bareiss_det,
     discriminant_form,
     divexact_form,
@@ -1203,32 +1201,6 @@ class TestScalarPrimitives:
                 frozen = [list(row) for row in m]
                 assert bareiss_det(m) == sp.Matrix(n, n, [x for row in m for x in row]).det()
                 assert m == frozen  # the input is not consumed
-
-    def test_bareiss_adjugate_against_sympy(self):
-        rng = random.Random(305)
-        done = 0
-        while done < 30:
-            n = rng.randint(1, 7)
-            m = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
-            if rng.random() < 0.3:
-                m[0][0] = 0  # forces a row swap
-            sm = sp.Matrix(m)
-            if sm.det() == 0:
-                continue
-            frozen = [row[:] for row in m]
-            det, adj = bareiss_adjugate(m)
-            assert det == sm.det()
-            assert sp.Matrix(adj) == sm.adjugate()
-            assert m == frozen
-            done += 1
-        assert bareiss_adjugate([]) == (1, [])
-        assert bareiss_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
-
-    def test_bareiss_adjugate_refuses_a_singular_matrix(self):
-        with pytest.raises(SingularSystem):
-            bareiss_adjugate([[2, 4], [1, 2]])
-        with pytest.raises(SingularSystem):
-            bareiss_adjugate([[0, 0], [0, 0]])
 
 
 _S, _T = sp.symbols("s t")

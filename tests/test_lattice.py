@@ -1,8 +1,9 @@
 """Tests for the integer quadratic-form toolkit.
 
 Smith forms and determinants are cross-checked against sympy on random
-matrices, signatures against the characteristic polynomial, and parity
-against a brute-force sum over the discriminant group; the named-lattice
+matrices, signatures against the characteristic polynomial, parity
+against a brute-force sum over the discriminant group, and the kernel of
+the Gram matrix mod 2 against the Smith form; the named-lattice
 identities are pinned as frozen invariant tuples, and every invariant must
 survive large unimodular changes of basis.
 """
@@ -37,6 +38,7 @@ from ellsurf.lattice import (
     two_elementary_invariants,
     two_param_polarization,
 )
+from ellsurf.lattice import _elementary_divisors, _kernel_mod_2
 
 H = standard_lattice("H")
 E8 = standard_lattice("E8")
@@ -124,6 +126,13 @@ class TestConstructors:
             glued_overlattice(standard_lattice("A2"), [1, 0])  # non-integral pairing
         with pytest.raises(ValueError):
             glued_overlattice(H, [1])  # wrong length
+
+    def test_glue_coordinates_must_be_integral(self):
+        eights = direct_sum(*([A1M] * 8))
+        for bad in (1.5, Fraction(3, 2), "1"):
+            with pytest.raises(ValueError, match="glue coordinates must be integers"):
+                glued_overlattice(eights, [bad] + [1] * 7)
+        assert glued_overlattice(eights, [Fraction(2, 2), 1.0] + [1] * 6) == N
 
     def test_unknown_names(self):
         for bad in ("E7", "Q5", "A0", "D1", "", "H2", "K1", "<3>"):
@@ -445,7 +454,10 @@ class TestOracles:
             direct_sum(pm2, D4M), direct_sum(H, D4M, A1M, A1M), direct_sum(D6M, A1M, A1M),
             direct_sum(A1M, A1M, A1M), direct_sum(rescale(H, 2), D4M, D4M),
         ]
-        lattices += [congruent(lat, random_unimodular(rng, lat.rank)) for lat in lattices]
+        lattices += [congruent(lat, random_unimodular(rng, lat.rank)) for lat in lattices] + [
+            elementary_conjugate(lat, 60, random.Random(f"parity/{k}"))
+            for k, lat in enumerate(lattices)
+        ]
         seen = set()
         for lat in lattices:
             assert lat.rank <= 10 and two_elementary_invariants(lat).is_two_elementary
@@ -499,3 +511,45 @@ class TestLargeBasisChanges:
             if inv.is_two_elementary and min(inv.signature) > 0:
                 assert nikulin_equivalent(source, conj) is True
         assert widest >= 12
+
+
+def gf2_rank(supports: list[list[int]]) -> int:
+    """Rank over GF(2) of 0/1 vectors given by their supports."""
+    basis: list[int] = []
+    for support in supports:
+        v = sum(1 << i for i in support)
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
+class TestParityKernel:
+    """The kernel of G mod 2 and the Smith form are two routes to the
+    2-torsion of the discriminant group: its dimension is the number of
+    even elementary divisors, which for a 2-elementary lattice is the
+    length."""
+
+    @pytest.mark.parametrize("moves", [0, 60, 120])
+    def test_kernel_dimension_is_the_smith_form_length(self, moves):
+        two_elementary = 0
+        for k, source in enumerate(catalog() + scenario_lattices()):
+            lat = elementary_conjugate(source, moves, random.Random(f"kernel/{k}/{moves}"))
+            g = lat.gram
+            kernel = _kernel_mod_2(g)
+            for y in kernel:
+                assert all(sum(row[i] for i in y) % 2 == 0 for row in g)
+            assert gf2_rank(kernel) == len(kernel)
+            divisors = _elementary_divisors(g)
+            assert len(kernel) == sum(1 for e in divisors if e % 2 == 0)
+            if all(e in (1, 2) for e in divisors):
+                assert len(kernel) == two_elementary_invariants(lat).length
+                two_elementary += 1
+        assert two_elementary >= 20
+
+    def test_kernel_counts_every_even_divisor_where_length_does_not(self):
+        # K0 has divisors 2, 2, 4, 4: a 2-torsion of rank 4 but length 2
+        assert _elementary_divisors(K0.gram)[-4:] == [2, 2, 4, 4]
+        assert len(_kernel_mod_2(K0.gram)) == 4
+        assert two_elementary_invariants(K0).length == 2

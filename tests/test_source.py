@@ -214,13 +214,16 @@ def test_the_reference_graph_follows_names_attributes_and_constants():
 # against subfamily_models in the torsion-tower check, the refibration
 # against the full-torsion Jacobian pair, and the quadric double cover
 # against the degree-two base change, and the quartic's Jacobian pair, the
-# reference for the same pair with forms as coefficients
+# reference for the same pair with forms as coefficients; and the kernel
+# of the Gram matrix mod 2 against the Smith form, both counting the
+# 2-torsion of a discriminant group
 _SEPARATE_ROUTES = [
     ("full_torsion_surfaces", "subfamily_models"),
     ("refibration_jacobian", "full_torsion_surfaces"),
     ("refibration_jacobian", "hermite_pair_forms"),
     ("quadric_double_cover", "base_change_k3"),
     ("jacobian_quartic", "hermite_pair_forms"),
+    ("_kernel_mod_2", "_elementary_divisors"),
 ]
 
 
