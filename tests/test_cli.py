@@ -12,6 +12,7 @@ import io
 import json
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,11 +23,13 @@ from ellsurf import duality as du
 from ellsurf.elliptic import DegenerateModel, invariants
 from ellsurf.exactpoly import (
     DegreeMismatch,
+    HomPoly,
     ParseError,
     UniPoly,
     divexact_form,
     homogenize,
     is_separable,
+    tensor_forms,
 )
 
 
@@ -600,6 +603,29 @@ def test_run_discriminant_relation_failure_names_the_trial(monkeypatch):
     assert rep.detail == (
         "trial 0: resolvent discriminant is not g^2 times the quartic one"
     )
+    assert set(rep.artifacts) == {"quartic"}
+
+
+def test_run_coupling_product_failure_names_the_first_failing_anchor(monkeypatch):
+    real = cli.correspondence_polys
+    # (x + 2)(x + 1)(x0 + 2)(x0 + 1) is symmetric and vanishes, for every
+    # x, at the anchors -2 and -1 and at no other anchor
+    roots = HomPoly.of(("U", "V"), (1, 3, 2))
+    bump = tensor_forms(roots, roots.rename(("S", "T")))
+
+    def perturbed(h):
+        polys = real(h)
+        return SimpleNamespace(
+            pairing=polys.pairing,
+            cofactor=polys.cofactor + bump,
+            cofactor_diagonal=polys.cofactor_diagonal,
+        )
+
+    monkeypatch.setattr(cli, "correspondence_polys", perturbed)
+    (coupling,) = [sc for sc in cli.bundled_scenarios() if sc.name == "coupling-product"]
+    rep = cli.run(coupling, seed=0, trials_override=2)
+    assert rep.status == "fail"
+    assert rep.detail == "trial 0: product identity failed at anchor 0"
     assert set(rep.artifacts) == {"quartic"}
 
 
