@@ -46,10 +46,11 @@ from .elliptic import (
     two_torsion_sections,
 )
 from .exactpoly import (
+    MAX_DIGITS,
+    BiHomPoly,
     DegreeMismatch,
     HomPoly,
     ParseError,
-    UniPoly,
     divexact_form,
     is_separable,
     parse_hompoly,
@@ -71,6 +72,11 @@ from .hermite_aj import (
 )
 
 DEFAULT_TRIALS = 100
+
+# the most trials a scenario line or --trials may ask for, far above the
+# largest bundled count (200), so that a long digit string cannot ask for a
+# run that never ends
+MAX_TRIALS = 10_000
 
 # attempts one draw may make before it gives up; over root seeds 0-19 no
 # bundled scenario needs more than 12
@@ -106,6 +112,7 @@ _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 _FIRST = ("s", "t")
 _SECOND = ("U", "V")
 _COVER = ("u", "v")
+_ANCHOR_PAIR = ("S", "T")
 
 
 class _CheckFailure(Exception):
@@ -227,11 +234,14 @@ _ROOT_INDEX_RE = re.compile(r"[AD](\d+)")
 
 
 def _parse_int(text: str, line: int, col: int, what: str) -> int:
-    """An integer; ``col`` is the column of the text's first character."""
+    """An integer of at most ``MAX_DIGITS`` digits; ``col`` is the column of
+    the text's first character."""
+    at = col + len(text) - len(text.lstrip())
+    if len(text.strip().lstrip("+-")) > MAX_DIGITS:
+        raise ParseError(f"{what} has more than {MAX_DIGITS} digits", line, at)
     try:
         return int(text.strip())
     except ValueError:
-        at = col + len(text) - len(text.lstrip())
         raise ParseError(f"{what} must be an integer, got {text.strip()!r}", line, at)
 
 
@@ -250,7 +260,7 @@ def _parse_lattice_expr(text: str, line: int, col: int) -> la.GramLattice:
             raise ParseError(f"bad lattice term {piece.strip()!r}", line, at)
         atom = m.group("atom")
         index = _ROOT_INDEX_RE.fullmatch(atom)
-        if index and rank + int(index.group(1)) > MAX_LATTICE_RANK:
+        if index and rank + _parse_int(index.group(1), line, at, "root index") > MAX_LATTICE_RANK:
             raise ParseError(too_large, line, at)
         if atom == "P0":
             base = la.two_param_polarization(0)
@@ -261,12 +271,12 @@ def _parse_lattice_expr(text: str, line: int, col: int) -> la.GramLattice:
                 base = la.standard_lattice(atom)
             except la.UnknownLattice as exc:
                 raise ParseError(str(exc), line, at) from None
-        scale = m.group("scale")
-        if scale is not None:
-            if int(scale) == 0:
+        if m.group("scale") is not None:
+            scale = _parse_int(m.group("scale"), line, at, "lattice scale")
+            if scale == 0:
                 raise ParseError("lattice scale must be nonzero", line, at)
-            base = la.rescale(base, int(scale))
-        power = int(m.group("power") or 1)
+            base = la.rescale(base, scale)
+        power = _parse_int(m.group("power") or "1", line, at, "lattice power")
         if power < 1:
             raise ParseError("lattice power must be positive", line, at)
         rank += base.rank * power
@@ -287,7 +297,7 @@ def _parse_fiber_multiset(text: str, line: int, col: int) -> dict[str, int]:
         m = _FIBER_ITEM_RE.fullmatch(item)
         if m is None:
             raise ParseError(f"bad fiber item {item.strip()!r}", line, at)
-        count, text_label = int(m.group(1)), m.group(2)
+        count, text_label = _parse_int(m.group(1), line, at, "fiber count"), m.group(2)
         try:
             label = KodairaType.parse(text_label).label
         except ValueError:
@@ -393,6 +403,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                 value = _parse_int(rest, lineno, rest_col, "trials")
                 if value < 1:
                     raise ParseError("trials must be positive", lineno, rest_col)
+                if value > MAX_TRIALS:
+                    raise ParseError(f"trials above {MAX_TRIALS}", lineno, rest_col)
             elif key == "kind":
                 if rest not in _KINDS:
                     raise ParseError(f"unknown kind {rest!r}", lineno, col)
@@ -823,6 +835,9 @@ def _refibered_pencil(sc, rng):
 
 _ANCHORS = tuple(Fraction(a) for a in (-2, -1, 0, 1, 2, 3))
 
+# (x - x0)^2 in the pairs of the coupling polynomials, x = U/V and x0 = S/T
+_SEPARATION_SQUARE = BiHomPoly.from_num(_SECOND, _ANCHOR_PAIR, ((0, 0, 1), (0, -2, 0), (1, 0, 0)))
+
 
 @_family(
     "coupling-product",
@@ -831,27 +846,31 @@ _ANCHORS = tuple(Fraction(a) for a in (-2, -1, 0, 1, 2, 3))
 )
 def _coupling_product(sc, rng):
     h = _random_quartic(rng)
-    p = h.poly()
     polys = correspondence_polys(h)
     if not (polys.pairing.is_symmetric and polys.cofactor.is_symmetric):
         raise _CheckFailure("coupling data lost symmetry")
-    if polys.pairing.diagonal().as_unipoly() != p:
+    if polys.pairing.diagonal() != h.form:
         raise _CheckFailure("pairing diagonal differs from the quartic")
+    p = h.poly()
     second = p.derivative().derivative()
     expected_diag = Fraction(1, 3) * (p * second) - Fraction(1, 4) * (
         p.derivative() * p.derivative()
     )
     if polys.cofactor_diagonal != expected_diag:
         raise _CheckFailure("cofactor diagonal formula failed")
-    for x0 in _ANCHORS:
-        lhs = (
-            polys.pairing.specialize_pair2(x0, 1).as_unipoly() ** 2
-            + polys.cofactor.specialize_pair2(x0, 1).as_unipoly() * UniPoly.of(-x0, 1) ** 2
+    # pairing^2 + cofactor*(x - x0)^2 = P(x)*P(x0) as one bidegree-(4,4)
+    # identity.  Both sides have degree four in x0, so a nonzero difference
+    # vanishes at no more than four of the six anchors: the identity holds
+    # exactly when it holds at every anchor, and the first anchor where the
+    # difference does not vanish names a failure.
+    lhs = polys.pairing * polys.pairing + polys.cofactor * _SEPARATION_SQUARE
+    rhs = tensor_forms(h.form, h.form.rename(_ANCHOR_PAIR))
+    if lhs != rhs:
+        difference = lhs - rhs
+        x0 = next(a for a in _ANCHORS if not difference.specialize_pair2(a, 1).is_zero)
+        raise _CheckFailure(
+            f"product identity failed at anchor {x0}", {"quartic": _frs(h.coeffs)}
         )
-        if lhs != p * p(x0):
-            raise _CheckFailure(
-                f"product identity failed at anchor {x0}", {"quartic": _frs(h.coeffs)}
-            )
     return {"quartic": _frs(h.coeffs)}
 
 
@@ -1519,6 +1538,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.trials is not None and args.trials < 1:
         print("error: --trials must be positive", file=sys.stderr)
+        return 2
+    if args.trials is not None and args.trials > MAX_TRIALS:
+        print(f"error: --trials above {MAX_TRIALS}", file=sys.stderr)
         return 2
 
     try:

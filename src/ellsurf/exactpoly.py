@@ -928,6 +928,14 @@ def _bihom(
     return BiHomPoly(vars1, vars2, rows, den)
 
 
+def _row_width(rows: Sequence[Sequence[object]]) -> int:
+    """The common length of the coefficient rows of a bidegree form."""
+    width = len(rows[0]) if rows else 0
+    if width == 0 or any(len(row) != width for row in rows):
+        raise DegreeMismatch("a bidegree form needs equal nonempty rows")
+    return width
+
+
 @dataclass(frozen=True)
 class BiHomPoly:
     """Form ``sum(num[i][j] * m_ij) / den`` of bidegree ``(d1, d2)`` in two
@@ -950,11 +958,23 @@ class BiHomPoly:
         vars2: tuple[str, str],
         rows: Sequence[Sequence[RationalLike]],
     ) -> BiHomPoly:
-        width = len(rows[0]) if rows else 0
-        if width == 0 or any(len(row) != width for row in rows):
-            raise DegreeMismatch("a bidegree form needs equal nonempty rows")
+        width = _row_width(rows)
         num, den = _fractions_over_one_den(c for row in rows for c in row)
         return _bihom(_pair(vars1), _pair(vars2), num, width, den)
+
+    @staticmethod
+    def from_num(
+        vars1: tuple[str, str],
+        vars2: tuple[str, str],
+        num: Sequence[Sequence[int]],
+        den: int = 1,
+    ) -> BiHomPoly:
+        """The form with integer rows ``num`` over ``den > 0``, brought to
+        lowest terms; no entry passes through a Fraction."""
+        width = _row_width(num)
+        if den <= 0:
+            raise ValueError("the denominator of a form must be positive")
+        return _bihom(_pair(vars1), _pair(vars2), [n for row in num for n in row], width, den)
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -1088,6 +1108,11 @@ def tensor_forms(p: HomPoly, q: HomPoly) -> BiHomPoly:
 # parsing
 # ---------------------------------------------------------------------------
 
+# the most digits a number in polynomial or scenario text may have, so that
+# a long digit string is refused with its column: Python refuses to read an
+# integer of more than 4 300 digits with a bare ValueError
+MAX_DIGITS = 1000
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
 )
@@ -1157,6 +1182,10 @@ def _parse_terms(
     def fail(message: str, col: int) -> ParseError:
         return ParseError(message, line, offset + col)
 
+    def check_digits(token: str, col: int) -> None:
+        if any(len(part) > MAX_DIGITS for part in token.split("/")):
+            raise fail(f"number with more than {MAX_DIGITS} digits", col)
+
     def flush(col: int) -> None:
         nonlocal sign, current_coeff, current_pows, started
         if not started:
@@ -1178,6 +1207,7 @@ def _parse_terms(
         col = m.start(m.lastgroup) + 1 if m.lastgroup else m.start() + 1
         pos = m.end()
         if m.group("num"):
+            check_digits(m.group("num"), col)
             try:
                 val = Fraction(m.group("num"))
             except ZeroDivisionError:
@@ -1198,6 +1228,7 @@ def _parse_terms(
                 m3 = _TOKEN_RE.match(text, pos)
                 if not m3 or not m3.group("num") or "/" in m3.group("num"):
                     raise fail("exponent must be a nonnegative integer", pos + 1)
+                check_digits(m3.group("num"), m3.start("num") + 1)
                 exp = int(m3.group("num"))
                 pos = m3.end()
             current_pows.append((name, exp))

@@ -12,6 +12,12 @@ generated by a quartic curve together with two line parameters.
 The coupling polynomials in two affine coordinates x and x0 are
 bidegree-(2,2) ``BiHomPoly`` forms in the pairs (U, V) and (S, T), with
 x = U/V and x0 = S/T; their affine reading is ``form(x, 1, x0, 1)``.
+They are built from integer rows: each entry is an integer combination of
+the quartic's numerators, over 6*den for the pairing and 36*den^2 for the
+cofactor, and the Jacobian pair (f, g) is read off the same numerators.
+The ``coupling-product`` check tests pairing^2 + cofactor*(x - x0)^2 =
+P(x)*P(x0) as one bidegree-(4,4) form identity; its six anchors x0 only
+name where a failing identity breaks.
 
 All arithmetic is exact; every identity below holds as a polynomial
 equality over the rationals.
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactpoly import (
     BiHomPoly,
@@ -158,17 +165,19 @@ class ShortCubic:
 def jacobian_quartic(h: QuarticCurve) -> ShortCubic:
     """Jacobian of a quartic curve as a short cubic.
 
-    The coefficient pair satisfies -4f^3 - 27g^2 = Discr(P) at declared
+    f = -4*a0*a4 + a1*a3 - a2^2/3 and g = -8/3*a0*a2*a4 + a0*a3^2 +
+    a1^2*a4 - a1*a2*a3/3 + 2/27*a2^3, each read as one integer
+    combination of the form's numerators over a power of its
+    denominator.  The pair satisfies -4f^3 - 27g^2 = Discr(P) at declared
     degree four.
     """
-    a0, a1, a2, a3, a4 = h.coeffs
-    f = -4 * a0 * a4 + a1 * a3 - a2**2 / 3
-    g = (
-        Fraction(-8, 3) * a0 * a2 * a4
-        + a0 * a3**2
-        + a1**2 * a4
-        - a1 * a2 * a3 / 3
-        + Fraction(2, 27) * a2**3
+    # n_k = den * a_k
+    n4, n3, n2, n1, n0 = h.form.num
+    den = h.form.den
+    f = Fraction(-12 * n0 * n4 + 3 * n1 * n3 - n2 * n2, 3 * den * den)
+    g = Fraction(
+        -72 * n0 * n2 * n4 + 27 * (n0 * n3 * n3 + n1 * n1 * n4) - 9 * n1 * n2 * n3 + 2 * n2**3,
+        27 * den**3,
     )
     return ShortCubic(f, g)
 
@@ -205,7 +214,7 @@ def hermite_pair_forms(
 
 
 # x^2 - 2*x*x0 + x0^2
-_SEPARATION_SQUARE = BiHomPoly.of(_X_PAIR, _X0_PAIR, ((0, 0, 1), (0, -2, 0), (1, 0, 0)))
+_SEPARATION_SQUARE = BiHomPoly.from_num(_X_PAIR, _X0_PAIR, ((0, 0, 1), (0, -2, 0), (1, 0, 0)))
 
 
 @dataclass(frozen=True)
@@ -216,29 +225,36 @@ class CorrespondencePolys:
     bi-quadratic with pairing^2 + cofactor*(x - x0)^2 = P(x)*P(x0); its
     diagonal equals (1/3)*P*P'' - (1/4)*P'^2.  Both are symmetric
     bidegree-(2,2) forms, read affinely at x = U/V and x0 = S/T.
+    ``cofactor_diagonal`` is that diagonal as a polynomial in x, built on
+    its first read.
     """
 
     pairing: BiHomPoly
     cofactor: BiHomPoly
-    cofactor_diagonal: UniPoly
+
+    @cached_property
+    def cofactor_diagonal(self) -> UniPoly:
+        return self.cofactor.diagonal().as_unipoly()
 
 
 def correspondence_polys(h: QuarticCurve) -> CorrespondencePolys:
-    # n_k = den * a_k; row i, column j multiplies x^(2-i) * x0^(2-j)
+    # n_k = den * a_k; row i, column j multiplies x^(2-i) * x0^(2-j); both
+    # grids are integer rows over 6*den and 36*den^2
     n4, n3, n2, n1, n0 = h.form.num
     den = h.form.den
-    pairing = BiHomPoly.of(
+    pairing = BiHomPoly.from_num(
         _X_PAIR,
         _X0_PAIR,
         ((6 * n4, 3 * n3, n2), (3 * n3, 4 * n2, 3 * n1), (n2, 3 * n1, 6 * n0)),
-    ) * Fraction(1, 6 * den)
+        6 * den,
+    )
     corner = 3 * (8 * n0 * n2 - 3 * n1**2)
     edge = 6 * (6 * n0 * n3 - n1 * n2)
     outer = 36 * n0 * n4 - n2**2
     center = 2 * (36 * n0 * n4 + 9 * n1 * n3 - 5 * n2**2)
     upper_edge = 6 * (6 * n1 * n4 - n2 * n3)
     upper_corner = 3 * (8 * n2 * n4 - 3 * n3**2)
-    cofactor = BiHomPoly.of(
+    cofactor = BiHomPoly.from_num(
         _X_PAIR,
         _X0_PAIR,
         (
@@ -246,8 +262,9 @@ def correspondence_polys(h: QuarticCurve) -> CorrespondencePolys:
             (upper_edge, center, edge),
             (outer, edge, corner),
         ),
-    ) * Fraction(1, 36 * den * den)
-    return CorrespondencePolys(pairing, cofactor, cofactor.diagonal().as_unipoly())
+        36 * den * den,
+    )
+    return CorrespondencePolys(pairing, cofactor)
 
 
 def discr_relation_check(h: QuarticCurve) -> tuple[Fraction, Fraction, Fraction]:

@@ -208,6 +208,57 @@ def test_lattice_expressions_of_rank_64_parse(expr):
     assert sc.lattices["a"].rank == 64
 
 
+FIVE_THOUSAND_NINES = "9" * 5000
+LATTICE_HEAD = "name x\nkind lattice-identity\n"
+FIBER_HEAD = "name x\nkind fiber-config\nfamily rational-base\n"
+
+
+@pytest.mark.parametrize(
+    "head, line, message, col",
+    [
+        (LATTICE_HEAD, f"lattice a = A{FIVE_THOUSAND_NINES}", "root index", 13),
+        (LATTICE_HEAD, f"lattice a = H + A1(-{FIVE_THOUSAND_NINES})", "lattice scale", 17),
+        (LATTICE_HEAD, f"lattice a = A1^{FIVE_THOUSAND_NINES}", "lattice power", 13),
+        (FIBER_HEAD, f"expect fibers 2*I2 + {FIVE_THOUSAND_NINES}*I1", "fiber count", 22),
+        (FIBER_HEAD, f"trials {FIVE_THOUSAND_NINES}", "trials", 8),
+        (FIBER_HEAD, f"poly f on s,t deg 4 = s^{FIVE_THOUSAND_NINES}", "number", 25),
+        (FIBER_HEAD, f"poly f on s,t deg 4 = {FIVE_THOUSAND_NINES}*s^4", "number", 23),
+        (FIBER_HEAD, f"poly f on s,t deg 4 = s^4 + 1/{FIVE_THOUSAND_NINES}*t^4", "number", 29),
+    ],
+    ids=[
+        "root-index", "lattice-scale", "lattice-power", "fiber-count", "trials",
+        "poly-exponent", "poly-numerator", "poly-denominator",
+    ],
+)
+def test_integers_of_5000_digits_are_refused_at_their_column(head, line, message, col):
+    # Python refuses to read an int of more than 4 300 digits with a bare
+    # ValueError; the grammar refuses one of more than 1 000 first
+    lineno = head.count("\n") + 1
+    with pytest.raises(ParseError, match=f"{message} .*more than 1000 digits") as err:
+        parse(head + line + "\nexpect det -1\n")
+    assert (err.value.line, err.value.col) == (lineno, col)
+
+
+def test_integers_of_1000_digits_parse():
+    big = "7" * 1000
+    sc = parse(LATTICE_HEAD + f"lattice a = A1({big})\nexpect det -1\n")
+    assert sc.lattices["a"].gram == ((2 * int(big),),)
+    body = f"poly f on s,t deg 4 = {big}*s^4 - 1/{big}*t^4\nexpect fibers {big}*I1"
+    sc = parse(minimal_scenario("fiber-config", body))
+    assert sc.polys["f"].coeffs == (int(big), 0, 0, 0, -Fraction(1, int(big)))
+    assert sc.expect["fibers"] == {"I1": int(big)}
+
+
+def test_trials_above_10000_are_refused():
+    assert parse(FIBER_HEAD + "trials 10000\nexpect fibers 12*I1\n").trials == 10000
+    with pytest.raises(ParseError, match="trials above 10000") as err:
+        parse(FIBER_HEAD + "trials 10001\nexpect fibers 12*I1\n")
+    assert (err.value.line, err.value.col) == (4, 8)
+    for trials in ("10001", FIVE_THOUSAND_NINES):
+        code, out, err = call_main(["verify", "--all", "--trials", trials])
+        assert code == 2 and not out and "--trials" in err
+
+
 def test_parse_error_duplicate_key():
     with pytest.raises(ParseError, match="duplicate"):
         parse("name one\nname two\nkind fiber-config\n")

@@ -1057,10 +1057,22 @@ class TestBiHomPoly:
         assert (B.num, B.den) == (A.num, A.den)
         assert _grid(A) == a
 
+    @given(a=grids(), den=st.integers(1, 72))
+    def test_integer_rows_over_a_denominator_match_the_fraction_rows(self, a, den):
+        num = [[c.numerator for c in row] for row in a]
+        A = BiHomPoly.from_num(ST, UV, num, den)
+        assert A == BiHomPoly.of(ST, UV, [[Fraction(n, den) for n in row] for row in num])
+        assert _grid(A) == [[Fraction(n, den) for n in row] for row in num]
+
     def test_rows_must_form_a_rectangle(self):
         for rows in ([], [[]], [[1, 2], [3]]):
             with pytest.raises(DegreeMismatch):
                 BiHomPoly.of(ST, UV, rows)
+            with pytest.raises(DegreeMismatch):
+                BiHomPoly.from_num(ST, UV, rows, 1)
+        for den in (0, -3):
+            with pytest.raises(ValueError, match="positive"):
+                BiHomPoly.from_num(ST, UV, [[1, 2]], den)
         with pytest.raises(DegreeMismatch):
             BiHomPoly.of(ST, ("u", "u"), [[1]])
 

@@ -14,7 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellsurf.duality import correspondence_surfaces
-from ellsurf.exactpoly import BiHomPoly, DegreeMismatch, HomPoly, UniPoly, discriminant_form
+from ellsurf.exactpoly import (
+    BiHomPoly,
+    DegreeMismatch,
+    HomPoly,
+    UniPoly,
+    discriminant_form,
+    form_discriminant,
+)
 from ellsurf.hermite_aj import (
     BasePointRamified,
     Biquadratic22,
@@ -243,11 +250,7 @@ def _fraction_correspondence_polys(h: QuarticCurve):
     return pairing, cofactor, cofactor.diagonal().as_unipoly()
 
 
-@given(h=quartics)
-@example(h=QuarticCurve.of(Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6), 0, Fraction(1, 4)))
-@example(h=QuarticCurve.of(0, 0, 0, 0, 0))
-@settings(max_examples=80, deadline=None)
-def test_correspondence_polys_match_the_fraction_entries(h):
+def _assert_the_fraction_entries(h: QuarticCurve) -> None:
     polys = correspondence_polys(h)
     pairing, cofactor, diagonal = _fraction_correspondence_polys(h)
     for got, want in ((polys.pairing, pairing), (polys.cofactor, cofactor)):
@@ -256,6 +259,59 @@ def test_correspondence_polys_match_the_fraction_entries(h):
         )
     got = polys.cofactor_diagonal
     assert (got.num, got.den) == (diagonal.num, diagonal.den)
+
+
+@given(h=quartics)
+@example(h=QuarticCurve.of(Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6), 0, Fraction(1, 4)))
+@example(h=QuarticCurve.of(0, 0, 0, 0, 0))
+@settings(max_examples=80, deadline=None)
+def test_correspondence_polys_match_the_fraction_entries(h):
+    _assert_the_fraction_entries(h)
+
+
+@st.composite
+def shared_den_quartics(draw):
+    """Quartics whose coefficients share one denominator from 2 to 12; the
+    leading coefficient vanishes about half the time."""
+    den = draw(st.integers(2, 12))
+    nums = draw(st.lists(st.integers(-60, 60), min_size=4, max_size=4))
+    lead = draw(st.just(0) | st.integers(-60, 60))
+    return QuarticCurve.of(*(Fraction(n, den) for n in nums + [lead]))
+
+
+def _fraction_jacobian_pair(h: QuarticCurve) -> tuple[Fraction, Fraction]:
+    """(f, g) of the Jacobian cubic in Fraction arithmetic from the five
+    coefficients."""
+    a0, a1, a2, a3, a4 = h.coeffs
+    f = -4 * a0 * a4 + a1 * a3 - a2**2 / 3
+    g = (
+        Fraction(-8, 3) * a0 * a2 * a4
+        + a0 * a3**2
+        + a1**2 * a4
+        - a1 * a2 * a3 / 3
+        + Fraction(2, 27) * a2**3
+    )
+    return f, g
+
+
+@given(h=shared_den_quartics())
+@example(h=QuarticCurve.of(Fraction(1, 12), Fraction(-5, 6), Fraction(7, 4), Fraction(1, 3), 0))
+@example(h=QuarticCurve.of(Fraction(1, 6), 0, Fraction(-1, 6), 0, 0))
+@example(h=QuarticCurve.of(0, 0, 0, 0, 0))
+@settings(max_examples=120, deadline=None)
+def test_the_integer_hermite_data_match_the_fraction_routes(h):
+    cubic = jacobian_quartic(h)
+    assert (cubic.f, cubic.g) == _fraction_jacobian_pair(h)
+    if not h.form.is_zero:
+        assert -4 * cubic.f**3 - 27 * cubic.g**2 == form_discriminant(h.form)
+    _assert_the_fraction_entries(h)
+
+
+def test_the_cofactor_diagonal_is_built_on_first_read():
+    polys = correspondence_polys(QuarticCurve.of(1, 2, 3, 4, 5))
+    assert "cofactor_diagonal" not in vars(polys)
+    diagonal = polys.cofactor_diagonal
+    assert vars(polys)["cofactor_diagonal"] is diagonal is polys.cofactor_diagonal
 
 
 @given(h=quartics, x=small_rational)

@@ -167,16 +167,29 @@ def _definitions(tree: ast.Module):
                         yield name.id, node
 
 
+def _code_nodes(node: ast.AST):
+    """``ast.walk(node)`` without the annotations of arguments, returns and
+    annotated assignments: an annotation names a type and calls nothing."""
+    annotations = {
+        id(sub)
+        for holder in ast.walk(node)
+        for annotation in (getattr(holder, "annotation", None), getattr(holder, "returns", None))
+        if annotation is not None
+        for sub in ast.walk(annotation)
+    }
+    return (sub for sub in ast.walk(node) if id(sub) not in annotations)
+
+
 def _reference_graph(trees) -> dict[str, set[str]]:
     """Each defined name to the defined names its definition mentions, as a
-    bare name or as an attribute.  Names are not resolved to modules or
-    classes, and a class mentions what its methods do, so the graph
-    over-approximates every call."""
+    bare name or as an attribute, outside annotations.  Names are not
+    resolved to modules or classes, and a class mentions what its methods
+    do, so the graph over-approximates every call."""
     definitions = [pair for tree in trees for pair in _definitions(tree)]
     defined = {name for name, _ in definitions}
     graph: dict[str, set[str]] = {name: set() for name in defined}
     for name, node in definitions:
-        for sub in ast.walk(node):
+        for sub in _code_nodes(node):
             if isinstance(sub, ast.Name) and sub.id in defined:
                 graph[name].add(sub.id)
             elif isinstance(sub, ast.Attribute) and sub.attr in defined:
@@ -210,13 +223,29 @@ def test_the_reference_graph_follows_names_attributes_and_constants():
     assert _reaches(graph, "e") == set()
 
 
+def test_the_reference_graph_skips_annotations():
+    source = (
+        "def a(h: C, k: 'C' = None) -> D:\n    return h.x\n"
+        "def e(h: C):\n    return C()\n"
+        "class C:\n    def m(self):\n        return b()\n"
+        "def b():\n    pass\n"
+        "class D:\n    y: C\n"
+    )
+    graph = _reference_graph([ast.parse(source)])
+    assert _reaches(graph, "a") == set()
+    assert _reaches(graph, "e") == {"C", "b"}
+    assert _reaches(graph, "D") == set()
+
+
 # pairs of routes that a cross-route check compares: full_torsion_surfaces
 # against subfamily_models in the torsion-tower check, the refibration
 # against the full-torsion Jacobian pair, and the quadric double cover
 # against the degree-two base change, and the quartic's Jacobian pair, the
-# reference for the same pair with forms as coefficients; and the kernel
-# of the Gram matrix mod 2 against the Smith form, both counting the
-# 2-torsion of a discriminant group
+# reference for the same pair with forms as coefficients; the kernel of
+# the Gram matrix mod 2 against the Smith form, both counting the
+# 2-torsion of a discriminant group; and the closed form -4f^3 - 27g^2 of
+# the Jacobian pair against the determinant route of the quartic's
+# discriminant, in the discriminant-relation check
 _SEPARATE_ROUTES = [
     ("full_torsion_surfaces", "subfamily_models"),
     ("refibration_jacobian", "full_torsion_surfaces"),
@@ -224,6 +253,7 @@ _SEPARATE_ROUTES = [
     ("quadric_double_cover", "base_change_k3"),
     ("jacobian_quartic", "hermite_pair_forms"),
     ("_kernel_mod_2", "_elementary_divisors"),
+    ("jacobian_quartic", "form_discriminant"),
 ]
 
 
