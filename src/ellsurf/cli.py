@@ -52,6 +52,7 @@ from .exactpoly import (
     HomPoly,
     ParseError,
     divexact_form,
+    form_partials,
     is_separable,
     parse_hompoly,
     parse_rational,
@@ -851,12 +852,9 @@ def _coupling_product(sc, rng):
         raise _CheckFailure("coupling data lost symmetry")
     if polys.pairing.diagonal() != h.form:
         raise _CheckFailure("pairing diagonal differs from the quartic")
-    p = h.poly()
-    second = p.derivative().derivative()
-    expected_diag = Fraction(1, 3) * (p * second) - Fraction(1, 4) * (
-        p.derivative() * p.derivative()
-    )
-    if polys.cofactor_diagonal != expected_diag:
+    # the cofactor diagonal is one 36th of the Hessian of the quartic form
+    (f_uu, f_uv), (_, f_vv) = (form_partials(d) for d in form_partials(h.form))
+    if 36 * polys.cofactor.diagonal() != f_uu * f_vv - f_uv * f_uv:
         raise _CheckFailure("cofactor diagonal formula failed")
     # pairing^2 + cofactor*(x - x0)^2 = P(x)*P(x0) as one bidegree-(4,4)
     # identity.  Both sides have degree four in x0, so a nonzero difference

@@ -8,7 +8,7 @@ with binary forms of degrees ``(2w, 4w, 6w)``.  Everything downstream of the
 coefficients is exact: the standard invariants ``c4, c6, delta`` are forms,
 fibers are classified per place of the base from the valuation triple
 ``(v(c4), v(c6), v(delta))`` after local minimalization, and two-torsion
-sections are found as exact polynomial roots of the right-hand cubic.
+sections are the forms of degree 2w that are roots of the right-hand cubic.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from fractions import Fraction
 from .exactpoly import (
     DegreeMismatch,
     HomPoly,
-    UniPoly,
     form_sqrt,
-    homogenize,
     rational_cubic_roots,
     refine_against,
     squarefree_split,
@@ -352,34 +350,22 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
 # ---------------------------------------------------------------------------
 
 
-def _trunc(p: UniPoly, order: int) -> UniPoly:
-    return UniPoly.from_coeffs(p.coeffs[:order])
-
-
-def _series_inverse(p: UniPoly, order: int) -> UniPoly:
-    """1/p modulo x^order; p(0) must be nonzero."""
-    inv = UniPoly.of(1 / p.coeff(0))
-    prec = 1
-    two = UniPoly.of(2)
-    while prec < order:
-        prec = min(2 * prec, order)
-        inv = _trunc(inv * (two - _trunc(p, prec) * inv), prec)
-    return inv
-
-
-def _lift_cubic_root(
-    a2: UniPoly, a4: UniPoly, a6: UniPoly, x0: Fraction, order: int
-) -> UniPoly:
-    """Newton-lift a simple root x0 of the cubic at the origin to a series
-    root modulo x^order."""
-    x = UniPoly.of(x0)
-    prec = 1
-    while prec < order:
-        prec = min(2 * prec, order)
-        b2, b4, b6 = _trunc(a2, prec), _trunc(a4, prec), _trunc(a6, prec)
-        value = _trunc(((x + b2) * x + b4) * x + b6, prec)
-        slope = _trunc((3 * x + 2 * b2) * x + b4, prec)
-        x = _trunc(x - value * _series_inverse(slope, prec), prec)
+def _series_root(rows: list[tuple[Fraction, ...]], x0: Fraction, order: int) -> list[Fraction]:
+    """The first ``order`` coefficients of the series root x(s), with x(0) =
+    x0 a simple root, of C(x) = x^3 + a2 x^2 + a4 x + a6, whose ascending
+    coefficients (each at least ``order`` long) are ``rows``.  As in
+    ``form_sqrt``, x_k = -[s^k] C(x_{<k}) / C'(x0).
+    """
+    a2, a4, a6 = rows
+    slope = (3 * x0 + 2 * a2[0]) * x0 + a4[0]
+    x, sq = [x0], [x0 * x0]
+    for k in range(1, order):
+        # [s^k] of x^2 and of C(x) while x_k is still zero
+        x.append(Fraction(0))
+        sq.append(sum(x[i] * x[k - i] for i in range(1, k)))
+        value = a6[k] + sum((x[i] + a2[i]) * sq[k - i] + a4[i] * x[k - i] for i in range(k + 1))
+        x[k] = -value / slope
+        sq[k] += 2 * x0 * x[k]
     return x
 
 
@@ -388,9 +374,9 @@ def two_torsion_sections(model: WeierstrassModel) -> tuple[HomPoly, ...]:
 
     These are the x-coordinates of the two-torsion sections of the
     fibration that are rational over the base.  When a6 = 0 the cubic
-    splits off x = 0 and the rest is an exact-square test; otherwise
-    candidate sections are Newton lifts of the rational roots above a
-    regular base point, verified exactly.
+    splits off x = 0 and the rest is an exact-square test; otherwise the
+    first 2w + 1 terms of the series roots over a regular base point are
+    candidate sections, verified exactly.
     """
     inv = invariants(model)  # rejects degenerate models
     w = model.weight
@@ -408,14 +394,14 @@ def two_torsion_sections(model: WeierstrassModel) -> tuple[HomPoly, ...]:
     else:
         s0 = _regular_base_point(inv.delta)
         t = HomPoly.var_power(vars, 1, 1)
-        a2s, a4s, a6s = (
-            a.substitute(HomPoly.of(vars, (1, s0)), t).as_unipoly()
+        # the coefficients moved to s0 = 0, ascending in s at t = 1
+        rows = [
+            a.substitute(HomPoly.of(vars, (1, s0)), t).coeffs[::-1]
             for a in (model.a2, model.a4, model.a6)
-        )
-        order = 2 * w + 1
-        for x0 in rational_cubic_roots(a2s.coeff(0), a4s.coeff(0), a6s.coeff(0)):
-            # the series has degree <= 2w, as it is truncated at x^order
-            series = homogenize(_lift_cubic_root(a2s, a4s, a6s, x0, order), vars, 2 * w)
+        ]
+        for x0 in rational_cubic_roots(*(row[0] for row in rows)):
+            # a section has degree 2w, so its first 2w + 1 terms are all of it
+            series = HomPoly.of(vars, _series_root(rows, x0, 2 * w + 1)[::-1])
             section = series.substitute(HomPoly.of(vars, (1, -s0)), t)
             if model.rhs_at(section).is_zero:
                 found.append(section)

@@ -2,9 +2,9 @@
 
 Three representations cover everything the rest of the package needs:
 
-* ``UniPoly``: dense univariate polynomials, indexed by ascending degree:
-  the type of one-variable calculus (derivatives, truncated power series).
-  Curves, pencils and sections live on P^1 and are ``HomPoly`` values.
+* ``UniPoly``: dense univariate polynomials, indexed by ascending degree.
+  No other module uses it; it is kept only until the benchmark stops
+  tracing it by name.  Curves, pencils and sections are ``HomPoly`` values.
 * ``HomPoly``: binary forms with a *declared* degree, so the zero form of
   any degree and forms divisible by either variable are first-class values.
   Coefficient ``k`` multiplies ``s^(d-k) * t^k``.
@@ -17,9 +17,9 @@ terms (gcd of ``den`` and the content of ``num`` is 1, and ``den`` is 1
 for zero), as FLINT's ``fmpq_poly`` does.  Equal polynomials therefore
 have equal fields, and sums, products, powers, pseudo-division, gcds and
 resultants run on plain ints.  ``coeffs`` (``rows`` for ``BiHomPoly``) is
-a cached read-only view of the coefficients as Fractions.  ``UniPoly`` and
-``HomPoly`` share that row arithmetic through one private base, ``_Rows``;
-each adds only how it reads its rows (affine, or a form of declared degree).
+a cached read-only view of the coefficients as Fractions.  Until ``UniPoly``
+goes, it shares that row arithmetic with ``HomPoly`` through one private
+base, ``_Rows``; each adds only how it reads its rows.
 
 The form gcd, exact division and squarefree split never leave the integer
 rows either: the power of the second variable splits off the ``num``
@@ -616,10 +616,6 @@ class HomPoly(_Rows):
         flat, den = _substituted((self.num,), f, g)
         return f._new(flat, self.den * den)
 
-    def as_unipoly(self) -> UniPoly:
-        """Dehomogenize at ``vars[1] = 1`` (polynomial in ``vars[0]``)."""
-        return UniPoly._new(list(self.num[::-1]), self.den)
-
     def second_var_multiplicity(self) -> int:
         """Multiplicity of the root [1:0], i.e. the power of ``vars[1]``."""
         for k, n in enumerate(self.num):
@@ -720,9 +716,11 @@ def resultant(p: UniPoly, q: UniPoly) -> Fraction:
     )
 
 
-def _partials(f: HomPoly) -> tuple[HomPoly, HomPoly]:
+def form_partials(f: HomPoly) -> tuple[HomPoly, HomPoly]:
     """``(df/ds, df/dt)`` of a form of declared degree ``n >= 1``, each of
-    declared degree ``n - 1``."""
+    declared degree ``n - 1``; a constant raises ``DegreeTooLow``."""
+    if f.degree < 1:
+        raise DegreeTooLow("a constant form has no partials of declared degree")
     d_s, d_t = _int_derivative(f.num[::-1])[::-1], _int_derivative(f.num)
     return f._new(d_s, f.den), f._new(d_t, f.den)
 
@@ -739,7 +737,7 @@ def form_discriminant(f: HomPoly) -> Fraction:
         raise DegreeTooLow("form discriminant needs declared degree >= 2")
     if f.is_zero:
         raise DegreeTooLow("zero form has no discriminant")
-    res = form_resultant(*_partials(f))
+    res = form_resultant(*form_partials(f))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * res / n ** (n - 2)
 
@@ -816,7 +814,7 @@ def is_separable(f: HomPoly) -> bool:
         return False
     if f.degree < 2:
         return True
-    return gcd_form(*_partials(f)).degree == 0
+    return gcd_form(*form_partials(f)).degree == 0
 
 
 @dataclass(frozen=True)
@@ -1116,16 +1114,20 @@ MAX_DIGITS = 1000
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
 )
+_RATIONAL_RE = re.compile(r"-?(\d+)(?:/(0*[1-9]\d*))?")
 
 
 def parse_rational(text: str, line: int = 1, col: int = 1) -> Fraction:
-    """A rational like ``-3/4``; ``line`` and ``col`` place the first
-    character of ``text``, and an error names the column of the number."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        at = col + len(text) - len(text.lstrip())
-        raise ParseError(f"bad rational {text.strip()!r}: {exc}", line, at) from None
+    """A rational ``-?n`` or ``-?n/d`` in digits with d > 0, like ``-3/4``,
+    of at most ``MAX_DIGITS`` digits a part; ``line`` and ``col`` place the
+    first character of ``text``, and an error names the column of the number."""
+    value, at = text.strip(), col + len(text) - len(text.lstrip())
+    m = _RATIONAL_RE.fullmatch(value)
+    if m is None:
+        raise ParseError(f"bad rational {value!r}: expected n or n/d in digits, d > 0", line, at)
+    if max(len(part or "") for part in m.groups()) > MAX_DIGITS:
+        raise ParseError(f"rational with more than {MAX_DIGITS} digits", line, at)
+    return Fraction(value)
 
 
 def parse_hompoly(

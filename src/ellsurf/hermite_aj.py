@@ -17,7 +17,7 @@ the quartic's numerators, over 6*den for the pairing and 36*den^2 for the
 cofactor, and the Jacobian pair (f, g) is read off the same numerators.
 The ``coupling-product`` check tests pairing^2 + cofactor*(x - x0)^2 =
 P(x)*P(x0) as one bidegree-(4,4) form identity; its six anchors x0 only
-name where a failing identity breaks.
+name where a failing identity breaks.  P' and Q' are the partials dF/dU at (x, 1).
 
 All arithmetic is exact; every identity below holds as a polynomial
 equality over the rationals.
@@ -27,16 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .exactpoly import (
     BiHomPoly,
     DegreeMismatch,
     HomPoly,
     RationalLike,
-    UniPoly,
     ZeroScale,
     form_discriminant,
+    form_partials,
     rat,
     tensor_forms,
 )
@@ -122,9 +121,6 @@ class QuarticCurve:
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
         return self.form.coeffs[::-1]
-
-    def poly(self) -> UniPoly:
-        return self.form.as_unipoly()
 
     def rhs(self, x: RationalLike) -> Fraction:
         return self.form(x, 1)
@@ -223,18 +219,13 @@ class CorrespondencePolys:
 
     ``pairing`` restricts to P on the diagonal; ``cofactor`` is the
     bi-quadratic with pairing^2 + cofactor*(x - x0)^2 = P(x)*P(x0); its
-    diagonal equals (1/3)*P*P'' - (1/4)*P'^2.  Both are symmetric
+    diagonal equals (1/3)*P*P'' - (1/4)*P'^2, one 36th of the Hessian
+    F_UU*F_VV - F_UV^2 of the quartic form F.  Both are symmetric
     bidegree-(2,2) forms, read affinely at x = U/V and x0 = S/T.
-    ``cofactor_diagonal`` is that diagonal as a polynomial in x, built on
-    its first read.
     """
 
     pairing: BiHomPoly
     cofactor: BiHomPoly
-
-    @cached_property
-    def cofactor_diagonal(self) -> UniPoly:
-        return self.cofactor.diagonal().as_unipoly()
 
 
 def correspondence_polys(h: QuarticCurve) -> CorrespondencePolys:
@@ -325,22 +316,23 @@ def abel_jacobi(
         raise NotOnCurve("point does not satisfy the curve equation")
     # internally the map is anchored at (x0, -w0) = base
     x0, w0 = bx, -bw
+    if px == x0 and pw == -w0:
+        if w0 == 0:
+            raise BasePointRamified("no formula at a ramified base point")
+        return AJImage.infinity()
+    # P'(x) is dF/dU at (x, 1), and Q'(x) likewise for the form Q
+    dp = form_partials(h.form)[0]
     if px == x0:
-        if pw == -w0:
-            if w0 == 0:
-                raise BasePointRamified("no formula at a ramified base point")
-            return AJImage.infinity()
         # conjugate of the base point; pw == w0 != 0 on the curve
-        q = correspondence_polys(h).cofactor_diagonal
-        p = h.poly()
-        value_p = p(x0)  # equals w0^2, nonzero here
-        bracket = p.derivative()(x0) * q(x0) - value_p * q.derivative()(x0)
-        return AJImage.at(-q(x0) / value_p, bracket / (2 * w0**3))
+        q = correspondence_polys(h).cofactor.diagonal()
+        dq = form_partials(q)[0]
+        value_p, value_q = h.rhs(x0), q(x0, 1)  # P(x0) = w0^2 is nonzero here
+        bracket = dp(x0, 1) * value_q - value_p * dq(x0, 1)
+        return AJImage.at(-value_q / value_p, bracket / (2 * w0**3))
     pairing = correspondence_polys(h).pairing
     dx = px - x0
     xi = 2 * (pairing(px, 1, x0, 1) - pw * w0) / dx**2
-    dp = h.poly().derivative()
-    eta = 4 * pw * w0 * (pw - w0) / dx**3 - (dp(px) * w0 + dp(x0) * pw) / dx**2
+    eta = 4 * pw * w0 * (pw - w0) / dx**3 - (dp(px, 1) * w0 + dp(x0, 1) * pw) / dx**2
     return AJImage.at(xi, eta)
 
 

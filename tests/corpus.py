@@ -6,7 +6,8 @@ random families of the golden fiber-configuration suites: every sampler
 enforces a genericity predicate stated in terms of squarefreeness and
 coprimality of specific discriminant factors, never in terms of the
 expected fiber counts, so resampling cannot bias the assertions.
-``shift_x`` is the coordinate change the tests use as a metamorphic move.
+``shift_x`` is the coordinate change the tests use as a metamorphic move,
+and ``affine`` the one affine reading of a form that the tests share.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from fractions import Fraction
 from ellsurf import duality as du
 from ellsurf.elliptic import WeierstrassModel
 from ellsurf.exactpoly import HomPoly, UniPoly, discriminant_form, form_discriminant
+
+
+def affine(form: HomPoly) -> UniPoly:
+    """The form read at ``vars[1] = 1``, as a polynomial in ``vars[0]``."""
+    return UniPoly.from_coeffs(form.coeffs[::-1])
 
 
 def shift_x(model: WeierstrassModel, u: HomPoly) -> WeierstrassModel:
@@ -246,7 +252,7 @@ def star_chain_profile(params: du.ThreeLinesCubicParams):
     line_nu = UniPoly.of(params.nu, 1)
     stars = homogenize((line_mu**6) * (line_nu**6), delta.vars, 12)
     cofactor = divexact_form(delta, stars)
-    finite = cofactor.as_unipoly()
+    finite = affine(cofactor)
     return 12 - finite.degree, finite
 
 

@@ -10,14 +10,15 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from corpus import affine
 from ellsurf import cli, hermite_aj
 from ellsurf import duality as du
 from ellsurf.elliptic import DegenerateModel, invariants
@@ -29,7 +30,6 @@ from ellsurf.exactpoly import (
     divexact_form,
     homogenize,
     is_separable,
-    tensor_forms,
 )
 
 
@@ -224,10 +224,12 @@ FIBER_HEAD = "name x\nkind fiber-config\nfamily rational-base\n"
         (FIBER_HEAD, f"poly f on s,t deg 4 = s^{FIVE_THOUSAND_NINES}", "number", 25),
         (FIBER_HEAD, f"poly f on s,t deg 4 = {FIVE_THOUSAND_NINES}*s^4", "number", 23),
         (FIBER_HEAD, f"poly f on s,t deg 4 = s^4 + 1/{FIVE_THOUSAND_NINES}*t^4", "number", 29),
+        (FIBER_HEAD, f"rat level = -{FIVE_THOUSAND_NINES}", "rational", 13),
+        (FIBER_HEAD, f"quartic q = 1, 2, 3, 4, 1/{FIVE_THOUSAND_NINES}", "rational", 25),
     ],
     ids=[
         "root-index", "lattice-scale", "lattice-power", "fiber-count", "trials",
-        "poly-exponent", "poly-numerator", "poly-denominator",
+        "poly-exponent", "poly-numerator", "poly-denominator", "rat", "quartic",
     ],
 )
 def test_integers_of_5000_digits_are_refused_at_their_column(head, line, message, col):
@@ -302,7 +304,11 @@ def test_parse_error_duplicate_fiber_label():
         ("expect parity 3", "parity must be 0 or 1", 15),
         ("expect signature 1,x", "signature entry must be an integer", 20),
         ("rat level = 1/0", "bad rational '1/0'", 13),
+        ("rat level = 1e50", "bad rational '1e50'", 13),
+        ("rat level =  1_000", "bad rational '1_000'", 14),
         ("quartic q = 1, 2, x, 4, 5", "bad rational 'x'", 19),
+        ("quartic q = 1e3, 2.5, 0, 0, 1", "bad rational '1e3'", 13),
+        ("quartic q = 1, 2.5, 0, 0, 1", "bad rational '2.5'", 16),
         ("  poly f on s t = 3", "expected 'poly <name>", 3),
         ("  quartic q = 1, 2", "quartic expects five", 3),
     ],
@@ -312,6 +318,45 @@ def test_value_errors_report_the_column_in_the_scenario_line(line, message, col)
     with pytest.raises(ParseError, match=message) as err:
         parse(head + line + "\n")
     assert (err.value.line, err.value.col) == (4, col)
+
+
+def _grammar_rational(entry: str) -> Fraction | None:
+    """A rat or quartic entry read by the grammar: -?n or -?n/d in digits
+    with d > 0, at most 1 000 digits a part; None if it is not one."""
+    m = re.fullmatch(r"(-?)([0-9]+)(?:/([0-9]+))?", entry.strip())
+    if m is None or max(len(part or "") for part in m.groups()) > 1000:
+        return None
+    den = int(m.group(3) or 1)
+    return Fraction(int(m.group(1) + m.group(2)), den) if den else None
+
+
+# the entries' tokens, near misses and long digit strings
+_ENTRY_TOKENS = st.one_of(
+    st.sampled_from(["-", "/", ",", " ", "0", "3", ".", "e", "_", "+"]),
+    st.integers(1, 1200).map(lambda n: "7" * n),
+)
+
+
+@given(quartic=st.booleans(), tokens=st.lists(_ENTRY_TOKENS, max_size=14))
+@example(quartic=False, tokens=["1", "e", "50"])
+@example(quartic=True, tokens=["3", ",", " -", "3/7", ",", "0", ",", "0", ",", "7" * 1000])
+@example(quartic=True, tokens=["1", ",", "2", ".", "5", ",", "0", ",", "0", ",", "1"])
+@example(quartic=False, tokens=["-", "7" * 1000, "/", "3"])
+@settings(max_examples=200, deadline=None)
+def test_rat_and_quartic_lines_parse_or_raise_a_parse_error(quartic, tokens):
+    text = "".join(tokens)
+    entries = text.split(",") if quartic else [text]
+    want = [_grammar_rational(entry) for entry in entries]
+    valid = None not in want and len(want) == (5 if quartic else 1)
+    line = f"quartic q = {text}" if quartic else f"rat level = {text}"
+    try:
+        sc = parse(FIBER_HEAD + line + "\nexpect fibers 12*I1\n")
+    except ParseError:
+        assert not valid
+        return
+    assert valid
+    got = list(sc.quartics["q"].coeffs) if quartic else [sc.rats["level"]]
+    assert got == want
 
 
 FULL_TORSION_FIBERS = (
@@ -658,21 +703,18 @@ def test_run_discriminant_relation_failure_names_the_trial(monkeypatch):
 
 
 def test_run_coupling_product_failure_names_the_first_failing_anchor(monkeypatch):
-    real = cli.correspondence_polys
-    # (x + 2)(x + 1)(x0 + 2)(x0 + 1) is symmetric and vanishes, for every
-    # x, at the anchors -2 and -1 and at no other anchor
-    roots = HomPoly.of(("U", "V"), (1, 3, 2))
-    bump = tensor_forms(roots, roots.rename(("S", "T")))
+    real = cli.tensor_forms
+    # (x + 2)^2 (x + 1)^2 (x0 + 2)^2 (x0 + 1)^2 is symmetric and vanishes,
+    # for every x, at the anchors -2 and -1 and at no other anchor.  Added
+    # to the right-hand side P(x)*P(x0), it is out of sight of the checks
+    # on the diagonals, which read the coupling data and the quartic only
+    roots = HomPoly.of(("U", "V"), (1, 3, 2)) ** 2
+    bump = real(roots, roots.rename(("S", "T")))
 
-    def perturbed(h):
-        polys = real(h)
-        return SimpleNamespace(
-            pairing=polys.pairing,
-            cofactor=polys.cofactor + bump,
-            cofactor_diagonal=polys.cofactor_diagonal,
-        )
+    def perturbed(p, q):
+        return real(p, q) + bump
 
-    monkeypatch.setattr(cli, "correspondence_polys", perturbed)
+    monkeypatch.setattr(cli, "tensor_forms", perturbed)
     (coupling,) = [sc for sc in cli.bundled_scenarios() if sc.name == "coupling-product"]
     rep = cli.run(coupling, seed=0, trials_override=2)
     assert rep.status == "fail"
@@ -777,7 +819,7 @@ def _affine_at_chain_level(params: du.ThreeLinesCubicParams, level: int) -> bool
     except DegenerateModel:
         return False
     stars = (UniPoly.of(params.mu, 1) ** 6) * (UniPoly.of(params.nu, 1) ** 6)
-    finite = divexact_form(delta, homogenize(stars, delta.vars, 12)).as_unipoly()
+    finite = affine(divexact_form(delta, homogenize(stars, delta.vars, 12)))
     if 12 - finite.degree != level:
         return False
     if finite.is_zero or not is_separable(homogenize(finite, delta.vars, finite.degree)):

@@ -3,16 +3,21 @@
 The classification table is validated two independent ways: an exhaustive
 consistency sweep over valuation triples, and a comparison against the
 reduction-type recursion in ``tate_oracle`` on constructed models.
+Two-torsion sections are checked against sympy's factorization of the
+cubic on planted models, and under base changes and translations of x.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import corpus
-from corpus import constructed_short_models, shift_x
+from corpus import affine, constructed_short_models, shift_x
 from ellsurf import duality as du
 from ellsurf.elliptic import (
     DegenerateModel,
@@ -502,3 +507,102 @@ class TestTwoTorsionSections:
         assert len(secs) == 3
         for s in secs:
             assert shifted.rhs_at(s).is_zero
+
+
+# ---------------------------------------------------------------------------
+# two-torsion sections against sympy's factorization, and under moves
+
+
+_SMALL = st.integers(-3, 3)
+# every integer matrix with entries in [-2, 2] and determinant +-1
+_GL2Z = [
+    m for m in itertools.product(range(-2, 3), repeat=4) if abs(m[0] * m[3] - m[1] * m[2]) == 1
+]
+
+
+@st.composite
+def planted_models(draw, weight: int, planted: int, a6_zero: bool):
+    """Models of the given weight whose cubic has ``planted`` roots: the
+    product of x - r and a drawn quadratic (1), of three x - r_i (3), or a
+    drawn cubic (0).  With ``a6_zero`` the planted r is 0, else a6 is
+    nonzero.  Degenerate draws are left to the tests."""
+
+    def form(degree: int) -> HomPoly:
+        return HomPoly.of(V, draw(st.lists(_SMALL, min_size=degree + 1, max_size=degree + 1)))
+
+    w = weight
+    if planted == 0:
+        model = WeierstrassModel(form(2 * w), form(4 * w), form(6 * w), w)
+    else:
+        r = HomPoly.zero(V, 2 * w) if a6_zero else form(2 * w)
+        if planted == 1:
+            b, c = form(2 * w), form(4 * w)
+        else:
+            r2, r3 = form(2 * w), form(2 * w)
+            b, c = -(r2 + r3), r2 * r3
+        # (x - r)(x^2 + b x + c)
+        model = WeierstrassModel(b - r, c - r * b, -(r * c), w)
+    assume(model.a6.is_zero == a6_zero)
+    return model
+
+
+# (weight, planted roots, a6 = 0): a cubic with a6 = 0 has the root x = 0
+_PLANTINGS = [
+    (w, planted, a6_zero)
+    for w in (1, 2, 3)
+    for planted in (0, 1, 3)
+    for a6_zero in ((False,) if planted == 0 else (False, True))
+]
+_PLANTING_IDS = [
+    f"w{w}-{planted}-roots{'-a6=0' if zero else ''}" for w, planted, zero in _PLANTINGS
+]
+
+
+def _sympy_sections(model: WeierstrassModel) -> set[tuple[Fraction, ...]]:
+    """The sections as the factors of x-degree one of the cubic in Q[u, x],
+    u the base coordinate at the second variable 1, each homogenized to
+    degree 2w."""
+    x, u = sp.symbols("x"), T_SYM
+    w = model.weight
+    a2, a4, a6 = (uni_to_sympy(affine(a)) for a in (model.a2, model.a4, model.a6))
+    found = set()
+    for factor, _mult in sp.factor_list(sp.expand(x**3 + a2 * x**2 + a4 * x + a6), x, u)[1]:
+        poly = sp.Poly(factor, x)
+        if poly.degree() == 1:
+            root = sp.Poly(-poly.coeff_monomial(1) / poly.coeff_monomial(x), u)
+            ascending = [Fraction(int(c.p), int(c.q)) for c in reversed(root.all_coeffs())]
+            ascending += [Fraction(0)] * (2 * w + 1 - len(ascending))
+            found.add(tuple(ascending[::-1]))
+    return found
+
+
+def _sections_or_skip(model: WeierstrassModel) -> tuple[HomPoly, ...]:
+    try:
+        return two_torsion_sections(model)
+    except DegenerateModel:
+        assume(False)
+
+
+@pytest.mark.parametrize("planting", _PLANTINGS, ids=_PLANTING_IDS)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_two_torsion_sections_are_sympys_linear_factors(planting, data):
+    model = data.draw(planted_models(*planting))
+    secs = _sections_or_skip(model)
+    assert {sec.coeffs for sec in secs} == _sympy_sections(model)
+    assert len(secs) in (0, 1, 3)
+
+
+@pytest.mark.parametrize("planting", _PLANTINGS, ids=_PLANTING_IDS)
+@given(data=st.data(), matrix=st.sampled_from(_GL2Z))
+@settings(max_examples=4, deadline=None)
+def test_base_changes_and_translations_keep_the_section_count(planting, data, matrix):
+    model = data.draw(planted_models(*planting))
+    count = len(_sections_or_skip(model))
+    a, b, c, d = matrix
+    s_to, t_to = HomPoly.of(V, (a, b)), HomPoly.of(V, (c, d))
+    moved = [f.substitute(s_to, t_to) for f in (model.a2, model.a4, model.a6)]
+    assert len(two_torsion_sections(WeierstrassModel(*moved, model.weight))) == count
+    w2 = 2 * model.weight
+    u = HomPoly.of(V, data.draw(st.lists(_SMALL, min_size=w2 + 1, max_size=w2 + 1)))
+    assert len(two_torsion_sections(shift_x(model, u))) == count

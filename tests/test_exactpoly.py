@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from sympy.polys.subresultants_qq_zz import sylvester
 from hypothesis import strategies as st
+from corpus import affine
 from tate_oracle import form_multiplicities
 
 from ellsurf.exactpoly import (
@@ -27,6 +29,7 @@ from ellsurf.exactpoly import (
     DegreeMismatch,
     DegreeTooLow,
     ExactDivisionError,
+    MAX_DIGITS,
     HomPoly,
     ParseError,
     SquarefreeSplit,
@@ -35,6 +38,7 @@ from ellsurf.exactpoly import (
     discriminant_form,
     divexact_form,
     form_discriminant,
+    form_partials,
     form_resultant,
     form_sqrt,
     gcd_form,
@@ -96,7 +100,7 @@ class TestUniPolyRing:
         vars = ("s", "t")
         form = homogenize(p, vars, max(p.degree, 0) + extra)
         line = HomPoly.of(vars, (1, c))
-        shifted = form.substitute(line, HomPoly.var_power(vars, 1, 1)).as_unipoly()
+        shifted = affine(form.substitute(line, HomPoly.var_power(vars, 1, 1)))
         for x in (Fraction(0), Fraction(1), Fraction(-2, 3)):
             assert shifted(x) == p(x + c)
         # three points do not pin a polynomial of degree 3 or more
@@ -249,7 +253,7 @@ class TestIntegerCore:
         assert G == F and hash(G) == hash(F)
         assert (G.num, G.den) == (F.num, F.den)
         assert _lowest_terms(F.num, F.den)
-        assert F.as_unipoly() == UniPoly.from_coeffs(cs[::-1])
+        assert affine(F) == UniPoly.from_coeffs(cs[::-1])
 
     def test_zero_forms_of_every_degree(self):
         line = HomPoly.of(ST, [Fraction(1, 3), Fraction(-7, 2)])
@@ -261,7 +265,7 @@ class TestIntegerCore:
             assert Z * line == HomPoly.zero(ST, d + 1)
             assert Z + Z == Z and -Z == Z
             assert Z(3, Fraction(1, 2)) == 0
-            assert Z.as_unipoly() == UniPoly.zero()
+            assert affine(Z) == UniPoly.zero()
             assert str(Z) == "0"
 
     def test_coeffs_is_a_view_of_fractions(self):
@@ -483,7 +487,7 @@ def _sympy_separable(f: HomPoly) -> bool:
         return False
     if f.degree < 2:
         return True
-    return _sympy_discriminant_form(f.as_unipoly(), f.degree) != 0
+    return _sympy_discriminant_form(affine(f), f.degree) != 0
 
 
 class TestIsSeparable:
@@ -523,6 +527,24 @@ class TestIsSeparable:
         assert is_separable(moved) == is_separable(f)
 
 
+class TestPartials:
+    @given(f=separability_cases())
+    @settings(max_examples=60)
+    def test_the_partials_are_sympys_at_one_degree_less(self, f):
+        s, t = sp.symbols("s t")
+
+        def expr(g: HomPoly):
+            return sum(sp.Rational(c) * s ** (g.degree - k) * t**k for k, c in enumerate(g.coeffs))
+
+        if f.degree == 0:
+            with pytest.raises(DegreeTooLow):
+                form_partials(f)
+            return
+        for got, var in zip(form_partials(f), (s, t)):
+            assert (got.vars, got.degree) == (f.vars, f.degree - 1)
+            assert sp.expand(expr(got) - sp.diff(expr(f), var)) == 0
+
+
 def _reconstruct(split) -> HomPoly:
     """``unit * product(factor^multiplicity)``: the form a split describes."""
     result = HomPoly.constant(ST, split.unit)
@@ -537,7 +559,7 @@ def _round_trip_squarefree_split(f: HomPoly) -> SquarefreeSplit:
     if f.is_zero:
         raise DegreeTooLow("zero form has no squarefree decomposition")
     e = f.second_var_multiplicity()
-    u = f.as_unipoly()
+    u = affine(f)
     factors = [(HomPoly.var_power(f.vars, 1, 1), e)] if e else []
     c = u.monic()
     dc = c.derivative()
@@ -625,7 +647,7 @@ class TestSquarefree:
             assert _reconstruct(split) == form
             for f, _m in split.factors:
                 assert _leading_in_first(f) == 1
-                u = f.as_unipoly()
+                u = affine(f)
                 assert gcd_poly(u, u.derivative()).degree == 0
 
     @given(p=unipolys(max_degree=4, allow_zero=False))
@@ -637,7 +659,7 @@ class TestSquarefree:
         for f, _m in squarefree_split(homogenize(p, ST, p.degree)).factors:
             ours = ours * f
         theirs = _to_sympy(p).div(_to_sympy(gcd_poly(p, p.derivative())))[0].monic()
-        assert _to_sympy(ours.as_unipoly().monic()).as_expr() == theirs.as_expr()
+        assert _to_sympy(affine(ours).monic()).as_expr() == theirs.as_expr()
 
     def test_form_split_keeps_second_variable_factor(self):
         F = HomPoly.of(("s", "t"), [0, 0, 2, 0, -2])
@@ -705,7 +727,7 @@ class TestHomPoly:
         p = UniPoly.of(1, 0, -2)
         F = homogenize(p, ("s", "t"), 4)
         assert F.second_var_multiplicity() == 2
-        assert F.as_unipoly() == p
+        assert affine(F) == p
         with pytest.raises(DegreeMismatch):
             homogenize(p, ("s", "t"), 1)
 
@@ -788,7 +810,7 @@ def _round_trip_gcd_form(p: HomPoly, q: HomPoly) -> HomPoly:
     if p.is_zero or q.is_zero:
         return _round_trip_monic(q if p.is_zero else p)
     e = min(p.second_var_multiplicity(), q.second_var_multiplicity())
-    g = gcd_poly(p.as_unipoly(), q.as_unipoly())
+    g = gcd_poly(affine(p), affine(q))
     return _round_trip_monic(homogenize(g, p.vars, g.degree + e))
 
 
@@ -796,7 +818,7 @@ def _round_trip_divexact_form(p: HomPoly, f: HomPoly) -> HomPoly:
     if p.is_zero:
         return HomPoly.zero(p.vars, max(p.degree - f.degree, 0))
     if p.degree >= f.degree and p.second_var_multiplicity() >= f.second_var_multiplicity():
-        quo, rem = p.as_unipoly().divmod(f.as_unipoly())
+        quo, rem = affine(p).divmod(affine(f))
         if rem.is_zero:
             return homogenize(quo, p.vars, p.degree - f.degree)
     raise ExactDivisionError("form division left a remainder")
@@ -1081,8 +1103,8 @@ class TestBiHomPoly:
         if symmetric:
             a = [[a[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
         A = BiHomPoly.of(ST, UV, a)
-        assert A.diagonal().as_unipoly()(x) == _ref_affine22(a, x, x)
-        assert A.specialize_pair2(x0, 1).as_unipoly()(x) == _ref_affine22(a, x, x0)
+        assert affine(A.diagonal())(x) == _ref_affine22(a, x, x)
+        assert affine(A.specialize_pair2(x0, 1))(x) == _ref_affine22(a, x, x0)
         # a bidegree-(2,2) polynomial is pinned by its values on a 3 x 3 grid
         points = (Fraction(0), Fraction(1), Fraction(-2, 3))
         swapped = all(
@@ -1097,6 +1119,23 @@ class TestParsing:
         assert parse_rational(" -3/4 ") == Fraction(-3, 4)
         with pytest.raises(ParseError):
             parse_rational("3/0")
+
+    @pytest.mark.parametrize("text", ["1e50", "2.5", "1_000", "1e999999999", "+3", "3/-4", "1/00"])
+    def test_only_digits_over_digits_are_rationals(self, text):
+        # Fraction(text) reads all but the last three; 1e999999999 would
+        # build a 10^999999999 integer, so it must be refused unread
+        with pytest.raises(ParseError, match=f"bad rational '{re.escape(text)}'") as err:
+            parse_rational(f"  {text}", line=3, col=7)
+        assert (err.value.line, err.value.col) == (3, 9)
+
+    def test_rationals_of_more_than_max_digits_are_refused(self):
+        big = "7" * MAX_DIGITS
+        assert parse_rational(f"-{big}/3") == Fraction(-int(big), 3)
+        assert parse_rational(f"1/{big}") == Fraction(1, int(big))
+        for text in (big + "7", f"1/{big}7", f"-{big}7/3"):
+            with pytest.raises(ParseError, match="more than 1000 digits") as err:
+                parse_rational(text, col=4)
+            assert err.value.col == 4
 
     def test_positions_reported(self):
         with pytest.raises(ParseError) as err:
@@ -1264,12 +1303,12 @@ class TestFormResultant:
         q = t_ * HomPoly.of(self.ST, (1, 2))
         assert form_resultant(p, q) == 0
         # the affine resultant drops the common zero at [1:0]
-        assert resultant(p.as_unipoly(), q.as_unipoly()) != 0
+        assert resultant(affine(p), affine(q)) != 0
 
     def test_matches_affine_resultant_at_full_degree(self):
         p = HomPoly.of(self.ST, (2, -1, 3))
         q = HomPoly.of(self.ST, (1, 0, 0, -5))
-        assert form_resultant(p, q) == resultant(p.as_unipoly(), q.as_unipoly())
+        assert form_resultant(p, q) == resultant(affine(p), affine(q))
 
     def test_constant_and_zero_forms(self):
         c = HomPoly.of(self.ST, (3,))

@@ -1,8 +1,10 @@
 """Tests for quartic Jacobians, the pointwise map, and the (2,2) coupling.
 
 The reduction formulas are validated against sympy resultants and a
-symbolic check of the pointwise map in the function field of the curve;
-the coupling polynomials are pinned by their defining product identity.
+symbolic check of the pointwise map in the function field of the curve,
+and the map's values against its affine formulas in sympy; the coupling
+polynomials are pinned by their defining product identity, and the
+cofactor's diagonal by the Hessian of the quartic form.
 """
 
 import random
@@ -10,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from corpus import affine
 from ellsurf.duality import correspondence_surfaces
 from ellsurf.exactpoly import (
     BiHomPoly,
@@ -21,6 +24,7 @@ from ellsurf.exactpoly import (
     UniPoly,
     discriminant_form,
     form_discriminant,
+    form_partials,
 )
 from ellsurf.hermite_aj import (
     BasePointRamified,
@@ -158,15 +162,15 @@ def test_coupling_product_identity():
     samples = [Fraction(v) for v in (0, 1, -1, 2, -3)] + [Fraction(1, 2)]
     for _ in range(25):
         h = rand_curve(rng)
-        p = h.poly()
+        p = affine(h.form)
         polys = correspondence_polys(h)
         assert polys.pairing.is_symmetric
         assert polys.cofactor.is_symmetric
-        assert polys.pairing.diagonal().as_unipoly() == p
+        assert affine(polys.pairing.diagonal()) == p
         for x0 in samples:
             lhs = (
-                polys.pairing.specialize_pair2(x0, 1).as_unipoly() ** 2
-                + polys.cofactor.specialize_pair2(x0, 1).as_unipoly() * UniPoly.of(-x0, 1) ** 2
+                affine(polys.pairing.specialize_pair2(x0, 1)) ** 2
+                + affine(polys.cofactor.specialize_pair2(x0, 1)) * UniPoly.of(-x0, 1) ** 2
             )
             assert lhs == p * p(x0)
 
@@ -175,15 +179,15 @@ def test_coupling_cofactor_diagonal_formula():
     rng = random.Random(106)
     for _ in range(25):
         h = rand_curve(rng)
-        p = h.poly()
+        p = affine(h.form)
         expected = Fraction(1, 3) * (p * p.derivative().derivative()) - Fraction(
             1, 4
         ) * (p.derivative() * p.derivative())
-        assert correspondence_polys(h).cofactor_diagonal == expected
+        assert affine(correspondence_polys(h).cofactor.diagonal()) == expected
 
 
 def test_coupling_cofactor_degenerates_for_pure_power():
-    assert correspondence_polys(QuarticCurve.of(0, 0, 0, 0, 1)).cofactor_diagonal.is_zero
+    assert correspondence_polys(QuarticCurve.of(0, 0, 0, 0, 1)).cofactor.diagonal().is_zero
 
 
 def test_coupling_cofactor_keeps_leading_coefficient_factors():
@@ -220,8 +224,8 @@ quartics = st.builds(QuarticCurve.of, *(small_rational,) * 5)
 
 
 def _fraction_correspondence_polys(h: QuarticCurve):
-    """(pairing, cofactor, cofactor diagonal), each entry computed in
-    Fraction arithmetic from the five coefficients."""
+    """(pairing, cofactor), each entry computed in Fraction arithmetic from
+    the five coefficients."""
     a0, a1, a2, a3, a4 = h.coeffs
     pairing = BiHomPoly.of(
         UV,
@@ -247,18 +251,16 @@ def _fraction_correspondence_polys(h: QuarticCurve):
             (outer, edge, corner),
         ),
     )
-    return pairing, cofactor, cofactor.diagonal().as_unipoly()
+    return pairing, cofactor
 
 
 def _assert_the_fraction_entries(h: QuarticCurve) -> None:
     polys = correspondence_polys(h)
-    pairing, cofactor, diagonal = _fraction_correspondence_polys(h)
+    pairing, cofactor = _fraction_correspondence_polys(h)
     for got, want in ((polys.pairing, pairing), (polys.cofactor, cofactor)):
         assert (got.vars1, got.vars2, got.num, got.den) == (
             want.vars1, want.vars2, want.num, want.den
         )
-    got = polys.cofactor_diagonal
-    assert (got.num, got.den) == (diagonal.num, diagonal.den)
 
 
 @given(h=quartics)
@@ -305,13 +307,9 @@ def test_the_integer_hermite_data_match_the_fraction_routes(h):
     if not h.form.is_zero:
         assert -4 * cubic.f**3 - 27 * cubic.g**2 == form_discriminant(h.form)
     _assert_the_fraction_entries(h)
-
-
-def test_the_cofactor_diagonal_is_built_on_first_read():
-    polys = correspondence_polys(QuarticCurve.of(1, 2, 3, 4, 5))
-    assert "cofactor_diagonal" not in vars(polys)
-    diagonal = polys.cofactor_diagonal
-    assert vars(polys)["cofactor_diagonal"] is diagonal is polys.cofactor_diagonal
+    # the coupling-product check's route: the Hessian of the quartic form
+    (f_uu, f_uv), (_, f_vv) = (form_partials(d) for d in form_partials(h.form))
+    assert 36 * correspondence_polys(h).cofactor.diagonal() == f_uu * f_vv - f_uv * f_uv
 
 
 @given(h=quartics, x=small_rational)
@@ -320,9 +318,9 @@ def test_the_cofactor_diagonal_is_built_on_first_read():
 def test_the_quartic_form_reads_as_its_coefficients(h, x):
     assert QuarticCurve.of(*h.coeffs) == h
     assert (h.form.vars, h.form.degree) == (UV, 4)
-    assert h.rhs(x) == h.poly()(x) == sum(c * x**i for i, c in enumerate(h.coeffs))
+    assert h.rhs(x) == affine(h.form)(x) == sum(c * x**i for i, c in enumerate(h.coeffs))
     # the discriminant of the affine polynomial read at declared degree four
-    p = h.poly()
+    p = affine(h.form)
     assert h.discriminant() == (0 if p.is_zero else discriminant_form(p, 4))
 
 
@@ -435,6 +433,62 @@ def test_pointwise_map_lands_on_cubic():
         done += 1
 
 
+def _affine_image(coeffs, base, point):
+    """The image of ``point`` under the pointwise map anchored at ``base``,
+    from its affine formulas in sympy.  With (x0, w0) = (bx, -bw): off the
+    base's x-coordinate, xi = 2 (R(x, x0) - w w0) / (x - x0)^2 for the
+    pairing R, and eta = 4 w w0 (w - w0) / (x - x0)^3 - (P'(x) w0 + P'(x0) w)
+    / (x - x0)^2; at the conjugate (x0, w0), xi = -Q(x0) / P(x0) and eta =
+    (P'(x0) Q(x0) - P(x0) Q'(x0)) / (2 w0^3) for Q = P P'' / 3 - P'^2 / 4."""
+    x, y = sp.symbols("x y")
+    a0, a1, a2, a3, a4 = map(sp.Rational, coeffs)
+    p = sp.Poly(a0 + a1 * x + a2 * x**2 + a3 * x**3 + a4 * x**4, x, domain="QQ")
+    dp = p.diff(x)
+    x0, w0 = sp.Rational(base[0]), -sp.Rational(base[1])
+    px, pw = map(sp.Rational, point)
+    if px == x0:
+        q = p * p.diff(x).diff(x) * sp.Rational(1, 3) - dp**2 * sp.Rational(1, 4)
+        p_at, q_at, dp_at, dq_at = (e.eval(x0) for e in (p, q, dp, q.diff(x)))
+        return -q_at / p_at, (dp_at * q_at - p_at * dq_at) / (2 * w0**3)
+    r = sp.Poly(
+        a4 * x**2 * y**2 + a3 * x * y * (x + y) / 2 + a2 * (x**2 + y**2) / 6
+        + 2 * a2 * x * y / 3 + a1 * (x + y) / 2 + a0,
+        x, y, domain="QQ",
+    )
+    dx = px - x0
+    xi = 2 * (r.eval({x: px, y: x0}) - pw * w0) / dx**2
+    eta = 4 * pw * w0 * (pw - w0) / dx**3 - (dp.eval(px) * w0 + dp.eval(x0) * pw) / dx**2
+    return xi, eta
+
+
+@given(
+    base=st.tuples(small_rational, small_rational),
+    point=st.tuples(small_rational, small_rational),
+    tail=st.tuples(small_rational, small_rational, small_rational),
+    conjugate=st.booleans(),
+)
+@example(base=(0, -1), point=(1, 2), tail=(0, 0, 1), conjugate=False)
+@example(base=(0, -1), point=(2, 0), tail=(0, 0, 1), conjugate=True)
+@example(base=(Fraction(1, 2), 0), point=(-1, 3), tail=(1, -2, 0), conjugate=False)
+@example(base=(Fraction(-1, 3), Fraction(5, 2)), point=(4, 1), tail=(0, 0, 0), conjugate=True)
+@settings(max_examples=60, deadline=None)
+def test_the_pointwise_map_matches_its_affine_formulas(base, point, tail, conjugate):
+    # a curve through the base and the point; the conjugate of the base
+    # keeps the point's x-coordinate only as the coefficient a1
+    bx, bw, px, pw, a2, a3, a4 = map(Fraction, (*base, *point, *tail))
+    rest = a2 * bx**2 + a3 * bx**3 + a4 * bx**4
+    if conjugate:
+        assume(bw != 0)
+        a1 = px
+        point = (bx, -bw)
+    else:
+        assume(px != bx)
+        a1 = (pw**2 - bw**2 - a2 * px**2 - a3 * px**3 - a4 * px**4 + rest) / (px - bx)
+    h = QuarticCurve.of(bw**2 - rest - a1 * bx, a1, a2, a3, a4)
+    img = abel_jacobi(h, base, point)
+    assert (sp.Rational(img.xi), sp.Rational(img.eta)) == _affine_image(h.coeffs, base, point)
+
+
 # ---------------------------------------------------------------------------
 # the symmetric (2,2) presentation
 
@@ -477,7 +531,7 @@ def test_22_preserves_j_invariant():
 def test_22_diagonal_at_zero_coordinate():
     h = QuarticCurve.of(1, 2, 0, 0, 1)
     b = correspondence_22(h, 0)
-    assert b.phi.diagonal().as_unipoly() == -4 * correspondence_polys(h).cofactor_diagonal
+    assert b.phi.diagonal() == -4 * correspondence_polys(h).cofactor.diagonal()
 
 
 def test_j_invariant_gates():

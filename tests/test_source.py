@@ -12,9 +12,10 @@ form kernels run on the integer rows: their definitions never mention
 the affine round trip or the Fraction view, and the squarefree split
 never reaches ``UniPoly``.  ``UniPoly`` and ``HomPoly`` share their row
 arithmetic: neither redefines a method of their common base.  The
-domain layers build curves, pencils and sections as binary forms:
-``duality``, ``cli`` and ``hermite_aj`` never mention the affine round
-trip, and the affine readings that the forms replaced stay deleted.
+domain layers build curves, pencils, sections and their derivatives as
+binary forms: no module but ``exactpoly`` mentions ``UniPoly`` or the
+affine round trip, and the affine readings that the forms replaced stay
+deleted.
 """
 
 import ast
@@ -182,18 +183,31 @@ def _code_nodes(node: ast.AST):
 
 def _reference_graph(trees) -> dict[str, set[str]]:
     """Each defined name to the defined names its definition mentions, as a
-    bare name or as an attribute, outside annotations.  Names are not
-    resolved to modules or classes, and a class mentions what its methods
-    do, so the graph over-approximates every call."""
+    bare name or as an attribute, outside annotations.  A method is also
+    the node ``Class.method``: an attribute read off a class by its name
+    reaches that class's own method, not every method of the name.  Other
+    names are not resolved to modules or classes, and a class mentions what
+    its methods do, so the graph over-approximates every call."""
     definitions = [pair for tree in trees for pair in _definitions(tree)]
     defined = {name for name, _ in definitions}
-    graph: dict[str, set[str]] = {name: set() for name in defined}
-    for name, node in definitions:
+    methods = {
+        f"{cls.name}.{item.name}": item
+        for _name, cls in definitions
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+    }
+    graph: dict[str, set[str]] = {name: set() for name in defined | methods.keys()}
+    for name, node in definitions + list(methods.items()):
         for sub in _code_nodes(node):
             if isinstance(sub, ast.Name) and sub.id in defined:
                 graph[name].add(sub.id)
-            elif isinstance(sub, ast.Attribute) and sub.attr in defined:
-                graph[name].add(sub.attr)
+            elif isinstance(sub, ast.Attribute):
+                owner = sub.value.id if isinstance(sub.value, ast.Name) else None
+                if f"{owner}.{sub.attr}" in methods:
+                    graph[name].add(f"{owner}.{sub.attr}")
+                elif sub.attr in defined:
+                    graph[name].add(sub.attr)
     return graph
 
 
@@ -223,6 +237,24 @@ def test_the_reference_graph_follows_names_attributes_and_constants():
     assert _reaches(graph, "e") == set()
 
 
+def test_an_attribute_read_off_a_class_reaches_that_class_only():
+    source = (
+        "class A:\n    def of(self):\n        return x()\n"
+        "class B:\n    def of(self):\n        return y()\n"
+        "class C(A):\n    pass\n"
+        "def f():\n    return A.of()\n"
+        "def g(a):\n    return a.of()\n"
+        "def h():\n    return C.of()\n"
+        "def x():\n    pass\n"
+        "def y():\n    pass\n"
+    )
+    graph = _reference_graph([ast.parse(source)])
+    assert _reaches(graph, "f") == {"A", "A.of", "x"}
+    assert _reaches(graph, "g") == {"of", "x", "y"}
+    # C does not define of, so C.of may be any method of that name
+    assert {"of", "x", "y"} <= _reaches(graph, "h")
+
+
 def test_the_reference_graph_skips_annotations():
     source = (
         "def a(h: C, k: 'C' = None) -> D:\n    return h.x\n"
@@ -243,9 +275,11 @@ def test_the_reference_graph_skips_annotations():
 # against the degree-two base change, and the quartic's Jacobian pair, the
 # reference for the same pair with forms as coefficients; the kernel of
 # the Gram matrix mod 2 against the Smith form, both counting the
-# 2-torsion of a discriminant group; and the closed form -4f^3 - 27g^2 of
+# 2-torsion of a discriminant group; the closed form -4f^3 - 27g^2 of
 # the Jacobian pair against the determinant route of the quartic's
-# discriminant, in the discriminant-relation check
+# discriminant, in the discriminant-relation check; and the coupling
+# cofactor against the Hessian of the quartic form, built from its
+# partials, in the coupling-product check
 _SEPARATE_ROUTES = [
     ("full_torsion_surfaces", "subfamily_models"),
     ("refibration_jacobian", "full_torsion_surfaces"),
@@ -254,6 +288,7 @@ _SEPARATE_ROUTES = [
     ("jacobian_quartic", "hermite_pair_forms"),
     ("_kernel_mod_2", "_elementary_divisors"),
     ("jacobian_quartic", "form_discriminant"),
+    ("correspondence_polys", "form_partials"),
 ]
 
 
@@ -428,14 +463,21 @@ def test_the_module_checks_see_imports_names_and_nested_definitions():
 
 # the domain layers build curves, pencils and sections as binary forms;
 # what each must not mention of the affine round trip
+_AFFINE_ROUND_TRIP = {"UniPoly", "as_unipoly", "homogenize"}
 _OFF_THE_FORMS = {
-    "duality": {"UniPoly", "as_unipoly", "homogenize"},
-    "cli": {"homogenize"},
-    "hermite_aj": {"discriminant_form", "homogenize"},
+    "cli": _AFFINE_ROUND_TRIP,
+    "duality": _AFFINE_ROUND_TRIP,
+    "elliptic": _AFFINE_ROUND_TRIP,
+    "hermite_aj": _AFFINE_ROUND_TRIP | {"discriminant_form"},
+    "lattice": _AFFINE_ROUND_TRIP,
 }
 
 
 def test_the_domain_layers_build_forms():
+    # every module but exactpoly and the package's entry files is a layer
+    root = Path(ellsurf.__file__).parent
+    layers = {path.stem for path in root.glob("*.py")} - {"exactpoly", "__init__", "__main__"}
+    assert layers == _OFF_THE_FORMS.keys()
     for module, banned in _OFF_THE_FORMS.items():
         found = _module_mentions(_module_tree(module)) & banned
         assert not found, (module, sorted(found))
@@ -450,6 +492,10 @@ def test_the_affine_readings_stay_gone():
     quartic = _class(hermite, "QuarticCurve")
     fields = [item.target.id for item in quartic.body if isinstance(item, ast.AnnAssign)]
     assert fields == ["form"]
-    assert "_disc4" not in _nested_definitions(hermite)
+    assert not {"_disc4", "poly", "cofactor_diagonal"} & _nested_definitions(hermite)
     assert "descending" not in _nested_definitions(_module_tree("duality"))
-    assert "shift" not in _nested_definitions(_class(_module_tree("exactpoly"), "UniPoly"))
+    exactpoly = _module_tree("exactpoly")
+    assert "shift" not in _nested_definitions(_class(exactpoly, "UniPoly"))
+    assert "as_unipoly" not in _nested_definitions(exactpoly)
+    elliptic = _nested_definitions(_module_tree("elliptic"))
+    assert not {"_trunc", "_series_inverse", "_lift_cubic_root"} & elliptic
