@@ -223,27 +223,28 @@ _NO_VALUE = {
 
 _POLY_RE = re.compile(
     r"^poly\s+(?P<name>\w+)\s+on\s+(?P<v1>[A-Za-z_]\w*)\s*,\s*"
-    r"(?P<v2>[A-Za-z_]\w*)\s+deg\s+(?P<deg>\d+)\s*=\s*(?P<expr>.+)$"
+    r"(?P<v2>[A-Za-z_]\w*)\s+deg\s+(?P<deg>[0-9]+)\s*=\s*(?P<expr>.+)$"
 )
 _ASSIGN_RE = re.compile(r"^\w+\s+(?P<name>\w+)\s*=\s*(?P<expr>.+)$")
-_FIBER_ITEM_RE = re.compile(r"^\s*(\d+)\s*\*\s*([IV0-9*]+)\s*$")
+_FIBER_ITEM_RE = re.compile(r"^\s*([0-9]+)\s*\*\s*([IV0-9*]+)\s*$")
 _LATTICE_TERM_RE = re.compile(
     r"\s*(?P<atom><-?2>|[A-Z][A-Za-z0-9]*)\s*"
-    r"(?:\(\s*(?P<scale>-?\d+)\s*\))?\s*(?:\^\s*(?P<power>\d+))?\s*$"
+    r"(?:\(\s*(?P<scale>-?[0-9]+)\s*\))?\s*(?:\^\s*(?P<power>[0-9]+))?\s*$"
 )
-_ROOT_INDEX_RE = re.compile(r"[AD](\d+)")
+_ROOT_INDEX_RE = re.compile(r"[AD]([0-9]+)")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_int(text: str, line: int, col: int, what: str) -> int:
-    """An integer of at most ``MAX_DIGITS`` digits; ``col`` is the column of
-    the text's first character."""
+    """An integer ``[+-]?[0-9]+`` of at most ``MAX_DIGITS`` digits; ``col``
+    is the column of the text's first character."""
     at = col + len(text) - len(text.lstrip())
-    if len(text.strip().lstrip("+-")) > MAX_DIGITS:
+    value = text.strip()
+    if len(value.lstrip("+-")) > MAX_DIGITS:
         raise ParseError(f"{what} has more than {MAX_DIGITS} digits", line, at)
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {text.strip()!r}", line, at)
+    if not _INT_RE.fullmatch(value):
+        raise ParseError(f"{what} must be an integer, got {value!r}", line, at)
+    return int(value)
 
 
 def _parse_lattice_expr(text: str, line: int, col: int) -> la.GramLattice:
@@ -824,8 +825,7 @@ def _full_torsion_alt(sc, rng):
 @_family("refibered-pencil", "fiber-config")
 def _refibered_pencil(sc, rng):
     def make():
-        quad = _draw_quadruple(lambda: _refiber_rows(rng)).quadruple
-        return du.refibration_jacobian(quad)
+        return du.refibration_jacobian(_draw_quadruple(lambda: _refiber_rows(rng)))
 
     rj = _draw(make, lambda rj: _at_chain_level(rj.params, 6))
     return _fibers(sc, [("refibered pencil", rj.model)])
@@ -847,15 +847,16 @@ _SEPARATION_SQUARE = BiHomPoly.from_num(_SECOND, _ANCHOR_PAIR, ((0, 0, 1), (0, -
 )
 def _coupling_product(sc, rng):
     h = _random_quartic(rng)
+    quartic = {"quartic": _frs(h.coeffs)}
     polys = correspondence_polys(h)
     if not (polys.pairing.is_symmetric and polys.cofactor.is_symmetric):
-        raise _CheckFailure("coupling data lost symmetry")
+        raise _CheckFailure("coupling data lost symmetry", quartic)
     if polys.pairing.diagonal() != h.form:
-        raise _CheckFailure("pairing diagonal differs from the quartic")
+        raise _CheckFailure("pairing diagonal differs from the quartic", quartic)
     # the cofactor diagonal is one 36th of the Hessian of the quartic form
     (f_uu, f_uv), (_, f_vv) = (form_partials(d) for d in form_partials(h.form))
     if 36 * polys.cofactor.diagonal() != f_uu * f_vv - f_uv * f_uv:
-        raise _CheckFailure("cofactor diagonal formula failed")
+        raise _CheckFailure("cofactor diagonal formula failed", quartic)
     # pairing^2 + cofactor*(x - x0)^2 = P(x)*P(x0) as one bidegree-(4,4)
     # identity.  Both sides have degree four in x0, so a nonzero difference
     # vanishes at no more than four of the six anchors: the identity holds
@@ -866,10 +867,8 @@ def _coupling_product(sc, rng):
     if lhs != rhs:
         difference = lhs - rhs
         x0 = next(a for a in _ANCHORS if not difference.specialize_pair2(a, 1).is_zero)
-        raise _CheckFailure(
-            f"product identity failed at anchor {x0}", {"quartic": _frs(h.coeffs)}
-        )
-    return {"quartic": _frs(h.coeffs)}
+        raise _CheckFailure(f"product identity failed at anchor {x0}", quartic)
+    return quartic
 
 
 @_family("discriminant-relation", "hermite-identity")
@@ -1081,13 +1080,13 @@ def _normalize_roundtrip(sc, rng):
 def _refibration_match(sc, rng):
     surface = _draw_quadruple(lambda: _refiber_rows(rng))
     b, c = surface.torsion_factors
-    rj = du.refibration_jacobian(surface.quadruple)
+    rj = du.refibration_jacobian(surface)
     tor = du.full_torsion_surfaces(b + c, b - c)
     if rj.f != tor["f"] or rj.g != tor["g"]:
         raise _CheckFailure("refibration pair differs from the torsion-tower pair")
     if (rj.params.mu, rj.params.nu) != (0, 1):
         raise _CheckFailure("default chart is not (0, 1)")
-    other = du.refibration_jacobian(surface.quadruple, 2, 5)
+    other = du.refibration_jacobian(surface, 2, 5)
     if (other.f, other.g) != (rj.f, rj.g):
         raise _CheckFailure("the reduced pair depends on the chart")
 

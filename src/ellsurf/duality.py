@@ -21,9 +21,16 @@ data from exact rational input:
   and so shares no code with it;
 * double covers branched over four bilinear curves on the quadric
   (``bilinear_quadruple_surface``) and the relative Jacobian of their
-  second, genus-one fibration (``refibration_jacobian``), which lands in
-  the three-concurrent-lines-plus-cubic double planes
+  second, genus-one fibration, read off a cover already built
+  (``refibration_jacobian``); it lands in the
+  three-concurrent-lines-plus-cubic double planes
   (``three_lines_cubic_model``, ``normalize_three_i0star``).
+
+Each short model y^2 = x^3 + a4 x + a6 is built by
+``WeierstrassModel.short``; each branch form that sums the coefficient
+forms of a bidegree-(2, 2) curve against the monomials U^2, UV, V^2, read
+on a ruling, is built by ``_tensor_sum``.  ``two_param_family`` takes its
+deformed data from ``moduli_involution``, which also checks its inputs.
 
 All arithmetic is exact over the rationals; nothing here ever rounds or
 approximates.
@@ -192,9 +199,7 @@ class RESData:
         return 4 * self.f**3 + 27 * self.g**2
 
     def model(self) -> WeierstrassModel:
-        return WeierstrassModel(
-            HomPoly.zero(self.f.vars, 2), self.f, self.g, 1
-        )
+        return WeierstrassModel.short(self.f, self.g)
 
 
 def base_change_k3(
@@ -220,11 +225,8 @@ def base_change_k3(
             raise SingularBranchFiber(f"the fiber over [{a}:{b}] is singular")
     h_first = HomPoly.of(_SECOND_COVER, (1 - d0v, 0, d0v * (1 - div)))
     h_second = HomPoly.of(_SECOND_COVER, (div * (1 - d0v), 0, 1 - div))
-    return WeierstrassModel(
-        HomPoly.zero(_SECOND_COVER, 4),
-        r.f.substitute(h_first, h_second),
-        r.g.substitute(h_first, h_second),
-        2,
+    return WeierstrassModel.short(
+        r.f.substitute(h_first, h_second), r.g.substitute(h_first, h_second)
     )
 
 
@@ -374,26 +376,11 @@ def quadric_double_cover(pair: AlternatePair) -> QuadricCoverData:
     if pair.split is None:
         raise MissingFactorization("the norm form needs an attached factorization")
     left, right = pair.split
-    trace_c = pair.trace.rename(_FIRST_COVER)
-    u4 = HomPoly.var_power(_SECOND_COVER, 0, 4)
-    v4 = HomPoly.var_power(_SECOND_COVER, 1, 4)
-    u2v2 = HomPoly.var_power(_SECOND_COVER, 0, 2) * HomPoly.var_power(
-        _SECOND_COVER, 1, 2
-    )
-    branch = (
-        tensor_forms(left.rename(_FIRST_COVER), u4)
-        + tensor_forms(-trace_c, u2v2)
-        + tensor_forms(right.rename(_FIRST_COVER), v4)
-    )
+    coeffs = (form.rename(_FIRST_COVER) for form in (left, -pair.trace, right))
+    branch = _tensor_sum(coeffs, _READ_MONOMIALS[1]["cover"])
     swap = ruling_swap(pair.trace, left, right)
-    u_sq = HomPoly.of(_SECOND_COVER, (1, 0, 0))
-    v_sq = HomPoly.of(_SECOND_COVER, (0, 0, 1))
-    jacobian = WeierstrassModel(
-        HomPoly.zero(_SECOND_COVER, 4),
-        swap.f.substitute(u_sq, v_sq),
-        swap.g.substitute(u_sq, v_sq),
-        2,
-    )
+    cover = _RULINGS[1]["cover"]
+    jacobian = WeierstrassModel.short(cover(swap.f), cover(swap.g))
     return QuadricCoverData(branch, swap, jacobian)
 
 
@@ -415,19 +402,6 @@ class TwoParamFamily:
     reduced_discriminant: HomPoly
 
 
-def _deformed_triple(
-    trace: HomPoly,
-    left: HomPoly,
-    right: HomPoly,
-    d0v: Fraction,
-    div: Fraction,
-) -> tuple[HomPoly, HomPoly, HomPoly]:
-    new_trace = 2 * d0v * left + 2 * div * right - (1 + d0v * div) * trace
-    new_left = left + div * div * right - div * trace
-    new_right = d0v * d0v * left + right - d0v * trace
-    return new_trace, new_left, new_right
-
-
 def two_param_family(
     trace: HomPoly,
     left: HomPoly,
@@ -445,30 +419,15 @@ def two_param_family(
     fibration over that pair is the two-torsion model with trace and norm
     read off from the deformed data; ``reduced_discriminant`` is its
     discriminant over 16.  The places of the factor trace^2 - 4 left right
-    do not move with (d0, d_inf).  Requires d0 * d_inf != 1.
+    do not move with (d0, d_inf).  Requires d0 * d_inf != 1; the inputs
+    are checked, and the deformed data built, by :func:`moduli_involution`.
     """
-    trace._check_vars(left)
-    trace._check_vars(right)
-    if {trace.degree, left.degree, right.degree} != {4}:
-        raise DegreeMismatch("deformation needs three degree-four forms")
+    deformed = moduli_involution(trace, left, right, d0, d_inf)
+    new_trace, new_left, new_right = (form.rename(_FIRST_COVER) for form in deformed)
+    trace_c, left_c, right_c = (form.rename(_FIRST_COVER) for form in (trace, left, right))
     d0v, div = rat(d0), rat(d_inf)
-    if d0v * div == 1:
-        raise UnitViolation("section lines meet on the curve: d0*d_inf must not be one")
-    trace_c = trace.rename(_FIRST_COVER)
-    left_c = left.rename(_FIRST_COVER)
-    right_c = right.rename(_FIRST_COVER)
     lines = HomPoly.of(_SECOND_QUOT, (1, -d0v)) * HomPoly.of(_SECOND_QUOT, (div, -1))
-    u_sq = HomPoly.of(_SECOND_QUOT, (1, 0, 0))
-    uv = HomPoly.of(_SECOND_QUOT, (0, 1, 0))
-    v_sq = HomPoly.of(_SECOND_QUOT, (0, 0, 1))
-    branch = (
-        tensor_forms(left_c, lines * u_sq)
-        + tensor_forms(-trace_c, lines * uv)
-        + tensor_forms(right_c, lines * v_sq)
-    )
-    new_trace, new_left, new_right = _deformed_triple(
-        trace_c, left_c, right_c, d0v, div
-    )
+    branch = _tensor_sum((left_c, -trace_c, right_c), (lines * m for m in _MONOMIALS))
     model = WeierstrassModel(
         -new_trace,
         new_left * new_right,
@@ -512,7 +471,10 @@ def moduli_involution(
     d0v, div = rat(d0), rat(d_inf)
     if d0v * div == 1:
         raise UnitViolation("involution degenerates: d0*d_inf must not be one")
-    return _deformed_triple(trace, left, right, d0v, div)
+    new_trace = 2 * d0v * left + 2 * div * right - (1 + d0v * div) * trace
+    new_left = left + div * div * right - div * trace
+    new_right = d0v * d0v * left + right - d0v * trace
+    return new_trace, new_left, new_right
 
 
 # ---------------------------------------------------------------------------
@@ -684,21 +646,16 @@ def full_torsion_surfaces(trace: HomPoly, difference: HomPoly) -> dict[str, obje
             tensor_forms(low, line * x) + tensor_forms(high, line * y),
         )
 
-    def jac(a4: HomPoly, a6: HomPoly, vars, weight: int) -> WeierstrassModel:
-        return WeierstrassModel(HomPoly.zero(vars, 2 * weight), a4, a6, weight)
-
     (x4, y4), _ = _TORSION_READINGS["4cover"]
     (u_sq, v_sq), cover_line = _TORSION_READINGS["cover"]
     _, quot_line = _TORSION_READINGS["quot"]
     f_cover, g_cover = f.substitute(u_sq, v_sq), g.substitute(u_sq, v_sq)
     u_minus_v = HomPoly.of(_SECOND_QUOT, (1, -1))
-    table["jac_4cover"] = jac(f.substitute(x4, y4), g.substitute(x4, y4), _FOURFOLD, 2)
-    table["jac_cover"] = jac(
-        cover_line**2 * f_cover, cover_line**3 * g_cover, _SECOND_COVER, 2
-    )
-    table["jac_quot_twisted"] = jac(quot_line**2 * f, quot_line**3 * g, _SECOND_QUOT, 2)
-    table["res_cover"] = jac(f_cover, g_cover, _SECOND_COVER, 1)
-    table["res_quot"] = jac(u_minus_v**2 * f, u_minus_v**3 * g, _SECOND_QUOT, 1)
+    table["jac_4cover"] = WeierstrassModel.short(f.substitute(x4, y4), g.substitute(x4, y4))
+    table["jac_cover"] = WeierstrassModel.short(cover_line**2 * f_cover, cover_line**3 * g_cover)
+    table["jac_quot_twisted"] = WeierstrassModel.short(quot_line**2 * f, quot_line**3 * g)
+    table["res_cover"] = WeierstrassModel.short(f_cover, g_cover)
+    table["res_quot"] = WeierstrassModel.short(u_minus_v**2 * f, u_minus_v**3 * g)
     return table
 
 
@@ -1006,7 +963,9 @@ def normalize_three_i0star(
 
 @dataclass(frozen=True)
 class RefibrationJacobian:
-    """Relative Jacobian data of the second fibration of a quadruple cover.
+    """Relative Jacobian data of the second fibration of a quadruple cover,
+    as :func:`refibration_jacobian` reads it off the cover's two torsion
+    factors.
 
     ``model`` is the pinned-star model obtained by freezing the first
     fibration coordinate on the chart (mu, nu); ``params`` its line-cubic
@@ -1022,13 +981,15 @@ class RefibrationJacobian:
 
 
 def refibration_jacobian(
-    quad: BilinearQuadruple,
+    surface: QuadrupleCoverSurface,
     mu: RationalLike = 0,
     nu: RationalLike = 1,
 ) -> RefibrationJacobian:
     """Relative Jacobian of the genus-one refibration of a quadruple cover.
 
-    Freezing the base coordinate of the quadruple-cover surface and
+    ``surface`` is the cover as :func:`bilinear_quadruple_surface` built
+    it, so its genericity is already checked; only its two torsion
+    factors are read.  Freezing the base coordinate of the surface and
     refibering along the other direction gives a genus-one pencil whose
     relative Jacobian has additive star fibers pinned at t = -mu, -nu and
     infinity; (mu, nu) only fix the affine chart and must differ.  The
@@ -1038,7 +999,6 @@ def refibration_jacobian(
     cover, full_torsion_surfaces(b + c, b - c)["f"] == f and likewise for
     g.
     """
-    surface = bilinear_quadruple_surface(quad)
     muv, nuv = rat(mu), rat(nu)
     if muv == nuv:
         raise ParameterConstraintViolated("chart parameters must be distinct")
@@ -1122,7 +1082,6 @@ def subfamily_models(kind: str, f: HomPoly, g: HomPoly) -> WeierstrassModel:
         a4, a6 = f.substitute(*into), g.substitute(*into)
     if line is not None:
         a4, a6 = line**2 * a4, line**3 * a6
-    weight = a4.degree // 4
-    model = WeierstrassModel(HomPoly.zero(a4.vars, 2 * weight), a4, a6, weight)
+    model = WeierstrassModel.short(a4, a6)
     invariants(model)
     return model

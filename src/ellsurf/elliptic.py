@@ -115,6 +115,13 @@ class WeierstrassModel:
                 f"weight {self.weight} needs coefficient degrees {want}, got {got}"
             )
 
+    @staticmethod
+    def short(a4: HomPoly, a6: HomPoly) -> WeierstrassModel:
+        """y^2 = x^3 + a4 x + a6, of weight deg(a4) // 4; the degrees must
+        be (4w, 6w) on one variable pair, or ``DegreeMismatch`` is raised."""
+        weight = a4.degree // 4
+        return WeierstrassModel(HomPoly.zero(a4.vars, 2 * weight), a4, a6, weight)
+
     @property
     def vars(self) -> tuple[str, str]:
         return self.a2.vars

@@ -60,7 +60,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, TypeVar, Union
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Union[Fraction, int]
 
 
 class DegreeTooLow(ValueError):
@@ -90,13 +90,12 @@ class ParseError(ValueError):
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce ints, strings like ``-3/4``, and Fractions to Fraction."""
+    """Coerce an int or a Fraction to a Fraction; text is read by
+    ``parse_rational`` instead, and anything else raises ``TypeError``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
@@ -1112,9 +1111,9 @@ def tensor_forms(p: HomPoly, q: HomPoly) -> BiHomPoly:
 MAX_DIGITS = 1000
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
 )
-_RATIONAL_RE = re.compile(r"-?(\d+)(?:/(0*[1-9]\d*))?")
+_RATIONAL_RE = re.compile(r"-?([0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def parse_rational(text: str, line: int = 1, col: int = 1) -> Fraction:

@@ -311,6 +311,19 @@ def test_parse_error_duplicate_fiber_label():
         ("quartic q = 1, 2.5, 0, 0, 1", "bad rational '2.5'", 16),
         ("  poly f on s t = 3", "expected 'poly <name>", 3),
         ("  quartic q = 1, 2", "quartic expects five", 3),
+        # numbers are ASCII digits 0-9, with no underscores, in every directive
+        ("trials 1_0", "trials must be an integer", 8),
+        ("trials \u0663", "trials must be an integer", 8),
+        ("rat level = \u0663", "bad rational '\u0663'", 13),
+        ("quartic q = 1, \u0663, 0, 0, 1", "bad rational '\u0663'", 16),
+        ("poly f on s,t deg 4 = \u0663*s^4 + t^4", "unexpected character '\u0663'", 23),
+        ("poly f on s,t deg \u0664 = s^4 + t^4", "expected 'poly <name>", 1),
+        ("lattice L = H(\u0663)", "bad lattice term", 13),
+        ("lattice L = H + E8^\u0663", "bad lattice term", 17),
+        ("expect fibers \u0663*I1", "bad fiber item", 15),
+        ("expect euler 1_2", "euler number must be an integer", 14),
+        ("expect det \u0663", "det must be an integer", 12),
+        ("expect signature \u0663,1", "signature entry must be an integer", 18),
     ],
 )
 def test_value_errors_report_the_column_in_the_scenario_line(line, message, col):
@@ -719,6 +732,19 @@ def test_run_coupling_product_failure_names_the_first_failing_anchor(monkeypatch
     rep = cli.run(coupling, seed=0, trials_override=2)
     assert rep.status == "fail"
     assert rep.detail == "trial 0: product identity failed at anchor 0"
+    assert set(rep.artifacts) == {"quartic"}
+
+
+def test_run_coupling_product_failure_carries_the_quartic(monkeypatch):
+    (coupling,) = [sc for sc in cli.bundled_scenarios() if sc.name == "coupling-product"]
+    passed = cli.run(coupling, seed=0, trials_override=1)
+    real = cli.form_partials
+    # doubled partials scale the Hessian by 16, off the cofactor diagonal
+    monkeypatch.setattr(cli, "form_partials", lambda form: tuple(2 * d for d in real(form)))
+    rep = cli.run(coupling, seed=0, trials_override=2)
+    assert rep.status == "fail"
+    assert rep.detail == "trial 0: cofactor diagonal formula failed"
+    assert rep.artifacts == passed.artifacts["first_instance"]
     assert set(rep.artifacts) == {"quartic"}
 
 

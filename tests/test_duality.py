@@ -413,6 +413,17 @@ def test_two_param_gates():
         du.moduli_involution(quartic, quartic, quartic, 3, Fraction(1, 3))
 
 
+@pytest.mark.parametrize("moved", range(3))
+def test_the_deformation_refuses_forms_on_two_variable_pairs(moved):
+    # read on one pair, the three forms would be valid deformation data
+    forms = [HomPoly.of(ST, row) for row in ((1, 0, 0, 0, 1), (1, 2, 0, 0, 1), (0, 1, 0, 1, 1))]
+    forms[moved] = forms[moved].rename(UV)
+    with pytest.raises(DegreeMismatch):
+        du.two_param_family(*forms, 2, 3)
+    with pytest.raises(DegreeMismatch):
+        du.moduli_involution(*forms, 2, 3)
+
+
 def test_involution_normal_forms():
     rng = random.Random(213)
     for _ in range(8):
@@ -1012,7 +1023,7 @@ def test_refibration_generic_draw_fails_square_gate():
         ((1, 2, 3, 5), (2, -1, 1, 4), (0, 1, 1, -3), (1, 1, -2, 1))
     )
     with pytest.raises(du.NonSquareDiscriminant):
-        du.refibration_jacobian(quad)
+        du.refibration_jacobian(du.bilinear_quadruple_surface(quad))
 
 
 def test_refibration_chart_gate():
@@ -1020,7 +1031,7 @@ def test_refibration_chart_gate():
         ((1, 2, 3, 5), (2, -1, 1, 4), (0, 1, 1, -3), (1, 1, -2, 1))
     )
     with pytest.raises(du.ParameterConstraintViolated):
-        du.refibration_jacobian(quad, 3, 3)
+        du.refibration_jacobian(du.bilinear_quadruple_surface(quad), 3, 3)
 
 
 def test_refibration_matches_full_torsion_route():
@@ -1029,12 +1040,12 @@ def test_refibration_matches_full_torsion_route():
         quad = sample_refiber_quadruple(rng)
         surface = du.bilinear_quadruple_surface(quad)
         b, c = surface.torsion_factors
-        rj = du.refibration_jacobian(quad)
+        rj = du.refibration_jacobian(surface)
         tor = du.full_torsion_surfaces(b + c, b - c)
         assert rj.f == tor["f"]
         assert rj.g == tor["g"]
         assert (rj.params.mu, rj.params.nu) == (0, 1)
-        other = du.refibration_jacobian(quad, 2, 5)
+        other = du.refibration_jacobian(surface, 2, 5)
         assert (other.f, other.g) == (rj.f, rj.g)
         assert (other.params.mu, other.params.nu) == (2, 5)
 
@@ -1044,7 +1055,7 @@ def test_refibration_star_configuration():
     done = 0
     while done < 3:
         quad = sample_refiber_quadruple(rng)
-        rj = du.refibration_jacobian(quad)
+        rj = du.refibration_jacobian(du.bilinear_quadruple_surface(quad))
         if not three_lines_generic(rj.params):
             continue
         if star_chain_profile(rj.params)[0] != 6:

@@ -234,6 +234,19 @@ class TestModelBasics:
         m = WeierstrassModel(P("s^2"), HomPoly.zero(V, 4), P("t^6"), 1)
         assert m.weight == 1
 
+    def test_short_models_take_their_weight_from_a4(self):
+        a4, a6 = P("s^3*t - t^4"), P("s^5*t + 3*t^6")
+        assert WeierstrassModel.short(a4, a6) == WeierstrassModel(HomPoly.zero(V, 2), a4, a6, 1)
+        a4, a6 = a4 * P("s^4 + t^4"), a6 * P("s^6 - t^6")
+        assert WeierstrassModel.short(a4, a6) == WeierstrassModel(HomPoly.zero(V, 4), a4, a6, 2)
+        # degree 6 reads as weight 1, which needs a4 of degree 4
+        with pytest.raises(DegreeMismatch):
+            WeierstrassModel.short(P("s^6"), P("t^6"))
+        with pytest.raises(DegreeMismatch):
+            WeierstrassModel.short(P("s^4"), P("t^5"))
+        with pytest.raises(DegreeMismatch):
+            WeierstrassModel.short(P("s^4"), parse_hompoly("u^6", ("u", "v")))
+
     def test_rhs_and_shift_guards(self):
         m = WeierstrassModel(P("s^2"), HomPoly.zero(V, 4), P("t^6"), 1)
         with pytest.raises(DegreeMismatch):

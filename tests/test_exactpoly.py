@@ -47,6 +47,7 @@ from ellsurf.exactpoly import (
     is_separable,
     parse_hompoly,
     parse_rational,
+    rat,
     rational_cubic_roots,
     rational_sqrt,
     refine_against,
@@ -1120,10 +1121,13 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_rational("3/0")
 
-    @pytest.mark.parametrize("text", ["1e50", "2.5", "1_000", "1e999999999", "+3", "3/-4", "1/00"])
+    @pytest.mark.parametrize(
+        "text", ["1e50", "2.5", "1_000", "1e999999999", "+3", "3/-4", "1/00", "\u0663", "1/1\u0664"]
+    )
     def test_only_digits_over_digits_are_rationals(self, text):
-        # Fraction(text) reads all but the last three; 1e999999999 would
-        # build a 10^999999999 integer, so it must be refused unread
+        # Fraction(text) reads all but 3/-4 and 1/00; 1e999999999 would
+        # build a 10^999999999 integer, so it must be refused unread, and
+        # the digits are ASCII 0-9 only (Fraction reads Arabic-Indic ones)
         with pytest.raises(ParseError, match=f"bad rational '{re.escape(text)}'") as err:
             parse_rational(f"  {text}", line=3, col=7)
         assert (err.value.line, err.value.col) == (3, 9)
@@ -1185,6 +1189,14 @@ def _sympy_rational_roots(p2, p1, p0):
 
 
 class TestScalarPrimitives:
+    def test_rat_refuses_text(self):
+        # text goes through parse_rational: Fraction(str) reads more than the grammar
+        with pytest.raises(TypeError):
+            rat("3/4")
+        with pytest.raises(TypeError):
+            HomPoly.of(("s", "t"), ["1"])
+        assert rat(3) == Fraction(3) and rat(Fraction(3, 4)) == Fraction(3, 4)
+
     def test_rational_sqrt(self):
         assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
         assert rational_sqrt(Fraction(0)) == 0

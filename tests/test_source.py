@@ -15,7 +15,10 @@ arithmetic: neither redefines a method of their common base.  The
 domain layers build curves, pencils, sections and their derivatives as
 binary forms: no module but ``exactpoly`` mentions ``UniPoly`` or the
 affine round trip, and the affine readings that the forms replaced stay
-deleted.
+deleted.  Each construction has one home: only ``elliptic`` builds a
+model on a zero ``a2`` form by hand (everywhere else it is
+``WeierstrassModel.short``), and ``refibration_jacobian`` reads the
+quadruple cover it is given without building one.
 """
 
 import ast
@@ -292,13 +295,60 @@ _SEPARATE_ROUTES = [
 ]
 
 
-def test_the_routes_of_a_cross_route_check_never_reach_each_other():
+def _package_graph() -> dict[str, set[str]]:
     root = Path(ellsurf.__file__).parent
     paths = sorted(root.rglob("*.py"))
-    graph = _reference_graph(ast.parse(path.read_text(), str(path)) for path in paths)
+    return _reference_graph(ast.parse(path.read_text(), str(path)) for path in paths)
+
+
+def test_the_routes_of_a_cross_route_check_never_reach_each_other():
+    graph = _package_graph()
     for one, other in _SEPARATE_ROUTES:
         assert other not in _reaches(graph, one), (one, other)
         assert one not in _reaches(graph, other), (other, one)
+
+
+def test_the_refibration_reads_the_surface_it_is_given():
+    # refibration_jacobian takes the cover its callers built and checked
+    assert "bilinear_quadruple_surface" not in _reaches(_package_graph(), "refibration_jacobian")
+
+
+def _zero_a2_models(tree: ast.AST) -> list[int]:
+    """Line numbers of the calls ``WeierstrassModel(HomPoly.zero(...), ...)``."""
+
+    def named(node: ast.AST, name: str) -> bool:
+        return (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        )
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and named(node.func, "WeierstrassModel")
+        and node.args
+        and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Attribute)
+        and node.args[0].func.attr == "zero"
+        and named(node.args[0].func.value, "HomPoly")
+    ]
+
+
+def test_the_check_sees_models_built_on_a_zero_a2_form_only():
+    source = (
+        "m = WeierstrassModel(HomPoly.zero(v, 2), a4, a6, 1)\n"
+        "n = el.WeierstrassModel(\n    ep.HomPoly.zero(v, 4), a4, a6, 2\n)\n"
+        "k = WeierstrassModel(a2, a4, HomPoly.zero(v, 6), 1)\n"
+        "j = WeierstrassModel.short(a4, a6)\n"
+        "z = HomPoly.zero(v, 2)\n"
+        "w = WeierstrassModel(zero(v, 2), a4, a6, 1)\n"
+    )
+    assert _zero_a2_models(ast.parse(source)) == [1, 2]
+
+
+def test_only_elliptic_builds_a_short_model_by_hand():
+    # everywhere else y^2 = x^3 + a4 x + a6 is WeierstrassModel.short
+    assert set(_package_findings(_zero_a2_models)) == {"elliptic.py"}
 
 
 def _mentions(node: ast.AST) -> set[str]:
