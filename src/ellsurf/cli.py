@@ -545,7 +545,7 @@ def _sample_isogeny_pair(rng: random.Random) -> du.AlternatePair:
 
 def _sample_correspondence_triple(rng: random.Random):
     def make():
-        gamma, alpha, delta = FamilyParams.of(*_ints(rng, 6, -6, 6), 0, 0).triple(_SECOND)
+        gamma, alpha, delta = FamilyParams.of(*_ints(rng, 6, -6, 6), 0, 0).triple()
         prod = gamma * delta
         disc = alpha * alpha - 4 * prod
         if prod.is_zero or disc.is_zero:

@@ -24,12 +24,15 @@ data from exact rational input:
   second, genus-one fibration, read off a cover already built
   (``refibration_jacobian``); it lands in the
   three-concurrent-lines-plus-cubic double planes
-  (``three_lines_cubic_model``, ``normalize_three_i0star``).
+  (``three_lines_cubic_model``, ``normalize_three_i0star``), whose
+  pinned-star data (sq, lin, cst) are pencil forms of degrees 1, 2, 3,
+  normalized by the Taylor shift ``shift_cubic_term`` written on forms.
 
 Each short model y^2 = x^3 + a4 x + a6 is built by
-``WeierstrassModel.short``; each branch form that sums the coefficient
-forms of a bidegree-(2, 2) curve against the monomials U^2, UV, V^2, read
-on a ruling, is built by ``_tensor_sum``.  ``two_param_family`` takes its
+``WeierstrassModel.short``, each model with a zero a6 by
+``AlternatePair.model``; each branch form that sums the coefficient forms
+of a bidegree-(2, 2) curve against the monomials U^2, UV, V^2, read on a
+ruling, is built by ``_tensor_sum``.  ``two_param_family`` takes its
 deformed data from ``moduli_involution``, which also checks its inputs.
 
 All arithmetic is exact over the rationals; nothing here ever rounds or
@@ -149,14 +152,9 @@ class ParameterConstraintViolated(ValueError):
 # forms from their restriction to an affine line
 
 
-def form_from_line_restriction(
-    p: HomPoly,
-    mu: RationalLike,
-    nu: RationalLike,
-    vars: tuple[str, str] = ("U", "V"),
-) -> HomPoly:
-    """The unique form F of the degree d of ``p`` with F(x + mu, x + nu) =
-    p(x, 1).
+def form_from_line_restriction(p: HomPoly, mu: RationalLike, nu: RationalLike) -> HomPoly:
+    """The unique form F on ("U", "V"), of the degree d of ``p``, with
+    F(x + mu, x + nu) = p(x, 1).
 
     Restricting a binary form to the affine line (x + mu, x + nu) is a
     linear isomorphism onto polynomials of degree <= d whenever mu != nu.
@@ -167,9 +165,9 @@ def form_from_line_restriction(
     muv, nuv = rat(mu), rat(nu)
     if muv == nuv:
         raise ParameterConstraintViolated("restriction line needs mu != nu")
-    line = HomPoly.of(vars, (-nuv, muv))
-    diff = HomPoly.of(vars, (1, -1))
-    return p.rename(vars).substitute(line, diff) * (1 / (muv - nuv) ** p.degree)
+    line = HomPoly.of(_SECOND_QUOT, (-nuv, muv))
+    diff = HomPoly.of(_SECOND_QUOT, (1, -1))
+    return p.rename(_SECOND_QUOT).substitute(line, diff) * (1 / (muv - nuv) ** p.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +259,7 @@ class AlternatePair:
     of the x-coordinates of the two nonzero two-torsion points.  ``norm``
     must not vanish identically.  An optional ``split`` attaches a
     factorization norm = left * right used by the quadric double cover.
+    ``model`` is the one builder of a model with a zero a6.
     """
 
     trace: HomPoly
@@ -416,11 +415,12 @@ def two_param_family(
         (U - d0 V)(d_inf U - V)(left U^2 - trace UV + right V^2)
 
     with coefficient forms on the first covering pair ("s", "t").  The
-    fibration over that pair is the two-torsion model with trace and norm
-    read off from the deformed data; ``reduced_discriminant`` is its
-    discriminant over 16.  The places of the factor trace^2 - 4 left right
-    do not move with (d0, d_inf).  Requires d0 * d_inf != 1; the inputs
-    are checked, and the deformed data built, by :func:`moduli_involution`.
+    fibration over that pair is the ``AlternatePair`` model of the deformed
+    trace and norm (``DegenerateModel`` if that norm vanishes);
+    ``reduced_discriminant`` is its discriminant over 16.  The places of
+    the factor trace^2 - 4 left right do not move with (d0, d_inf).
+    Requires d0 * d_inf != 1; the inputs are checked, and the deformed
+    data built, by :func:`moduli_involution`.
     """
     deformed = moduli_involution(trace, left, right, d0, d_inf)
     new_trace, new_left, new_right = (form.rename(_FIRST_COVER) for form in deformed)
@@ -428,12 +428,7 @@ def two_param_family(
     d0v, div = rat(d0), rat(d_inf)
     lines = HomPoly.of(_SECOND_QUOT, (1, -d0v)) * HomPoly.of(_SECOND_QUOT, (div, -1))
     branch = _tensor_sum((left_c, -trace_c, right_c), (lines * m for m in _MONOMIALS))
-    model = WeierstrassModel(
-        -new_trace,
-        new_left * new_right,
-        HomPoly.zero(_FIRST_COVER, 12),
-        2,
-    )
+    model = AlternatePair(new_trace, new_left * new_right).model()
     unit = (d0v * div - 1) ** 2
     reduced = (
         unit
@@ -689,18 +684,15 @@ class BilinearQuadruple:
         )
 
     def pair_form(self, i: int, j: int) -> HomPoly:
-        """Eliminant of curves i and j: a degree-two form on the first ruling
-        whose zeros sit under the intersection points of the two curves."""
-        r1i, r2i, r3i, r4i = self.rows[i]
-        r1j, r2j, r3j, r4j = self.rows[j]
-        return HomPoly.of(
-            _FIRST_COVER,
-            (
-                r1i * r3j - r3i * r1j,
-                r1i * r4j + r2i * r3j - r3i * r2j - r4i * r1j,
-                r2i * r4j - r4i * r2j,
-            ),
+        """Eliminant A_i B_j - B_i A_j of curves i and j, where curve k reads
+        U A_k(s, t) + B_k(s, t) with A_k = r1 s + r2 t and B_k = r3 s + r4 t:
+        a degree-two form on the first ruling whose zeros sit under the
+        intersection points of the two curves."""
+        (a_i, b_i), (a_j, b_j) = (
+            (HomPoly.of(_FIRST_COVER, row[:2]), HomPoly.of(_FIRST_COVER, row[2:]))
+            for row in (self.rows[i], self.rows[j])
         )
+        return a_i * b_j - b_i * a_j
 
 
 @dataclass(frozen=True)
@@ -725,7 +717,8 @@ def bilinear_quadruple_surface(quad: BilinearQuadruple) -> QuadrupleCoverSurface
     two distinct points (nonzero eliminant with nonzero discriminant), and
     no three curves may share a point (nonzero resultant of eliminants).
     The generic configuration has twelve I2 fibers and full two-torsion:
-    the model is y^2 z = x(x - b z)(x - c z) expanded about x = 0.
+    the model is y^2 z = x(x - b z)(x - c z), the ``AlternatePair``
+    (b + c, b c).
     """
     for k, row in enumerate(quad.rows):
         if row[0] * row[3] - row[1] * row[2] == 0:
@@ -748,10 +741,7 @@ def bilinear_quadruple_surface(quad: BilinearQuadruple) -> QuadrupleCoverSurface
 
     b = pair_forms[(0, 1)] * pair_forms[(2, 3)]
     c = pair_forms[(0, 2)] * pair_forms[(1, 3)]
-    model = WeierstrassModel(
-        -(b + c), b * c, HomPoly.zero(_FIRST_COVER, 12), 2
-    )
-    return QuadrupleCoverSurface(quad, (b, c), model)
+    return QuadrupleCoverSurface(quad, (b, c), AlternatePair(b + c, b * c).model())
 
 
 # ---------------------------------------------------------------------------
@@ -796,83 +786,68 @@ class ThreeLinesCubicParams:
         )
 
 
-def _coeff_tuple(values, length: int, label: str) -> tuple[Fraction, ...]:
-    out = tuple(rat(x) for x in values)
-    if len(out) != length:
-        raise DegreeMismatch(f"{label} needs exactly {length} coefficients")
-    return out
+def _check_pinned_star(sq: HomPoly, lin: HomPoly, cst: HomPoly) -> None:
+    """Refuse pinned-star data that are not pencil forms of degrees 1, 2, 3."""
+    if [(form.vars, form.degree) for form in (sq, lin, cst)] != [(_PENCIL, d) for d in (1, 2, 3)]:
+        raise DegreeMismatch("pinned-star data need pencil forms of degrees (1, 2, 3)")
 
 
 def star_triple_model(
-    mu: RationalLike,
-    nu: RationalLike,
-    sq,
-    lin,
-    cst,
+    mu: RationalLike, nu: RationalLike, sq: HomPoly, lin: HomPoly, cst: HomPoly
 ) -> WeierstrassModel:
     """Weight-two model with additive star fibers pinned at t = -mu, -nu, infinity.
 
-    With p = (t + mu)(t + nu) the model is
+    ``sq``, ``lin`` and ``cst`` are forms of degrees 1, 2 and 3 on the
+    pencil coordinates ("t", "h").  With p = (t + mu h)(t + nu h) the model is
 
-        y^2 = x^3 + p (sq1 t + sq0) x^2 + p^2 (lin2 t^2 + lin1 t + lin0) x
-              + p^3 (cst3 t^3 + cst2 t^2 + cst1 t + cst0),
+        y^2 = x^3 + h p sq x^2 + (h p)^2 lin x + (h p)^3 cst.
 
-    homogenized on the pencil coordinates.  Coefficient tuples are given
-    descending: ``sq`` has length 2, ``lin`` 3, ``cst`` 4.  Requires
-    mu != nu.
+    Requires mu != nu.
     """
     muv, nuv = rat(mu), rat(nu)
     if muv == nuv:
         raise ParameterConstraintViolated("the two affine star fibers coincide")
-    sqv = _coeff_tuple(sq, 2, "quadratic part")
-    linv = _coeff_tuple(lin, 3, "linear part")
-    cstv = _coeff_tuple(cst, 4, "constant part")
+    _check_pinned_star(sq, lin, cst)
     stars = (
         HomPoly.var_power(_PENCIL, 1, 1)
         * HomPoly.of(_PENCIL, (1, muv))
         * HomPoly.of(_PENCIL, (1, nuv))
     )
-    sqf, linf, cstf = (HomPoly.of(_PENCIL, v) for v in (sqv, linv, cstv))
-    return WeierstrassModel(stars * sqf, stars**2 * linf, stars**3 * cstf, 2)
+    return WeierstrassModel(stars * sq, stars**2 * lin, stars**3 * cst, 2)
 
 
-def shift_cubic_term(sq, lin, cst, rho: RationalLike):
-    """Coefficient effect of the shift x -> x + rho * t * (t + mu)(t + nu).
+def shift_cubic_term(
+    sq: HomPoly, lin: HomPoly, cst: HomPoly, rho: RationalLike
+) -> tuple[HomPoly, HomPoly, HomPoly]:
+    """Pinned-star forms after the shift x -> x + rho t (t + mu h)(t + nu h) h.
 
-    Returns the new (sq, lin, cst) tuples; the transformation is
-    independent of mu and nu.  Choosing rho as a root of
-    z^3 + sq1 z^2 + lin2 z + cst3 clears the leading constant-part entry.
+    It is the Taylor shift of x^3 + sq x^2 + lin x + cst by r = rho t:
+    (sq + 3r, lin + (2 sq + 3r) r, cst + ((sq + r) r + lin) r), independent
+    of mu and nu.  Choosing rho as a root of the cubic
+    z^3 + sq1 z^2 + lin2 z + cst3 in the leading coefficients clears the
+    t^3 coefficient of ``cst``.
     """
-    sqv = _coeff_tuple(sq, 2, "quadratic part")
-    linv = _coeff_tuple(lin, 3, "linear part")
-    cstv = _coeff_tuple(cst, 4, "constant part")
-    r = rat(rho)
-    c1, c0 = sqv
-    d2, d1, d0 = linv
-    e3, e2, e1, e0 = cstv
-    new_sq = (c1 + 3 * r, c0)
-    new_lin = (d2 + 2 * r * c1 + 3 * r * r, d1 + 2 * r * c0, d0)
-    new_cst = (
-        e3 + r**3 + r * r * c1 + r * d2,
-        e2 + r * r * c0 + r * d1,
-        e1 + r * d0,
-        e0,
-    )
-    return new_sq, new_lin, new_cst
+    _check_pinned_star(sq, lin, cst)
+    r = HomPoly.of(_PENCIL, (rho, 0))
+    return sq + 3 * r, lin + (2 * sq + 3 * r) * r, cst + ((sq + r) * r + lin) * r
 
 
-def general_form_coefficients(p: ThreeLinesCubicParams):
-    """Pinned-star coefficient tuples (sq, lin, cst) of a line-cubic family.
+def general_form_coefficients(p: ThreeLinesCubicParams) -> tuple[HomPoly, HomPoly, HomPoly]:
+    """Pinned-star forms (sq, lin, cst) of a line-cubic family.
 
     ``star_triple_model(p.mu, p.nu, *general_form_coefficients(p))`` is
     the Weierstrass model of the double plane with parameters ``p``; the
-    leading constant-part entry is always zero in this image.
+    t^3 coefficient of ``cst`` is always zero in this image.
     """
     s = p.c1 + p.d2
-    sq = (-(p.c1 + 2 * p.d2), p.c0 + p.d1 + p.e2)
-    lin = (s * p.d2, -s * (p.d1 + 2 * p.e2), s * (p.d0 + p.e1))
-    cst = (Fraction(0), s * s * p.e2, -s * s * p.e1, s * s * p.e0)
-    return sq, lin, cst
+    return tuple(
+        HomPoly.of(_PENCIL, row)
+        for row in (
+            (-(p.c1 + 2 * p.d2), p.c0 + p.d1 + p.e2),
+            (s * p.d2, -s * (p.d1 + 2 * p.e2), s * (p.d0 + p.e1)),
+            (0, s * s * p.e2, -s * s * p.e1, s * s * p.e0),
+        )
+    )
 
 
 def three_lines_cubic_model(p: ThreeLinesCubicParams) -> WeierstrassModel:
@@ -885,60 +860,56 @@ def three_lines_cubic_model(p: ThreeLinesCubicParams) -> WeierstrassModel:
     d2 = e2 = e1 = 0 but d1 != 0 the star at infinity stays one step lower,
     because the degree count at infinity picks up a c1^4 d1^2 term.
     """
-    sq, lin, cst = general_form_coefficients(p)
-    return star_triple_model(p.mu, p.nu, sq, lin, cst)
+    return star_triple_model(p.mu, p.nu, *general_form_coefficients(p))
 
 
 def normalize_three_i0star(
-    mu: RationalLike, nu: RationalLike, sq, lin, cst
+    mu: RationalLike, nu: RationalLike, sq: HomPoly, lin: HomPoly, cst: HomPoly
 ) -> ThreeLinesCubicParams:
-    """Recover line-cubic parameters from pinned-star coefficient tuples.
+    """Recover line-cubic parameters from the pinned-star forms of
+    :func:`star_triple_model`.
 
-    A shift x -> x + rho t (t + mu)(t + nu) first clears the leading
-    constant-part entry; rho must be a rational root of the monic cubic
-    z^3 + sq1 z^2 + lin2 z + cst3 (``NoRationalCubicRoot`` otherwise).
-    Roots are tried by increasing magnitude (nonnegative first on ties),
-    so already-cleared inputs are left untouched, and the first root whose
-    shifted quadratic-part discriminant sq1^2 - 4 lin2 is a rational
-    square is used (``NonSquareDiscriminant`` if none is).  The positive
-    square root becomes c1 unless that choice makes the denominator
-    c1 - sq1 vanish, in which case the negative root is taken
-    (``DivisionGuard`` if both vanish, ``ParameterConstraintViolated`` if
-    the square root itself is zero, since c1 = 0 never parametrizes a
-    double plane).  The remaining parameters follow by exact substitution.
+    The shift of :func:`shift_cubic_term` first clears the t^3 coefficient
+    of ``cst``; rho must be a rational root of the monic cubic
+    z^3 + sq1 z^2 + lin2 z + cst3 in the leading coefficients
+    (``NoRationalCubicRoot`` otherwise).  Roots are tried by increasing
+    magnitude (nonnegative first on ties), so already-cleared inputs are
+    left untouched, and the first root whose shifted discriminant
+    sq1^2 - 4 lin2 is a nonzero rational square is used
+    (``NonSquareDiscriminant``, naming the first root's, if none is, and
+    ``ParameterConstraintViolated`` if that one is zero, since c1 = 0
+    never parametrizes a double plane).  The positive square root becomes
+    c1 unless that makes the denominator c1 - sq1 vanish; then the
+    negative root is taken (``DivisionGuard`` if both vanish).  The
+    remaining parameters follow by exact substitution.
     """
     muv, nuv = rat(mu), rat(nu)
     if muv == nuv:
         raise ParameterConstraintViolated("the two affine star fibers coincide")
-    sq0 = _coeff_tuple(sq, 2, "quadratic part")
-    lin0 = _coeff_tuple(lin, 3, "linear part")
-    cst0 = _coeff_tuple(cst, 4, "constant part")
-    roots = rational_cubic_roots(sq0[0], lin0[0], cst0[0])
+    _check_pinned_star(sq, lin, cst)
+    roots = rational_cubic_roots(sq.coeffs[0], lin.coeffs[0], cst.coeffs[0])
     if not roots:
         raise NoRationalCubicRoot("no rational shift clears the leading cubic entry")
     roots.sort(key=lambda r: (abs(r), 1 if r < 0 else 0))
-    chosen = None
+    first_disc = None
     for rho in roots:
-        sqv, linv, cstv = shift_cubic_term(sq0, lin0, cst0, rho)
-        disc = sqv[0] * sqv[0] - 4 * linv[0]
+        sqv, linv, cstv = shift_cubic_term(sq, lin, cst, rho)
+        disc = sqv.coeffs[0] ** 2 - 4 * linv.coeffs[0]
+        first_disc = disc if first_disc is None else first_disc
         root = rational_sqrt(disc)
-        if root is not None and root != 0:
-            chosen = (sqv, linv, cstv, root)
+        if root:
             break
-    if chosen is None:
-        sqv, linv, _ = shift_cubic_term(sq0, lin0, cst0, roots[0])
-        disc = sqv[0] * sqv[0] - 4 * linv[0]
-        if disc == 0:
+    else:
+        if first_disc == 0:
             raise ParameterConstraintViolated(
                 "vanishing quadratic discriminant: c1 would be zero"
             )
         raise NonSquareDiscriminant(
-            f"shifted quadratic discriminant {disc} is not a rational square"
+            f"shifted quadratic discriminant {first_disc} is not a rational square"
         )
-    sqv, linv, cstv, root = chosen
-    c1t, c0t = sqv
-    d2t, d1t, d0t = linv
-    e3t, e2t, e1t, e0t = cstv
+    c1t, c0t = sqv.coeffs
+    d2t, d1t, d0t = linv.coeffs
+    e3t, e2t, e1t, e0t = cstv.coeffs
     if e3t != 0:
         raise NoRationalCubicRoot(f"the shift by {rho} left the leading cubic entry {e3t}")
     c1 = root
@@ -1012,16 +983,15 @@ def refibration_jacobian(
     sq_poly = a2q
     lin_poly = a1q * a3q - 4 * a0q * a4q
     cst_poly = a1q * a1q * a4q + a0q * a3q * a3q - 4 * a0q * a2q * a4q
-    sq, lin, cst = sq_poly.coeffs, lin_poly.coeffs, cst_poly.coeffs
-    model = star_triple_model(muv, nuv, sq, lin, cst)
-    params = normalize_three_i0star(muv, nuv, sq, lin, cst)
+    model = star_triple_model(muv, nuv, sq_poly, lin_poly, cst_poly)
+    params = normalize_three_i0star(muv, nuv, sq_poly, lin_poly, cst_poly)
     third = Fraction(1, 3)
     depressed_lin = lin_poly - sq_poly * sq_poly * third
     depressed_cst = (
         Fraction(2, 27) * sq_poly**3 - third * sq_poly * lin_poly + cst_poly
     )
-    f_hat = form_from_line_restriction(depressed_lin, muv, nuv, _SECOND_QUOT)
-    g_hat = form_from_line_restriction(depressed_cst, muv, nuv, _SECOND_QUOT)
+    f_hat = form_from_line_restriction(depressed_lin, muv, nuv)
+    g_hat = form_from_line_restriction(depressed_cst, muv, nuv)
     f_out = f_hat.swap().rename(_SECOND_QUOT)
     g_out = (-g_hat).swap().rename(_SECOND_QUOT)
     return RefibrationJacobian(params, model, f_out, g_out)

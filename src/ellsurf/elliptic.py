@@ -81,7 +81,7 @@ class KodairaType:
             return KodairaType(t)
         star = t.endswith("*")
         body = t[:-1] if star else t
-        if body.startswith("I") and body[1:].isdigit():
+        if body.startswith("I") and body[1:].isascii() and body[1:].isdigit():
             return KodairaType("I*" if star else "I", int(body[1:]))
         raise ValueError(f"unrecognized fiber label {text!r}")
 

@@ -356,9 +356,7 @@ class Biquadratic22:
     delta: HomPoly
 
 
-def correspondence_22(
-    h: QuarticCurve, xi: RationalLike, vars: tuple[str, str] = ("U", "V")
-) -> Biquadratic22:
+def correspondence_22(h: QuarticCurve, xi: RationalLike) -> Biquadratic22:
     """The bidegree-(2,2) image of the curve at Jacobian coordinate xi.
 
     phi = xi^2*(x - x0)^2 - 4*xi*pairing - 4*cofactor; it is symmetric
@@ -367,7 +365,7 @@ def correspondence_22(
     x = rat(xi)
     polys = correspondence_polys(h)
     phi = (x * x) * _SEPARATION_SQUARE - (4 * x) * polys.pairing - 4 * polys.cofactor
-    gamma, alpha, delta = (phi.pair2_coefficient(j).rename(vars) for j in range(3))
+    gamma, alpha, delta = (phi.pair2_coefficient(j) for j in range(3))
     return Biquadratic22(phi, gamma, alpha, delta)
 
 
@@ -454,10 +452,11 @@ class FamilyParams:
             )
         return FamilyParams(d0, a0, g0, a1, a2, g2, rat(c0), rat(c_inf))
 
-    def triple(self, vars: tuple[str, str] = ("U", "V")) -> tuple[HomPoly, HomPoly, HomPoly]:
-        gamma = HomPoly.of(vars, (self.gamma2, self.alpha2, self.gamma0))
-        alpha = HomPoly.of(vars, (self.alpha2, self.alpha1, self.alpha0))
-        delta = HomPoly.of(vars, (self.gamma0, self.alpha0, self.delta0))
+    def triple(self) -> tuple[HomPoly, HomPoly, HomPoly]:
+        """(gamma, alpha, delta) as forms on ("U", "V")."""
+        gamma = HomPoly.of(_X_PAIR, (self.gamma2, self.alpha2, self.gamma0))
+        alpha = HomPoly.of(_X_PAIR, (self.alpha2, self.alpha1, self.alpha0))
+        delta = HomPoly.of(_X_PAIR, (self.gamma0, self.alpha0, self.delta0))
         return gamma, alpha, delta
 
 
@@ -528,7 +527,7 @@ def surface_symmetry(
         # (S, T) it recombines the triple, on (U, V) it substitutes into
         # each form
         c0, ci = p.c0, p.c_inf
-        gamma, alpha, delta = p.triple(_X_PAIR)
+        gamma, alpha, delta = p.triple()
         moved = (
             gamma + ci * alpha + ci * ci * delta,
             2 * c0 * gamma + (1 + c0 * ci) * alpha + 2 * ci * delta,

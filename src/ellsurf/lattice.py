@@ -151,17 +151,17 @@ _RANK12_GLUED_GRAM = (
     (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 2),
 )
 
-_NAME_RE = re.compile(r"^([AD])(\d+)$")
+_NAME_RE = re.compile(r"^([AD])([0-9]+)$")
 
 
 def standard_lattice(name: str) -> GramLattice:
     """Catalog constructor.
 
     ``H`` hyperbolic plane; ``An``/``Dn`` positive definite root lattices
-    (Cartan convention); ``E8`` unimodular rank 8; ``N`` the negative
-    definite rank-8 glued lattice (A1(-1)^8 plus the half-sum vector);
-    ``K0`` the rank-12 determinant-2^6 glued lattice; ``<2>``/``<-2>``
-    rank-1 lattices.  Negative forms come from ``rescale``.
+    (Cartan convention, n in ASCII digits 0-9); ``E8`` unimodular rank 8;
+    ``N`` the negative definite rank-8 glued lattice (A1(-1)^8 plus the
+    half-sum vector); ``K0`` the rank-12 determinant-2^6 glued lattice;
+    ``<2>``/``<-2>`` rank-1 lattices.  Negative forms come from ``rescale``.
     """
     key = name.strip()
     if key == "H":

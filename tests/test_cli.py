@@ -372,6 +372,65 @@ def test_rat_and_quartic_lines_parse_or_raise_a_parse_error(quartic, tokens):
     assert got == want
 
 
+def _grammar_int(entry: str) -> int | None:
+    """An integer entry read by the grammar: [+-]?[0-9]{1,1000} between
+    spaces; None if it is not one."""
+    m = re.fullmatch(r" *([+-]?[0-9]{1,1000}) *", entry)
+    return int(m.group(1)) if m else None
+
+
+# directive -> (the scenario around its line, the line, how the parsed
+# scenario holds the value, how many comma-separated entries it takes,
+# and the range of an entry)
+_INT_DIRECTIVES = {
+    "trials": (FIBER_HEAD + "expect fibers 12*I1\n", "trials ", lambda sc: sc.trials, 1, (1, cli.MAX_TRIALS)),
+    "euler": (FIBER_HEAD + "expect fibers 12*I1\n", "expect euler ", lambda sc: sc.expect["euler"], 1, None),
+    "det": (LATTICE_HEAD + "lattice a = H\n", "expect det ", lambda sc: sc.expect["det"], 1, None),
+    "signature": (
+        LATTICE_HEAD + "lattice a = H\n", "expect signature ", lambda sc: sc.expect["signature"], 2, None
+    ),
+}
+
+# an entry is a sign or near miss, then tokens: the integers' digits,
+# digit strings at and over the 1 000-digit cap, and near misses (other
+# Unicode digits: Arabic-Indic three, superscript two, fullwidth one)
+_INT_PIECES = st.sampled_from(
+    ["0", "1", "3"] * 4 + ["7" * 1000, "7" * 1001]
+    + ["-", "+", " ", ".", "_", "\u0663", "\u00b2", "\uff11"]
+)
+_INT_ENTRY = st.tuples(
+    st.sampled_from(["", "", "", "-", "+", " ", "+-"]), st.lists(_INT_PIECES, min_size=1, max_size=3)
+).map(lambda parts: parts[0] + "".join(parts[1]))
+_INT_TEXT = st.one_of(_INT_ENTRY, st.lists(_INT_ENTRY, min_size=2, max_size=3).map(",".join))
+
+
+@given(directive=st.sampled_from(sorted(_INT_DIRECTIVES)), text=_INT_TEXT)
+@example(directive="trials", text="10000")
+@example(directive="trials", text="10001")
+@example(directive="trials", text="-0")
+@example(directive="euler", text="+" + "7" * 1000)
+@example(directive="det", text="-" + "7" * 1001)
+@example(directive="det", text="1_0")
+@example(directive="signature", text=" 3 ,-1")
+@example(directive="signature", text="\u0663,1")
+@example(directive="trials", text=" +0031 ")
+@settings(max_examples=300, deadline=None)
+def test_integer_directives_parse_or_raise_a_parse_error(directive, text):
+    around, head, read, entries, bounds = _INT_DIRECTIVES[directive]
+    want = [_grammar_int(entry) for entry in text.split(",")]
+    valid = None not in want and len(want) == entries
+    if valid and bounds is not None:
+        valid = all(bounds[0] <= value <= bounds[1] for value in want)
+    try:
+        sc = parse(around + head + text + "\n")
+    except ParseError:
+        assert not valid
+        return
+    assert valid
+    got = read(sc)
+    assert (list(got) if entries > 1 else [got]) == want
+
+
 FULL_TORSION_FIBERS = (
     "name full-torsion-alternate-fibers\nkind fiber-config\n"
     "family full-torsion-alternate\ntrials 2\nexpect fibers {}\nexpect euler 24\n"

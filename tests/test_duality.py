@@ -7,6 +7,7 @@ checked on random instances drawn through the genericity predicates of
 resampling never conditions on the expected counts.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -411,6 +412,12 @@ def test_two_param_gates():
         du.two_param_family(HomPoly.of(ST, (1, 0, 1)), quartic, quartic, 0, 0)
     with pytest.raises(UnitViolation):
         du.moduli_involution(quartic, quartic, quartic, 3, Fraction(1, 3))
+    # new_left = left + d_inf^2 right - d_inf trace vanishes, and so the norm
+    right, trace, d_inf = quartic, HomPoly.of(ST, (2, 0, 1, 1, -1)), Fraction(3, 2)
+    left = d_inf * trace - d_inf**2 * right
+    assert du.moduli_involution(trace, left, right, 2, d_inf)[1].is_zero
+    with pytest.raises(DegenerateModel):
+        du.two_param_family(trace, left, right, 2, d_inf)
 
 
 @pytest.mark.parametrize("moved", range(3))
@@ -788,6 +795,20 @@ def test_full_torsion_configurations():
 # four bilinear curves
 
 
+def _hand_pair_form(rows, i, j):
+    """The eliminant of curves i and j, expanded coefficient by coefficient."""
+    r1i, r2i, r3i, r4i = rows[i]
+    r1j, r2j, r3j, r4j = rows[j]
+    return HomPoly.of(
+        ST,
+        (
+            r1i * r3j - r3i * r1j,
+            r1i * r4j + r2i * r3j - r3i * r2j - r4i * r1j,
+            r2i * r4j - r4i * r2j,
+        ),
+    )
+
+
 def test_quadruple_pair_eliminant_identity():
     # product identity forced by the 2x2 minors of four vectors
     rng = random.Random(220)
@@ -799,6 +820,8 @@ def test_quadruple_pair_eliminant_identity():
         c = quad.pair_form(0, 2) * quad.pair_form(1, 3)
         d = quad.pair_form(0, 3) * quad.pair_form(1, 2)
         assert b - c == -1 * d
+        for i, j in itertools.permutations(range(4), 2):
+            assert quad.pair_form(i, j) == _hand_pair_form(quad.rows, i, j)
 
 
 def test_quadruple_genericity_gates():
@@ -959,7 +982,7 @@ def test_normalization_shifted_roundtrip():
     params = du.ThreeLinesCubicParams.of(0, 1, 2, 1, -1, 3, 2, 1, -2, 1)
     sq, lin, cst = du.general_form_coefficients(params)
     sq_f, lin_f, cst_f = du.shift_cubic_term(sq, lin, cst, -5)
-    assert cst_f[0] != 0
+    assert cst_f.coeffs[0] != 0
     back = du.normalize_three_i0star(0, 1, sq_f, lin_f, cst_f)
     assert back == params
     shift_form = homogenize(
@@ -970,6 +993,13 @@ def test_normalization_shifted_roundtrip():
 
 
 small_rational = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+PENCIL = ("t", "h")
+
+
+def _pencil_forms(*rows):
+    """The pinned-star data given by descending coefficient rows, as forms
+    on the pencil coordinates."""
+    return tuple(HomPoly.of(PENCIL, row) for row in rows)
 
 
 def _unipoly_star_triple_model(mu, nu, sq, lin, cst):
@@ -996,7 +1026,7 @@ def _unipoly_star_triple_model(mu, nu, sq, lin, cst):
 @settings(max_examples=60, deadline=None)
 def test_star_triple_model_matches_the_affine_construction(mu, nu, sq, lin, cst):
     assume(mu != nu)
-    model = du.star_triple_model(mu, nu, sq, lin, cst)
+    model = du.star_triple_model(mu, nu, *_pencil_forms(sq, lin, cst))
     want = _unipoly_star_triple_model(mu, nu, sq, lin, cst)
     for got, form in zip((model.a2, model.a4, model.a6), want):
         assert (got.vars, got.num, got.den) == (form.vars, form.num, form.den)
@@ -1005,13 +1035,71 @@ def test_star_triple_model_matches_the_affine_construction(mu, nu, sq, lin, cst)
 
 def test_normalization_error_gates():
     with pytest.raises(du.NoRationalCubicRoot):
-        du.normalize_three_i0star(0, 1, (1, 0), (0, 0, 0), (1, 0, 0, 7))
+        du.normalize_three_i0star(0, 1, *_pencil_forms((1, 0), (0, 0, 0), (1, 0, 0, 7)))
     with pytest.raises(du.NonSquareDiscriminant):
-        du.normalize_three_i0star(0, 1, (1, 0), (-1, 0, 0), (0, 0, 0, 0))
+        du.normalize_three_i0star(0, 1, *_pencil_forms((1, 0), (-1, 0, 0), (0, 0, 0, 0)))
     with pytest.raises(du.ParameterConstraintViolated):
-        du.normalize_three_i0star(0, 0, (1, 0), (0, 0, 0), (0, 0, 0, 0))
+        du.normalize_three_i0star(0, 0, *_pencil_forms((1, 0), (0, 0, 0), (0, 0, 0, 0)))
     with pytest.raises(du.ParameterConstraintViolated):
-        du.normalize_three_i0star(0, 1, (0, 5), (0, 1, 2), (0, 1, 2, 3))
+        du.normalize_three_i0star(0, 1, *_pencil_forms((0, 5), (0, 1, 2), (0, 1, 2, 3)))
+
+
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("fault", ["degree", "pair"])
+def test_pinned_star_data_must_be_pencil_forms_of_degrees_one_two_three(slot, fault):
+    forms = list(_pencil_forms((1, 0), (0, 0, 0), (0, 0, 0, 0)))
+    form = forms[slot]
+    forms[slot] = HomPoly.of(PENCIL, form.coeffs + (0,)) if fault == "degree" else form.rename(ST)
+    sq, lin, cst = forms
+    with pytest.raises(DegreeMismatch):
+        du.star_triple_model(0, 1, sq, lin, cst)
+    with pytest.raises(DegreeMismatch):
+        du.shift_cubic_term(sq, lin, cst, 1)
+    with pytest.raises(DegreeMismatch):
+        du.normalize_three_i0star(0, 1, sq, lin, cst)
+
+
+def _twelve_formula_shift(sq, lin, cst, r):
+    """The shift x -> x + r t (t + mu)(t + nu) on descending coefficient
+    tuples, written out coefficient by coefficient."""
+    c1, c0 = sq
+    d2, d1, d0 = lin
+    e3, e2, e1, e0 = cst
+    new_sq = (c1 + 3 * r, c0)
+    new_lin = (d2 + 2 * r * c1 + 3 * r * r, d1 + 2 * r * c0, d0)
+    new_cst = (
+        e3 + r**3 + r * r * c1 + r * d2,
+        e2 + r * r * c0 + r * d1,
+        e1 + r * d0,
+        e0,
+    )
+    return new_sq, new_lin, new_cst
+
+
+_STAR_ROWS = st.tuples(
+    st.lists(small_rational, min_size=2, max_size=2),
+    st.lists(small_rational, min_size=3, max_size=3),
+    st.lists(small_rational, min_size=4, max_size=4),
+)
+
+
+@given(rows=_STAR_ROWS, rho=small_rational)
+@example(rows=([0, 0], [0, 0, 0], [0, 0, 0, 0]), rho=Fraction(-7, 3))
+@settings(max_examples=80, deadline=None)
+def test_the_shift_on_forms_matches_the_coefficient_formulas(rows, rho):
+    got = du.shift_cubic_term(*_pencil_forms(*rows), rho)
+    want = _twelve_formula_shift(*rows, rho)
+    assert [form.coeffs for form in got] == [tuple(row) for row in want]
+    assert all(form.vars == PENCIL for form in got)
+
+
+@given(rows=_STAR_ROWS, rho1=small_rational, rho2=small_rational)
+@settings(max_examples=60, deadline=None)
+def test_shifts_compose_by_adding_their_parameters(rows, rho1, rho2):
+    forms = _pencil_forms(*rows)
+    assert du.shift_cubic_term(*forms, 0) == forms
+    twice = du.shift_cubic_term(*du.shift_cubic_term(*forms, rho1), rho2)
+    assert twice == du.shift_cubic_term(*forms, rho1 + rho2)
 
 
 # ---------------------------------------------------------------------------
@@ -1140,7 +1228,7 @@ def test_line_restriction_roundtrip():
             values = [form(x + mu, x + nu) for x in xs]
             poly = _interpolate(xs, values)
             lifted = homogenize(poly, ST, degree)
-            recovered = du.form_from_line_restriction(lifted, mu, nu, UV)
+            recovered = du.form_from_line_restriction(lifted, mu, nu)
             assert recovered == form
 
 
@@ -1159,4 +1247,4 @@ def _interpolate(xs, values):
 def test_line_restriction_gates():
     p = HomPoly.of(ST, (1, 2, 1))
     with pytest.raises(du.ParameterConstraintViolated):
-        du.form_from_line_restriction(p, 3, 3, UV)
+        du.form_from_line_restriction(p, 3, 3)

@@ -108,6 +108,12 @@ class TestKodairaType:
         with pytest.raises(ValueError):
             KodairaType("I", -1)
 
+    @pytest.mark.parametrize("label", ["I\u0663", "I\u0663*", "I\u00b2", "I\uff11"])
+    def test_an_index_is_written_in_ascii_digits(self, label):
+        # Arabic-Indic three, superscript two, fullwidth one
+        with pytest.raises(ValueError, match="unrecognized fiber label"):
+            KodairaType.parse(label)
+
 
 class TestValuationTable:
     def test_frozen_rows(self):

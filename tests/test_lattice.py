@@ -139,6 +139,12 @@ class TestConstructors:
             with pytest.raises(UnknownLattice):
                 standard_lattice(bad)
 
+    @pytest.mark.parametrize("name", ["A\u0663", "D\u0664", "A\u00b2", "D\uff14"])
+    def test_a_root_lattice_index_is_written_in_ascii_digits(self, name):
+        # Arabic-Indic three and four, superscript two, fullwidth four
+        with pytest.raises(UnknownLattice):
+            standard_lattice(name)
+
     def test_rescale(self):
         assert rescale(H, 2).gram == ((0, 2), (2, 0))
         assert determinant(rescale(E8, -2)) == 256

@@ -17,8 +17,9 @@ binary forms: no module but ``exactpoly`` mentions ``UniPoly`` or the
 affine round trip, and the affine readings that the forms replaced stay
 deleted.  Each construction has one home: only ``elliptic`` builds a
 model on a zero ``a2`` form by hand (everywhere else it is
-``WeierstrassModel.short``), and ``refibration_jacobian`` reads the
-quadruple cover it is given without building one.
+``WeierstrassModel.short``), only ``AlternatePair.model`` builds one on a
+zero ``a6`` form, and ``refibration_jacobian`` reads the quadruple cover
+it is given without building one.
 """
 
 import ast
@@ -313,24 +314,32 @@ def test_the_refibration_reads_the_surface_it_is_given():
     assert "bilinear_quadruple_surface" not in _reaches(_package_graph(), "refibration_jacobian")
 
 
+def _named(node: ast.AST, name: str) -> bool:
+    """``node`` is the bare name ``name`` or an attribute of that name."""
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def _is_zero_form(node: ast.AST) -> bool:
+    """``node`` is a call ``HomPoly.zero(...)``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "zero"
+        and _named(node.func.value, "HomPoly")
+    )
+
+
 def _zero_a2_models(tree: ast.AST) -> list[int]:
     """Line numbers of the calls ``WeierstrassModel(HomPoly.zero(...), ...)``."""
-
-    def named(node: ast.AST, name: str) -> bool:
-        return (isinstance(node, ast.Name) and node.id == name) or (
-            isinstance(node, ast.Attribute) and node.attr == name
-        )
-
     return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and named(node.func, "WeierstrassModel")
+        and _named(node.func, "WeierstrassModel")
         and node.args
-        and isinstance(node.args[0], ast.Call)
-        and isinstance(node.args[0].func, ast.Attribute)
-        and node.args[0].func.attr == "zero"
-        and named(node.args[0].func.value, "HomPoly")
+        and _is_zero_form(node.args[0])
     ]
 
 
@@ -349,6 +358,62 @@ def test_the_check_sees_models_built_on_a_zero_a2_form_only():
 def test_only_elliptic_builds_a_short_model_by_hand():
     # everywhere else y^2 = x^3 + a4 x + a6 is WeierstrassModel.short
     assert set(_package_findings(_zero_a2_models)) == {"elliptic.py"}
+
+
+def _scopes(tree: ast.Module):
+    """(name, node) for each top-level statement, a class's statements
+    apart: a function is its name, a method ``Class.method``, anything
+    else in a class the class, and anything else ``<module>``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                method = isinstance(item, ast.FunctionDef)
+                yield (f"{node.name}.{item.name}" if method else node.name), item
+        else:
+            yield (node.name if isinstance(node, ast.FunctionDef) else "<module>"), node
+
+
+def _zero_a6_models(tree: ast.Module) -> list[str]:
+    """The scopes (``_scopes``) that call ``WeierstrassModel`` with an
+    ``a6``, third argument or keyword, that is ``HomPoly.zero(...)``, given
+    directly or through a name the scope assigns it to."""
+    found = []
+    for name, scope in _scopes(tree):
+        zeros = {
+            target.id
+            for sub in ast.walk(scope)
+            if isinstance(sub, ast.Assign) and _is_zero_form(sub.value)
+            for target in sub.targets
+            if isinstance(target, ast.Name)
+        }
+        for sub in ast.walk(scope):
+            if not (isinstance(sub, ast.Call) and _named(sub.func, "WeierstrassModel")):
+                continue
+            keyword = [k.value for k in sub.keywords if k.arg == "a6"]
+            a6 = sub.args[2] if len(sub.args) > 2 else (keyword or [None])[0]
+            if _is_zero_form(a6) or (isinstance(a6, ast.Name) and a6.id in zeros):
+                found.append(name)
+    return found
+
+
+def test_the_check_sees_models_built_on_a_zero_a6_form_only():
+    source = (
+        "class P:\n    def model(self):\n        zero = HomPoly.zero(v, 6)\n"
+        "        return WeierstrassModel(a2, a4, zero, 1)\n"
+        "def f():\n    return el.WeierstrassModel(a2, a4, ep.HomPoly.zero(v, 6), 1)\n"
+        "def g():\n    return WeierstrassModel(a2, a4, a6=HomPoly.zero(v, 6), weight=1)\n"
+        "def h():\n    return WeierstrassModel(HomPoly.zero(v, 2), a4, a6, 1)\n"
+        "def k():\n    zero = HomPoly.zero(v, 6)\n    return WeierstrassModel(zero, a4, a6, 1)\n"
+        "def n():\n    return WeierstrassModel.short(a4, HomPoly.zero(v, 6))\n"
+        "m = WeierstrassModel(a2, a4, HomPoly.zero(v, 6), 1)\n"
+        "z = WeierstrassModel(a2, a4, zero, 1)\n"
+    )
+    assert _zero_a6_models(ast.parse(source)) == ["P.model", "f", "g", "<module>"]
+
+
+def test_only_the_alternate_pair_builds_a_two_torsion_model():
+    # every y^2 = x(x^2 - trace x + norm) is AlternatePair(trace, norm).model()
+    assert _package_findings(_zero_a6_models) == {"duality.py": ["AlternatePair.model"]}
 
 
 def _mentions(node: ast.AST) -> set[str]:
@@ -543,7 +608,7 @@ def test_the_affine_readings_stay_gone():
     fields = [item.target.id for item in quartic.body if isinstance(item, ast.AnnAssign)]
     assert fields == ["form"]
     assert not {"_disc4", "poly", "cofactor_diagonal"} & _nested_definitions(hermite)
-    assert "descending" not in _nested_definitions(_module_tree("duality"))
+    assert not {"descending", "_coeff_tuple"} & _nested_definitions(_module_tree("duality"))
     exactpoly = _module_tree("exactpoly")
     assert "shift" not in _nested_definitions(_class(exactpoly, "UniPoly"))
     assert "as_unipoly" not in _nested_definitions(exactpoly)
