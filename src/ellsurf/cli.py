@@ -71,6 +71,7 @@ from .hermite_aj import (
     j_invariant_quartic,
     jacobian_quartic,
 )
+from .lattice import MAX_LATTICE_RANK
 
 DEFAULT_TRIALS = 100
 
@@ -82,12 +83,6 @@ MAX_TRIALS = 10_000
 # attempts one draw may make before it gives up; over root seeds 0-19 no
 # bundled scenario needs more than 12
 DRAW_BUDGET = 100
-
-# the largest total rank a lattice expression may ask for, so that a short
-# term such as A2^3000 or A99999999 cannot ask for a huge Gram matrix; the
-# paper's largest lattice, the K3 lattice, has rank 22, and the bundled
-# scenarios reach 14
-MAX_LATTICE_RANK = 64
 
 # the largest degree a poly line may declare, so that "deg 100000" cannot ask
 # for a huge coefficient list; every bundled poly declares 4 or 8, and the
@@ -264,15 +259,10 @@ def _parse_lattice_expr(text: str, line: int, col: int) -> la.GramLattice:
         index = _ROOT_INDEX_RE.fullmatch(atom)
         if index and rank + _parse_int(index.group(1), line, at, "root index") > MAX_LATTICE_RANK:
             raise ParseError(too_large, line, at)
-        if atom == "P0":
-            base = la.two_param_polarization(0)
-        elif atom == "P1":
-            base = la.two_param_polarization(1)
-        else:
-            try:
-                base = la.standard_lattice(atom)
-            except la.UnknownLattice as exc:
-                raise ParseError(str(exc), line, at) from None
+        try:
+            base = la.standard_lattice(atom)
+        except la.UnknownLattice as exc:
+            raise ParseError(str(exc), line, at) from None
         if m.group("scale") is not None:
             scale = _parse_int(m.group("scale"), line, at, "lattice scale")
             if scale == 0:

@@ -58,6 +58,7 @@ from .exactpoly import (
     DegreeMismatch,
     HomPoly,
     RationalLike,
+    check_forms,
     form_resultant,
     is_separable,
     rat,
@@ -186,9 +187,7 @@ class RESData:
     g: HomPoly
 
     def __post_init__(self) -> None:
-        self.f._check_vars(self.g)
-        if (self.f.degree, self.g.degree) != (4, 6):
-            raise DegreeMismatch("rational surface data needs degrees (4, 6)")
+        check_forms((self.f, self.g), (4, 6), "rational surface data")
         if self.reduced_discriminant().is_zero:
             raise DegenerateModel("discriminant vanishes identically")
 
@@ -267,15 +266,12 @@ class AlternatePair:
     split: tuple[HomPoly, HomPoly] | None = None
 
     def __post_init__(self) -> None:
-        self.trace._check_vars(self.norm)
-        if self.trace.degree % 2 or self.norm.degree != 2 * self.trace.degree:
-            raise DegreeMismatch("trace and norm need degrees (2w, 4w)")
+        w = self.trace.degree // 2
+        check_forms((self.trace, self.norm), (2 * w, 4 * w), "a trace and norm pair")
         if self.norm.is_zero:
             raise DegenerateModel("norm form vanishes identically")
         if self.split is not None:
             left, right = self.split
-            self.trace._check_vars(left)
-            self.trace._check_vars(right)
             if left * right != self.norm:
                 raise MissingFactorization(
                     "attached factors do not multiply to the norm form"
@@ -338,10 +334,7 @@ def ruling_swap(trace: HomPoly, left: HomPoly, right: HomPoly) -> RulingSwapData
     collects the degree-two coefficient forms on the second ruling
     together with their Jacobian pair (f, g).
     """
-    trace._check_vars(left)
-    trace._check_vars(right)
-    if {trace.degree, left.degree, right.degree} != {4}:
-        raise DegreeMismatch("ruling swap needs three degree-four forms")
+    check_forms((trace, left, right), (4, 4, 4), "the ruling swap")
     coeffs = tuple(
         HomPoly.of(
             _SECOND_QUOT,
@@ -459,10 +452,7 @@ def moduli_involution(
     trace^2 - 4 left right is preserved up to the same factor squared.
     Requires d0 * d_inf != 1.
     """
-    trace._check_vars(left)
-    trace._check_vars(right)
-    if {trace.degree, left.degree, right.degree} != {4}:
-        raise DegreeMismatch("involution needs three degree-four forms")
+    check_forms((trace, left, right), (4, 4, 4), "the involution")
     d0v, div = rat(d0), rat(d_inf)
     if d0v * div == 1:
         raise UnitViolation("involution degenerates: d0*d_inf must not be one")
@@ -607,9 +597,7 @@ def full_torsion_surfaces(trace: HomPoly, difference: HomPoly) -> dict[str, obje
     low (x) line x + high (x) line y, which are equal.  The ``4cover``
     route is this (low, high) reading at ((u^2 - v^2)^2, (u^2 + v^2)^2).
     """
-    trace._check_vars(difference)
-    if {trace.degree, difference.degree} != {4}:
-        raise DegreeMismatch("full-torsion data needs two degree-four forms")
+    check_forms((trace, difference), (4, 4), "full-torsion data")
     if difference.is_zero:
         raise DegenerateInput("the two torsion sections coincide")
     if (trace * trace - difference * difference).is_zero:
@@ -1039,9 +1027,7 @@ def subfamily_models(kind: str, f: HomPoly, g: HomPoly) -> WeierstrassModel:
     Raises ``DegenerateModel`` if the resulting discriminant vanishes
     identically.
     """
-    f._check_vars(g)
-    if (f.degree, g.degree) != (2, 3):
-        raise DegreeMismatch("subfamily tower needs degrees (2, 3)")
+    check_forms((f, g), (2, 3), "the subfamily tower")
     if kind not in _SUBFAMILY_TOWER:
         kinds = tuple(_SUBFAMILY_TOWER)
         raise ValueError(f"unknown kind {kind!r}; expected one of {kinds}")

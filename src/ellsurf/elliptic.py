@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactpoly import (
+    MAX_DIGITS,
     DegreeMismatch,
     HomPoly,
+    check_forms,
     form_sqrt,
     rational_cubic_roots,
     refine_against,
@@ -81,8 +83,9 @@ class KodairaType:
             return KodairaType(t)
         star = t.endswith("*")
         body = t[:-1] if star else t
-        if body.startswith("I") and body[1:].isascii() and body[1:].isdigit():
-            return KodairaType("I*" if star else "I", int(body[1:]))
+        index = body[1:] if body.startswith("I") else ""
+        if index.isascii() and index.isdigit() and len(index) <= MAX_DIGITS:
+            return KodairaType("I*" if star else "I", int(index))
         raise ValueError(f"unrecognized fiber label {text!r}")
 
     def __str__(self) -> str:
@@ -106,14 +109,8 @@ class WeierstrassModel:
     def __post_init__(self):
         if self.weight < 0:
             raise ValueError("weight must be nonnegative")
-        if not (self.a2.vars == self.a4.vars == self.a6.vars):
-            raise DegreeMismatch("coefficient forms must share a variable pair")
-        want = (2 * self.weight, 4 * self.weight, 6 * self.weight)
-        got = (self.a2.degree, self.a4.degree, self.a6.degree)
-        if want != got:
-            raise DegreeMismatch(
-                f"weight {self.weight} needs coefficient degrees {want}, got {got}"
-            )
+        w = self.weight
+        check_forms((self.a2, self.a4, self.a6), (2 * w, 4 * w, 6 * w), "a Weierstrass model")
 
     @staticmethod
     def short(a4: HomPoly, a6: HomPoly) -> WeierstrassModel:

@@ -29,14 +29,16 @@ by its leading entry.  By Gauss's lemma a quotient by a primitive gcd is
 integral, and a power ``(num^n, den^n)`` is already in lowest terms.
 
 The module is also the one home of the exact scalar primitives the other
-layers build on:
+layers build on, and of their input contract on forms:
 
 * ``rational_sqrt``: square root of a rational, or None;
 * ``rational_cubic_roots``: rational roots of a monic cubic, by bisection;
 * ``bareiss_det``: fraction-free determinant of an integer matrix;
 * ``form_resultant``: the one resultant, the Sylvester determinant of two
   binary forms at their declared degrees; ``resultant`` reads polynomials
-  as forms at their actual degrees.
+  as forms at their actual degrees;
+* ``check_forms``: every construction's check that its binary forms share
+  one variable pair and have the stated degrees.
 
 A binary form at its declared degree is also the one input of the
 discriminant, the squarefree split and the square root, so a root at
@@ -568,9 +570,6 @@ class HomPoly(_Rows):
         if adding and self.degree != other.degree:
             raise DegreeMismatch(f"cannot add forms of degrees {self.degree} and {other.degree}")
 
-    # the variable-pair check on its own, as the other modules call it
-    _check_vars = _check
-
     @staticmethod
     def of(vars: tuple[str, str], coeffs: Iterable[RationalLike]) -> HomPoly:
         pair = _pair(vars)
@@ -640,6 +639,18 @@ class HomPoly(_Rows):
         return self.text()
 
 
+def check_forms(forms: Sequence[HomPoly], degrees: Sequence[int], what: str) -> None:
+    """The input contract of every construction on binary forms: unless
+    ``forms`` share one variable pair and have the ``degrees``, in order,
+    raise ``DegreeMismatch`` naming the construction ``what``."""
+    # list comprehensions, not generators: this runs on every model built
+    if [form.vars for form in forms] != [forms[0].vars] * len(forms):
+        raise DegreeMismatch(f"{what} needs forms on one variable pair")
+    got = tuple([form.degree for form in forms])
+    if got != tuple(degrees):
+        raise DegreeMismatch(f"{what} needs degrees {tuple(degrees)}, got {got}")
+
+
 def _substituted(
     rows: Sequence[Sequence[int]], f: HomPoly, g: HomPoly
 ) -> tuple[list[int], int]:
@@ -650,9 +661,7 @@ def _substituted(
     ``f^(d-k) * g^k`` are built once for all rows, over the denominator
     ``(den f * den g)^d``.
     """
-    f._check_vars(g)
-    if f.degree != g.degree:
-        raise DegreeMismatch("substituted forms must share a degree")
+    check_forms((f, g), (f.degree, f.degree), "a substitution")
     d = len(rows[0]) - 1
     fpows, gpows = [[1]], [[1]]
     for _ in range(d):
@@ -690,7 +699,7 @@ def form_resultant(p: HomPoly, q: HomPoly) -> Fraction:
     point is a zero of the zero form).  A constant ``c`` against a form of
     degree ``n`` gives ``c^n``.
     """
-    p._check_vars(q)
+    p._check(q)
     m, n = p.degree, q.degree
     rows = [[0] * i + list(p.num) + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + list(q.num) + [0] * (m - 1 - i) for i in range(m)]
@@ -765,7 +774,7 @@ def divexact_form(p: HomPoly, f: HomPoly) -> HomPoly:
     pseudo-division of the affine rows, whose quotient has degree
     ``p.degree - f.degree`` once it is exact.
     """
-    p._check_vars(f)
+    p._check(f)
     if f.is_zero:
         raise ZeroDivisionError("division by the zero form")
     if p.is_zero:
@@ -786,7 +795,7 @@ def gcd_form(p: HomPoly, q: HomPoly) -> HomPoly:
     smaller power of ``vars[1]`` times the gcd of the affine rows, which
     is primitive and so already in lowest terms over its leading entry.
     """
-    p._check_vars(q)
+    p._check(q)
     if p.is_zero and q.is_zero:
         return HomPoly.zero(p.vars, 0)
     if p.is_zero:
@@ -865,7 +874,7 @@ def refine_against(f: HomPoly, q: HomPoly) -> list[tuple[HomPoly, int | None]]:
     does not stop divides a factor of degree >= 1 out of ``r``, so at most
     ``deg q + 1`` passes are made.
     """
-    f._check_vars(q)
+    f._check(q)
     if q.is_zero:
         return [(f, None)]
     pieces: list[tuple[HomPoly, int | None]] = []
@@ -1187,10 +1196,8 @@ def _parse_terms(
         if any(len(part) > MAX_DIGITS for part in token.split("/")):
             raise fail(f"number with more than {MAX_DIGITS} digits", col)
 
-    def flush(col: int) -> None:
+    def flush() -> None:
         nonlocal sign, current_coeff, current_pows, started
-        if not started:
-            raise fail("empty term", col)
         c = current_coeff if current_coeff is not None else Fraction(1)
         terms.append((sign * c, current_pows))
         sign = 1
@@ -1238,7 +1245,7 @@ def _parse_terms(
             op = m.group("op")
             if op in "+-":
                 if started:
-                    flush(col)
+                    flush()
                 if op == "-":
                     sign = -sign
                 sign_col = col
@@ -1248,7 +1255,7 @@ def _parse_terms(
             else:
                 raise fail(f"unsupported operator {op!r}", col)
     if started:
-        flush(n)
+        flush()
     elif not terms:
         raise fail("empty polynomial text", 1)
     else:

@@ -30,10 +30,10 @@ from fractions import Fraction
 
 from .exactpoly import (
     BiHomPoly,
-    DegreeMismatch,
     HomPoly,
     RationalLike,
     ZeroScale,
+    check_forms,
     form_discriminant,
     form_partials,
     rat,
@@ -187,12 +187,7 @@ def hermite_pair_forms(
     degrees (2d, 3d).  Specializing the forms to constants recovers
     ``jacobian_quartic``.
     """
-    forms = (a0, a1, a2, a3, a4)
-    for other in forms[1:]:
-        a0._check_vars(other)
-    degs = {p.degree for p in forms}
-    if len(degs) != 1:
-        raise DegreeMismatch("coefficient forms must share one degree")
+    check_forms((a0, a1, a2, a3, a4), (a0.degree,) * 5, "the Jacobian pair")
     f = -4 * (a0 * a4) + a1 * a3 - Fraction(1, 3) * (a2 * a2)
     g = (
         Fraction(-8, 3) * (a0 * a2 * a4)
@@ -439,10 +434,7 @@ class FamilyParams:
         c0: RationalLike,
         c_inf: RationalLike,
     ) -> FamilyParams:
-        gamma._check_vars(alpha)
-        gamma._check_vars(delta)
-        if {gamma.degree, alpha.degree, delta.degree} != {2}:
-            raise DegreeMismatch("the form triple must have degree two")
+        check_forms((gamma, alpha, delta), (2, 2, 2), "the form triple")
         g2, g1, g0 = gamma.coeffs
         a2, a1, a0 = alpha.coeffs
         d2, d1, d0 = delta.coeffs

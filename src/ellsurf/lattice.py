@@ -151,19 +151,28 @@ _RANK12_GLUED_GRAM = (
     (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 2),
 )
 
-_NAME_RE = re.compile(r"^([AD])([0-9]+)$")
+_NAME_RE = re.compile(r"^([AD])0*([0-9]+)$")
+
+# the largest rank of a catalog root lattice or a scenario's lattice
+# expression, so that a short name such as A99999999 cannot ask for a huge
+# Gram matrix; the paper's largest, the K3 lattice, has rank 22
+MAX_LATTICE_RANK = 64
 
 
 def standard_lattice(name: str) -> GramLattice:
     """Catalog constructor.
 
     ``H`` hyperbolic plane; ``An``/``Dn`` positive definite root lattices
-    (Cartan convention, n in ASCII digits 0-9); ``E8`` unimodular rank 8;
-    ``N`` the negative definite rank-8 glued lattice (A1(-1)^8 plus the
-    half-sum vector); ``K0`` the rank-12 determinant-2^6 glued lattice;
-    ``<2>``/``<-2>`` rank-1 lattices.  Negative forms come from ``rescale``.
+    (Cartan convention, n in ASCII digits, at most ``MAX_LATTICE_RANK``);
+    ``E8`` unimodular rank 8; ``N`` the negative definite rank-8 glued
+    lattice (A1(-1)^8 plus the half-sum vector); ``K0`` the rank-12
+    determinant-2^6 glued lattice; ``<2>``/``<-2>`` rank-1 lattices;
+    ``P0``/``P1`` the ``two_param_polarization`` lattices for c = 0, 1.
+    Negative forms come from ``rescale``.
     """
     key = name.strip()
+    if key in ("P0", "P1"):
+        return two_param_polarization(int(key[1]))
     if key == "H":
         return GramLattice.from_rows([[0, 1], [1, 0]])
     if key == "E8":
@@ -179,6 +188,9 @@ def standard_lattice(name: str) -> GramLattice:
         return GramLattice.from_rows([[-2]])
     m = _NAME_RE.match(key)
     if m:
+        # the length test first, so int() never reads a long digit string
+        if len(m.group(2)) > len(str(MAX_LATTICE_RANK)) or int(m.group(2)) > MAX_LATTICE_RANK:
+            raise UnknownLattice(f"{m.group(1)} root index above the rank cap {MAX_LATTICE_RANK}")
         n = int(m.group(2))
         if m.group(1) == "A" and n >= 1:
             return GramLattice.from_rows(_cartan_a(n))
@@ -443,7 +455,7 @@ def two_elementary_invariants(lat: GramLattice) -> TwoElemInvariants:
     odd = two_elem and any(sum(g[i][j] for i in y for j in y) % 4 for y in _kernel_mod_2(g))
     return TwoElemInvariants(
         rank=lat.rank,
-        signature=signature(lat) if lat.rank else (0, 0),
+        signature=signature(lat),
         length=length,
         is_two_elementary=two_elem,
         parity=int(odd) if two_elem else None,

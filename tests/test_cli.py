@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from corpus import affine
 from ellsurf import cli, hermite_aj
+from ellsurf import lattice as la
 from ellsurf import duality as du
 from ellsurf.elliptic import DegenerateModel, invariants
 from ellsurf.exactpoly import (
@@ -429,6 +430,92 @@ def test_integer_directives_parse_or_raise_a_parse_error(directive, text):
     assert valid
     got = read(sc)
     assert (list(got) if entries > 1 else [got]) == want
+
+
+def _grammar_root_term(text: str) -> tuple[str, int, int, int] | None:
+    """A root-lattice term read by the grammar: A or D, an index, an
+    optional (scale) and ^power, each [0-9]{1,1000} (the scale with an
+    optional minus), spaces around the brackets and the caret, a nonzero
+    scale and a rank from 1 to 64; (letter, index, scale, power), or None
+    if it is not one."""
+    m = re.fullmatch(
+        r"([AD])([0-9]{1,1000}) *(?:\( *(-?[0-9]{1,1000}) *\) *)?(?:\^ *([0-9]{1,1000}) *)?", text
+    )
+    if m is None:
+        return None
+    letter, index, scale, power = m.group(1), int(m.group(2)), int(m.group(3) or 1), int(m.group(4) or 1)
+    smallest = 1 if letter == "A" else 2
+    if index < smallest or scale == 0 or power < 1 or index * power > 64:
+        return None
+    return letter, index, scale, power
+
+
+@given(
+    letter=st.sampled_from("AD"),
+    index=_INT_ENTRY,
+    scale=st.none() | _INT_ENTRY,
+    power=st.none() | _INT_ENTRY,
+)
+@example(letter="A", index="3", scale="-2", power="2")
+@example(letter="D", index="0004", scale=None, power=" 016")
+@example(letter="A", index="1", scale=" -" + "7" * 1000, power=None)
+@example(letter="A", index="1", scale="-" + "7" * 1001, power=None)
+@example(letter="D", index="0" * 999 + "3", scale="3", power="0" * 999 + "1")
+@example(letter="D", index="0" * 1000 + "3", scale=None, power=None)
+@example(letter="A", index="65", scale=None, power=None)
+@example(letter="A", index="1", scale=None, power="64")
+@example(letter="A", index="1", scale="1_0", power=None)
+@example(letter="D", index="\u0663", scale=None, power=None)
+@settings(max_examples=300, deadline=None)
+def test_lattice_lines_parse_or_raise_a_parse_error(letter, index, scale, power):
+    text = letter + index
+    text += "" if scale is None else f"({scale})"
+    text += "" if power is None else f"^{power}"
+    want = _grammar_root_term(text)
+    try:
+        sc = parse(LATTICE_HEAD + f"lattice a = {text}\nexpect det -1\n")
+    except ParseError:
+        assert want is None
+        return
+    assert want is not None
+    letter, n, scale_value, times = want
+    block = la.rescale(la.standard_lattice(f"{letter}{n}"), scale_value)
+    assert sc.lattices["a"] == la.direct_sum(*[block] * times)
+
+
+def _grammar_fiber_item(text: str) -> tuple[str, int] | None:
+    """One fiber item read by the grammar: a count [0-9]{1,1000} of at
+    least one, '*', and the label I<n>, with n in [0-9]{1,1000}, or
+    I<n>*; spaces around the count and the '*'.  (label, count) with the
+    label in its canonical spelling, or None if it is not one."""
+    m = re.fullmatch(r" *([0-9]{1,1000}) *\* *I([0-9]{1,1000})(\*?) *", text)
+    if m is None or int(m.group(1)) < 1:
+        return None
+    return f"I{int(m.group(2))}{m.group(3)}", int(m.group(1))
+
+
+@given(count=_INT_ENTRY, index=_INT_ENTRY, star=st.booleans())
+@example(count="3", index="0002", star=True)
+@example(count=" " + "7" * 1000, index="0", star=False)
+@example(count="7" * 1001, index="1", star=False)
+@example(count="1", index="7" * 1000, star=True)
+@example(count="1", index="7" * 1001, star=False)
+@example(count="0", index="1", star=False)
+@example(count="+2", index="1", star=False)
+@example(count="2", index="1_0", star=False)
+@example(count="2", index="\u00b2", star=True)
+@settings(max_examples=300, deadline=None)
+def test_fiber_lines_parse_or_raise_a_parse_error(count, index, star):
+    text = f"{count}*I{index}" + ("*" if star else "")
+    want = _grammar_fiber_item(text)
+    try:
+        sc = parse(FIBER_HEAD + f"expect fibers {text}\n")
+    except ParseError:
+        assert want is None
+        return
+    assert want is not None
+    label, value = want
+    assert sc.expect["fibers"] == {label: value}
 
 
 FULL_TORSION_FIBERS = (

@@ -114,6 +114,20 @@ class TestKodairaType:
         with pytest.raises(ValueError, match="unrecognized fiber label"):
             KodairaType.parse(label)
 
+    @pytest.mark.parametrize(
+        "label",
+        ["I" + "9" * 5000, "I" + "9" * 5000 + "*", "I" + "0" * 1001],
+        ids=["I-5000-nines", "I-5000-nines-star", "I-1001-zeros"],
+    )
+    def test_an_index_of_more_than_1000_digits_is_unrecognized(self, label):
+        # refused before int() reads it: Python refuses an int of more than
+        # 4 300 digits with a bare ValueError of its own
+        with pytest.raises(ValueError, match="unrecognized fiber label"):
+            KodairaType.parse(label)
+
+    def test_an_index_of_1000_digits_parses(self):
+        assert KodairaType.parse("I" + "0" * 999 + "7*").label == "I7*"
+
 
 class TestValuationTable:
     def test_frozen_rows(self):

@@ -35,6 +35,7 @@ from ellsurf.exactpoly import (
     SquarefreeSplit,
     UniPoly,
     bareiss_det,
+    check_forms,
     discriminant_form,
     divexact_form,
     form_discriminant,
@@ -718,6 +719,17 @@ class TestHomPoly:
             a + HomPoly.of(("s", "t"), [1, 1])
         with pytest.raises(DegreeMismatch):
             a + HomPoly.of(("u", "v"), [1, 1, 1])
+
+    def test_check_forms_reads_one_pair_and_the_degrees_in_order(self):
+        quadric = HomPoly.of(("s", "t"), [1, 0, 1])
+        quartic = HomPoly.of(("s", "t"), [1, 0, 0, 0, 1])
+        check_forms((quadric, quartic), (2, 4), "data")
+        with pytest.raises(DegreeMismatch, match=r"data needs degrees \(4, 2\), got \(2, 4\)"):
+            check_forms((quadric, quartic), (4, 2), "data")
+        with pytest.raises(DegreeMismatch, match="data needs degrees"):
+            check_forms((quadric, quadric), (2,), "data")
+        with pytest.raises(DegreeMismatch, match="data needs forms on one variable pair"):
+            check_forms((quadric, quartic.rename(("u", "v"))), (2, 4), "data")
 
     def test_swap_is_an_involution_and_reverses(self):
         a = HomPoly.of(("s", "t"), [1, 2, 3, 4])

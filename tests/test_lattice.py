@@ -145,6 +145,27 @@ class TestConstructors:
         with pytest.raises(UnknownLattice):
             standard_lattice(name)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["A" + "9" * 5000, "D" + "9" * 5000, "A65", "D065"],
+        ids=["A-5000-nines", "D-5000-nines", "A65", "D065"],
+    )
+    def test_a_root_index_above_the_rank_cap_is_unknown(self, name):
+        # refused before int() reads a long index (Python refuses an int of
+        # more than 4 300 digits with a bare ValueError) or a Gram matrix
+        # of that size is built
+        with pytest.raises(UnknownLattice, match="rank cap 64"):
+            standard_lattice(name)
+
+    def test_a_root_index_reads_its_value(self):
+        assert standard_lattice("A003") == standard_lattice("A3")
+        assert standard_lattice("D" + "0" * 5000 + "4") == standard_lattice("D4")
+        assert standard_lattice("A64").rank == 64
+
+    def test_the_two_parameter_polarizations_are_in_the_catalog(self):
+        assert standard_lattice("P0") == two_param_polarization(0)
+        assert standard_lattice("P1") == two_param_polarization(1)
+
     def test_rescale(self):
         assert rescale(H, 2).gram == ((0, 2), (2, 0))
         assert determinant(rescale(E8, -2)) == 256

@@ -19,13 +19,22 @@ deleted.  Each construction has one home: only ``elliptic`` builds a
 model on a zero ``a2`` form by hand (everywhere else it is
 ``WeierstrassModel.short``), only ``AlternatePair.model`` builds one on a
 zero ``a6`` form, and ``refibration_jacobian`` reads the quadruple cover
-it is given without building one.
+it is given without building one.  Every construction on binary forms
+checks their variable pair and degrees through ``exactpoly.check_forms``:
+no module but ``exactpoly`` calls a method named ``_check`` or
+``_check_vars``, and each routed construction refuses a form on another
+pair, or of another degree, with ``DegreeMismatch``.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import ellsurf
+from ellsurf import duality as du
+from ellsurf.exactpoly import DegreeMismatch, HomPoly
+from ellsurf.hermite_aj import FamilyParams, hermite_pair_forms
 
 
 def _unbounded_loops(tree: ast.AST) -> list[int]:
@@ -614,3 +623,81 @@ def test_the_affine_readings_stay_gone():
     assert "as_unipoly" not in _nested_definitions(exactpoly)
     elliptic = _nested_definitions(_module_tree("elliptic"))
     assert not {"_trunc", "_series_inverse", "_lift_cubic_root"} & elliptic
+
+
+def _private_checks(tree: ast.AST) -> list[int]:
+    """Line numbers of the calls of a method named ``_check`` or ``_check_vars``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("_check", "_check_vars")
+    ]
+
+
+def test_the_check_sees_calls_of_the_private_checks_only():
+    source = (
+        "f._check(g)\n"
+        "self.trace._check_vars(self.norm)\n"
+        "check_forms((f, g), (4, 6), 'data')\n"
+        "_check(f, g)\n"
+        "checker = f._check\n"
+        "text = 'f._check(g)'\n"
+    )
+    assert _private_checks(ast.parse(source)) == [1, 2]
+
+
+def test_only_exactpoly_calls_the_private_form_checks():
+    # every other module states its input contract through check_forms
+    findings = _package_findings(_private_checks)
+    assert findings.pop("exactpoly.py")
+    assert findings == {}
+    assert not hasattr(HomPoly, "_check_vars")
+
+
+ST, UV = ("s", "t"), ("U", "V")
+LINE, QUADRIC = HomPoly.of(ST, (1, 2)), HomPoly.of(ST, (1, 0, 1))
+QUARTIC, OTHER_QUARTIC = HomPoly.of(ST, (1, 0, 0, 0, 1)), HomPoly.of(ST, (1, 2, 0, 0, 1))
+SEXTIC, OCTIC = HomPoly.of(ST, (1, 0, 0, 0, 0, 0, 1)), HomPoly.of(ST, (1,) + (0,) * 7 + (1,))
+
+# the faults of the routed constructions that no other test reaches, each
+# valid input but for one form moved onto another pair or given another
+# degree, with the words of check_forms that refuse it
+_OFF_THE_CONTRACT = {
+    "RESData-pair": (lambda: du.RESData(QUARTIC, SEXTIC.rename(UV)), "one variable pair"),
+    "AlternatePair-pair": (lambda: du.AlternatePair(QUARTIC, OCTIC.rename(UV)), "one variable pair"),
+    "ruling_swap-pair": (
+        lambda: du.ruling_swap(QUARTIC, OTHER_QUARTIC, QUARTIC.rename(UV)), "one variable pair"
+    ),
+    "full_torsion_surfaces-pair": (
+        lambda: du.full_torsion_surfaces(QUARTIC, OTHER_QUARTIC.rename(UV)), "one variable pair"
+    ),
+    "subfamily_models-pair": (
+        lambda: du.subfamily_models("twist", QUADRIC.rename(UV), HomPoly.of(ST, (1, 0, 0, 1))),
+        "one variable pair",
+    ),
+    "hermite_pair_forms-pair": (
+        lambda: hermite_pair_forms(LINE, LINE, LINE, LINE, LINE.rename(UV)), "one variable pair"
+    ),
+    "FamilyParams.from_triple-pair": (
+        lambda: FamilyParams.from_triple(QUADRIC, QUADRIC, QUADRIC.rename(UV), 0, 0),
+        "one variable pair",
+    ),
+    "HomPoly.substitute-pair": (lambda: QUADRIC.substitute(LINE, LINE.rename(UV)), "one variable pair"),
+    "HomPoly.substitute-degree": (lambda: QUADRIC.substitute(LINE, QUADRIC), "needs degrees"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OFF_THE_CONTRACT))
+def test_each_routed_construction_refuses_forms_off_its_contract(case):
+    build, words = _OFF_THE_CONTRACT[case]
+    with pytest.raises(DegreeMismatch, match=words):
+        build()
+
+
+def test_a_split_on_another_pair_is_no_factorization_of_the_norm():
+    # the factors multiply to the norm read on (U, V), not to the norm itself
+    left, right = QUARTIC, OTHER_QUARTIC
+    with pytest.raises(du.MissingFactorization):
+        du.AlternatePair(QUADRIC * QUADRIC, left * right, split=(left.rename(UV), right.rename(UV)))
