@@ -19,13 +19,23 @@ in the size of the Gram matrix: the Smith form keeps its entries below
 * parity: a GF(2) elimination gives a basis of the kernel of G mod 2, the
   2-torsion of L*/L, and parity is 0 when 4 divides y^T G y for each y.
 
-Gram matrices hold ints; a non-integral entry is refused.
+Each invariant is computed once per lattice object: a ``GramLattice`` is
+immutable, so it keeps its determinant, elementary divisors, signature
+and 2-elementary invariants (``functools.cached_property``) from their
+first use.  The eliminations themselves run on the raw Gram rows and know
+nothing of the class.  A failed elimination is not kept, so a singular
+or odd lattice raises its error on every call, and a list handed out is
+a fresh copy.
+
+Gram matrices hold ints; a Gram matrix that is not square, symmetric and
+integral is refused with ``MalformedGram``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
@@ -49,9 +59,26 @@ class NotApplicable(ValueError):
     2-elementary lattices."""
 
 
+class MalformedGram(ValueError):
+    """A Gram matrix must be square, symmetric and integral."""
+
+
+class OddLattice(ValueError):
+    """The 2-elementary invariants are defined here for even lattices only."""
+
+
+class BadGlue(ValueError):
+    """Glue coordinates must be integral, one per basis vector, not all
+    even, and pair integrally with the lattice."""
+
+
 @dataclass(frozen=True)
 class GramLattice:
-    """An integer lattice presented by the Gram matrix of a basis."""
+    """An integer lattice presented by the Gram matrix of a basis.
+
+    The invariants below are computed on first use and kept on the
+    object; the public functions of the module read them.
+    """
 
     gram: tuple[tuple[int, ...], ...]
 
@@ -59,15 +86,16 @@ class GramLattice:
         n = len(self.gram)
         for row in self.gram:
             if len(row) != n:
-                raise ValueError("Gram matrix must be square")
+                raise MalformedGram("Gram matrix must be square")
+        what = "Gram matrix entries"
         gram = tuple(
-            tuple(x if type(x) is int else _integral(x) for x in row)
+            tuple(x if type(x) is int else _integral(x, MalformedGram, what) for x in row)
             for row in self.gram
         )
         for i in range(n):
             for j in range(i + 1, n):
                 if gram[i][j] != gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+                    raise MalformedGram("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
 
     @staticmethod
@@ -82,15 +110,41 @@ class GramLattice:
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
+    @cached_property
+    def _det(self) -> int:
+        return bareiss_det(self.gram)
 
-def _integral(x, what: str = "Gram matrix entries") -> int:
-    """``x`` as an int; ValueError unless it is an integral number."""
+    @cached_property
+    def _discriminant(self) -> tuple[int, ...]:
+        return tuple(e for e in _elementary_divisors(self.gram, self._det) if e > 1)
+
+    @cached_property
+    def _signature(self) -> tuple[int, int]:
+        return _inertia(self.gram)
+
+    @cached_property
+    def _two_elementary(self) -> TwoElemInvariants:
+        g = self.gram
+        divisors = self._discriminant
+        two_elem = all(e == 2 for e in divisors)
+        odd = two_elem and any(sum(g[i][j] for i in y for j in y) % 4 for y in _kernel_mod_2(g))
+        return TwoElemInvariants(
+            rank=self.rank,
+            signature=self._signature,
+            length=divisors.count(2),
+            is_two_elementary=two_elem,
+            parity=int(odd) if two_elem else None,
+        )
+
+
+def _integral(x, error: type[ValueError], what: str) -> int:
+    """``x`` as an int; ``error`` unless it is an integral number."""
     try:
         value = int(x)
     except (TypeError, ValueError, OverflowError):
         value = None
     if value is None or value != x:
-        raise ValueError(f"{what} must be integers, got {x!r}")
+        raise error(f"{what} must be integers, got {x!r}")
     return value
 
 
@@ -232,17 +286,17 @@ def glued_overlattice(base: GramLattice, half_coords: Sequence[int]) -> GramLatt
     the first odd coordinate.
     """
     n = base.rank
-    w = [_integral(c, "glue coordinates") for c in half_coords]
+    w = [_integral(c, BadGlue, "glue coordinates") for c in half_coords]
     if len(w) != n:
-        raise ValueError("glue coordinates must match the rank")
+        raise BadGlue("glue coordinates must match the rank")
     odd = [i for i in range(n) if w[i] % 2]
     if not odd:
-        raise ValueError("glue vector already lies in the lattice")
+        raise BadGlue("glue vector already lies in the lattice")
     drop = odd[0]
     pair_with_v = [sum(w[r] * base.gram[r][j] for r in range(n)) for j in range(n)]
     vv4 = sum(w[i] * pair_with_v[i] for i in range(n))
     if vv4 % 4 or any(p % 2 for p in pair_with_v):
-        raise ValueError("glue vector does not pair integrally with the lattice")
+        raise BadGlue("glue vector does not pair integrally with the lattice")
     keep = [i for i in range(n) if i != drop]
     rows = [[vv4 // 4] + [pair_with_v[j] // 2 for j in keep]]
     for i in keep:
@@ -271,22 +325,25 @@ def two_param_polarization(c: int) -> GramLattice:
 
 def determinant(lat: GramLattice) -> int:
     """Determinant of the Gram matrix (fraction-free elimination)."""
-    return bareiss_det(lat.gram)
+    return lat._det
 
 
 def signature(lat: GramLattice) -> tuple[int, int]:
     """Counts of positive and negative squares; raises DegenerateLattice
-    on a zero determinant.
+    on a zero determinant."""
+    return lat._signature
 
-    Symmetric fraction-free elimination: congruence moves bring a nonzero
-    entry to the diagonal, and the Bareiss update keeps the trailing block
-    integral.  Each pivot is a leading principal minor of a congruent
-    Gram matrix, so by Jacobi's rule a pivot with the sign of the previous
-    one (1 before the first) is a positive square, and a sign change a
-    negative one.
+
+def _inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """The signature of a Gram matrix, by symmetric fraction-free
+    elimination: congruence moves bring a nonzero entry to the diagonal,
+    and the Bareiss update keeps the trailing block integral.  Each pivot
+    is a leading principal minor of a congruent Gram matrix, so by
+    Jacobi's rule a pivot with the sign of the previous one (1 before the
+    first) is a positive square, and a sign change a negative one.
     """
-    n = lat.rank
-    a = [list(row) for row in lat.gram]
+    n = len(gram)
+    a = [list(row) for row in gram]
     pos = neg = 0
     prev = 1
     for k in range(n):
@@ -327,9 +384,9 @@ def _diagonal_pivot(a: list[list[int]], k: int) -> None:
         row[k] += row[j]
 
 
-def _elementary_divisors(gram: tuple[tuple[int, ...], ...]) -> list[int]:
+def _elementary_divisors(gram: tuple[tuple[int, ...], ...], det: int) -> list[int]:
     """Diagonal of the Smith form of a nonsingular integer matrix, in
-    increasing order (each divides the next).
+    increasing order (each divides the next); ``det`` is its determinant.
 
     Works modulo D = |det| (Cohen, Alg. 2.4.14): the columns span a
     lattice that contains D Z^n, so reducing entries mod D and replacing a
@@ -343,7 +400,7 @@ def _elementary_divisors(gram: tuple[tuple[int, ...], ...]) -> list[int]:
     each pivot is final after O(log D) sweeps.
     """
     n = len(gram)
-    d = abs(bareiss_det(gram))
+    d = abs(det)
     if d == 0:
         raise DegenerateLattice("Gram matrix is singular")
     a = [[x % d for x in row] for row in gram]
@@ -401,7 +458,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def discriminant_group(lat: GramLattice) -> list[int]:
     """Elementary divisors (> 1) of the Gram matrix; their product is
     the absolute determinant."""
-    return [e for e in _elementary_divisors(lat.gram) if e > 1]
+    return list(lat._discriminant)
 
 
 def _kernel_mod_2(gram: tuple[tuple[int, ...], ...]) -> list[list[int]]:
@@ -447,19 +504,8 @@ def two_elementary_invariants(lat: GramLattice) -> TwoElemInvariants:
     parity is 0 exactly when 4 divides y^T G y across a kernel basis.
     """
     if not lat.is_even:
-        raise ValueError("invariants are defined here for even lattices only")
-    g = lat.gram
-    divisors = [e for e in _elementary_divisors(g) if e > 1]
-    length = sum(1 for e in divisors if e == 2)
-    two_elem = all(e == 2 for e in divisors)
-    odd = two_elem and any(sum(g[i][j] for i in y for j in y) % 4 for y in _kernel_mod_2(g))
-    return TwoElemInvariants(
-        rank=lat.rank,
-        signature=signature(lat),
-        length=length,
-        is_two_elementary=two_elem,
-        parity=int(odd) if two_elem else None,
-    )
+        raise OddLattice("invariants are defined here for even lattices only")
+    return lat._two_elementary
 
 
 def parity(lat: GramLattice) -> int:

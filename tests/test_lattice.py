@@ -5,9 +5,12 @@ matrices, signatures against the characteristic polynomial, parity
 against a brute-force sum over the discriminant group, and the kernel of
 the Gram matrix mod 2 against the Smith form; the named-lattice
 identities are pinned as frozen invariant tuples, and every invariant must
-survive large unimodular changes of basis.
+survive large unimodular changes of basis.  Each elimination runs at most
+once per lattice object, errors are raised on every call, and the cached
+values equal a recomputation from the raw Gram rows.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -15,9 +18,12 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from ellsurf import cli
+from ellsurf import cli, lattice
+from ellsurf.exactpoly import bareiss_det
 from ellsurf.lattice import (
     EMPTY,
     DegenerateLattice,
@@ -568,7 +574,7 @@ class TestParityKernel:
             for y in kernel:
                 assert all(sum(row[i] for i in y) % 2 == 0 for row in g)
             assert gf2_rank(kernel) == len(kernel)
-            divisors = _elementary_divisors(g)
+            divisors = _elementary_divisors(g, determinant(lat))
             assert len(kernel) == sum(1 for e in divisors if e % 2 == 0)
             if all(e in (1, 2) for e in divisors):
                 assert len(kernel) == two_elementary_invariants(lat).length
@@ -577,6 +583,152 @@ class TestParityKernel:
 
     def test_kernel_counts_every_even_divisor_where_length_does_not(self):
         # K0 has divisors 2, 2, 4, 4: a 2-torsion of rank 4 but length 2
-        assert _elementary_divisors(K0.gram)[-4:] == [2, 2, 4, 4]
+        assert _elementary_divisors(K0.gram, 64)[-4:] == [2, 2, 4, 4]
         assert len(_kernel_mod_2(K0.gram)) == 4
         assert two_elementary_invariants(K0).length == 2
+
+
+# ---------------------------------------------------------------------------
+# each invariant is computed once per lattice object
+
+
+_ELIMINATIONS = ("bareiss_det", "_elementary_divisors", "_inertia", "_kernel_mod_2")
+PUBLIC_INVARIANTS = (determinant, signature, discriminant_group, two_elementary_invariants, parity)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Per elimination of the lattice module, how often it ran on each Gram
+    matrix, keyed by the matrix's identity: every lattice object holds its
+    own Gram tuple."""
+    runs = {name: collections.Counter() for name in _ELIMINATIONS}
+    for name in _ELIMINATIONS:
+
+        def counted(gram, *rest, _kernel=getattr(lattice, name), _runs=runs[name]):
+            _runs[id(gram)] += 1
+            return _kernel(gram, *rest)
+
+        monkeypatch.setattr(lattice, name, counted)
+    return runs
+
+
+class TestEachInvariantOnce:
+    def test_every_elimination_runs_at_most_once_per_lattice(self, eliminations):
+        source = direct_sum(H, N)
+        conj = elementary_conjugate(source, 60, random.Random("once"))
+        for _ in range(2):
+            for invariant in PUBLIC_INVARIANTS:
+                invariant(source)
+            assert nikulin_equivalent(source, conj) is True
+        for name, runs in eliminations.items():
+            assert runs == {id(source.gram): 1, id(conj.gram): 1}, name
+
+    def test_an_equal_but_distinct_lattice_computes_its_own_values(self, eliminations):
+        first = direct_sum(H, rescale(E8, -2))
+        second = GramLattice(first.gram)
+        assert second == first and second.gram is not first.gram
+        assert two_elementary_invariants(second) == two_elementary_invariants(first)
+        assert two_elementary_invariants(second) == two_elementary_invariants(first)
+        for name, runs in eliminations.items():
+            assert runs == {id(first.gram): 1, id(second.gram): 1}, name
+
+
+def uncached_invariants(lat: GramLattice) -> dict:
+    """Each public invariant recomputed from the raw Gram rows through the
+    eliminations, with parity read off the kernel mod 2 as in its proof."""
+    g = lat.gram
+    det = bareiss_det(g)
+    group = [e for e in _elementary_divisors(g, det) if e > 1]
+    sig = lattice._inertia(g)
+    two_elem = all(e == 2 for e in group)
+    odd = any(sum(g[i][j] for i in y for j in y) % 4 for y in _kernel_mod_2(g))
+    par = int(odd) if two_elem else None
+    return {
+        determinant: det,
+        signature: sig,
+        discriminant_group: group,
+        two_elementary_invariants: (lat.rank, sig, group.count(2), two_elem, par),
+        parity: par if two_elem else NotTwoElementary,
+    }
+
+
+def _outcome(invariant, lat: GramLattice):
+    try:
+        return invariant(lat)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestCacheContract:
+    def test_a_singular_lattice_raises_on_every_call(self):
+        bad = GramLattice.from_rows([[2, 2], [2, 2]])
+        for _ in range(2):
+            with pytest.raises(DegenerateLattice):
+                signature(bad)
+            with pytest.raises(DegenerateLattice):
+                discriminant_group(bad)
+            with pytest.raises(DegenerateLattice):
+                two_elementary_invariants(bad)
+            assert determinant(bad) == 0
+
+    def test_an_odd_lattice_raises_on_every_call(self):
+        odd = GramLattice.from_rows([[3]])
+        for _ in range(2):
+            assert discriminant_group(odd) == [3] and signature(odd) == (1, 0)
+            with pytest.raises(ValueError, match="even lattices only"):
+                two_elementary_invariants(odd)
+
+    def test_a_returned_list_is_a_fresh_copy(self):
+        lat = standard_lattice("K0")
+        group = discriminant_group(lat)
+        group[0] = 5
+        group.append(7)
+        assert discriminant_group(lat) == [2, 2, 4, 4]
+        assert discriminant_group(lat) is not discriminant_group(lat)
+
+    @given(
+        source=st.sampled_from(catalog() + [direct_sum(H, N), direct_sum(H, D6M, A1M, A1M)]),
+        moves=st.sampled_from((0, 6, 60)),
+        seed=st.integers(0, 2**16),
+        order=st.permutations(PUBLIC_INVARIANTS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cached_values_equal_an_uncached_recomputation(self, source, moves, seed, order):
+        lat = elementary_conjugate(source, moves, random.Random(seed))
+        expected = uncached_invariants(lat)
+        for _ in range(2):
+            for invariant in order:
+                assert _outcome(invariant, lat) == expected[invariant], invariant.__name__
+
+
+class TestNamedErrors:
+    @pytest.mark.parametrize(
+        "rows, words",
+        [
+            ([[1, 2], [3, 4]], "symmetric"),
+            ([[1, 2, 3], [2, 1, 1]], "square"),
+            ([[2, 1], [1, 2.7]], "integers"),
+        ],
+        ids=["non-symmetric", "non-square", "non-integral"],
+    )
+    def test_a_malformed_gram_matrix_raises_a_named_error(self, rows, words):
+        with pytest.raises(lattice.MalformedGram, match=words):
+            GramLattice.from_rows(rows)
+
+    def test_an_odd_lattice_raises_a_named_error(self):
+        with pytest.raises(lattice.OddLattice, match="even lattices only"):
+            two_elementary_invariants(GramLattice.from_rows([[3]]))
+
+    @pytest.mark.parametrize(
+        "base, coords, words",
+        [
+            (H, [2, 4], "already lies"),
+            (standard_lattice("A2"), [1, 0], "pair integrally"),
+            (H, [1], "match the rank"),
+            (H, [0.5, 1], "integers"),
+        ],
+        ids=["in-the-lattice", "non-integral-pairing", "wrong-length", "non-integral"],
+    )
+    def test_a_bad_glue_vector_raises_a_named_error(self, base, coords, words):
+        with pytest.raises(lattice.BadGlue, match=words):
+            glued_overlattice(base, coords)

@@ -23,7 +23,11 @@ it is given without building one.  Every construction on binary forms
 checks their variable pair and degrees through ``exactpoly.check_forms``:
 no module but ``exactpoly`` calls a method named ``_check`` or
 ``_check_vars``, and each routed construction refuses a form on another
-pair, or of another degree, with ``DegreeMismatch``.
+pair, or of another degree, with ``DegreeMismatch``.  A lattice's
+invariants have one cache, the ``GramLattice`` object itself: the lattice
+eliminations run on raw Gram rows and never mention or reach the class,
+and no module memoizes through ``functools.lru_cache`` or
+``functools.cache``.
 """
 
 import ast
@@ -701,3 +705,59 @@ def test_a_split_on_another_pair_is_no_factorization_of_the_norm():
     left, right = QUARTIC, OTHER_QUARTIC
     with pytest.raises(du.MissingFactorization):
         du.AlternatePair(QUADRIC * QUADRIC, left * right, split=(left.rename(UV), right.rename(UV)))
+
+
+# the eliminations behind the lattice invariants, which the GramLattice
+# object caches; they read raw Gram rows and never the class
+_LATTICE_ELIMINATIONS = ("_elementary_divisors", "_kernel_mod_2", "_inertia")
+
+
+def test_the_lattice_eliminations_never_reach_the_lattice_class():
+    tree = _module_tree("lattice")
+    definitions = dict(_definitions(tree))
+    graph = _package_graph()
+    for name in _LATTICE_ELIMINATIONS:
+        assert "GramLattice" not in _mentions(definitions[name]), name
+        assert "GramLattice" not in _reaches(graph, name), name
+
+
+_MEMO_DECORATORS = {"lru_cache", "cache"}
+
+
+def _memo_caches(tree: ast.AST) -> list[int]:
+    """Line numbers of the imports of ``lru_cache`` or ``cache`` from
+    ``functools`` and of the reads ``functools.lru_cache`` and
+    ``functools.cache``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "functools"
+            and any(alias.name in _MEMO_DECORATORS for alias in node.names)
+        )
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr in _MEMO_DECORATORS
+            and _named(node.value, "functools")
+        )
+    )
+
+
+def test_the_check_sees_functools_memo_caches_only():
+    source = (
+        "from functools import lru_cache\n"
+        "import functools\n"
+        "@functools.cache\ndef f():\n    pass\n"
+        "from functools import cached_property, reduce\n"
+        "from functools import cache as memo\n"
+        "cache = {}\n"
+        "g = functools.lru_cache(maxsize=8)(len)\n"
+        "h = self.cache\n"
+    )
+    assert _memo_caches(ast.parse(source)) == [1, 3, 7, 9]
+
+
+def test_no_module_memoizes_through_functools():
+    # a cache lives on the object it describes, as long as that object
+    assert _package_findings(_memo_caches) == {}
