@@ -8,24 +8,26 @@ those invariants and refuses anything outside that hypothesis class.
 
 All arithmetic is on integers, and every invariant takes time polynomial
 in the size of the Gram matrix: the Smith form keeps its entries below
-|det|, and the fraction-free eliminations keep theirs to minors of G.
+|det|, and the fraction-free elimination keeps its own to minors of G.
 
-* ``determinant``: fraction-free (Bareiss) elimination;
-* ``signature``: symmetric fraction-free elimination, reading the signs
-  of consecutive leading principal minors (Jacobi's rule);
-* ``discriminant_group``: the Smith form taken modulo |det| (Cohen, *A
-  Course in Computational Algebraic Number Theory*, Alg. 2.4.14), so no
-  entry ever exceeds |det|;
+* ``determinant`` and ``signature``: one symmetric fraction-free
+  elimination, which reads the signature off the signs of consecutive
+  leading principal minors (Jacobi's rule) and whose last pivot is the
+  determinant;
 * parity: a GF(2) elimination gives a basis of the kernel of G mod 2, the
-  2-torsion of L*/L, and parity is 0 when 4 divides y^T G y for each y.
+  2-torsion of L*/L, and parity is 0 when 4 divides y^T G y for each y;
+* ``discriminant_group``: (Z/2)^l when |det| = 2^l for l the dimension of
+  that kernel (the 2-elementary lattices), else the Smith form taken
+  modulo |det| (Cohen, *A Course in Computational Algebraic Number
+  Theory*, Alg. 2.4.14), so no entry ever exceeds |det|.
 
 Each invariant is computed once per lattice object: a ``GramLattice`` is
-immutable, so it keeps its determinant, elementary divisors, signature
+immutable, so it keeps its elimination, kernel mod 2, elementary divisors
 and 2-elementary invariants (``functools.cached_property``) from their
 first use.  The eliminations themselves run on the raw Gram rows and know
-nothing of the class.  A failed elimination is not kept, so a singular
-or odd lattice raises its error on every call, and a list handed out is
-a fresh copy.
+nothing of the class.  A failed invariant is not kept, so a singular or
+odd lattice raises its error on every call, and a list handed out is a
+fresh copy.
 
 Gram matrices hold ints; a Gram matrix that is not square, symmetric and
 integral is refused with ``MalformedGram``.
@@ -39,7 +41,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from .exactpoly import ZeroScale, bareiss_det
+from .exactpoly import ZeroScale
 
 
 class UnknownLattice(ValueError):
@@ -111,23 +113,37 @@ class GramLattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     @cached_property
+    def _elimination(self) -> tuple[int, tuple[int, int] | None]:
+        return _inertia(self.gram)
+
+    @property
     def _det(self) -> int:
-        return bareiss_det(self.gram)
+        return self._elimination[0]
+
+    @property
+    def _signature(self) -> tuple[int, int]:
+        signature = self._elimination[1]
+        if signature is None:
+            raise DegenerateLattice("Gram matrix is singular")
+        return signature
+
+    @cached_property
+    def _kernel(self) -> list[list[int]]:
+        return _kernel_mod_2(self.gram)
 
     @cached_property
     def _discriminant(self) -> tuple[int, ...]:
+        length = len(self._kernel)
+        if abs(self._det) == 1 << length:
+            return (2,) * length
         return tuple(e for e in _elementary_divisors(self.gram, self._det) if e > 1)
-
-    @cached_property
-    def _signature(self) -> tuple[int, int]:
-        return _inertia(self.gram)
 
     @cached_property
     def _two_elementary(self) -> TwoElemInvariants:
         g = self.gram
         divisors = self._discriminant
         two_elem = all(e == 2 for e in divisors)
-        odd = two_elem and any(sum(g[i][j] for i in y for j in y) % 4 for y in _kernel_mod_2(g))
+        odd = two_elem and any(sum(g[i][j] for i in y for j in y) % 4 for y in self._kernel)
         return TwoElemInvariants(
             rank=self.rank,
             signature=self._signature,
@@ -324,7 +340,8 @@ def two_param_polarization(c: int) -> GramLattice:
 
 
 def determinant(lat: GramLattice) -> int:
-    """Determinant of the Gram matrix (fraction-free elimination)."""
+    """Determinant of the Gram matrix: the last pivot of the elimination
+    that ``signature`` reads, 0 for a singular matrix."""
     return lat._det
 
 
@@ -334,21 +351,24 @@ def signature(lat: GramLattice) -> tuple[int, int]:
     return lat._signature
 
 
-def _inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
-    """The signature of a Gram matrix, by symmetric fraction-free
-    elimination: congruence moves bring a nonzero entry to the diagonal,
-    and the Bareiss update keeps the trailing block integral.  Each pivot
-    is a leading principal minor of a congruent Gram matrix, so by
+def _inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[int, int] | None]:
+    """The determinant and the signature of a Gram matrix, by symmetric
+    fraction-free elimination; ``(0, None)`` when it is singular.
+
+    Congruence moves bring a nonzero entry to the diagonal, and the
+    Bareiss update keeps the trailing block integral.  Each pivot is a
+    leading principal minor of a congruent Gram matrix U^T G U, so by
     Jacobi's rule a pivot with the sign of the previous one (1 before the
-    first) is a positive square, and a sign change a negative one.
+    first) is a positive square, and a sign change a negative one.  The
+    last pivot is det(U^T G U) = det G, every move being unimodular.
     """
     n = len(gram)
     a = [list(row) for row in gram]
     pos = neg = 0
     prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            _diagonal_pivot(a, k)
+        if a[k][k] == 0 and not _diagonal_pivot(a, k):
+            return 0, None
         p = a[k][k]
         if (p > 0) == (prev > 0):
             pos += 1
@@ -361,32 +381,36 @@ def _inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
             for j in range(i, n):
                 row[j] = a[j][i] = (p * row[j] - f * top[j]) // prev
         prev = p
-    return pos, neg
+    return prev, (pos, neg)
 
 
-def _diagonal_pivot(a: list[list[int]], k: int) -> None:
+def _diagonal_pivot(a: list[list[int]], k: int) -> bool:
     """Make a[k][k] nonzero by a congruence move on indices >= k: swap in a
     nonzero diagonal entry, or else, all of them being zero, add e_j to e_k
     across a nonzero a[k][j], which puts 2 a[k][j] on the diagonal.  With
-    neither, row k of the trailing block is zero and the form singular."""
+    neither, row k of the trailing block is zero and the form singular:
+    False, and ``a`` is left as it was."""
     n = len(a)
     r = next((r for r in range(k + 1, n) if a[r][r]), None)
     if r is not None:
         a[k], a[r] = a[r], a[k]
         for row in a:
             row[k], row[r] = row[r], row[k]
-        return
+        return True
     j = next((j for j in range(k + 1, n) if a[k][j]), None)
     if j is None:
-        raise DegenerateLattice("Gram matrix is singular")
+        return False
     a[k] = [x + y for x, y in zip(a[k], a[j])]
     for row in a:
         row[k] += row[j]
+    return True
 
 
 def _elementary_divisors(gram: tuple[tuple[int, ...], ...], det: int) -> list[int]:
     """Diagonal of the Smith form of a nonsingular integer matrix, in
     increasing order (each divides the next); ``det`` is its determinant.
+    The lattices read their discriminant group here only when it is not
+    2-elementary (see ``discriminant_group``).
 
     Works modulo D = |det| (Cohen, Alg. 2.4.14): the columns span a
     lattice that contains D Z^n, so reducing entries mod D and replacing a
@@ -457,7 +481,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def discriminant_group(lat: GramLattice) -> list[int]:
     """Elementary divisors (> 1) of the Gram matrix; their product is
-    the absolute determinant."""
+    the absolute determinant.
+
+    The kernel of G mod 2 has one dimension for each even elementary
+    divisor, l of them.  All the divisors multiply to |det|; when that is
+    2^l, the l even ones, each at least 2, leave no room: each is 2 and
+    every odd one is 1.  So a 2-elementary group, (Z/2)^l, is read off the
+    kernel that parity needs anyway, and only the other lattices (an odd
+    determinant, or a 4 among the divisors) take the Smith form.
+    """
     return list(lat._discriminant)
 
 

@@ -5,9 +5,11 @@ matrices, signatures against the characteristic polynomial, parity
 against a brute-force sum over the discriminant group, and the kernel of
 the Gram matrix mod 2 against the Smith form; the named-lattice
 identities are pinned as frozen invariant tuples, and every invariant must
-survive large unimodular changes of basis.  Each elimination runs at most
-once per lattice object, errors are raised on every call, and the cached
-values equal a recomputation from the raw Gram rows.
+survive large unimodular changes of basis.  Each lattice object runs one
+signature elimination and one kernel mod 2, and a Smith form only when its
+discriminant group is not 2-elementary; errors are raised on every call,
+and the cached values equal a recomputation from the raw Gram rows through
+the Bareiss determinant and the Smith form.
 """
 
 import collections
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from ellsurf import cli, lattice
+from ellsurf import cli, exactpoly, lattice
 from ellsurf.exactpoly import bareiss_det
 from ellsurf.lattice import (
     EMPTY,
@@ -592,24 +594,37 @@ class TestParityKernel:
 # each invariant is computed once per lattice object
 
 
-_ELIMINATIONS = ("bareiss_det", "_elementary_divisors", "_inertia", "_kernel_mod_2")
+# each elimination by the module that defines it; the lattice module does
+# not import bareiss_det, and the counter is put under that name there too
+_ELIMINATIONS = {
+    "bareiss_det": exactpoly,
+    "_elementary_divisors": lattice,
+    "_inertia": lattice,
+    "_kernel_mod_2": lattice,
+}
 PUBLIC_INVARIANTS = (determinant, signature, discriminant_group, two_elementary_invariants, parity)
 
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Per elimination of the lattice module, how often it ran on each Gram
-    matrix, keyed by the matrix's identity: every lattice object holds its
-    own Gram tuple."""
+    """Per elimination, how often it ran on each Gram matrix, keyed by the
+    matrix's identity: every lattice object holds its own Gram tuple."""
     runs = {name: collections.Counter() for name in _ELIMINATIONS}
-    for name in _ELIMINATIONS:
+    for name, home in _ELIMINATIONS.items():
 
-        def counted(gram, *rest, _kernel=getattr(lattice, name), _runs=runs[name]):
+        def counted(gram, *rest, _kernel=getattr(home, name), _runs=runs[name]):
             _runs[id(gram)] += 1
             return _kernel(gram, *rest)
 
-        monkeypatch.setattr(lattice, name, counted)
+        monkeypatch.setattr(home, name, counted)
+        monkeypatch.setattr(lattice, name, counted, raising=False)
     return runs
+
+
+def _ask_everything_twice(lat: GramLattice) -> None:
+    for _ in range(2):
+        for invariant in PUBLIC_INVARIANTS:
+            _outcome(invariant, lat)
 
 
 class TestEachInvariantOnce:
@@ -617,11 +632,29 @@ class TestEachInvariantOnce:
         source = direct_sum(H, N)
         conj = elementary_conjugate(source, 60, random.Random("once"))
         for _ in range(2):
-            for invariant in PUBLIC_INVARIANTS:
-                invariant(source)
+            _ask_everything_twice(source)
             assert nikulin_equivalent(source, conj) is True
-        for name, runs in eliminations.items():
-            assert runs == {id(source.gram): 1, id(conj.gram): 1}, name
+        both = {id(source.gram): 1, id(conj.gram): 1}
+        assert eliminations == {
+            "bareiss_det": {},
+            "_elementary_divisors": {},
+            "_inertia": both,
+            "_kernel_mod_2": both,
+        }
+
+    def test_a_group_with_a_four_runs_the_smith_form_once(self, eliminations):
+        lat = standard_lattice("K0")
+        conj = elementary_conjugate(lat, 60, random.Random("four"))
+        for each in (lat, conj):
+            _ask_everything_twice(each)
+            assert discriminant_group(each) == [2, 2, 4, 4]
+        both = {id(lat.gram): 1, id(conj.gram): 1}
+        assert eliminations == {
+            "bareiss_det": {},
+            "_elementary_divisors": both,
+            "_inertia": both,
+            "_kernel_mod_2": both,
+        }
 
     def test_an_equal_but_distinct_lattice_computes_its_own_values(self, eliminations):
         first = direct_sum(H, rescale(E8, -2))
@@ -629,17 +662,25 @@ class TestEachInvariantOnce:
         assert second == first and second.gram is not first.gram
         assert two_elementary_invariants(second) == two_elementary_invariants(first)
         assert two_elementary_invariants(second) == two_elementary_invariants(first)
-        for name, runs in eliminations.items():
-            assert runs == {id(first.gram): 1, id(second.gram): 1}, name
+        both = {id(first.gram): 1, id(second.gram): 1}
+        assert eliminations == {
+            "bareiss_det": {},
+            "_elementary_divisors": {},
+            "_inertia": both,
+            "_kernel_mod_2": both,
+        }
 
 
 def uncached_invariants(lat: GramLattice) -> dict:
-    """Each public invariant recomputed from the raw Gram rows through the
-    eliminations, with parity read off the kernel mod 2 as in its proof."""
+    """Each public invariant recomputed from the raw Gram rows: the
+    determinant by Bareiss elimination, which the lattice never runs, the
+    group by the Smith form, which it runs only off the 2-elementary case,
+    the signature by the symmetric elimination and parity off the kernel
+    mod 2."""
     g = lat.gram
     det = bareiss_det(g)
     group = [e for e in _elementary_divisors(g, det) if e > 1]
-    sig = lattice._inertia(g)
+    _, sig = lattice._inertia(g)
     two_elem = all(e == 2 for e in group)
     odd = any(sum(g[i][j] for i in y for j in y) % 4 for y in _kernel_mod_2(g))
     par = int(odd) if two_elem else None
@@ -671,6 +712,33 @@ class TestCacheContract:
                 two_elementary_invariants(bad)
             assert determinant(bad) == 0
 
+    @pytest.mark.parametrize(
+        "order",
+        list(itertools.permutations(PUBLIC_INVARIANTS[:4])),
+        ids=lambda order: "-".join(invariant.__name__ for invariant in order),
+    )
+    def test_a_singular_lattice_raises_whichever_invariant_comes_first(self, order):
+        rng = random.Random("singular")
+        rows = [
+            [[0]],
+            [[2, 2], [2, 2]],
+            [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+            [[1, 1], [1, 1]],
+        ] + [singular_symmetric(rng, n) for n in (3, 5, 8)]
+        for gram in rows:
+            lat = GramLattice.from_rows(gram)
+            assert lattice._inertia(lat.gram) == (0, None)
+            for _ in range(2):
+                for invariant in order:
+                    if invariant is determinant:
+                        assert determinant(lat) == 0
+                    elif invariant is two_elementary_invariants and not lat.is_even:
+                        with pytest.raises(lattice.OddLattice):
+                            two_elementary_invariants(lat)
+                    else:
+                        with pytest.raises(DegenerateLattice, match="^Gram matrix is singular$"):
+                            invariant(lat)
+
     def test_an_odd_lattice_raises_on_every_call(self):
         odd = GramLattice.from_rows([[3]])
         for _ in range(2):
@@ -699,6 +767,59 @@ class TestCacheContract:
         for _ in range(2):
             for invariant in order:
                 assert _outcome(invariant, lat) == expected[invariant], invariant.__name__
+
+
+def smith_route(lat: GramLattice) -> list[int]:
+    """The discriminant group through the Bareiss determinant and the
+    Smith form, whatever the lattice."""
+    g = lat.gram
+    return [e for e in _elementary_divisors(g, bareiss_det(g)) if e > 1]
+
+
+class TestTwoElementaryShortcut:
+    """A 2-elementary group is read off the kernel mod 2 when |det| = 2^l,
+    l its dimension; it must agree with the Smith form everywhere,
+    including where |det| is a power of two but the kernel is too small."""
+
+    def test_the_group_equals_the_smith_route(self):
+        sources = catalog() + scenario_lattices()
+        lattices = list(sources) + [GramLattice.from_rows([[2, 0], [0, 4]])]
+        for moves in (6, 60, 120):
+            lattices += [
+                elementary_conjugate(source, moves, random.Random(f"shortcut/{k}/{moves}"))
+                for k, source in enumerate(sources)
+            ]
+        sides = collections.Counter()
+        for lat in lattices:
+            shortcut = abs(determinant(lat)) == 1 << len(_kernel_mod_2(lat.gram))
+            sides[shortcut, abs(determinant(lat)).bit_count() == 1] += 1
+            assert discriminant_group(lat) == smith_route(lat), lat.gram
+        # both sides of the choice, and power-of-two determinants on each
+        assert sides[True, True] >= 40 and sides[False, True] >= 8 and sides[False, False] >= 4
+
+    @pytest.mark.parametrize(
+        "lat, group",
+        [
+            (E8, []),
+            (H, []),
+            (standard_lattice("A2"), [3]),
+            (GramLattice.from_rows([[2, 0], [0, 4]]), [2, 4]),
+            (standard_lattice("D5"), [4]),
+            (K0, [2, 2, 4, 4]),
+            (N, [2] * 6),
+        ],
+        ids=["E8", "H", "A2", "diag-2-4", "D5", "K0", "N"],
+    )
+    def test_pinned_groups_on_both_routes(self, lat, group):
+        assert discriminant_group(lat) == smith_route(lat) == group
+
+    def test_a_singular_matrix_has_no_group_on_either_route(self):
+        rng = random.Random("shortcut/singular")
+        for n in range(2, 8):
+            lat = GramLattice.from_rows(singular_symmetric(rng, n))
+            for route in (discriminant_group, smith_route):
+                with pytest.raises(DegenerateLattice):
+                    route(lat)
 
 
 class TestNamedErrors:

@@ -292,7 +292,9 @@ def test_the_reference_graph_skips_annotations():
 # against the degree-two base change, and the quartic's Jacobian pair, the
 # reference for the same pair with forms as coefficients; the kernel of
 # the Gram matrix mod 2 against the Smith form, both counting the
-# 2-torsion of a discriminant group; the closed form -4f^3 - 27g^2 of
+# 2-torsion of a discriminant group; the signature elimination, whose last
+# pivot is the lattice determinant, against the Bareiss determinant that
+# the tests judge it by; the closed form -4f^3 - 27g^2 of
 # the Jacobian pair against the determinant route of the quartic's
 # discriminant, in the discriminant-relation check; and the coupling
 # cofactor against the Hessian of the quartic form, built from its
@@ -304,6 +306,7 @@ _SEPARATE_ROUTES = [
     ("quadric_double_cover", "base_change_k3"),
     ("jacobian_quartic", "hermite_pair_forms"),
     ("_kernel_mod_2", "_elementary_divisors"),
+    ("_inertia", "bareiss_det"),
     ("jacobian_quartic", "form_discriminant"),
     ("correspondence_polys", "form_partials"),
 ]
