@@ -3,12 +3,14 @@
 A scenario is a small text file that declares one check: its ``kind``, a
 verification ``family``, named inputs (binary forms, rationals, quartic
 curves, or lattice expressions), an optional trial count for randomized
-families, and ``expect`` lines.  The parser collects the expectations
-into one map, :attr:`Scenario.expect`; ``_KINDS`` states which
-expectations each kind takes, and every scenario may expect a named
-error instead.  ``verify`` runs a selection of scenarios and renders a
-report as aligned text or as JSON; the JSON form carries no timing data
-and is byte-stable for a fixed seed, so runs can be diffed.
+families (refused for any other scenario), and ``expect`` lines.  A file
+must be UTF-8 text; any other is refused at its first bad byte.  The
+parser collects the expectations into one map, :attr:`Scenario.expect`;
+``_KINDS`` states which expectations each kind takes, and every scenario
+may expect a named error instead.  ``verify`` runs a selection of
+scenarios and renders a report as aligned text or as JSON; the JSON form
+carries no timing data and is byte-stable for a fixed seed, so runs can
+be diffed.
 
 Each family is declared once, next to its code, as a :class:`Family`; one
 driver in :func:`run` owns the rng, the trial loop and the first trial's
@@ -47,7 +49,7 @@ from .elliptic import (
 )
 from .exactpoly import (
     MAX_DIGITS,
-    BiHomPoly,
+    MAX_POLY_DEGREE,
     DegreeMismatch,
     HomPoly,
     ParseError,
@@ -59,6 +61,7 @@ from .exactpoly import (
     tensor_forms,
 )
 from .hermite_aj import (
+    SEPARATION_SQUARE,
     FamilyParams,
     QuarticCurve,
     abel_jacobi,
@@ -83,11 +86,6 @@ MAX_TRIALS = 10_000
 # attempts one draw may make before it gives up; over root seeds 0-19 no
 # bundled scenario needs more than 12
 DRAW_BUDGET = 100
-
-# the largest degree a poly line may declare, so that "deg 100000" cannot ask
-# for a huge coefficient list; every bundled poly declares 4 or 8, and the
-# largest form the paper uses, a K3 surface's discriminant, has degree 24
-MAX_POLY_DEGREE = 48
 
 # kind -> (the expectations it takes besides ``error``, how a message names
 # them)
@@ -442,6 +440,8 @@ def _validate_scenario(sc: Scenario, source: str) -> None:
     if sc.kind == "lattice-identity":
         if sc.family is not None:
             raise bad("lattice-identity scenarios take no family")
+        if sc.trials is not None:
+            raise bad("lattice-identity scenarios take no trials line")
         if not sc.lattices:
             raise bad("lattice-identity needs at least one lattice")
         if "match" in sc.expect and len(sc.lattices) < 2:
@@ -455,6 +455,8 @@ def _validate_scenario(sc: Scenario, source: str) -> None:
         raise bad(f"unknown family {sc.family!r}")
     if fam.kind != sc.kind:
         raise bad(f"family {sc.family!r} belongs to kind {fam.kind!r}")
+    if sc.trials is not None and not fam.randomized:
+        raise bad(f"family {sc.family!r} runs no trials and takes no trials line")
     for name, directive in fam.inputs.items():
         if name not in getattr(sc, _INPUTS[directive][0]):
             raise bad(f"family {sc.family!r} needs {directive} {name!r}")
@@ -463,8 +465,18 @@ def _validate_scenario(sc: Scenario, source: str) -> None:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read(), source=path)
+    """Parse the scenario file at ``path``; a file that is not UTF-8 text
+    is a :class:`ParseError` at its first bad byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines as parse_scenario counts them, the last ending at the bad byte
+        lines = (data[: exc.start].decode("utf-8") + "\ufffd").splitlines()
+        message = f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
+        raise ParseError(message, len(lines), len(lines[-1])) from None
+    return parse_scenario(text, source=path)
 
 
 def bundled_scenarios() -> list[Scenario]:
@@ -537,10 +549,7 @@ def _sample_correspondence_triple(rng: random.Random):
     def make():
         gamma, alpha, delta = FamilyParams.of(*_ints(rng, 6, -6, 6), 0, 0).triple()
         prod = gamma * delta
-        disc = alpha * alpha - 4 * prod
-        if prod.is_zero or disc.is_zero:
-            return None
-        both = prod * disc
+        both = prod * (alpha * alpha - 4 * prod)
         if is_separable(both) and both(0, 1) != 0 and both(1, 0) != 0:
             return alpha, gamma, delta
         return None
@@ -826,9 +835,6 @@ def _refibered_pencil(sc, rng):
 
 _ANCHORS = tuple(Fraction(a) for a in (-2, -1, 0, 1, 2, 3))
 
-# (x - x0)^2 in the pairs of the coupling polynomials, x = U/V and x0 = S/T
-_SEPARATION_SQUARE = BiHomPoly.from_num(_SECOND, _ANCHOR_PAIR, ((0, 0, 1), (0, -2, 0), (1, 0, 0)))
-
 
 @_family(
     "coupling-product",
@@ -852,7 +858,7 @@ def _coupling_product(sc, rng):
     # vanishes at no more than four of the six anchors: the identity holds
     # exactly when it holds at every anchor, and the first anchor where the
     # difference does not vanish names a failure.
-    lhs = polys.pairing * polys.pairing + polys.cofactor * _SEPARATION_SQUARE
+    lhs = polys.pairing * polys.pairing + polys.cofactor * SEPARATION_SQUARE
     rhs = tensor_forms(h.form, h.form.rename(_ANCHOR_PAIR))
     if lhs != rhs:
         difference = lhs - rhs
@@ -935,7 +941,7 @@ def _pointwise_anchor(sc, rng):
 
 @_family("fiberwise-j", "hermite-identity")
 def _fiberwise_j(sc, rng):
-    h = _draw(lambda: _random_quartic(rng, -6, 6), lambda h: h.discriminant() != 0)
+    h = _draw(lambda: _random_quartic(rng, -6, 6), lambda h: is_separable(h.form))
     cubic = jacobian_quartic(h)
     # at the abscissa of a two-torsion point the (2,2) curve is singular
     xi = _draw(

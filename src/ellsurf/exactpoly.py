@@ -50,6 +50,11 @@ degree ``n >= 2`` is the classical identity (Gelfand-Kapranov-Zelevinsky)
 Whether the discriminant vanishes needs no determinant: ``is_separable``
 asks whether the gcd of the two partials is constant.
 
+Text is read in one place each: ``parse_rational`` and ``parse_hompoly``.
+A number there has at most ``MAX_DIGITS`` digits and a form at most degree
+``MAX_POLY_DEGREE``, declared or read off its terms, so a short text never
+asks for a huge integer or coefficient list.
+
 Everything is exact; nothing here ever rounds.
 """
 
@@ -1119,6 +1124,12 @@ def tensor_forms(p: HomPoly, q: HomPoly) -> BiHomPoly:
 # integer of more than 4 300 digits with a bare ValueError
 MAX_DIGITS = 1000
 
+# the largest degree of a form read from text, so that "s^10000000" or
+# "deg 100000" cannot ask for a huge coefficient list; every bundled poly
+# declares 4 or 8, and the largest form the paper uses, a K3 surface's
+# discriminant, has degree 24
+MAX_POLY_DEGREE = 48
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
 )
@@ -1149,10 +1160,14 @@ def parse_hompoly(
 
     Every term must use only the two declared variables and all terms must
     share one total degree (which must equal ``degree`` when given).
-    ``0`` parses to the zero form and needs an explicit ``degree``.
+    ``0`` parses to the zero form and needs an explicit ``degree``.  A
+    degree above ``MAX_POLY_DEGREE``, declared or read off the terms, is
+    refused before any coefficient list is built.
     ``line`` and ``col`` place the first character of ``text`` in its
     source; errors report positions relative to them.
     """
+    if degree is not None and degree > MAX_POLY_DEGREE:
+        raise ParseError(f"degree above {MAX_POLY_DEGREE}", line, col)
     terms = _parse_terms(text, set(vars), line, col - 1)
     degrees = {sum(e for _v, e in powers) for _c, powers in terms}
     if len(terms) == 1 and terms[0][0] == 0:
@@ -1166,6 +1181,8 @@ def parse_hompoly(
     d = degrees.pop()
     if degree is not None and degree != d:
         raise ParseError(f"declared degree {degree} but terms have degree {d}", line, col)
+    if d > MAX_POLY_DEGREE:
+        raise ParseError(f"terms of degree above {MAX_POLY_DEGREE}", line, col)
     coeffs = [Fraction(0)] * (d + 1)
     for c, powers in terms:
         es = {v: 0 for v in vars}

@@ -36,6 +36,7 @@ from .exactpoly import (
     check_forms,
     form_discriminant,
     form_partials,
+    is_separable,
     rat,
     tensor_forms,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "NotOnCurve",
     "QuarticCurve",
     "QuarticSurfaceData",
+    "SEPARATION_SQUARE",
     "ShortCubic",
     "SingularCurve",
     "UnitViolation",
@@ -204,8 +206,8 @@ def hermite_pair_forms(
 # ---------------------------------------------------------------------------
 
 
-# x^2 - 2*x*x0 + x0^2
-_SEPARATION_SQUARE = BiHomPoly.from_num(_X_PAIR, _X0_PAIR, ((0, 0, 1), (0, -2, 0), (1, 0, 0)))
+# (x - x0)^2 = x^2 - 2*x*x0 + x0^2 in the pairs of the coupling polynomials
+SEPARATION_SQUARE = BiHomPoly.from_num(_X_PAIR, _X0_PAIR, ((0, 0, 1), (0, -2, 0), (1, 0, 0)))
 
 
 @dataclass(frozen=True)
@@ -359,7 +361,7 @@ def correspondence_22(h: QuarticCurve, xi: RationalLike) -> Biquadratic22:
     """
     x = rat(xi)
     polys = correspondence_polys(h)
-    phi = (x * x) * _SEPARATION_SQUARE - (4 * x) * polys.pairing - 4 * polys.cofactor
+    phi = (x * x) * SEPARATION_SQUARE - (4 * x) * polys.pairing - 4 * polys.cofactor
     gamma, alpha, delta = (phi.pair2_coefficient(j) for j in range(3))
     return Biquadratic22(phi, gamma, alpha, delta)
 
@@ -572,7 +574,7 @@ def double_quadric_from_quartic(
     if c0v * civ == 1:
         raise UnitViolation("the product of the line parameters is one")
     curve = QuarticCurve.of(a0, a1, a2, 0, 1)
-    if curve.discriminant() == 0:
+    if not is_separable(curve.form):
         raise SingularCurve("the quartic curve is singular")
     corr = correspondence_22(curve, xi)
     params = FamilyParams.from_triple(corr.gamma, corr.alpha, corr.delta, c0v, civ)

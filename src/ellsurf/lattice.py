@@ -31,6 +31,10 @@ fresh copy.
 
 Gram matrices hold ints; a Gram matrix that is not square, symmetric and
 integral is refused with ``MalformedGram``.
+
+The catalog writes out only the E8 table and the root-lattice Cartan
+rules; each glued lattice (``N``, ``K0``) is ``glued_overlattice`` of its
+blocks and glue vector.
 """
 
 from __future__ import annotations
@@ -204,23 +208,6 @@ _E8_GRAM = (
     (0, 0, 0, 0, 0, 0, -1, 2),
 )
 
-_RANK12_GLUED_GRAM = (
-    # index-2 overlattice of four A3 blocks glued by half the vector
-    # (1,0,1 | 1,0,1 | 1,0,1 | 1,0,1); rank 12, determinant 2^6
-    (4, -1, 1, 1, -1, 1, 1, -1, 1, 1, -1, 1),
-    (-1, 2, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    (1, -1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    (1, 0, 0, 2, -1, 0, 0, 0, 0, 0, 0, 0),
-    (-1, 0, 0, -1, 2, -1, 0, 0, 0, 0, 0, 0),
-    (1, 0, 0, 0, -1, 2, 0, 0, 0, 0, 0, 0),
-    (1, 0, 0, 0, 0, 0, 2, -1, 0, 0, 0, 0),
-    (-1, 0, 0, 0, 0, 0, -1, 2, -1, 0, 0, 0),
-    (1, 0, 0, 0, 0, 0, 0, -1, 2, 0, 0, 0),
-    (1, 0, 0, 0, 0, 0, 0, 0, 0, 2, -1, 0),
-    (-1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 2, -1),
-    (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 2),
-)
-
 _NAME_RE = re.compile(r"^([AD])0*([0-9]+)$")
 
 # the largest rank of a catalog root lattice or a scenario's lattice
@@ -236,7 +223,8 @@ def standard_lattice(name: str) -> GramLattice:
     (Cartan convention, n in ASCII digits, at most ``MAX_LATTICE_RANK``);
     ``E8`` unimodular rank 8; ``N`` the negative definite rank-8 glued
     lattice (A1(-1)^8 plus the half-sum vector); ``K0`` the rank-12
-    determinant-2^6 glued lattice; ``<2>``/``<-2>`` rank-1 lattices;
+    determinant-2^6 glued lattice (A3^4 plus half of (1,0,1) in each
+    block); ``<2>``/``<-2>`` rank-1 lattices;
     ``P0``/``P1`` the ``two_param_polarization`` lattices for c = 0, 1.
     Negative forms come from ``rescale``.
     """
@@ -251,7 +239,7 @@ def standard_lattice(name: str) -> GramLattice:
         eights = direct_sum(*([rescale(standard_lattice("A1"), -1)] * 8))
         return glued_overlattice(eights, [1] * 8)
     if key == "K0":
-        return GramLattice(_RANK12_GLUED_GRAM)
+        return glued_overlattice(direct_sum(*([standard_lattice("A3")] * 4)), (1, 0, 1) * 4)
     if key == "<2>":
         return GramLattice.from_rows([[2]])
     if key == "<-2>":

@@ -595,6 +595,44 @@ def test_validation_lattice_scenario_refuses_an_euler_expectation():
         parse("name x\nkind lattice-identity\nlattice a = H\nexpect det -1\nexpect euler 24\n")
 
 
+def test_validation_lattice_scenario_refuses_a_trials_line():
+    # the lattice runner runs no trials, so the line would be ignored
+    with pytest.raises(ParseError, match="lattice-identity scenarios take no trials line"):
+        parse("name x\nkind lattice-identity\nlattice a = H\ntrials 7\nexpect det -1\n")
+
+
+# a valid scenario of each family that runs its check once, with no trial loop
+UNTRIED_FAMILY_SCENARIOS = {
+    "alternate-pair": (
+        "kind fiber-config\nfamily alternate-pair\npoly trace on s,t deg 4 = s^4\n"
+        "poly norm on s,t deg 8 = s^8 - t^8\nexpect fibers 8*I1 + 8*I2\n"
+    ),
+    "pointwise-map-anchor": (
+        "kind hermite-identity\nfamily pointwise-map-anchor\nquartic curve = 1, 0, 0, 0, 1\n"
+        + "".join(f"rat {name} = 1\n" for name in cli._ANCHOR_RATS)
+        + "expect pass\n"
+    ),
+    "quartic-double-cover": (
+        "kind hermite-identity\nfamily quartic-double-cover\n"
+        + "".join(f"rat {name} = 2\n" for name in cli._DOUBLE_COVER_RATS)
+        + "expect pass\n"
+    ),
+}
+
+
+def test_the_untried_families_are_those_that_run_no_trial_loop():
+    untried = {name for name, fam in cli._FAMILIES.items() if not fam.randomized}
+    assert untried == UNTRIED_FAMILY_SCENARIOS.keys()
+
+
+@pytest.mark.parametrize("family", sorted(UNTRIED_FAMILY_SCENARIOS))
+def test_validation_a_family_without_a_trial_loop_refuses_a_trials_line(family):
+    text = "name x\n" + UNTRIED_FAMILY_SCENARIOS[family]
+    assert parse(text).trials is None
+    with pytest.raises(ParseError, match=f"family '{family}' runs no trials"):
+        parse(text + "trials 7\n")
+
+
 def test_validation_star_chain_level_range():
     with pytest.raises(ParseError, match="level"):
         parse(
@@ -1274,6 +1312,14 @@ def test_emit_json_two_trial_digest_is_pinned(name):
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == expected, seed
 
 
+def test_verify_all_json_digest_is_pinned():
+    # the whole bundle at its own trial counts, which the digests above pin
+    # for most scenarios only at two trials
+    code, out, _ = call_main(["verify", "--all", "--format", "json", "--seed", "0"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "bd0515e66fb0"
+
+
 def test_pinned_digests_cover_the_bundle():
     pinned = set(_PINNED_DIGESTS) | set(_PINNED_TWO_TRIAL_DIGESTS)
     assert pinned == {sc.name for sc in cli.bundled_scenarios()}
@@ -1397,6 +1443,21 @@ def test_main_zero_denominator_is_a_parse_error(tmp_path):
     assert code == 2
     assert err.startswith("error: ") and "zero denominator" in err
     assert "line 4" in err
+
+
+def test_main_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(
+        b"name latin1\nkind fiber-config\nfamily rational-base\n"
+        b"expect fibers 12*I1 # caf\xe9 \xff\n"
+    )
+    code, out, err = call_main(["verify", "--scenario", str(path)])
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "not UTF-8 text (byte 0xe9)" in err
+    assert "line 4, col 26" in err
+    with pytest.raises(ParseError) as exc:
+        cli.load_scenario(str(path))
+    assert (exc.value.line, exc.value.col) == (4, 26)
 
 
 def test_main_twist_at_seed_eight():

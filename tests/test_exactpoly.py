@@ -30,6 +30,7 @@ from ellsurf.exactpoly import (
     DegreeTooLow,
     ExactDivisionError,
     MAX_DIGITS,
+    MAX_POLY_DEGREE,
     HomPoly,
     ParseError,
     SquarefreeSplit,
@@ -1187,6 +1188,20 @@ class TestParsing:
     def test_cancelling_terms_keep_declared_degree(self):
         F = parse_hompoly("s*t - s*t", ("s", "t"))
         assert F.is_zero and F.degree == 2
+
+    def test_degrees_above_the_cap_are_refused_before_any_coefficient_list(self):
+        assert MAX_POLY_DEGREE == 48
+        assert parse_hompoly("s^48", ST).degree == 48
+        assert parse_hompoly("0", ST, degree=48).degree == 48
+        # uncapped, "s^10000000" builds a 10^7-entry form, and a 1 000-digit
+        # exponent asks for a list no machine holds
+        for text in ("s^49", "s^30*t^19", "s^10000000", "s^" + "9" * MAX_DIGITS):
+            with pytest.raises(ParseError, match="terms of degree above 48") as err:
+                parse_hompoly(text, ST, line=2, col=5)
+            assert (err.value.line, err.value.col) == (2, 5)
+        for text in ("s^49", "0"):
+            with pytest.raises(ParseError, match="degree above 48"):
+                parse_hompoly(text, ST, degree=49)
 
 
 # ---------------------------------------------------------------------------

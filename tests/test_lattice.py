@@ -13,6 +13,7 @@ the Bareiss determinant and the Smith form.
 """
 
 import collections
+import hashlib
 import itertools
 import math
 import random
@@ -126,6 +127,9 @@ class TestConstructors:
         blocks = direct_sum(*([standard_lattice("A3")] * 4))
         assert glued_overlattice(blocks, [1, 0, 1] * 4) == K0
         assert determinant(K0) == 64
+        # the basis itself is pinned, rows and order: the lattices benchmark
+        # conjugates this very matrix
+        assert hashlib.sha256(repr(K0.gram).encode()).hexdigest()[:16] == "01dae275e6502049"
 
     def test_glue_guards(self):
         with pytest.raises(ValueError):

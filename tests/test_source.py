@@ -23,7 +23,9 @@ it is given without building one.  Every construction on binary forms
 checks their variable pair and degrees through ``exactpoly.check_forms``:
 no module but ``exactpoly`` calls a method named ``_check`` or
 ``_check_vars``, and each routed construction refuses a form on another
-pair, or of another degree, with ``DegreeMismatch``.  A lattice's
+pair, or of another degree, with ``DegreeMismatch``.  A quartic's
+smoothness is a separability test: only ``discr_relation_check`` calls a
+``discriminant()`` method, whose value it compares.  A lattice's
 invariants have one cache, the ``GramLattice`` object itself: the lattice
 eliminations run on raw Gram rows and never mention or reach the class,
 and no module memoizes through ``functools.lru_cache`` or
@@ -661,6 +663,39 @@ def test_only_exactpoly_calls_the_private_form_checks():
     assert findings.pop("exactpoly.py")
     assert findings == {}
     assert not hasattr(HomPoly, "_check_vars")
+
+
+def _discriminant_calls(tree: ast.Module) -> list[str]:
+    """The scopes (``_scopes``) that call a method named ``discriminant``."""
+    return [
+        name
+        for name, scope in _scopes(tree)
+        if any(
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr == "discriminant"
+            for sub in ast.walk(scope)
+        )
+    ]
+
+
+def test_the_check_sees_calls_of_a_discriminant_method_only():
+    source = (
+        "def f(h):\n    return h.discriminant() == 0\n"
+        "def g(rng):\n    return _draw(make, lambda h: h.discriminant() != 0)\n"
+        "def k(c, r, p):\n    return c.discriminant, r.reduced_discriminant(), form_discriminant(p)\n"
+        "class Q:\n    def m(self):\n        return self.discriminant()\n"
+        "    def n(self):\n        return is_separable(self.form)\n"
+        "text = 'h.discriminant()'\n"
+    )
+    assert _discriminant_calls(ast.parse(source)) == ["f", "g", "Q.m"]
+
+
+def test_only_the_discriminant_relation_takes_a_quartic_discriminant():
+    # a quartic's smoothness is is_separable, a gcd of its partials; the
+    # Sylvester determinant runs only where its value is compared with
+    # -4f^3 - 27g^2
+    assert _package_findings(_discriminant_calls) == {"hermite_aj.py": ["discr_relation_check"]}
 
 
 ST, UV = ("s", "t"), ("U", "V")
