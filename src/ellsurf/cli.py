@@ -52,6 +52,7 @@ from .exactpoly import (
     MAX_POLY_DEGREE,
     DegreeMismatch,
     HomPoly,
+    NotHomogeneous,
     ParseError,
     divexact_form,
     form_partials,
@@ -360,11 +361,8 @@ def _parse_input(key: str, m: re.Match, line: int, col: int, source: str):
         raise ParseError(f"poly degree above {MAX_POLY_DEGREE}", line, col + m.start("deg"))
     try:
         return parse_hompoly(expr, vars, int(degree), line=line, col=at)
-    except ParseError as exc:
-        message = str(exc)
-        if "homogeneous" in message or "declared degree" in message:
-            raise DegreeMismatch(f"{source}:{line}: {message}") from None
-        raise
+    except NotHomogeneous as exc:
+        raise DegreeMismatch(f"{source}:{line}: {exc}") from None
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:

@@ -23,10 +23,12 @@ base, ``_Rows``; each adds only how it reads its rows.
 
 The form gcd, exact division and squarefree split never leave the integer
 rows either: the power of the second variable splits off the ``num``
-tuple, and the rest is a primitive remainder sequence, one pseudo-division
-or Yun's loop on the reversed rows.  Monic normalisation divides ``num``
-by its leading entry.  By Gauss's lemma a quotient by a primitive gcd is
-integral, and a power ``(num^n, den^n)`` is already in lowest terms.
+tuple, and the rest is a heuristic gcd (one integer gcd of the rows'
+values at a power of two, confirmed by trial division), one
+pseudo-division or Yun's loop on the reversed rows.  Monic normalisation
+divides ``num`` by its leading entry.  By Gauss's lemma a quotient by a
+primitive gcd is integral, and a power ``(num^n, den^n)`` is already in
+lowest terms.
 
 The module is also the one home of the exact scalar primitives the other
 layers build on, and of their input contract on forms:
@@ -94,6 +96,11 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, col {col})")
         self.line = line
         self.col = col
+
+
+class NotHomogeneous(ParseError):
+    """Form text whose terms do not share one total degree, or whose degree
+    is not the declared one."""
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -516,16 +523,93 @@ def _int_primitive(coeffs: Sequence[int]) -> list[int]:
     return [v // g for v in coeffs]
 
 
+def _xi_candidate(a: Sequence[int], b: Sequence[int], k: int) -> list[int]:
+    """The heuristic gcd's candidate at ``xi = 2^k``: the primitive part,
+    with a positive lead, of the polynomial whose coefficients are the
+    symmetric base-``xi`` digits (in ``(-xi/2, xi/2]``) of
+    ``gcd(a(xi), b(xi))``.  The two values must not both be zero."""
+    values = []
+    for row in (a, b):
+        acc = 0
+        for x in reversed(row):
+            acc = (acc << k) + x
+        values.append(acc)
+    gamma = gcd(*values)
+    xi, half = 1 << k, 1 << (k - 1)
+    digits = []
+    # len // k + 1 digits hold gamma and the carry out of its top digit
+    for _ in range(gamma.bit_length() // k + 1):
+        d = gamma & (xi - 1)
+        if d > half:
+            d -= xi
+        digits.append(d)
+        gamma = (gamma - d) >> k
+    if digits[-1] == 0:  # the top digit is at most half: nothing carried
+        digits.pop()
+    h = _int_primitive(digits)
+    return h if h[-1] > 0 else [-x for x in h]
+
+
+def _xi_bits(a: Sequence[int], b: Sequence[int]) -> tuple[int, int]:
+    """``(k, k_max)`` for the primitive, nonconstant lists ``a`` and ``b``:
+    the first ``k`` of the heuristic gcd, and one at which its candidate is
+    the gcd (see ``_int_gcd``)."""
+    n, m = len(a) - 1, len(b) - 1
+    na, nb = max(map(abs, a)), max(map(abs, b))
+    # |a|_2 <= sqrt(n + 1) * |a|_inf < 2^la
+    la = na.bit_length() + ((n + 1).bit_length() + 1) // 2
+    lb = nb.bit_length() + ((m + 1).bit_length() + 1) // 2
+    k_max = m * (n + la) + n * (m + lb) + min(n + la, m + lb) + 2
+    return (2 * min(na, nb) + 1).bit_length(), k_max
+
+
 def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Primitive gcd, with a positive leading coefficient, of two integer
-    coefficient lists (ascending order), one of which may be zero, by a
-    primitive pseudo-remainder sequence.  A nonzero list has a nonzero top."""
+    coefficient lists (ascending order), one of which may be zero.  A
+    nonzero list has a nonzero top.
+
+    The heuristic gcd (Char, Geddes and Gonnet, J. Symbolic Comput. 7
+    (1989) 31-48) evaluates both inputs at ``xi = 2^k`` and reads the
+    integer gcd of the two values back as a polynomial (``_xi_candidate``),
+    so the work is one C integer gcd.  For primitive, nonconstant ``a``
+    and ``b``:
+
+    * ``k`` starts as the bit length of ``2 * min(|a|_inf, |b|_inf) + 1``,
+      so ``xi >= 2 * min + 2``.  By Cauchy's bound every root of the input
+      with the smaller norm lies below ``xi / 2`` in absolute value, so
+      every nonconstant integer factor ``F`` of it has ``|F(xi)| > xi / 2``.
+    * The true gcd ``G`` divides both values, so ``G(xi)`` divides their gcd
+      ``gamma``.  A constant candidate means ``0 < gamma <= xi / 2``, so
+      ``G`` is constant and the answer is ``[1]``, with no division.
+    * A nonconstant candidate ``h`` is accepted iff it divides ``a`` and
+      ``b``.  Then ``G = h * Q``, and ``h(xi) * Q(xi)`` divides
+      ``gamma = cont * h(xi)``, whose digit content is at most ``xi / 2``;
+      so ``|Q(xi)| <= xi / 2``, ``Q`` is a unit, and ``h`` is the gcd.
+    * A rejected candidate doubles ``k``, up to the ``k_max`` of
+      ``_xi_bits``, where the candidate is the gcd.  With ``a = G * A`` and
+      ``b = G * B``, ``gamma = c * G(xi)`` where ``c = gcd(A(xi), B(xi))``
+      divides ``res(A, B)``, which is not zero.  Mignotte's bound gives
+      ``|A|_2 < 2^(n + L_a)`` for ``n = deg a`` and any ``L_a`` with
+      ``|a|_2 < 2^L_a``; likewise for ``B`` and ``G``.  Hadamard's bound
+      gives ``|c| < 2^(m (n + L_a) + n (m + L_b))`` for ``m = deg b``.  So
+      ``|c * G|_inf < xi / 4`` at ``k_max``: the digits of ``gamma`` are the
+      coefficients of ``c * G``, and its primitive part is ``G``.
+    """
     a, b = _int_primitive(a), _int_primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _int_primitive(_int_divmod(a, b)[1])
-    return a if a[-1] > 0 else [-x for x in a]
+    if not a or not b:
+        g = a or b
+        return g if g[-1] > 0 else [-x for x in g]
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    k, k_max = _xi_bits(a, b)
+    for _ in range(k_max.bit_length()):  # k doubles past k_max within as many steps
+        if k >= k_max:
+            break
+        h = _xi_candidate(a, b, k)
+        if len(h) == 1 or not (_int_divmod(a, h)[1] or _int_divmod(b, h)[1]):
+            return h
+        k *= 2
+    return _xi_candidate(a, b, k_max)
 
 
 def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -1175,12 +1259,12 @@ def parse_hompoly(
             raise ParseError("zero form needs an explicit degree", line, col)
         return HomPoly.zero(vars, degree)
     if len(degrees) != 1:
-        raise ParseError(
+        raise NotHomogeneous(
             f"terms are not homogeneous (total degrees {sorted(degrees)})", line, col
         )
     d = degrees.pop()
     if degree is not None and degree != d:
-        raise ParseError(f"declared degree {degree} but terms have degree {d}", line, col)
+        raise NotHomogeneous(f"declared degree {degree} but terms have degree {d}", line, col)
     if d > MAX_POLY_DEGREE:
         raise ParseError(f"terms of degree above {MAX_POLY_DEGREE}", line, col)
     coeffs = [Fraction(0)] * (d + 1)

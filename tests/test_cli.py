@@ -559,6 +559,12 @@ def test_degree_mismatch_on_wrong_declared_degree():
         parse("name x\nkind fiber-config\npoly f on s,t deg 5 = s^4\n")
 
 
+def test_a_variable_named_homogeneous_is_an_unknown_variable():
+    # the parse error's class picks DegreeMismatch, not words in its message
+    with pytest.raises(ParseError, match="unknown variable 'homogeneous'"):
+        parse("name x\nkind fiber-config\npoly f on s,t deg 1 = homogeneous\n")
+
+
 def test_validation_requires_expectation():
     with pytest.raises(ParseError, match="expect"):
         parse("name x\nkind fiber-config\nfamily rational-base\n")

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import corpus
 from corpus import affine, constructed_short_models, shift_x
 from ellsurf import duality as du
+from ellsurf import exactpoly
 from ellsurf.elliptic import (
     DegenerateModel,
     FiberConfiguration,
@@ -460,6 +461,34 @@ class TestC6PassSkip:
         invs = [invariants(m) for m in models]
         assert any(inv.c4.is_zero for inv in invs)
         assert any(inv.c6.is_zero for inv in invs)
+
+
+def _wide_model(seed: int, two_torsion: bool) -> WeierstrassModel:
+    """A seeded weight-4 model with 128-bit coefficients; ``a6 = 0`` when
+    ``two_torsion``."""
+    rng = random.Random(seed)
+
+    def form(degree: int) -> HomPoly:
+        return HomPoly.of(V, [rng.getrandbits(128) - (1 << 127) for _ in range(degree + 1)])
+
+    a2, a4 = form(8), form(16)
+    a6 = HomPoly.zero(V, 24) if two_torsion else form(24)
+    return WeierstrassModel(a2, a4, a6, 4)
+
+
+@pytest.mark.parametrize(
+    "two_torsion, summary", [(False, {"I1": 48}), (True, {"I1": 16, "I2": 16})]
+)
+def test_large_models_take_few_pseudo_divisions(monkeypatch, two_torsion, summary):
+    # the gcds under the squarefree split and refine_against divide only to
+    # confirm a candidate; a remainder sequence made 70 and 90 divisions here
+    divisions = []
+    divmod_ = exactpoly._int_divmod
+    monkeypatch.setattr(
+        exactpoly, "_int_divmod", lambda a, b: divisions.append(len(b)) or divmod_(a, b)
+    )
+    assert fiber_configuration(_wide_model(0, two_torsion)).summary() == summary
+    assert len(divisions) <= 20
 
 
 class TestTwoTorsionSections:

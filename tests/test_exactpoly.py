@@ -6,7 +6,8 @@ and the multiplicities of ``refine_against`` (through
 ``tate_oracle.form_multiplicities``); the package itself never imports it.
 The discriminant oracle reads sympy's affine discriminant at the declared
 degree by the classical degree-drop rule, not by the identity the package
-uses.
+uses.  The integer gcd is judged against sympy and against a test-local
+copy of the primitive pseudo-remainder sequence it replaced.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from corpus import affine
 from tate_oracle import form_multiplicities
 
+from ellsurf import exactpoly
 from ellsurf.exactpoly import (
     BiHomPoly,
     DegreeMismatch,
@@ -32,9 +34,13 @@ from ellsurf.exactpoly import (
     MAX_DIGITS,
     MAX_POLY_DEGREE,
     HomPoly,
+    NotHomogeneous,
     ParseError,
     SquarefreeSplit,
     UniPoly,
+    _int_gcd,
+    _xi_bits,
+    _xi_candidate,
     bareiss_det,
     check_forms,
     discriminant_form,
@@ -321,6 +327,124 @@ class TestGcd:
         ours = gcd_poly(p, q)
         theirs = sp.gcd(_to_sympy(p), _to_sympy(q)).monic()
         assert _to_sympy(ours) == theirs
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The primitive part of an integer row with a positive lead; ``[]`` for
+    zero."""
+    g = math.gcd(*row)
+    if g == 0:
+        return []
+    return [x // g if row[-1] > 0 else -x // g for x in row]
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive pseudo-remainder sequence the integer gcd ran before
+    the heuristic gcd, kept as an oracle that shares no code with it."""
+
+    def pseudo_remainder(p: list[int], q: list[int]) -> list[int]:
+        r = list(p)
+        while len(r) >= len(q):
+            top, shift = r[-1], len(r) - len(q)
+            r = [x * q[-1] for x in r]
+            for i, y in enumerate(q):
+                r[i + shift] -= top * y
+            while r and r[-1] == 0:
+                r.pop()
+        return r
+
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(pseudo_remainder(a, b))
+    return a
+
+
+def _row_product(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _sympy_gcd(a: list[int], b: list[int]) -> list[int]:
+    g = sp.gcd(sp.Poly(a[::-1], _X, domain="ZZ"), sp.Poly(b[::-1], _X, domain="ZZ"))
+    return _primitive([int(c) for c in g.all_coeffs()[::-1]])
+
+
+# coefficients of 100 to 400 bits, or zero below the top
+_wide_bits = st.builds(
+    lambda sign, x: sign * x, st.sampled_from((1, -1)), st.integers(1 << 99, (1 << 400) - 1)
+)
+_wide_entry = st.one_of(st.just(0), _wide_bits)
+
+
+def _wide_rows(min_degree: int, max_degree: int):
+    return st.builds(
+        lambda low, top: low + [top],
+        st.lists(_wide_entry, min_size=min_degree, max_size=max_degree),
+        _wide_bits,
+    )
+
+
+class TestIntegerGcd:
+    """The kernel under ``gcd_form``, ``is_separable`` and the squarefree split."""
+
+    def test_the_contract(self):
+        # primitive, positive lead; one zero input; a constant input
+        assert _int_gcd([4, -6], []) == [-2, 3]
+        assert _int_gcd([0], [0, -5]) == [0, 1]
+        assert _int_gcd([-6], [2, 4, 8]) == [1]
+        assert _int_gcd([2, 4, 8], [-6]) == [1]
+        assert _int_gcd([-3, 0, 3], [-2, -2]) == [1, 1]
+        assert _int_gcd([-2, -4], [0, 3, 6]) == [1, 2]
+        assert _int_gcd([1, 2, 1], [1, 2, 1]) == [1, 2, 1]
+
+    def test_an_unlucky_point_is_refused_by_trial_division(self, monkeypatch):
+        # a = 3x - 2 and b = -x - 1 are coprime, but at xi = 4 their values
+        # 10 and -5 share 5 = 1 + 4, read back as x + 1
+        a, b = [-2, 3], [-1, -1]
+        assert _xi_bits(a, b)[0] == 2
+        assert _xi_candidate(a, b, 2) == [1, 1]
+        divisions = []
+        divmod_ = exactpoly._int_divmod
+        monkeypatch.setattr(
+            exactpoly, "_int_divmod", lambda p, q: divisions.append(q) or divmod_(p, q)
+        )
+        assert _int_gcd(a, b) == [1]
+        assert divisions == [[1, 1]]
+
+    @given(g=_wide_rows(1, 4), p=_wide_rows(0, 4), q=_wide_rows(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_wide_rows_with_a_planted_factor_against_the_prs_and_sympy(self, g, p, q):
+        a, b = _row_product(g, p), _row_product(g, q)
+        ours = _int_gcd(a, b)
+        assert ours == _prs_gcd(a, b) == _sympy_gcd(a, b)
+        assert math.gcd(*ours) == 1 and ours[-1] > 0
+        assert len(ours) >= len(g)
+
+    def test_the_candidate_at_the_last_point_is_the_gcd(self):
+        # seeded inputs on which the first candidate is not the gcd; the
+        # last point must give it with no trial division
+        rng = random.Random(20261019)
+
+        def row(degree: int) -> list[int]:
+            return [rng.randint(-3, 3) for _ in range(degree)] + [rng.choice((-2, -1, 1, 2))]
+
+        unlucky = 0
+        for _ in range(3000):
+            g = row(rng.randint(0, 3))
+            a = _primitive(_row_product(g, row(rng.randint(1, 5))))
+            b = _primitive(_row_product(g, row(rng.randint(1, 5))))
+            k, k_max = _xi_bits(a, b)
+            want = _prs_gcd(a, b)
+            if _xi_candidate(a, b, k) != want:
+                unlucky += 1
+                assert _xi_candidate(a, b, k_max) == want
+                assert _int_gcd(a, b) == want
+        assert unlucky >= 20
 
 
 def _disc(p: UniPoly):
@@ -1161,10 +1285,14 @@ class TestParsing:
         assert err.value.col == 7
 
     def test_homogeneity_enforced(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(NotHomogeneous):
             parse_hompoly("s^2 + t", ("s", "t"))
-        with pytest.raises(ParseError):
+        with pytest.raises(NotHomogeneous):
             parse_hompoly("s^2 - t^2", ("s", "t"), degree=4)
+        # the class, not the message, says what failed
+        with pytest.raises(ParseError, match="unknown variable 'homogeneous'") as err:
+            parse_hompoly("homogeneous", ("s", "t"), degree=1)
+        assert not isinstance(err.value, NotHomogeneous)
 
     def test_zero_denominator_is_a_parse_error(self):
         with pytest.raises(ParseError) as err:

@@ -29,7 +29,9 @@ smoothness is a separability test: only ``discr_relation_check`` calls a
 invariants have one cache, the ``GramLattice`` object itself: the lattice
 eliminations run on raw Gram rows and never mention or reach the class,
 and no module memoizes through ``functools.lru_cache`` or
-``functools.cache``.
+``functools.cache``.  The integer gcd retries over a computed range: no
+``while`` loop runs in it or its own helpers, so no remainder sequence
+comes back.
 """
 
 import ast
@@ -514,6 +516,27 @@ def test_the_squarefree_split_never_reaches_unipoly():
     assert {"_int_gcd", "_int_divmod"} <= closure.keys()
     for name, node in closure.items():
         assert not _mentions(node) & _OFF_THE_SPLIT, (name, node.lineno)
+
+
+def _while_loops(tree: ast.AST) -> list[int]:
+    """Line numbers of the ``while`` loops, whatever their condition."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.While)]
+
+
+def test_the_check_sees_while_loops_only():
+    source = "while x:\n    pass\nfor i in range(3):\n    while True:\n        pass\nwhile_ = 1\n"
+    assert _while_loops(ast.parse(source)) == [1, 4]
+
+
+def test_the_integer_gcd_retries_over_a_computed_range():
+    # the heuristic gcd doubles its point a bounded number of times; no
+    # remainder sequence runs until a remainder vanishes.  Its trial
+    # division is the one pseudo-division, bounded by the degrees.
+    closure = _function_closure(_module_tree("exactpoly"), "_int_gcd")
+    assert closure.pop("_int_divmod")
+    assert {"_int_gcd", "_xi_candidate", "_xi_bits"} <= closure.keys()
+    for name, node in closure.items():
+        assert _while_loops(node) == [], name
 
 
 def _redefined(tree: ast.Module, base: str, subclasses) -> dict[str, list[str]]:
