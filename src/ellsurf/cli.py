@@ -142,11 +142,12 @@ class Family:
     ``check(sc, rng)`` runs one trial: it raises ``_CheckFailure`` or
     returns the trial's witness, kept from the first trial as
     ``first_instance`` (or, when ``tally`` names an artifact, counted over
-    the trials that return true).  A family that is not ``randomized``
-    runs its check once and the check returns every artifact.  ``inputs``
-    maps each input the check reads to its directive, ``constraint`` is a
-    (predicate, message) pair the inputs must meet, and ``extra`` holds
-    fixed artifacts.
+    the trials that return true).  A witness may come as a zero-argument
+    callable that renders it; only the kept one is called.  A family that
+    is not ``randomized`` runs its check once and the check returns every
+    artifact.  ``inputs`` maps each input the check reads to its directive,
+    ``constraint`` is a (predicate, message) pair the inputs must meet, and
+    ``extra`` holds fixed artifacts.
     """
 
     kind: str
@@ -661,8 +662,10 @@ def _fmt_multiset(counts: dict[str, int]) -> str:
     return " + ".join(f"{n}*{label}" for label, n in sorted(counts.items()))
 
 
-def _fibers(sc: Scenario, instances) -> dict:
-    """Check the fibers of each (tag, model); the first one is the witness."""
+def _fibers(sc: Scenario, instances) -> Callable[[], dict]:
+    """Check the fibers of each (tag, model); the first one is the witness,
+    returned unrendered so that only the trial the driver keeps builds its
+    fiber table."""
     fibers, euler = sc.expect.get("fibers"), sc.expect.get("euler")
     witness = None
     for tag, model in instances:
@@ -676,13 +679,14 @@ def _fibers(sc: Scenario, instances) -> dict:
         if problem is not None:
             raise _CheckFailure(problem, {"fiber_table": _fiber_table(cfg)}, tag)
         if witness is None:
-            witness = {
-                "instance": tag,
-                "weight": cfg.weight,
-                "euler": cfg.euler_total,
-                "places": _fiber_table(cfg),
-            }
-    return witness
+            witness = tag, cfg
+    tag, cfg = witness
+    return lambda: {
+        "instance": tag,
+        "weight": cfg.weight,
+        "euler": cfg.euler_total,
+        "places": _fiber_table(cfg),
+    }
 
 
 @_family("rational-base", "fiber-config")
@@ -1308,8 +1312,8 @@ def _trials(family: Family, sc: Scenario, rng: random.Random, trials: int) -> di
             raise failure.in_trial(k) from None
         if family.tally is not None:
             artifacts[family.tally] += bool(result)
-        elif result is not None:
-            artifacts.setdefault("first_instance", result)
+        elif result is not None and "first_instance" not in artifacts:
+            artifacts["first_instance"] = result() if callable(result) else result
     return artifacts
 
 

@@ -24,8 +24,11 @@ base, ``_Rows``; each adds only how it reads its rows.
 The form gcd, exact division and squarefree split never leave the integer
 rows either: the power of the second variable splits off the ``num``
 tuple, and the rest is a heuristic gcd (one integer gcd of the rows'
-values at a power of two, confirmed by trial division), one
-pseudo-division or Yun's loop on the reversed rows.  Monic normalisation
+values at a power of two, confirmed by trial division) or one
+pseudo-division on the reversed rows.  The gcd returns the quotients of
+its trial division as cofactors, so Yun's loop and ``refine_against``
+read ``c / g`` and ``d / g`` off it and divide nothing themselves; a
+division by a monomial is a shift of the row.  Monic normalisation
 divides ``num`` by its leading entry.  By Gauss's lemma a quotient by a
 primitive gcd is integral, and a power ``(num^n, den^n)`` is already in
 lowest terms.
@@ -563,18 +566,22 @@ def _xi_bits(a: Sequence[int], b: Sequence[int]) -> tuple[int, int]:
     return (2 * min(na, nb) + 1).bit_length(), k_max
 
 
-def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive gcd, with a positive leading coefficient, of two integer
-    coefficient lists (ascending order), one of which may be zero.  A
-    nonzero list has a nonzero top.
+def _int_gcd(
+    a: Sequence[int], b: Sequence[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """``(h, a / h, b / h)`` for two integer coefficient lists (ascending
+    order), one of which may be zero: ``h`` is their primitive gcd, with a
+    positive leading coefficient, and ``a == h * (a / h)``,
+    ``b == h * (b / h)`` exactly.  A nonzero list has a nonzero top; the
+    cofactor of a zero input is ``[]``.
 
     The heuristic gcd (Char, Geddes and Gonnet, J. Symbolic Comput. 7
     (1989) 31-48) evaluates both inputs at ``xi = 2^k`` and reads the
     integer gcd of the two values back as a polynomial (``_xi_candidate``),
-    so the work is one C integer gcd.  For primitive, nonconstant ``a``
-    and ``b``:
+    so the work is one C integer gcd.  For the primitive parts ``a'`` and
+    ``b'``, nonconstant:
 
-    * ``k`` starts as the bit length of ``2 * min(|a|_inf, |b|_inf) + 1``,
+    * ``k`` starts as the bit length of ``2 * min(|a'|_inf, |b'|_inf) + 1``,
       so ``xi >= 2 * min + 2``.  By Cauchy's bound every root of the input
       with the smaller norm lies below ``xi / 2`` in absolute value, so
       every nonconstant integer factor ``F`` of it has ``|F(xi)| > xi / 2``.
@@ -586,30 +593,46 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
       ``gamma = cont * h(xi)``, whose digit content is at most ``xi / 2``;
       so ``|Q(xi)| <= xi / 2``, ``Q`` is a unit, and ``h`` is the gcd.
     * A rejected candidate doubles ``k``, up to the ``k_max`` of
-      ``_xi_bits``, where the candidate is the gcd.  With ``a = G * A`` and
-      ``b = G * B``, ``gamma = c * G(xi)`` where ``c = gcd(A(xi), B(xi))``
+      ``_xi_bits``, where the candidate is the gcd.  With ``a' = G * A`` and
+      ``b' = G * B``, ``gamma = c * G(xi)`` where ``c = gcd(A(xi), B(xi))``
       divides ``res(A, B)``, which is not zero.  Mignotte's bound gives
       ``|A|_2 < 2^(n + L_a)`` for ``n = deg a`` and any ``L_a`` with
-      ``|a|_2 < 2^L_a``; likewise for ``B`` and ``G``.  Hadamard's bound
+      ``|a'|_2 < 2^L_a``; likewise for ``B`` and ``G``.  Hadamard's bound
       gives ``|c| < 2^(m (n + L_a) + n (m + L_b))`` for ``m = deg b``.  So
       ``|c * G|_inf < xi / 4`` at ``k_max``: the digits of ``gamma`` are the
       coefficients of ``c * G``, and its primitive part is ``G``.
+
+    The cofactors cost nothing more: the trial division that accepts ``h``
+    runs on ``a`` and ``b`` themselves, and its quotients are exact, with
+    scale 1, since a primitive divisor of an integer list leaves an
+    integral quotient (Gauss's lemma).  A constant gcd leaves ``a`` and
+    ``b`` as they are, and a zero input leaves the other's signed content.
+    Only the ``k_max`` candidate, accepted without a trial, divides them
+    afterwards.
     """
-    a, b = _int_primitive(a), _int_primitive(b)
-    if not a or not b:
-        g = a or b
-        return g if g[-1] > 0 else [-x for x in g]
-    if len(a) == 1 or len(b) == 1:
-        return [1]
-    k, k_max = _xi_bits(a, b)
+    pa, pb = _int_primitive(a), _int_primitive(b)
+    if not pa or not pb:
+        h = pa or pb
+        if h[-1] < 0:
+            h = [-x for x in h]
+        return h, [a[-1] // h[-1]] if pa else [], [b[-1] // h[-1]] if pb else []
+    if len(pa) == 1 or len(pb) == 1:
+        return [1], list(a), list(b)
+    k, k_max = _xi_bits(pa, pb)
     for _ in range(k_max.bit_length()):  # k doubles past k_max within as many steps
         if k >= k_max:
             break
-        h = _xi_candidate(a, b, k)
-        if len(h) == 1 or not (_int_divmod(a, h)[1] or _int_divmod(b, h)[1]):
-            return h
+        h = _xi_candidate(pa, pb, k)
+        if len(h) == 1:
+            return h, list(a), list(b)
+        qa, rem, _ = _int_divmod(a, h)
+        if not rem:
+            qb, rem, _ = _int_divmod(b, h)
+            if not rem:
+                return h, qa, qb
         k *= 2
-    return _xi_candidate(a, b, k_max)
+    h = _xi_candidate(pa, pb, k_max)
+    return h, _int_divmod(a, h)[0], _int_divmod(b, h)[0]
 
 
 def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -619,7 +642,7 @@ def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
     """
     if p.is_zero and q.is_zero:
         return UniPoly.zero()
-    return UniPoly(tuple(_int_gcd(p.num, q.num))).monic()
+    return UniPoly(tuple(_int_gcd(p.num, q.num)[0])).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -856,12 +879,22 @@ def _affine_row(f: HomPoly) -> tuple[int, tuple[int, ...]]:
     return e, f.num[e:][::-1]
 
 
+def _monic_form(vars: tuple[str, str], e: int, row: Sequence[int]) -> HomPoly:
+    """The form with ``vars[1]``-power ``e`` and affine row ``row`` (the
+    inverse of ``_affine_row``) over its leading entry, so monic in the
+    first variable."""
+    lead = row[-1]
+    num = [0] * e + [x if lead > 0 else -x for x in reversed(row)]
+    return HomPoly(vars, *_lowest(num, abs(lead)))
+
+
 def divexact_form(p: HomPoly, f: HomPoly) -> HomPoly:
     """The form ``p / f``; raises ``ExactDivisionError`` on a remainder.
 
     The powers of ``vars[1]`` divide first; the rest is one integer
     pseudo-division of the affine rows, whose quotient has degree
-    ``p.degree - f.degree`` once it is exact.
+    ``p.degree - f.degree`` once it is exact.  A monomial ``f = c * t^e``
+    has a one-entry row, so dividing by it shifts and scales ``p``'s row.
     """
     p._check(f)
     if f.is_zero:
@@ -870,7 +903,10 @@ def divexact_form(p: HomPoly, f: HomPoly) -> HomPoly:
         return HomPoly.zero(p.vars, max(p.degree - f.degree, 0))
     (ep, a), (ef, b) = _affine_row(p), _affine_row(f)
     if ep >= ef:
-        quo, rem, scale = _int_divmod(a, b)
+        if len(b) == 1:
+            quo, rem, scale = (a if b[0] > 0 else [-x for x in a]), [], abs(b[0])
+        else:
+            quo, rem, scale = _int_divmod(a, b)
         if not rem:
             num = [0] * (ep - ef) + [x * f.den for x in reversed(quo)]
             return p._new(num, scale * p.den)
@@ -883,6 +919,7 @@ def gcd_form(p: HomPoly, q: HomPoly) -> HomPoly:
     The degree of the result is the actual gcd degree, not padded: the
     smaller power of ``vars[1]`` times the gcd of the affine rows, which
     is primitive and so already in lowest terms over its leading entry.
+    The gcd's cofactors are not read.
     """
     p._check(q)
     if p.is_zero and q.is_zero:
@@ -892,8 +929,7 @@ def gcd_form(p: HomPoly, q: HomPoly) -> HomPoly:
     if q.is_zero:
         return p.monic_in_first()
     (ep, a), (eq, b) = _affine_row(p), _affine_row(q)
-    g = _int_gcd(a, b)
-    return HomPoly(p.vars, (0,) * min(ep, eq) + tuple(g[::-1]), g[-1])
+    return _monic_form(p.vars, min(ep, eq), _int_gcd(a, b)[0])
 
 
 def is_separable(f: HomPoly) -> bool:
@@ -928,10 +964,11 @@ def squarefree_split(f: HomPoly) -> SquarefreeSplit:
 
     Yun's loop runs on the integer affine row (``vars[1] = 1``), where no
     multiplicity exceeds its degree; the power of ``vars[1]`` is the
-    factor at infinity.  Every divisor is a primitive gcd, so by Gauss's
-    lemma each quotient is integral and the pseudo-division's scale is 1.
-    Each factor is made monic as ``gcd_form`` makes it.  Factors are sorted
-    by degree, then coefficients.
+    factor at infinity.  It is the cofactor form of the loop: each pass
+    reads ``g = gcd(c, d)``, ``c / g`` and ``d / g`` off one ``_int_gcd``
+    and divides nothing itself, so the only pseudo-divisions are the
+    gcd's trial divisions.  Each factor is made monic as ``gcd_form``
+    makes it.  Factors are sorted by degree, then coefficients.
     """
     if f.is_zero:
         raise DegreeTooLow("zero form has no squarefree decomposition")
@@ -942,11 +979,10 @@ def squarefree_split(f: HomPoly) -> SquarefreeSplit:
     # deg c - 1, its top being lc(c) * sum((j - i) * deg a_j) over j > i
     c, d = list(row), _int_derivative(row)
     for i in range(len(row)):
-        g = _int_gcd(c, d)
+        g, c, d = _int_gcd(c, d)
         if i and len(g) > 1:
-            factors.append((HomPoly(f.vars, tuple(g[::-1]), g[-1]), i))
-        c = _int_divmod(c, g)[0]
-        d = _combine(_int_divmod(d, g)[0], 1, _int_derivative(c), 1, -1)[0]
+            factors.append((_monic_form(f.vars, 0, g), i))
+        d = _combine(d, 1, _int_derivative(c), 1, -1)[0]
         if len(c) == 1:
             break
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
@@ -959,25 +995,30 @@ def refine_against(f: HomPoly, q: HomPoly) -> list[tuple[HomPoly, int | None]]:
     Returns ``(piece, k)`` pairs: the pieces are coprime, monic in the
     first variable, multiply to ``f`` up to a unit, and every place of
     ``piece`` divides ``q`` exactly ``k`` times.  The zero ``q`` gives
-    ``[(f, None)]`` (every place divides it to any power).  Each pass that
-    does not stop divides a factor of degree >= 1 out of ``r``, so at most
-    ``deg q + 1`` passes are made.
+    ``[(f, None)]`` (every place divides it to any power); the zero ``f``
+    raises ``DegreeTooLow``.  Each pass that does not stop divides a factor
+    of degree >= 1 out of ``r``, so at most ``deg q + 1`` passes are made.
+
+    Pass ``k`` takes ``d = gcd(g, r)`` (``g = f`` and ``r = q`` at first),
+    ``g / d`` and ``r / d`` from one ``_int_gcd`` of the affine rows; the
+    smaller power of ``vars[1]`` goes to ``d``.  The piece ``g / d`` is
+    built from its row made monic, and ``d`` and ``r / d`` carry on as
+    rows: a constant factor of ``r`` changes neither the gcd nor the next
+    ``g / d``, so nothing else is divided.
     """
     f._check(q)
     if q.is_zero:
         return [(f, None)]
     pieces: list[tuple[HomPoly, int | None]] = []
-    g = f
-    r = q
+    (eg, g), (er, r) = _affine_row(f), _affine_row(q)
     for k in range(q.degree + 1):
-        d = gcd_form(g, r)
-        e = divexact_form(g, d)
-        if e.degree > 0:
-            pieces.append((e.monic_in_first(), k))
-        if d.degree == 0:
+        d, piece, r = _int_gcd(g, r)
+        ed = min(eg, er)
+        if eg > ed or len(piece) > 1:
+            pieces.append((_monic_form(f.vars, eg - ed, piece), k))
+        if ed == 0 and len(d) == 1:
             break
-        g = d
-        r = divexact_form(r, d)
+        eg, g, er = ed, d, er - ed
     return pieces
 
 

@@ -868,6 +868,19 @@ def test_run_fiber_failure_reports_table():
     }
 
 
+def test_run_renders_only_the_kept_witness(monkeypatch):
+    # every trial checks its fibers, but only the first trial's witness is
+    # kept, so only its fiber table is built
+    configs = []
+    real = cli._fiber_table
+    monkeypatch.setattr(cli, "_fiber_table", lambda cfg: configs.append(cfg) or real(cfg))
+    (pencil,) = [sc for sc in cli.bundled_scenarios() if sc.name == "rational-base-pencil"]
+    rep = cli.run(pencil, seed=0, trials_override=8)
+    assert (rep.status, rep.trials) == ("pass", 8)
+    assert len(configs) == 1
+    assert rep.artifacts["first_instance"]["places"] == real(configs[0])
+
+
 def test_run_failure_details_name_the_trial(monkeypatch):
     sc = parse(
         "name wrong-counts\nkind fiber-config\nfamily rational-base\n"
@@ -1318,12 +1331,16 @@ def test_emit_json_two_trial_digest_is_pinned(name):
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == expected, seed
 
 
-def test_verify_all_json_digest_is_pinned():
+@pytest.mark.parametrize(
+    "seed, prefix",
+    enumerate(("bd0515e66fb0", "75538314a6ab", "29aee4fcdc72", "ea5f33ae5c15", "21ffbe851d77")),
+)
+def test_verify_all_json_digest_is_pinned(seed, prefix):
     # the whole bundle at its own trial counts, which the digests above pin
     # for most scenarios only at two trials
-    code, out, _ = call_main(["verify", "--all", "--format", "json", "--seed", "0"])
+    code, out, _ = call_main(["verify", "--all", "--format", "json", "--seed", str(seed)])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "bd0515e66fb0"
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == prefix
 
 
 def test_pinned_digests_cover_the_bundle():

@@ -491,6 +491,43 @@ def test_large_models_take_few_pseudo_divisions(monkeypatch, two_torsion, summar
     assert len(divisions) <= 20
 
 
+def test_every_pseudo_division_of_the_fiber_classification_is_a_gcd_trial(monkeypatch):
+    # the squarefree split and refine_against read the quotients off the
+    # gcd, so a division happens only inside _int_gcd, after a nonconstant
+    # candidate, once for each input at most
+    state = {"in_gcd": False, "candidate": None, "divisions": 0}
+    tally = {"candidates": 0, "divisions": 0}
+    int_gcd, candidate, divmod_ = exactpoly._int_gcd, exactpoly._xi_candidate, exactpoly._int_divmod
+
+    def gcd_(a, b):
+        state.update(in_gcd=True, candidate=None)
+        try:
+            return int_gcd(a, b)
+        finally:
+            state["in_gcd"] = False
+
+    def candidate_(a, b, k):
+        h = candidate(a, b, k)
+        state.update(candidate=h, divisions=0)
+        tally["candidates"] += len(h) > 1
+        return h
+
+    def division(a, b):
+        assert state["in_gcd"] and len(state["candidate"] or ()) > 1
+        assert b == state["candidate"] and state["divisions"] < 2
+        state["divisions"] += 1
+        tally["divisions"] += 1
+        return divmod_(a, b)
+
+    monkeypatch.setattr(exactpoly, "_int_gcd", gcd_)
+    monkeypatch.setattr(exactpoly, "_xi_candidate", candidate_)
+    monkeypatch.setattr(exactpoly, "_int_divmod", division)
+    models = _valuation_corpus() + [_wide_model(0, False), _wide_model(0, True)]
+    for model in models:
+        fiber_configuration(model)
+    assert 0 < tally["divisions"] <= 2 * tally["candidates"]
+
+
 class TestTwoTorsionSections:
     def test_regular_base_point_is_among_the_first_deg_plus_one_candidates(self):
         from ellsurf.elliptic import _regular_base_point

@@ -7,11 +7,15 @@ and the multiplicities of ``refine_against`` (through
 The discriminant oracle reads sympy's affine discriminant at the declared
 degree by the classical degree-drop rule, not by the identity the package
 uses.  The integer gcd is judged against sympy and against a test-local
-copy of the primitive pseudo-remainder sequence it replaced.
+copy of the primitive pseudo-remainder sequence it replaced, and its
+cofactors by the schoolbook product; the squarefree split and
+``refine_against``, which read those cofactors, against test-local copies
+of the loops that divided by the gcd instead.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -369,6 +373,23 @@ def _row_product(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _stripped(row: list[int]) -> list[int]:
+    """``row`` without its zero top entries: ``[]`` for zero."""
+    top = max((i + 1 for i, x in enumerate(row) if x), default=0)
+    return list(row[:top])
+
+
+def _checked_gcd(a: list[int], b: list[int]) -> list[int]:
+    """``h`` of ``_int_gcd(a, b) == (h, qa, qb)``, after checking its
+    cofactor contract ``a == h * qa`` and ``b == h * qb`` with the
+    schoolbook product; a zero input has the cofactor ``[]``."""
+    h, qa, qb = _int_gcd(a, b)
+    for row, cofactor in ((a, qa), (b, qb)):
+        assert _stripped(_row_product(h, cofactor) if cofactor else []) == _stripped(row)
+        assert (cofactor == []) == (_stripped(row) == [])
+    return h
+
+
 def _sympy_gcd(a: list[int], b: list[int]) -> list[int]:
     g = sp.gcd(sp.Poly(a[::-1], _X, domain="ZZ"), sp.Poly(b[::-1], _X, domain="ZZ"))
     return _primitive([int(c) for c in g.all_coeffs()[::-1]])
@@ -394,13 +415,29 @@ class TestIntegerGcd:
 
     def test_the_contract(self):
         # primitive, positive lead; one zero input; a constant input
-        assert _int_gcd([4, -6], []) == [-2, 3]
-        assert _int_gcd([0], [0, -5]) == [0, 1]
-        assert _int_gcd([-6], [2, 4, 8]) == [1]
-        assert _int_gcd([2, 4, 8], [-6]) == [1]
-        assert _int_gcd([-3, 0, 3], [-2, -2]) == [1, 1]
-        assert _int_gcd([-2, -4], [0, 3, 6]) == [1, 2]
-        assert _int_gcd([1, 2, 1], [1, 2, 1]) == [1, 2, 1]
+        assert _checked_gcd([4, -6], []) == [-2, 3]
+        assert _checked_gcd([0], [0, -5]) == [0, 1]
+        assert _checked_gcd([-6], [2, 4, 8]) == [1]
+        assert _checked_gcd([2, 4, 8], [-6]) == [1]
+        assert _checked_gcd([-3, 0, 3], [-2, -2]) == [1, 1]
+        assert _checked_gcd([-2, -4], [0, 3, 6]) == [1, 2]
+        assert _checked_gcd([1, 2, 1], [1, 2, 1]) == [1, 2, 1]
+
+    def test_the_cofactors(self, monkeypatch):
+        # a zero input leaves the other's signed content, a constant input
+        # both inputs as they are; neither divides
+        divisions = []
+        divmod_ = exactpoly._int_divmod
+        monkeypatch.setattr(
+            exactpoly, "_int_divmod", lambda p, q: divisions.append(q) or divmod_(p, q)
+        )
+        assert _int_gcd([4, -6], []) == ([-2, 3], [-2], [])
+        assert _int_gcd([0], [0, -5]) == ([0, 1], [], [-5])
+        assert _int_gcd([-6], [2, 4, 8]) == ([1], [-6], [2, 4, 8])
+        assert divisions == []
+        # the contents stay in the cofactors
+        assert _int_gcd([-6, 0, 6], [4, 4]) == ([1, 1], [-6, 6], [4])
+        assert _int_gcd([3, 6, 3], [-1, 0, 1]) == ([1, 1], [3, 3], [-1, 1])
 
     def test_an_unlucky_point_is_refused_by_trial_division(self, monkeypatch):
         # a = 3x - 2 and b = -x - 1 are coprime, but at xi = 4 their values
@@ -413,22 +450,25 @@ class TestIntegerGcd:
         monkeypatch.setattr(
             exactpoly, "_int_divmod", lambda p, q: divisions.append(q) or divmod_(p, q)
         )
-        assert _int_gcd(a, b) == [1]
+        assert _checked_gcd(a, b) == [1]
         assert divisions == [[1, 1]]
 
     @given(g=_wide_rows(1, 4), p=_wide_rows(0, 4), q=_wide_rows(0, 4))
     @settings(max_examples=40, deadline=None)
     def test_wide_rows_with_a_planted_factor_against_the_prs_and_sympy(self, g, p, q):
         a, b = _row_product(g, p), _row_product(g, q)
-        ours = _int_gcd(a, b)
+        ours = _checked_gcd(a, b)
         assert ours == _prs_gcd(a, b) == _sympy_gcd(a, b)
         assert math.gcd(*ours) == 1 and ours[-1] > 0
         assert len(ours) >= len(g)
 
-    def test_the_candidate_at_the_last_point_is_the_gcd(self):
+    def test_the_candidate_at_the_last_point_is_the_gcd(self, monkeypatch):
         # seeded inputs on which the first candidate is not the gcd; the
-        # last point must give it with no trial division
+        # last point must give it with no trial division.  With the first
+        # point moved to k_max the kernel takes that candidate, and its
+        # cofactors come from the one division of each input after it.
         rng = random.Random(20261019)
+        xi_bits = exactpoly._xi_bits
 
         def row(degree: int) -> list[int]:
             return [rng.randint(-3, 3) for _ in range(degree)] + [rng.choice((-2, -1, 1, 2))]
@@ -440,10 +480,13 @@ class TestIntegerGcd:
             b = _primitive(_row_product(g, row(rng.randint(1, 5))))
             k, k_max = _xi_bits(a, b)
             want = _prs_gcd(a, b)
+            assert _checked_gcd(a, b) == want
             if _xi_candidate(a, b, k) != want:
                 unlucky += 1
                 assert _xi_candidate(a, b, k_max) == want
-                assert _int_gcd(a, b) == want
+                with monkeypatch.context() as patch:
+                    patch.setattr(exactpoly, "_xi_bits", lambda a, b: (xi_bits(a, b)[1],) * 2)
+                    assert _checked_gcd(a, b) == want
         assert unlucky >= 20
 
 
@@ -834,6 +877,123 @@ class TestSquarefree:
         f = HomPoly.of(ST, (0, 1, 0))
         assert refine_against(f, HomPoly.zero(ST, 3)) == [(f, None)]
 
+    def test_refine_against_refuses_a_zero_form(self):
+        # a zero form has no places to split, whatever its degree
+        q = HomPoly.of(ST, (1, 0, -1))
+        for d in range(1, 4):
+            with pytest.raises(DegreeTooLow):
+                refine_against(HomPoly.zero(ST, d), q)
+
+
+def _rows_of(f: HomPoly) -> tuple[int, list[int]]:
+    """The power of ``t`` in ``f`` and the numerators of ``f(s, 1)`` in
+    ascending powers of ``s``."""
+    e = f.second_var_multiplicity()
+    return e, list(f.num[e:][::-1])
+
+
+def _pseudo_divexact(p: HomPoly, f: HomPoly) -> HomPoly:
+    """``p / f`` for an exact division, by one pseudo-division of the rows."""
+    (ep, a), (ef, b) = _rows_of(p), _rows_of(f)
+    quo, rem, scale = exactpoly._int_divmod(a, b)
+    assert ep >= ef and not rem
+    tail = [Fraction(x * f.den, scale * p.den) for x in reversed(quo)]
+    return HomPoly.of(p.vars, [0] * (ep - ef) + tail)
+
+
+def _gcd_then_divide_split(f: HomPoly) -> SquarefreeSplit:
+    """Yun's loop as it ran before the gcd returned its cofactors: each
+    pass reads the gcd alone and pseudo-divides ``c`` and ``d`` by it."""
+    e, row = _rows_of(f)
+    factors = [(HomPoly.var_power(f.vars, 1, 1), e)] if e else []
+    c, d = row, [i * x for i, x in enumerate(row)][1:]
+    for i in range(len(row)):
+        g = _int_gcd(c, d)[0]
+        if i and len(g) > 1:
+            factors.append((HomPoly(f.vars, tuple(g[::-1]), g[-1]), i))
+        c = exactpoly._int_divmod(c, g)[0]
+        d = exactpoly._int_divmod(d, g)[0]
+        dc = [i * x for i, x in enumerate(c)][1:]
+        d = [x - y for x, y in itertools.zip_longest(d, dc, fillvalue=0)]
+        if len(c) == 1:
+            break
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return SquarefreeSplit(Fraction(row[-1], f.den), tuple(factors))
+
+
+def _gcd_then_divide_refine(f: HomPoly, q: HomPoly) -> list:
+    """``refine_against`` as it ran before the gcd returned its cofactors:
+    each pass takes ``gcd_form`` and divides ``g`` and ``r`` by it."""
+    if q.is_zero:
+        return [(f, None)]
+    pieces = []
+    g, r = f, q
+    for k in range(q.degree + 1):
+        d = gcd_form(g, r)
+        e = _pseudo_divexact(g, d)
+        if e.degree > 0:
+            pieces.append((e.monic_in_first(), k))
+        if d.degree == 0:
+            break
+        g, r = d, _pseudo_divexact(r, d)
+    return pieces
+
+
+# primitive forms of degree 1 or 2 prime to t, and scalars that are not
+# integers: a scalar times a product of them has that scalar's denominator
+_parts = (
+    st.lists(st.integers(-4, 4), min_size=2, max_size=3)
+    .filter(lambda row: row[0] != 0 and math.gcd(*row) == 1)
+    .map(lambda row: HomPoly.of(ST, row))
+)
+_scalars = st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(2, 5)).filter(
+    lambda c: c.denominator > 1
+)
+
+
+@st.composite
+def planted_multiplicities(draw):
+    """``c * t^e * product(part^m)``: one to three parts, multiplicities and
+    ``e`` up to 3, and a denominator of 2 to 5."""
+    form = draw(_scalars) * HomPoly.var_power(ST, 1, draw(st.integers(0, 3)))
+    for part in draw(st.lists(_parts, min_size=1, max_size=3)):
+        form = form * part ** draw(st.integers(1, 3))
+    return form
+
+
+@st.composite
+def planted_refinements(draw):
+    """``(f, q)``: ``f`` a scalar times ``t`` (now and then) times one to
+    three parts; ``q`` a scalar times ``t^e`` times each part of ``f`` and
+    one more part, each to a power up to 3."""
+    parts = draw(st.lists(_parts, min_size=1, max_size=3))
+    f = draw(_scalars) * HomPoly.var_power(ST, 1, draw(st.integers(0, 1)))
+    q = draw(_scalars) * HomPoly.var_power(ST, 1, draw(st.integers(0, 3)))
+    for part in parts + [draw(_parts)]:
+        if part in parts:
+            f = f * part
+        q = q * part ** draw(st.integers(0, 3))
+    return f, q
+
+
+class TestCofactorLoops:
+    """The loops that read the gcd's cofactors give what the loops that
+    divided by the gcd gave."""
+
+    @given(f=planted_multiplicities())
+    @settings(max_examples=80, deadline=None)
+    def test_the_squarefree_split(self, f):
+        assert f.den > 1
+        assert _split_fields(squarefree_split(f)) == _split_fields(_gcd_then_divide_split(f))
+
+    @given(pair=planted_refinements())
+    @settings(max_examples=80, deadline=None)
+    def test_refine_against(self, pair):
+        f, q = pair
+        assert f.den > 1 and q.den > 1
+        want = [(_fields(piece), k) for piece, k in _gcd_then_divide_refine(f, q)]
+        assert [(_fields(piece), k) for piece, k in refine_against(f, q)] == want
+
 
 class TestHomPoly:
     def test_arithmetic_and_degree_guards(self):
@@ -1039,6 +1199,11 @@ class TestFormKernelsOnTheRows:
             ("t^3", "t", "t^2"),
             ("1/3*s*t^4 - t^5", "t^2", "1/3*s*t^2 - t^3"),
             ("s^2*t^2 - t^4", "s*t - t^2", "s*t + t^2"),
+            # a monomial divisor: a shift and a scale, refused above the
+            # dividend's power of t
+            ("2*s*t^2 - 4*t^3", "-2/3*t^2", "-3*s + 6*t"),
+            ("s*t^2", "t^3", None),
+            ("s^3", "-2*t^2", None),
         ],
     )
     def test_divexact_edge_cases(self, dividend, divisor, want):
@@ -1057,6 +1222,23 @@ class TestFormKernelsOnTheRows:
         assert _fields(got) == _fields(form(want))
         assert _fields(got) == _fields(_round_trip_divexact_form(p, f))
         assert _lowest_terms(got.num, got.den)
+
+
+    def test_a_monomial_divisor_takes_no_pseudo_division(self, monkeypatch):
+        divisions = []
+        divmod_ = exactpoly._int_divmod
+        monkeypatch.setattr(
+            exactpoly, "_int_divmod", lambda p, q: divisions.append(q) or divmod_(p, q)
+        )
+        p = parse_hompoly("1/3*s^2*t^2 - 5*s*t^3 + 7/2*t^4", ST)
+        for divisor in ("6", "-1/4*t", "3/5*t^2"):
+            f = parse_hompoly(divisor, ST)
+            assert _fields(divexact_form(p, f)) == _fields(_pseudo_divexact(p, f))
+            assert divexact_form(p, f) * f == p
+        assert len(divisions) == 3  # the oracle's, one a divisor
+        with pytest.raises(ExactDivisionError):
+            divexact_form(p, parse_hompoly("-t^3", ST))
+        assert len(divisions) == 3
 
 
 class TestPowers:

@@ -31,7 +31,8 @@ eliminations run on raw Gram rows and never mention or reach the class,
 and no module memoizes through ``functools.lru_cache`` or
 ``functools.cache``.  The integer gcd retries over a computed range: no
 ``while`` loop runs in it or its own helpers, so no remainder sequence
-comes back.
+comes back.  The squarefree split and ``refine_against`` read their
+quotients off the gcd: neither mentions a division.
 """
 
 import ast
@@ -516,6 +517,17 @@ def test_the_squarefree_split_never_reaches_unipoly():
     assert {"_int_gcd", "_int_divmod"} <= closure.keys()
     for name, node in closure.items():
         assert not _mentions(node) & _OFF_THE_SPLIT, (name, node.lineno)
+
+
+def test_the_gcd_loops_read_the_quotients_off_the_gcd():
+    # Yun's loop and refine_against take the gcd's cofactors; neither
+    # divides by the gcd again
+    found = {
+        name: _mentions(node) & {"_int_divmod", "divexact_form"}
+        for name, node in _definitions(_module_tree("exactpoly"))
+        if name in ("squarefree_split", "refine_against")
+    }
+    assert found == {"squarefree_split": set(), "refine_against": set()}
 
 
 def _while_loops(tree: ast.AST) -> list[int]:
