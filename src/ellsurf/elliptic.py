@@ -107,8 +107,6 @@ class WeierstrassModel:
     weight: int
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("weight must be nonnegative")
         w = self.weight
         check_forms((self.a2, self.a4, self.a6), (2 * w, 4 * w, 6 * w), "a Weierstrass model")
 
@@ -179,11 +177,8 @@ def quadratic_twist(model: WeierstrassModel, d: HomPoly) -> WeierstrassModel:
 
 
 def _check_realizable(v_c4: int | None, v_c6: int | None, v_delta: int) -> None:
-    for v in (v_c4, v_c6):
-        if v is not None and v < 0:
-            raise ValueError("valuations must be nonnegative")
-    if v_delta < 0:
-        raise ValueError("valuations must be nonnegative")
+    if any(v is not None and v < 0 for v in (v_c4, v_c6, v_delta)):
+        raise InconsistentValuations("valuations must be nonnegative")
     if v_c4 is None and v_c6 is None:
         raise InconsistentValuations(
             "c4 and c6 cannot both vanish identically when delta does not"

@@ -154,10 +154,10 @@ class ShortCubic:
         return rat(eta) ** 2 == self.rhs(xi)
 
     def j_invariant(self) -> Fraction:
-        den = 4 * self.f**3 + 27 * self.g**2
-        if den == 0:
+        disc = self.discriminant
+        if disc == 0:
             raise SingularCurve("j-invariant of a singular cubic")
-        return 6912 * self.f**3 / den
+        return -6912 * self.f**3 / disc
 
 
 def jacobian_quartic(h: QuarticCurve) -> ShortCubic:

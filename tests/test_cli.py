@@ -483,6 +483,57 @@ def test_lattice_lines_parse_or_raise_a_parse_error(letter, index, scale, power)
     assert sc.lattices["a"] == la.direct_sum(*[block] * times)
 
 
+_FORM_TOKEN_RE = re.compile(r"[0-9]+(?:/[0-9]+)?|\w+|\S")
+
+
+@given(
+    vars=st.sampled_from([("s", "t"), ("U", "V"), ("x", "h0")]),
+    coeffs=st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)), min_size=1, max_size=7),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_rendered_form_reads_back_through_a_poly_line(vars, coeffs, rng):
+    # HomPoly.text() respelled: spaces between its tokens, and a '*' kept
+    # or left implicit
+    form = HomPoly.of(vars, coeffs)
+    text = ""
+    for token in _FORM_TOKEN_RE.findall(form.text()):
+        if token == "*" and rng.random() < 0.5:
+            token = " "
+        text += rng.choice(["", " ", "  "]) + token
+    line = f"poly f on {vars[0]},{vars[1]} deg {form.degree} = {text}"
+    assert parse(FIBER_HEAD + line + "\nexpect fibers 12*I1\n").polys["f"] == form
+
+
+# tokens of a poly line's terms and near misses: rationals, a zero
+# denominator, numbers at and over the 1 000-digit cap, the declared
+# names and an undeclared one, the operators, brackets and a stray character
+_POLY_PIECES = st.sampled_from(
+    ["3", "2/5", "1/0", "7" * 1000, "7" * 1001, "s", "t", "w"]
+    + ["^", "*", "+", "-", "(", ")", "$"]
+)
+
+
+@given(pieces=st.lists(st.tuples(st.sampled_from(["", " "]), _POLY_PIECES), min_size=1, max_size=8))
+@example(pieces=[("", "3"), ("", "s"), ("", "^"), ("", "4"), (" ", "-"), (" ", "t"), ("", "^"), ("", "4")])
+@example(pieces=[("", "s"), ("", "^")])
+@example(pieces=[("", "s"), ("", "^"), (" ", "t")])
+@example(pieces=[("", "s"), (" ", "+"), ("", "t")])
+@settings(max_examples=200, deadline=None)
+def test_poly_lines_parse_or_raise_an_error_at_a_column_of_the_line(pieces):
+    line = "poly f on s,t deg 4 = " + "".join(space + piece for space, piece in pieces)
+    try:
+        parse(FIBER_HEAD + line + "\nexpect fibers 12*I1\n")
+        return
+    except ParseError as exc:
+        where = (exc.line, exc.col)
+    except DegreeMismatch as exc:  # a NotHomogeneous ParseError, renamed
+        where = tuple(int(n) for n in re.search(r"line (\d+), col (\d+)\)$", str(exc)).groups())
+    # a column of the line, or the one just past its end where a missing
+    # exponent belongs
+    assert where[0] == 4 and 1 <= where[1] <= len(line.rstrip()) + 1
+
+
 def _grammar_fiber_item(text: str) -> tuple[str, int] | None:
     """One fiber item read by the grammar: a count [0-9]{1,1000} of at
     least one, '*', and the label I<n>, with n in [0-9]{1,1000}, or

@@ -206,6 +206,12 @@ class TestValuationTable:
         with pytest.raises(ValueError):
             kodaira_from_valuations(0, 0, -2)
 
+    def test_negative_valuations_are_inconsistent(self):
+        with pytest.raises(InconsistentValuations, match="valuations must be nonnegative"):
+            kodaira_from_valuations(-1, 0, 1)
+        with pytest.raises(InconsistentValuations, match="valuations must be nonnegative"):
+            kodaira_from_valuations(0, 0, -1)
+
 
 class TestOracleAgreement:
     def test_constructed_corpus(self):
@@ -254,6 +260,10 @@ class TestModelBasics:
             )
         m = WeierstrassModel(P("s^2"), HomPoly.zero(V, 4), P("t^6"), 1)
         assert m.weight == 1
+
+    def test_a_negative_weight_is_a_degree_mismatch(self):
+        with pytest.raises(DegreeMismatch, match="needs degrees"):
+            WeierstrassModel(P("s^2"), HomPoly.zero(V, 4), P("t^6"), -1)
 
     def test_short_models_take_their_weight_from_a4(self):
         a4, a6 = P("s^3*t - t^4"), P("s^5*t + 3*t^6")

@@ -207,26 +207,43 @@ def _reference_graph(trees) -> dict[str, set[str]]:
     """Each defined name to the defined names its definition mentions, as a
     bare name or as an attribute, outside annotations.  A method is also
     the node ``Class.method``: an attribute read off a class by its name
-    reaches that class's own method, not every method of the name.  Other
-    names are not resolved to modules or classes, and a class mentions what
-    its methods do, so the graph over-approximates every call."""
+    reaches that class's own method, not every method of the name, and one
+    read off ``self`` in a class that defines it reaches that method and
+    its overrides in the package's subclasses.  Other names are not
+    resolved to modules or classes, and a class mentions what its methods
+    do, so the graph over-approximates every call."""
     definitions = [pair for tree in trees for pair in _definitions(tree)]
     defined = {name for name, _ in definitions}
+    classes = [cls for _name, cls in definitions if isinstance(cls, ast.ClassDef)]
     methods = {
         f"{cls.name}.{item.name}": item
-        for _name, cls in definitions
-        if isinstance(cls, ast.ClassDef)
+        for cls in classes
         for item in cls.body
         if isinstance(item, ast.FunctionDef)
     }
+    # the class whose ``self`` a node reads, and each class with its subclasses
+    enclosing = {id(node): cls.name for cls in classes for node in [cls, *cls.body]}
+    bases = {cls.name: [b.id for b in cls.bases if isinstance(b, ast.Name)] for cls in classes}
+    family = {name: {name} for name in bases}
+    for name in bases:
+        todo = list(bases[name])
+        for base in todo:
+            if base in family and name not in family[base]:
+                family[base].add(name)
+                todo.extend(bases[base])
     graph: dict[str, set[str]] = {name: set() for name in defined | methods.keys()}
     for name, node in definitions + list(methods.items()):
+        cls = enclosing.get(id(node))
         for sub in _code_nodes(node):
             if isinstance(sub, ast.Name) and sub.id in defined:
                 graph[name].add(sub.id)
             elif isinstance(sub, ast.Attribute):
                 owner = sub.value.id if isinstance(sub.value, ast.Name) else None
-                if f"{owner}.{sub.attr}" in methods:
+                if owner == "self" and f"{cls}.{sub.attr}" in methods:
+                    graph[name].update(
+                        f"{c}.{sub.attr}" for c in family[cls] if f"{c}.{sub.attr}" in methods
+                    )
+                elif f"{owner}.{sub.attr}" in methods:
                     graph[name].add(f"{owner}.{sub.attr}")
                 elif sub.attr in defined:
                     graph[name].add(sub.attr)
@@ -275,6 +292,25 @@ def test_an_attribute_read_off_a_class_reaches_that_class_only():
     assert _reaches(graph, "g") == {"of", "x", "y"}
     # C does not define of, so C.of may be any method of that name
     assert {"of", "x", "y"} <= _reaches(graph, "h")
+
+
+def test_an_attribute_read_off_self_reaches_its_class_and_the_overrides():
+    source = (
+        "class A:\n    def d(self):\n        return x()\n"
+        "    def j(self):\n        return self.d() + self.e()\n"
+        "class B:\n    def d(self):\n        return y()\n"
+        "    def e(self):\n        return z()\n"
+        "class C(A):\n    def d(self):\n        return w()\n"
+        "def w():\n    pass\n"
+        "def x():\n    pass\n"
+        "def y():\n    pass\n"
+        "def z():\n    pass\n"
+    )
+    graph = _reference_graph([ast.parse(source)])
+    # A defines d, so self.d in A reaches A.d and the override C.d, not B.d;
+    # A does not define e, so self.e may be any method of that name
+    assert _reaches(graph, "A.j") == {"A.d", "C.d", "x", "w", "e", "z"}
+    assert "y" not in _reaches(graph, "A")
 
 
 def test_the_reference_graph_skips_annotations():
