@@ -43,6 +43,7 @@ from .elliptic import (
     DegenerateModel,
     FiberConfiguration,
     KodairaType,
+    WeierstrassModel,
     fiber_configuration,
     invariants,
     two_torsion_sections,
@@ -613,29 +614,31 @@ def _sample_three_lines_params(rng: random.Random, **fixed) -> du.ThreeLinesCubi
     return _draw(make)
 
 
-def _at_chain_level(params: du.ThreeLinesCubicParams, level: int) -> bool:
-    """The star at infinity of the three-lines model has ``level``, and the
-    finite nodal factor is separable and avoids both pinned star places."""
+def _at_chain_level(params: du.ThreeLinesCubicParams, level: int) -> WeierstrassModel | None:
+    """The three-lines model of ``params`` if its star at infinity has
+    ``level`` and the finite nodal factor is separable and avoids both
+    pinned star places, else None."""
+    model = du.three_lines_cubic_model(params)
     try:
-        delta = invariants(du.three_lines_cubic_model(params)).delta
+        delta = invariants(model).delta
     except DegenerateModel:
-        return False
+        return None
     vars = delta.vars
     stars = (HomPoly.of(vars, (1, params.mu)) * HomPoly.of(vars, (1, params.nu))) ** 6
     finite = divexact_form(delta, stars)
     if finite.second_var_multiplicity() != level:
-        return False
+        return None
     affine = divexact_form(finite, HomPoly.var_power(vars, 1, level))
     if not is_separable(affine):
-        return False
-    return affine(-params.mu, 1) != 0 and affine(-params.nu, 1) != 0
+        return None
+    if affine(-params.mu, 1) == 0 or affine(-params.nu, 1) == 0:
+        return None
+    return model
 
 
-def _sample_chain_params(rng: random.Random, level: int, **fixed):
-    return _draw(
-        lambda: _sample_three_lines_params(rng, **fixed),
-        lambda params: _at_chain_level(params, level),
-    )
+def _sample_chain_model(rng: random.Random, level: int, **fixed) -> WeierstrassModel:
+    """The three-lines model of the first parameters drawn at ``level``."""
+    return _draw(lambda: _at_chain_level(_sample_three_lines_params(rng, **fixed), level))
 
 
 # ---------------------------------------------------------------------------
@@ -754,8 +757,7 @@ def _quadruple_cover(sc, rng):
 
 @_family("three-lines", "fiber-config")
 def _three_lines(sc, rng):
-    params = _sample_chain_params(rng, 6)
-    return _fibers(sc, [("three-lines cubic", du.three_lines_cubic_model(params))])
+    return _fibers(sc, [("three-lines cubic", _sample_chain_model(rng, 6))])
 
 
 _CHAIN_ZEROS = {7: ("d2",), 8: ("d2", "e2"), 9: ("d2", "e2", "e1", "d1")}
@@ -772,8 +774,7 @@ _CHAIN_ZEROS = {7: ("d2",), 8: ("d2", "e2"), 9: ("d2", "e2", "e1", "d1")}
 )
 def _star_chain(sc, rng):
     level = int(sc.rats["level"])
-    params = _sample_chain_params(rng, level, **dict.fromkeys(_CHAIN_ZEROS[level], 0))
-    model = du.three_lines_cubic_model(params)
+    model = _sample_chain_model(rng, level, **dict.fromkeys(_CHAIN_ZEROS[level], 0))
     return _fibers(sc, [(f"sharpened chain, level {level}", model)])
 
 
@@ -826,7 +827,7 @@ def _refibered_pencil(sc, rng):
     def make():
         return du.refibration_jacobian(_draw_quadruple(lambda: _refiber_rows(rng)))
 
-    rj = _draw(make, lambda rj: _at_chain_level(rj.params, 6))
+    rj = _draw(make, lambda rj: _at_chain_level(rj.params, 6) is not None)
     return _fibers(sc, [("refibered pencil", rj.model)])
 
 
@@ -1106,8 +1107,9 @@ _BRANCH_PAIRS = (
 def _correspondence_routes(sc, rng):
     alpha, gamma, delta = _sample_correspondence_triple(rng)
     table = du.correspondence_surfaces(alpha, gamma, delta)
+    branches = du.correspondence_branches(alpha, gamma, delta)
     for key in _BRANCH_PAIRS:
-        one, other = table[key]
+        one, other = branches[key]
         if one != other:
             raise _CheckFailure(f"the two readings of {key} differ")
     if table["cad"] != tuple(form.rename(_SECOND) for form in (gamma, alpha, delta)):

@@ -15,7 +15,8 @@ data from exact rational input:
 * the towers of models that read one family on a ruling of the quadric
   (on its quotient pair, twisted there by a line, or on a double or
   fourfold cover), each built from one table of readings: the symmetric
-  correspondence family (``correspondence_surfaces``), the family with
+  correspondence family (``correspondence_surfaces``, with its branch
+  forms in ``correspondence_branches``), the family with
   full two-torsion (``full_torsion_surfaces``), and the small tower of a
   short pair (``subfamily_models``), which checks the full-torsion tower
   and so shares no code with it;
@@ -88,6 +89,7 @@ __all__ = [
     "TwoParamFamily",
     "base_change_k3",
     "bilinear_quadruple_surface",
+    "correspondence_branches",
     "correspondence_surfaces",
     "form_from_line_restriction",
     "full_torsion_surfaces",
@@ -524,38 +526,57 @@ def correspondence_surfaces(
     ``quot1`` and ``cover1`` are the pair's models, with the dual's under
     the ``_dual`` suffix; on the second ruling the roles are exchanged.
     ``"cad"`` is the ``rat`` reading of (gamma, alpha, delta) on the
-    second ruling.  ``branch_<r1>1_<r2>2``, for r1 and r2 in
-    {cover, quot}, holds the branch form of that double cover of the
-    quadric read by two independent routes, sum_j r1(c_j) (x) r2(m_j) and
-    sum_j r1(m_j) (x) r2(c_j) with c = (gamma, alpha, delta) and
-    m = (x^2, xy, y^2); the two are equal.  Raises ``DegenerateModel``
-    when gamma delta or alpha^2 - 4 gamma delta vanishes identically.
+    second ruling.  So only alpha and gamma delta are read under every
+    reading; the branch forms of the double covers are
+    ``correspondence_branches``.  Raises ``DegenerateModel`` when
+    gamma delta or alpha^2 - 4 gamma delta vanishes identically.
     """
     FamilyParams.from_triple(gamma, alpha, delta, 0, 0)
 
-    # (gamma, alpha, delta, gamma delta) under each reading of each ruling
-    forms = (gamma, alpha, delta, gamma * delta)
+    # (alpha, gamma delta) under each reading of each ruling
+    forms = (alpha, gamma * delta)
     read = [
         {kind: [r(form) for form in forms] for kind, r in readings.items()}
         for readings in _RULINGS
     ]
-    table: dict[str, object] = {"cad": tuple(read[1]["rat"][:3])}
+    table: dict[str, object] = {"cad": tuple(map(_RULINGS[1]["rat"], (gamma, alpha, delta)))}
     for kind in ("cover", "quot", "rat"):
         for ruling, side in enumerate(read, 1):
-            _, r_alpha, _, r_prod = side[kind]
+            r_alpha, r_prod = side[kind]
             pair = AlternatePair(-r_alpha, r_prod)
             listed, dual = pair.model(), two_isogeny_dual(pair).model()
             if ruling == 2:
                 listed, dual = dual, listed
             table[f"{kind}{ruling}"] = listed
             table[f"{kind}{ruling}_dual"] = dual
-    for first, second in itertools.product(("cover", "quot"), repeat=2):
-        c1, c2 = read[0][first][:3], read[1][second][:3]
-        table[f"branch_{first}1_{second}2"] = (
-            _tensor_sum(c1, _READ_MONOMIALS[1][second]),
-            _tensor_sum(_READ_MONOMIALS[0][first], c2),
-        )
     return table
+
+
+def correspondence_branches(
+    alpha: HomPoly, gamma: HomPoly, delta: HomPoly
+) -> dict[str, tuple[BiHomPoly, BiHomPoly]]:
+    """The branch forms of the double covers of the quadric attached to
+    the correspondence family of ``correspondence_surfaces``, whose input
+    triple and normalization check it shares.
+
+    ``branch_<r1>1_<r2>2``, for readings r1 and r2 in {cover, quot} of
+    the first and second ruling, holds the branch form of that double
+    cover read by two independent routes, sum_j r1(c_j) (x) r2(m_j) and
+    sum_j r1(m_j) (x) r2(c_j) with c = (gamma, alpha, delta) and
+    m = (x^2, xy, y^2); the two are equal.
+    """
+    FamilyParams.from_triple(gamma, alpha, delta, 0, 0)
+
+    kinds = ("cover", "quot")
+    curve = (gamma, alpha, delta)
+    read = [{kind: [readings[kind](c) for c in curve] for kind in kinds} for readings in _RULINGS]
+    return {
+        f"branch_{first}1_{second}2": (
+            _tensor_sum(read[0][first], _READ_MONOMIALS[1][second]),
+            _tensor_sum(_READ_MONOMIALS[0][first], read[1][second]),
+        )
+        for first, second in itertools.product(kinds, repeat=2)
+    }
 
 
 # ---------------------------------------------------------------------------

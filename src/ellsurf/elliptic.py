@@ -9,17 +9,30 @@ coefficients is exact: the standard invariants ``c4, c6, delta`` are forms,
 fibers are classified per place of the base from the valuation triple
 ``(v(c4), v(c6), v(delta))`` after local minimalization, and two-torsion
 sections are the forms of degree 2w that are roots of the right-hand cubic.
+
+The invariants are computed on the integer rows of the coefficient forms,
+with one lowest-terms reduction per form, and a model's invariants have one
+cache, the model itself: a ``WeierstrassModel`` is immutable, so it keeps
+them (``functools.cached_property``) from their first use, and every later
+``invariants``, ``fiber_configuration`` or ``two_torsion_sections`` of the
+same object reads them.  The row computation knows nothing of the class, an
+equal but distinct model computes its own, and a degenerate model raises
+``DegenerateModel`` on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .exactpoly import (
     MAX_DIGITS,
     DegreeMismatch,
     HomPoly,
+    _int_mul,
+    _lowest,
     check_forms,
     form_sqrt,
     rational_cubic_roots,
@@ -129,6 +142,11 @@ class WeierstrassModel:
             )
         return ((x + self.a2) * x + self.a4) * x + self.a6
 
+    @cached_property
+    def _invariants(self) -> ModelInvariants:
+        # kept from the first read; a degenerate model raises on every read
+        return _invariant_rows(self.a2, self.a4, self.a6)
+
 
 @dataclass(frozen=True)
 class ModelInvariants:
@@ -141,14 +159,37 @@ class ModelInvariants:
 
 def invariants(model: WeierstrassModel) -> ModelInvariants:
     """c4 = 16(a2^2 - 3 a4), c6 = -32(2 a2^3 - 9 a2 a4 + 27 a6),
-    delta = (c4^3 - c6^2)/1728.  Raises DegenerateModel if delta is zero."""
-    a2, a4, a6 = model.a2, model.a4, model.a6
-    c4 = 16 * (a2 * a2 - 3 * a4)
-    c6 = -32 * (2 * a2 * a2 * a2 - 9 * a2 * a4 + 27 * a6)
-    delta = (c4 * c4 * c4 - c6 * c6) * Fraction(1, 1728)
-    if delta.is_zero:
+    delta = (c4^3 - c6^2)/1728.  Raises DegenerateModel if delta is zero.
+
+    The model computes them once and keeps them."""
+    return model._invariants
+
+
+def _invariant_rows(a2: HomPoly, a4: HomPoly, a6: HomPoly) -> ModelInvariants:
+    """``invariants`` on the integer rows of the coefficient forms.
+
+    Over d = lcm of the three denominators, a2 = A2/d, a4 = A4/d^2 and
+    a6 = A6/d^3 with integer rows A2, A4, A6.  With X = A2^2 - 3 A4 and
+    Y = A2 (2 A2^2 - 9 A4) + 27 A6, c4 = 16 X / d^2, c6 = -32 Y / d^3 and
+    delta = 16 (4 X^3 - Y^2) / (27 d^6), each reduced to lowest terms once.
+    """
+    d = lcm(a2.den, a4.den, a6.den)
+    big2 = [n * (d // a2.den) for n in a2.num]
+    big4 = [n * (d * d // a4.den) for n in a4.num]
+    big6 = [n * (d**3 // a6.den) for n in a6.num]
+    sq = _int_mul(big2, big2)
+    x = [p - 3 * q for p, q in zip(sq, big4)]
+    y = _int_mul(big2, [2 * p - 9 * q for p, q in zip(sq, big4)])
+    y = [p + 27 * r for p, r in zip(y, big6)]
+    disc = [4 * p - q for p, q in zip(_int_mul(_int_mul(x, x), x), _int_mul(y, y))]
+    if not any(disc):
         raise DegenerateModel("discriminant vanishes identically")
-    return ModelInvariants(c4, c6, delta)
+    vars = a2.vars
+    return ModelInvariants(
+        HomPoly(vars, *_lowest([16 * n for n in x], d * d)),
+        HomPoly(vars, *_lowest([-32 * n for n in y], d**3)),
+        HomPoly(vars, *_lowest([16 * n for n in disc], 27 * d**6)),
+    )
 
 
 def quadratic_twist(model: WeierstrassModel, d: HomPoly) -> WeierstrassModel:

@@ -1377,7 +1377,7 @@ def _parse_terms(
                 pos = m2.end()
                 m3 = _TOKEN_RE.match(text, pos)
                 if not m3 or not m3.group("num") or "/" in m3.group("num"):
-                    raise fail("exponent must be a nonnegative integer", pos + 1)
+                    raise fail("exponent must be a nonnegative integer", m2.start("op") + 1)
                 check_digits(m3.group("num"), m3.start("num") + 1)
                 exp = int(m3.group("num"))
                 pos = m3.end()

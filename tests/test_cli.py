@@ -6,6 +6,7 @@ emitter, pinned report digests of every bundled scenario, the sampler
 draw budget, and the expected-error convention.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -19,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corpus import affine
-from ellsurf import cli, hermite_aj
+from ellsurf import cli, elliptic, exactpoly, hermite_aj
 from ellsurf import lattice as la
 from ellsurf import duality as du
 from ellsurf.elliptic import DegenerateModel, invariants
@@ -529,9 +530,7 @@ def test_poly_lines_parse_or_raise_an_error_at_a_column_of_the_line(pieces):
         where = (exc.line, exc.col)
     except DegreeMismatch as exc:  # a NotHomogeneous ParseError, renamed
         where = tuple(int(n) for n in re.search(r"line (\d+), col (\d+)\)$", str(exc)).groups())
-    # a column of the line, or the one just past its end where a missing
-    # exponent belongs
-    assert where[0] == 4 and 1 <= where[1] <= len(line.rstrip()) + 1
+    assert where[0] == 4 and 1 <= where[1] <= len(line.rstrip())
 
 
 def _grammar_fiber_item(text: str) -> tuple[str, int] | None:
@@ -932,6 +931,35 @@ def test_run_renders_only_the_kept_witness(monkeypatch):
     assert rep.artifacts["first_instance"]["places"] == real(configs[0])
 
 
+def test_the_fibers_checks_compute_each_models_invariants_once(monkeypatch):
+    # a chain model reaches the fiber classification as the model its gate
+    # accepted, a tower member keeps the invariants its builder checked,
+    # and the correspondence checks build no branch form
+    computed = collections.Counter()
+    branch_forms = collections.Counter()
+    rows, tensor_forms = elliptic._invariant_rows, exactpoly.tensor_forms
+    current = None
+
+    def counted_rows(a2, a4, a6):
+        computed[a2, a4, a6] += 1
+        return rows(a2, a4, a6)
+
+    def counted_tensor_forms(p, q):
+        branch_forms[current] += 1
+        return tensor_forms(p, q)
+
+    monkeypatch.setattr(elliptic, "_invariant_rows", counted_rows)
+    for module in (exactpoly, du, hermite_aj, cli):
+        monkeypatch.setattr(module, "tensor_forms", counted_tensor_forms)
+    names = ("star-chain-two", "tower-fourfold-fibers", "correspondence-cover-fibers")
+    for sc in cli.bundled_scenarios():
+        if sc.name in names:
+            current = sc.name
+            assert cli.run(sc, seed=0).status == "pass"
+    assert computed and set(computed.values()) == {1}
+    assert branch_forms["correspondence-cover-fibers"] == 0
+
+
 def test_run_failure_details_name_the_trial(monkeypatch):
     sc = parse(
         "name wrong-counts\nkind fiber-config\nfamily rational-base\n"
@@ -1127,7 +1155,9 @@ def test_chain_level_matches_the_affine_reading(values):
     except du.ParameterConstraintViolated:
         assume(False)
     for level in range(13):
-        assert cli._at_chain_level(params, level) == _affine_at_chain_level(params, level)
+        gated = cli._at_chain_level(params, level)
+        assert (gated is not None) == _affine_at_chain_level(params, level)
+        assert gated in (None, du.three_lines_cubic_model(params))
 
 
 # ---------------------------------------------------------------------------

@@ -476,13 +476,14 @@ def test_correspondence_branch_routes_agree():
     for _ in range(8):
         alpha, gamma, delta = sample_correspondence_triple(rng)
         table = du.correspondence_surfaces(alpha, gamma, delta)
+        branches = du.correspondence_branches(alpha, gamma, delta)
         for key in (
             "branch_cover1_cover2",
             "branch_cover1_quot2",
             "branch_quot1_cover2",
             "branch_quot1_quot2",
         ):
-            first, second = table[key]
+            first, second = branches[key]
             assert first == second
         g_q2, a_q2, d_q2 = table["cad"]
         assert (g_q2, a_q2, d_q2) == (
@@ -582,7 +583,7 @@ def test_correspondence_branch_pairs_match_the_curve_pointwise():
     rng = random.Random(240)
     for _ in range(6):
         alpha, gamma, delta = _random_normalized_triple(rng)
-        table = du.correspondence_surfaces(alpha, gamma, delta)
+        branches = du.correspondence_branches(alpha, gamma, delta)
 
         def phi(s, t, u, v):
             return (
@@ -593,7 +594,7 @@ def test_correspondence_branch_pairs_match_the_curve_pointwise():
 
         for first in ("cover", "quot"):
             for second in ("cover", "quot"):
-                pair = table[f"branch_{first}1_{second}2"]
+                pair = branches[f"branch_{first}1_{second}2"]
                 for _ in range(3):
                     s, t, u, v = _random_point(rng, 4)
                     (s1, t1), k1 = _READ_AT[first](s, t)

@@ -325,6 +325,65 @@ class TestModelBasics:
         assert i1.c4 ** 3 * i0.delta == i0.c4 ** 3 * i1.delta
 
 
+def _textbook_invariants(model: WeierstrassModel) -> tuple[HomPoly, HomPoly, HomPoly]:
+    """c4, c6 and delta by ``HomPoly`` arithmetic, term by term."""
+    a2, a4, a6 = model.a2, model.a4, model.a6
+    c4 = 16 * (a2 * a2 - 3 * a4)
+    c6 = -32 * (2 * a2 * a2 * a2 - 9 * a2 * a4 + 27 * a6)
+    return c4, c6, (c4 * c4 * c4 - c6 * c6) * Fraction(1, 1728)
+
+
+@st.composite
+def _fractional_models(draw) -> WeierstrassModel:
+    """Models of weight 0-3 with a nonzero a2, a zero a4 or a6 now and
+    then, and a denominator above 1 in some coefficient."""
+    weight = draw(st.integers(0, 3))
+    entry = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+    def form(degree: int, may_vanish: bool) -> HomPoly:
+        if may_vanish and draw(st.booleans()) and draw(st.booleans()):
+            return HomPoly.zero(V, degree)
+        return HomPoly.of(V, draw(st.lists(entry, min_size=degree + 1, max_size=degree + 1)))
+
+    a2 = form(2 * weight, False)
+    model = WeierstrassModel(a2, form(4 * weight, True), form(6 * weight, True), weight)
+    assume(not a2.is_zero and max(a.den for a in (model.a2, model.a4, model.a6)) > 1)
+    return model
+
+
+class TestInvariantRows:
+    @given(model=_fractional_models())
+    @settings(max_examples=150, deadline=None)
+    def test_the_row_formulas_are_the_textbook_ones(self, model):
+        c4, c6, delta = _textbook_invariants(model)
+        if delta.is_zero:
+            for _ in range(2):
+                with pytest.raises(DegenerateModel):
+                    invariants(model)
+            return
+        got = invariants(model)
+        assert (got.c4, got.c6, got.delta) == (c4, c6, delta)
+
+    def test_a_degenerate_model_raises_on_every_call(self):
+        for a2 in (HomPoly.zero(V, 2), P("s^2 - 3*s*t")):
+            model = WeierstrassModel(a2, HomPoly.zero(V, 4), HomPoly.zero(V, 6), 1)
+            for _ in range(2):
+                with pytest.raises(DegenerateModel):
+                    invariants(model)
+
+    def test_the_cache_cannot_be_seen_from_outside(self):
+        def build() -> WeierstrassModel:
+            return WeierstrassModel(P("s^2 + s*t"), P("s^3*t - t^4"), P("s^5*t + 3*t^6"), 1)
+
+        first, second = build(), build()
+        text = repr(first)
+        assert first == second and hash(first) == hash(second) and repr(second) == text
+        assert invariants(first) is invariants(first)
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second) == text
+        assert invariants(second) == invariants(first)
+
+
 class TestFiberConfiguration:
     def test_generic_weight_one(self):
         m = WeierstrassModel(

@@ -1490,6 +1490,17 @@ class TestParsing:
             parse_hompoly("s +", ("s", "t"), 1, line=2, col=30)
         assert (err.value.line, err.value.col) == (2, 32)
 
+    def test_a_missing_exponent_is_reported_at_its_caret(self):
+        # the caret is the last character of "s^", and a space follows it
+        # in "s^ t"; "3/2" is no integer
+        for text in ("s^", "s^ t", "s^+t", "s^3/2"):
+            with pytest.raises(ParseError, match="exponent must be a nonnegative integer") as err:
+                parse_hompoly(text, ("s", "t"), line=2, col=10)
+            assert (err.value.line, err.value.col) == (2, 11)
+        with pytest.raises(ParseError, match="exponent") as err:
+            parse_hompoly("t*s ^ t", ("s", "t"))
+        assert err.value.col == 5
+
     def test_zero_form_needs_degree(self):
         assert parse_hompoly("0", ("s", "t"), degree=3).is_zero
         with pytest.raises(ParseError):

@@ -29,7 +29,9 @@ smoothness is a separability test: only ``discr_relation_check`` calls a
 invariants have one cache, the ``GramLattice`` object itself: the lattice
 eliminations run on raw Gram rows and never mention or reach the class,
 and no module memoizes through ``functools.lru_cache`` or
-``functools.cache``.  The integer gcd retries over a computed range: no
+``functools.cache``.  Likewise a model's invariants have one cache, the
+``WeierstrassModel`` object itself: their row computation never mentions
+or reaches the class.  The integer gcd retries over a computed range: no
 ``while`` loop runs in it or its own helpers, so no remainder sequence
 comes back.  The squarefree split and ``refine_against`` read their
 quotients off the gcd: neither mentions a division.
@@ -828,6 +830,12 @@ def test_the_lattice_eliminations_never_reach_the_lattice_class():
     for name in _LATTICE_ELIMINATIONS:
         assert "GramLattice" not in _mentions(definitions[name]), name
         assert "GramLattice" not in _reaches(graph, name), name
+
+
+def test_the_invariant_rows_never_reach_the_model_class():
+    definitions = dict(_definitions(_module_tree("elliptic")))
+    assert "WeierstrassModel" not in _mentions(definitions["_invariant_rows"])
+    assert "WeierstrassModel" not in _reaches(_package_graph(), "_invariant_rows")
 
 
 _MEMO_DECORATORS = {"lru_cache", "cache"}
