@@ -614,31 +614,34 @@ def _sample_three_lines_params(rng: random.Random, **fixed) -> du.ThreeLinesCubi
     return _draw(make)
 
 
-def _at_chain_level(params: du.ThreeLinesCubicParams, level: int) -> WeierstrassModel | None:
-    """The three-lines model of ``params`` if its star at infinity has
-    ``level`` and the finite nodal factor is separable and avoids both
-    pinned star places, else None."""
-    model = du.three_lines_cubic_model(params)
+def _at_chain_level(model: WeierstrassModel, mu: Fraction, nu: Fraction, level: int) -> bool:
+    """Whether the pinned-star ``model``, with its affine stars at t = -mu
+    and t = -nu, has its star at infinity at ``level`` and a finite nodal
+    factor that is separable and avoids both pinned star places."""
     try:
         delta = invariants(model).delta
     except DegenerateModel:
-        return None
+        return False
     vars = delta.vars
-    stars = (HomPoly.of(vars, (1, params.mu)) * HomPoly.of(vars, (1, params.nu))) ** 6
+    stars = (HomPoly.of(vars, (1, mu)) * HomPoly.of(vars, (1, nu))) ** 6
     finite = divexact_form(delta, stars)
     if finite.second_var_multiplicity() != level:
-        return None
+        return False
     affine = divexact_form(finite, HomPoly.var_power(vars, 1, level))
     if not is_separable(affine):
-        return None
-    if affine(-params.mu, 1) == 0 or affine(-params.nu, 1) == 0:
-        return None
-    return model
+        return False
+    return affine(-mu, 1) != 0 and affine(-nu, 1) != 0
 
 
 def _sample_chain_model(rng: random.Random, level: int, **fixed) -> WeierstrassModel:
     """The three-lines model of the first parameters drawn at ``level``."""
-    return _draw(lambda: _at_chain_level(_sample_three_lines_params(rng, **fixed), level))
+
+    def make():
+        params = _sample_three_lines_params(rng, **fixed)
+        model = du.three_lines_cubic_model(params)
+        return model if _at_chain_level(model, params.mu, params.nu, level) else None
+
+    return _draw(make)
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +830,7 @@ def _refibered_pencil(sc, rng):
     def make():
         return du.refibration_jacobian(_draw_quadruple(lambda: _refiber_rows(rng)))
 
-    rj = _draw(make, lambda rj: _at_chain_level(rj.params, 6) is not None)
+    rj = _draw(make, lambda rj: _at_chain_level(rj.model, rj.params.mu, rj.params.nu, 6))
     return _fibers(sc, [("refibered pencil", rj.model)])
 
 
@@ -871,18 +874,13 @@ def _coupling_product(sc, rng):
 @_family("discriminant-relation", "hermite-identity")
 def _discriminant_relation(sc, rng):
     h = _random_quartic(rng)
+    quartic = {"quartic": _frs(h.coeffs)}
     dp, dq, g = discr_relation_check(h)
     if dq != g * g * dp:
-        raise _CheckFailure(
-            "resolvent discriminant is not g^2 times the quartic one",
-            {"quartic": _frs(h.coeffs)},
-        )
+        raise _CheckFailure("resolvent discriminant is not g^2 times the quartic one", quartic)
     if dp != jacobian_quartic(h).discriminant:
-        raise _CheckFailure(
-            "quartic discriminant differs from -4f^3 - 27g^2",
-            {"quartic": _frs(h.coeffs)},
-        )
-    return {"quartic": _frs(h.coeffs), "disc": str(dp)}
+        raise _CheckFailure("quartic discriminant differs from -4f^3 - 27g^2", quartic)
+    return quartic | {"disc": str(dp)}
 
 
 @_family("pointwise-map", "hermite-identity")
@@ -904,15 +902,11 @@ def _pointwise_map(sc, rng):
     if not abel_jacobi(h, base, base).is_infinity:
         raise _CheckFailure("the base point did not map to the origin")
     img = abel_jacobi(h, base, point)
+    image = "infinity" if img.is_infinity else [str(img.xi), str(img.eta)]
+    witness = {"quartic": _frs(h.coeffs), "image": image}
     if not img.is_infinity and not jacobian_quartic(h).contains(img.xi, img.eta):
-        raise _CheckFailure(
-            "image is off the reduced cubic",
-            {"quartic": _frs(h.coeffs), "image": [str(img.xi), str(img.eta)]},
-        )
-    return {
-        "quartic": _frs(h.coeffs),
-        "image": "infinity" if img.is_infinity else [str(img.xi), str(img.eta)],
-    }
+        raise _CheckFailure("image is off the reduced cubic", witness)
+    return witness
 
 
 _ANCHOR_RATS = ("base_x", "base_w", "point_x", "point_w", "image_xi", "image_eta")
@@ -950,11 +944,11 @@ def _fiberwise_j(sc, rng):
         lambda xi: cubic.rhs(xi) != 0,
     )
     b = correspondence_22(h, xi)
-    if j_invariant_quartic(h) != j_invariant_22(b):
-        raise _CheckFailure(
-            "the two j-invariants differ", {"quartic": _frs(h.coeffs), "xi": str(xi)}
-        )
-    return {"quartic": _frs(h.coeffs), "xi": str(xi), "j": f"{j_invariant_quartic(h)}"}
+    witness = {"quartic": _frs(h.coeffs), "xi": str(xi)}
+    j = j_invariant_quartic(h)
+    if j != j_invariant_22(b):
+        raise _CheckFailure("the two j-invariants differ", witness)
+    return witness | {"j": str(j)}
 
 
 _DOUBLE_COVER_RATS = ("a0", "a1", "a2", "xi", "c0", "c_inf")

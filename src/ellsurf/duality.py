@@ -10,8 +10,9 @@ data from exact rational input:
   section (``two_isogeny_dual``);
 * double covers of the quadric surface together with the exchange of
   their two rulings (``quadric_double_cover``, ``ruling_swap``) and the
-  two-parameter deformation obtained by moving a pair of section lines
-  (``two_param_family``, ``moduli_involution``);
+  model and discriminant of the two-parameter deformation obtained by
+  moving a pair of section lines (``two_param_family``,
+  ``moduli_involution``);
 * the towers of models that read one family on a ruling of the quadric
   (on its quotient pair, twisted there by a line, or on a double or
   fourfold cover), each built from one table of readings: the symmetric
@@ -384,14 +385,13 @@ def quadric_double_cover(pair: AlternatePair) -> QuadricCoverData:
 
 @dataclass(frozen=True)
 class TwoParamFamily:
-    """Branch curve, model and discriminant of a deformed quadric cover.
+    """Model and discriminant of a deformed quadric cover.
 
     ``reduced_discriminant`` is the model discriminant divided by 16; it
     factors as (d0 d_inf - 1)^2 L^2 M^2 (trace^2 - 4 left right) with L, M
     the two degree-four factors of the quartic coefficient.
     """
 
-    branch: BiHomPoly
     model: WeierstrassModel
     reduced_discriminant: HomPoly
 
@@ -403,15 +403,13 @@ def two_param_family(
     d0: RationalLike,
     d_inf: RationalLike,
 ) -> TwoParamFamily:
-    """Deform a quadric double cover by moving its two section lines.
+    """Deform a quadric double cover by moving its two section lines to
+    U = d0 V and d_inf U = V.
 
-    The branch curve of bidegree (4, 4) is
-
-        (U - d0 V)(d_inf U - V)(left U^2 - trace UV + right V^2)
-
-    with coefficient forms on the first covering pair ("s", "t").  The
-    fibration over that pair is the ``AlternatePair`` model of the deformed
-    trace and norm (``DegenerateModel`` if that norm vanishes);
+    ``trace``, ``left`` and ``right`` are degree-four forms, read on the
+    first covering pair ("s", "t").  The fibration over that pair is the
+    ``AlternatePair`` model of the deformed trace and norm
+    (``DegenerateModel`` if that norm vanishes);
     ``reduced_discriminant`` is its discriminant over 16.  The places of
     the factor trace^2 - 4 left right do not move with (d0, d_inf).
     Requires d0 * d_inf != 1; the inputs are checked, and the deformed
@@ -421,8 +419,6 @@ def two_param_family(
     new_trace, new_left, new_right = (form.rename(_FIRST_COVER) for form in deformed)
     trace_c, left_c, right_c = (form.rename(_FIRST_COVER) for form in (trace, left, right))
     d0v, div = rat(d0), rat(d_inf)
-    lines = HomPoly.of(_SECOND_QUOT, (1, -d0v)) * HomPoly.of(_SECOND_QUOT, (div, -1))
-    branch = _tensor_sum((left_c, -trace_c, right_c), (lines * m for m in _MONOMIALS))
     model = AlternatePair(new_trace, new_left * new_right).model()
     unit = (d0v * div - 1) ** 2
     reduced = (
@@ -431,7 +427,7 @@ def two_param_family(
         * new_right**2
         * (trace_c * trace_c - 4 * left_c * right_c)
     )
-    return TwoParamFamily(branch, model, reduced)
+    return TwoParamFamily(model, reduced)
 
 
 def moduli_involution(
@@ -713,7 +709,6 @@ class QuadrupleCoverSurface:
     x (x - b)(x - c).
     """
 
-    quadruple: BilinearQuadruple
     torsion_factors: tuple[HomPoly, HomPoly]
     model: WeierstrassModel
 
@@ -750,7 +745,7 @@ def bilinear_quadruple_surface(quad: BilinearQuadruple) -> QuadrupleCoverSurface
 
     b = pair_forms[(0, 1)] * pair_forms[(2, 3)]
     c = pair_forms[(0, 2)] * pair_forms[(1, 3)]
-    return QuadrupleCoverSurface(quad, (b, c), AlternatePair(b + c, b * c).model())
+    return QuadrupleCoverSurface((b, c), AlternatePair(b + c, b * c).model())
 
 
 # ---------------------------------------------------------------------------

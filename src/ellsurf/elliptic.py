@@ -101,9 +101,6 @@ class KodairaType:
             return KodairaType("I*" if star else "I", int(index))
         raise ValueError(f"unrecognized fiber label {text!r}")
 
-    def __str__(self) -> str:
-        return self.label
-
 
 # ---------------------------------------------------------------------------
 # models and invariants

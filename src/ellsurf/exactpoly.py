@@ -483,14 +483,6 @@ class UniPoly(_Rows):
         """``self`` over its leading coefficient; the zero polynomial is kept."""
         return self._over_lead(self.num[-1]) if self.num else self
 
-    def text(self, var: str = "x") -> str:
-        return _render_terms(
-            [(c, ((var, i),)) for i, c in enumerate(self.coeffs) if c != 0][::-1]
-        )
-
-    def __str__(self) -> str:
-        return self.text()
-
 
 def _render_terms(terms: Sequence[tuple[Fraction, tuple[tuple[str, int], ...]]]) -> str:
     if not terms:
@@ -650,6 +642,14 @@ def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 
+def _zero_row(degree: int) -> list[int]:
+    """The numerator of the zero form of ``degree``; a negative degree
+    raises ``DegreeTooLow``."""
+    if degree < 0:
+        raise DegreeTooLow(f"a form has a nonnegative degree, not {degree}")
+    return [0] * (degree + 1)
+
+
 def _pair(vars: Sequence[str]) -> tuple[str, str]:
     """The variable pair of a form: two distinct names."""
     pair = tuple(vars)
@@ -692,7 +692,7 @@ class HomPoly(_Rows):
 
     @staticmethod
     def zero(vars: tuple[str, str], degree: int) -> HomPoly:
-        return HomPoly(_pair(vars), (0,) * (degree + 1))
+        return HomPoly(_pair(vars), tuple(_zero_row(degree)))
 
     @staticmethod
     def constant(vars: tuple[str, str], c: RationalLike) -> HomPoly:
@@ -700,8 +700,11 @@ class HomPoly(_Rows):
 
     @staticmethod
     def var_power(vars: tuple[str, str], which: int, degree: int) -> HomPoly:
-        num = [0] * (degree + 1)
-        num[0 if which == 0 else degree] = 1
+        """``vars[which]^degree``; ``which`` is 0 or 1."""
+        if which not in (0, 1):
+            raise DegreeMismatch(f"a form has variables 0 and 1, not {which}")
+        num = _zero_row(degree)
+        num[which * degree] = 1
         return HomPoly(_pair(vars), tuple(num))
 
     def __call__(self, s: RationalLike, t: RationalLike) -> Fraction:
@@ -1210,28 +1213,6 @@ class BiHomPoly:
         """Plug forms (f, g) of one common degree in for the second pair."""
         flat, den = _substituted(self.num, f, g)
         return _bihom(self.vars1, f.vars, flat, self.deg2 * f.degree + 1, self.den * den)
-
-    def text(self) -> str:
-        d1, d2 = self.deg1, self.deg2
-        terms = []
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if c != 0:
-                    terms.append(
-                        (
-                            c,
-                            (
-                                (self.vars1[0], d1 - i),
-                                (self.vars1[1], i),
-                                (self.vars2[0], d2 - j),
-                                (self.vars2[1], j),
-                            ),
-                        )
-                    )
-        return _render_terms(terms)
-
-    def __str__(self) -> str:
-        return self.text()
 
 
 def tensor_forms(p: HomPoly, q: HomPoly) -> BiHomPoly:

@@ -960,6 +960,28 @@ def test_the_fibers_checks_compute_each_models_invariants_once(monkeypatch):
     assert branch_forms["correspondence-cover-fibers"] == 0
 
 
+def test_the_refibered_pencil_classifies_the_model_it_gated(monkeypatch):
+    # each draw's gate reads the refibration's own model, whose invariants
+    # the fiber classification of the accepted draw then reuses
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(elliptic, "_invariant_rows", counted("rows", elliptic._invariant_rows))
+    for name in ("three_lines_cubic_model", "refibration_jacobian"):
+        monkeypatch.setattr(du, name, counted(name, getattr(du, name)))
+    (sc,) = [sc for sc in cli.bundled_scenarios() if sc.name == "refibered-pencil-stars"]
+    assert cli.run(sc, seed=0).status == "pass"
+    assert calls["three_lines_cubic_model"] == 0
+    assert calls["refibration_jacobian"] > 0
+    assert calls["rows"] == calls["refibration_jacobian"]
+
+
 def test_run_failure_details_name_the_trial(monkeypatch):
     sc = parse(
         "name wrong-counts\nkind fiber-config\nfamily rational-base\n"
@@ -1154,10 +1176,10 @@ def test_chain_level_matches_the_affine_reading(values):
         params = du.ThreeLinesCubicParams.of(**dict(zip(_LINE_CUBIC_NAMES, values)))
     except du.ParameterConstraintViolated:
         assume(False)
+    model = du.three_lines_cubic_model(params)
     for level in range(13):
-        gated = cli._at_chain_level(params, level)
-        assert (gated is not None) == _affine_at_chain_level(params, level)
-        assert gated in (None, du.three_lines_cubic_model(params))
+        gated = cli._at_chain_level(model, params.mu, params.nu, level)
+        assert gated == _affine_at_chain_level(params, level)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,24 @@ class TestIntegerCore:
             assert affine(Z) == UniPoly.zero()
             assert str(Z) == "0"
 
+    def test_a_negative_degree_is_refused(self):
+        for d in (-1, -2):
+            with pytest.raises(DegreeTooLow):
+                HomPoly.zero(ST, d)
+            with pytest.raises(DegreeTooLow):
+                parse_hompoly("0", ST, d)
+            for which in (0, 1):
+                with pytest.raises(DegreeTooLow):
+                    HomPoly.var_power(ST, which, d)
+
+    def test_a_variable_power_names_one_of_the_two_variables(self):
+        for which in (-1, 2, 5):
+            with pytest.raises(DegreeMismatch):
+                HomPoly.var_power(ST, which, 2)
+        for d in range(4):
+            assert HomPoly.var_power(ST, 0, d) == HomPoly.of(ST, [1] + [0] * d)
+            assert HomPoly.var_power(ST, 1, d) == HomPoly.of(ST, [0] * d + [1])
+
     def test_coeffs_is_a_view_of_fractions(self):
         p = UniPoly.of(1, 2, -3)
         F = HomPoly.of(ST, [4, Fraction(-6, 4), 0])

@@ -6,7 +6,8 @@ constant true condition is refused.  Every failed check must raise a
 named error: ``python -O`` strips ``assert`` statements, so none is
 allowed.  ``tests/tate_oracle.py`` judges the package's fiber classifier,
 so it must never import ``ellsurf``.  Every module-level import must be
-used.  The two routes of a cross-route check must stay separate: neither
+used, and every dataclass field of the package must be read as an
+attribute, by name, in the package or its tests.  The two routes of a cross-route check must stay separate: neither
 may reach the other in the package's name-level reference graph.  The
 form kernels run on the integer rows: their definitions never mention
 the affine round trip or the Fraction view, and the squarefree split
@@ -154,6 +155,68 @@ def test_no_unused_imports():
     # the package's __init__ imports its modules to re-export them
     findings.pop("__init__.py", None)
     assert findings == {}
+
+
+def _dataclass_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, field) for each field that a ``@dataclass`` class of the
+    module declares, in order."""
+
+    def is_dataclass(decorator: ast.expr) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+    return [
+        (node.name, item.target.id)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def _unread_fields(declaring, reading) -> list[str]:
+    """``Class.field`` for each dataclass field declared in the trees
+    ``declaring`` whose name no attribute load in the trees ``reading``
+    reads.  Names are matched without types: a field whose name another
+    class's readers use counts as read."""
+    read = {
+        node.attr
+        for tree in reading
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{cls}.{field}"
+        for tree in declaring
+        for cls, field in _dataclass_fields(tree)
+        if field not in read
+    ]
+
+
+def test_the_check_sees_dataclass_fields_that_no_attribute_reads():
+    package = ast.parse(
+        "@dataclass(frozen=True)\nclass A:\n    kept: int\n    unread: int\n    written: int\n"
+        "    def f(self):\n        return self.kept\n"
+        "@dataclasses.dataclass\nclass B:\n    tested: int\n    shared: int\n"
+        "class C:\n    plain: int\n"
+        "@dataclass\nclass D:\n    K = 1\n    other: int = 0\n"
+        "def g(a, d):\n    a.written = 1\n    return 'a.unread', a.shared, d.other\n"
+    )
+    tests = ast.parse("def test(b):\n    assert b.tested\n")
+    assert _unread_fields([package], [package]) == ["A.unread", "A.written", "B.tested"]
+    assert _unread_fields([package], [package, tests]) == ["A.unread", "A.written"]
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a package dataclass is read as ``.field`` in the
+    package or its tests.  The check matches by name only, so it cannot
+    see an unread field whose name is read off another class, such as a
+    ``branch`` field beside the read ``branch`` of another dataclass."""
+    root = Path(ellsurf.__file__).parent
+    package = [ast.parse(p.read_text(), str(p)) for p in root.rglob("*.py")]
+    tests = [ast.parse(p.read_text(), str(p)) for p in Path(__file__).parent.glob("*.py")]
+    assert package and tests
+    assert _unread_fields(package, package + tests) == []
 
 
 def test_the_check_sees_imports_of_the_package_only():
