@@ -37,6 +37,7 @@ from .exactpoly import (
     form_sqrt,
     rational_cubic_roots,
     refine_against,
+    sort_by_form,
     squarefree_split,
 )
 
@@ -378,7 +379,7 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
                 reduced, k = minimalize_at(v4, v6, m)
                 fiber = kodaira_from_valuations(*reduced)
                 places.append(FiberPlace(h, fiber, v4, v6, m, k))
-    places.sort(key=lambda p: (p.place.degree, p.place.coeffs))
+    sort_by_form(places, lambda p: p.place)
     return FiberConfiguration(model.weight, tuple(places))
 
 

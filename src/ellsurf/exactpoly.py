@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -229,11 +229,15 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
                     break
             else:
                 return 0
+        top = m[k]
+        p = top[k]
         for i in range(k + 1, n):
+            row = m[i]
+            f = row[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[k] = 0
+        prev = p
     return sign * m[n - 1][n - 1]
 
 
@@ -484,28 +488,6 @@ class UniPoly(_Rows):
         return self._over_lead(self.num[-1]) if self.num else self
 
 
-def _render_terms(terms: Sequence[tuple[Fraction, tuple[tuple[str, int], ...]]]) -> str:
-    if not terms:
-        return "0"
-    chunks: list[str] = []
-    for c, powers in terms:
-        body = "*".join(
-            v if e == 1 else f"{v}^{e}" for v, e in powers if e != 0
-        )
-        mag = abs(c)
-        if not body:
-            piece = str(mag)
-        elif mag == 1:
-            piece = body
-        else:
-            piece = f"{mag}*{body}"
-        if not chunks:
-            chunks.append(piece if c > 0 else f"-{piece}")
-        else:
-            chunks.append(f"+ {piece}" if c > 0 else f"- {piece}")
-    return " ".join(chunks)
-
-
 # ---------------------------------------------------------------------------
 # gcd
 # ---------------------------------------------------------------------------
@@ -743,12 +725,24 @@ class HomPoly(_Rows):
 
     def text(self) -> str:
         d = self.degree
-        terms = [
-            (c, ((self.vars[0], d - k), (self.vars[1], k)))
-            for k, c in enumerate(self.coeffs)
-            if c != 0
-        ]
-        return _render_terms(terms)
+        chunks: list[str] = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            powers = ((self.vars[0], d - k), (self.vars[1], k))
+            body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in powers if e != 0)
+            mag = abs(c)
+            if not body:
+                piece = str(mag)
+            elif mag == 1:
+                piece = body
+            else:
+                piece = f"{mag}*{body}"
+            if not chunks:
+                chunks.append(piece if c > 0 else f"-{piece}")
+            else:
+                chunks.append(f"+ {piece}" if c > 0 else f"- {piece}")
+        return " ".join(chunks) if chunks else "0"
 
     def __str__(self) -> str:
         return self.text()
@@ -953,6 +947,25 @@ def is_separable(f: HomPoly) -> bool:
     return gcd_form(*form_partials(f)).degree == 0
 
 
+_T = TypeVar("_T")
+
+
+def sort_by_form(items: list[_T], form: Callable[[_T], HomPoly]) -> None:
+    """Sort ``items`` in place by the degree, then the coefficients, of
+    ``form(item)``, on integers: each numerator row is scaled to the lcm L
+    of the forms' denominators, and n / den < n' / den' exactly when
+    n (L // den) < n' (L // den'), so the order is that of the Fraction
+    tuples ``coeffs``, and no form builds them."""
+    scale = lcm(*(form(item).den for item in items))
+
+    def key(item: _T) -> tuple[int, list[int]]:
+        f = form(item)
+        k = scale // f.den
+        return f.degree, [n * k for n in f.num]
+
+    items.sort(key=key)
+
+
 @dataclass(frozen=True)
 class SquarefreeSplit:
     """``form == unit * product(factor^multiplicity)`` with squarefree,
@@ -988,7 +1001,7 @@ def squarefree_split(f: HomPoly) -> SquarefreeSplit:
         d = _combine(d, 1, _int_derivative(c), 1, -1)[0]
         if len(c) == 1:
             break
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    sort_by_form(factors, lambda fm: fm[0])
     return SquarefreeSplit(Fraction(row[-1], f.den), tuple(factors))
 
 

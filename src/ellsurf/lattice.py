@@ -19,7 +19,9 @@ in the size of the Gram matrix: the Smith form keeps its entries below
 * ``discriminant_group``: (Z/2)^l when |det| = 2^l for l the dimension of
   that kernel (the 2-elementary lattices), else the Smith form taken
   modulo |det| (Cohen, *A Course in Computational Algebraic Number
-  Theory*, Alg. 2.4.14), so no entry ever exceeds |det|.
+  Theory*, Alg. 2.4.14), so no entry ever exceeds |det|; the pivots that
+  are units mod |det| go first, in one pass each, and the sweeps see
+  only the block that has no unit entry.
 
 Each invariant is computed once per lattice object: a ``GramLattice`` is
 immutable, so it keeps its elimination, kernel mod 2, elementary divisors
@@ -403,20 +405,32 @@ def _elementary_divisors(gram: tuple[tuple[int, ...], ...], det: int) -> list[in
     Works modulo D = |det| (Cohen, Alg. 2.4.14): the columns span a
     lattice that contains D Z^n, so reducing entries mod D and replacing a
     cleared pivot p by gcd(p, D) keep that lattice, and every entry stays
-    below D.  Row moves clear the pivot column, then the matrix is
-    transposed so that the pivot row is cleared next, and so on until
-    both are clear.  Only an extended-gcd move can refill the cleared
-    line, and it shrinks the pivot to a proper divisor, as does adding a
-    trailing row with an entry the pivot does not divide, which is needed
-    before the next pivot; a pivot can shrink at most log2(D) times, so
-    each pivot is final after O(log D) sweeps.
+    below D.  It runs in two phases.
+
+    First every pivot that is a unit mod D goes, one at a time: an entry u
+    with gcd(u, D) = 1 is brought to the pivot place, and the row moves
+    row_i -= (row_i[k] u^-1 mod D) row_k clear its column.  The column
+    moves that would clear its row then change that row only, the column
+    being zero below the pivot, so the pivot's row and column are dropped
+    with a divisor 1 and no sweep or transpose.
+
+    The sweeps then run on the block where no entry is a unit (4 rows of
+    the 12 for a conjugate of ``K0``).  Row moves clear the pivot column,
+    then the block is transposed so that the pivot row is cleared next,
+    and so on until both are clear.  Only an extended-gcd move can refill
+    the cleared line, and it shrinks the pivot to a proper divisor, as
+    does adding a trailing row with an entry the pivot does not divide,
+    which is needed before the next pivot; a pivot can shrink at most
+    log2(D) times, so each pivot is final after O(log D) sweeps.  A block
+    without a unit entry can still have 1 as a divisor: diag(6, 10, 15)
+    has [1, 30, 30].
     """
-    n = len(gram)
     d = abs(det)
     if d == 0:
         raise DegenerateLattice("Gram matrix is singular")
-    a = [[x % d for x in row] for row in gram]
-    divisors: list[int] = []
+    a = _drop_unit_pivots([[x % d for x in row] for row in gram], d)
+    divisors = [1] * (len(gram) - len(a))
+    n = len(a)
     k = 0
     while k < n:
         while any(a[k][j] or a[j][k] for j in range(k + 1, n)):
@@ -432,6 +446,26 @@ def _elementary_divisors(gram: tuple[tuple[int, ...], ...], det: int) -> list[in
         else:
             a[k] = [(x + y) % d for x, y in zip(a[k], a[stray])]
     return divisors
+
+
+def _drop_unit_pivots(a: list[list[int]], d: int) -> list[list[int]]:
+    """The block left of ``a`` (entries mod d) once each pivot that is a
+    unit mod d has cleared its column and been dropped with its row and
+    column; each dropped pivot is an elementary divisor 1."""
+    for _ in range(len(a)):
+        unit = next(
+            ((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if gcd(x, d) == 1),
+            None,
+        )
+        if unit is None:
+            break
+        i, j = unit
+        top = a.pop(i)
+        inverse = pow(top[j], -1, d)
+        for r, row in enumerate(a):
+            f = row[j] * inverse % d
+            a[r] = [(x - f * y) % d for c, (x, y) in enumerate(zip(row, top)) if c != j]
+    return a
 
 
 def _clear_column(a: list[list[int]], k: int, d: int) -> None:

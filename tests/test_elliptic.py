@@ -532,6 +532,55 @@ class TestC6PassSkip:
         assert any(inv.c6.is_zero for inv in invs)
 
 
+def _fraction_order(forms: list[HomPoly]) -> list[HomPoly]:
+    return sorted(forms, key=lambda f: (f.degree, f.coeffs))
+
+
+def _seeded_fractional_model(seed: int) -> WeierstrassModel:
+    rng = random.Random(seed)
+    w = 1 + seed % 2
+
+    def form(degree: int) -> HomPoly:
+        return HomPoly.of(
+            V, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree + 1)]
+        )
+
+    return WeierstrassModel(form(2 * w), form(4 * w), form(6 * w), w)
+
+
+class TestIntegerSortKeys:
+    """The places and the squarefree factors are sorted on their integer
+    rows; the order must be the one their Fraction coefficients give."""
+
+    def test_forms_with_unlike_denominators_keep_the_fraction_order(self):
+        # monic in s, s - t/2 and s - t/3 have the numerator rows (2, -1)
+        # and (3, -1), which alone would put them after s, (1, 0), and
+        # s + 4t/5, (5, 4), after s + t
+        model = WeierstrassModel(
+            HomPoly.zero(V, 2),
+            P("2*s - t") * P("3*s - t") * P("s^2"),
+            P("2*s - t") * P("3*s - t") ** 2 * P("s^2") * P("t"),
+            1,
+        )
+        places = [(p.place.text(), p.kodaira.label) for p in fiber_configuration(model).places]
+        assert places[:3] == [("s - 1/2*t", "II"), ("s - 1/3*t", "III"), ("s", "IV")]
+        f = P("2*s - t") * P("3*s - t") ** 2 * P("5*s + 4*t") ** 3
+        f = f * P("s") ** 4 * P("t") ** 5 * P("s + t") ** 6
+        assert [(g.text(), m) for g, m in squarefree_split(f).factors] == [
+            ("t", 5), ("s - 1/2*t", 1), ("s - 1/3*t", 2), ("s", 4), ("s + 4/5*t", 3), ("s + t", 6),
+        ]
+
+    def test_the_order_is_the_fraction_order_and_builds_no_fractions(self):
+        models = _valuation_corpus() + [_wide_model(0, False), _wide_model(0, True)]
+        models += [_seeded_fractional_model(seed) for seed in range(20)]
+        for model in models:
+            places = [p.place for p in fiber_configuration(model).places]
+            assert not any("coeffs" in vars(f) for f in places)
+            assert places == _fraction_order(places)
+            factors = [f for f, _m in squarefree_split(invariants(model).delta).factors]
+            assert factors == _fraction_order(factors)
+
+
 def _wide_model(seed: int, two_torsion: bool) -> WeierstrassModel:
     """A seeded weight-4 model with 128-bit coefficients; ``a6 = 0`` when
     ``two_torsion``."""

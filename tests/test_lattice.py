@@ -594,6 +594,65 @@ class TestParityKernel:
         assert two_elementary_invariants(K0).length == 2
 
 
+def sympy_divisors(m) -> list[int]:
+    snf = smith_normal_form(sp.Matrix(m), domain=sp.ZZ)
+    return sorted(abs(int(snf[i, i])) for i in range(len(m)))
+
+
+class TestUnitPivots:
+    """The Smith form first drops every pivot that is a unit mod |det|,
+    then sweeps the block that has no unit entry left."""
+
+    def test_a_block_without_units_can_still_have_a_divisor_one(self):
+        diag = GramLattice.from_rows([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+        for moves in (0, 3, 6, 60):
+            for k in range(4):
+                lat = elementary_conjugate(diag, moves, random.Random(f"unit/diag/{moves}/{k}"))
+                assert _elementary_divisors(lat.gram, determinant(lat)) == [1, 30, 30]
+
+    def test_a_unimodular_matrix_has_only_divisors_one(self):
+        for source in (H, E8, direct_sum(H, E8), direct_sum(H, rescale(E8, -1))):
+            for moves in (0, 60):
+                lat = elementary_conjugate(source, moves, random.Random(f"unit/one/{moves}"))
+                assert abs(determinant(lat)) == 1
+                assert _elementary_divisors(lat.gram, determinant(lat)) == [1] * lat.rank
+
+    def test_k0_and_its_conjugates_against_sympy(self):
+        lattices = [K0] + [
+            elementary_conjugate(K0, moves, random.Random(f"unit/K0/{moves}/{k}"))
+            for moves in (60, 120)
+            for k in range(2)
+        ]
+        for lat in lattices:
+            divisors = _elementary_divisors(lat.gram, determinant(lat))
+            assert divisors == sympy_divisors(lat.gram) == [1] * 8 + [2, 2, 4, 4]
+
+    def test_composite_determinants_against_sympy(self):
+        rng = random.Random("unit/composite")
+        done = 0
+        for _ in range(120):
+            m = random_symmetric(rng, rng.randint(2, 7), 9)
+            det = determinant(GramLattice.from_rows(m))
+            if abs(det) < 4 or sp.isprime(abs(det)):
+                continue
+            assert _elementary_divisors(m, det) == sympy_divisors(m), m
+            done += 1
+        assert done >= 80
+
+    def test_the_sweeps_see_only_the_block_without_units(self, monkeypatch):
+        rows = []
+        clear_column = lattice._clear_column
+        monkeypatch.setattr(
+            lattice, "_clear_column", lambda a, k, d: rows.append(len(a)) or clear_column(a, k, d)
+        )
+        for k in range(12):
+            lat = elementary_conjugate(K0, 60, random.Random(f"unit/sweeps/{k}"))
+            assert _elementary_divisors(lat.gram, 64) == [1] * 8 + [2, 2, 4, 4]
+        # the 8 unit pivots leave a 4-row block: 78 sweeps here, where
+        # sweeping all 12 rows took 281
+        assert rows and max(rows) <= 4 and len(rows) <= 120
+
+
 # ---------------------------------------------------------------------------
 # each invariant is computed once per lattice object
 
