@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from math import prod
 from typing import Callable
 
 from . import duality as du
@@ -84,6 +85,12 @@ DEFAULT_TRIALS = 100
 # largest bundled count (200), so that a long digit string cannot ask for a
 # run that never ends
 MAX_TRIALS = 10_000
+
+# the most digits a lattice determinant may have: the report prints it, and
+# Python refuses to print a longer int.  A term is refused when Hadamard's
+# bound, |det|^2 <= the product of the rows' squared lengths, reaches it.
+MAX_DET_DIGITS = sys.int_info.default_max_str_digits
+_DET_SQUARE_CAP = 10 ** (2 * MAX_DET_DIGITS)
 
 # attempts one draw may make before it gives up; over root seeds 0-19 no
 # bundled scenario needs more than 12
@@ -247,6 +254,7 @@ def _parse_lattice_expr(text: str, line: int, col: int) -> la.GramLattice:
     summands: list[la.GramLattice] = []
     offset = 0
     rank = 0
+    hadamard = 1
     too_large = f"lattice rank above {MAX_LATTICE_RANK}"
     for piece in text.split("+"):
         at = col + offset + len(piece) - len(piece.lstrip())
@@ -273,6 +281,9 @@ def _parse_lattice_expr(text: str, line: int, col: int) -> la.GramLattice:
         rank += base.rank * power
         if rank > MAX_LATTICE_RANK:
             raise ParseError(too_large, line, at)
+        hadamard *= prod(sum(x * x for x in row) for row in base.gram) ** power
+        if hadamard >= _DET_SQUARE_CAP:
+            raise ParseError(f"lattice determinant may exceed {MAX_DET_DIGITS} digits", line, at)
         summands.extend([base] * power)
     return summands[0] if len(summands) == 1 else la.direct_sum(*summands)
 
@@ -799,7 +810,7 @@ def _reduced_pair_generic(pair) -> bool:
     disc = 4 * f**3 + 27 * g**2
     if not is_separable(disc):
         return False
-    return disc.coeffs[0] != 0 and disc(0, 1) != 0 and disc(1, 1) != 0
+    return disc(1, 0) != 0 and disc(0, 1) != 0 and disc(1, 1) != 0
 
 
 def _subfamily(kind: str) -> Callable:

@@ -74,7 +74,6 @@ __all__ = [
     "AlternatePair",
     "BilinearQuadruple",
     "DegenerateInput",
-    "DivisionGuard",
     "GenericityViolated",
     "MissingFactorization",
     "NoRationalCubicRoot",
@@ -142,10 +141,6 @@ class NoRationalCubicRoot(ValueError):
 
 class NonSquareDiscriminant(ValueError):
     """A rational square root is required and does not exist."""
-
-
-class DivisionGuard(ValueError):
-    """Both sign choices for a square root hit a vanishing denominator."""
 
 
 class ParameterConstraintViolated(ValueError):
@@ -884,8 +879,8 @@ def normalize_three_i0star(
     ``ParameterConstraintViolated`` if that one is zero, since c1 = 0
     never parametrizes a double plane).  The positive square root becomes
     c1 unless that makes the denominator c1 - sq1 vanish; then the
-    negative root is taken (``DivisionGuard`` if both vanish).  The
-    remaining parameters follow by exact substitution.
+    negative root is taken.  The remaining parameters follow by exact
+    substitution.
     """
     muv, nuv = rat(mu), rat(nu)
     if muv == nuv:
@@ -916,11 +911,8 @@ def normalize_three_i0star(
     e3t, e2t, e1t, e0t = cstv.coeffs
     if e3t != 0:
         raise NoRationalCubicRoot(f"the shift by {rho} left the leading cubic entry {e3t}")
-    c1 = root
-    if c1 == c1t:
-        c1 = -root
-        if c1 == c1t:
-            raise DivisionGuard("both square-root signs collide with the shifted data")
+    # root is nonzero, so at most one of root and -root equals c1t
+    c1 = -root if root == c1t else root
     den = c1 - c1t
     d2 = -(c1 + c1t) / 2
     e2 = 4 * e2t / den**2

@@ -391,8 +391,8 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
 def _series_root(rows: list[tuple[Fraction, ...]], x0: Fraction, order: int) -> list[Fraction]:
     """The first ``order`` coefficients of the series root x(s), with x(0) =
     x0 a simple root, of C(x) = x^3 + a2 x^2 + a4 x + a6, whose ascending
-    coefficients (each at least ``order`` long) are ``rows``.  As in
-    ``form_sqrt``, x_k = -[s^k] C(x_{<k}) / C'(x0).
+    coefficients (each at least ``order`` long) are ``rows``: matching the
+    coefficient of s^k gives x_k = -[s^k] C(x_{<k}) / C'(x0).
     """
     a2, a4, a6 = rows
     slope = (3 * x0 + 2 * a2[0]) * x0 + a4[0]
@@ -414,7 +414,8 @@ def two_torsion_sections(model: WeierstrassModel) -> tuple[HomPoly, ...]:
     fibration that are rational over the base.  When a6 = 0 the cubic
     splits off x = 0 and the rest is an exact-square test; otherwise the
     first 2w + 1 terms of the series roots over a regular base point are
-    candidate sections, verified exactly.
+    candidate sections, verified exactly.  No two coincide (delta != 0 parts
+    the three roots when a6 = 0, and a series root is its own x0 at s0).
     """
     inv = invariants(model)  # rejects degenerate models
     w = model.weight
@@ -443,8 +444,8 @@ def two_torsion_sections(model: WeierstrassModel) -> tuple[HomPoly, ...]:
             section = series.substitute(HomPoly.of(vars, (1, -s0)), t)
             if model.rhs_at(section).is_zero:
                 found.append(section)
-    unique = {f.coeffs: f for f in found}
-    return tuple(unique[k] for k in sorted(unique))
+    sort_by_form(found, lambda f: f)
+    return tuple(found)
 
 
 def _regular_base_point(delta: HomPoly) -> Fraction:

@@ -27,11 +27,11 @@ tuple, and the rest is a heuristic gcd (one integer gcd of the rows'
 values at a power of two, confirmed by trial division) or one
 pseudo-division on the reversed rows.  The gcd returns the quotients of
 its trial division as cofactors, so Yun's loop and ``refine_against``
-read ``c / g`` and ``d / g`` off it and divide nothing themselves; a
-division by a monomial is a shift of the row.  Monic normalisation
-divides ``num`` by its leading entry.  By Gauss's lemma a quotient by a
-primitive gcd is integral, and a power ``(num^n, den^n)`` is already in
-lowest terms.
+read ``c / g`` and ``d / g`` off it and divide nothing themselves.  Monic
+normalisation divides ``num`` by its leading entry.  By Gauss's lemma a
+quotient by a primitive gcd is integral, and a power ``(num^n, den^n)``
+is already in lowest terms.  The square root reads the squarefree split:
+the root of its unit times each factor to half its multiplicity.
 
 The module is also the one home of the exact scalar primitives the other
 layers build on, and of their input contract on forms:
@@ -890,8 +890,7 @@ def divexact_form(p: HomPoly, f: HomPoly) -> HomPoly:
 
     The powers of ``vars[1]`` divide first; the rest is one integer
     pseudo-division of the affine rows, whose quotient has degree
-    ``p.degree - f.degree`` once it is exact.  A monomial ``f = c * t^e``
-    has a one-entry row, so dividing by it shifts and scales ``p``'s row.
+    ``p.degree - f.degree`` once it is exact.
     """
     p._check(f)
     if f.is_zero:
@@ -900,10 +899,7 @@ def divexact_form(p: HomPoly, f: HomPoly) -> HomPoly:
         return HomPoly.zero(p.vars, max(p.degree - f.degree, 0))
     (ep, a), (ef, b) = _affine_row(p), _affine_row(f)
     if ep >= ef:
-        if len(b) == 1:
-            quo, rem, scale = (a if b[0] > 0 else [-x for x in a]), [], abs(b[0])
-        else:
-            quo, rem, scale = _int_divmod(a, b)
+        quo, rem, scale = _int_divmod(a, b)
         if not rem:
             num = [0] * (ep - ef) + [x * f.den for x in reversed(quo)]
             return p._new(num, scale * p.den)
@@ -1040,29 +1036,21 @@ def refine_against(f: HomPoly, q: HomPoly) -> list[tuple[HomPoly, int | None]]:
 
 def form_sqrt(f: HomPoly) -> HomPoly | None:
     """Exact square root of a binary form (declared half degree) with a
-    positive leading coefficient in the first variable, or None."""
+    positive leading coefficient in the first variable, or None: a nonzero
+    form is a square exactly when its unit is a rational square and every
+    multiplicity of ``squarefree_split`` is even."""
     if f.degree % 2:
         return None
-    half = f.degree // 2
     if f.is_zero:
-        return HomPoly.zero(f.vars, half)
-    e = f.second_var_multiplicity()
-    if e % 2:
+        return HomPoly.zero(f.vars, f.degree // 2)
+    split = squarefree_split(f)
+    lead = rational_sqrt(split.unit)
+    if lead is None or any(m % 2 for _, m in split.factors):
         return None
-    c = f.coeffs
-    lead = rational_sqrt(c[e])
-    if lead is None:
-        return None
-    # root[j] multiplies s^(half-j) t^j; it is zero below a = e/2, and
-    # matching the coefficient of t^(k+a) in root^2 gives root[k]
-    a = e // 2
-    root = [Fraction(0)] * (half + 1)
-    root[a] = lead
-    for k in range(a + 1, half + 1):
-        acc = sum((root[i] * root[k + a - i] for i in range(a + 1, k)), Fraction(0))
-        root[k] = (c[k + a] - acc) / (2 * lead)
-    cand = HomPoly.of(f.vars, root)
-    return cand if cand * cand == f else None
+    root = HomPoly.constant(f.vars, lead)
+    for factor, m in split.factors:
+        root = root * factor ** (m // 2)
+    return root
 
 
 # ---------------------------------------------------------------------------

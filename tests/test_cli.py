@@ -12,8 +12,10 @@ import hashlib
 import io
 import json
 import re
+import time
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -448,6 +450,11 @@ def _grammar_root_term(text: str) -> tuple[str, int, int, int] | None:
     smallest = 1 if letter == "A" else 2
     if index < smallest or scale == 0 or power < 1 or index * power > 64:
         return None
+    # Hadamard's bound on the determinant, |det|^2 <= the product of the
+    # rows' squared lengths, stays below 4 300 digits
+    block = la.rescale(la.standard_lattice(f"{letter}{index}"), scale)
+    if prod(sum(x * x for x in row) for row in block.gram) ** power >= 10 ** 8600:
+        return None
     return letter, index, scale, power
 
 
@@ -465,6 +472,8 @@ def _grammar_root_term(text: str) -> tuple[str, int, int, int] | None:
 @example(letter="D", index="0" * 1000 + "3", scale=None, power=None)
 @example(letter="A", index="65", scale=None, power=None)
 @example(letter="A", index="1", scale=None, power="64")
+@example(letter="A", index="1", scale="7" * 1000, power="4")
+@example(letter="A", index="1", scale="7" * 1000, power="5")
 @example(letter="A", index="1", scale="1_0", power=None)
 @example(letter="D", index="\u0663", scale=None, power=None)
 @settings(max_examples=300, deadline=None)
@@ -607,6 +616,34 @@ def test_degree_mismatch_on_inhomogeneous_poly():
 def test_degree_mismatch_on_wrong_declared_degree():
     with pytest.raises(DegreeMismatch):
         parse("name x\nkind fiber-config\npoly f on s,t deg 5 = s^4\n")
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        (FIBER_HEAD + "  expect error 9lives\n", "bad error name '9lives'", 4, 16),
+        (FIBER_HEAD + "expect weather sunny\n", "unknown expectation 'weather'", 4, 8),
+        (FIBER_HEAD + "  poly f on s,s deg 4 = s^4\n", "the two variables must differ", 4, 3),
+        ("kind fiber-config\nfamily rational-base\n", "missing name line", 1, 1),
+        ("name x\nfamily rational-base\n", "missing kind line", 1, 1),
+        (
+            LATTICE_HEAD + "family rational-base\nlattice a = H\nexpect det -1\n",
+            "lattice-identity scenarios take no family",
+            1,
+            1,
+        ),
+        (LATTICE_HEAD + "expect det -1\n", "lattice-identity needs at least one lattice", 1, 1),
+        ("name x\nkind fiber-config\nexpect fibers 12*I1\n", "this kind needs a family line", 1, 1),
+    ],
+    ids=[
+        "error-name", "expectation", "variables", "name-line", "kind-line",
+        "lattice-family", "lattice-count", "family-line",
+    ],
+)
+def test_grammar_errors_name_their_line_and_column(text, message, line, col):
+    with pytest.raises(ParseError, match=message) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_a_variable_named_homogeneous_is_an_unknown_variable():
@@ -916,6 +953,34 @@ def test_run_fiber_failure_reports_table():
     assert rows and set(rows[0]) == {
         "factor", "v_c4", "v_c6", "v_delta", "type", "count",
     }
+
+
+def test_run_lattice_parity_failure_names_the_lattice():
+    sc = parse(LATTICE_HEAD + "lattice a = H\nexpect odd\n")
+    rep = cli.run(sc, seed=3)
+    assert rep.status == "fail"
+    assert rep.detail == "lattice a is not odd"
+    assert rep.artifacts["lattices"]["a"]["even"] is True
+
+
+def test_run_lattice_mismatch_keeps_the_pairs_compared_so_far():
+    sc = parse(
+        LATTICE_HEAD
+        + "lattice a = H + E8(-2)\nlattice b = H(2) + N\nlattice c = H\nexpect match\n"
+    )
+    rep = cli.run(sc, seed=3)
+    assert rep.status == "fail"
+    assert rep.detail == "lattices a and c should be equivalent"
+    # the run stops at the first inequivalent pair, so b~c is never compared
+    assert rep.artifacts["pairs"] == {"a~b": True, "a~c": False}
+
+
+def test_run_fiber_euler_failure_reports_table():
+    sc = parse(FIBER_SMALL.replace("expect euler 12", "expect euler 24"))
+    rep = cli.run(sc, seed=3)
+    assert rep.status == "fail"
+    assert "Euler number 12 instead of 24" in rep.detail
+    assert sum(row["count"] for row in rep.artifacts["fiber_table"]) == 12
 
 
 def test_run_renders_only_the_kept_witness(monkeypatch):
@@ -1569,6 +1634,63 @@ def test_main_zero_denominator_is_a_parse_error(tmp_path):
     assert code == 2
     assert err.startswith("error: ") and "zero denominator" in err
     assert "line 4" in err
+
+
+THOUSAND_DIGITS = "1" + "0" * 999
+
+
+@pytest.mark.parametrize(
+    "body, code, status, error",
+    [
+        # the determinant, about 5 000 digits, is more than Python prints
+        (
+            f"kind lattice-identity\nlattice first = A1({THOUSAND_DIGITS})^5\nexpect even\n",
+            2,
+            None,
+            None,
+        ),
+        # one block fewer, and the determinant has 3 998 digits
+        (
+            f"kind lattice-identity\nlattice first = A1({THOUSAND_DIGITS})^4\nexpect even\n",
+            0,
+            "pass",
+            None,
+        ),
+        (
+            "kind hermite-identity\nfamily pointwise-map-anchor\n"
+            f"quartic curve = {THOUSAND_DIGITS}, 2, 0, 0, 1\n"
+            + "".join(f"rat {name} = 1\n" for name in cli._ANCHOR_RATS)
+            + "expect pass\n",
+            1,
+            "error",
+            "NotOnCurve",
+        ),
+        (
+            "kind hermite-identity\nfamily quartic-double-cover\n"
+            f"rat a0 = {THOUSAND_DIGITS}\nrat a1 = 2\nrat a2 = 0\nrat xi = 3\n"
+            "rat c0 = 1/2\nrat c_inf = 3\nexpect pass\n",
+            0,
+            "pass",
+            None,
+        ),
+    ],
+    ids=["lattice-refused", "lattice", "pointwise-map-anchor", "quartic-double-cover"],
+)
+def test_main_reports_a_scenario_of_1000_digit_entries(tmp_path, body, code, status, error):
+    path = tmp_path / "large.scn"
+    path.write_text("name large\n" + body)
+    for fmt in ("text", "json"):
+        start = time.perf_counter()
+        got, out, err = call_main(["verify", "--scenario", str(path), "--format", fmt])
+        assert time.perf_counter() - start < 10
+        assert got == code, fmt
+        if status is None:
+            assert out == ""
+            assert err == "error: lattice determinant may exceed 4300 digits (line 3, col 17)\n"
+        elif fmt == "json":
+            report = json.loads(out)["scenarios"][0]
+            assert report["status"] == status
+            assert (report["error"] or {}).get("type") == error
 
 
 def test_main_refuses_a_file_that_is_not_utf8(tmp_path):

@@ -1242,7 +1242,9 @@ class TestFormKernelsOnTheRows:
         assert _lowest_terms(got.num, got.den)
 
 
-    def test_a_monomial_divisor_takes_no_pseudo_division(self, monkeypatch):
+    def test_a_monomial_divisor_takes_the_one_pseudo_division(self, monkeypatch):
+        # a one-entry divisor row is divided as any other row is; a power of
+        # t the dividend lacks is refused before any division
         divisions = []
         divmod_ = exactpoly._int_divmod
         monkeypatch.setattr(
@@ -1251,12 +1253,14 @@ class TestFormKernelsOnTheRows:
         p = parse_hompoly("1/3*s^2*t^2 - 5*s*t^3 + 7/2*t^4", ST)
         for divisor in ("6", "-1/4*t", "3/5*t^2"):
             f = parse_hompoly(divisor, ST)
-            assert _fields(divexact_form(p, f)) == _fields(_pseudo_divexact(p, f))
-            assert divexact_form(p, f) * f == p
-        assert len(divisions) == 3  # the oracle's, one a divisor
+            got = divexact_form(p, f)
+            assert _fields(got) == _fields(_pseudo_divexact(p, f))
+            assert got * f == p
+        # divexact_form's, then the oracle's
+        assert [list(q) for q in divisions] == [[6], [6], [-1], [-1], [3], [3]]
         with pytest.raises(ExactDivisionError):
             divexact_form(p, parse_hompoly("-t^3", ST))
-        assert len(divisions) == 3
+        assert len(divisions) == 6
 
 
 class TestPowers:

@@ -576,6 +576,7 @@ _ROW_KERNELS = {
     "_over_lead": 1,
     "__pow__": 1,
     "sort_by_form": 1,
+    "form_sqrt": 1,
 }
 _OFF_THE_ROWS = {"as_unipoly", "homogenize", "coeffs", "leading", "leading_in_first", "rat", "Fraction"}
 
