@@ -1,25 +1,17 @@
 """Scenario-driven verification harness and command-line entry point.
 
-A scenario is a small text file that declares one check: its ``kind``, a
-verification ``family``, named inputs (binary forms, rationals, quartic
-curves, or lattice expressions), an optional trial count for randomized
-families (refused for any other scenario), and ``expect`` lines.  A file
-must be UTF-8 text; any other is refused at its first bad byte.  The
-parser collects the expectations into one map, :attr:`Scenario.expect`;
-``_KINDS`` states which expectations each kind takes, and every scenario
-may expect a named error instead.  ``verify`` runs a selection of
-scenarios and renders a report as aligned text or as JSON; the JSON form
-carries no timing data and is byte-stable for a fixed seed, so runs can
-be diffed.
+``verify`` runs a selection of scenarios, read by :mod:`ellsurf.scenario`,
+and renders a report as aligned text or as JSON; the JSON form carries no
+timing data and is byte-stable for a fixed seed, so runs can be diffed.
 
-Each family is declared once, next to its code, as a :class:`Family`; one
-driver in :func:`run` owns the rng, the trial loop and the first trial's
-witness.  Randomized families draw their inputs through :func:`_draw`,
-which re-samples rejected draws using genericity predicates
-(squarefreeness and coprimality of specific discriminant factors), never
-the expected answer, so resampling cannot bias a check; after
-``DRAW_BUDGET`` attempts it raises :class:`SamplerExhausted`, reported as
-an error instead of a hang.
+Each family is declared once, next to its code, as a :class:`Family` of
+the registry that :mod:`ellsurf.scenario` validates against; one driver in
+:func:`run` owns the rng, the trial loop and the first trial's witness.
+Randomized families draw their inputs through :func:`_draw`, which
+re-samples rejected draws using genericity predicates (squarefreeness and
+coprimality of specific discriminant factors), never the expected answer,
+so resampling cannot bias a check; after ``DRAW_BUDGET`` attempts it
+raises :class:`SamplerExhausted`, reported as an error instead of a hang.
 """
 
 from __future__ import annotations
@@ -29,13 +21,10 @@ import fnmatch
 import hashlib
 import json
 import random
-import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
-from math import prod
 from typing import Callable
 
 from . import duality as du
@@ -43,24 +32,17 @@ from . import lattice as la
 from .elliptic import (
     DegenerateModel,
     FiberConfiguration,
-    KodairaType,
     WeierstrassModel,
     fiber_configuration,
     invariants,
     two_torsion_sections,
 )
 from .exactpoly import (
-    MAX_DIGITS,
-    MAX_POLY_DEGREE,
     DegreeMismatch,
     HomPoly,
-    NotHomogeneous,
-    ParseError,
     divexact_form,
     form_partials,
     is_separable,
-    parse_hompoly,
-    parse_rational,
     tensor_forms,
 )
 from .hermite_aj import (
@@ -77,40 +59,22 @@ from .hermite_aj import (
     j_invariant_quartic,
     jacobian_quartic,
 )
-from .lattice import MAX_LATTICE_RANK
+from .scenario import (
+    _FAMILIES,
+    MAX_TRIALS,
+    Family,
+    ParseError,
+    Scenario,
+    _family,
+    bundled_scenarios,
+    load_scenario,
+)
 
 DEFAULT_TRIALS = 100
-
-# the most trials a scenario line or --trials may ask for, far above the
-# largest bundled count (200), so that a long digit string cannot ask for a
-# run that never ends
-MAX_TRIALS = 10_000
-
-# the most digits a lattice determinant may have: the report prints it, and
-# Python refuses to print a longer int.  A term is refused when Hadamard's
-# bound, |det|^2 <= the product of the rows' squared lengths, reaches it.
-MAX_DET_DIGITS = sys.int_info.default_max_str_digits
-_DET_SQUARE_CAP = 10 ** (2 * MAX_DET_DIGITS)
 
 # attempts one draw may make before it gives up; over root seeds 0-19 no
 # bundled scenario needs more than 12
 DRAW_BUDGET = 100
-
-# kind -> (the expectations it takes besides ``error``, how a message names
-# them)
-_KINDS = {
-    "fiber-config": (("fibers", "euler"), "fibers and euler"),
-    "lattice-identity": (
-        ("match", "det", "signature", "length", "parity", "even"),
-        "match/mismatch or invariants",
-    ),
-    "hermite-identity": (("pass",), "pass"),
-    "construction-roundtrip": (("pass",), "pass"),
-    "table-consistency": (("pass",), "pass"),
-}
-
-_NAME_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
-_IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 
 _FIRST = ("s", "t")
 _SECOND = ("U", "V")
@@ -139,363 +103,6 @@ class _CheckFailure(Exception):
 
 class SamplerExhausted(RuntimeError):
     """A sampler made ``DRAW_BUDGET`` attempts and accepted none of them."""
-
-
-@dataclass(frozen=True)
-class Family:
-    """One scenario family, declared next to its check with :func:`_family`.
-
-    ``check(sc, rng)`` runs one trial: it raises ``_CheckFailure`` or
-    returns the trial's witness, kept from the first trial as
-    ``first_instance`` (or, when ``tally`` names an artifact, counted over
-    the trials that return true).  A witness may come as a zero-argument
-    callable that renders it; only the kept one is called.  A family that
-    is not ``randomized`` runs its check once and the check returns every
-    artifact.  ``inputs`` maps each input the check reads to its directive,
-    ``constraint`` is a (predicate, message) pair the inputs must meet, and
-    ``extra`` holds fixed artifacts.
-    """
-
-    kind: str
-    check: Callable
-    randomized: bool = True
-    inputs: dict[str, str] = field(default_factory=dict)
-    constraint: tuple[Callable, str] | None = None
-    extra: dict = field(default_factory=dict)
-    tally: str | None = None
-
-
-_FAMILIES: dict[str, Family] = {}
-
-
-def _family(name: str, kind: str, **declared) -> Callable:
-    """Declare the decorated per-trial check as the family ``name``."""
-
-    def register(check: Callable) -> Callable:
-        _FAMILIES[name] = Family(kind, check, **declared)
-        return check
-
-    return register
-
-
-# ---------------------------------------------------------------------------
-# scenario files
-
-
-@dataclass
-class Scenario:
-    """One parsed scenario file.
-
-    ``polys``, ``rats``, ``quartics`` and ``lattices`` hold the named
-    inputs.  ``expect`` holds each declared expectation in file order:
-    ``pass`` -> True, ``error`` -> the error name, ``fibers`` -> the label
-    counts, ``euler``, ``det``, ``length`` and ``parity`` -> an int,
-    ``signature`` -> (plus, minus), and ``match`` and ``even`` -> a bool;
-    ``mismatch`` and ``odd`` store False under those two keys.
-    """
-
-    name: str | None = None
-    kind: str | None = None
-    family: str | None = None
-    trials: int | None = None
-    polys: dict[str, HomPoly] = field(default_factory=dict)
-    rats: dict[str, Fraction] = field(default_factory=dict)
-    quartics: dict[str, QuarticCurve] = field(default_factory=dict)
-    lattices: dict[str, la.GramLattice] = field(default_factory=dict)
-    expect: dict[str, object] = field(default_factory=dict)
-
-
-# input directive -> (the Scenario table it fills, the shape of its line)
-_INPUTS = {
-    "poly": ("polys", "poly <name> on <v1>,<v2> deg <n> = <terms>"),
-    "rat": ("rats", "rat <name> = <value>"),
-    "quartic": ("quartics", "quartic <name> = <value>"),
-    "lattice": ("lattices", "lattice <name> = <value>"),
-}
-
-# expectation that takes no value -> (its key in Scenario.expect, its value)
-_NO_VALUE = {
-    "pass": ("pass", True),
-    "match": ("match", True),
-    "mismatch": ("match", False),
-    "even": ("even", True),
-    "odd": ("even", False),
-}
-
-_POLY_RE = re.compile(
-    r"^poly\s+(?P<name>\w+)\s+on\s+(?P<v1>[A-Za-z_]\w*)\s*,\s*"
-    r"(?P<v2>[A-Za-z_]\w*)\s+deg\s+(?P<deg>[0-9]+)\s*=\s*(?P<expr>.+)$"
-)
-_ASSIGN_RE = re.compile(r"^\w+\s+(?P<name>\w+)\s*=\s*(?P<expr>.+)$")
-_FIBER_ITEM_RE = re.compile(r"^\s*([0-9]+)\s*\*\s*([IV0-9*]+)\s*$")
-_LATTICE_TERM_RE = re.compile(
-    r"\s*(?P<atom><-?2>|[A-Z][A-Za-z0-9]*)\s*"
-    r"(?:\(\s*(?P<scale>-?[0-9]+)\s*\))?\s*(?:\^\s*(?P<power>[0-9]+))?\s*$"
-)
-_ROOT_INDEX_RE = re.compile(r"[AD]([0-9]+)")
-_INT_RE = re.compile(r"[+-]?[0-9]+")
-
-
-def _parse_int(text: str, line: int, col: int, what: str) -> int:
-    """An integer ``[+-]?[0-9]+`` of at most ``MAX_DIGITS`` digits; ``col``
-    is the column of the text's first character."""
-    at = col + len(text) - len(text.lstrip())
-    value = text.strip()
-    if len(value.lstrip("+-")) > MAX_DIGITS:
-        raise ParseError(f"{what} has more than {MAX_DIGITS} digits", line, at)
-    if not _INT_RE.fullmatch(value):
-        raise ParseError(f"{what} must be an integer, got {value!r}", line, at)
-    return int(value)
-
-
-def _parse_lattice_expr(text: str, line: int, col: int) -> la.GramLattice:
-    """A sum of lattice terms; ``col`` is the column of the text's first
-    character, so an error names the column of its term."""
-    summands: list[la.GramLattice] = []
-    offset = 0
-    rank = 0
-    hadamard = 1
-    too_large = f"lattice rank above {MAX_LATTICE_RANK}"
-    for piece in text.split("+"):
-        at = col + offset + len(piece) - len(piece.lstrip())
-        offset += len(piece) + 1
-        m = _LATTICE_TERM_RE.fullmatch(piece)
-        if m is None:
-            raise ParseError(f"bad lattice term {piece.strip()!r}", line, at)
-        atom = m.group("atom")
-        index = _ROOT_INDEX_RE.fullmatch(atom)
-        if index and rank + _parse_int(index.group(1), line, at, "root index") > MAX_LATTICE_RANK:
-            raise ParseError(too_large, line, at)
-        try:
-            base = la.standard_lattice(atom)
-        except la.UnknownLattice as exc:
-            raise ParseError(str(exc), line, at) from None
-        if m.group("scale") is not None:
-            scale = _parse_int(m.group("scale"), line, at, "lattice scale")
-            if scale == 0:
-                raise ParseError("lattice scale must be nonzero", line, at)
-            base = la.rescale(base, scale)
-        power = _parse_int(m.group("power") or "1", line, at, "lattice power")
-        if power < 1:
-            raise ParseError("lattice power must be positive", line, at)
-        rank += base.rank * power
-        if rank > MAX_LATTICE_RANK:
-            raise ParseError(too_large, line, at)
-        hadamard *= prod(sum(x * x for x in row) for row in base.gram) ** power
-        if hadamard >= _DET_SQUARE_CAP:
-            raise ParseError(f"lattice determinant may exceed {MAX_DET_DIGITS} digits", line, at)
-        summands.extend([base] * power)
-    return summands[0] if len(summands) == 1 else la.direct_sum(*summands)
-
-
-def _parse_fiber_multiset(text: str, line: int, col: int) -> dict[str, int]:
-    """Fiber counts; ``col`` is the column of the text's first character,
-    so an error names the column of its item."""
-    counts: dict[str, int] = {}
-    offset = 0
-    for item in text.split("+"):
-        at = col + offset + len(item) - len(item.lstrip())
-        offset += len(item) + 1
-        m = _FIBER_ITEM_RE.fullmatch(item)
-        if m is None:
-            raise ParseError(f"bad fiber item {item.strip()!r}", line, at)
-        count, text_label = _parse_int(m.group(1), line, at, "fiber count"), m.group(2)
-        try:
-            label = KodairaType.parse(text_label).label
-        except ValueError:
-            raise ParseError(f"unknown fiber label {text_label!r}", line, at) from None
-        if label in counts:
-            raise ParseError(f"fiber label {label} listed twice", line, at)
-        if count < 1:
-            raise ParseError("fiber counts must be positive", line, at)
-        counts[label] = count
-    return counts
-
-
-def _parse_expect(rest: str, line: int, col: int, sc: Scenario) -> None:
-    """One ``expect`` directive; ``col`` is the column of ``rest``."""
-    head = rest.split(None, 1)[0] if rest else ""
-    tail = rest[len(head):].lstrip()
-    at = col + len(rest) - len(tail)
-    key, value = _NO_VALUE.get(head, (head, None))
-    if key in sc.expect:
-        raise ParseError(f"duplicate expectation {head!r}", line, col)
-    if head in _NO_VALUE:
-        if tail:
-            raise ParseError(f"'expect {head}' takes no value", line, at)
-    elif head == "error":
-        if not _IDENT_RE.fullmatch(tail):
-            raise ParseError(f"bad error name {tail!r}", line, at)
-        value = tail
-    elif head == "fibers":
-        value = _parse_fiber_multiset(tail, line, at)
-    elif head in ("euler", "det", "length", "parity"):
-        value = _parse_int(tail, line, at, "euler number" if head == "euler" else head)
-        if head == "parity" and value not in (0, 1):
-            raise ParseError("parity must be 0 or 1", line, at)
-    elif head == "signature":
-        parts = tail.split(",")
-        if len(parts) != 2:
-            raise ParseError("signature expects 'plus,minus'", line, at)
-        plus, minus = parts
-        value = (
-            _parse_int(plus, line, at, "signature entry"),
-            _parse_int(minus, line, at + len(plus) + 1, "signature entry"),
-        )
-    else:
-        raise ParseError(f"unknown expectation {head!r}", line, col)
-    sc.expect[key] = value
-
-
-def _parse_input(key: str, m: re.Match, line: int, col: int, source: str):
-    """The value of the input line ``m`` of directive ``key``; ``col`` is
-    the column of the line."""
-    expr, at = m.group("expr"), col + m.start("expr")
-    if key == "rat":
-        return parse_rational(expr, line=line, col=at)
-    if key == "lattice":
-        return _parse_lattice_expr(expr, line, at)
-    if key == "quartic":
-        parts = expr.split(",")
-        if len(parts) != 5:
-            raise ParseError("quartic expects five comma-separated coefficients", line, col)
-        coeffs = []
-        for part in parts:
-            coeffs.append(parse_rational(part, line=line, col=at))
-            at += len(part) + 1
-        return QuarticCurve.of(*coeffs)
-    vars = (m.group("v1"), m.group("v2"))
-    if vars[0] == vars[1]:
-        raise ParseError("the two variables must differ", line, col)
-    degree = m.group("deg").lstrip("0") or "0"  # int() refuses over 4 300 digits
-    if len(degree) > len(str(MAX_POLY_DEGREE)) or int(degree) > MAX_POLY_DEGREE:
-        raise ParseError(f"poly degree above {MAX_POLY_DEGREE}", line, col + m.start("deg"))
-    try:
-        return parse_hompoly(expr, vars, int(degree), line=line, col=at)
-    except NotHomogeneous as exc:
-        raise DegreeMismatch(f"{source}:{line}: {exc}") from None
-
-
-def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
-    """Parse one scenario file into a fully typed :class:`Scenario`.
-
-    Raises :class:`ParseError` (with line/column) for grammar problems and
-    :class:`DegreeMismatch` when a polynomial is not homogeneous of its
-    declared degree.
-    """
-    sc = Scenario()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        col = len(line) - len(line.lstrip()) + 1
-        line = line.strip()
-        key = line.split(None, 1)[0]
-        rest = line[len(key):].strip()
-        rest_col = col + len(line) - len(rest)
-
-        if key in ("name", "kind", "family", "trials"):
-            if getattr(sc, key) is not None:
-                raise ParseError(f"duplicate {key} line", lineno, col)
-            value = rest
-            if key == "trials":
-                value = _parse_int(rest, lineno, rest_col, "trials")
-                if value < 1:
-                    raise ParseError("trials must be positive", lineno, rest_col)
-                if value > MAX_TRIALS:
-                    raise ParseError(f"trials above {MAX_TRIALS}", lineno, rest_col)
-            elif key == "kind":
-                if rest not in _KINDS:
-                    raise ParseError(f"unknown kind {rest!r}", lineno, col)
-            elif not _NAME_RE.fullmatch(rest):
-                what = "scenario" if key == "name" else "family"
-                raise ParseError(f"bad {what} name {rest!r}", lineno, col)
-            setattr(sc, key, value)
-        elif key in _INPUTS:
-            table, shape = _INPUTS[key]
-            m = (_POLY_RE if key == "poly" else _ASSIGN_RE).match(line)
-            if m is None:
-                raise ParseError(f"expected '{shape}'", lineno, col)
-            inputs, name = getattr(sc, table), m.group("name")
-            if name in inputs:
-                raise ParseError(f"duplicate {key} {name!r}", lineno, col)
-            inputs[name] = _parse_input(key, m, lineno, col, source)
-        elif key == "expect":
-            _parse_expect(rest, lineno, rest_col, sc)
-        else:
-            raise ParseError(f"unknown directive {key!r}", lineno, col)
-
-    if sc.name is None:
-        raise ParseError(f"{source}: missing name line", 1, 1)
-    if sc.kind is None:
-        raise ParseError(f"{source}: missing kind line", 1, 1)
-    _validate_scenario(sc, source)
-    return sc
-
-
-def _validate_scenario(sc: Scenario, source: str) -> None:
-    def bad(message: str) -> ParseError:
-        return ParseError(f"{source}: scenario {sc.name!r}: {message}", 1, 1)
-
-    takes, names = _KINDS[sc.kind]
-    outcome = any(key not in ("error", "euler") for key in sc.expect)
-    if "error" not in sc.expect and not outcome:
-        raise bad("no expectation declared")
-    if "error" in sc.expect and outcome:
-        raise bad("'expect error' excludes every other expectation")
-    if any(key != "error" and key not in takes for key in sc.expect):
-        raise bad(f"{sc.kind} takes {names}")
-
-    if sc.kind == "lattice-identity":
-        if sc.family is not None:
-            raise bad("lattice-identity scenarios take no family")
-        if sc.trials is not None:
-            raise bad("lattice-identity scenarios take no trials line")
-        if not sc.lattices:
-            raise bad("lattice-identity needs at least one lattice")
-        if "match" in sc.expect and len(sc.lattices) < 2:
-            raise bad("match/mismatch needs at least two lattices")
-        return
-
-    if sc.family is None:
-        raise bad("this kind needs a family line")
-    fam = _FAMILIES.get(sc.family)
-    if fam is None:
-        raise bad(f"unknown family {sc.family!r}")
-    if fam.kind != sc.kind:
-        raise bad(f"family {sc.family!r} belongs to kind {fam.kind!r}")
-    if sc.trials is not None and not fam.randomized:
-        raise bad(f"family {sc.family!r} runs no trials and takes no trials line")
-    for name, directive in fam.inputs.items():
-        if name not in getattr(sc, _INPUTS[directive][0]):
-            raise bad(f"family {sc.family!r} needs {directive} {name!r}")
-    if fam.constraint is not None and not fam.constraint[0](sc):
-        raise bad(fam.constraint[1])
-
-
-def load_scenario(path: str) -> Scenario:
-    """Parse the scenario file at ``path``; a file that is not UTF-8 text
-    is a :class:`ParseError` at its first bad byte."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the lines as parse_scenario counts them, the last ending at the bad byte
-        lines = (data[: exc.start].decode("utf-8") + "\ufffd").splitlines()
-        message = f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
-        raise ParseError(message, len(lines), len(lines[-1])) from None
-    return parse_scenario(text, source=path)
-
-
-def bundled_scenarios() -> list[Scenario]:
-    """All scenarios shipped inside the package, sorted by name."""
-    root = resources.files(__package__).joinpath("scenarios")
-    out = []
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".scn"):
-            out.append(parse_scenario(entry.read_text("utf-8"), source=entry.name))
-    return sorted(out, key=lambda sc: sc.name)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ them (``functools.cached_property``) from their first use, and every later
 ``invariants``, ``fiber_configuration`` or ``two_torsion_sections`` of the
 same object reads them.  The row computation knows nothing of the class, an
 equal but distinct model computes its own, and a degenerate model raises
-``DegenerateModel`` on every call.
+``DegenerateModel`` on every call.  Fiber labels are read in ``scenario``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from functools import cached_property
 from math import lcm
 
 from .exactpoly import (
-    MAX_DIGITS,
     DegreeMismatch,
     HomPoly,
     _int_mul,
@@ -89,18 +88,6 @@ class KodairaType:
         if self.family == "I*":
             return f"I{self.n}*"
         return self.family
-
-    @staticmethod
-    def parse(text: str) -> KodairaType:
-        t = text.strip()
-        if t in ("II", "III", "IV", "II*", "III*", "IV*"):
-            return KodairaType(t)
-        star = t.endswith("*")
-        body = t[:-1] if star else t
-        index = body[1:] if body.startswith("I") else ""
-        if index.isascii() and index.isdigit() and len(index) <= MAX_DIGITS:
-            return KodairaType("I*" if star else "I", int(index))
-        raise ValueError(f"unrecognized fiber label {text!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -55,17 +55,12 @@ degree ``n >= 2`` is the classical identity (Gelfand-Kapranov-Zelevinsky)
 Whether the discriminant vanishes needs no determinant: ``is_separable``
 asks whether the gcd of the two partials is constant.
 
-Text is read in one place each: ``parse_rational`` and ``parse_hompoly``.
-A number there has at most ``MAX_DIGITS`` digits and a form at most degree
-``MAX_POLY_DEGREE``, declared or read off its terms, so a short text never
-asks for a huge integer or coefficient list.
-
-Everything is exact; nothing here ever rounds.
+Everything is exact; nothing here ever rounds, and nothing reads text:
+``ellsurf.scenario`` parses forms and rationals.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -92,23 +87,9 @@ class ZeroScale(ValueError):
     form, or a scale or line parameter of the double-quadric data."""
 
 
-class ParseError(ValueError):
-    """Text could not be parsed; carries 1-based ``line`` and ``col``."""
-
-    def __init__(self, message: str, line: int = 1, col: int = 1):
-        super().__init__(f"{message} (line {line}, col {col})")
-        self.line = line
-        self.col = col
-
-
-class NotHomogeneous(ParseError):
-    """Form text whose terms do not share one total degree, or whose degree
-    is not the declared one."""
-
-
 def rat(value: RationalLike) -> Fraction:
     """Coerce an int or a Fraction to a Fraction; text is read by
-    ``parse_rational`` instead, and anything else raises ``TypeError``."""
+    ``scenario.parse_rational`` instead, and anything else raises ``TypeError``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -1220,169 +1201,3 @@ def tensor_forms(p: HomPoly, q: HomPoly) -> BiHomPoly:
     """Outer product: a form in ``vars1`` times a form in ``vars2``."""
     flat = [a * b for a in p.num for b in q.num]
     return _bihom(p.vars, q.vars, flat, len(q.num), p.den * q.den)
-
-
-# ---------------------------------------------------------------------------
-# parsing
-# ---------------------------------------------------------------------------
-
-# the most digits a number in polynomial or scenario text may have, so that
-# a long digit string is refused with its column: Python refuses to read an
-# integer of more than 4 300 digits with a bare ValueError
-MAX_DIGITS = 1000
-
-# the largest degree of a form read from text, so that "s^10000000" or
-# "deg 100000" cannot ask for a huge coefficient list; every bundled poly
-# declares 4 or 8, and the largest form the paper uses, a K3 surface's
-# discriminant, has degree 24
-MAX_POLY_DEGREE = 48
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
-)
-_RATIONAL_RE = re.compile(r"-?([0-9]+)(?:/(0*[1-9][0-9]*))?")
-
-
-def parse_rational(text: str, line: int = 1, col: int = 1) -> Fraction:
-    """A rational ``-?n`` or ``-?n/d`` in digits with d > 0, like ``-3/4``,
-    of at most ``MAX_DIGITS`` digits a part; ``line`` and ``col`` place the
-    first character of ``text``, and an error names the column of the number."""
-    value, at = text.strip(), col + len(text) - len(text.lstrip())
-    m = _RATIONAL_RE.fullmatch(value)
-    if m is None:
-        raise ParseError(f"bad rational {value!r}: expected n or n/d in digits, d > 0", line, at)
-    if max(len(part or "") for part in m.groups()) > MAX_DIGITS:
-        raise ParseError(f"rational with more than {MAX_DIGITS} digits", line, at)
-    return Fraction(value)
-
-
-def parse_hompoly(
-    text: str,
-    vars: tuple[str, str],
-    degree: int | None = None,
-    line: int = 1,
-    col: int = 1,
-) -> HomPoly:
-    """Parse a term-sum like ``3*s^2 - 2*s*t + t^2`` into a binary form.
-
-    Every term must use only the two declared variables and all terms must
-    share one total degree (which must equal ``degree`` when given).
-    ``0`` parses to the zero form and needs an explicit ``degree``.  A
-    degree above ``MAX_POLY_DEGREE``, declared or read off the terms, is
-    refused before any coefficient list is built.
-    ``line`` and ``col`` place the first character of ``text`` in its
-    source; errors report positions relative to them.
-    """
-    if degree is not None and degree > MAX_POLY_DEGREE:
-        raise ParseError(f"degree above {MAX_POLY_DEGREE}", line, col)
-    terms = _parse_terms(text, set(vars), line, col - 1)
-    degrees = {sum(e for _v, e in powers) for _c, powers in terms}
-    if len(terms) == 1 and terms[0][0] == 0:
-        if degree is None:
-            raise ParseError("zero form needs an explicit degree", line, col)
-        return HomPoly.zero(vars, degree)
-    if len(degrees) != 1:
-        raise NotHomogeneous(
-            f"terms are not homogeneous (total degrees {sorted(degrees)})", line, col
-        )
-    d = degrees.pop()
-    if degree is not None and degree != d:
-        raise NotHomogeneous(f"declared degree {degree} but terms have degree {d}", line, col)
-    if d > MAX_POLY_DEGREE:
-        raise ParseError(f"terms of degree above {MAX_POLY_DEGREE}", line, col)
-    coeffs = [Fraction(0)] * (d + 1)
-    for c, powers in terms:
-        es = {v: 0 for v in vars}
-        for v, e in powers:
-            es[v] += e
-        coeffs[es[vars[1]]] += c
-    return HomPoly.of(vars, coeffs)
-
-
-def _parse_terms(
-    text: str, allowed: set[str], line: int, offset: int
-) -> list[tuple[Fraction, list[tuple[str, int]]]]:
-    """The signed terms of ``text``, never empty; ``offset`` is added to
-    every reported column."""
-    pos = 0
-    n = len(text)
-    terms: list[tuple[Fraction, list[tuple[str, int]]]] = []
-    sign = 1
-    sign_col = 0
-    current_coeff: Fraction | None = None
-    current_pows: list[tuple[str, int]] = []
-    started = False
-
-    def fail(message: str, col: int) -> ParseError:
-        return ParseError(message, line, offset + col)
-
-    def check_digits(token: str, col: int) -> None:
-        if any(len(part) > MAX_DIGITS for part in token.split("/")):
-            raise fail(f"number with more than {MAX_DIGITS} digits", col)
-
-    def flush() -> None:
-        nonlocal sign, current_coeff, current_pows, started
-        c = current_coeff if current_coeff is not None else Fraction(1)
-        terms.append((sign * c, current_pows))
-        sign = 1
-        current_coeff = None
-        current_pows = []
-        started = False
-
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            if text[pos:].strip() == "":
-                break
-            bad = len(text) - len(text[pos:].lstrip())
-            raise fail(f"unexpected character {text[bad]!r}", bad + 1)
-        col = m.start(m.lastgroup) + 1 if m.lastgroup else m.start() + 1
-        pos = m.end()
-        if m.group("num"):
-            check_digits(m.group("num"), col)
-            try:
-                val = Fraction(m.group("num"))
-            except ZeroDivisionError:
-                raise fail(f"zero denominator in {m.group('num')!r}", col) from None
-            if current_coeff is None:
-                current_coeff = val
-            else:
-                current_coeff *= val
-            started = True
-        elif m.group("name"):
-            name = m.group("name")
-            if name not in allowed:
-                raise fail(f"unknown variable {name!r}", col)
-            exp = 1
-            m2 = _TOKEN_RE.match(text, pos)
-            if m2 and m2.group("op") == "^":
-                pos = m2.end()
-                m3 = _TOKEN_RE.match(text, pos)
-                if not m3 or not m3.group("num") or "/" in m3.group("num"):
-                    raise fail("exponent must be a nonnegative integer", m2.start("op") + 1)
-                check_digits(m3.group("num"), m3.start("num") + 1)
-                exp = int(m3.group("num"))
-                pos = m3.end()
-            current_pows.append((name, exp))
-            started = True
-        else:
-            op = m.group("op")
-            if op in "+-":
-                if started:
-                    flush()
-                if op == "-":
-                    sign = -sign
-                sign_col = col
-            elif op == "*":
-                if not started:
-                    raise fail("'*' needs a left operand", col)
-            else:
-                raise fail(f"unsupported operator {op!r}", col)
-    if started:
-        flush()
-    elif not terms:
-        raise fail("empty polynomial text", 1)
-    else:
-        # the text ends in a '+' or '-' with no term after it
-        raise fail("dangling sign", sign_col)
-    return terms

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -35,11 +34,7 @@ from ellsurf.exactpoly import (
     DegreeMismatch,
     DegreeTooLow,
     ExactDivisionError,
-    MAX_DIGITS,
-    MAX_POLY_DEGREE,
     HomPoly,
-    NotHomogeneous,
-    ParseError,
     SquarefreeSplit,
     UniPoly,
     _int_gcd,
@@ -57,8 +52,6 @@ from ellsurf.exactpoly import (
     gcd_poly,
     homogenize,
     is_separable,
-    parse_hompoly,
-    parse_rational,
     rat,
     rational_cubic_roots,
     rational_sqrt,
@@ -67,6 +60,7 @@ from ellsurf.exactpoly import (
     squarefree_split,
     tensor_forms,
 )
+from ellsurf.scenario import parse_hompoly
 
 _X = sp.symbols("x")
 
@@ -1454,97 +1448,6 @@ class TestBiHomPoly:
         )
         assert A.is_symmetric == swapped
         assert symmetric <= A.is_symmetric
-
-
-class TestParsing:
-    def test_rationals(self):
-        assert parse_rational(" -3/4 ") == Fraction(-3, 4)
-        with pytest.raises(ParseError):
-            parse_rational("3/0")
-
-    @pytest.mark.parametrize(
-        "text", ["1e50", "2.5", "1_000", "1e999999999", "+3", "3/-4", "1/00", "\u0663", "1/1\u0664"]
-    )
-    def test_only_digits_over_digits_are_rationals(self, text):
-        # Fraction(text) reads all but 3/-4 and 1/00; 1e999999999 would
-        # build a 10^999999999 integer, so it must be refused unread, and
-        # the digits are ASCII 0-9 only (Fraction reads Arabic-Indic ones)
-        with pytest.raises(ParseError, match=f"bad rational '{re.escape(text)}'") as err:
-            parse_rational(f"  {text}", line=3, col=7)
-        assert (err.value.line, err.value.col) == (3, 9)
-
-    def test_rationals_of_more_than_max_digits_are_refused(self):
-        big = "7" * MAX_DIGITS
-        assert parse_rational(f"-{big}/3") == Fraction(-int(big), 3)
-        assert parse_rational(f"1/{big}") == Fraction(1, int(big))
-        for text in (big + "7", f"1/{big}7", f"-{big}7/3"):
-            with pytest.raises(ParseError, match="more than 1000 digits") as err:
-                parse_rational(text, col=4)
-            assert err.value.col == 4
-
-    def test_positions_reported(self):
-        with pytest.raises(ParseError) as err:
-            parse_hompoly("s^2 + w*t", ("s", "t"))
-        assert err.value.line == 1
-        assert err.value.col == 7
-
-    def test_homogeneity_enforced(self):
-        with pytest.raises(NotHomogeneous):
-            parse_hompoly("s^2 + t", ("s", "t"))
-        with pytest.raises(NotHomogeneous):
-            parse_hompoly("s^2 - t^2", ("s", "t"), degree=4)
-        # the class, not the message, says what failed
-        with pytest.raises(ParseError, match="unknown variable 'homogeneous'") as err:
-            parse_hompoly("homogeneous", ("s", "t"), degree=1)
-        assert not isinstance(err.value, NotHomogeneous)
-
-    def test_zero_denominator_is_a_parse_error(self):
-        with pytest.raises(ParseError) as err:
-            parse_hompoly("s^4 + 1/0*t^4", ("s", "t"), 4, line=3)
-        assert "zero denominator" in str(err.value)
-        assert (err.value.line, err.value.col) == (3, 7)
-
-    def test_trailing_sign_is_a_parse_error(self):
-        for text in ("s +", "s -", "s + t +"):
-            with pytest.raises(ParseError, match="dangling sign"):
-                parse_hompoly(text, ("s", "t"), 1)
-        with pytest.raises(ParseError) as err:
-            parse_hompoly("s +", ("s", "t"), 1, line=2, col=30)
-        assert (err.value.line, err.value.col) == (2, 32)
-
-    def test_a_missing_exponent_is_reported_at_its_caret(self):
-        # the caret is the last character of "s^", and a space follows it
-        # in "s^ t"; "3/2" is no integer
-        for text in ("s^", "s^ t", "s^+t", "s^3/2"):
-            with pytest.raises(ParseError, match="exponent must be a nonnegative integer") as err:
-                parse_hompoly(text, ("s", "t"), line=2, col=10)
-            assert (err.value.line, err.value.col) == (2, 11)
-        with pytest.raises(ParseError, match="exponent") as err:
-            parse_hompoly("t*s ^ t", ("s", "t"))
-        assert err.value.col == 5
-
-    def test_zero_form_needs_degree(self):
-        assert parse_hompoly("0", ("s", "t"), degree=3).is_zero
-        with pytest.raises(ParseError):
-            parse_hompoly("0", ("s", "t"))
-
-    def test_cancelling_terms_keep_declared_degree(self):
-        F = parse_hompoly("s*t - s*t", ("s", "t"))
-        assert F.is_zero and F.degree == 2
-
-    def test_degrees_above_the_cap_are_refused_before_any_coefficient_list(self):
-        assert MAX_POLY_DEGREE == 48
-        assert parse_hompoly("s^48", ST).degree == 48
-        assert parse_hompoly("0", ST, degree=48).degree == 48
-        # uncapped, "s^10000000" builds a 10^7-entry form, and a 1 000-digit
-        # exponent asks for a list no machine holds
-        for text in ("s^49", "s^30*t^19", "s^10000000", "s^" + "9" * MAX_DIGITS):
-            with pytest.raises(ParseError, match="terms of degree above 48") as err:
-                parse_hompoly(text, ST, line=2, col=5)
-            assert (err.value.line, err.value.col) == (2, 5)
-        for text in ("s^49", "0"):
-            with pytest.raises(ParseError, match="degree above 48"):
-                parse_hompoly(text, ST, degree=49)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,10 @@ and no module memoizes through ``functools.lru_cache`` or
 or reaches the class.  The integer gcd retries over a computed range: no
 ``while`` loop runs in it or its own helpers, so no remainder sequence
 comes back.  The squarefree split and ``refine_against`` read their
-quotients off the gcd: neither mentions a division.
+quotients off the gcd: neither mentions a division.  Scenario text has
+one home, ``scenario``: it imports nothing from ``cli``, the domain layers
+import nothing from it, and no other module defines ``ParseError`` or reads
+the digit cap ``MAX_DIGITS``.
 """
 
 import ast
@@ -741,6 +744,7 @@ _OFF_THE_FORMS = {
     "elliptic": _AFFINE_ROUND_TRIP,
     "hermite_aj": _AFFINE_ROUND_TRIP | {"discriminant_form"},
     "lattice": _AFFINE_ROUND_TRIP,
+    "scenario": _AFFINE_ROUND_TRIP,
 }
 
 
@@ -943,3 +947,51 @@ def test_the_check_sees_functools_memo_caches_only():
 def test_no_module_memoizes_through_functools():
     # a cache lives on the object it describes, as long as that object
     assert _package_findings(_memo_caches) == {}
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """The package modules a module imports, by a relative or an absolute
+    import, anywhere in it."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+            found |= {path[1] for path in paths if path[0] == "ellsurf" and len(path) > 1}
+        elif isinstance(node, ast.ImportFrom):
+            path = [part for part in (node.module or "").split(".") if part]
+            if node.level == 0:
+                if path[:1] != ["ellsurf"]:
+                    continue
+                path = path[1:]
+            found |= {path[0]} if path else {alias.name for alias in node.names}
+    return found
+
+
+def test_the_check_sees_imports_of_package_modules_only():
+    source = (
+        "from .scenario import ParseError\n"
+        "from . import lattice as la\n"
+        "import ellsurf.duality\n"
+        "def f():\n    from ellsurf import cli\n"
+        "from ellsurf.hermite_aj import QuarticCurve\n"
+        "import re, scenario, ellsurfaces.cli\n"
+        "from elliptic import KodairaType\n"
+        "from ellsurfaces import lattice\n"
+    )
+    assert _imported_modules(ast.parse(source)) == {"scenario", "lattice", "duality", "cli", "hermite_aj"}
+
+
+# the layers below the grammar, which read no text
+_BELOW_THE_GRAMMAR = ("exactpoly", "elliptic", "hermite_aj", "duality", "lattice")
+
+
+def test_scenario_text_has_one_home():
+    root = Path(ellsurf.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in root.glob("*.py")}
+    assert "cli" not in _imported_modules(trees["scenario"])
+    for name in _BELOW_THE_GRAMMAR:
+        assert "scenario" not in _imported_modules(trees[name]), name
+    for name, tree in trees.items():
+        if name != "scenario":
+            assert "ParseError" not in _nested_definitions(tree), name
+            assert "MAX_DIGITS" not in _module_mentions(tree), name
