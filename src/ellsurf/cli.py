@@ -399,17 +399,17 @@ def _star_chain(sc, rng):
     return _fibers(sc, [(f"sharpened chain, level {level}", model)])
 
 
-def _correspondence(keys: tuple[str, str]) -> Callable:
+def _correspondence(kind: str) -> Callable:
     def check(sc, rng):
-        table = du.correspondence_surfaces(*_sample_correspondence_triple(rng))
-        return _fibers(sc, [(key, table[key]) for key in keys])
+        models = du.correspondence_models(kind, *_sample_correspondence_triple(rng))
+        return _fibers(sc, [(f"{kind}{ruling}", model) for ruling, model in enumerate(models, 1)])
 
     return check
 
 
-_family("correspondence-cover", "fiber-config")(_correspondence(("cover1", "cover2")))
-_family("correspondence-quotient", "fiber-config")(_correspondence(("quot1", "quot2")))
-_family("correspondence-rational", "fiber-config")(_correspondence(("rat1", "rat2")))
+_family("correspondence-cover", "fiber-config")(_correspondence("cover"))
+_family("correspondence-quotient", "fiber-config")(_correspondence("quot"))
+_family("correspondence-rational", "fiber-config")(_correspondence("rat"))
 
 
 def _reduced_pair_generic(pair) -> bool:
@@ -439,8 +439,8 @@ _family("tower-rational-quotient", "fiber-config")(_subfamily("rational"))
 
 @_family("full-torsion-alternate", "fiber-config")
 def _full_torsion_alt(sc, rng):
-    table = du.full_torsion_surfaces(*_sample_full_torsion_forms(rng))
-    return _fibers(sc, [("full-torsion member", table["alt"])])
+    pair = du.full_torsion_pair(*_sample_full_torsion_forms(rng))
+    return _fibers(sc, [("full-torsion member", pair.model())])
 
 
 @_family("refibered-pencil", "fiber-config")
@@ -458,6 +458,13 @@ def _refibered_pencil(sc, rng):
 _ANCHORS = tuple(Fraction(a) for a in (-2, -1, 0, 1, 2, 3))
 
 
+def _quartic(h: QuarticCurve) -> dict:
+    """A random quartic's part of a witness.  The checks below return their
+    witness unrendered, as ``_fibers`` does, so only the trial the driver
+    keeps, or one that fails, renders it."""
+    return {"quartic": _frs(h.coeffs)}
+
+
 @_family(
     "coupling-product",
     "hermite-identity",
@@ -465,16 +472,15 @@ _ANCHORS = tuple(Fraction(a) for a in (-2, -1, 0, 1, 2, 3))
 )
 def _coupling_product(sc, rng):
     h = _random_quartic(rng)
-    quartic = {"quartic": _frs(h.coeffs)}
     polys = correspondence_polys(h)
     if not (polys.pairing.is_symmetric and polys.cofactor.is_symmetric):
-        raise _CheckFailure("coupling data lost symmetry", quartic)
+        raise _CheckFailure("coupling data lost symmetry", _quartic(h))
     if polys.pairing.diagonal() != h.form:
-        raise _CheckFailure("pairing diagonal differs from the quartic", quartic)
+        raise _CheckFailure("pairing diagonal differs from the quartic", _quartic(h))
     # the cofactor diagonal is one 36th of the Hessian of the quartic form
     (f_uu, f_uv), (_, f_vv) = (form_partials(d) for d in form_partials(h.form))
     if 36 * polys.cofactor.diagonal() != f_uu * f_vv - f_uv * f_uv:
-        raise _CheckFailure("cofactor diagonal formula failed", quartic)
+        raise _CheckFailure("cofactor diagonal formula failed", _quartic(h))
     # pairing^2 + cofactor*(x - x0)^2 = P(x)*P(x0) as one bidegree-(4,4)
     # identity.  Both sides have degree four in x0, so a nonzero difference
     # vanishes at no more than four of the six anchors: the identity holds
@@ -485,20 +491,19 @@ def _coupling_product(sc, rng):
     if lhs != rhs:
         difference = lhs - rhs
         x0 = next(a for a in _ANCHORS if not difference.specialize_pair2(a, 1).is_zero)
-        raise _CheckFailure(f"product identity failed at anchor {x0}", quartic)
-    return quartic
+        raise _CheckFailure(f"product identity failed at anchor {x0}", _quartic(h))
+    return lambda: _quartic(h)
 
 
 @_family("discriminant-relation", "hermite-identity")
 def _discriminant_relation(sc, rng):
     h = _random_quartic(rng)
-    quartic = {"quartic": _frs(h.coeffs)}
     dp, dq, g = discr_relation_check(h)
     if dq != g * g * dp:
-        raise _CheckFailure("resolvent discriminant is not g^2 times the quartic one", quartic)
+        raise _CheckFailure("resolvent discriminant is not g^2 times the quartic one", _quartic(h))
     if dp != jacobian_quartic(h).discriminant:
-        raise _CheckFailure("quartic discriminant differs from -4f^3 - 27g^2", quartic)
-    return quartic | {"disc": str(dp)}
+        raise _CheckFailure("quartic discriminant differs from -4f^3 - 27g^2", _quartic(h))
+    return lambda: _quartic(h) | {"disc": str(dp)}
 
 
 @_family("pointwise-map", "hermite-identity")
@@ -520,10 +525,13 @@ def _pointwise_map(sc, rng):
     if not abel_jacobi(h, base, base).is_infinity:
         raise _CheckFailure("the base point did not map to the origin")
     img = abel_jacobi(h, base, point)
-    image = "infinity" if img.is_infinity else [str(img.xi), str(img.eta)]
-    witness = {"quartic": _frs(h.coeffs), "image": image}
+
+    def witness():
+        image = "infinity" if img.is_infinity else [str(img.xi), str(img.eta)]
+        return _quartic(h) | {"image": image}
+
     if not img.is_infinity and not jacobian_quartic(h).contains(img.xi, img.eta):
-        raise _CheckFailure("image is off the reduced cubic", witness)
+        raise _CheckFailure("image is off the reduced cubic", witness())
     return witness
 
 
@@ -562,11 +570,10 @@ def _fiberwise_j(sc, rng):
         lambda xi: cubic.rhs(xi) != 0,
     )
     b = correspondence_22(h, xi)
-    witness = {"quartic": _frs(h.coeffs), "xi": str(xi)}
     j = j_invariant_quartic(h)
     if j != j_invariant_22(b):
-        raise _CheckFailure("the two j-invariants differ", witness)
-    return witness | {"j": str(j)}
+        raise _CheckFailure("the two j-invariants differ", _quartic(h) | {"xi": str(xi)})
+    return lambda: _quartic(h) | {"xi": str(xi), "j": str(j)}
 
 
 _DOUBLE_COVER_RATS = ("a0", "a1", "a2", "xi", "c0", "c_inf")
@@ -690,8 +697,7 @@ def _refibration_match(sc, rng):
     surface = _draw_quadruple(lambda: _refiber_rows(rng))
     b, c = surface.torsion_factors
     rj = du.refibration_jacobian(surface)
-    tor = du.full_torsion_surfaces(b + c, b - c)
-    if rj.f != tor["f"] or rj.g != tor["g"]:
+    if (rj.f, rj.g) != du.full_torsion_jacobian(b + c, b - c):
         raise _CheckFailure("refibration pair differs from the torsion-tower pair")
     if (rj.params.mu, rj.params.nu) != (0, 1):
         raise _CheckFailure("default chart is not (0, 1)")
@@ -750,11 +756,9 @@ def _extraction_identity(sc, rng):
     if total != data.branch:
         raise _CheckFailure("the two branch readings differ")
     left, right = pair.split
-    flipped = du.quadric_double_cover(
-        du.AlternatePair(pair.trace, pair.norm, split=(right, left))
-    )
+    flipped = du.quadric_branch(du.AlternatePair(pair.trace, pair.norm, split=(right, left)))
     u_lin, v_lin = HomPoly.of(cover, (1, 0)), HomPoly.of(cover, (0, 1))
-    if data.branch.substitute_pair2(v_lin, u_lin) != flipped.branch:
+    if data.branch.substitute_pair2(v_lin, u_lin) != flipped:
         raise _CheckFailure("swapping rulings does not flip the split")
     try:
         res = du.RESData(data.swap.f, data.swap.g)

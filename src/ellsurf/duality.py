@@ -9,10 +9,10 @@ data from exact rational input:
 * the fiberwise two-isogeny dual of a fibration with a two-torsion
   section (``two_isogeny_dual``);
 * double covers of the quadric surface together with the exchange of
-  their two rulings (``quadric_double_cover``, ``ruling_swap``) and the
-  model and discriminant of the two-parameter deformation obtained by
-  moving a pair of section lines (``two_param_family``,
-  ``moduli_involution``);
+  their two rulings (``quadric_double_cover``, whose branch form alone
+  is ``quadric_branch``, and ``ruling_swap``) and the model and
+  discriminant of the two-parameter deformation obtained by moving a
+  pair of section lines (``two_param_family``, ``moduli_involution``);
 * the towers of models that read one family on a ruling of the quadric
   (on its quotient pair, twisted there by a line, or on a double or
   fourfold cover), each built from one table of readings: the symmetric
@@ -20,7 +20,13 @@ data from exact rational input:
   forms in ``correspondence_branches``), the family with
   full two-torsion (``full_torsion_surfaces``), and the small tower of a
   short pair (``subfamily_models``), which checks the full-torsion tower
-  and so shares no code with it;
+  and so shares no code with it.  A table is built from narrow builders,
+  which a caller that reads one entry calls alone:
+  ``correspondence_models(kind, ...)`` makes the entries ``<kind>1`` and
+  ``<kind>2`` of the correspondence table, ``full_torsion_pair`` the pair
+  whose model is ``alt``, and ``full_torsion_jacobian`` the pair ``f``,
+  ``g``.  A kind or reading name a builder does not know raises
+  ``UnknownKind``;
 * double covers branched over four bilinear curves on the quadric
   (``bilinear_quadruple_surface``) and the relative Jacobian of their
   second, genus-one fibration, read off a cover already built
@@ -48,6 +54,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .elliptic import (
     DegenerateModel,
@@ -87,15 +94,20 @@ __all__ = [
     "SingularBranchFiber",
     "ThreeLinesCubicParams",
     "TwoParamFamily",
+    "UnknownKind",
     "base_change_k3",
     "bilinear_quadruple_surface",
     "correspondence_branches",
+    "correspondence_models",
     "correspondence_surfaces",
     "form_from_line_restriction",
+    "full_torsion_jacobian",
+    "full_torsion_pair",
     "full_torsion_surfaces",
     "general_form_coefficients",
     "moduli_involution",
     "normalize_three_i0star",
+    "quadric_branch",
     "quadric_double_cover",
     "refibration_jacobian",
     "ruling_swap",
@@ -145,6 +157,17 @@ class NonSquareDiscriminant(ValueError):
 
 class ParameterConstraintViolated(ValueError):
     """A parameter tuple violates one of its defining constraints."""
+
+
+class UnknownKind(ValueError):
+    """A builder was given a kind or reading name it does not know."""
+
+
+def _known(kinds: dict, kind: str):
+    """``kinds[kind]``, or ``UnknownKind`` naming the kinds there are."""
+    if kind not in kinds:
+        raise UnknownKind(f"unknown kind {kind!r}; expected one of {tuple(kinds)}")
+    return kinds[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -353,21 +376,32 @@ class QuadricCoverData:
     jacobian: WeierstrassModel
 
 
-def quadric_double_cover(pair: AlternatePair) -> QuadricCoverData:
-    """Double cover of the quadric branched over left u^4 - trace u^2v^2 + right v^4.
+def quadric_branch(pair: AlternatePair) -> BiHomPoly:
+    """The branch form left u^4 - trace u^2v^2 + right v^4 of the double
+    cover of the quadric, on the first covering pair and the second.
 
-    Requires ``pair.split``: the branch curve needs the factorization
-    norm = left * right.  The projection to the first ruling is a
-    genus-one fibration without section; its relative Jacobian, fibered
-    over the covering coordinates of the second ruling, is the weight-two
-    model x^3 + f(u^2, v^2) x + g(u^2, v^2) where (f, g) come from the
-    ruling swap.  Exchanging u and v exchanges ``left`` and ``right``.
+    Requires ``pair.split`` (``MissingFactorization`` otherwise): the branch
+    curve needs the factorization norm = left * right, of three quartics.
+    Exchanging u and v exchanges ``left`` and ``right``.
     """
     if pair.split is None:
         raise MissingFactorization("the norm form needs an attached factorization")
     left, right = pair.split
+    check_forms((pair.trace, left, right), (4, 4, 4), "the quadric double cover")
     coeffs = (form.rename(_FIRST_COVER) for form in (left, -pair.trace, right))
-    branch = _tensor_sum(coeffs, _READ_MONOMIALS[1]["cover"])
+    return _tensor_sum(coeffs, _READ_MONOMIALS[1]["cover"])
+
+
+def quadric_double_cover(pair: AlternatePair) -> QuadricCoverData:
+    """Double cover of the quadric branched over ``quadric_branch(pair)``.
+
+    The projection to the first ruling is a genus-one fibration without
+    section; its relative Jacobian, fibered over the covering coordinates
+    of the second ruling, is the weight-two model
+    x^3 + f(u^2, v^2) x + g(u^2, v^2) where (f, g) come from the ruling swap.
+    """
+    branch = quadric_branch(pair)
+    left, right = pair.split
     swap = ruling_swap(pair.trace, left, right)
     cover = _RULINGS[1]["cover"]
     jacobian = WeierstrassModel.short(cover(swap.f), cover(swap.g))
@@ -501,6 +535,29 @@ def _tensor_sum(firsts, seconds) -> BiHomPoly:
 # the symmetric correspondence tower
 
 
+def _correspondence_pairs(
+    kind: str, alpha: HomPoly, gamma: HomPoly, delta: HomPoly
+) -> tuple[AlternatePair, AlternatePair]:
+    """The pair (-r(alpha), r(gamma delta)) on each ruling, r its reading
+    ``kind``; the input checks of ``correspondence_surfaces``."""
+    FamilyParams.from_triple(gamma, alpha, delta, 0, 0)
+    reads = [_known(readings, kind) for readings in _RULINGS]
+    prod = gamma * delta
+    return tuple(AlternatePair(-read(alpha), read(prod)) for read in reads)
+
+
+def correspondence_models(
+    kind: str, alpha: HomPoly, gamma: HomPoly, delta: HomPoly
+) -> tuple[WeierstrassModel, WeierstrassModel]:
+    """The models ``correspondence_surfaces`` lists as ``<kind>1`` and
+    ``<kind>2``, for the reading ``kind`` ("cover", "quot" or "rat";
+    ``UnknownKind`` otherwise): the first ruling's pair and the dual of
+    the second's.  Same inputs and errors as the table.
+    """
+    first, second = _correspondence_pairs(kind, alpha, gamma, delta)
+    return first.model(), two_isogeny_dual(second).model()
+
+
 def correspondence_surfaces(
     alpha: HomPoly, gamma: HomPoly, delta: HomPoly
 ) -> dict[str, object]:
@@ -515,31 +572,21 @@ def correspondence_surfaces(
     Each reading r of a ruling (``_ruling_readings``) gives the pair
     (-r(alpha), r(gamma delta)) and its two-isogeny dual: ``rat1``,
     ``quot1`` and ``cover1`` are the pair's models, with the dual's under
-    the ``_dual`` suffix; on the second ruling the roles are exchanged.
+    the ``_dual`` suffix; on the second ruling the roles are exchanged,
+    so ``<kind>1`` and ``<kind>2`` are ``correspondence_models(kind, ...)``.
     ``"cad"`` is the ``rat`` reading of (gamma, alpha, delta) on the
     second ruling.  So only alpha and gamma delta are read under every
     reading; the branch forms of the double covers are
     ``correspondence_branches``.  Raises ``DegenerateModel`` when
     gamma delta or alpha^2 - 4 gamma delta vanishes identically.
     """
-    FamilyParams.from_triple(gamma, alpha, delta, 0, 0)
-
-    # (alpha, gamma delta) under each reading of each ruling
-    forms = (alpha, gamma * delta)
-    read = [
-        {kind: [r(form) for form in forms] for kind, r in readings.items()}
-        for readings in _RULINGS
-    ]
     table: dict[str, object] = {"cad": tuple(map(_RULINGS[1]["rat"], (gamma, alpha, delta)))}
     for kind in ("cover", "quot", "rat"):
-        for ruling, side in enumerate(read, 1):
-            r_alpha, r_prod = side[kind]
-            pair = AlternatePair(-r_alpha, r_prod)
-            listed, dual = pair.model(), two_isogeny_dual(pair).model()
-            if ruling == 2:
-                listed, dual = dual, listed
-            table[f"{kind}{ruling}"] = listed
-            table[f"{kind}{ruling}_dual"] = dual
+        first, second = _correspondence_pairs(kind, alpha, gamma, delta)
+        table[f"{kind}1"] = first.model()
+        table[f"{kind}1_dual"] = two_isogeny_dual(first).model()
+        table[f"{kind}2"] = two_isogeny_dual(second).model()
+        table[f"{kind}2_dual"] = second.model()
     return table
 
 
@@ -586,6 +633,45 @@ _TORSION_READINGS = {
     )
 }
 _ONE_FIRST = HomPoly.constant(_FIRST_COVER, 1)
+# U and V: column i of U (x) low + V (x) high is low_i U + high_i V
+_LINEAR = tuple(HomPoly.of(_SECOND_QUOT, row) for row in ((1, 0), (0, 1)))
+
+
+def _torsion_points(trace: HomPoly, difference: HomPoly) -> tuple[HomPoly, HomPoly]:
+    """(low, high) = ((trace - difference) / 2, -(trace + difference) / 2)
+    on the first covering pair, once the inputs pass the checks of
+    ``full_torsion_surfaces``: the nonzero two-torsion points sit at
+    x = low and x = -high."""
+    check_forms((trace, difference), (4, 4), "full-torsion data")
+    if difference.is_zero:
+        raise DegenerateInput("the two torsion sections coincide")
+    if (trace * trace - difference * difference).is_zero:
+        raise DegenerateInput("a torsion section hits x = 0 identically")
+    trace_c = trace.rename(_FIRST_COVER)
+    diff_c = difference.rename(_FIRST_COVER)
+    half = Fraction(1, 2)
+    return (trace_c - diff_c) * half, -(trace_c + diff_c) * half
+
+
+def _torsion_lines(low: HomPoly, high: HomPoly) -> tuple[HomPoly, ...]:
+    """The linear forms a_i(U, V) = low_i U + high_i V, read off the rows."""
+    lines = tensor_forms(_LINEAR[0], low) + tensor_forms(_LINEAR[1], high)
+    return tuple(lines.pair2_coefficient(i) for i in range(low.degree + 1))
+
+
+def full_torsion_pair(trace: HomPoly, difference: HomPoly) -> AlternatePair:
+    """The two-torsion pair whose model ``full_torsion_surfaces`` lists as
+    ``"alt"``: trace and (trace^2 - difference^2) / 4 on the first covering
+    pair.  Same inputs and errors as the table."""
+    low, high = _torsion_points(trace, difference)
+    return AlternatePair(low - high, -(low * high))
+
+
+def full_torsion_jacobian(trace: HomPoly, difference: HomPoly) -> tuple[HomPoly, HomPoly]:
+    """The Jacobian pair that ``full_torsion_surfaces`` lists as ``"f"`` and
+    ``"g"``, of the quartic family of the linear forms ``"a"``.  Same inputs
+    and errors as the table."""
+    return hermite_pair_forms(*_torsion_lines(*_torsion_points(trace, difference)))
 
 
 def full_torsion_surfaces(trace: HomPoly, difference: HomPoly) -> dict[str, object]:
@@ -608,23 +694,13 @@ def full_torsion_surfaces(trace: HomPoly, difference: HomPoly) -> dict[str, obje
     (sum_i s^(4-i) t^i (x) a_i(x, y)) (1 (x) line) and
     low (x) line x + high (x) line y, which are equal.  The ``4cover``
     route is this (low, high) reading at ((u^2 - v^2)^2, (u^2 + v^2)^2).
+    ``alt`` is ``full_torsion_pair(...).model()``, and ``f`` and ``g`` are
+    ``full_torsion_jacobian``'s pair, built from the same linear forms.
     """
-    check_forms((trace, difference), (4, 4), "full-torsion data")
-    if difference.is_zero:
-        raise DegenerateInput("the two torsion sections coincide")
-    if (trace * trace - difference * difference).is_zero:
-        raise DegenerateInput("a torsion section hits x = 0 identically")
-
-    trace_c = trace.rename(_FIRST_COVER)
-    diff_c = difference.rename(_FIRST_COVER)
-    half = Fraction(1, 2)
-    low = (trace_c - diff_c) * half
-    high = -(trace_c + diff_c) * half
-    coeffs = tuple(HomPoly.of(_SECOND_QUOT, a) for a in zip(low.coeffs, high.coeffs))
+    low, high = _torsion_points(trace, difference)
+    coeffs = _torsion_lines(low, high)
     f, g = hermite_pair_forms(*coeffs)
-
-    norm = (trace_c * trace_c - diff_c * diff_c) * Fraction(1, 4)
-    alt_pair = AlternatePair(trace_c, norm)
+    alt_pair = full_torsion_pair(trace, difference)
     table: dict[str, object] = {
         "a": coeffs,
         "f": f,
@@ -634,7 +710,9 @@ def full_torsion_surfaces(trace: HomPoly, difference: HomPoly) -> dict[str, obje
     }
 
     # sum_i s^(4-i) t^i (x) a_i(U, V): row i holds the coefficients of a_i
-    refibered = BiHomPoly.of(_FIRST_COVER, _SECOND_QUOT, [a.coeffs for a in coeffs])
+    den = lcm(*(a.den for a in coeffs))
+    rows = [[n * (den // a.den) for n in a.num] for a in coeffs]
+    refibered = BiHomPoly.from_num(_FIRST_COVER, _SECOND_QUOT, rows, den)
     for name, ((x, y), line) in _TORSION_READINGS.items():
         table[f"branch_{name}"] = (
             refibered.substitute_pair2(x, y) * tensor_forms(_ONE_FIRST, line),
@@ -971,10 +1049,12 @@ def refibration_jacobian(
         raise ParameterConstraintViolated("chart parameters must be distinct")
     b, c = surface.torsion_factors
     # the coefficient of x^i in the quartic is the pencil form
-    # (b_i - c_i) t + (b_i mu - c_i nu) h, b_i = b.coeffs[4 - i]
+    # (b_i - c_i) t + (b_i mu - c_i nu) h, b_i = b.coeffs[4 - i], read here
+    # over the common denominator b.den * c.den
+    scale = Fraction(1, b.den * c.den)
     a4q, a3q, a2q, a1q, a0q = (
-        HomPoly.of(_PENCIL, (bi - ci, bi * muv - ci * nuv))
-        for bi, ci in zip(b.coeffs, c.coeffs)
+        HomPoly.of(_PENCIL, (bi - ci, bi * muv - ci * nuv)) * scale
+        for bi, ci in zip((n * c.den for n in b.num), (n * b.den for n in c.num))
     )
     sq_poly = a2q
     lin_poly = a1q * a3q - 4 * a0q * a4q
@@ -1033,13 +1113,10 @@ def subfamily_models(kind: str, f: HomPoly, g: HomPoly) -> WeierstrassModel:
       U - V (weight one).
 
     Raises ``DegenerateModel`` if the resulting discriminant vanishes
-    identically.
+    identically, and ``UnknownKind`` for any other kind.
     """
     check_forms((f, g), (2, 3), "the subfamily tower")
-    if kind not in _SUBFAMILY_TOWER:
-        kinds = tuple(_SUBFAMILY_TOWER)
-        raise ValueError(f"unknown kind {kind!r}; expected one of {kinds}")
-    into, line = _SUBFAMILY_TOWER[kind]
+    into, line = _known(_SUBFAMILY_TOWER, kind)
     if isinstance(into[0], str):
         a4, a6 = f.rename(into), g.rename(into)
     else:

@@ -205,6 +205,45 @@ def test_the_fibers_checks_compute_each_models_invariants_once(monkeypatch):
     assert branch_forms["correspondence-cover-fibers"] == 0
 
 
+# models built per trial by checks that read part of a duality table:
+# a correspondence-*-fibers trial builds the two models it classifies, not
+# the twelve of correspondence_surfaces; a full-torsion-alternate trial the
+# two-torsion model alone, and no short model of the Jacobian tower;
+# refibration-match no short model either; and extraction-identity one
+# ruling swap, for the cover it reads whole
+_BUILT_PER_TRIAL = {
+    "correspondence-cover-fibers": {"model": 2, "short": 0},
+    "correspondence-quotient-fibers": {"model": 2, "short": 0},
+    "correspondence-rational-fibers": {"model": 2, "short": 0},
+    "full-torsion-alternate-fibers": {"model": 1, "short": 0},
+    "refibration-match": {"short": 0},
+    "extraction-identity": {"ruling_swap": 1},
+}
+
+
+def test_the_checks_build_only_the_models_they_read(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(du.AlternatePair, "model", counted("model", du.AlternatePair.model))
+    short = counted("short", elliptic.WeierstrassModel.short)
+    monkeypatch.setattr(elliptic.WeierstrassModel, "short", staticmethod(short))
+    monkeypatch.setattr(du, "ruling_swap", counted("ruling_swap", du.ruling_swap))
+    bundle = {sc.name: sc for sc in cli.bundled_scenarios()}
+    for name, per_trial in _BUILT_PER_TRIAL.items():
+        calls.clear()
+        rep = cli.run(bundle[name], seed=0)
+        assert rep.status == "pass", name
+        built = {what: calls[what] / rep.trials for what in per_trial}
+        assert built == per_trial, name
+
+
 def test_the_refibered_pencil_classifies_the_model_it_gated(monkeypatch):
     # each draw's gate reads the refibration's own model, whose invariants
     # the fiber classification of the accepted draw then reuses

@@ -46,7 +46,7 @@ from ellsurf.exactpoly import (
     homogenize,
     tensor_forms,
 )
-from ellsurf.hermite_aj import NormalizationViolated, UnitViolation
+from ellsurf.hermite_aj import NormalizationViolated, UnitViolation, hermite_pair_forms
 
 ST = ("s", "t")
 UV = ("U", "V")
@@ -318,6 +318,21 @@ def test_quadric_cover_swapping_rulings_flips_split():
     v_lin = HomPoly.of(uv, (0, 1))
     u_lin = HomPoly.of(uv, (1, 0))
     assert data.branch.substitute_pair2(v_lin, u_lin) == flipped.branch
+
+
+def test_the_quadric_branch_is_the_covers_branch_with_its_errors():
+    rng = random.Random(331)
+    for _ in range(4):
+        pair = sample_isogeny_pair(rng)
+        assert du.quadric_branch(pair) == du.quadric_double_cover(pair).branch
+    quadric, quartic = HomPoly.of(ST, (1, 0, 1)), HomPoly.of(ST, (1, 0, 0, 0, 1))
+    unsplit = du.AlternatePair(quartic, quartic * quartic)
+    # a weight-one pair: its split factors are quadrics, not quartics
+    weight_one = du.AlternatePair(quadric, quadric * quadric, split=(quadric, quadric))
+    for pair, error in ((unsplit, du.MissingFactorization), (weight_one, DegreeMismatch)):
+        for build in (du.quadric_double_cover, du.quadric_branch):
+            with pytest.raises(error):
+                build(pair)
 
 
 def test_quadric_cover_jacobian_is_base_change():
@@ -651,6 +666,39 @@ def test_correspondence_refuses_a_degenerate_triple():
         )
 
 
+_READING_NAMES = ("cover", "quot", "rat")
+
+
+def test_the_correspondence_models_are_the_tables_entries():
+    rng = random.Random(332)
+    for _ in range(4):
+        triple = sample_correspondence_triple(rng)
+        table = du.correspondence_surfaces(*triple)
+        for kind in _READING_NAMES:
+            models = du.correspondence_models(kind, *triple)
+            assert models == (table[f"{kind}1"], table[f"{kind}2"])
+
+
+# (alpha, gamma, delta) that the correspondence table refuses, with its error
+_TRIPLE_FAULTS = {
+    "normalization": (((1, 2, 3), (4, 1, 5), (9, 3, 6)), NormalizationViolated),
+    "degree": (((1, 2), (4, 1, 5), (9, 3, 6)), DegreeMismatch),
+    "gamma-delta-zero": (((2, 3, 0), (1, 2, 0), (0, 0, 0)), DegenerateModel),
+    "double-curve": (((0, 2, 0), (1, 0, 0), (0, 0, 1)), DegenerateModel),
+}
+
+
+@pytest.mark.parametrize("kind", _READING_NAMES)
+@pytest.mark.parametrize("fault", sorted(_TRIPLE_FAULTS))
+def test_the_correspondence_models_raise_what_the_table_raises(fault, kind):
+    rows, error = _TRIPLE_FAULTS[fault]
+    triple = tuple(HomPoly.of(UV, row) for row in rows)
+    with pytest.raises(error):
+        du.correspondence_surfaces(*triple)
+    with pytest.raises(error):
+        du.correspondence_models(kind, *triple)
+
+
 # ---------------------------------------------------------------------------
 # the full two-torsion tower
 
@@ -680,6 +728,39 @@ def test_full_torsion_structure():
         assert tor["alt"].a2 == -trace_c
         assert tor["alt_dual"].a4 == diff_c**2
         assert tor["alt_dual"].a2 == 2 * trace_c
+
+
+def test_the_full_torsion_builders_are_the_tables_entries():
+    rng = random.Random(333)
+    for _ in range(4):
+        trace, diff = sample_full_torsion_forms(rng)
+        tor = du.full_torsion_surfaces(trace, diff)
+        pair = du.full_torsion_pair(trace, diff)
+        trace_c, diff_c = trace.rename(ST), diff.rename(ST)
+        assert (pair.trace, 4 * pair.norm) == (trace_c, trace_c**2 - diff_c**2)
+        assert pair.model() == tor["alt"]
+        assert du.full_torsion_jacobian(trace, diff) == (tor["f"], tor["g"])
+        assert hermite_pair_forms(*tor["a"]) == (tor["f"], tor["g"])
+
+
+_QUARTIC = (1, 0, 0, 0, 1)
+# (trace, difference) that the full-torsion table refuses, with its error
+_TORSION_FAULTS = {
+    "degree": ((_QUARTIC, (1, 0, 1)), DegreeMismatch),
+    "sections-coincide": ((_QUARTIC, (0, 0, 0, 0, 0)), du.DegenerateInput),
+    "section-at-zero": ((_QUARTIC, _QUARTIC), du.DegenerateInput),
+}
+
+
+@pytest.mark.parametrize("builder", ["full_torsion_pair", "full_torsion_jacobian"])
+@pytest.mark.parametrize("fault", sorted(_TORSION_FAULTS))
+def test_the_full_torsion_builders_raise_what_the_table_raises(fault, builder):
+    rows, error = _TORSION_FAULTS[fault]
+    forms = tuple(HomPoly.of(ST, row) for row in rows)
+    with pytest.raises(error):
+        du.full_torsion_surfaces(*forms)
+    with pytest.raises(error):
+        getattr(du, builder)(*forms)
 
 
 # the full-torsion readings of the second ruling at (u, v): the values put
@@ -1167,6 +1248,21 @@ def test_subfamily_gates():
         du.subfamily_models("twist", g, g)
     with pytest.raises(DegenerateModel):
         du.subfamily_models("twist", HomPoly.of(UV, (-3, 0, 0)), HomPoly.of(UV, (2, 0, 0, 0)))
+
+
+def test_an_unknown_kind_raises_its_named_error():
+    # not a bare ValueError, and never a KeyError from the table of kinds
+    f = HomPoly.of(UV, (2, -1, 3))
+    g = HomPoly.of(UV, (1, 0, -2, 1))
+    triple = sample_correspondence_triple(random.Random(334))
+    assert issubclass(du.UnknownKind, ValueError)
+    for build in (
+        lambda: du.subfamily_models("bogus", f, g),
+        lambda: du.correspondence_models("bogus", *triple),
+        lambda: du.correspondence_models("cad", *triple),
+    ):
+        with pytest.raises(du.UnknownKind, match="unknown kind"):
+            build()
 
 
 def test_subfamily_configurations_and_places():

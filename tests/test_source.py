@@ -16,7 +16,10 @@ arithmetic: neither redefines a method of their common base.  The
 domain layers build curves, pencils, sections and their derivatives as
 binary forms: no module but ``exactpoly`` mentions ``UniPoly`` or the
 affine round trip, and the affine readings that the forms replaced stay
-deleted.  Each construction has one home: only ``elliptic`` builds a
+deleted.  A check builds only what it reads: ``cli`` builds the
+correspondence and full-torsion tables only in the two checks that read
+(nearly) every entry, and every other check calls the narrow builder it
+needs.  Each construction has one home: only ``elliptic`` builds a
 model on a zero ``a2`` form by hand (everywhere else it is
 ``WeierstrassModel.short``), only ``AlternatePair.model`` builds one on a
 zero ``a6`` form, and ``refibration_jacobian`` reads the quadruple cover
@@ -397,7 +400,8 @@ def test_the_reference_graph_skips_annotations():
 
 # pairs of routes that a cross-route check compares: full_torsion_surfaces
 # against subfamily_models in the torsion-tower check, the refibration
-# against the full-torsion Jacobian pair, and the quadric double cover
+# against the full-torsion Jacobian pair (full_torsion_jacobian in the
+# refibration-match check), and the quadric double cover
 # against the degree-two base change, and the quartic's Jacobian pair, the
 # reference for the same pair with forms as coefficients; the kernel of
 # the Gram matrix mod 2 against the Smith form, both counting the
@@ -411,6 +415,7 @@ def test_the_reference_graph_skips_annotations():
 _SEPARATE_ROUTES = [
     ("full_torsion_surfaces", "subfamily_models"),
     ("refibration_jacobian", "full_torsion_surfaces"),
+    ("refibration_jacobian", "full_torsion_jacobian"),
     ("refibration_jacobian", "hermite_pair_forms"),
     ("quadric_double_cover", "base_change_k3"),
     ("jacobian_quartic", "hermite_pair_forms"),
@@ -857,6 +862,20 @@ _OFF_THE_CONTRACT = {
     "full_torsion_surfaces-pair": (
         lambda: du.full_torsion_surfaces(QUARTIC, OTHER_QUARTIC.rename(UV)), "one variable pair"
     ),
+    "full_torsion_pair-pair": (
+        lambda: du.full_torsion_pair(QUARTIC, OTHER_QUARTIC.rename(UV)), "one variable pair"
+    ),
+    "full_torsion_jacobian-pair": (
+        lambda: du.full_torsion_jacobian(QUARTIC, OTHER_QUARTIC.rename(UV)), "one variable pair"
+    ),
+    "correspondence_models-pair": (
+        lambda: du.correspondence_models("cover", QUADRIC, QUADRIC, QUADRIC.rename(UV)),
+        "one variable pair",
+    ),
+    "quadric_branch-degree": (
+        lambda: du.quadric_branch(du.AlternatePair(QUADRIC, QUADRIC**2, split=(QUADRIC, QUADRIC))),
+        "needs degrees",
+    ),
     "subfamily_models-pair": (
         lambda: du.subfamily_models("twist", QUADRIC.rename(UV), HomPoly.of(ST, (1, 0, 0, 1))),
         "one variable pair",
@@ -878,6 +897,35 @@ def test_each_routed_construction_refuses_forms_off_its_contract(case):
     build, words = _OFF_THE_CONTRACT[case]
     with pytest.raises(DegreeMismatch, match=words):
         build()
+
+
+# the two tables of duality, and the cli checks that read (nearly) every
+# entry of one; every other check calls the narrow builder it reads
+_TABLES = {"correspondence_surfaces", "full_torsion_surfaces"}
+_TABLE_READERS = ["_correspondence_routes", "_torsion_tower"]
+
+
+def _table_readers(tree: ast.Module) -> list[str]:
+    """The scopes (``_scopes``) that mention a table of ``_TABLES``, as a
+    bare name or an attribute."""
+    return [name for name, scope in _scopes(tree) if _mentions(scope) & _TABLES]
+
+
+def test_the_check_sees_mentions_of_the_tables_only():
+    source = (
+        "def a(rng):\n    return du.correspondence_surfaces(*t)['cover1']\n"
+        "def b(rng):\n    table = full_torsion_surfaces(x, y)\n    return table\n"
+        "def c():\n    'full_torsion_surfaces is a word here'\n    return du.full_torsion_pair(x, y)\n"
+        "def d():\n    def check():\n        return du.full_torsion_surfaces(x, y)\n    return check\n"
+        "build = du.correspondence_surfaces\n"
+        "class K:\n    def m(self):\n        return correspondence_models('cover', a, b, c)\n"
+        "    def n(self):\n        return correspondence_surfaces(a, b, c)\n"
+    )
+    assert _table_readers(ast.parse(source)) == ["a", "b", "d", "<module>", "K.n"]
+
+
+def test_only_the_checks_that_read_a_whole_table_build_it():
+    assert _table_readers(_module_tree("cli")) == _TABLE_READERS
 
 
 def test_a_split_on_another_pair_is_no_factorization_of_the_norm():
