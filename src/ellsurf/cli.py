@@ -150,12 +150,12 @@ def _sample_rational_surface(rng: random.Random, generic=is_separable) -> du.RES
     return _draw(make, lambda r: generic(r.reduced_discriminant()))
 
 
-def _sample_isogeny_pair(rng: random.Random) -> du.AlternatePair:
+def _sample_isogeny_forms(rng: random.Random):
     def make():
         trace, left, right = (_random_form(rng, _FIRST, 4, -6, 6) for _ in range(3))
         norm = left * right
         if is_separable(norm * (trace * trace - 4 * norm)):
-            return du.AlternatePair(trace, norm, split=(left, right))
+            return trace, left, right
         return None
 
     return _draw(make)
@@ -167,7 +167,7 @@ def _sample_correspondence_triple(rng: random.Random):
         prod = gamma * delta
         both = prod * (alpha * alpha - 4 * prod)
         if is_separable(both) and both(0, 1) != 0 and both(1, 0) != 0:
-            return alpha, gamma, delta
+            return gamma, alpha, delta
         return None
 
     return _draw(make)
@@ -344,7 +344,8 @@ _family("quadratic-twist", "fiber-config")(_cover("twist", du.twist_model))
 
 @_family("torsion-pair", "fiber-config")
 def _torsion_pair(sc, rng):
-    return _fibers(sc, [("trace/norm member", _sample_isogeny_pair(rng).model())])
+    trace, left, right = _sample_isogeny_forms(rng)
+    return _fibers(sc, [("trace/norm member", du.AlternatePair(trace, left * right).model())])
 
 
 @_family(
@@ -629,7 +630,8 @@ def _label_places(cfg: FiberConfiguration, label: str) -> set:
 
 @_family("isogeny-place-swap", "construction-roundtrip")
 def _isogeny_place_swap(sc, rng):
-    pair = _sample_isogeny_pair(rng)
+    trace, left, right = _sample_isogeny_forms(rng)
+    pair = du.AlternatePair(trace, left * right)
     dual = du.two_isogeny_dual(pair)
     cfg = fiber_configuration(pair.model())
     cfg_dual = fiber_configuration(dual.model())
@@ -723,14 +725,14 @@ _BRANCH_PAIRS = (
     extra={"branch_pairs": list(_BRANCH_PAIRS)},
 )
 def _correspondence_routes(sc, rng):
-    alpha, gamma, delta = _sample_correspondence_triple(rng)
-    table = du.correspondence_surfaces(alpha, gamma, delta)
-    branches = du.correspondence_branches(alpha, gamma, delta)
+    triple = _sample_correspondence_triple(rng)
+    table = du.correspondence_surfaces(*triple)
+    branches = du.correspondence_branches(*triple)
     for key in _BRANCH_PAIRS:
         one, other = branches[key]
         if one != other:
             raise _CheckFailure(f"the two readings of {key} differ")
-    if table["cad"] != tuple(form.rename(_SECOND) for form in (gamma, alpha, delta)):
+    if table["cad"] != tuple(form.rename(_SECOND) for form in triple):
         raise _CheckFailure("the quotient triple is not the input triple")
     for key in ("cover1", "quot1", "rat1"):
         base, dual = table[key], table[key + "_dual"]
@@ -744,8 +746,8 @@ def _correspondence_routes(sc, rng):
 
 @_family("extraction-identity", "table-consistency")
 def _extraction_identity(sc, rng):
-    pair = _sample_isogeny_pair(rng)
-    data = du.quadric_double_cover(pair)
+    trace, left, right = _sample_isogeny_forms(rng)
+    data = du.quadric_double_cover(trace, left, right)
     first, cover = data.branch.vars1, data.branch.vars2
     u_sq, v_sq = HomPoly.of(cover, (1, 0, 0)), HomPoly.of(cover, (0, 0, 1))
     total = None
@@ -755,8 +757,7 @@ def _extraction_identity(sc, rng):
         total = term if total is None else total + term
     if total != data.branch:
         raise _CheckFailure("the two branch readings differ")
-    left, right = pair.split
-    flipped = du.quadric_branch(du.AlternatePair(pair.trace, pair.norm, split=(right, left)))
+    flipped = du.quadric_branch(trace, right, left)
     u_lin, v_lin = HomPoly.of(cover, (1, 0)), HomPoly.of(cover, (0, 1))
     if data.branch.substitute_pair2(v_lin, u_lin) != flipped:
         raise _CheckFailure("swapping rulings does not flip the split")

@@ -12,12 +12,14 @@ data from exact rational input:
   their two rulings (``quadric_double_cover``, whose branch form alone
   is ``quadric_branch``, and ``ruling_swap``) and the model and
   discriminant of the two-parameter deformation obtained by moving a
-  pair of section lines (``two_param_family``, ``moduli_involution``);
+  pair of section lines (``two_param_family``, ``moduli_involution``),
+  all of which take the quartics (trace, left, right) first;
 * the towers of models that read one family on a ruling of the quadric
   (on its quotient pair, twisted there by a line, or on a double or
   fourfold cover), each built from one table of readings: the symmetric
   correspondence family (``correspondence_surfaces``, with its branch
-  forms in ``correspondence_branches``), the family with
+  forms in ``correspondence_branches``; its builders take the curve's
+  triple as (gamma, alpha, delta)), the family with
   full two-torsion (``full_torsion_surfaces``), and the small tower of a
   short pair (``subfamily_models``), which checks the full-torsion tower
   and so shares no code with it.  A table is built from narrow builders,
@@ -82,7 +84,6 @@ __all__ = [
     "BilinearQuadruple",
     "DegenerateInput",
     "GenericityViolated",
-    "MissingFactorization",
     "NoRationalCubicRoot",
     "NonSquareDiscriminant",
     "ParameterConstraintViolated",
@@ -133,10 +134,6 @@ _PENCIL = ("t", "h")
 
 class SingularBranchFiber(ValueError):
     """A fiber that the base change needs to be smooth is singular."""
-
-
-class MissingFactorization(ValueError):
-    """The construction needs a factorization that was not attached."""
 
 
 class DegenerateInput(ValueError):
@@ -277,26 +274,18 @@ class AlternatePair:
 
     ``trace`` (degree 2w) and ``norm`` (degree 4w) are the sum and product
     of the x-coordinates of the two nonzero two-torsion points.  ``norm``
-    must not vanish identically.  An optional ``split`` attaches a
-    factorization norm = left * right used by the quadric double cover.
-    ``model`` is the one builder of a model with a zero a6.
+    must not vanish identically.  ``model`` is the one builder of a model
+    with a zero a6.
     """
 
     trace: HomPoly
     norm: HomPoly
-    split: tuple[HomPoly, HomPoly] | None = None
 
     def __post_init__(self) -> None:
         w = self.trace.degree // 2
         check_forms((self.trace, self.norm), (2 * w, 4 * w), "a trace and norm pair")
         if self.norm.is_zero:
             raise DegenerateModel("norm form vanishes identically")
-        if self.split is not None:
-            left, right = self.split
-            if left * right != self.norm:
-                raise MissingFactorization(
-                    "attached factors do not multiply to the norm form"
-                )
 
     @property
     def weight(self) -> int:
@@ -376,33 +365,28 @@ class QuadricCoverData:
     jacobian: WeierstrassModel
 
 
-def quadric_branch(pair: AlternatePair) -> BiHomPoly:
+def quadric_branch(trace: HomPoly, left: HomPoly, right: HomPoly) -> BiHomPoly:
     """The branch form left u^4 - trace u^2v^2 + right v^4 of the double
     cover of the quadric, on the first covering pair and the second.
 
-    Requires ``pair.split`` (``MissingFactorization`` otherwise): the branch
-    curve needs the factorization norm = left * right, of three quartics.
-    Exchanging u and v exchanges ``left`` and ``right``.
+    The inputs are quartics on one pair: a trace and the factors of a split
+    norm left * right.  Exchanging u and v exchanges ``left`` and ``right``.
     """
-    if pair.split is None:
-        raise MissingFactorization("the norm form needs an attached factorization")
-    left, right = pair.split
-    check_forms((pair.trace, left, right), (4, 4, 4), "the quadric double cover")
-    coeffs = (form.rename(_FIRST_COVER) for form in (left, -pair.trace, right))
+    check_forms((trace, left, right), (4, 4, 4), "the quadric double cover")
+    coeffs = (form.rename(_FIRST_COVER) for form in (left, -trace, right))
     return _tensor_sum(coeffs, _READ_MONOMIALS[1]["cover"])
 
 
-def quadric_double_cover(pair: AlternatePair) -> QuadricCoverData:
-    """Double cover of the quadric branched over ``quadric_branch(pair)``.
+def quadric_double_cover(trace: HomPoly, left: HomPoly, right: HomPoly) -> QuadricCoverData:
+    """Double cover of the quadric branched over ``quadric_branch(trace, left, right)``.
 
     The projection to the first ruling is a genus-one fibration without
     section; its relative Jacobian, fibered over the covering coordinates
     of the second ruling, is the weight-two model
     x^3 + f(u^2, v^2) x + g(u^2, v^2) where (f, g) come from the ruling swap.
     """
-    branch = quadric_branch(pair)
-    left, right = pair.split
-    swap = ruling_swap(pair.trace, left, right)
+    branch = quadric_branch(trace, left, right)
+    swap = ruling_swap(trace, left, right)
     cover = _RULINGS[1]["cover"]
     jacobian = WeierstrassModel.short(cover(swap.f), cover(swap.g))
     return QuadricCoverData(branch, swap, jacobian)
@@ -536,7 +520,7 @@ def _tensor_sum(firsts, seconds) -> BiHomPoly:
 
 
 def _correspondence_pairs(
-    kind: str, alpha: HomPoly, gamma: HomPoly, delta: HomPoly
+    kind: str, gamma: HomPoly, alpha: HomPoly, delta: HomPoly
 ) -> tuple[AlternatePair, AlternatePair]:
     """The pair (-r(alpha), r(gamma delta)) on each ruling, r its reading
     ``kind``; the input checks of ``correspondence_surfaces``."""
@@ -547,27 +531,28 @@ def _correspondence_pairs(
 
 
 def correspondence_models(
-    kind: str, alpha: HomPoly, gamma: HomPoly, delta: HomPoly
+    kind: str, gamma: HomPoly, alpha: HomPoly, delta: HomPoly
 ) -> tuple[WeierstrassModel, WeierstrassModel]:
     """The models ``correspondence_surfaces`` lists as ``<kind>1`` and
     ``<kind>2``, for the reading ``kind`` ("cover", "quot" or "rat";
     ``UnknownKind`` otherwise): the first ruling's pair and the dual of
     the second's.  Same inputs and errors as the table.
     """
-    first, second = _correspondence_pairs(kind, alpha, gamma, delta)
+    first, second = _correspondence_pairs(kind, gamma, alpha, delta)
     return first.model(), two_isogeny_dual(second).model()
 
 
 def correspondence_surfaces(
-    alpha: HomPoly, gamma: HomPoly, delta: HomPoly
+    gamma: HomPoly, alpha: HomPoly, delta: HomPoly
 ) -> dict[str, object]:
     """All models attached to a ruling-symmetric correspondence family.
 
     The inputs are the degree-two coefficient forms of the bidegree-(2,2)
-    curve gamma(S,T) U^2 + alpha(S,T) UV + delta(S,T) V^2, which must be
-    invariant under exchanging the pairs (S,T) and (U,V)
-    (``FamilyParams.from_triple`` raises ``NormalizationViolated``
-    otherwise), so the same triple describes the curve on either ruling.
+    curve gamma(S,T) U^2 + alpha(S,T) UV + delta(S,T) V^2, in the order
+    of ``FamilyParams.triple``.  The curve must be invariant under
+    exchanging the pairs (S,T) and (U,V) (``FamilyParams.from_triple``
+    raises ``NormalizationViolated`` otherwise), so the same triple
+    describes it on either ruling.
 
     Each reading r of a ruling (``_ruling_readings``) gives the pair
     (-r(alpha), r(gamma delta)) and its two-isogeny dual: ``rat1``,
@@ -582,7 +567,7 @@ def correspondence_surfaces(
     """
     table: dict[str, object] = {"cad": tuple(map(_RULINGS[1]["rat"], (gamma, alpha, delta)))}
     for kind in ("cover", "quot", "rat"):
-        first, second = _correspondence_pairs(kind, alpha, gamma, delta)
+        first, second = _correspondence_pairs(kind, gamma, alpha, delta)
         table[f"{kind}1"] = first.model()
         table[f"{kind}1_dual"] = two_isogeny_dual(first).model()
         table[f"{kind}2"] = two_isogeny_dual(second).model()
@@ -591,7 +576,7 @@ def correspondence_surfaces(
 
 
 def correspondence_branches(
-    alpha: HomPoly, gamma: HomPoly, delta: HomPoly
+    gamma: HomPoly, alpha: HomPoly, delta: HomPoly
 ) -> dict[str, tuple[BiHomPoly, BiHomPoly]]:
     """The branch forms of the double covers of the quadric attached to
     the correspondence family of ``correspondence_surfaces``, whose input

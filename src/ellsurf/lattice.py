@@ -275,12 +275,11 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
 
 
 def rescale(lat: GramLattice, scale: int) -> GramLattice:
-    """Multiply the bilinear form by a nonzero integer."""
-    if scale == 0:
+    """Multiply the bilinear form by a nonzero integer, read as Gram entries are."""
+    factor = _integral(scale, MalformedGram, "scale factors")
+    if factor == 0:
         raise ZeroScale("cannot scale a bilinear form by zero")
-    return GramLattice.from_rows(
-        [[scale * x for x in row] for row in lat.gram]
-    )
+    return GramLattice.from_rows([[factor * x for x in row] for row in lat.gram])
 
 
 def glued_overlattice(base: GramLattice, half_coords: Sequence[int]) -> GramLattice:

@@ -118,8 +118,10 @@ def sample_cover_parameters(rng: random.Random, r: du.RESData):
         return d0, d_inf
 
 
-def sample_isogeny_pair(rng: random.Random) -> du.AlternatePair:
-    """Weight-two trace/norm data with separable, coprime branch factors."""
+def sample_isogeny_forms(rng: random.Random):
+    """Weight-two (trace, left, right): the trace and the split norm
+    left * right of a two-torsion pair, with separable, coprime branch
+    factors."""
     while True:
         trace = random_form(rng, BASE, 4, -6, 6)
         left = random_form(rng, BASE, 4, -6, 6)
@@ -127,11 +129,11 @@ def sample_isogeny_pair(rng: random.Random) -> du.AlternatePair:
         norm = left * right
         complement = trace * trace - 4 * norm
         if separable(norm * complement):
-            return du.AlternatePair(trace, norm, split=(left, right))
+            return trace, left, right
 
 
 def sample_correspondence_triple(rng: random.Random):
-    """Normalized (alpha, gamma, delta) with separable branch data."""
+    """Normalized (gamma, alpha, delta) with separable branch data."""
     vars = ("U", "V")
     while True:
         d0, a0, g0, a1, a2, g2 = (Fraction(rng.randint(-6, 6)) for _ in range(6))
@@ -146,7 +148,7 @@ def sample_correspondence_triple(rng: random.Random):
             continue
         if (prod * disc)(0, 1) == 0 or (prod * disc)(1, 0) == 0:
             continue
-        return alpha, gamma, delta
+        return gamma, alpha, delta
 
 
 def sample_full_torsion_forms(rng: random.Random):

@@ -22,7 +22,7 @@ from corpus import (
     sample_cover_parameters,
     sample_full_torsion_forms,
     sample_generic_quadruple,
-    sample_isogeny_pair,
+    sample_isogeny_forms,
     sample_rational_surface,
     sample_refiber_quadruple,
     sample_three_lines_params,
@@ -209,8 +209,6 @@ def test_alternate_pair_gates():
         du.AlternatePair(trace, trace)
     with pytest.raises(DegenerateModel):
         du.AlternatePair(trace, HomPoly.zero(ST, 8))
-    with pytest.raises(du.MissingFactorization):
-        du.AlternatePair(trace, norm, split=(trace, trace))
     pair = du.AlternatePair(trace, norm)
     assert pair.weight == 2
     assert pair.model().a2 == -trace
@@ -220,7 +218,8 @@ def test_alternate_pair_gates():
 def test_isogeny_dual_square_is_multiplication_by_four():
     rng = random.Random(205)
     for _ in range(10):
-        pair = sample_isogeny_pair(rng)
+        trace, left, right = sample_isogeny_forms(rng)
+        pair = du.AlternatePair(trace, left * right)
         again = du.two_isogeny_dual(du.two_isogeny_dual(pair))
         assert again.trace == 4 * pair.trace
         assert again.norm == 16 * pair.norm
@@ -229,7 +228,8 @@ def test_isogeny_dual_square_is_multiplication_by_four():
 def test_isogeny_swaps_place_sets():
     rng = random.Random(206)
     for _ in range(6):
-        pair = sample_isogeny_pair(rng)
+        trace, left, right = sample_isogeny_forms(rng)
+        pair = du.AlternatePair(trace, left * right)
         dual = du.two_isogeny_dual(pair)
         cfg = fiber_configuration(pair.model())
         cfg_dual = fiber_configuration(dual.model())
@@ -253,8 +253,7 @@ def test_ruling_swap_reading_identity():
     # against the monomials of the first ruling
     rng = random.Random(207)
     for _ in range(8):
-        pair = sample_isogeny_pair(rng)
-        data = du.quadric_double_cover(pair)
+        data = du.quadric_double_cover(*sample_isogeny_forms(rng))
         u_sq = HomPoly.of(uv, (1, 0, 0))
         v_sq = HomPoly.of(uv, (0, 0, 1))
         total = None
@@ -299,22 +298,11 @@ def test_ruling_swap_degree_gate():
         du.ruling_swap(bad, good, good)
 
 
-def test_quadric_cover_needs_split():
-    pair = du.AlternatePair(
-        HomPoly.of(ST, (1, 0, 0, 0, 1)), HomPoly.of(ST, tuple([1] + [0] * 7 + [1]))
-    )
-    with pytest.raises(du.MissingFactorization):
-        du.quadric_double_cover(pair)
-
-
 def test_quadric_cover_swapping_rulings_flips_split():
     rng = random.Random(208)
-    pair = sample_isogeny_pair(rng)
-    left, right = pair.split
-    flipped = du.quadric_double_cover(
-        du.AlternatePair(pair.trace, pair.norm, split=(right, left))
-    )
-    data = du.quadric_double_cover(pair)
+    trace, left, right = sample_isogeny_forms(rng)
+    flipped = du.quadric_double_cover(trace, right, left)
+    data = du.quadric_double_cover(trace, left, right)
     v_lin = HomPoly.of(uv, (0, 1))
     u_lin = HomPoly.of(uv, (1, 0))
     assert data.branch.substitute_pair2(v_lin, u_lin) == flipped.branch
@@ -323,24 +311,20 @@ def test_quadric_cover_swapping_rulings_flips_split():
 def test_the_quadric_branch_is_the_covers_branch_with_its_errors():
     rng = random.Random(331)
     for _ in range(4):
-        pair = sample_isogeny_pair(rng)
-        assert du.quadric_branch(pair) == du.quadric_double_cover(pair).branch
-    quadric, quartic = HomPoly.of(ST, (1, 0, 1)), HomPoly.of(ST, (1, 0, 0, 0, 1))
-    unsplit = du.AlternatePair(quartic, quartic * quartic)
+        forms = sample_isogeny_forms(rng)
+        assert du.quadric_branch(*forms) == du.quadric_double_cover(*forms).branch
+    quadric = HomPoly.of(ST, (1, 0, 1))
     # a weight-one pair: its split factors are quadrics, not quartics
-    weight_one = du.AlternatePair(quadric, quadric * quadric, split=(quadric, quadric))
-    for pair, error in ((unsplit, du.MissingFactorization), (weight_one, DegreeMismatch)):
-        for build in (du.quadric_double_cover, du.quadric_branch):
-            with pytest.raises(error):
-                build(pair)
+    for build in (du.quadric_double_cover, du.quadric_branch):
+        with pytest.raises(DegreeMismatch):
+            build(quadric, quadric, quadric)
 
 
 def test_quadric_cover_jacobian_is_base_change():
     # the (u^2, v^2) substitution is the degree-two base change at (0, 0)
     rng = random.Random(209)
     for _ in range(5):
-        pair = sample_isogeny_pair(rng)
-        data = du.quadric_double_cover(pair)
+        data = du.quadric_double_cover(*sample_isogeny_forms(rng))
         f, g = data.swap.f, data.swap.g
         try:
             res = du.RESData(f.rename(ST), g.rename(ST))
@@ -365,8 +349,7 @@ def test_ruling_swap_jacobian_configuration():
     rng = random.Random(210)
     done = 0
     while done < 5:
-        pair = sample_isogeny_pair(rng)
-        data = du.quadric_double_cover(pair)
+        data = du.quadric_double_cover(*sample_isogeny_forms(rng))
         disc = 4 * data.swap.f**3 + 27 * data.swap.g**2
         if disc.is_zero or not separable(disc):
             continue
@@ -386,28 +369,26 @@ def test_ruling_swap_jacobian_configuration():
 def test_two_param_family_identities():
     rng = random.Random(211)
     for _ in range(6):
-        pair = sample_isogeny_pair(rng)
-        left, right = pair.split
+        trace, left, right = sample_isogeny_forms(rng)
         d0, d_inf = Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))
         if d0 * d_inf == 1:
             continue
-        fam = du.two_param_family(pair.trace, left, right, d0, d_inf)
+        fam = du.two_param_family(trace, left, right, d0, d_inf)
         # discriminant of the model equals 16 times the reduced form
         assert invariants(fam.model).delta == 16 * fam.reduced_discriminant
         # the branch quartic in x recovers the deformation-invariant factor
         combo = fam.model.a2 * fam.model.a2 - 4 * fam.model.a4
-        fixed = (pair.trace * pair.trace - 4 * left * right).rename(("s", "t"))
+        fixed = (trace * trace - 4 * left * right).rename(("s", "t"))
         assert combo == (d0 * d_inf - 1) ** 2 * fixed
 
 
 def test_two_param_invariant_places():
     # the nodal places of the fixed factor do not move with (d0, d_inf)
     rng = random.Random(212)
-    pair = sample_isogeny_pair(rng)
-    left, right = pair.split
+    trace, left, right = sample_isogeny_forms(rng)
     reference = None
     for d0, d_inf in ((0, 0), (2, 3), (-1, 4), (Fraction(1, 2), -2)):
-        fam = du.two_param_family(pair.trace, left, right, d0, d_inf)
+        fam = du.two_param_family(trace, left, right, d0, d_inf)
         try:
             cfg = fiber_configuration(fam.model)
         except DegenerateModel:
@@ -449,24 +430,23 @@ def test_the_deformation_refuses_forms_on_two_variable_pairs(moved):
 def test_involution_normal_forms():
     rng = random.Random(213)
     for _ in range(8):
-        pair = sample_isogeny_pair(rng)
-        left, right = pair.split
+        trace, left, right = sample_isogeny_forms(rng)
         # at the base point the move just flips the trace
-        assert du.moduli_involution(pair.trace, left, right, 0, 0) == (
-            -pair.trace,
+        assert du.moduli_involution(trace, left, right, 0, 0) == (
+            -trace,
             left,
             right,
         )
         d0, d_inf = Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))
         if d0 * d_inf == 1:
             continue
-        once = du.moduli_involution(pair.trace, left, right, d0, d_inf)
+        once = du.moduli_involution(trace, left, right, d0, d_inf)
         twice = du.moduli_involution(*once, d0, d_inf)
         scale = (d0 * d_inf - 1) ** 2
-        assert twice == (scale * pair.trace, scale * left, scale * right)
+        assert twice == (scale * trace, scale * left, scale * right)
         # the branch combination scales by the square of the same factor
         combo = once[0] * once[0] - 4 * once[1] * once[2]
-        fixed = pair.trace * pair.trace - 4 * left * right
+        fixed = trace * trace - 4 * left * right
         assert combo == scale * fixed
 
 
@@ -481,17 +461,17 @@ def test_correspondence_gates():
     # give different coefficients
     delta = HomPoly.of(UV, (9, 3, 6))
     with pytest.raises(NormalizationViolated):
-        du.correspondence_surfaces(alpha, gamma, delta)
+        du.correspondence_surfaces(gamma, alpha, delta)
     with pytest.raises(DegreeMismatch):
-        du.correspondence_surfaces(HomPoly.of(UV, (1, 2)), gamma, delta)
+        du.correspondence_surfaces(gamma, HomPoly.of(UV, (1, 2)), delta)
 
 
 def test_correspondence_branch_routes_agree():
     rng = random.Random(214)
     for _ in range(8):
-        alpha, gamma, delta = sample_correspondence_triple(rng)
-        table = du.correspondence_surfaces(alpha, gamma, delta)
-        branches = du.correspondence_branches(alpha, gamma, delta)
+        gamma, alpha, delta = sample_correspondence_triple(rng)
+        table = du.correspondence_surfaces(gamma, alpha, delta)
+        branches = du.correspondence_branches(gamma, alpha, delta)
         for key in (
             "branch_cover1_cover2",
             "branch_cover1_quot2",
@@ -512,8 +492,8 @@ def test_correspondence_tower_duals():
     # on the first ruling the listed model is the cover side and its dual
     # the quotient; on the second ruling the roles are mirrored
     rng = random.Random(215)
-    alpha, gamma, delta = sample_correspondence_triple(rng)
-    table = du.correspondence_surfaces(alpha, gamma, delta)
+    gamma, alpha, delta = sample_correspondence_triple(rng)
+    table = du.correspondence_surfaces(gamma, alpha, delta)
     for base_key in ("cover1", "quot1", "rat1"):
         base = table[base_key]
         dual = table[base_key + "_dual"]
@@ -529,8 +509,8 @@ def test_correspondence_tower_duals():
 def test_correspondence_tower_configurations():
     rng = random.Random(216)
     for _ in range(5):
-        alpha, gamma, delta = sample_correspondence_triple(rng)
-        table = du.correspondence_surfaces(alpha, gamma, delta)
+        gamma, alpha, delta = sample_correspondence_triple(rng)
+        table = du.correspondence_surfaces(gamma, alpha, delta)
         for key in ("cover1", "cover2"):
             cfg = fiber_configuration(table[key])
             assert cfg.summary() == {"I1": 8, "I2": 8}
@@ -573,7 +553,7 @@ def _random_point(rng, n):
 
 
 def _random_normalized_triple(rng):
-    """(alpha, gamma, delta) invariant under exchanging the rulings, with
+    """(gamma, alpha, delta) invariant under exchanging the rulings, with
     gamma delta and alpha^2 - 4 gamma delta nonzero."""
     for _ in range(100):
         d0, a0, g0, a1, a2, g2 = (rng.randint(-6, 6) for _ in range(6))
@@ -582,7 +562,7 @@ def _random_normalized_triple(rng):
         delta = HomPoly.of(UV, (g0, a0, d0))
         prod = gamma * delta
         if not prod.is_zero and not (alpha * alpha - 4 * prod).is_zero:
-            return alpha, gamma, delta
+            return gamma, alpha, delta
     raise AssertionError("no nondegenerate triple drawn")
 
 
@@ -597,8 +577,8 @@ _READ_AT = {
 def test_correspondence_branch_pairs_match_the_curve_pointwise():
     rng = random.Random(240)
     for _ in range(6):
-        alpha, gamma, delta = _random_normalized_triple(rng)
-        branches = du.correspondence_branches(alpha, gamma, delta)
+        gamma, alpha, delta = _random_normalized_triple(rng)
+        branches = du.correspondence_branches(gamma, alpha, delta)
 
         def phi(s, t, u, v):
             return (
@@ -622,8 +602,8 @@ def test_correspondence_models_match_the_readings_pointwise():
     rng = random.Random(241)
     pairs = {1: (("S", "T"), ("s", "t")), 2: (UV, uv)}
     for _ in range(6):
-        alpha, gamma, delta = _random_normalized_triple(rng)
-        table = du.correspondence_surfaces(alpha, gamma, delta)
+        gamma, alpha, delta = _random_normalized_triple(rng)
+        table = du.correspondence_surfaces(gamma, alpha, delta)
         g_q2, a_q2, d_q2 = table["cad"]
         for kind in ("cover", "quot", "rat"):
             for ruling in (1, 2):
@@ -656,12 +636,12 @@ def test_correspondence_refuses_a_degenerate_triple():
     gamma = HomPoly.of(UV, (1, 2, 0))
     alpha = HomPoly.of(UV, (2, 3, 0))
     with pytest.raises(DegenerateModel):
-        du.correspondence_surfaces(alpha, gamma, HomPoly.zero(UV, 2))
+        du.correspondence_surfaces(gamma, alpha, HomPoly.zero(UV, 2))
     # the double curve (SU + TV)^2: alpha^2 - 4 gamma delta = 0
     with pytest.raises(DegenerateModel):
         du.correspondence_surfaces(
-            HomPoly.of(UV, (0, 2, 0)),
             HomPoly.of(UV, (1, 0, 0)),
+            HomPoly.of(UV, (0, 2, 0)),
             HomPoly.of(UV, (0, 0, 1)),
         )
 
@@ -679,12 +659,12 @@ def test_the_correspondence_models_are_the_tables_entries():
             assert models == (table[f"{kind}1"], table[f"{kind}2"])
 
 
-# (alpha, gamma, delta) that the correspondence table refuses, with its error
+# (gamma, alpha, delta) that the correspondence table refuses, with its error
 _TRIPLE_FAULTS = {
-    "normalization": (((1, 2, 3), (4, 1, 5), (9, 3, 6)), NormalizationViolated),
-    "degree": (((1, 2), (4, 1, 5), (9, 3, 6)), DegreeMismatch),
-    "gamma-delta-zero": (((2, 3, 0), (1, 2, 0), (0, 0, 0)), DegenerateModel),
-    "double-curve": (((0, 2, 0), (1, 0, 0), (0, 0, 1)), DegenerateModel),
+    "normalization": (((4, 1, 5), (1, 2, 3), (9, 3, 6)), NormalizationViolated),
+    "degree": (((4, 1, 5), (1, 2), (9, 3, 6)), DegreeMismatch),
+    "gamma-delta-zero": (((1, 2, 0), (2, 3, 0), (0, 0, 0)), DegenerateModel),
+    "double-curve": (((1, 0, 0), (0, 2, 0), (0, 0, 1)), DegenerateModel),
 }
 
 

@@ -443,7 +443,8 @@ def _valuation_corpus() -> list[WeierstrassModel]:
     rng = random.Random(20261018)
     r = corpus.sample_rational_surface(rng)
     cover = corpus.sample_cover_parameters(rng, r)
-    pair = corpus.sample_isogeny_pair(rng)
+    trace, left, right = corpus.sample_isogeny_forms(rng)
+    pair = du.AlternatePair(trace, left * right)
     models += [
         r.model(),
         du.base_change_k3(r, *cover),

@@ -699,7 +699,7 @@ def test_double_quadric_structure():
     assert data.params.c_inf == 3
     # the depressed curve satisfies the exchange constraint
     assert exchange_constraint(data.params) == 0
-    surfaces = correspondence_surfaces(corr.alpha, corr.gamma, corr.delta)
+    surfaces = correspondence_surfaces(corr.gamma, corr.alpha, corr.delta)
     for key in ("cover1", "quot1", "rat1", "cover2", "quot2", "rat2"):
         assert key in surfaces
 

@@ -185,6 +185,13 @@ class TestConstructors:
         with pytest.raises(ZeroScale):
             rescale(H, 0)
 
+    @pytest.mark.parametrize("scale", [Fraction(1, 2), 2.5, "2", None])
+    def test_rescale_refuses_a_scale_that_is_no_integer(self, scale):
+        # read as Gram entries are: no odd <1> from A1 at 1/2, no <5> at 2.5
+        # and no repeated string at "2"
+        with pytest.raises(lattice.MalformedGram, match="scale factors must be integers"):
+            rescale(standard_lattice("A1"), scale)
+
     def test_one_zero_scale_error_for_both_modules(self):
         from ellsurf import exactpoly, hermite_aj, lattice
 

@@ -23,11 +23,16 @@ needs.  Each construction has one home: only ``elliptic`` builds a
 model on a zero ``a2`` form by hand (everywhere else it is
 ``WeierstrassModel.short``), only ``AlternatePair.model`` builds one on a
 zero ``a6`` form, and ``refibration_jacobian`` reads the quadruple cover
-it is given without building one.  Every construction on binary forms
-checks their variable pair and degrees through ``exactpoly.check_forms``:
-no module but ``exactpoly`` calls a method named ``_check`` or
-``_check_vars``, and each routed construction refuses a form on another
-pair, or of another degree, with ``DegreeMismatch``.  A quartic's
+it is given without building one.  Each construction takes its inputs
+one way: the quadric double cover, its ruling swap and its deformation
+begin with (trace, left, right), the correspondence builders take
+(gamma, alpha, delta) after their kind, and no dataclass of ``duality``
+or ``hermite_aj`` declares a field with a default.  Every construction
+on binary forms checks their variable pair and degrees through
+``exactpoly.check_forms``: no module but ``exactpoly`` calls a method
+named ``_check`` or ``_check_vars``, and each routed construction
+refuses a form on another pair, or of another degree, with
+``DegreeMismatch``.  A quartic's
 smoothness is a separability test: only ``discr_relation_check`` calls a
 ``discriminant()`` method, whose value it compares.  A lattice's
 invariants have one cache, the ``GramLattice`` object itself: the lattice
@@ -163,16 +168,16 @@ def test_no_unused_imports():
     assert findings == {}
 
 
-def _dataclass_fields(tree: ast.Module) -> list[tuple[str, str]]:
-    """(class, field) for each field that a ``@dataclass`` class of the
-    module declares, in order."""
+def _dataclass_fields(tree: ast.Module) -> list[tuple[str, ast.AnnAssign]]:
+    """(class, declaration) for each field that a ``@dataclass`` class of
+    the module declares, in order."""
 
     def is_dataclass(decorator: ast.expr) -> bool:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
 
     return [
-        (node.name, item.target.id)
+        (node.name, item)
         for node in tree.body
         if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
         for item in node.body
@@ -192,10 +197,10 @@ def _unread_fields(declaring, reading) -> list[str]:
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     return [
-        f"{cls}.{field}"
+        f"{cls}.{item.target.id}"
         for tree in declaring
-        for cls, field in _dataclass_fields(tree)
-        if field not in read
+        for cls, item in _dataclass_fields(tree)
+        if item.target.id not in read
     ]
 
 
@@ -223,6 +228,31 @@ def test_every_dataclass_field_is_read():
     tests = [ast.parse(p.read_text(), str(p)) for p in Path(__file__).parent.glob("*.py")]
     assert package and tests
     assert _unread_fields(package, package + tests) == []
+
+
+def _defaulted_fields(tree: ast.Module) -> list[str]:
+    """``Class.field`` for each dataclass field declared with a default."""
+    return [
+        f"{cls}.{item.target.id}"
+        for cls, item in _dataclass_fields(tree)
+        if item.value is not None
+    ]
+
+
+def test_the_check_sees_dataclass_fields_with_a_default_only():
+    source = (
+        "@dataclass(frozen=True)\nclass A:\n    kept: int\n    split: tuple | None = None\n"
+        "@dataclasses.dataclass\nclass B:\n    n: int = field(default=0)\n    K = 1\n"
+        "class C:\n    plain: int = 0\n"
+    )
+    assert _defaulted_fields(ast.parse(source)) == ["A.split", "B.n"]
+
+
+def test_no_construction_record_has_an_optional_field():
+    # each construction takes its inputs one way, so none of its records
+    # carries a field that only a second way would fill
+    for module in ("duality", "hermite_aj"):
+        assert _defaulted_fields(_module_tree(module)) == [], module
 
 
 def test_the_check_sees_imports_of_the_package_only():
@@ -872,9 +902,15 @@ _OFF_THE_CONTRACT = {
         lambda: du.correspondence_models("cover", QUADRIC, QUADRIC, QUADRIC.rename(UV)),
         "one variable pair",
     ),
+    "quadric_branch-pair": (
+        lambda: du.quadric_branch(QUARTIC, OTHER_QUARTIC, QUARTIC.rename(UV)), "one variable pair"
+    ),
+    "quadric_double_cover-pair": (
+        lambda: du.quadric_double_cover(QUARTIC, OTHER_QUARTIC, QUARTIC.rename(UV)),
+        "one variable pair",
+    ),
     "quadric_branch-degree": (
-        lambda: du.quadric_branch(du.AlternatePair(QUADRIC, QUADRIC**2, split=(QUADRIC, QUADRIC))),
-        "needs degrees",
+        lambda: du.quadric_branch(QUADRIC, QUADRIC, QUADRIC), "needs degrees"
     ),
     "subfamily_models-pair": (
         lambda: du.subfamily_models("twist", QUADRIC.rename(UV), HomPoly.of(ST, (1, 0, 0, 1))),
@@ -928,11 +964,58 @@ def test_only_the_checks_that_read_a_whole_table_build_it():
     assert _table_readers(_module_tree("cli")) == _TABLE_READERS
 
 
-def test_a_split_on_another_pair_is_no_factorization_of_the_norm():
-    # the factors multiply to the norm read on (U, V), not to the norm itself
-    left, right = QUARTIC, OTHER_QUARTIC
-    with pytest.raises(du.MissingFactorization):
-        du.AlternatePair(QUADRIC * QUADRIC, left * right, split=(left.rename(UV), right.rename(UV)))
+# the one input convention of each quadric construction family: the
+# double cover, its ruling swap and its deformation begin with the trace
+# and the split norm's factors, the correspondence builders read the
+# curve's triple in the order of FamilyParams.triple, after their kind
+_QUADRIC_FORMS = ("trace", "left", "right")
+_CURVE_TRIPLE = ("gamma", "alpha", "delta")
+_INPUT_CONVENTIONS = {
+    "quadric_branch": _QUADRIC_FORMS,
+    "quadric_double_cover": _QUADRIC_FORMS,
+    "ruling_swap": _QUADRIC_FORMS,
+    "moduli_involution": _QUADRIC_FORMS,
+    "two_param_family": _QUADRIC_FORMS,
+    "correspondence_surfaces": _CURVE_TRIPLE,
+    "correspondence_branches": _CURVE_TRIPLE,
+    "correspondence_models": ("kind", *_CURVE_TRIPLE),
+    "_correspondence_pairs": ("kind", *_CURVE_TRIPLE),
+}
+
+
+def _convention_breaks(tree: ast.Module, conventions: dict[str, tuple[str, ...]]) -> list[str]:
+    """The names of ``conventions`` whose module-level function is missing
+    or does not begin its positional parameters with the names given."""
+    params = {
+        node.name: tuple(arg.arg for arg in node.args.posonlyargs + node.args.args)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    return [
+        name for name, lead in conventions.items() if params.get(name, ())[: len(lead)] != lead
+    ]
+
+
+def test_the_check_sees_the_leading_positional_parameters_only():
+    source = (
+        "def swap(trace, left, right, *, d0=0):\n    pass\n"
+        "def branch(pair):\n    pass\n"
+        "def models(kind, alpha, gamma, delta):\n    pass\n"
+        "def split(trace, /, left, right, d0):\n    pass\n"
+        "class K:\n    def moved(self, trace, left, right):\n        pass\n"
+    )
+    conventions = {
+        "swap": _QUADRIC_FORMS,
+        "branch": _QUADRIC_FORMS,
+        "models": ("kind", *_CURVE_TRIPLE),
+        "split": _QUADRIC_FORMS,
+        "moved": _QUADRIC_FORMS,
+    }
+    assert _convention_breaks(ast.parse(source), conventions) == ["branch", "models", "moved"]
+
+
+def test_each_quadric_construction_family_takes_its_inputs_one_way():
+    assert _convention_breaks(_module_tree("duality"), _INPUT_CONVENTIONS) == []
 
 
 # the eliminations behind the lattice invariants, which the GramLattice
