@@ -237,7 +237,7 @@ def _at_chain_level(model: WeierstrassModel, mu: Fraction, nu: Fraction, level: 
     and t = -nu, has its star at infinity at ``level`` and a finite nodal
     factor that is separable and avoids both pinned star places."""
     try:
-        delta = invariants(model).delta
+        delta = invariants(model)[2]
     except DegenerateModel:
         return False
     vars = delta.vars
@@ -473,22 +473,22 @@ def _quartic(h: QuarticCurve) -> dict:
 )
 def _coupling_product(sc, rng):
     h = _random_quartic(rng)
-    polys = correspondence_polys(h)
-    if not (polys.pairing.is_symmetric and polys.cofactor.is_symmetric):
+    pairing, cofactor = correspondence_polys(h)
+    if not (pairing.is_symmetric and cofactor.is_symmetric):
         raise _CheckFailure("coupling data lost symmetry", _quartic(h))
-    if polys.pairing.diagonal() != h.form:
+    if pairing.diagonal() != h.form:
         raise _CheckFailure("pairing diagonal differs from the quartic", _quartic(h))
     # the cofactor diagonal is one 36th of the Hessian of the quartic form
     (f_uu, f_uv), (_, f_vv) = (form_partials(d) for d in form_partials(h.form))
-    if 36 * polys.cofactor.diagonal() != f_uu * f_vv - f_uv * f_uv:
+    if 36 * cofactor.diagonal() != f_uu * f_vv - f_uv * f_uv:
         raise _CheckFailure("cofactor diagonal formula failed", _quartic(h))
     # pairing^2 + cofactor*(x - x0)^2 = P(x)*P(x0) as one bidegree-(4,4)
     # identity.  Both sides have degree four in x0, so a nonzero difference
     # vanishes at no more than four of the six anchors: the identity holds
     # exactly when it holds at every anchor, and the first anchor where the
     # difference does not vanish names a failure.
-    lhs = polys.pairing * polys.pairing + polys.cofactor * SEPARATION_SQUARE
-    rhs = tensor_forms(h.form, h.form.rename(polys.pairing.vars2))
+    lhs = pairing * pairing + cofactor * SEPARATION_SQUARE
+    rhs = tensor_forms(h.form, h.form.rename(pairing.vars2))
     if lhs != rhs:
         difference = lhs - rhs
         x0 = next(a for a in _ANCHORS if not difference.specialize_pair2(a, 1).is_zero)
@@ -570,9 +570,8 @@ def _fiberwise_j(sc, rng):
         lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
         lambda xi: cubic.rhs(xi) != 0,
     )
-    b = correspondence_22(h, xi)
     j = j_invariant_quartic(h)
-    if j != j_invariant_22(b):
+    if j != j_invariant_22(correspondence_22(h, xi)):
         raise _CheckFailure("the two j-invariants differ", _quartic(h) | {"xi": str(xi)})
     return lambda: _quartic(h) | {"xi": str(xi), "j": str(j)}
 
@@ -588,15 +587,15 @@ _DOUBLE_COVER_RATS = ("a0", "a1", "a2", "xi", "c0", "c_inf")
 )
 def _quartic_double_cover(sc, rng):
     data = double_quadric_from_quartic(*(sc.rats[name] for name in _DOUBLE_COVER_RATS))
-    corr = data.correspondence
+    gamma, alpha, delta = (data.correspondence.pair2_coefficient(j) for j in range(3))
     first = data.quadric.vars1
     s_sq = HomPoly.var_power(first, 0, 1) ** 2
     s_t = HomPoly.var_power(first, 0, 1) * HomPoly.var_power(first, 1, 1)
     t_sq = HomPoly.var_power(first, 1, 1) ** 2
     quadric = (
-        tensor_forms(s_sq, corr.gamma)
-        + tensor_forms(s_t, corr.alpha)
-        + tensor_forms(t_sq, corr.delta)
+        tensor_forms(s_sq, gamma)
+        + tensor_forms(s_t, alpha)
+        + tensor_forms(t_sq, delta)
     )
     if data.quadric != quadric:
         raise _CheckFailure("the quadric is not assembled from the coupling triple")
@@ -747,29 +746,29 @@ def _correspondence_routes(sc, rng):
 @_family("extraction-identity", "table-consistency")
 def _extraction_identity(sc, rng):
     trace, left, right = _sample_isogeny_forms(rng)
-    data = du.quadric_double_cover(trace, left, right)
-    first, cover = data.branch.vars1, data.branch.vars2
+    branch, (coeffs, f, g), jacobian = du.quadric_double_cover(trace, left, right)
+    first, cover = branch.vars1, branch.vars2
     u_sq, v_sq = HomPoly.of(cover, (1, 0, 0)), HomPoly.of(cover, (0, 0, 1))
     total = None
     for j in range(5):
         power = HomPoly.of(first, tuple(1 if i == 4 - j else 0 for i in range(5)))
-        term = tensor_forms(power, data.swap.coeffs[j].substitute(u_sq, v_sq))
+        term = tensor_forms(power, coeffs[j].substitute(u_sq, v_sq))
         total = term if total is None else total + term
-    if total != data.branch:
+    if total != branch:
         raise _CheckFailure("the two branch readings differ")
     flipped = du.quadric_branch(trace, right, left)
     u_lin, v_lin = HomPoly.of(cover, (1, 0)), HomPoly.of(cover, (0, 1))
-    if data.branch.substitute_pair2(v_lin, u_lin) != flipped:
+    if branch.substitute_pair2(v_lin, u_lin) != flipped:
         raise _CheckFailure("swapping rulings does not flip the split")
     try:
-        res = du.RESData(data.swap.f, data.swap.g)
+        res = du.RESData(f, g)
     except ValueError:
         return
     try:
-        jacobian = du.base_change_k3(res, 0, 0)
+        changed = du.base_change_k3(res, 0, 0)
     except du.SingularBranchFiber:  # the base change needs smooth branch fibers
         return
-    if data.jacobian != jacobian:
+    if jacobian != changed:
         raise _CheckFailure("jacobian differs from the degree-two base change")
 
 
@@ -810,12 +809,12 @@ def _torsion_tower(sc, rng):
 @_family("deformation-discriminant", "table-consistency", extra=_SCALAR)
 def _deformation_discriminant(sc, rng):
     (trace, left, right), d0, d_inf = _sample_involution_inputs(rng)
-    fam = du.two_param_family(trace, left, right, d0, d_inf)
-    if invariants(fam.model).delta != 16 * fam.reduced_discriminant:
+    model, reduced = du.two_param_family(trace, left, right, d0, d_inf)
+    if invariants(model)[2] != 16 * reduced:
         raise _CheckFailure("model discriminant is not 16 times the reduced one")
     scale = (d0 * d_inf - 1) ** 2
     fixed = trace * trace - 4 * left * right
-    if fam.model.a2**2 - 4 * fam.model.a4 != scale * fixed:
+    if model.a2**2 - 4 * model.a4 != scale * fixed:
         raise _CheckFailure("branch combination scaled by the wrong factor")
     once = du.moduli_involution(trace, left, right, d0, d_inf)
     if once[0] * once[0] - 4 * once[1] * once[2] != scale * fixed:

@@ -13,7 +13,10 @@ data from exact rational input:
   is ``quadric_branch``, and ``ruling_swap``) and the model and
   discriminant of the two-parameter deformation obtained by moving a
   pair of section lines (``two_param_family``, ``moduli_involution``),
-  all of which take the quartics (trace, left, right) first;
+  all of which take the quartics (trace, left, right) first and return
+  plain tuples: ``ruling_swap`` gives (coeffs, f, g),
+  ``quadric_double_cover`` (branch, swap, jacobian) and
+  ``two_param_family`` (model, reduced_discriminant);
 * the towers of models that read one family on a ruling of the quadric
   (on its quotient pair, twisted there by a line, or on a double or
   fourfold cover), each built from one table of readings: the symmetric
@@ -87,14 +90,11 @@ __all__ = [
     "NoRationalCubicRoot",
     "NonSquareDiscriminant",
     "ParameterConstraintViolated",
-    "QuadricCoverData",
     "QuadrupleCoverSurface",
     "RESData",
     "RefibrationJacobian",
-    "RulingSwapData",
     "SingularBranchFiber",
     "ThreeLinesCubicParams",
-    "TwoParamFamily",
     "UnknownKind",
     "base_change_k3",
     "bilinear_quadruple_surface",
@@ -287,13 +287,9 @@ class AlternatePair:
         if self.norm.is_zero:
             raise DegenerateModel("norm form vanishes identically")
 
-    @property
-    def weight(self) -> int:
-        return self.trace.degree // 2
-
     def model(self) -> WeierstrassModel:
         zero = HomPoly.zero(self.trace.vars, 3 * self.trace.degree)
-        return WeierstrassModel(-self.trace, self.norm, zero, self.weight)
+        return WeierstrassModel(-self.trace, self.norm, zero)
 
 
 def two_isogeny_dual(pair: AlternatePair) -> AlternatePair:
@@ -314,35 +310,23 @@ def two_isogeny_dual(pair: AlternatePair) -> AlternatePair:
 # double covers of the quadric and the exchange of rulings
 
 
-@dataclass(frozen=True)
-class RulingSwapData:
-    """Refibration data for the curve left U^2 - trace UV + right V^2 = 0.
-
-    The three forms are the inputs of :func:`ruling_swap`, which keeps
-    only what it derives from them.  Reading the bidegree-(4, 2) branch
-    form against the second ruling turns the three degree-four
-    coefficients into five degree-two forms:
-    ``coeffs[j]`` is the coefficient of s^j t^(4-j), so that
-
-        left(s,t) U^2 - trace(s,t) UV + right(s,t) V^2
-            = sum_j coeffs[j](U, V) s^j t^(4-j).
-
-    ``f`` and ``g`` (degrees 4 and 6) are the Jacobian coefficient pair of
-    that quartic family.
-    """
-
-    coeffs: tuple[HomPoly, HomPoly, HomPoly, HomPoly, HomPoly]
-    f: HomPoly
-    g: HomPoly
-
-
-def ruling_swap(trace: HomPoly, left: HomPoly, right: HomPoly) -> RulingSwapData:
+def ruling_swap(
+    trace: HomPoly, left: HomPoly, right: HomPoly
+) -> tuple[tuple[HomPoly, ...], HomPoly, HomPoly]:
     """Refiber the quadric double cover along its second ruling.
 
     The three inputs are degree-four forms on the first ruling describing
-    the branch curve left u^4 - trace u^2 v^2 + right v^4; the output
-    collects the degree-two coefficient forms on the second ruling
-    together with their Jacobian pair (f, g).
+    the branch curve left u^4 - trace u^2 v^2 + right v^4, that is the
+    curve left U^2 - trace UV + right V^2 = 0.  Reading the bidegree-(4, 2)
+    branch form against the second ruling turns the three degree-four
+    coefficients into five degree-two forms, returned as ``(coeffs, f, g)``:
+    ``coeffs[j]`` is the coefficient of s^j t^(4-j), so that
+
+        left(s,t) U^2 - trace(s,t) UV + right(s,t) V^2
+            = sum_j coeffs[j](U, V) s^j t^(4-j),
+
+    and ``f`` and ``g`` (degrees 4 and 6) are the Jacobian coefficient pair
+    of that quartic family.
     """
     check_forms((trace, left, right), (4, 4, 4), "the ruling swap")
     coeffs = tuple(
@@ -353,16 +337,7 @@ def ruling_swap(trace: HomPoly, left: HomPoly, right: HomPoly) -> RulingSwapData
         for j in range(5)
     )
     f, g = hermite_pair_forms(*coeffs)
-    return RulingSwapData(coeffs, f, g)
-
-
-@dataclass(frozen=True)
-class QuadricCoverData:
-    """A double cover of the quadric surface and its relative Jacobian."""
-
-    branch: BiHomPoly
-    swap: RulingSwapData
-    jacobian: WeierstrassModel
+    return coeffs, f, g
 
 
 def quadric_branch(trace: HomPoly, left: HomPoly, right: HomPoly) -> BiHomPoly:
@@ -377,36 +352,28 @@ def quadric_branch(trace: HomPoly, left: HomPoly, right: HomPoly) -> BiHomPoly:
     return _tensor_sum(coeffs, _READ_MONOMIALS[1]["cover"])
 
 
-def quadric_double_cover(trace: HomPoly, left: HomPoly, right: HomPoly) -> QuadricCoverData:
-    """Double cover of the quadric branched over ``quadric_branch(trace, left, right)``.
+def quadric_double_cover(
+    trace: HomPoly, left: HomPoly, right: HomPoly
+) -> tuple[BiHomPoly, tuple[tuple[HomPoly, ...], HomPoly, HomPoly], WeierstrassModel]:
+    """A double cover of the quadric surface and its relative Jacobian, as
+    ``(branch, swap, jacobian)``.
 
-    The projection to the first ruling is a genus-one fibration without
+    The cover is branched over ``branch = quadric_branch(trace, left,
+    right)``, and ``swap`` is ``ruling_swap(trace, left, right)``.  The
+    projection to the first ruling is a genus-one fibration without
     section; its relative Jacobian, fibered over the covering coordinates
-    of the second ruling, is the weight-two model
+    of the second ruling, is the weight-two model ``jacobian``,
     x^3 + f(u^2, v^2) x + g(u^2, v^2) where (f, g) come from the ruling swap.
     """
     branch = quadric_branch(trace, left, right)
     swap = ruling_swap(trace, left, right)
     cover = _RULINGS[1]["cover"]
-    jacobian = WeierstrassModel.short(cover(swap.f), cover(swap.g))
-    return QuadricCoverData(branch, swap, jacobian)
+    jacobian = WeierstrassModel.short(cover(swap[1]), cover(swap[2]))
+    return branch, swap, jacobian
 
 
 # ---------------------------------------------------------------------------
 # moving the section lines: the two-parameter deformation
-
-
-@dataclass(frozen=True)
-class TwoParamFamily:
-    """Model and discriminant of a deformed quadric cover.
-
-    ``reduced_discriminant`` is the model discriminant divided by 16; it
-    factors as (d0 d_inf - 1)^2 L^2 M^2 (trace^2 - 4 left right) with L, M
-    the two degree-four factors of the quartic coefficient.
-    """
-
-    model: WeierstrassModel
-    reduced_discriminant: HomPoly
 
 
 def two_param_family(
@@ -415,16 +382,18 @@ def two_param_family(
     right: HomPoly,
     d0: RationalLike,
     d_inf: RationalLike,
-) -> TwoParamFamily:
+) -> tuple[WeierstrassModel, HomPoly]:
     """Deform a quadric double cover by moving its two section lines to
-    U = d0 V and d_inf U = V.
+    U = d0 V and d_inf U = V; returns ``(model, reduced_discriminant)``.
 
     ``trace``, ``left`` and ``right`` are degree-four forms, read on the
     first covering pair ("s", "t").  The fibration over that pair is the
     ``AlternatePair`` model of the deformed trace and norm
     (``DegenerateModel`` if that norm vanishes);
-    ``reduced_discriminant`` is its discriminant over 16.  The places of
-    the factor trace^2 - 4 left right do not move with (d0, d_inf).
+    ``reduced_discriminant`` is its discriminant over 16, which factors as
+    (d0 d_inf - 1)^2 L^2 M^2 (trace^2 - 4 left right) with L, M the two
+    degree-four factors of the quartic coefficient.  The places of the
+    factor trace^2 - 4 left right do not move with (d0, d_inf).
     Requires d0 * d_inf != 1; the inputs are checked, and the deformed
     data built, by :func:`moduli_involution`.
     """
@@ -440,7 +409,7 @@ def two_param_family(
         * new_right**2
         * (trace_c * trace_c - 4 * left_c * right_c)
     )
-    return TwoParamFamily(model, reduced)
+    return model, reduced
 
 
 def moduli_involution(
@@ -875,7 +844,7 @@ def star_triple_model(
         * HomPoly.of(_PENCIL, (1, muv))
         * HomPoly.of(_PENCIL, (1, nuv))
     )
-    return WeierstrassModel(stars * sq, stars**2 * lin, stars**3 * cst, 2)
+    return WeierstrassModel(stars * sq, stars**2 * lin, stars**3 * cst)
 
 
 def shift_cubic_term(

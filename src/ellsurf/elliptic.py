@@ -4,7 +4,8 @@ A model of weight ``w`` is
 
     y^2 = x^3 + a2(s,t) x^2 + a4(s,t) x + a6(s,t)
 
-with binary forms of degrees ``(2w, 4w, 6w)``.  Everything downstream of the
+with binary forms of degrees ``(2w, 4w, 6w)``; a model is its three forms,
+and its weight is read off the degree of ``a2``.  Everything downstream of the
 coefficients is exact: the standard invariants ``c4, c6, delta`` are forms,
 fibers are classified per place of the base from the valuation triple
 ``(v(c4), v(c6), v(delta))`` after local minimalization, and two-torsion
@@ -13,7 +14,8 @@ sections are the forms of degree 2w that are roots of the right-hand cubic.
 The invariants are computed on the integer rows of the coefficient forms,
 with one lowest-terms reduction per form, and a model's invariants have one
 cache, the model itself: a ``WeierstrassModel`` is immutable, so it keeps
-them (``functools.cached_property``) from their first use, and every later
+the tuple ``(c4, c6, delta)`` (``functools.cached_property``) from its
+first use, and every later
 ``invariants``, ``fiber_configuration`` or ``two_torsion_sections`` of the
 same object reads them.  The row computation knows nothing of the class, an
 equal but distinct model computes its own, and a degenerate model raises
@@ -97,12 +99,12 @@ class KodairaType:
 
 @dataclass(frozen=True)
 class WeierstrassModel:
-    """y^2 = x^3 + a2 x^2 + a4 x + a6 with forms of degrees (2w, 4w, 6w)."""
+    """y^2 = x^3 + a2 x^2 + a4 x + a6 with forms of degrees (2w, 4w, 6w);
+    the weight w is deg(a2) // 2, so an odd deg(a2) is a ``DegreeMismatch``."""
 
     a2: HomPoly
     a4: HomPoly
     a6: HomPoly
-    weight: int
 
     def __post_init__(self):
         w = self.weight
@@ -112,8 +114,11 @@ class WeierstrassModel:
     def short(a4: HomPoly, a6: HomPoly) -> WeierstrassModel:
         """y^2 = x^3 + a4 x + a6, of weight deg(a4) // 4; the degrees must
         be (4w, 6w) on one variable pair, or ``DegreeMismatch`` is raised."""
-        weight = a4.degree // 4
-        return WeierstrassModel(HomPoly.zero(a4.vars, 2 * weight), a4, a6, weight)
+        return WeierstrassModel(HomPoly.zero(a4.vars, 2 * (a4.degree // 4)), a4, a6)
+
+    @property
+    def weight(self) -> int:
+        return self.a2.degree // 2
 
     @property
     def vars(self) -> tuple[str, str]:
@@ -128,29 +133,21 @@ class WeierstrassModel:
         return ((x + self.a2) * x + self.a4) * x + self.a6
 
     @cached_property
-    def _invariants(self) -> ModelInvariants:
+    def _invariants(self) -> tuple[HomPoly, HomPoly, HomPoly]:
         # kept from the first read; a degenerate model raises on every read
         return _invariant_rows(self.a2, self.a4, self.a6)
 
 
-@dataclass(frozen=True)
-class ModelInvariants:
-    """The forms c4, c6, delta of a model; j = c4^3 / delta."""
-
-    c4: HomPoly
-    c6: HomPoly
-    delta: HomPoly
-
-
-def invariants(model: WeierstrassModel) -> ModelInvariants:
-    """c4 = 16(a2^2 - 3 a4), c6 = -32(2 a2^3 - 9 a2 a4 + 27 a6),
+def invariants(model: WeierstrassModel) -> tuple[HomPoly, HomPoly, HomPoly]:
+    """The forms ``(c4, c6, delta)`` of a model, j = c4^3 / delta:
+    c4 = 16(a2^2 - 3 a4), c6 = -32(2 a2^3 - 9 a2 a4 + 27 a6),
     delta = (c4^3 - c6^2)/1728.  Raises DegenerateModel if delta is zero.
 
     The model computes them once and keeps them."""
     return model._invariants
 
 
-def _invariant_rows(a2: HomPoly, a4: HomPoly, a6: HomPoly) -> ModelInvariants:
+def _invariant_rows(a2: HomPoly, a4: HomPoly, a6: HomPoly) -> tuple[HomPoly, HomPoly, HomPoly]:
     """``invariants`` on the integer rows of the coefficient forms.
 
     Over d = lcm of the three denominators, a2 = A2/d, a4 = A4/d^2 and
@@ -170,7 +167,7 @@ def _invariant_rows(a2: HomPoly, a4: HomPoly, a6: HomPoly) -> ModelInvariants:
     if not any(disc):
         raise DegenerateModel("discriminant vanishes identically")
     vars = a2.vars
-    return ModelInvariants(
+    return (
         HomPoly(vars, *_lowest([16 * n for n in x], d * d)),
         HomPoly(vars, *_lowest([-32 * n for n in y], d**3)),
         HomPoly(vars, *_lowest([16 * n for n in disc], 27 * d**6)),
@@ -189,12 +186,7 @@ def quadratic_twist(model: WeierstrassModel, d: HomPoly) -> WeierstrassModel:
         raise DegenerateModel("cannot twist by the zero form")
     if d.degree % 2:
         raise DegreeMismatch("twist form must have even degree")
-    return WeierstrassModel(
-        d * model.a2,
-        d * d * model.a4,
-        d * d * d * model.a6,
-        model.weight + d.degree // 2,
-    )
+    return WeierstrassModel(d * model.a2, d * d * model.a4, d * d * d * model.a6)
 
 
 # ---------------------------------------------------------------------------
@@ -233,26 +225,25 @@ def _check_realizable(v_c4: int | None, v_c6: int | None, v_delta: int) -> None:
         )
 
 
-def _is_reducible(v_c4: int | None, v_c6: int | None, v_delta: int) -> bool:
-    return (
-        (v_c4 is None or v_c4 >= 4)
-        and (v_c6 is None or v_c6 >= 6)
-        and v_delta >= 12
-    )
-
-
 def minimalize_at(
     v_c4: int | None, v_c6: int | None, v_delta: int
 ) -> tuple[tuple[int | None, int | None, int], int]:
     """Subtract (4, 6, 12) while possible; returns the reduced triple and
-    the number of reductions applied."""
-    reductions = 0
-    while _is_reducible(v_c4, v_c6, v_delta):
-        v_c4 = None if v_c4 is None else v_c4 - 4
-        v_c6 = None if v_c6 is None else v_c6 - 6
-        v_delta -= 12
-        reductions += 1
-    return (v_c4, v_c6, v_delta), reductions
+    the number k of reductions applied, the least of v(delta) // 12,
+    v(c4) // 4 and v(c6) // 6 (a ``None`` valuation bounds nothing), and
+    not below zero."""
+    k = v_delta // 12
+    if v_c4 is not None and v_c4 < 4 * k:
+        k = v_c4 // 4
+    if v_c6 is not None and v_c6 < 6 * k:
+        k = v_c6 // 6
+    if k <= 0:
+        return (v_c4, v_c6, v_delta), 0
+    return (
+        None if v_c4 is None else v_c4 - 4 * k,
+        None if v_c6 is None else v_c6 - 6 * k,
+        v_delta - 12 * k,
+    ), k
 
 
 def kodaira_from_valuations(
@@ -265,8 +256,8 @@ def kodaira_from_valuations(
     minimal (NonMinimal otherwise; see ``minimalize_at``).
     """
     _check_realizable(v_c4, v_c6, v_delta)
-    if _is_reducible(v_c4, v_c6, v_delta):
-        reduced, k = minimalize_at(v_c4, v_c6, v_delta)
+    reduced, k = minimalize_at(v_c4, v_c6, v_delta)
+    if k:
         raise NonMinimal(
             f"triple ({v_c4}, {v_c6}, {v_delta}) reduces {k} time(s) to {reduced}"
         )
@@ -357,11 +348,12 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
     v(c4) = 0 is not refined against c6: at a place of delta,
     c6^2 = c4^3 - 1728 delta forces v(c6) = 0 there.
     """
-    inv = invariants(model)
+    c4, c6, delta = invariants(model)
+    _, factors = squarefree_split(delta)
     places = []
-    for f, m in squarefree_split(inv.delta).factors:
-        for g, v4 in refine_against(f, inv.c4):
-            by_c6 = [(g, 0)] if v4 == 0 else refine_against(g, inv.c6)
+    for f, m in factors:
+        for g, v4 in refine_against(f, c4):
+            by_c6 = [(g, 0)] if v4 == 0 else refine_against(g, c6)
             for h, v6 in by_c6:
                 reduced, k = minimalize_at(v4, v6, m)
                 fiber = kodaira_from_valuations(*reduced)
@@ -404,7 +396,7 @@ def two_torsion_sections(model: WeierstrassModel) -> tuple[HomPoly, ...]:
     candidate sections, verified exactly.  No two coincide (delta != 0 parts
     the three roots when a6 = 0, and a series root is its own x0 at s0).
     """
-    inv = invariants(model)  # rejects degenerate models
+    delta = invariants(model)[2]  # rejects degenerate models
     w = model.weight
     vars = model.vars
     found: list[HomPoly] = []
@@ -418,7 +410,7 @@ def two_torsion_sections(model: WeierstrassModel) -> tuple[HomPoly, ...]:
             found.append((-model.a2 + root) * half)
             found.append((-model.a2 - root) * half)
     else:
-        s0 = _regular_base_point(inv.delta)
+        s0 = _regular_base_point(delta)
         t = HomPoly.var_power(vars, 1, 1)
         # the coefficients moved to s0 = 0, ascending in s at t = 1
         rows = [

@@ -30,8 +30,9 @@ its trial division as cofactors, so Yun's loop and ``refine_against``
 read ``c / g`` and ``d / g`` off it and divide nothing themselves.  Monic
 normalisation divides ``num`` by its leading entry.  By Gauss's lemma a
 quotient by a primitive gcd is integral, and a power ``(num^n, den^n)``
-is already in lowest terms.  The square root reads the squarefree split:
-the root of its unit times each factor to half its multiplicity.
+is already in lowest terms.  The square root reads the squarefree split's
+``(unit, factors)``: the root of the unit times each factor to half its
+multiplicity.
 
 The module is also the one home of the exact scalar primitives the other
 layers build on, and of their input contract on forms:
@@ -943,17 +944,12 @@ def sort_by_form(items: list[_T], form: Callable[[_T], HomPoly]) -> None:
     items.sort(key=key)
 
 
-@dataclass(frozen=True)
-class SquarefreeSplit:
-    """``form == unit * product(factor^multiplicity)`` with squarefree,
-    pairwise coprime factors, monic in the first variable."""
-
-    unit: Fraction
-    factors: tuple[tuple[HomPoly, int], ...]
-
-
-def squarefree_split(f: HomPoly) -> SquarefreeSplit:
+def squarefree_split(f: HomPoly) -> tuple[Fraction, tuple[tuple[HomPoly, int], ...]]:
     """Yun decomposition of a nonzero binary form; exact over Q.
+
+    Returns ``(unit, factors)`` with ``f == unit * product(factor^m)`` over
+    the ``(factor, m)`` pairs, the factors squarefree, pairwise coprime and
+    monic in the first variable, as sympy's ``sqf_list`` returns them.
 
     Yun's loop runs on the integer affine row (``vars[1] = 1``), where no
     multiplicity exceeds its degree; the power of ``vars[1]`` is the
@@ -979,7 +975,7 @@ def squarefree_split(f: HomPoly) -> SquarefreeSplit:
         if len(c) == 1:
             break
     sort_by_form(factors, lambda fm: fm[0])
-    return SquarefreeSplit(Fraction(row[-1], f.den), tuple(factors))
+    return Fraction(row[-1], f.den), tuple(factors)
 
 
 def refine_against(f: HomPoly, q: HomPoly) -> list[tuple[HomPoly, int | None]]:
@@ -1024,12 +1020,12 @@ def form_sqrt(f: HomPoly) -> HomPoly | None:
         return None
     if f.is_zero:
         return HomPoly.zero(f.vars, f.degree // 2)
-    split = squarefree_split(f)
-    lead = rational_sqrt(split.unit)
-    if lead is None or any(m % 2 for _, m in split.factors):
+    unit, factors = squarefree_split(f)
+    lead = rational_sqrt(unit)
+    if lead is None or any(m % 2 for _, m in factors):
         return None
     root = HomPoly.constant(f.vars, lead)
-    for factor, m in split.factors:
+    for factor, m in factors:
         root = root * factor ** (m // 2)
     return root
 

@@ -12,6 +12,9 @@ generated by a quartic curve together with two line parameters.
 The coupling polynomials in two affine coordinates x and x0 are
 bidegree-(2,2) ``BiHomPoly`` forms in the pairs (U, V) and (S, T), with
 x = U/V and x0 = S/T; their affine reading is ``form(x, 1, x0, 1)``.
+``correspondence_polys`` returns them as the pair (pairing, cofactor),
+and ``correspondence_22`` returns the one form phi, whose coefficients
+in (S, T) are the curve's triple (gamma, alpha, delta).
 They are built from integer rows: each entry is an integer combination of
 the quartic's numerators, over 6*den for the pairing and 36*den^2 for the
 cofactor, and the Jacobian pair (f, g) is read off the same numerators.
@@ -44,8 +47,6 @@ from .exactpoly import (
 __all__ = [
     "AJImage",
     "BasePointRamified",
-    "Biquadratic22",
-    "CorrespondencePolys",
     "FamilyParams",
     "NormalizationViolated",
     "NotOnCurve",
@@ -210,9 +211,8 @@ def hermite_pair_forms(
 SEPARATION_SQUARE = BiHomPoly.from_num(_X_PAIR, _X0_PAIR, ((0, 0, 1), (0, -2, 0), (1, 0, 0)))
 
 
-@dataclass(frozen=True)
-class CorrespondencePolys:
-    """The coupling data of a quartic curve.
+def correspondence_polys(h: QuarticCurve) -> tuple[BiHomPoly, BiHomPoly]:
+    """The coupling data ``(pairing, cofactor)`` of a quartic curve.
 
     ``pairing`` restricts to P on the diagonal; ``cofactor`` is the
     bi-quadratic with pairing^2 + cofactor*(x - x0)^2 = P(x)*P(x0); its
@@ -220,12 +220,6 @@ class CorrespondencePolys:
     F_UU*F_VV - F_UV^2 of the quartic form F.  Both are symmetric
     bidegree-(2,2) forms, read affinely at x = U/V and x0 = S/T.
     """
-
-    pairing: BiHomPoly
-    cofactor: BiHomPoly
-
-
-def correspondence_polys(h: QuarticCurve) -> CorrespondencePolys:
     # n_k = den * a_k; row i, column j multiplies x^(2-i) * x0^(2-j); both
     # grids are integer rows over 6*den and 36*den^2
     n4, n3, n2, n1, n0 = h.form.num
@@ -252,7 +246,7 @@ def correspondence_polys(h: QuarticCurve) -> CorrespondencePolys:
         ),
         36 * den * den,
     )
-    return CorrespondencePolys(pairing, cofactor)
+    return pairing, cofactor
 
 
 def discr_relation_check(h: QuarticCurve) -> tuple[Fraction, Fraction, Fraction]:
@@ -265,7 +259,7 @@ def discr_relation_check(h: QuarticCurve) -> tuple[Fraction, Fraction, Fraction]
     """
     cubic = jacobian_quartic(h)
     disc_p = h.discriminant()
-    disc_q = QuarticCurve(correspondence_polys(h).cofactor.diagonal()).discriminant()
+    disc_q = QuarticCurve(correspondence_polys(h)[1].diagonal()).discriminant()
     return disc_p, disc_q, cubic.g
 
 
@@ -321,12 +315,12 @@ def abel_jacobi(
     dp = form_partials(h.form)[0]
     if px == x0:
         # conjugate of the base point; pw == w0 != 0 on the curve
-        q = correspondence_polys(h).cofactor.diagonal()
+        q = correspondence_polys(h)[1].diagonal()
         dq = form_partials(q)[0]
         value_p, value_q = h.rhs(x0), q(x0, 1)  # P(x0) = w0^2 is nonzero here
         bracket = dp(x0, 1) * value_q - value_p * dq(x0, 1)
         return AJImage.at(-value_q / value_p, bracket / (2 * w0**3))
-    pairing = correspondence_polys(h).pairing
+    pairing = correspondence_polys(h)[0]
     dx = px - x0
     xi = 2 * (pairing(px, 1, x0, 1) - pw * w0) / dx**2
     eta = 4 * pw * w0 * (pw - w0) / dx**3 - (dp(px, 1) * w0 + dp(x0, 1) * pw) / dx**2
@@ -338,32 +332,19 @@ def abel_jacobi(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Biquadratic22:
-    """A symmetric bidegree-(2,2) curve in two affine line coordinates.
+def correspondence_22(h: QuarticCurve, xi: RationalLike) -> BiHomPoly:
+    """The bidegree-(2,2) image ``phi`` of the curve at Jacobian coordinate xi.
 
-    ``phi`` is the form in x = U/V and x0 = S/T; the form triple collects
-    powers of the second coordinate: phi(x, 1, x0, 1) = gamma(x,1)*x0^2
+    phi = xi^2*(x - x0)^2 - 4*xi*pairing - 4*cofactor is a form in
+    x = U/V and x0 = S/T; it is symmetric and, for smooth curves, shares
+    the j-invariant of the curve.  Its form triple collects powers of the
+    second coordinate: ``phi.pair2_coefficient(j)`` for j = 0, 1, 2 are
+    gamma, alpha, delta with phi(x, 1, x0, 1) = gamma(x,1)*x0^2
     + alpha(x,1)*x0 + delta(x,1).
     """
-
-    phi: BiHomPoly
-    gamma: HomPoly
-    alpha: HomPoly
-    delta: HomPoly
-
-
-def correspondence_22(h: QuarticCurve, xi: RationalLike) -> Biquadratic22:
-    """The bidegree-(2,2) image of the curve at Jacobian coordinate xi.
-
-    phi = xi^2*(x - x0)^2 - 4*xi*pairing - 4*cofactor; it is symmetric
-    and, for smooth curves, shares the j-invariant of the curve.
-    """
     x = rat(xi)
-    polys = correspondence_polys(h)
-    phi = (x * x) * SEPARATION_SQUARE - (4 * x) * polys.pairing - 4 * polys.cofactor
-    gamma, alpha, delta = (phi.pair2_coefficient(j) for j in range(3))
-    return Biquadratic22(phi, gamma, alpha, delta)
+    pairing, cofactor = correspondence_polys(h)
+    return (x * x) * SEPARATION_SQUARE - (4 * x) * pairing - 4 * cofactor
 
 
 def j_invariant_quartic(h: QuarticCurve) -> Fraction:
@@ -371,14 +352,15 @@ def j_invariant_quartic(h: QuarticCurve) -> Fraction:
     return jacobian_quartic(h).j_invariant()
 
 
-def j_invariant_22(b: Biquadratic22) -> Fraction:
-    """j-invariant of a bidegree-(2,2) curve.
+def j_invariant_22(phi: BiHomPoly) -> Fraction:
+    """j-invariant of a bidegree-(2,2) curve ``phi``.
 
     The discriminant alpha^2 - 4*gamma*delta in the second coordinate is
     a form of degree four in the first; its Jacobian cubic carries the
     j-invariant.
     """
-    return j_invariant_quartic(QuarticCurve(b.alpha * b.alpha - 4 * (b.gamma * b.delta)))
+    gamma, alpha, delta = (phi.pair2_coefficient(j) for j in range(3))
+    return j_invariant_quartic(QuarticCurve(alpha * alpha - 4 * (gamma * delta)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +532,7 @@ class QuarticSurfaceData:
     """
 
     params: FamilyParams
-    correspondence: Biquadratic22
+    correspondence: BiHomPoly
     line_factors: tuple[HomPoly, HomPoly]
     ruling_factors: tuple[HomPoly, HomPoly]
     quadric: BiHomPoly
@@ -576,19 +558,19 @@ def double_quadric_from_quartic(
     curve = QuarticCurve.of(a0, a1, a2, 0, 1)
     if not is_separable(curve.form):
         raise SingularCurve("the quartic curve is singular")
-    corr = correspondence_22(curve, xi)
-    params = FamilyParams.from_triple(corr.gamma, corr.alpha, corr.delta, c0v, civ)
+    phi = correspondence_22(curve, xi)
+    params = FamilyParams.from_triple(*(phi.pair2_coefficient(j) for j in range(3)), c0v, civ)
     line0 = HomPoly.of(_X0_PAIR, (1, -c0v))
     line_inf = HomPoly.of(_X0_PAIR, (-civ, 1))
     u_factor = HomPoly.var_power(_X_PAIR, 0, 1)
     v_factor = HomPoly.var_power(_X_PAIR, 1, 1)
     # gamma, alpha, delta are the coefficients of S^2, S*T, T^2 in phi, and
     # phi is symmetric, so phi read in (S, T) x (U, V) is the quadric
-    quadric = BiHomPoly(_X0_PAIR, _X_PAIR, corr.phi.num, corr.phi.den)
+    quadric = BiHomPoly(_X0_PAIR, _X_PAIR, phi.num, phi.den)
     branch = tensor_forms(line0 * line_inf, u_factor * v_factor) * quadric
     return QuarticSurfaceData(
         params,
-        corr,
+        phi,
         (line0, line_inf),
         (u_factor, v_factor),
         quadric,

@@ -30,7 +30,7 @@ def shift_x(model: WeierstrassModel, u: HomPoly) -> WeierstrassModel:
     delta do not change."""
     a2 = model.a2 + 3 * u
     a4 = model.a4 + 2 * model.a2 * u + 3 * u * u
-    return WeierstrassModel(a2, a4, model.rhs_at(u), model.weight)
+    return WeierstrassModel(a2, a4, model.rhs_at(u))
 
 
 def _tpow(k: int) -> UniPoly:
@@ -249,7 +249,7 @@ def star_chain_profile(params: du.ThreeLinesCubicParams):
     from ellsurf.exactpoly import divexact_form, homogenize
 
     model = du.three_lines_cubic_model(params)
-    delta = invariants(model).delta
+    delta = invariants(model)[2]
     line_mu = UniPoly.of(params.mu, 1)
     line_nu = UniPoly.of(params.nu, 1)
     stars = homogenize((line_mu**6) * (line_nu**6), delta.vars, 12)

@@ -429,7 +429,7 @@ def _affine_at_chain_level(params: du.ThreeLinesCubicParams, level: int) -> bool
     """The chain-level test read affinely: the finite factor as a
     polynomial in t, its level the drop of its degree below 12."""
     try:
-        delta = invariants(du.three_lines_cubic_model(params)).delta
+        delta = invariants(du.three_lines_cubic_model(params))[2]
     except DegenerateModel:
         return False
     stars = (UniPoly.of(params.mu, 1) ** 6) * (UniPoly.of(params.nu, 1) ** 6)

@@ -128,7 +128,6 @@ def test_base_change_cover_geometry():
             HomPoly.zero(uv, 4),
             r.f.substitute(h_first, h_second),
             r.g.substitute(h_first, h_second),
-            2,
         )
         assert du.base_change_k3(r, d0, d_inf) == expected
 
@@ -193,9 +192,9 @@ def test_twist_preserves_j_invariant():
     rng = random.Random(204)
     r = sample_rational_surface(rng)
     d0, d_inf = sample_cover_parameters(rng, r)
-    base = invariants(r.model())
-    twisted = invariants(du.twist_model(r, d0, d_inf))
-    assert base.c4**3 * twisted.delta == twisted.c4**3 * base.delta
+    base_c4, _, base_delta = invariants(r.model())
+    twisted_c4, _, twisted_delta = invariants(du.twist_model(r, d0, d_inf))
+    assert base_c4**3 * twisted_delta == twisted_c4**3 * base_delta
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,7 @@ def test_alternate_pair_gates():
     with pytest.raises(DegenerateModel):
         du.AlternatePair(trace, HomPoly.zero(ST, 8))
     pair = du.AlternatePair(trace, norm)
-    assert pair.weight == 2
+    assert pair.model().weight == 2
     assert pair.model().a2 == -trace
     assert pair.model().a4 == norm
 
@@ -253,7 +252,7 @@ def test_ruling_swap_reading_identity():
     # against the monomials of the first ruling
     rng = random.Random(207)
     for _ in range(8):
-        data = du.quadric_double_cover(*sample_isogeny_forms(rng))
+        branch, (coeffs, _, _), _ = du.quadric_double_cover(*sample_isogeny_forms(rng))
         u_sq = HomPoly.of(uv, (1, 0, 0))
         v_sq = HomPoly.of(uv, (0, 0, 1))
         total = None
@@ -261,21 +260,21 @@ def test_ruling_swap_reading_identity():
             power = HomPoly.of(
                 ("s", "t"), tuple(1 if k == 4 - j else 0 for k in range(5))
             )
-            term = tensor_forms(power, data.swap.coeffs[j].substitute(u_sq, v_sq))
+            term = tensor_forms(power, coeffs[j].substitute(u_sq, v_sq))
             total = term if total is None else total + term
-        assert total == data.branch
+        assert total == branch
 
 
 def test_ruling_swap_frozen_coefficients():
     # A = 0, C = s^4, D = t^4: only the outer coefficients survive
-    swap = du.ruling_swap(
+    coeffs, f, g = du.ruling_swap(
         HomPoly.zero(ST, 4), HomPoly.of(ST, (1, 0, 0, 0, 0)), HomPoly.of(ST, (0, 0, 0, 0, 1))
     )
-    assert swap.coeffs[4] == HomPoly.of(UV, (1, 0, 0))
-    assert swap.coeffs[0] == HomPoly.of(UV, (0, 0, 1))
-    assert all(swap.coeffs[j].is_zero for j in (1, 2, 3))
-    assert swap.f == HomPoly.of(UV, (0, 0, -4, 0, 0))
-    assert swap.g.is_zero
+    assert coeffs[4] == HomPoly.of(UV, (1, 0, 0))
+    assert coeffs[0] == HomPoly.of(UV, (0, 0, 1))
+    assert all(coeffs[j].is_zero for j in (1, 2, 3))
+    assert f == HomPoly.of(UV, (0, 0, -4, 0, 0))
+    assert g.is_zero
 
 
 def test_ruling_swap_matches_the_curve_equation():
@@ -283,11 +282,11 @@ def test_ruling_swap_matches_the_curve_equation():
     rng = random.Random(233)
     for _ in range(5):
         a, c, d = (random_form(rng, ST, 4, -9, 9) for _ in range(3))
-        swap = du.ruling_swap(a, c, d)
+        coeffs, _, _ = du.ruling_swap(a, c, d)
         for _ in range(10):
             s0, t0, u0, v0 = (rng.randint(-9, 9) for _ in range(4))
             lhs = c(s0, t0) * u0 * u0 - a(s0, t0) * u0 * v0 + d(s0, t0) * v0 * v0
-            rhs = sum(swap.coeffs[j](u0, v0) * s0**j * t0 ** (4 - j) for j in range(5))
+            rhs = sum(coeffs[j](u0, v0) * s0**j * t0 ** (4 - j) for j in range(5))
             assert lhs == rhs
 
 
@@ -301,18 +300,18 @@ def test_ruling_swap_degree_gate():
 def test_quadric_cover_swapping_rulings_flips_split():
     rng = random.Random(208)
     trace, left, right = sample_isogeny_forms(rng)
-    flipped = du.quadric_double_cover(trace, right, left)
-    data = du.quadric_double_cover(trace, left, right)
+    flipped, _, _ = du.quadric_double_cover(trace, right, left)
+    branch, _, _ = du.quadric_double_cover(trace, left, right)
     v_lin = HomPoly.of(uv, (0, 1))
     u_lin = HomPoly.of(uv, (1, 0))
-    assert data.branch.substitute_pair2(v_lin, u_lin) == flipped.branch
+    assert branch.substitute_pair2(v_lin, u_lin) == flipped
 
 
 def test_the_quadric_branch_is_the_covers_branch_with_its_errors():
     rng = random.Random(331)
     for _ in range(4):
         forms = sample_isogeny_forms(rng)
-        assert du.quadric_branch(*forms) == du.quadric_double_cover(*forms).branch
+        assert du.quadric_branch(*forms) == du.quadric_double_cover(*forms)[0]
     quadric = HomPoly.of(ST, (1, 0, 1))
     # a weight-one pair: its split factors are quadrics, not quartics
     for build in (du.quadric_double_cover, du.quadric_branch):
@@ -324,8 +323,7 @@ def test_quadric_cover_jacobian_is_base_change():
     # the (u^2, v^2) substitution is the degree-two base change at (0, 0)
     rng = random.Random(209)
     for _ in range(5):
-        data = du.quadric_double_cover(*sample_isogeny_forms(rng))
-        f, g = data.swap.f, data.swap.g
+        _, (_, f, g), jacobian = du.quadric_double_cover(*sample_isogeny_forms(rng))
         try:
             res = du.RESData(f.rename(ST), g.rename(ST))
         except DegenerateModel:
@@ -333,29 +331,27 @@ def test_quadric_cover_jacobian_is_base_change():
         disc = res.reduced_discriminant()
         if disc(0, 1) == 0 or disc(1, 0) == 0 or disc(1, 1) == 0:
             continue
-        assert data.jacobian == du.base_change_k3(res, 0, 0)
+        assert jacobian == du.base_change_k3(res, 0, 0)
 
 
-def _twisted_jacobian(swap: du.RulingSwapData) -> WeierstrassModel:
+def _twisted_jacobian(f: HomPoly, g: HomPoly) -> WeierstrassModel:
     """Twisted relative Jacobian of the swap: x^3 + U^2 V^2 f x + U^3 V^3 g."""
-    vars = swap.f.vars
+    vars = f.vars
     uv_form = HomPoly.of(vars, (0, 1, 0))
-    return WeierstrassModel(
-        HomPoly.zero(vars, 4), uv_form**2 * swap.f, uv_form**3 * swap.g, 2
-    )
+    return WeierstrassModel(HomPoly.zero(vars, 4), uv_form**2 * f, uv_form**3 * g)
 
 
 def test_ruling_swap_jacobian_configuration():
     rng = random.Random(210)
     done = 0
     while done < 5:
-        data = du.quadric_double_cover(*sample_isogeny_forms(rng))
-        disc = 4 * data.swap.f**3 + 27 * data.swap.g**2
+        _, (_, f, g), _ = du.quadric_double_cover(*sample_isogeny_forms(rng))
+        disc = 4 * f**3 + 27 * g**2
         if disc.is_zero or not separable(disc):
             continue
         if disc(0, 1) == 0 or disc(1, 0) == 0:
             continue
-        model = _twisted_jacobian(data.swap)
+        model = _twisted_jacobian(f, g)
         cfg = fiber_configuration(model)
         assert cfg.summary() == {"I0*": 2, "I1": 12}
         assert label_product(cfg, "I0*") == HomPoly.of(UV, (0, 1, 0))
@@ -373,11 +369,11 @@ def test_two_param_family_identities():
         d0, d_inf = Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))
         if d0 * d_inf == 1:
             continue
-        fam = du.two_param_family(trace, left, right, d0, d_inf)
+        model, reduced = du.two_param_family(trace, left, right, d0, d_inf)
         # discriminant of the model equals 16 times the reduced form
-        assert invariants(fam.model).delta == 16 * fam.reduced_discriminant
+        assert invariants(model)[2] == 16 * reduced
         # the branch quartic in x recovers the deformation-invariant factor
-        combo = fam.model.a2 * fam.model.a2 - 4 * fam.model.a4
+        combo = model.a2 * model.a2 - 4 * model.a4
         fixed = (trace * trace - 4 * left * right).rename(("s", "t"))
         assert combo == (d0 * d_inf - 1) ** 2 * fixed
 
@@ -388,9 +384,9 @@ def test_two_param_invariant_places():
     trace, left, right = sample_isogeny_forms(rng)
     reference = None
     for d0, d_inf in ((0, 0), (2, 3), (-1, 4), (Fraction(1, 2), -2)):
-        fam = du.two_param_family(trace, left, right, d0, d_inf)
+        model, _ = du.two_param_family(trace, left, right, d0, d_inf)
         try:
-            cfg = fiber_configuration(fam.model)
+            cfg = fiber_configuration(model)
         except DegenerateModel:
             continue
         fixed_places = places_with_label(cfg, "I1")

@@ -9,6 +9,7 @@ cubic on planted models, and under base changes and translations of x.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,31 @@ class TestValuationTable:
         assert minimalize_at(None, 12, 24) == ((None, 0, 0), 2)
         assert minimalize_at(4, 5, 10) == ((4, 5, 10), 0)
 
+    def test_minimalize_matches_the_subtraction_loop(self):
+        def looped(v4, v6, vd):
+            # the reduction as one (4, 6, 12) subtraction per pass
+            k = 0
+            while (v4 is None or v4 >= 4) and (v6 is None or v6 >= 6) and vd >= 12:
+                v4 = None if v4 is None else v4 - 4
+                v6 = None if v6 is None else v6 - 6
+                vd -= 12
+                k += 1
+            return (v4, v6, vd), k
+
+        values = [None, *range(-3, 40)]
+        for v4, v6 in itertools.product(values, values):
+            for vd in range(-3, 80):
+                assert minimalize_at(v4, v6, vd) == looped(v4, v6, vd)
+
+    def test_minimalize_takes_no_pass_per_reduction(self):
+        n = 10**12
+        start = time.perf_counter()
+        assert minimalize_at(4 * n, 6 * n + 5, 12 * n + 7) == ((0, 5, 7), n)
+        assert minimalize_at(None, 6 * n, 12 * n) == ((None, 0, 0), n)
+        with pytest.raises(NonMinimal, match=f"reduces {n} time"):
+            kodaira_from_valuations(4 * n, 6 * n, 12 * n)
+        assert time.perf_counter() - start < 1
+
     def test_negative_valuations_rejected(self):
         with pytest.raises(ValueError):
             kodaira_from_valuations(-1, 0, 0)
@@ -228,23 +254,37 @@ class TestOracleAgreement:
 class TestModelBasics:
     def test_degree_validation(self):
         with pytest.raises(DegreeMismatch):
-            WeierstrassModel(P("s"), HomPoly.zero(V, 4), HomPoly.zero(V, 6), 1)
+            WeierstrassModel(P("s"), HomPoly.zero(V, 4), HomPoly.zero(V, 6))
         with pytest.raises(DegreeMismatch):
             WeierstrassModel(
-                HomPoly.zero(V, 2), HomPoly.zero(V, 4), HomPoly.zero(V, 5), 1
+                HomPoly.zero(V, 2), HomPoly.zero(V, 4), HomPoly.zero(V, 5)
             )
-        m = WeierstrassModel(P("s^2"), HomPoly.zero(V, 4), P("t^6"), 1)
+        m = WeierstrassModel(P("s^2"), HomPoly.zero(V, 4), P("t^6"))
         assert m.weight == 1
 
-    def test_a_negative_weight_is_a_degree_mismatch(self):
-        with pytest.raises(DegreeMismatch, match="needs degrees"):
-            WeierstrassModel(P("s^2"), HomPoly.zero(V, 4), P("t^6"), -1)
+    @given(weight=st.integers(0, 3), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_model_reads_its_weight_off_a2(self, weight, data):
+        def form(degree: int) -> HomPoly:
+            entries = st.lists(st.integers(-3, 3), min_size=degree + 1, max_size=degree + 1)
+            return HomPoly.of(V, data.draw(entries))
+
+        a2, a4, a6 = form(2 * weight), form(4 * weight), form(6 * weight)
+        model = WeierstrassModel(a2, a4, a6)
+        assert model.weight == a2.degree // 2 == weight
+        assert WeierstrassModel.short(a4, a6).weight == weight
+        half = data.draw(st.integers(0, 1))
+        twist = form(2 * half)
+        assume(not twist.is_zero)
+        assert quadratic_twist(model, twist).weight == weight + half
+        with pytest.raises(DegreeMismatch):
+            WeierstrassModel(form(2 * weight + 1), a4, a6)
 
     def test_short_models_take_their_weight_from_a4(self):
         a4, a6 = P("s^3*t - t^4"), P("s^5*t + 3*t^6")
-        assert WeierstrassModel.short(a4, a6) == WeierstrassModel(HomPoly.zero(V, 2), a4, a6, 1)
+        assert WeierstrassModel.short(a4, a6) == WeierstrassModel(HomPoly.zero(V, 2), a4, a6)
         a4, a6 = a4 * P("s^4 + t^4"), a6 * P("s^6 - t^6")
-        assert WeierstrassModel.short(a4, a6) == WeierstrassModel(HomPoly.zero(V, 4), a4, a6, 2)
+        assert WeierstrassModel.short(a4, a6) == WeierstrassModel(HomPoly.zero(V, 4), a4, a6)
         # degree 6 reads as weight 1, which needs a4 of degree 4
         with pytest.raises(DegreeMismatch):
             WeierstrassModel.short(P("s^6"), P("t^6"))
@@ -254,13 +294,13 @@ class TestModelBasics:
             WeierstrassModel.short(P("s^4"), parse_hompoly("u^6", ("u", "v")))
 
     def test_rhs_and_shift_guards(self):
-        m = WeierstrassModel(P("s^2"), HomPoly.zero(V, 4), P("t^6"), 1)
+        m = WeierstrassModel(P("s^2"), HomPoly.zero(V, 4), P("t^6"))
         with pytest.raises(DegreeMismatch):
             m.rhs_at(P("s"))
 
     def test_degenerate_model(self):
         zero_model = WeierstrassModel(
-            HomPoly.zero(V, 2), HomPoly.zero(V, 4), HomPoly.zero(V, 6), 1
+            HomPoly.zero(V, 2), HomPoly.zero(V, 4), HomPoly.zero(V, 6)
         )
         with pytest.raises(DegenerateModel):
             invariants(zero_model)
@@ -273,20 +313,20 @@ class TestModelBasics:
         # y^2 = x (x^2 + a x + b) has delta = 16 b^2 (a^2 - 4 b)
         a = P("s^2 + t^2")
         b = P("s^4 - 2*s*t^3")
-        m = WeierstrassModel(a, b, HomPoly.zero(V, 6), 1)
-        assert invariants(m).delta == 16 * b * b * (a * a - 4 * b)
+        m = WeierstrassModel(a, b, HomPoly.zero(V, 6))
+        assert invariants(m)[2] == 16 * b * b * (a * a - 4 * b)
 
     def test_shift_preserves_invariants(self):
         m = WeierstrassModel(
-            P("s^2 + s*t"), P("s^3*t - t^4"), P("s^5*t + 3*t^6"), 1
+            P("s^2 + s*t"), P("s^3*t - t^4"), P("s^5*t + 3*t^6")
         )
         shifted = shift_x(m, P("s^2 - 2*t^2"))
         i0, i1 = invariants(m), invariants(shifted)
-        assert (i0.c4, i0.c6, i0.delta) == (i1.c4, i1.c6, i1.delta)
+        assert i0 == i1
 
     def test_twist_guards_and_j(self):
         m = WeierstrassModel(
-            P("s^2 + s*t"), P("s^3*t - t^4"), P("s^5*t + 3*t^6"), 1
+            P("s^2 + s*t"), P("s^3*t - t^4"), P("s^5*t + 3*t^6")
         )
         with pytest.raises(DegreeMismatch):
             quadratic_twist(m, P("s"))
@@ -296,8 +336,8 @@ class TestModelBasics:
             quadratic_twist(m, parse_hompoly("u*v", ("u", "v")))
         tw = quadratic_twist(m, P("s*t"))
         assert tw.weight == 2
-        i0, i1 = invariants(m), invariants(tw)
-        assert i1.c4 ** 3 * i0.delta == i0.c4 ** 3 * i1.delta
+        (c4_0, _, delta_0), (c4_1, _, delta_1) = invariants(m), invariants(tw)
+        assert c4_1 ** 3 * delta_0 == c4_0 ** 3 * delta_1
 
 
 def _textbook_invariants(model: WeierstrassModel) -> tuple[HomPoly, HomPoly, HomPoly]:
@@ -321,7 +361,7 @@ def _fractional_models(draw) -> WeierstrassModel:
         return HomPoly.of(V, draw(st.lists(entry, min_size=degree + 1, max_size=degree + 1)))
 
     a2 = form(2 * weight, False)
-    model = WeierstrassModel(a2, form(4 * weight, True), form(6 * weight, True), weight)
+    model = WeierstrassModel(a2, form(4 * weight, True), form(6 * weight, True))
     assume(not a2.is_zero and max(a.den for a in (model.a2, model.a4, model.a6)) > 1)
     return model
 
@@ -336,19 +376,18 @@ class TestInvariantRows:
                 with pytest.raises(DegenerateModel):
                     invariants(model)
             return
-        got = invariants(model)
-        assert (got.c4, got.c6, got.delta) == (c4, c6, delta)
+        assert invariants(model) == (c4, c6, delta)
 
     def test_a_degenerate_model_raises_on_every_call(self):
         for a2 in (HomPoly.zero(V, 2), P("s^2 - 3*s*t")):
-            model = WeierstrassModel(a2, HomPoly.zero(V, 4), HomPoly.zero(V, 6), 1)
+            model = WeierstrassModel(a2, HomPoly.zero(V, 4), HomPoly.zero(V, 6))
             for _ in range(2):
                 with pytest.raises(DegenerateModel):
                     invariants(model)
 
     def test_the_cache_cannot_be_seen_from_outside(self):
         def build() -> WeierstrassModel:
-            return WeierstrassModel(P("s^2 + s*t"), P("s^3*t - t^4"), P("s^5*t + 3*t^6"), 1)
+            return WeierstrassModel(P("s^2 + s*t"), P("s^3*t - t^4"), P("s^5*t + 3*t^6"))
 
         first, second = build(), build()
         text = repr(first)
@@ -362,7 +401,7 @@ class TestInvariantRows:
 class TestFiberConfiguration:
     def test_generic_weight_one(self):
         m = WeierstrassModel(
-            P("s^2 + s*t"), P("s^3*t - t^4"), P("s^5*t + 3*t^6"), 1
+            P("s^2 + s*t"), P("s^3*t - t^4"), P("s^5*t + 3*t^6")
         )
         cfg = fiber_configuration(m)
         assert cfg.summary() == {"I1": 12}
@@ -371,14 +410,14 @@ class TestFiberConfiguration:
 
     def test_additive_at_finite_and_infinite_places(self):
         # delta = -16 s^10 (4 s^2 + 27 t^2): II* over s = 0 plus two nodes
-        m = WeierstrassModel(HomPoly.zero(V, 2), P("s^4"), P("s^5*t"), 1)
+        m = WeierstrassModel(HomPoly.zero(V, 2), P("s^4"), P("s^5*t"))
         cfg = fiber_configuration(m)
         assert cfg.summary() == {"I1": 2, "II*": 1}
         assert cfg.euler_total == 12
         labels = {p.place.text(): p.kodaira.label for p in cfg.places}
         assert labels["s"] == "II*"
         # same model with the variables swapped puts II* at infinity
-        m_inf = WeierstrassModel(HomPoly.zero(V, 2), P("t^4"), P("s*t^5"), 1)
+        m_inf = WeierstrassModel(HomPoly.zero(V, 2), P("t^4"), P("s*t^5"))
         cfg_inf = fiber_configuration(m_inf)
         assert cfg_inf.summary() == {"I1": 2, "II*": 1}
         labels_inf = {p.place.text(): p.kodaira.label for p in cfg_inf.places}
@@ -386,7 +425,7 @@ class TestFiberConfiguration:
 
     def test_twist_moves_fibers(self):
         m = WeierstrassModel(
-            P("s^2 + s*t"), P("s^3*t - t^4"), P("s^5*t + 3*t^6"), 1
+            P("s^2 + s*t"), P("s^3*t - t^4"), P("s^5*t + 3*t^6")
         )
         tw = quadratic_twist(m, P("s*t"))
         cfg = fiber_configuration(tw)
@@ -396,7 +435,7 @@ class TestFiberConfiguration:
 
     def test_non_squarefree_twist_minimalizes(self):
         m = WeierstrassModel(
-            P("s^2 + s*t"), P("s^3*t - t^4"), P("s^5*t + 3*t^6"), 1
+            P("s^2 + s*t"), P("s^3*t - t^4"), P("s^5*t + 3*t^6")
         )
         tw = quadratic_twist(m, P("t^2"))
         cfg = fiber_configuration(tw)
@@ -420,7 +459,7 @@ class TestFiberConfiguration:
         while done < 30:
             w = 1 if done % 3 else 2
             m = WeierstrassModel(
-                random_form(2 * w), random_form(4 * w), random_form(6 * w), w
+                random_form(2 * w), random_form(4 * w), random_form(6 * w)
             )
             try:
                 cfg = fiber_configuration(m)
@@ -437,7 +476,7 @@ def _valuation_corpus() -> list[WeierstrassModel]:
         w = max(1, -(-a4.degree // 4), -(-a6.degree // 6))
         models.append(
             WeierstrassModel(
-                HomPoly.zero(V, 2 * w), homogenize(a4, V, 4 * w), homogenize(a6, V, 6 * w), w
+                HomPoly.zero(V, 2 * w), homogenize(a4, V, 4 * w), homogenize(a6, V, 6 * w)
             )
         )
     rng = random.Random(20261018)
@@ -454,9 +493,9 @@ def _valuation_corpus() -> list[WeierstrassModel]:
         du.bilinear_quadruple_surface(corpus.sample_generic_quadruple(rng)).model,
         du.three_lines_cubic_model(corpus.sample_three_lines_params(rng)),
         # c4 = 0, with II* over s = 0 and II at infinity
-        WeierstrassModel(HomPoly.zero(V, 2), HomPoly.zero(V, 4), P("s^5*t"), 1),
+        WeierstrassModel(HomPoly.zero(V, 2), HomPoly.zero(V, 4), P("s^5*t")),
         # c6 = 0, with III* over s = 0 and III at infinity
-        WeierstrassModel(HomPoly.zero(V, 2), P("s^3*t"), HomPoly.zero(V, 6), 1),
+        WeierstrassModel(HomPoly.zero(V, 2), P("s^3*t"), HomPoly.zero(V, 6)),
     ]
     return models
 
@@ -464,10 +503,10 @@ def _valuation_corpus() -> list[WeierstrassModel]:
 class TestValuationsAgainstSympy:
     def test_every_place_carries_its_sympy_multiplicities(self):
         for model in _valuation_corpus():
-            inv = invariants(model)
-            in_c4 = form_multiplicities(inv.c4.coeffs)
-            in_c6 = form_multiplicities(inv.c6.coeffs)
-            in_delta = form_multiplicities(inv.delta.coeffs)
+            c4, c6, delta = invariants(model)
+            in_c4 = form_multiplicities(c4.coeffs)
+            in_c6 = form_multiplicities(c6.coeffs)
+            in_delta = form_multiplicities(delta.coeffs)
             covered = set()
             for place in fiber_configuration(model).places:
                 factors = form_multiplicities(place.place.coeffs)
@@ -483,11 +522,11 @@ class TestValuationsAgainstSympy:
 def _refined_twice(model: WeierstrassModel) -> FiberConfiguration:
     """``fiber_configuration`` as it was before pieces prime to c4 skipped
     the c6 pass: every piece is refined against c4 and then against c6."""
-    inv = invariants(model)
+    c4, c6, delta = invariants(model)
     places = []
-    for f, m in squarefree_split(inv.delta).factors:
-        for g, v4 in refine_against(f, inv.c4):
-            for h, v6 in refine_against(g, inv.c6):
+    for f, m in squarefree_split(delta)[1]:
+        for g, v4 in refine_against(f, c4):
+            for h, v6 in refine_against(g, c6):
                 reduced, k = minimalize_at(v4, v6, m)
                 places.append(FiberPlace(h, kodaira_from_valuations(*reduced), v4, v6, m, k))
     places.sort(key=lambda p: (p.place.degree, p.place.coeffs))
@@ -504,8 +543,8 @@ class TestC6PassSkip:
             skipped += sum(p.v_c4 == 0 for p in config.places)
         assert skipped > 0
         invs = [invariants(m) for m in models]
-        assert any(inv.c4.is_zero for inv in invs)
-        assert any(inv.c6.is_zero for inv in invs)
+        assert any(c4.is_zero for c4, _, _ in invs)
+        assert any(c6.is_zero for _, c6, _ in invs)
 
 
 def _fraction_order(forms: list[HomPoly]) -> list[HomPoly]:
@@ -521,7 +560,7 @@ def _seeded_fractional_model(seed: int) -> WeierstrassModel:
             V, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree + 1)]
         )
 
-    return WeierstrassModel(form(2 * w), form(4 * w), form(6 * w), w)
+    return WeierstrassModel(form(2 * w), form(4 * w), form(6 * w))
 
 
 class TestIntegerSortKeys:
@@ -536,13 +575,12 @@ class TestIntegerSortKeys:
             HomPoly.zero(V, 2),
             P("2*s - t") * P("3*s - t") * P("s^2"),
             P("2*s - t") * P("3*s - t") ** 2 * P("s^2") * P("t"),
-            1,
         )
         places = [(p.place.text(), p.kodaira.label) for p in fiber_configuration(model).places]
         assert places[:3] == [("s - 1/2*t", "II"), ("s - 1/3*t", "III"), ("s", "IV")]
         f = P("2*s - t") * P("3*s - t") ** 2 * P("5*s + 4*t") ** 3
         f = f * P("s") ** 4 * P("t") ** 5 * P("s + t") ** 6
-        assert [(g.text(), m) for g, m in squarefree_split(f).factors] == [
+        assert [(g.text(), m) for g, m in squarefree_split(f)[1]] == [
             ("t", 5), ("s - 1/2*t", 1), ("s - 1/3*t", 2), ("s", 4), ("s + 4/5*t", 3), ("s + t", 6),
         ]
 
@@ -553,7 +591,7 @@ class TestIntegerSortKeys:
             places = [p.place for p in fiber_configuration(model).places]
             assert not any("coeffs" in vars(f) for f in places)
             assert places == _fraction_order(places)
-            factors = [f for f, _m in squarefree_split(invariants(model).delta).factors]
+            factors = [f for f, _m in squarefree_split(invariants(model)[2])[1]]
             assert factors == _fraction_order(factors)
 
 
@@ -567,7 +605,7 @@ def _wide_model(seed: int, two_torsion: bool) -> WeierstrassModel:
 
     a2, a4 = form(8), form(16)
     a6 = HomPoly.zero(V, 24) if two_torsion else form(24)
-    return WeierstrassModel(a2, a4, a6, 4)
+    return WeierstrassModel(a2, a4, a6)
 
 
 @pytest.mark.parametrize(
@@ -638,14 +676,14 @@ class TestTwoTorsionSections:
             _regular_base_point(HomPoly.zero(V, 4))
 
     def test_split_family(self):
-        m = WeierstrassModel(P("5*s^2"), P("4*s^4"), HomPoly.zero(V, 6), 1)
+        m = WeierstrassModel(P("5*s^2"), P("4*s^4"), HomPoly.zero(V, 6))
         secs = two_torsion_sections(m)
         assert [s.text() for s in secs] == ["-4*s^2", "-s^2", "0"]
         for s in secs:
             assert m.rhs_at(s).is_zero
 
     def test_shifted_split_family(self):
-        m = WeierstrassModel(P("5*s^2"), P("4*s^4"), HomPoly.zero(V, 6), 1)
+        m = WeierstrassModel(P("5*s^2"), P("4*s^4"), HomPoly.zero(V, 6))
         shifted = shift_x(m, P("s^2 - t^2"))
         assert not shifted.a6.is_zero
         secs = two_torsion_sections(shifted)
@@ -661,7 +699,7 @@ class TestTwoTorsionSections:
             a2 = HomPoly.of(V, [rng.randint(-3, 3) for _ in range(3)])
             a4 = HomPoly.of(V, [rng.randint(-3, 3) for _ in range(5)])
             a6 = HomPoly.of(V, [rng.randint(-3, 3) for _ in range(7)])
-            m = WeierstrassModel(a2, a4, a6, 1)
+            m = WeierstrassModel(a2, a4, a6)
             try:
                 secs = two_torsion_sections(m)
             except DegenerateModel:
@@ -675,25 +713,25 @@ class TestTwoTorsionSections:
 
     def test_no_section_cube(self):
         m = WeierstrassModel(
-            HomPoly.zero(V, 2), HomPoly.zero(V, 4), P("s^5*t + t^6"), 1
+            HomPoly.zero(V, 2), HomPoly.zero(V, 4), P("s^5*t + t^6")
         )
         assert two_torsion_sections(m) == ()
 
     def test_one_section(self):
         # x^3 + a4 x = x (x^2 + a4) with a4 not a negated square
-        m = WeierstrassModel(HomPoly.zero(V, 2), P("s^4 + t^4"), HomPoly.zero(V, 6), 1)
+        m = WeierstrassModel(HomPoly.zero(V, 2), P("s^4 + t^4"), HomPoly.zero(V, 6))
         secs = two_torsion_sections(m)
         assert [s.text() for s in secs] == ["0"]
 
     def test_twist_scales_sections(self):
-        m = WeierstrassModel(P("5*s^2"), P("4*s^4"), HomPoly.zero(V, 6), 1)
+        m = WeierstrassModel(P("5*s^2"), P("4*s^4"), HomPoly.zero(V, 6))
         d = P("s^2 + t^2")
         tw = quadratic_twist(m, d)
         expected = {(d * s).coeffs for s in two_torsion_sections(m)}
         assert {s.coeffs for s in two_torsion_sections(tw)} == expected
 
     def test_weight_two_generic(self):
-        m = WeierstrassModel(P("5*s^2"), P("4*s^4"), HomPoly.zero(V, 6), 1)
+        m = WeierstrassModel(P("5*s^2"), P("4*s^4"), HomPoly.zero(V, 6))
         tw = quadratic_twist(m, P("s*t + t^2"))
         shifted = shift_x(tw, P("s^2*t^2"))
         secs = two_torsion_sections(shifted)
@@ -725,7 +763,7 @@ def planted_models(draw, weight: int, planted: int, a6_zero: bool):
 
     w = weight
     if planted == 0:
-        model = WeierstrassModel(form(2 * w), form(4 * w), form(6 * w), w)
+        model = WeierstrassModel(form(2 * w), form(4 * w), form(6 * w))
     else:
         r = HomPoly.zero(V, 2 * w) if a6_zero else form(2 * w)
         if planted == 1:
@@ -734,7 +772,7 @@ def planted_models(draw, weight: int, planted: int, a6_zero: bool):
             r2, r3 = form(2 * w), form(2 * w)
             b, c = -(r2 + r3), r2 * r3
         # (x - r)(x^2 + b x + c)
-        model = WeierstrassModel(b - r, c - r * b, -(r * c), w)
+        model = WeierstrassModel(b - r, c - r * b, -(r * c))
     assume(model.a6.is_zero == a6_zero)
     return model
 
@@ -795,7 +833,7 @@ def test_base_changes_and_translations_keep_the_section_count(planting, data, ma
     a, b, c, d = matrix
     s_to, t_to = HomPoly.of(V, (a, b)), HomPoly.of(V, (c, d))
     moved = [f.substitute(s_to, t_to) for f in (model.a2, model.a4, model.a6)]
-    assert len(two_torsion_sections(WeierstrassModel(*moved, model.weight))) == count
+    assert len(two_torsion_sections(WeierstrassModel(*moved))) == count
     w2 = 2 * model.weight
     u = HomPoly.of(V, data.draw(st.lists(_SMALL, min_size=w2 + 1, max_size=w2 + 1)))
     assert len(two_torsion_sections(shift_x(model, u))) == count

@@ -35,7 +35,6 @@ from ellsurf.exactpoly import (
     DegreeTooLow,
     ExactDivisionError,
     HomPoly,
-    SquarefreeSplit,
     UniPoly,
     _int_gcd,
     _xi_bits,
@@ -729,13 +728,14 @@ class TestPartials:
 
 def _reconstruct(split) -> HomPoly:
     """``unit * product(factor^multiplicity)``: the form a split describes."""
-    result = HomPoly.constant(ST, split.unit)
-    for f, m in split.factors:
+    unit, factors = split
+    result = HomPoly.constant(ST, unit)
+    for f, m in factors:
         result = result * f**m
     return result
 
 
-def _round_trip_squarefree_split(f: HomPoly) -> SquarefreeSplit:
+def _round_trip_squarefree_split(f: HomPoly) -> tuple[Fraction, tuple]:
     """Yun's loop on ``UniPoly``: dehomogenize, split, homogenize each
     factor back.  The integer-row loop must give the same fields."""
     if f.is_zero:
@@ -757,11 +757,12 @@ def _round_trip_squarefree_split(f: HomPoly) -> SquarefreeSplit:
         c = _divexact(c, g)
         d = _divexact(d, g) - c.derivative()
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return SquarefreeSplit(u.coeffs[-1], tuple(factors))
+    return u.coeffs[-1], tuple(factors)
 
 
-def _split_fields(split: SquarefreeSplit):
-    return type(split.unit), split.unit, [(_fields(f), m) for f, m in split.factors]
+def _split_fields(split: tuple[Fraction, tuple]):
+    unit, factors = split
+    return type(unit), unit, [(_fields(f), m) for f, m in factors]
 
 
 @st.composite
@@ -804,8 +805,8 @@ class TestSquarefree:
     def test_edge_cases(self, text, unit, factors):
         f = parse_hompoly(text, ST)
         split = squarefree_split(f)
-        assert split.unit == unit and type(split.unit) is Fraction
-        assert [(str(g), m) for g, m in split.factors] == factors
+        assert split[0] == unit and type(split[0]) is Fraction
+        assert [(str(g), m) for g, m in split[1]] == factors
         assert _split_fields(split) == _split_fields(_round_trip_squarefree_split(f))
 
     def test_the_zero_form_has_no_split(self):
@@ -827,7 +828,7 @@ class TestSquarefree:
             form = homogenize(p, ST, p.degree)
             split = squarefree_split(form)
             assert _reconstruct(split) == form
-            for f, _m in split.factors:
+            for f, _m in split[1]:
                 assert _leading_in_first(f) == 1
                 u = affine(f)
                 assert gcd_poly(u, u.derivative()).degree == 0
@@ -838,7 +839,7 @@ class TestSquarefree:
         if p.degree == 0:
             return
         ours = HomPoly.constant(ST, 1)
-        for f, _m in squarefree_split(homogenize(p, ST, p.degree)).factors:
+        for f, _m in squarefree_split(homogenize(p, ST, p.degree))[1]:
             ours = ours * f
         theirs = _to_sympy(p).div(_to_sympy(gcd_poly(p, p.derivative())))[0].monic()
         assert _to_sympy(affine(ours).monic()).as_expr() == theirs.as_expr()
@@ -846,9 +847,9 @@ class TestSquarefree:
     def test_form_split_keeps_second_variable_factor(self):
         F = HomPoly.of(("s", "t"), [0, 0, 2, 0, -2])
         split = squarefree_split(F)
-        assert split.unit == 2
+        assert split[0] == 2
         assert _reconstruct(split) == F
-        factor_texts = {(str(f), m) for f, m in split.factors}
+        factor_texts = {(str(f), m) for f, m in split[1]}
         assert factor_texts == {("t", 2), ("s^2 - t^2", 1)}
 
     def test_refine_against_uniform_powers(self):
@@ -913,7 +914,7 @@ def _pseudo_divexact(p: HomPoly, f: HomPoly) -> HomPoly:
     return HomPoly.of(p.vars, [0] * (ep - ef) + tail)
 
 
-def _gcd_then_divide_split(f: HomPoly) -> SquarefreeSplit:
+def _gcd_then_divide_split(f: HomPoly) -> tuple[Fraction, tuple]:
     """Yun's loop as it ran before the gcd returned its cofactors: each
     pass reads the gcd alone and pseudo-divides ``c`` and ``d`` by it."""
     e, row = _rows_of(f)
@@ -930,7 +931,7 @@ def _gcd_then_divide_split(f: HomPoly) -> SquarefreeSplit:
         if len(c) == 1:
             break
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return SquarefreeSplit(Fraction(row[-1], f.den), tuple(factors))
+    return Fraction(row[-1], f.den), tuple(factors)
 
 
 def _gcd_then_divide_refine(f: HomPoly, q: HomPoly) -> list:

@@ -28,7 +28,6 @@ from ellsurf.exactpoly import (
 )
 from ellsurf.hermite_aj import (
     BasePointRamified,
-    Biquadratic22,
     FamilyParams,
     NormalizationViolated,
     NotOnCurve,
@@ -163,14 +162,14 @@ def test_coupling_product_identity():
     for _ in range(25):
         h = rand_curve(rng)
         p = affine(h.form)
-        polys = correspondence_polys(h)
-        assert polys.pairing.is_symmetric
-        assert polys.cofactor.is_symmetric
-        assert affine(polys.pairing.diagonal()) == p
+        pairing, cofactor = correspondence_polys(h)
+        assert pairing.is_symmetric
+        assert cofactor.is_symmetric
+        assert affine(pairing.diagonal()) == p
         for x0 in samples:
             lhs = (
-                affine(polys.pairing.specialize_pair2(x0, 1)) ** 2
-                + affine(polys.cofactor.specialize_pair2(x0, 1)) * UniPoly.of(-x0, 1) ** 2
+                affine(pairing.specialize_pair2(x0, 1)) ** 2
+                + affine(cofactor.specialize_pair2(x0, 1)) * UniPoly.of(-x0, 1) ** 2
             )
             assert lhs == p * p(x0)
 
@@ -183,18 +182,18 @@ def test_coupling_cofactor_diagonal_formula():
         expected = Fraction(1, 3) * (p * p.derivative().derivative()) - Fraction(
             1, 4
         ) * (p.derivative() * p.derivative())
-        assert affine(correspondence_polys(h).cofactor.diagonal()) == expected
+        assert affine(correspondence_polys(h)[1].diagonal()) == expected
 
 
 def test_coupling_cofactor_degenerates_for_pure_power():
-    assert correspondence_polys(QuarticCurve.of(0, 0, 0, 0, 1)).cofactor.diagonal().is_zero
+    assert correspondence_polys(QuarticCurve.of(0, 0, 0, 0, 1))[1].diagonal().is_zero
 
 
 def test_coupling_cofactor_keeps_leading_coefficient_factors():
     # the three entries that are quadratic in the leading coefficient;
     # rows[i][j] multiplies x^(2-i) * x0^(2-j)
     h = QuarticCurve.of(1, 1, 1, 1, 3)
-    cof = correspondence_polys(h).cofactor
+    cof = correspondence_polys(h)[1]
     assert cof.rows[0][0] == Fraction(8 * 1 * 3 - 3 * 1, 12)
     assert cof.rows[2][0] == Fraction(36 * 1 * 3 - 1, 36)
     assert cof.rows[1][1] == Fraction(36 * 1 * 3 + 9 * 1 * 1 - 5 * 1, 18)
@@ -256,8 +255,7 @@ def _fraction_correspondence_polys(h: QuarticCurve):
 
 def _assert_the_fraction_entries(h: QuarticCurve) -> None:
     polys = correspondence_polys(h)
-    pairing, cofactor = _fraction_correspondence_polys(h)
-    for got, want in ((polys.pairing, pairing), (polys.cofactor, cofactor)):
+    for got, want in zip(polys, _fraction_correspondence_polys(h)):
         assert (got.vars1, got.vars2, got.num, got.den) == (
             want.vars1, want.vars2, want.num, want.den
         )
@@ -309,7 +307,7 @@ def test_the_integer_hermite_data_match_the_fraction_routes(h):
     _assert_the_fraction_entries(h)
     # the coupling-product check's route: the Hessian of the quartic form
     (f_uu, f_uv), (_, f_vv) = (form_partials(d) for d in form_partials(h.form))
-    assert 36 * correspondence_polys(h).cofactor.diagonal() == f_uu * f_vv - f_uv * f_uv
+    assert 36 * correspondence_polys(h)[1].diagonal() == f_uu * f_vv - f_uv * f_uv
 
 
 @given(h=quartics, x=small_rational)
@@ -391,7 +389,7 @@ def test_pointwise_map_symbolic_identity():
             continue
         p_sym = sympy_poly(h, x)
         cub = jacobian_quartic(h)
-        pairing = correspondence_polys(h).pairing
+        pairing = correspondence_polys(h)[0]
         # anchor exactly as the implementation does for base (x0, -w0)
         ax, aw = sp.Rational(x0), sp.Rational(w0)
         r_sym = sum(
@@ -493,9 +491,9 @@ def test_the_pointwise_map_matches_its_affine_formulas(base, point, tail, conjug
 # the symmetric (2,2) presentation
 
 
-def phi_from_triple(gamma: HomPoly, alpha: HomPoly, delta: HomPoly) -> Biquadratic22:
+def phi_from_triple(gamma: HomPoly, alpha: HomPoly, delta: HomPoly) -> BiHomPoly:
     rows = tuple(zip(gamma.coeffs, alpha.coeffs, delta.coeffs))
-    return Biquadratic22(BiHomPoly.of(UV, ("S", "T"), rows), gamma, alpha, delta)
+    return BiHomPoly.of(UV, ("S", "T"), rows)
 
 
 def test_22_symmetry_and_reading():
@@ -506,12 +504,13 @@ def test_22_symmetry_and_reading():
         if h.discriminant() == 0:
             continue
         xi = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        b = correspondence_22(h, xi)
-        assert b.phi.is_symmetric
+        phi = correspondence_22(h, xi)
+        gamma, alpha, delta = (phi.pair2_coefficient(j) for j in range(3))
+        assert phi.is_symmetric
         for xs in (Fraction(2), Fraction(-1), Fraction(1, 2)):
             for x0s in (Fraction(3), Fraction(-2)):
-                val = b.gamma(xs, 1) * x0s**2 + b.alpha(xs, 1) * x0s + b.delta(xs, 1)
-                assert val == b.phi(xs, 1, x0s, 1)
+                val = gamma(xs, 1) * x0s**2 + alpha(xs, 1) * x0s + delta(xs, 1)
+                assert val == phi(xs, 1, x0s, 1)
         done += 1
 
 
@@ -523,15 +522,15 @@ def test_22_preserves_j_invariant():
         if h.discriminant() == 0:
             continue
         xi = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        b = correspondence_22(h, xi)
-        assert j_invariant_quartic(h) == j_invariant_22(b)
+        phi = correspondence_22(h, xi)
+        assert j_invariant_quartic(h) == j_invariant_22(phi)
         done += 1
 
 
 def test_22_diagonal_at_zero_coordinate():
     h = QuarticCurve.of(1, 2, 0, 0, 1)
-    b = correspondence_22(h, 0)
-    assert b.phi.diagonal() == -4 * correspondence_polys(h).cofactor.diagonal()
+    phi = correspondence_22(h, 0)
+    assert phi.diagonal() == -4 * correspondence_polys(h)[1].diagonal()
 
 
 def test_j_invariant_gates():
@@ -550,8 +549,8 @@ def test_exchange_constraint_tracks_cubic_term():
         if h.discriminant() == 0:
             continue
         xi = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        b = correspondence_22(h, xi)
-        params = FamilyParams.from_triple(b.gamma, b.alpha, b.delta, 0, 0)
+        phi = correspondence_22(h, xi)
+        params = FamilyParams.from_triple(*(phi.pair2_coefficient(j) for j in range(3)), 0, 0)
         cub = jacobian_quartic(h)
         assert exchange_constraint(params) == -8 * h.coeffs[3] * cub.rhs(xi)
         if h.coeffs[3] == 0:
@@ -678,7 +677,7 @@ def test_moves_error_gates():
 
 def test_double_quadric_structure():
     data = double_quadric_from_quartic(1, 2, 0, Fraction(3), Fraction(1, 2), 3)
-    corr = data.correspondence
+    gamma, alpha, delta = (data.correspondence.pair2_coefficient(j) for j in range(3))
     from ellsurf.exactpoly import tensor_forms
 
     first = ("S", "T")
@@ -686,9 +685,9 @@ def test_double_quadric_structure():
     s_t = HomPoly.var_power(first, 0, 1) * HomPoly.var_power(first, 1, 1)
     t_sq = HomPoly.var_power(first, 1, 1) ** 2
     expected_quadric = (
-        tensor_forms(s_sq, corr.gamma)
-        + tensor_forms(s_t, corr.alpha)
-        + tensor_forms(t_sq, corr.delta)
+        tensor_forms(s_sq, gamma)
+        + tensor_forms(s_t, alpha)
+        + tensor_forms(t_sq, delta)
     )
     assert data.quadric == expected_quadric
     line0, line_inf = data.line_factors
@@ -699,7 +698,7 @@ def test_double_quadric_structure():
     assert data.params.c_inf == 3
     # the depressed curve satisfies the exchange constraint
     assert exchange_constraint(data.params) == 0
-    surfaces = correspondence_surfaces(corr.gamma, corr.alpha, corr.delta)
+    surfaces = correspondence_surfaces(gamma, alpha, delta)
     for key in ("cover1", "quot1", "rat1", "cover2", "quot2", "rat2"):
         assert key in surfaces
 

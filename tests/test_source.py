@@ -27,7 +27,11 @@ it is given without building one.  Each construction takes its inputs
 one way: the quadric double cover, its ruling swap and its deformation
 begin with (trace, left, right), the correspondence builders take
 (gamma, alpha, delta) after their kind, and no dataclass of ``duality``
-or ``hermite_aj`` declares a field with a default.  Every construction
+or ``hermite_aj`` declares a field with a default.  A construction
+returns plain values unless its record earns a class: every package
+dataclass checks its fields, has a method or property, declares four or
+more fields, or is a parameter of a package function, and
+``WeierstrassModel`` declares its three forms only.  Every construction
 on binary forms checks their variable pair and degrees through
 ``exactpoly.check_forms``: no module but ``exactpoly`` calls a method
 named ``_check`` or ``_check_vars``, and each routed construction
@@ -168,18 +172,26 @@ def test_no_unused_imports():
     assert findings == {}
 
 
-def _dataclass_fields(tree: ast.Module) -> list[tuple[str, ast.AnnAssign]]:
-    """(class, declaration) for each field that a ``@dataclass`` class of
-    the module declares, in order."""
+def _dataclasses(tree: ast.Module) -> list[ast.ClassDef]:
+    """The ``@dataclass`` classes the module defines, in order."""
 
     def is_dataclass(decorator: ast.expr) -> bool:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
 
     return [
-        (node.name, item)
+        node
         for node in tree.body
         if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+    ]
+
+
+def _dataclass_fields(tree: ast.Module) -> list[tuple[str, ast.AnnAssign]]:
+    """(class, declaration) for each field that a ``@dataclass`` class of
+    the module declares, in order."""
+    return [
+        (node.name, item)
+        for node in _dataclasses(tree)
         for item in node.body
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
     ]
@@ -253,6 +265,67 @@ def test_no_construction_record_has_an_optional_field():
     # carries a field that only a second way would fill
     for module in ("duality", "hermite_aj"):
         assert _defaulted_fields(_module_tree(module)) == [], module
+
+
+def _bare_records(trees) -> list[str]:
+    """The dataclasses of ``trees`` that only bundle values.  A record
+    keeps its class when it checks its fields or has another method or
+    property (any function in its body), declares four or more fields, or
+    is named in the annotation of a parameter of a function in ``trees``."""
+    taken = {
+        name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.arg) and node.annotation is not None
+        for name in _mentions(node.annotation)
+    }
+    fields = {}
+    for tree in trees:
+        for cls, _item in _dataclass_fields(tree):
+            fields[cls] = fields.get(cls, 0) + 1
+    return [
+        node.name
+        for tree in trees
+        for node in _dataclasses(tree)
+        if not any(isinstance(item, ast.FunctionDef) for item in node.body)
+        and fields.get(node.name, 0) < 4
+        and node.name not in taken
+    ]
+
+
+def test_the_check_sees_records_that_only_bundle_values():
+    source = (
+        "@dataclass(frozen=True)\nclass Pair:\n    a: int\n    b: int\n"
+        "@dataclass\nclass Checked:\n    a: int\n    def __post_init__(self):\n        pass\n"
+        "@dataclass\nclass Shown:\n    a: int\n    @property\n    def b(self):\n        return 1\n"
+        "@dataclasses.dataclass\nclass Wide:\n    a: int\n    b: int\n    c: int\n    d: int\n"
+        "@dataclass\nclass Narrow:\n    a: int\n    b: int\n    c: int\n    K = 4\n"
+        "@dataclass\nclass Passed:\n    a: int\n"
+        "@dataclass\nclass Dotted:\n    a: int\n"
+        "@dataclass\nclass Returned:\n    a: int\n"
+        "class Plain:\n    a: int\n"
+        "def f(p: Passed, q: tuple[mod.Dotted, int] | None = None) -> Returned:\n"
+        "    return 'Pair'\n"
+    )
+    assert _bare_records([ast.parse(source)]) == ["Pair", "Narrow", "Returned"]
+
+
+def test_every_record_checks_computes_or_carries_enough():
+    """A construction returns a plain tuple, or its one value, unless its
+    record checks its fields, has a method or property, holds four or
+    more values, or is a parameter of a package function."""
+    root = Path(ellsurf.__file__).parent
+    assert _bare_records([ast.parse(p.read_text(), str(p)) for p in root.rglob("*.py")]) == []
+
+
+def test_a_weierstrass_model_declares_its_three_forms_only():
+    # the weight is read off the degree of a2, so no field repeats it
+    fields = _dataclass_fields(_module_tree("elliptic"))
+    assert [item.target.id for cls, item in fields if cls == "WeierstrassModel"] == [
+        "a2",
+        "a4",
+        "a6",
+    ]
 
 
 def test_the_check_sees_imports_of_the_package_only():
@@ -505,12 +578,12 @@ def _zero_a2_models(tree: ast.AST) -> list[int]:
 
 def test_the_check_sees_models_built_on_a_zero_a2_form_only():
     source = (
-        "m = WeierstrassModel(HomPoly.zero(v, 2), a4, a6, 1)\n"
-        "n = el.WeierstrassModel(\n    ep.HomPoly.zero(v, 4), a4, a6, 2\n)\n"
-        "k = WeierstrassModel(a2, a4, HomPoly.zero(v, 6), 1)\n"
+        "m = WeierstrassModel(HomPoly.zero(v, 2), a4, a6)\n"
+        "n = el.WeierstrassModel(\n    ep.HomPoly.zero(v, 4), a4, a6\n)\n"
+        "k = WeierstrassModel(a2, a4, HomPoly.zero(v, 6))\n"
         "j = WeierstrassModel.short(a4, a6)\n"
         "z = HomPoly.zero(v, 2)\n"
-        "w = WeierstrassModel(zero(v, 2), a4, a6, 1)\n"
+        "w = WeierstrassModel(zero(v, 2), a4, a6)\n"
     )
     assert _zero_a2_models(ast.parse(source)) == [1, 2]
 
@@ -559,14 +632,14 @@ def _zero_a6_models(tree: ast.Module) -> list[str]:
 def test_the_check_sees_models_built_on_a_zero_a6_form_only():
     source = (
         "class P:\n    def model(self):\n        zero = HomPoly.zero(v, 6)\n"
-        "        return WeierstrassModel(a2, a4, zero, 1)\n"
-        "def f():\n    return el.WeierstrassModel(a2, a4, ep.HomPoly.zero(v, 6), 1)\n"
-        "def g():\n    return WeierstrassModel(a2, a4, a6=HomPoly.zero(v, 6), weight=1)\n"
-        "def h():\n    return WeierstrassModel(HomPoly.zero(v, 2), a4, a6, 1)\n"
-        "def k():\n    zero = HomPoly.zero(v, 6)\n    return WeierstrassModel(zero, a4, a6, 1)\n"
+        "        return WeierstrassModel(a2, a4, zero)\n"
+        "def f():\n    return el.WeierstrassModel(a2, a4, ep.HomPoly.zero(v, 6))\n"
+        "def g():\n    return WeierstrassModel(a2, a4, a6=HomPoly.zero(v, 6))\n"
+        "def h():\n    return WeierstrassModel(HomPoly.zero(v, 2), a4, a6)\n"
+        "def k():\n    zero = HomPoly.zero(v, 6)\n    return WeierstrassModel(zero, a4, a6)\n"
         "def n():\n    return WeierstrassModel.short(a4, HomPoly.zero(v, 6))\n"
-        "m = WeierstrassModel(a2, a4, HomPoly.zero(v, 6), 1)\n"
-        "z = WeierstrassModel(a2, a4, zero, 1)\n"
+        "m = WeierstrassModel(a2, a4, HomPoly.zero(v, 6))\n"
+        "z = WeierstrassModel(a2, a4, zero)\n"
     )
     assert _zero_a6_models(ast.parse(source)) == ["P.model", "f", "g", "<module>"]
 
