@@ -346,13 +346,16 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
     its valuation in c4 and then in c6 and returns those valuations, and
     each place is classified after local minimalization.  A piece with
     v(c4) = 0 is not refined against c6: at a place of delta,
-    c6^2 = c4^3 - 1728 delta forces v(c6) = 0 there.
+    c6^2 = c4^3 - 1728 delta forces v(c6) = 0 there.  A piece with
+    v(delta) = 1 is not refined at all: v(c4) >= 1 there would give
+    v(c6^2) = v(c4^3 - 1728 delta) = 1, which is odd, so v(c4) = 0 and
+    then v(c6) = 0, an I1.
     """
     c4, c6, delta = invariants(model)
     _, factors = squarefree_split(delta)
     places = []
     for f, m in factors:
-        for g, v4 in refine_against(f, c4):
+        for g, v4 in [(f, 0)] if m == 1 else refine_against(f, c4):
             by_c6 = [(g, 0)] if v4 == 0 else refine_against(g, c6)
             for h, v6 in by_c6:
                 reduced, k = minimalize_at(v4, v6, m)

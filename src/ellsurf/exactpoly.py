@@ -308,7 +308,9 @@ def _int_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
     Returns ``(quo, rem, scale)`` with ``scale * a == quo * b + rem`` and
     ``deg rem < deg b``.  Each step scales by ``lc(b) / gcd(top, lc(b))``
     only, so ``scale > 0`` divides ``lc(b)^(deg a - deg b + 1)`` and stays
-    1 whenever ``lc(b)`` divides every leading term on the way.
+    1 whenever ``lc(b)`` divides every leading term on the way.  A step
+    whose top ``lc(b)`` divides takes its quotient entry from one
+    ``divmod`` and computes no gcd.
     """
     rem = list(a)
     d = len(b) - 1
@@ -318,13 +320,14 @@ def _int_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
     while len(rem) > d:
         k = len(rem) - 1 - d
         top = rem[-1]
-        g = gcd(top, lc) if lc > 0 else -gcd(top, lc)
-        s = lc // g
-        if s != 1:
+        f, r = divmod(top, lc)
+        if r:  # lc does not divide top: scale by s = lc / g > 1 first
+            g = gcd(top, lc) if lc > 0 else -gcd(top, lc)
+            s = lc // g
             rem = [x * s for x in rem]
             quo = [x * s for x in quo]
             scale *= s
-        f = top // g
+            f = top // g
         quo[k] = f
         for i, y in enumerate(b, k):
             rem[i] -= f * y
@@ -476,9 +479,13 @@ class UniPoly(_Rows):
 
 
 def _int_primitive(coeffs: Sequence[int]) -> list[int]:
+    """``coeffs`` over their content, as a new list with the signs kept:
+    ``[]`` for a zero list, and a plain copy when the content is 1."""
     g = gcd(*coeffs)
     if g == 0:
         return []
+    if g == 1:
+        return list(coeffs)
     return [v // g for v in coeffs]
 
 
@@ -509,17 +516,42 @@ def _xi_candidate(a: Sequence[int], b: Sequence[int], k: int) -> list[int]:
     return h if h[-1] > 0 else [-x for x in h]
 
 
+def _xi_start(a: Sequence[int], b: Sequence[int]) -> int:
+    """The first ``k`` of the heuristic gcd of the primitive, nonconstant
+    lists ``a`` and ``b``: the bit length of ``2 * min(|a|_inf, |b|_inf) + 1``."""
+    return (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
+
+
 def _xi_bits(a: Sequence[int], b: Sequence[int]) -> tuple[int, int]:
     """``(k, k_max)`` for the primitive, nonconstant lists ``a`` and ``b``:
-    the first ``k`` of the heuristic gcd, and one at which its candidate is
-    the gcd (see ``_int_gcd``)."""
+    the first ``k`` of the heuristic gcd (``_xi_start``), and one at which
+    its candidate is the gcd (see ``_int_gcd``)."""
     n, m = len(a) - 1, len(b) - 1
     na, nb = max(map(abs, a)), max(map(abs, b))
     # |a|_2 <= sqrt(n + 1) * |a|_inf < 2^la
     la = na.bit_length() + ((n + 1).bit_length() + 1) // 2
     lb = nb.bit_length() + ((m + 1).bit_length() + 1) // 2
     k_max = m * (n + la) + n * (m + lb) + min(n + la, m + lb) + 2
-    return (2 * min(na, nb) + 1).bit_length(), k_max
+    return _xi_start(a, b), k_max
+
+
+def _xi_trial(
+    a: Sequence[int], b: Sequence[int], pa: list[int], pb: list[int], k: int
+) -> tuple[list[int], list[int], list[int]] | None:
+    """``_int_gcd(a, b)`` from the candidate at ``xi = 2^k`` of the
+    primitive parts ``pa`` and ``pb``, or None when a trial division
+    refuses it: a constant candidate is the gcd ``[1]``, and a nonconstant
+    one is the gcd iff it divides ``a`` and ``b``, whose quotients are the
+    cofactors."""
+    h = _xi_candidate(pa, pb, k)
+    if len(h) == 1:
+        return h, list(a), list(b)
+    qa, rem, _ = _int_divmod(a, h)
+    if not rem:
+        qb, rem, _ = _int_divmod(b, h)
+        if not rem:
+            return h, qa, qb
+    return None
 
 
 def _int_gcd(
@@ -557,6 +589,9 @@ def _int_gcd(
       gives ``|c| < 2^(m (n + L_a) + n (m + L_b))`` for ``m = deg b``.  So
       ``|c * G|_inf < xi / 4`` at ``k_max``: the digits of ``gamma`` are the
       coefficients of ``c * G``, and its primitive part is ``G``.
+    * The bound is computed only after the first candidate is refused, so a
+      first ``k`` at or past ``k_max`` would still be accepted only by its
+      trial division, which does accept it.
 
     The cofactors cost nothing more: the trial division that accepts ``h``
     runs on ``a`` and ``b`` themselves, and its quotients are exact, with
@@ -574,19 +609,18 @@ def _int_gcd(
         return h, [a[-1] // h[-1]] if pa else [], [b[-1] // h[-1]] if pb else []
     if len(pa) == 1 or len(pb) == 1:
         return [1], list(a), list(b)
-    k, k_max = _xi_bits(pa, pb)
+    k = _xi_start(pa, pb)
+    found = _xi_trial(a, b, pa, pb, k)
+    if found:
+        return found
+    k_max = _xi_bits(pa, pb)[1]
     for _ in range(k_max.bit_length()):  # k doubles past k_max within as many steps
+        k *= 2
         if k >= k_max:
             break
-        h = _xi_candidate(pa, pb, k)
-        if len(h) == 1:
-            return h, list(a), list(b)
-        qa, rem, _ = _int_divmod(a, h)
-        if not rem:
-            qb, rem, _ = _int_divmod(b, h)
-            if not rem:
-                return h, qa, qb
-        k *= 2
+        found = _xi_trial(a, b, pa, pb, k)
+        if found:
+            return found
     h = _xi_candidate(pa, pb, k_max)
     return h, _int_divmod(a, h)[0], _int_divmod(b, h)[0]
 
@@ -965,13 +999,15 @@ def squarefree_split(f: HomPoly) -> tuple[Fraction, tuple[tuple[HomPoly, int], .
     factors = [(HomPoly.var_power(f.vars, 1, 1), e)] if e else []
     # pass 0 divides gcd(c, c') out of c; pass i >= 1 splits off the factor
     # a_i of multiplicity i.  d is zero (then a_i is c itself) or has degree
-    # deg c - 1, its top being lc(c) * sum((j - i) * deg a_j) over j > i
+    # deg c - 1, its top being lc(c) * sum((j - i) * deg a_j) over j > i;
+    # so after the gcd d and c' have the same length, or d is zero and c a
+    # constant, and d - c' is taken entry by entry
     c, d = list(row), _int_derivative(row)
     for i in range(len(row)):
         g, c, d = _int_gcd(c, d)
         if i and len(g) > 1:
             factors.append((_monic_form(f.vars, 0, g), i))
-        d = _combine(d, 1, _int_derivative(c), 1, -1)[0]
+        d = [x - y for x, y in zip(d, _int_derivative(c))]
         if len(c) == 1:
             break
     sort_by_form(factors, lambda fm: fm[0])
@@ -994,12 +1030,18 @@ def refine_against(f: HomPoly, q: HomPoly) -> list[tuple[HomPoly, int | None]]:
     built from its row made monic, and ``d`` and ``r / d`` carry on as
     rows: a constant factor of ``r`` changes neither the gcd nor the next
     ``g / d``, so nothing else is divided.
+
+    The place at infinity alone, ``f = c * vars[1]`` (a constant affine row
+    and one power of ``vars[1]``), takes no gcd: its valuation in ``q`` is
+    the power of ``vars[1]`` in ``q``, and its piece is ``vars[1]``.
     """
     f._check(q)
     if q.is_zero:
         return [(f, None)]
-    pieces: list[tuple[HomPoly, int | None]] = []
     (eg, g), (er, r) = _affine_row(f), _affine_row(q)
+    if eg == 1 and len(g) == 1:
+        return [(HomPoly.var_power(f.vars, 1, 1), er)]
+    pieces: list[tuple[HomPoly, int | None]] = []
     for k in range(q.degree + 1):
         d, piece, r = _int_gcd(g, r)
         ed = min(eg, er)

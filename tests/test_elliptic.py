@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import corpus
 from corpus import affine, constructed_short_models, shift_x
 from ellsurf import duality as du
-from ellsurf import exactpoly
+from ellsurf import elliptic, exactpoly
 from ellsurf.elliptic import (
     DegenerateModel,
     FiberConfiguration,
@@ -535,16 +535,40 @@ def _refined_twice(model: WeierstrassModel) -> FiberConfiguration:
 
 class TestC6PassSkip:
     def test_places_prime_to_c4_match_the_double_refinement(self):
+        # the double refinement reaches the places with v(delta) = 1, which
+        # fiber_configuration does not refine, and the others prime to c4
         models = _valuation_corpus()
-        skipped = 0
+        skipped = simple = 0
         for model in models:
             config = fiber_configuration(model)
             assert config == _refined_twice(model)
-            skipped += sum(p.v_c4 == 0 for p in config.places)
-        assert skipped > 0
+            skipped += sum(p.v_c4 == 0 < p.v_delta - 1 for p in config.places)
+            simple += sum(p.v_delta == 1 for p in config.places)
+        assert skipped > 0 and simple > 0
         invs = [invariants(m) for m in models]
         assert any(c4.is_zero for c4, _, _ in invs)
         assert any(c6.is_zero for _, c6, _ in invs)
+
+    def test_pieces_of_multiplicity_one_are_not_refined(self, monkeypatch):
+        # exactly the squarefree pieces of delta of multiplicity 2 or more
+        # are refined against c4, each once, and each v(delta) = 1 place
+        # is an I1 prime to c4 and c6
+        calls = []
+        refine = elliptic.refine_against
+        monkeypatch.setattr(
+            elliptic, "refine_against", lambda f, q: calls.append((f, q)) or refine(f, q)
+        )
+        simple = 0
+        for model in _valuation_corpus() + [_wide_model(0, False), _wide_model(0, True)]:
+            c4, _, delta = invariants(model)
+            factors = squarefree_split(delta)[1]
+            calls.clear()
+            places = fiber_configuration(model).places
+            assert [f for f, q in calls if q is c4] == [f for f, m in factors if m > 1]
+            ones = [p for p in places if p.v_delta == 1]
+            assert all((p.kodaira.label, p.v_c4, p.v_c6) == ("I1", 0, 0) for p in ones)
+            simple += sum(m == 1 for _, m in factors)
+        assert simple > 0
 
 
 def _fraction_order(forms: list[HomPoly]) -> list[HomPoly]:
@@ -625,18 +649,21 @@ def test_large_models_take_few_pseudo_divisions(monkeypatch, two_torsion, summar
 
 def test_every_pseudo_division_of_the_fiber_classification_is_a_gcd_trial(monkeypatch):
     # the squarefree split and refine_against read the quotients off the
-    # gcd, so a division happens only inside _int_gcd, after a nonconstant
-    # candidate, once for each input at most
-    state = {"in_gcd": False, "candidate": None, "divisions": 0}
-    tally = {"candidates": 0, "divisions": 0}
+    # gcd, so a division happens only inside _int_gcd, after a
+    # nonconstant candidate, once for each input at most; and the gcd's
+    # bound is computed only after a trial division refused a candidate
+    state = {"in_gcd": False, "candidate": None, "divisions": 0, "refused": False}
+    tally = {"candidates": 0, "divisions": 0, "bounds": 0, "refusing_gcds": 0}
     int_gcd, candidate, divmod_ = exactpoly._int_gcd, exactpoly._xi_candidate, exactpoly._int_divmod
+    xi_bits = exactpoly._xi_bits
 
     def gcd_(a, b):
-        state.update(in_gcd=True, candidate=None)
+        state.update(in_gcd=True, candidate=None, refused=False)
         try:
             return int_gcd(a, b)
         finally:
             state["in_gcd"] = False
+            tally["refusing_gcds"] += state["refused"]
 
     def candidate_(a, b, k):
         h = candidate(a, b, k)
@@ -649,15 +676,24 @@ def test_every_pseudo_division_of_the_fiber_classification_is_a_gcd_trial(monkey
         assert b == state["candidate"] and state["divisions"] < 2
         state["divisions"] += 1
         tally["divisions"] += 1
-        return divmod_(a, b)
+        out = divmod_(a, b)
+        state["refused"] = state["refused"] or bool(out[1])
+        return out
+
+    def bits(a, b):
+        assert state["in_gcd"] and state["refused"]
+        tally["bounds"] += 1
+        return xi_bits(a, b)
 
     monkeypatch.setattr(exactpoly, "_int_gcd", gcd_)
     monkeypatch.setattr(exactpoly, "_xi_candidate", candidate_)
     monkeypatch.setattr(exactpoly, "_int_divmod", division)
+    monkeypatch.setattr(exactpoly, "_xi_bits", bits)
     models = _valuation_corpus() + [_wide_model(0, False), _wide_model(0, True)]
     for model in models:
         fiber_configuration(model)
     assert 0 < tally["divisions"] <= 2 * tally["candidates"]
+    assert 0 < tally["bounds"] == tally["refusing_gcds"] < tally["candidates"]
 
 
 class TestTwoTorsionSections:

@@ -10,7 +10,10 @@ uses.  The integer gcd is judged against sympy and against a test-local
 copy of the primitive pseudo-remainder sequence it replaced, and its
 cofactors by the schoolbook product; the squarefree split and
 ``refine_against``, which read those cofactors, against test-local copies
-of the loops that divided by the gcd instead.
+of the loops that divided by the gcd instead, and ``refine_against`` also
+against a copy of its gcd passes, which the place at infinity now skips.
+The integer pseudo-division is judged by its contract: the identity, the
+bound on its scale, and scale 1 when the divisor's lead divides each top.
 """
 
 from __future__ import annotations
@@ -461,8 +464,13 @@ class TestIntegerGcd:
         monkeypatch.setattr(
             exactpoly, "_int_divmod", lambda p, q: divisions.append(q) or divmod_(p, q)
         )
+        # the bound is computed once, after the refusal
+        bits = []
+        xi_bits = exactpoly._xi_bits
+        monkeypatch.setattr(exactpoly, "_xi_bits", lambda p, q: bits.append(1) or xi_bits(p, q))
         assert _checked_gcd(a, b) == [1]
         assert divisions == [[1, 1]]
+        assert bits == [1]
 
     @given(g=_wide_rows(1, 4), p=_wide_rows(0, 4), q=_wide_rows(0, 4))
     @settings(max_examples=40, deadline=None)
@@ -476,10 +484,11 @@ class TestIntegerGcd:
     def test_the_candidate_at_the_last_point_is_the_gcd(self, monkeypatch):
         # seeded inputs on which the first candidate is not the gcd; the
         # last point must give it with no trial division.  With the first
-        # point moved to k_max the kernel takes that candidate, and its
-        # cofactors come from the one division of each input after it.
+        # point moved to k_max (through _xi_start, the one home of the first
+        # point) the kernel takes that candidate, the only one it draws, and
+        # its trial division accepts it.
         rng = random.Random(20261019)
-        xi_bits = exactpoly._xi_bits
+        candidate = exactpoly._xi_candidate
 
         def row(degree: int) -> list[int]:
             return [rng.randint(-3, 3) for _ in range(degree)] + [rng.choice((-2, -1, 1, 2))]
@@ -495,10 +504,79 @@ class TestIntegerGcd:
             if _xi_candidate(a, b, k) != want:
                 unlucky += 1
                 assert _xi_candidate(a, b, k_max) == want
+                points = []
                 with monkeypatch.context() as patch:
-                    patch.setattr(exactpoly, "_xi_bits", lambda a, b: (xi_bits(a, b)[1],) * 2)
+                    patch.setattr(exactpoly, "_xi_start", lambda a, b: k_max)
+                    patch.setattr(
+                        exactpoly,
+                        "_xi_candidate",
+                        lambda a, b, k: points.append(k) or candidate(a, b, k),
+                    )
                     assert _checked_gcd(a, b) == want
+                assert points == [k_max]
         assert unlucky >= 20
+
+    def test_the_results_are_new_lists(self):
+        # a zero input, a constant input, a constant gcd, an accepted
+        # candidate and a content of 1 that _int_primitive copies: each of
+        # h and the cofactors is a list of its own, for tuple and list inputs
+        pairs = [
+            ((4, -6), ()),
+            ((0,), (2, 3)),
+            ((-6,), (2, 4, 8)),
+            ((-2, 3), (-1, -1)),
+            ((-6, 0, 6), (4, 4)),
+            ((1, 2, 1), (1, 2, 1)),
+        ]
+        for a, b in pairs:
+            for x, y in ((a, b), (list(a), list(b))):
+                out = _int_gcd(x, y)
+                assert all(type(r) is list for r in out)
+                assert not any(r is x or r is y for r in out)
+        assert _int_gcd((1, 2, 1), (1, 2, 1)) == ([1, 2, 1], [1], [1])
+
+
+# integer rows with a nonzero top, negative and non-unit ones included
+_int_tops = st.integers(-12, 12).filter(bool)
+
+
+def _int_rows(min_degree: int, max_degree: int):
+    return st.builds(
+        lambda low, top: low + [top],
+        st.lists(st.integers(-30, 30), min_size=min_degree, max_size=max_degree),
+        _int_tops,
+    )
+
+
+def _row_sum(a: list[int], b: list[int]) -> list[int]:
+    return [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+
+
+class TestIntegerDivmod:
+    """The pseudo-division contract, whether a step divides its top by the
+    divisor's lead or scales first."""
+
+    @given(a=_int_rows(0, 6), b=_int_rows(0, 3))
+    @example(a=[1, 0, 0, 1], b=[1, -1])
+    @example(a=[5, -7, 3], b=[2, 0, -6])
+    @settings(max_examples=150, deadline=None)
+    def test_the_identity_and_the_scale(self, a, b):
+        quo, rem, scale = exactpoly._int_divmod(a, b)
+        product = _row_product(quo, b) if quo else []
+        assert _stripped(_row_sum(product, rem)) == [scale * x for x in a]
+        assert len(rem) < len(b)
+        lc = b[-1]
+        assert scale > 0 and lc ** max(len(a) - len(b) + 1, 0) % scale == 0
+        if abs(lc) == 1:
+            assert scale == 1
+
+    @given(b=_int_rows(0, 3), q=_int_rows(0, 3), r=st.lists(st.integers(-30, 30), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_a_planted_quotient_takes_no_scale(self, b, q, r):
+        # a = b q + r with deg r < deg b: lc(b) divides every top on the way
+        r = r[: len(b) - 1]
+        a = _row_sum(_row_product(q, b), r)
+        assert exactpoly._int_divmod(a, b) == (q, _stripped(r), 1)
 
 
 def _disc(p: UniPoly):
@@ -952,6 +1030,55 @@ def _gcd_then_divide_refine(f: HomPoly, q: HomPoly) -> list:
     return pieces
 
 
+def _gcd_pass_refine(f: HomPoly, q: HomPoly) -> list:
+    """``refine_against`` with every ``f`` taking its passes of the integer
+    gcd, as it ran before ``f = c * t`` was read off the power of ``t`` in
+    ``q``: pass ``k`` takes ``d = gcd(g, r)`` with the cofactors ``g / d``,
+    the piece, and ``r / d``."""
+    if q.is_zero:
+        return [(f, None)]
+    pieces = []
+    (eg, g), (er, r) = _rows_of(f), _rows_of(q)
+    for k in range(q.degree + 1):
+        d, piece, r = _int_gcd(g, r)
+        ed = min(eg, er)
+        if eg > ed or len(piece) > 1:
+            tail = [Fraction(x, piece[-1]) for x in reversed(piece)]
+            pieces.append((HomPoly.of(f.vars, [0] * (eg - ed) + tail), k))
+        if ed == 0 and len(d) == 1:
+            break
+        eg, g, er = ed, d, er - ed
+    return pieces
+
+
+def _seeded_refinements(seed: int, count: int):
+    """``(f, q)`` pairs: ``f`` is ``c * t``, a constant ``c`` or ``c`` times
+    distinct lines (and now and then ``t``), for ``c`` not +-1; ``q`` is
+    zero now and then, else a scalar times ``t`` to a power up to 9 times
+    powers of some of f's lines and of one line outside f."""
+    rng = random.Random(seed)
+    t = HomPoly.var_power(ST, 1, 1)
+    roots = sorted({Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)})
+    scalars = [Fraction(n, d) for n in (2, -3, 5, -7) for d in (1, 4, 9)]
+    for trial in range(count):
+        lines = [HomPoly.of(ST, (x.denominator, -x.numerator)) for x in rng.sample(roots, 4)]
+        f = HomPoly.constant(ST, rng.choice(scalars))
+        if trial % 3 == 0:
+            f = f * t
+        elif trial % 3 == 2:
+            for line in lines[: rng.randint(1, 3)]:
+                f = f * line
+            if rng.random() < 0.5:
+                f = f * t
+        if rng.random() < 0.15:
+            q = HomPoly.zero(ST, rng.randint(0, 4))
+        else:
+            q = HomPoly.constant(ST, rng.choice(scalars)) * t ** rng.randint(0, 9)
+            for line in lines:
+                q = q * line ** rng.randint(0, 2)
+        yield f, q
+
+
 # primitive forms of degree 1 or 2 prime to t, and scalars that are not
 # integers: a scalar times a product of them has that scalar's denominator
 _parts = (
@@ -1006,6 +1133,27 @@ class TestCofactorLoops:
         assert f.den > 1 and q.den > 1
         want = [(_fields(piece), k) for piece, k in _gcd_then_divide_refine(f, q)]
         assert [(_fields(piece), k) for piece, k in refine_against(f, q)] == want
+
+    def test_refine_against_reads_the_place_at_infinity_off_q(self):
+        # c * t, for c not +-1, gives the monic t with t's power in q, a
+        # constant f gives no piece, and q = 0 gives f itself
+        t = HomPoly.var_power(ST, 1, 1)
+        kinds = set()
+        for f, q in _seeded_refinements(20261021, 300):
+            want = [(_fields(piece), k) for piece, k in _gcd_pass_refine(f, q)]
+            got = refine_against(f, q)
+            assert [(_fields(piece), k) for piece, k in got] == want
+            if q.is_zero:
+                kinds.add("q = 0")
+                assert got == [(f, None)]
+            elif f.degree == 0:
+                kinds.add("constant f")
+                assert got == []
+            elif f.degree == 1 and f.second_var_multiplicity() == 1:
+                kinds.add("c * t")
+                assert got == [(t, q.second_var_multiplicity())]
+                kinds.add("t^7 | q" if got[0][1] >= 7 else "c * t")
+        assert kinds == {"q = 0", "constant f", "c * t", "t^7 | q"}
 
 
 class TestHomPoly:
