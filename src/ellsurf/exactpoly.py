@@ -734,11 +734,6 @@ class HomPoly(_Rows):
                 return k
         raise DegreeTooLow("zero form has no root multiplicities")
 
-    def monic_in_first(self) -> HomPoly:
-        """``self`` over its coefficient at the highest power of
-        ``vars[0]`` present; the zero form raises ``DegreeTooLow``."""
-        return self._over_lead(self.num[self.second_var_multiplicity()])
-
     def text(self) -> str:
         d = self.degree
         chunks: list[str] = []
@@ -759,9 +754,6 @@ class HomPoly(_Rows):
             else:
                 chunks.append(f"+ {piece}" if c > 0 else f"- {piece}")
         return " ".join(chunks) if chunks else "0"
-
-    def __str__(self) -> str:
-        return self.text()
 
 
 def check_forms(forms: Sequence[HomPoly], degrees: Sequence[int], what: str) -> None:
@@ -933,10 +925,8 @@ def gcd_form(p: HomPoly, q: HomPoly) -> HomPoly:
     p._check(q)
     if p.is_zero and q.is_zero:
         return HomPoly.zero(p.vars, 0)
-    if p.is_zero:
-        return q.monic_in_first()
-    if q.is_zero:
-        return p.monic_in_first()
+    if p.is_zero or q.is_zero:
+        return _monic_form(p.vars, *_affine_row(q if p.is_zero else p))
     (ep, a), (eq, b) = _affine_row(p), _affine_row(q)
     return _monic_form(p.vars, min(ep, eq), _int_gcd(a, b)[0])
 
@@ -1112,16 +1102,6 @@ class BiHomPoly:
     den: int = 1
 
     @staticmethod
-    def of(
-        vars1: tuple[str, str],
-        vars2: tuple[str, str],
-        rows: Sequence[Sequence[RationalLike]],
-    ) -> BiHomPoly:
-        width = _row_width(rows)
-        num, den = _fractions_over_one_den(c for row in rows for c in row)
-        return _bihom(_pair(vars1), _pair(vars2), num, width, den)
-
-    @staticmethod
     def from_num(
         vars1: tuple[str, str],
         vars2: tuple[str, str],
@@ -1149,10 +1129,6 @@ class BiHomPoly:
         return len(self.num[0]) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not any(map(any, self.num))
-
-    @property
     def is_symmetric(self) -> bool:
         """Whether the coefficient matrix equals its transpose, i.e. the
         form is unchanged when the two pairs exchange their values."""
@@ -1177,10 +1153,6 @@ class BiHomPoly:
 
     def __sub__(self, other: BiHomPoly) -> BiHomPoly:
         return self._plus(other, -1)
-
-    def __neg__(self) -> BiHomPoly:
-        rows = tuple(tuple(-n for n in row) for row in self.num)
-        return BiHomPoly(self.vars1, self.vars2, rows, self.den)
 
     def __mul__(self, other: BiHomPoly | RationalLike) -> BiHomPoly:
         if isinstance(other, BiHomPoly):

@@ -58,10 +58,6 @@ class DegenerateLattice(ValueError):
     """Operation requires a nonzero determinant."""
 
 
-class NotTwoElementary(ValueError):
-    """Parity is defined only when the discriminant group is (Z/2Z)^l."""
-
-
 class NotApplicable(ValueError):
     """The invariant-comparison oracle only covers even indefinite
     2-elementary lattices."""
@@ -559,16 +555,6 @@ def two_elementary_invariants(lat: GramLattice) -> TwoElemInvariants:
     if not lat.is_even:
         raise OddLattice("invariants are defined here for even lattices only")
     return lat._two_elementary
-
-
-def parity(lat: GramLattice) -> int:
-    """Parity of a 2-elementary even lattice; NotTwoElementary otherwise."""
-    value = two_elementary_invariants(lat).parity
-    if value is None:
-        raise NotTwoElementary(
-            "parity is defined only for 2-elementary discriminant groups"
-        )
-    return value
 
 
 def nikulin_equivalent(first: GramLattice, second: GramLattice) -> bool:

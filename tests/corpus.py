@@ -7,22 +7,32 @@ enforces a genericity predicate stated in terms of squarefreeness and
 coprimality of specific discriminant factors, never in terms of the
 expected fiber counts, so resampling cannot bias the assertions.
 ``shift_x`` is the coordinate change the tests use as a metamorphic move,
-and ``affine`` the one affine reading of a form that the tests share.
+``affine`` the one affine reading of a form that the tests share, and
+``bihom`` the one way they build a bidegree form from rational rows.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from ellsurf import duality as du
 from ellsurf.elliptic import WeierstrassModel
-from ellsurf.exactpoly import HomPoly, UniPoly, discriminant_form, form_discriminant
+from ellsurf.exactpoly import BiHomPoly, HomPoly, UniPoly, discriminant_form, form_discriminant
 
 
 def affine(form: HomPoly) -> UniPoly:
     """The form read at ``vars[1] = 1``, as a polynomial in ``vars[0]``."""
     return UniPoly.from_coeffs(form.coeffs[::-1])
+
+
+def bihom(vars1: tuple[str, str], vars2: tuple[str, str], rows) -> BiHomPoly:
+    """The bidegree form whose coefficient rows are the rationals ``rows``:
+    their integer numerators over one common denominator."""
+    den = math.lcm(*(Fraction(c).denominator for row in rows for c in row))
+    num = [[int(c * den) for c in row] for row in rows]
+    return BiHomPoly.from_num(vars1, vars2, num, den)
 
 
 def shift_x(model: WeierstrassModel, u: HomPoly) -> WeierstrassModel:

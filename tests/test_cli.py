@@ -10,7 +10,9 @@ import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import random
 import time
 
 from fractions import Fraction
@@ -334,6 +336,47 @@ def test_run_coupling_product_failure_carries_the_quartic(monkeypatch):
     assert rep.detail == "trial 0: cofactor diagonal formula failed"
     assert rep.artifacts == passed.artifacts["first_instance"]
     assert set(rep.artifacts) == {"quartic"}
+
+
+def _coupling_sides(n) -> list[Fraction]:
+    """The coefficients of both sides of the coupling-product identities, as
+    ``cli._coupling_product`` forms them, for the quartic with entries ``n``."""
+    h = hermite_aj.QuarticCurve.of(*n)
+    pairing, cofactor = hermite_aj.correspondence_polys(h)
+    (f_uu, f_uv), (_, f_vv) = (
+        exactpoly.form_partials(d) for d in exactpoly.form_partials(h.form)
+    )
+    forms = [pairing.diagonal(), h.form, 36 * cofactor.diagonal(), f_uu * f_vv - f_uv * f_uv]
+    products = [
+        pairing * pairing + cofactor * hermite_aj.SEPARATION_SQUARE,
+        exactpoly.tensor_forms(h.form, h.form.rename(pairing.vars2)),
+    ]
+    return [c for f in forms for c in f.coeffs] + [
+        Fraction(n, b.den) for b in products for row in b.num for n in row
+    ]
+
+
+def test_coupling_product_holds_on_the_grid_that_proves_it(monkeypatch):
+    # both sides have degree at most 2 in each entry n0..n4 (pinned below),
+    # so by the grid lemma (Alon 1999, Lemma 2.1) passing on {-1, 0, 1}^5
+    # makes each identity a polynomial identity: it holds for every
+    # rational quartic, and no random trial can fail
+    grid = itertools.product((-1, 0, 1), repeat=5)
+    monkeypatch.setattr(cli, "_random_quartic", lambda rng: hermite_aj.QuarticCurve.of(*next(grid)))
+    for _ in range(3**5):
+        cli._coupling_product(None, None)
+    assert next(grid, None) is None
+
+
+def test_coupling_product_sides_have_degree_two_along_lines():
+    # a coefficient of degree at most 2 in n is quadratic in t along
+    # n(t) = p + t*v, so its third finite difference vanishes
+    rng = random.Random(17)
+    for _ in range(20):
+        p, v = ([rng.randint(-9, 9) for _ in range(5)] for _ in range(2))
+        values = [_coupling_sides([a + t * b for a, b in zip(p, v)]) for t in range(4)]
+        for c0, c1, c2, c3 in zip(*values):
+            assert c3 - 3 * c2 + 3 * c1 - c0 == 0, (p, v)
 
 
 def test_run_trials_override_wins():
@@ -866,7 +909,7 @@ THOUSAND_DIGITS = "1" + "0" * 999
             f"kind lattice-identity\nlattice first = A1({THOUSAND_DIGITS})^5\nexpect even\n",
             2,
             None,
-            None,
+            "lattice determinant may exceed 4300 digits (line 3, col 17)",
         ),
         # one block fewer, and the determinant has 3 998 digits
         (
@@ -892,8 +935,40 @@ THOUSAND_DIGITS = "1" + "0" * 999
             "pass",
             None,
         ),
+        (
+            "kind fiber-config\nfamily alternate-pair\n"
+            f"poly trace on s,t deg 4 = {THOUSAND_DIGITS}*s^4\n"
+            f"poly norm on s,t deg 8 = s^8 - {THOUSAND_DIGITS}*t^8\n"
+            "expect fibers 8*I1 + 8*I2\nexpect euler 24\n",
+            0,
+            "pass",
+            None,
+        ),
+        # the grammar's largest degree, which the family's constraint refuses
+        (
+            "kind fiber-config\nfamily alternate-pair\n"
+            f"poly trace on s,t deg 48 = {THOUSAND_DIGITS}*s^48 - t^48\n"
+            "poly norm on s,t deg 8 = s^8 - t^8\nexpect fibers 8*I1 + 8*I2\n",
+            2,
+            None,
+            "alternate-pair needs trace of degree 4, norm of degree 8 (line 1, col 1)",
+        ),
+        (
+            f"kind lattice-identity\nlattice first = H\nexpect det {THOUSAND_DIGITS}\n",
+            1,
+            "fail",
+            None,
+        ),
     ],
-    ids=["lattice-refused", "lattice", "pointwise-map-anchor", "quartic-double-cover"],
+    ids=[
+        "lattice-refused",
+        "lattice",
+        "pointwise-map-anchor",
+        "quartic-double-cover",
+        "alternate-pair",
+        "alternate-pair-refused",
+        "expect-det",
+    ],
 )
 def test_main_reports_a_scenario_of_1000_digit_entries(tmp_path, body, code, status, error):
     path = tmp_path / "large.scn"
@@ -905,7 +980,8 @@ def test_main_reports_a_scenario_of_1000_digit_entries(tmp_path, body, code, sta
         assert got == code, fmt
         if status is None:
             assert out == ""
-            assert err == "error: lattice determinant may exceed 4300 digits (line 3, col 17)\n"
+            assert err.startswith("error: ") and err.endswith(f"{error}\n")
+            assert "Traceback" not in err
         elif fmt == "json":
             report = json.loads(out)["scenarios"][0]
             assert report["status"] == status

@@ -15,7 +15,7 @@ import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corpus import affine
+from corpus import affine, bihom
 from ellsurf.duality import correspondence_surfaces
 from ellsurf.exactpoly import (
     BiHomPoly,
@@ -226,7 +226,7 @@ def _fraction_correspondence_polys(h: QuarticCurve):
     """(pairing, cofactor), each entry computed in Fraction arithmetic from
     the five coefficients."""
     a0, a1, a2, a3, a4 = h.coeffs
-    pairing = BiHomPoly.of(
+    pairing = bihom(
         UV,
         ("S", "T"),
         (
@@ -241,7 +241,7 @@ def _fraction_correspondence_polys(h: QuarticCurve):
     center = (36 * a0 * a4 + 9 * a1 * a3 - 5 * a2**2) / 18
     upper_edge = (6 * a1 * a4 - a2 * a3) / 6
     upper_corner = (8 * a2 * a4 - 3 * a3**2) / 12
-    cofactor = BiHomPoly.of(
+    cofactor = bihom(
         UV,
         ("S", "T"),
         (
@@ -493,7 +493,7 @@ def test_the_pointwise_map_matches_its_affine_formulas(base, point, tail, conjug
 
 def phi_from_triple(gamma: HomPoly, alpha: HomPoly, delta: HomPoly) -> BiHomPoly:
     rows = tuple(zip(gamma.coeffs, alpha.coeffs, delta.coeffs))
-    return BiHomPoly.of(UV, ("S", "T"), rows)
+    return bihom(UV, ("S", "T"), rows)
 
 
 def test_22_symmetry_and_reading():

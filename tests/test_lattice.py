@@ -32,7 +32,6 @@ from ellsurf.lattice import (
     DegenerateLattice,
     GramLattice,
     NotApplicable,
-    NotTwoElementary,
     UnknownLattice,
     ZeroScale,
     determinant,
@@ -40,7 +39,6 @@ from ellsurf.lattice import (
     discriminant_group,
     glued_overlattice,
     nikulin_equivalent,
-    parity,
     rescale,
     signature,
     standard_lattice,
@@ -318,10 +316,7 @@ class TestTwoElementary:
         assert not inv.is_two_elementary
         assert inv.parity is None
         assert inv.length == 2  # only the two divisor-2 factors count
-        with pytest.raises(NotTwoElementary):
-            parity(K0)
-        with pytest.raises(NotTwoElementary):
-            parity(direct_sum(standard_lattice("A2"), H))
+        assert two_elementary_invariants(direct_sum(standard_lattice("A2"), H)).parity is None
 
     def test_unimodular_is_trivially_two_elementary(self):
         inv = two_elementary_invariants(H)
@@ -508,7 +503,7 @@ class TestOracles:
         for lat in lattices:
             assert lat.rank <= 10 and two_elementary_invariants(lat).is_two_elementary
             expected = brute_force_parity(lat)
-            assert parity(lat) == two_elementary_invariants(lat).parity == expected
+            assert two_elementary_invariants(lat).parity == expected
             seen.add(expected)
         assert seen == {0, 1}
 
@@ -672,7 +667,7 @@ _ELIMINATIONS = {
     "_inertia": lattice,
     "_kernel_mod_2": lattice,
 }
-PUBLIC_INVARIANTS = (determinant, signature, discriminant_group, two_elementary_invariants, parity)
+PUBLIC_INVARIANTS = (determinant, signature, discriminant_group, two_elementary_invariants)
 
 
 @pytest.fixture
@@ -759,7 +754,6 @@ def uncached_invariants(lat: GramLattice) -> dict:
         signature: sig,
         discriminant_group: group,
         two_elementary_invariants: (lat.rank, sig, group.count(2), two_elem, par),
-        parity: par if two_elem else NotTwoElementary,
     }
 
 
@@ -784,7 +778,7 @@ class TestCacheContract:
 
     @pytest.mark.parametrize(
         "order",
-        list(itertools.permutations(PUBLIC_INVARIANTS[:4])),
+        list(itertools.permutations(PUBLIC_INVARIANTS)),
         ids=lambda order: "-".join(invariant.__name__ for invariant in order),
     )
     def test_a_singular_lattice_raises_whichever_invariant_comes_first(self, order):

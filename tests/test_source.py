@@ -682,7 +682,6 @@ _ROW_KERNELS = {
     "gcd_form": 1,
     "divexact_form": 1,
     "refine_against": 1,
-    "monic_in_first": 1,
     "monic": 1,
     "_over_lead": 1,
     "__pow__": 1,
