@@ -47,7 +47,6 @@ from .exactpoly import (
 )
 from .hermite_aj import (
     SEPARATION_SQUARE,
-    FamilyParams,
     QuarticCurve,
     abel_jacobi,
     correspondence_22,
@@ -163,7 +162,10 @@ def _sample_isogeny_forms(rng: random.Random):
 
 def _sample_correspondence_triple(rng: random.Random):
     def make():
-        gamma, alpha, delta = FamilyParams.of(*_ints(rng, 6, -6, 6), 0, 0).triple()
+        d0, a0, g0, a1, a2, g2 = _ints(rng, 6, -6, 6)
+        gamma = HomPoly.of(_SECOND, (g2, a2, g0))
+        alpha = HomPoly.of(_SECOND, (a2, a1, a0))
+        delta = HomPoly.of(_SECOND, (g0, a0, d0))
         prod = gamma * delta
         both = prod * (alpha * alpha - 4 * prod)
         if is_separable(both) and both(0, 1) != 0 and both(1, 0) != 0:
@@ -605,7 +607,7 @@ def _quartic_double_cover(sc, rng):
         raise _CheckFailure("branch form does not factor as lines times the quadric")
     if (data.branch.deg1, data.branch.deg2) != (4, 4):
         raise _CheckFailure("branch form is not of bidegree (4, 4)")
-    if exchange_constraint(data.params) != 0:
+    if exchange_constraint(gamma, alpha, delta) != 0:
         raise _CheckFailure("the exchange constraint does not vanish")
     return {"branch_bidegree": [4, 4]}
 

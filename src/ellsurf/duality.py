@@ -80,7 +80,7 @@ from .exactpoly import (
     rational_sqrt,
     tensor_forms,
 )
-from .hermite_aj import FamilyParams, UnitViolation, hermite_pair_forms
+from .hermite_aj import UnitViolation, UnknownKind, check_triple, hermite_pair_forms
 
 __all__ = [
     "AlternatePair",
@@ -154,10 +154,6 @@ class NonSquareDiscriminant(ValueError):
 
 class ParameterConstraintViolated(ValueError):
     """A parameter tuple violates one of its defining constraints."""
-
-
-class UnknownKind(ValueError):
-    """A builder was given a kind or reading name it does not know."""
 
 
 def _known(kinds: dict, kind: str):
@@ -493,7 +489,7 @@ def _correspondence_pairs(
 ) -> tuple[AlternatePair, AlternatePair]:
     """The pair (-r(alpha), r(gamma delta)) on each ruling, r its reading
     ``kind``; the input checks of ``correspondence_surfaces``."""
-    FamilyParams.from_triple(gamma, alpha, delta, 0, 0)
+    check_triple(gamma, alpha, delta)
     reads = [_known(readings, kind) for readings in _RULINGS]
     prod = gamma * delta
     return tuple(AlternatePair(-read(alpha), read(prod)) for read in reads)
@@ -517,11 +513,10 @@ def correspondence_surfaces(
     """All models attached to a ruling-symmetric correspondence family.
 
     The inputs are the degree-two coefficient forms of the bidegree-(2,2)
-    curve gamma(S,T) U^2 + alpha(S,T) UV + delta(S,T) V^2, in the order
-    of ``FamilyParams.triple``.  The curve must be invariant under
-    exchanging the pairs (S,T) and (U,V) (``FamilyParams.from_triple``
-    raises ``NormalizationViolated`` otherwise), so the same triple
-    describes it on either ruling.
+    curve gamma(S,T) U^2 + alpha(S,T) UV + delta(S,T) V^2.  The curve
+    must be invariant under exchanging the pairs (S,T) and (U,V)
+    (``hermite_aj.check_triple`` raises ``NormalizationViolated``
+    otherwise), so the same triple describes it on either ruling.
 
     Each reading r of a ruling (``_ruling_readings``) gives the pair
     (-r(alpha), r(gamma delta)) and its two-isogeny dual: ``rat1``,
@@ -557,7 +552,7 @@ def correspondence_branches(
     sum_j r1(m_j) (x) r2(c_j) with c = (gamma, alpha, delta) and
     m = (x^2, xy, y^2); the two are equal.
     """
-    FamilyParams.from_triple(gamma, alpha, delta, 0, 0)
+    check_triple(gamma, alpha, delta)
 
     kinds = ("cover", "quot")
     curve = (gamma, alpha, delta)

@@ -21,6 +21,9 @@ cofactor, and the Jacobian pair (f, g) is read off the same numerators.
 The ``coupling-product`` check tests pairing^2 + cofactor*(x - x0)^2 =
 P(x)*P(x0) as one bidegree-(4,4) form identity; its six anchors x0 only
 name where a failing identity breaks.  P' and Q' are the partials dF/dU at (x, 1).
+A ruling-symmetric (2,2) curve is held as its triple alone: ``check_triple``
+checks it, ``exchange_constraint`` reads the depressed curves' obstruction
+off it, and ``surface_symmetry`` moves it with the two line parameters.
 
 All arithmetic is exact; every identity below holds as a polynomial
 equality over the rationals.
@@ -47,7 +50,6 @@ from .exactpoly import (
 __all__ = [
     "AJImage",
     "BasePointRamified",
-    "FamilyParams",
     "NormalizationViolated",
     "NotOnCurve",
     "QuarticCurve",
@@ -56,8 +58,10 @@ __all__ = [
     "ShortCubic",
     "SingularCurve",
     "UnitViolation",
+    "UnknownKind",
     "ZeroScale",
     "abel_jacobi",
+    "check_triple",
     "correspondence_22",
     "correspondence_polys",
     "discr_relation_check",
@@ -89,6 +93,10 @@ class UnitViolation(ValueError):
 
 class NormalizationViolated(ValueError):
     """A coefficient triple fails the symmetric normalization."""
+
+
+class UnknownKind(ValueError):
+    """A builder was given a kind or reading name it does not know."""
 
 
 # the pairs of the two affine coordinates x = U/V and x0 = S/T
@@ -364,154 +372,91 @@ def j_invariant_22(phi: BiHomPoly) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the six-parameter family and its symmetries
+# the symmetric triple and its moves
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Parameters of the symmetric double-quadric family.
-
-    The six coefficients determine the normalized form triple
-    gamma = gamma2*x^2 + alpha2*x*y + gamma0*y^2,
-    alpha = alpha2*x^2 + alpha1*x*y + alpha0*y^2,
-    delta = gamma0*x^2 + alpha0*x*y + delta0*y^2,
-    and (c0, c_inf) locate the two line components of the branch locus.
-    """
-
-    delta0: Fraction
-    alpha0: Fraction
-    gamma0: Fraction
-    alpha1: Fraction
-    alpha2: Fraction
-    gamma2: Fraction
-    c0: Fraction
-    c_inf: Fraction
-
-    @staticmethod
-    def of(
-        delta0: RationalLike,
-        alpha0: RationalLike,
-        gamma0: RationalLike,
-        alpha1: RationalLike,
-        alpha2: RationalLike,
-        gamma2: RationalLike,
-        c0: RationalLike,
-        c_inf: RationalLike,
-    ) -> FamilyParams:
-        return FamilyParams(
-            rat(delta0),
-            rat(alpha0),
-            rat(gamma0),
-            rat(alpha1),
-            rat(alpha2),
-            rat(gamma2),
-            rat(c0),
-            rat(c_inf),
-        )
-
-    @staticmethod
-    def from_triple(
-        gamma: HomPoly,
-        alpha: HomPoly,
-        delta: HomPoly,
-        c0: RationalLike,
-        c_inf: RationalLike,
-    ) -> FamilyParams:
-        check_forms((gamma, alpha, delta), (2, 2, 2), "the form triple")
-        g2, g1, g0 = gamma.coeffs
-        a2, a1, a0 = alpha.coeffs
-        d2, d1, d0 = delta.coeffs
-        if g1 != a2 or d2 != g0 or d1 != a0:
-            raise NormalizationViolated(
-                "triple is not symmetric under exchanging the two rulings"
-            )
-        return FamilyParams(d0, a0, g0, a1, a2, g2, rat(c0), rat(c_inf))
-
-    def triple(self) -> tuple[HomPoly, HomPoly, HomPoly]:
-        """(gamma, alpha, delta) as forms on ("U", "V")."""
-        gamma = HomPoly.of(_X_PAIR, (self.gamma2, self.alpha2, self.gamma0))
-        alpha = HomPoly.of(_X_PAIR, (self.alpha2, self.alpha1, self.alpha0))
-        delta = HomPoly.of(_X_PAIR, (self.gamma0, self.alpha0, self.delta0))
-        return gamma, alpha, delta
+def check_triple(gamma: HomPoly, alpha: HomPoly, delta: HomPoly) -> None:
+    """Raise unless the triple is quadratic forms on one pair
+    (``DegreeMismatch``) whose coefficient matrix, row i the i-th form, is
+    symmetric (``NormalizationViolated``): the triple of a (2,2) curve
+    invariant under exchanging its two rulings."""
+    triple = (gamma, alpha, delta)
+    check_forms(triple, (2, 2, 2), "the form triple")
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        f_i, f_j = triple[i], triple[j]
+        if f_i.num[j] * f_j.den != f_j.num[i] * f_i.den:
+            raise NormalizationViolated("triple is not symmetric under exchanging the rulings")
 
 
-def exchange_constraint(params: FamilyParams) -> Fraction:
-    """The obstruction 2*alpha0*gamma2 - alpha1*alpha2 + 2*alpha2*gamma0.
+def exchange_constraint(gamma: HomPoly, alpha: HomPoly, delta: HomPoly) -> Fraction:
+    """The obstruction 2*alpha0*gamma2 - alpha1*alpha2 + 2*alpha2*gamma0 of
+    a triple that passes ``check_triple``.
 
     It vanishes for triples arising from depressed quartic curves (no
     cubic term); exposed so callers can locate the constrained locus.
     """
-    return (
-        2 * params.alpha0 * params.gamma2
-        - params.alpha1 * params.alpha2
-        + 2 * params.alpha2 * params.gamma0
+    check_triple(gamma, alpha, delta)
+    g, a = gamma.num, alpha.num
+    return Fraction(
+        2 * (a[2] * g[0] + a[0] * g[2]) * alpha.den - a[1] * a[0] * gamma.den,
+        alpha.den * alpha.den * gamma.den,
     )
 
 
 def surface_symmetry(
-    params: FamilyParams,
+    triple: tuple[HomPoly, HomPoly, HomPoly],
+    c0: RationalLike,
+    c_inf: RationalLike,
     case: str,
     lam: RationalLike = 1,
     mu: RationalLike = 1,
-) -> FamilyParams:
-    """One of the four parameter moves inducing isomorphic surfaces.
+) -> tuple[tuple[HomPoly, HomPoly, HomPoly], Fraction, Fraction]:
+    """One of the four moves of (triple, c0, c_inf) inducing isomorphic
+    surfaces, returned as (moved triple, c0, c_inf); ``triple`` must pass
+    ``check_triple``, (c0, c_inf) locate the two line components of the
+    branch locus, and (x, y) is the forms' pair:
 
-    - "a": overall scaling of the six coefficients by lam;
-    - "b": weighted rescaling by mu, moving (c0, c_inf) to (mu*c0, c_inf/mu);
-    - "c": exchange of the two rulings, inverting c0 and c_inf;
+    - "a": every form times lam;
+    - "b": each form at (x, mu*y), times 1, mu and mu^2, moving (c0, c_inf)
+      to (mu*c0, c_inf/mu);
+    - "c": exchange of the two rulings, (delta, alpha, gamma) with x and y
+      swapped, inverting c0 and c_inf;
     - "d": absorption of the two line components, negating (c0, c_inf).
+
+    Any other case raises ``UnknownKind``.
     """
-    p = params
+    check_triple(*triple)
+    c0, ci = rat(c0), rat(c_inf)
+    pair = triple[0].vars
     if case == "a":
         scale = rat(lam)
         if scale == 0:
             raise ZeroScale("overall scale must be nonzero")
-        return FamilyParams(
-            scale * p.delta0,
-            scale * p.alpha0,
-            scale * p.gamma0,
-            scale * p.alpha1,
-            scale * p.alpha2,
-            scale * p.gamma2,
-            p.c0,
-            p.c_inf,
-        )
+        return tuple(scale * f for f in triple), c0, ci
     if case == "b":
         m = rat(mu)
         if m == 0:
             raise ZeroScale("weighted scale must be nonzero")
-        return FamilyParams(
-            m**4 * p.delta0,
-            m**3 * p.alpha0,
-            m**2 * p.gamma0,
-            m**2 * p.alpha1,
-            m * p.alpha2,
-            p.gamma2,
-            m * p.c0,
-            p.c_inf / m,
-        )
+        x, y = HomPoly.of(pair, (1, 0)), HomPoly.of(pair, (0, m))
+        return tuple(m**k * f.substitute(x, y) for k, f in enumerate(triple)), m * c0, ci / m
     if case == "c":
-        if p.c0 == 0 or p.c_inf == 0:
+        if c0 == 0 or ci == 0:
             raise ZeroScale("cannot invert a zero line parameter")
-        return FamilyParams(
-            p.gamma2, p.alpha2, p.gamma0, p.alpha1, p.alpha0, p.delta0,
-            1 / p.c0, 1 / p.c_inf,
-        )
+        return tuple(f.swap().rename(pair) for f in triple[::-1]), 1 / c0, 1 / ci
     if case == "d":
         # the move (x, y) -> (x + c0 y, c_inf x + y) on both rulings: on
         # (S, T) it recombines the triple, on (U, V) it substitutes into
         # each form
-        c0, ci = p.c0, p.c_inf
-        gamma, alpha, delta = p.triple()
+        gamma, alpha, delta = triple
         moved = (
             gamma + ci * alpha + ci * ci * delta,
             2 * c0 * gamma + (1 + c0 * ci) * alpha + 2 * ci * delta,
             c0 * c0 * gamma + c0 * alpha + delta,
         )
-        u, v = HomPoly.of(_X_PAIR, (1, c0)), HomPoly.of(_X_PAIR, (ci, 1))
-        return FamilyParams.from_triple(*(f.substitute(u, v) for f in moved), -c0, -ci)
-    raise ValueError(f"unknown symmetry case {case!r}")
+        u, v = HomPoly.of(pair, (1, c0)), HomPoly.of(pair, (ci, 1))
+        return tuple(f.substitute(u, v) for f in moved), -c0, -ci
+    raise UnknownKind(f"unknown symmetry case {case!r}; expected one of ('a', 'b', 'c', 'd')")
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +470,14 @@ class QuarticSurfaceData:
 
     The branch locus is the product of two (1,0)-lines in the first
     ruling, the two coordinate sections of the second ruling, and the
-    symmetric (2,2) curve.  ``params`` holds the coupling triple of the
-    curve at Jacobian coordinate xi together with the line parameters;
-    the curve and xi themselves are not kept.  The associated models
-    are ``duality.correspondence_surfaces`` of the coupling triple.
+    symmetric (2,2) curve ``correspondence``, the coupling of the curve
+    at Jacobian coordinate xi; the curve and xi themselves are not kept.
+    Its triple is ``correspondence.pair2_coefficient(j)`` for j = 0, 1, 2,
+    and the line parameters are read off ``line_factors``.  The
+    associated models are ``duality.correspondence_surfaces`` of the
+    triple.
     """
 
-    params: FamilyParams
     correspondence: BiHomPoly
     line_factors: tuple[HomPoly, HomPoly]
     ruling_factors: tuple[HomPoly, HomPoly]
@@ -559,7 +505,6 @@ def double_quadric_from_quartic(
     if not is_separable(curve.form):
         raise SingularCurve("the quartic curve is singular")
     phi = correspondence_22(curve, xi)
-    params = FamilyParams.from_triple(*(phi.pair2_coefficient(j) for j in range(3)), c0v, civ)
     line0 = HomPoly.of(_X0_PAIR, (1, -c0v))
     line_inf = HomPoly.of(_X0_PAIR, (-civ, 1))
     u_factor = HomPoly.var_power(_X_PAIR, 0, 1)
@@ -569,7 +514,6 @@ def double_quadric_from_quartic(
     quadric = BiHomPoly(_X0_PAIR, _X_PAIR, phi.num, phi.den)
     branch = tensor_forms(line0 * line_inf, u_factor * v_factor) * quadric
     return QuarticSurfaceData(
-        params,
         phi,
         (line0, line_inf),
         (u_factor, v_factor),

@@ -959,6 +959,42 @@ THOUSAND_DIGITS = "1" + "0" * 999
             "fail",
             None,
         ),
+        # the triple of a coupling at a 1 000-digit xi, with lines at
+        # 1/10^999 and -10^999
+        (
+            "kind hermite-identity\nfamily quartic-double-cover\n"
+            f"rat a0 = 1\nrat a1 = 2\nrat a2 = 0\nrat xi = {THOUSAND_DIGITS}\n"
+            f"rat c0 = 1/{THOUSAND_DIGITS}\nrat c_inf = -{THOUSAND_DIGITS}\nexpect pass\n",
+            0,
+            "pass",
+            None,
+        ),
+        (
+            f"kind lattice-identity\nlattice first = H\nexpect signature {THOUSAND_DIGITS},1\n",
+            1,
+            "fail",
+            None,
+        ),
+        (
+            f"kind lattice-identity\nlattice first = H\nexpect length {THOUSAND_DIGITS}\n",
+            1,
+            "fail",
+            None,
+        ),
+        (
+            "kind fiber-config\nfamily rational-base\n"
+            f"expect fibers 12*I1\nexpect euler {THOUSAND_DIGITS}\n",
+            1,
+            "fail",
+            None,
+        ),
+        (
+            f"kind fiber-config\nfamily star-chain\nrat level = {THOUSAND_DIGITS}\n"
+            "expect fibers 1*I1* + 2*I0* + 5*I1\n",
+            2,
+            None,
+            "star-chain level must be 7, 8 or 9 (line 1, col 1)",
+        ),
     ],
     ids=[
         "lattice-refused",
@@ -968,6 +1004,11 @@ THOUSAND_DIGITS = "1" + "0" * 999
         "alternate-pair",
         "alternate-pair-refused",
         "expect-det",
+        "quartic-double-cover-xi",
+        "expect-signature",
+        "expect-length",
+        "expect-euler",
+        "star-chain-refused",
     ],
 )
 def test_main_reports_a_scenario_of_1000_digit_entries(tmp_path, body, code, status, error):

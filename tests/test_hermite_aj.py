@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corpus import affine, bihom
+from ellsurf import duality
 from ellsurf.duality import correspondence_surfaces
 from ellsurf.exactpoly import (
     BiHomPoly,
@@ -28,15 +29,16 @@ from ellsurf.exactpoly import (
 )
 from ellsurf.hermite_aj import (
     BasePointRamified,
-    FamilyParams,
     NormalizationViolated,
     NotOnCurve,
     QuarticCurve,
     ShortCubic,
     SingularCurve,
     UnitViolation,
+    UnknownKind,
     ZeroScale,
     abel_jacobi,
+    check_triple,
     correspondence_22,
     correspondence_polys,
     discr_relation_check,
@@ -541,6 +543,15 @@ def test_j_invariant_gates():
         ShortCubic(Fraction(0), Fraction(0)).j_invariant()
 
 
+def triple_of(delta0, alpha0, gamma0, alpha1, alpha2, gamma2):
+    """The symmetric triple (gamma, alpha, delta) on (U, V) of six scalars."""
+    return (
+        HomPoly.of(UV, (gamma2, alpha2, gamma0)),
+        HomPoly.of(UV, (alpha2, alpha1, alpha0)),
+        HomPoly.of(UV, (gamma0, alpha0, delta0)),
+    )
+
+
 def test_exchange_constraint_tracks_cubic_term():
     rng = random.Random(112)
     done = 0
@@ -550,92 +561,189 @@ def test_exchange_constraint_tracks_cubic_term():
             continue
         xi = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         phi = correspondence_22(h, xi)
-        params = FamilyParams.from_triple(*(phi.pair2_coefficient(j) for j in range(3)), 0, 0)
+        triple = tuple(phi.pair2_coefficient(j) for j in range(3))
         cub = jacobian_quartic(h)
-        assert exchange_constraint(params) == -8 * h.coeffs[3] * cub.rhs(xi)
+        assert exchange_constraint(*triple) == -8 * h.coeffs[3] * cub.rhs(xi)
         if h.coeffs[3] == 0:
-            assert exchange_constraint(params) == 0
+            assert exchange_constraint(*triple) == 0
         done += 1
 
 
-def test_triple_roundtrip_and_normalization_gate():
-    params = FamilyParams.of(3, -2, 5, 7, -1, 4, 2, 3)
-    gamma, alpha, delta = params.triple()
-    assert FamilyParams.from_triple(gamma, alpha, delta, 2, 3) == params
+def test_exchange_constraint_reads_the_six_scalars():
+    rng = random.Random(117)
+    for _ in range(40):
+        six = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(6)]
+        _delta0, alpha0, gamma0, alpha1, alpha2, gamma2 = six
+        want = 2 * alpha0 * gamma2 - alpha1 * alpha2 + 2 * alpha2 * gamma0
+        assert exchange_constraint(*triple_of(*six)) == want
+
+
+def test_check_triple_gates_the_normalization():
+    gamma, alpha, delta = triple_of(3, -2, 5, 7, -1, 4)
+    check_triple(gamma, alpha, delta)
     bad = HomPoly.of(UV, (4, -1, 5 + 1))
     with pytest.raises(NormalizationViolated):
-        FamilyParams.from_triple(bad, alpha, delta, 2, 3)
+        check_triple(bad, alpha, delta)
+    with pytest.raises(DegreeMismatch):
+        check_triple(gamma, alpha, delta.rename(("S", "T")))
+    with pytest.raises(DegreeMismatch):
+        check_triple(gamma, alpha * HomPoly.of(UV, (1, 1)), delta)
+
+
+def symmetric_by_definition(triple) -> bool:
+    """Row i holds the coefficients of the i-th form; is the matrix symmetric?"""
+    rows = [f.coeffs for f in triple]
+    return all(rows[i][j] == rows[j][i] for i in range(3) for j in range(3))
+
+
+def test_check_triple_is_the_symmetric_matrix_definition():
+    rng = random.Random(118)
+    unequal = symmetric = 0
+    for trial in range(400):
+        rows = [
+            [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))) for _ in range(3)]
+            for _ in range(3)
+        ]
+        if trial % 2 == 0:
+            for i in range(3):
+                for j in range(i):
+                    rows[i][j] = rows[j][i]
+        triple = tuple(HomPoly.of(UV, row) for row in rows)
+        unequal += len({f.den for f in triple}) > 1
+        if symmetric_by_definition(triple):
+            symmetric += 1
+            check_triple(*triple)
+        else:
+            with pytest.raises(NormalizationViolated):
+                check_triple(*triple)
+    assert unequal > 200 and 150 < symmetric < 250
 
 
 # ---------------------------------------------------------------------------
-# the four parameter moves
+# the four moves
 
 
-def j_of_params(params: FamilyParams) -> Fraction:
-    gamma, alpha, delta = params.triple()
-    return j_invariant_22(phi_from_triple(gamma, alpha, delta))
+def six_scalar_move(p, case, lam, mu):
+    """The moves on the eight scalars (delta0, alpha0, gamma0, alpha1,
+    alpha2, gamma2, c0, c_inf), each written on the named coefficients: an
+    oracle for ``surface_symmetry`` on the triple of the first six."""
+    d0, a0, g0, a1, a2, g2, c0, ci = p
+    if case == "a":
+        if lam == 0:
+            raise ZeroScale("overall scale must be nonzero")
+        return (lam * d0, lam * a0, lam * g0, lam * a1, lam * a2, lam * g2, c0, ci)
+    if case == "b":
+        m = mu
+        if m == 0:
+            raise ZeroScale("weighted scale must be nonzero")
+        return (m**4 * d0, m**3 * a0, m**2 * g0, m**2 * a1, m * a2, g2, m * c0, ci / m)
+    if case == "c":
+        if c0 == 0 or ci == 0:
+            raise ZeroScale("cannot invert a zero line parameter")
+        return (g2, a2, g0, a1, a0, d0, 1 / c0, 1 / ci)
+    assert case == "d"
+    gamma, alpha, delta = triple_of(*p[:6])
+    moved = (
+        gamma + ci * alpha + ci * ci * delta,
+        2 * c0 * gamma + (1 + c0 * ci) * alpha + 2 * ci * delta,
+        c0 * c0 * gamma + c0 * alpha + delta,
+    )
+    u, v = HomPoly.of(UV, (1, c0)), HomPoly.of(UV, (ci, 1))
+    (g2, g1, g0), (a2, a1, a0), (d2, d1, d0) = (f.substitute(u, v).coeffs for f in moved)
+    assert (g1, d2, d1) == (a2, g0, a0)
+    return (d0, a0, g0, a1, a2, g2, -c0, -ci)
 
 
-def sample_params(rng) -> FamilyParams:
-    return FamilyParams.of(*(rand_frac(rng, -5, 5) for _ in range(8)))
+@pytest.mark.parametrize("case", "abcd")
+def test_moves_match_the_six_scalar_moves(case):
+    rng = random.Random(f"moves-{case}")
+    refused = 0
+    for _ in range(80):
+        p = tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))) for _ in range(8))
+        lam, mu = (rng.choice((0, 1, -2, Fraction(3, 2), Fraction(-1, 5))) for _ in range(2))
+        try:
+            want = six_scalar_move(p, case, lam, mu)
+        except ZeroScale:
+            refused += 1
+            with pytest.raises(ZeroScale) as raised:
+                surface_symmetry(triple_of(*p[:6]), p[6], p[7], case, lam=lam, mu=mu)
+            assert type(raised.value) is ZeroScale
+            continue
+        got = surface_symmetry(triple_of(*p[:6]), p[6], p[7], case, lam=lam, mu=mu)
+        assert got == (triple_of(*want[:6]), *want[6:])
+    assert (refused > 0) == (case != "d")
+
+
+def sample_moves(rng):
+    """(triple, c0, c_inf) from eight small integers."""
+    p = [rand_frac(rng, -5, 5) for _ in range(8)]
+    return triple_of(*p[:6]), p[6], p[7]
+
+
+def j_of_triple(triple) -> Fraction:
+    return j_invariant_22(phi_from_triple(*triple))
 
 
 def test_moves_fix_points():
-    p = FamilyParams.of(3, -2, 5, 7, -1, 4, 2, 3)
-    assert surface_symmetry(p, "a", lam=1) == p
-    assert surface_symmetry(p, "b", mu=1) == p
-    p0 = FamilyParams.of(3, -2, 5, 7, -1, 4, 0, 0)
-    assert surface_symmetry(p0, "d") == p0
+    t = triple_of(3, -2, 5, 7, -1, 4)
+    assert surface_symmetry(t, 2, 3, "a", lam=1) == (t, 2, 3)
+    assert surface_symmetry(t, 2, 3, "b", mu=1) == (t, 2, 3)
+    assert surface_symmetry(t, 0, 0, "d") == (t, 0, 0)
 
 
 def test_moves_involutions():
     rng = random.Random(113)
     for _ in range(20):
-        p = sample_params(rng)
-        if p.c0 != 0 and p.c_inf != 0:
-            assert surface_symmetry(surface_symmetry(p, "c"), "c") == p
-        if p.c0 * p.c_inf == 1:
+        t, c0, ci = sample_moves(rng)
+        if c0 != 0 and ci != 0:
+            assert surface_symmetry(*surface_symmetry(t, c0, ci, "c"), "c") == (t, c0, ci)
+        if c0 * ci == 1:
             continue
         # absorbing the line components twice rescales by the unit factor
-        twice = surface_symmetry(surface_symmetry(p, "d"), "d")
-        scale = (1 - p.c0 * p.c_inf) ** 4
-        assert twice == surface_symmetry(p, "a", lam=scale)
+        twice = surface_symmetry(*surface_symmetry(t, c0, ci, "d"), "d")
+        scale = (1 - c0 * ci) ** 4
+        assert twice == surface_symmetry(t, c0, ci, "a", lam=scale)
 
 
-def phi_at(p: FamilyParams, u, v, s, t) -> Fraction:
-    """gamma(u,v) s^2 + alpha(u,v) s t + delta(u,v) t^2, read from the six
-    coefficients."""
-    gamma = p.gamma2 * u * u + p.alpha2 * u * v + p.gamma0 * v * v
-    alpha = p.alpha2 * u * u + p.alpha1 * u * v + p.alpha0 * v * v
-    delta = p.gamma0 * u * u + p.alpha0 * u * v + p.delta0 * v * v
-    return gamma * s * s + alpha * s * t + delta * t * t
+def phi_at(triple, u, v, s, t) -> Fraction:
+    """gamma(u,v) s^2 + alpha(u,v) s t + delta(u,v) t^2."""
+    gamma, alpha, delta = triple
+    return gamma(u, v) * s * s + alpha(u, v) * s * t + delta(u, v) * t * t
 
 
-def test_absorbing_the_lines_moves_both_rulings_pointwise():
-    # case "d" is (U, V) -> (U + c0 V, c_inf U + V) on both rulings
+def test_moves_b_c_d_move_both_rulings_pointwise():
+    # case "b" is (U, V) -> (U, mu V) on both rulings, "c" exchanges the
+    # rulings and each pair's coordinates, and "d" is
+    # (U, V) -> (U + c0 V, c_inf U + V) on both rulings
     rng = random.Random(116)
     for _ in range(30):
-        p = sample_params(rng)
-        c0, ci = p.c0, p.c_inf
-        moved = surface_symmetry(p, "d")
-        assert (moved.c0, moved.c_inf) == (-c0, -ci)
+        t, c0, ci = sample_moves(rng)
+        m = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+        b, mc0, mci = surface_symmetry(t, c0, ci, "b", mu=m)
+        assert (mc0, mci) == (m * c0, ci / m)
+        d, dc0, dci = surface_symmetry(t, c0, ci, "d")
+        assert (dc0, dci) == (-c0, -ci)
         for _ in range(3):
-            u, v, s, t = (rand_frac(rng) for _ in range(4))
-            assert phi_at(moved, u, v, s, t) == phi_at(
-                p, u + c0 * v, ci * u + v, s + c0 * t, ci * s + t
+            u, v, s, w = (rand_frac(rng) for _ in range(4))
+            assert phi_at(b, u, v, s, w) == phi_at(t, u, m * v, s, m * w)
+            assert phi_at(d, u, v, s, w) == phi_at(
+                t, u + c0 * v, ci * u + v, s + c0 * w, ci * s + w
             )
+            if c0 != 0 and ci != 0:
+                c = surface_symmetry(t, c0, ci, "c")[0]
+                assert phi_at(c, u, v, s, w) == phi_at(t, v, u, w, s)
 
 
 def test_moves_scaling_group_laws():
     rng = random.Random(114)
     for _ in range(10):
-        p = sample_params(rng)
+        t, c0, ci = sample_moves(rng)
         lam, m = Fraction(3, 2), Fraction(2)
-        via_ab = surface_symmetry(surface_symmetry(p, "a", lam=lam), "b", mu=m)
-        via_ba = surface_symmetry(surface_symmetry(p, "b", mu=m), "a", lam=lam)
+        via_ab = surface_symmetry(*surface_symmetry(t, c0, ci, "a", lam=lam), "b", mu=m)
+        via_ba = surface_symmetry(*surface_symmetry(t, c0, ci, "b", mu=m), "a", lam=lam)
         assert via_ab == via_ba
-        twice = surface_symmetry(surface_symmetry(p, "b", mu=m), "b", mu=m)
-        assert twice == surface_symmetry(p, "b", mu=m * m)
+        twice = surface_symmetry(*surface_symmetry(t, c0, ci, "b", mu=m), "b", mu=m)
+        assert twice == surface_symmetry(t, c0, ci, "b", mu=m * m)
 
 
 def test_moves_preserve_fiber_class():
@@ -643,32 +751,36 @@ def test_moves_preserve_fiber_class():
     rng = random.Random(115)
     done = 0
     while done < 12:
-        p = sample_params(rng)
-        if p.c0 * p.c_inf == 1:
+        t, c0, ci = sample_moves(rng)
+        if c0 * ci == 1:
             continue
         try:
-            j = j_of_params(p)
-            jd = j_of_params(surface_symmetry(p, "d"))
+            j = j_of_triple(t)
+            jd = j_of_triple(surface_symmetry(t, c0, ci, "d")[0])
         except (SingularCurve, ZeroDivisionError):
             continue
-        assert j_of_params(surface_symmetry(p, "a", lam=Fraction(5, 3))) == j
-        assert j_of_params(surface_symmetry(p, "b", mu=Fraction(7, 2))) == j
+        assert j_of_triple(surface_symmetry(t, c0, ci, "a", lam=Fraction(5, 3))[0]) == j
+        assert j_of_triple(surface_symmetry(t, c0, ci, "b", mu=Fraction(7, 2))[0]) == j
         assert jd == j
-        if p.c0 != 0 and p.c_inf != 0:
-            assert j_of_params(surface_symmetry(p, "c")) == j
+        if c0 != 0 and ci != 0:
+            assert j_of_triple(surface_symmetry(t, c0, ci, "c")[0]) == j
         done += 1
 
 
 def test_moves_error_gates():
-    p = FamilyParams.of(3, -2, 5, 7, -1, 4, 2, 3)
+    t = triple_of(3, -2, 5, 7, -1, 4)
     with pytest.raises(ZeroScale):
-        surface_symmetry(p, "a", lam=0)
+        surface_symmetry(t, 2, 3, "a", lam=0)
     with pytest.raises(ZeroScale):
-        surface_symmetry(p, "b", mu=0)
+        surface_symmetry(t, 2, 3, "b", mu=0)
     with pytest.raises(ZeroScale):
-        surface_symmetry(FamilyParams.of(3, -2, 5, 7, -1, 4, 0, 1), "c")
-    with pytest.raises(ValueError):
-        surface_symmetry(p, "e")
+        surface_symmetry(t, 0, 1, "c")
+    with pytest.raises(UnknownKind, match="unknown symmetry case 'e'"):
+        surface_symmetry(t, 2, 3, "e")
+    with pytest.raises(NormalizationViolated):
+        surface_symmetry((HomPoly.of(UV, (4, -1, 6)), *t[1:]), 2, 3, "a")
+    # duality's builders raise the same class
+    assert duality.UnknownKind is UnknownKind
 
 
 # ---------------------------------------------------------------------------
@@ -694,10 +806,10 @@ def test_double_quadric_structure():
     u, v = data.ruling_factors
     assert data.branch == tensor_forms(line0 * line_inf, u * v) * data.quadric
     assert (data.branch.deg1, data.branch.deg2) == (4, 4)
-    assert data.params.c0 == Fraction(1, 2)
-    assert data.params.c_inf == 3
+    assert line0 == HomPoly.of(first, (1, Fraction(-1, 2)))
+    assert line_inf == HomPoly.of(first, (-3, 1))
     # the depressed curve satisfies the exchange constraint
-    assert exchange_constraint(data.params) == 0
+    assert exchange_constraint(gamma, alpha, delta) == 0
     surfaces = correspondence_surfaces(gamma, alpha, delta)
     for key in ("cover1", "quot1", "rat1", "cover2", "quot2", "rat2"):
         assert key in surfaces

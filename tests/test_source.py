@@ -26,7 +26,8 @@ zero ``a6`` form, and ``refibration_jacobian`` reads the quadruple cover
 it is given without building one.  Each construction takes its inputs
 one way: the quadric double cover, its ruling swap and its deformation
 begin with (trace, left, right), the correspondence builders take
-(gamma, alpha, delta) after their kind, and no dataclass of ``duality``
+(gamma, alpha, delta) after their kind, as do the triple's check and
+exchange constraint of ``hermite_aj``, and no dataclass of ``duality``
 or ``hermite_aj`` declares a field with a default.  A construction
 returns plain values unless its record earns a class: every package
 dataclass checks its fields, has a method or property, declares four or
@@ -61,7 +62,7 @@ import pytest
 import ellsurf
 from ellsurf import duality as du
 from ellsurf.exactpoly import DegreeMismatch, HomPoly
-from ellsurf.hermite_aj import FamilyParams, hermite_pair_forms
+from ellsurf.hermite_aj import check_triple, hermite_pair_forms
 
 
 def _unbounded_loops(tree: ast.AST) -> list[int]:
@@ -991,9 +992,8 @@ _OFF_THE_CONTRACT = {
     "hermite_pair_forms-pair": (
         lambda: hermite_pair_forms(LINE, LINE, LINE, LINE, LINE.rename(UV)), "one variable pair"
     ),
-    "FamilyParams.from_triple-pair": (
-        lambda: FamilyParams.from_triple(QUADRIC, QUADRIC, QUADRIC.rename(UV), 0, 0),
-        "one variable pair",
+    "check_triple-pair": (
+        lambda: check_triple(QUADRIC, QUADRIC, QUADRIC.rename(UV)), "one variable pair"
     ),
     "HomPoly.substitute-pair": (lambda: QUADRIC.substitute(LINE, LINE.rename(UV)), "one variable pair"),
     "HomPoly.substitute-degree": (lambda: QUADRIC.substitute(LINE, QUADRIC), "needs degrees"),
@@ -1038,8 +1038,9 @@ def test_only_the_checks_that_read_a_whole_table_build_it():
 
 # the one input convention of each quadric construction family: the
 # double cover, its ruling swap and its deformation begin with the trace
-# and the split norm's factors, the correspondence builders read the
-# curve's triple in the order of FamilyParams.triple, after their kind
+# and the split norm's factors, and the correspondence builders, the
+# triple's check and its exchange constraint read the curve's triple
+# (gamma, alpha, delta), after their kind if they take one
 _QUADRIC_FORMS = ("trace", "left", "right")
 _CURVE_TRIPLE = ("gamma", "alpha", "delta")
 _INPUT_CONVENTIONS = {
@@ -1052,6 +1053,8 @@ _INPUT_CONVENTIONS = {
     "correspondence_branches": _CURVE_TRIPLE,
     "correspondence_models": ("kind", *_CURVE_TRIPLE),
     "_correspondence_pairs": ("kind", *_CURVE_TRIPLE),
+    "check_triple": _CURVE_TRIPLE,
+    "exchange_constraint": _CURVE_TRIPLE,
 }
 
 
@@ -1087,7 +1090,8 @@ def test_the_check_sees_the_leading_positional_parameters_only():
 
 
 def test_each_quadric_construction_family_takes_its_inputs_one_way():
-    assert _convention_breaks(_module_tree("duality"), _INPUT_CONVENTIONS) == []
+    body = [node for module in ("duality", "hermite_aj") for node in _module_tree(module).body]
+    assert _convention_breaks(ast.Module(body, []), _INPUT_CONVENTIONS) == []
 
 
 # the eliminations behind the lattice invariants, which the GramLattice
