@@ -185,17 +185,16 @@ def _sample_full_torsion_forms(rng: random.Random):
     return _draw(make)
 
 
-def _draw_quadruple(rows: Callable) -> du.QuadrupleCoverSurface:
-    """Draw the double cover of a generic quadruple of bilinear curves,
-    whose two torsion factors are coprime and squarefree."""
+def _draw_quadruple(rows: Callable) -> tuple[HomPoly, HomPoly]:
+    """Draw the torsion pair (b, c) of the double cover of a generic
+    quadruple of bilinear curves, coprime and squarefree."""
 
     def make():
         try:
-            surface = du.bilinear_quadruple_surface(du.BilinearQuadruple.of(rows()))
+            b, c = du.bilinear_quadruple_surface(rows())
         except du.GenericityViolated:
             return None
-        b, c = surface.torsion_factors
-        return surface if is_separable(b * c * (b - c)) else None
+        return (b, c) if is_separable(b * c * (b - c)) else None
 
     return _draw(make)
 
@@ -370,10 +369,10 @@ def _alternate_pair(sc, rng):
 
 @_family("quadruple-cover", "fiber-config", extra={"torsion_sections": 3})
 def _quadruple_cover(sc, rng):
-    surface = _draw_quadruple(lambda: tuple(_ints(rng, 4, -5, 5) for _ in range(4)))
-    witness = _fibers(sc, [("quadruple cover", surface.model)])
-    sections = two_torsion_sections(surface.model)
-    b, c = surface.torsion_factors
+    b, c = _draw_quadruple(lambda: tuple(_ints(rng, 4, -5, 5) for _ in range(4)))
+    model = du.AlternatePair(b + c, b * c).model()
+    witness = _fibers(sc, [("quadruple cover", model)])
+    sections = two_torsion_sections(model)
     if len(sections) != 3 or not {b, c} <= set(sections):
         raise _CheckFailure("two-torsion does not split into both branch factors")
     return witness
@@ -449,7 +448,7 @@ def _full_torsion_alt(sc, rng):
 @_family("refibered-pencil", "fiber-config")
 def _refibered_pencil(sc, rng):
     def make():
-        return du.refibration_jacobian(_draw_quadruple(lambda: _refiber_rows(rng)))
+        return du.refibration_jacobian(*_draw_quadruple(lambda: _refiber_rows(rng)))
 
     rj = _draw(make, lambda rj: _at_chain_level(rj.model, rj.params.mu, rj.params.nu, 6))
     return _fibers(sc, [("refibered pencil", rj.model)])
@@ -525,15 +524,15 @@ def _pointwise_map(sc, rng):
         return QuarticCurve.of(a0, a1, a2, a3, a4), (x0, -w0), (px, pw)
 
     h, base, point = _draw(two_point_curve)
-    if not abel_jacobi(h, base, base).is_infinity:
+    if abel_jacobi(h, base, base) is not None:
         raise _CheckFailure("the base point did not map to the origin")
     img = abel_jacobi(h, base, point)
 
     def witness():
-        image = "infinity" if img.is_infinity else [str(img.xi), str(img.eta)]
+        image = "infinity" if img is None else [str(t) for t in img]
         return _quartic(h) | {"image": image}
 
-    if not img.is_infinity and not jacobian_quartic(h).contains(img.xi, img.eta):
+    if img is not None and not jacobian_quartic(h).contains(*img):
         raise _CheckFailure("image is off the reduced cubic", witness())
     return witness
 
@@ -552,15 +551,15 @@ def _pointwise_anchor(sc, rng):
     base = (sc.rats["base_x"], sc.rats["base_w"])
     point = (sc.rats["point_x"], sc.rats["point_w"])
     expected = (sc.rats["image_xi"], sc.rats["image_eta"])
-    if not abel_jacobi(h, base, base).is_infinity:
+    if abel_jacobi(h, base, base) is not None:
         raise _CheckFailure("the base point did not map to the origin")
     img = abel_jacobi(h, base, point)
-    if img.is_infinity or (img.xi, img.eta) != expected:
-        got = "infinity" if img.is_infinity else f"({img.xi}, {img.eta})"
+    if img != expected:
+        got = "infinity" if img is None else f"({img[0]}, {img[1]})"
         raise _CheckFailure(f"image {got} instead of ({expected[0]}, {expected[1]})")
-    if not jacobian_quartic(h).contains(img.xi, img.eta):
+    if not jacobian_quartic(h).contains(*img):
         raise _CheckFailure("image is off the reduced cubic")
-    return {"image": [str(img.xi), str(img.eta)]}
+    return {"image": [str(t) for t in img]}
 
 
 @_family("fiberwise-j", "hermite-identity")
@@ -697,14 +696,13 @@ def _normalize_roundtrip(sc, rng):
 
 @_family("refibration-match", "construction-roundtrip")
 def _refibration_match(sc, rng):
-    surface = _draw_quadruple(lambda: _refiber_rows(rng))
-    b, c = surface.torsion_factors
-    rj = du.refibration_jacobian(surface)
+    b, c = _draw_quadruple(lambda: _refiber_rows(rng))
+    rj = du.refibration_jacobian(b, c)
     if (rj.f, rj.g) != du.full_torsion_jacobian(b + c, b - c):
         raise _CheckFailure("refibration pair differs from the torsion-tower pair")
     if (rj.params.mu, rj.params.nu) != (0, 1):
         raise _CheckFailure("default chart is not (0, 1)")
-    other = du.refibration_jacobian(surface, 2, 5)
+    other = du.refibration_jacobian(b, c, 2, 5)
     if (other.f, other.g) != (rj.f, rj.g):
         raise _CheckFailure("the reduced pair depends on the chart")
 

@@ -32,10 +32,11 @@ data from exact rational input:
   whose model is ``alt``, and ``full_torsion_jacobian`` the pair ``f``,
   ``g``.  A kind or reading name a builder does not know raises
   ``UnknownKind``;
-* double covers branched over four bilinear curves on the quadric
-  (``bilinear_quadruple_surface``) and the relative Jacobian of their
-  second, genus-one fibration, read off a cover already built
-  (``refibration_jacobian``); it lands in the
+* double covers branched over four bilinear curves on the quadric, held
+  as their torsion pair (b, c) (``bilinear_quadruple_surface``, whose
+  model is ``AlternatePair(b + c, b * c).model()``), and the relative
+  Jacobian of their second, genus-one fibration, read off that pair
+  (``refibration_jacobian(b, c)``); it lands in the
   three-concurrent-lines-plus-cubic double planes
   (``three_lines_cubic_model``, ``normalize_three_i0star``), whose
   pinned-star data (sq, lin, cst) are pencil forms of degrees 1, 2, 3,
@@ -84,13 +85,11 @@ from .hermite_aj import UnitViolation, UnknownKind, check_triple, hermite_pair_f
 
 __all__ = [
     "AlternatePair",
-    "BilinearQuadruple",
     "DegenerateInput",
     "GenericityViolated",
     "NoRationalCubicRoot",
     "NonSquareDiscriminant",
     "ParameterConstraintViolated",
-    "QuadrupleCoverSurface",
     "RESData",
     "RefibrationJacobian",
     "SingularBranchFiber",
@@ -608,12 +607,16 @@ def _torsion_lines(low: HomPoly, high: HomPoly) -> tuple[HomPoly, ...]:
     return tuple(lines.pair2_coefficient(i) for i in range(low.degree + 1))
 
 
+def _alternate_pair(low: HomPoly, high: HomPoly) -> AlternatePair:
+    """The pair with two-torsion points at x = low and x = -high."""
+    return AlternatePair(low - high, -(low * high))
+
+
 def full_torsion_pair(trace: HomPoly, difference: HomPoly) -> AlternatePair:
     """The two-torsion pair whose model ``full_torsion_surfaces`` lists as
     ``"alt"``: trace and (trace^2 - difference^2) / 4 on the first covering
     pair.  Same inputs and errors as the table."""
-    low, high = _torsion_points(trace, difference)
-    return AlternatePair(low - high, -(low * high))
+    return _alternate_pair(*_torsion_points(trace, difference))
 
 
 def full_torsion_jacobian(trace: HomPoly, difference: HomPoly) -> tuple[HomPoly, HomPoly]:
@@ -649,7 +652,7 @@ def full_torsion_surfaces(trace: HomPoly, difference: HomPoly) -> dict[str, obje
     low, high = _torsion_points(trace, difference)
     coeffs = _torsion_lines(low, high)
     f, g = hermite_pair_forms(*coeffs)
-    alt_pair = full_torsion_pair(trace, difference)
+    alt_pair = _alternate_pair(low, high)
     table: dict[str, object] = {
         "a": coeffs,
         "f": f,
@@ -685,75 +688,43 @@ def full_torsion_surfaces(trace: HomPoly, difference: HomPoly) -> dict[str, obje
 # four bilinear curves on the quadric
 
 
-@dataclass(frozen=True)
-class BilinearQuadruple:
-    """Four bidegree-(1,1) curves on the quadric, one coefficient row each.
+def _pair_form(rows, i: int, j: int) -> HomPoly:
+    """Eliminant A_i B_j - B_i A_j of curves i and j, where curve k reads
+    U A_k(s, t) + B_k(s, t) with A_k = r1 s + r2 t and B_k = r3 s + r4 t:
+    a degree-two form on the first ruling whose zeros sit under the
+    intersection points of the two curves."""
+    (a_i, b_i), (a_j, b_j) = (
+        (HomPoly.of(_FIRST_COVER, row[:2]), HomPoly.of(_FIRST_COVER, row[2:]))
+        for row in (rows[i], rows[j])
+    )
+    return a_i * b_j - b_i * a_j
+
+
+def bilinear_quadruple_surface(rows) -> tuple[HomPoly, HomPoly]:
+    """The torsion pair (b, c) = (P01 P23, P02 P13) of the double cover
+    branched over four bilinear curves, products of pair eliminants.
 
     Row k holds (r1, r2, r3, r4) for the curve r1 s U + r2 U + r3 s + r4 = 0
-    in affine coordinates (s, U) of the two rulings.
+    in affine coordinates (s, U) of the two rulings; a rows shape other
+    than 4 x 4 raises ``DegreeMismatch``.  Genericity requirements, each
+    reported separately: every curve must be irreducible (nonvanishing
+    2x2 determinant), every pair must meet in two distinct points
+    (nonzero eliminant with nonzero discriminant), and no three curves
+    may share a point (nonzero resultant of eliminants).  The generic
+    configuration has twelve I2 fibers and full two-torsion: the model
+    is y^2 z = x(x - b z)(x - c z), ``AlternatePair(b + c, b * c).model()``.
     """
-
-    rows: tuple[
-        tuple[Fraction, Fraction, Fraction, Fraction],
-        tuple[Fraction, Fraction, Fraction, Fraction],
-        tuple[Fraction, Fraction, Fraction, Fraction],
-        tuple[Fraction, Fraction, Fraction, Fraction],
-    ]
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != 4 or any(len(row) != 4 for row in self.rows):
-            raise DegreeMismatch("need a 4 x 4 coefficient matrix")
-
-    @staticmethod
-    def of(rows) -> BilinearQuadruple:
-        return BilinearQuadruple(
-            tuple(tuple(rat(x) for x in row) for row in rows)
-        )
-
-    def pair_form(self, i: int, j: int) -> HomPoly:
-        """Eliminant A_i B_j - B_i A_j of curves i and j, where curve k reads
-        U A_k(s, t) + B_k(s, t) with A_k = r1 s + r2 t and B_k = r3 s + r4 t:
-        a degree-two form on the first ruling whose zeros sit under the
-        intersection points of the two curves."""
-        (a_i, b_i), (a_j, b_j) = (
-            (HomPoly.of(_FIRST_COVER, row[:2]), HomPoly.of(_FIRST_COVER, row[2:]))
-            for row in (self.rows[i], self.rows[j])
-        )
-        return a_i * b_j - b_i * a_j
-
-
-@dataclass(frozen=True)
-class QuadrupleCoverSurface:
-    """Double cover of the quadric branched over four bilinear curves.
-
-    ``torsion_factors`` holds the two degree-four forms b = P01 P23 and
-    c = P02 P13 (products of pair eliminants) giving the two-torsion model
-    x (x - b)(x - c).
-    """
-
-    torsion_factors: tuple[HomPoly, HomPoly]
-    model: WeierstrassModel
-
-
-def bilinear_quadruple_surface(quad: BilinearQuadruple) -> QuadrupleCoverSurface:
-    """Weierstrass model of the double cover branched over four bilinear curves.
-
-    Genericity requirements, each reported separately: every curve must be
-    irreducible (nonvanishing 2x2 determinant), every pair must meet in
-    two distinct points (nonzero eliminant with nonzero discriminant), and
-    no three curves may share a point (nonzero resultant of eliminants).
-    The generic configuration has twelve I2 fibers and full two-torsion:
-    the model is y^2 z = x(x - b z)(x - c z), the ``AlternatePair``
-    (b + c, b c).
-    """
-    for k, row in enumerate(quad.rows):
+    rows = tuple(tuple(rat(x) for x in row) for row in rows)
+    if len(rows) != 4 or any(len(row) != 4 for row in rows):
+        raise DegreeMismatch("need a 4 x 4 coefficient matrix")
+    for k, row in enumerate(rows):
         if row[0] * row[3] - row[1] * row[2] == 0:
             raise GenericityViolated(
                 f"curve {k} is reducible: its 2x2 coefficient determinant vanishes"
             )
     pair_forms = {}
     for i, j in itertools.combinations(range(4), 2):
-        p = quad.pair_form(i, j)
+        p = _pair_form(rows, i, j)
         if p.is_zero:
             raise GenericityViolated(f"curves {i} and {j} share a component")
         if not is_separable(p):
@@ -765,9 +736,10 @@ def bilinear_quadruple_surface(quad: BilinearQuadruple) -> QuadrupleCoverSurface
         if form_resultant(pair_forms[(i, j)], pair_forms[(i, k)]) == 0:
             raise GenericityViolated(f"curves {i}, {j} and {k} meet in a point")
 
-    b = pair_forms[(0, 1)] * pair_forms[(2, 3)]
-    c = pair_forms[(0, 2)] * pair_forms[(1, 3)]
-    return QuadrupleCoverSurface((b, c), AlternatePair(b + c, b * c).model())
+    return (
+        pair_forms[(0, 1)] * pair_forms[(2, 3)],
+        pair_forms[(0, 2)] * pair_forms[(1, 3)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -958,8 +930,7 @@ def normalize_three_i0star(
 @dataclass(frozen=True)
 class RefibrationJacobian:
     """Relative Jacobian data of the second fibration of a quadruple cover,
-    as :func:`refibration_jacobian` reads it off the cover's two torsion
-    factors.
+    as :func:`refibration_jacobian` reads it off the cover's torsion pair.
 
     ``model`` is the pinned-star model obtained by freezing the first
     fibration coordinate on the chart (mu, nu); ``params`` its line-cubic
@@ -975,28 +946,28 @@ class RefibrationJacobian:
 
 
 def refibration_jacobian(
-    surface: QuadrupleCoverSurface,
+    b: HomPoly,
+    c: HomPoly,
     mu: RationalLike = 0,
     nu: RationalLike = 1,
 ) -> RefibrationJacobian:
     """Relative Jacobian of the genus-one refibration of a quadruple cover.
 
-    ``surface`` is the cover as :func:`bilinear_quadruple_surface` built
-    it, so its genericity is already checked; only its two torsion
-    factors are read.  Freezing the base coordinate of the surface and
-    refibering along the other direction gives a genus-one pencil whose
-    relative Jacobian has additive star fibers pinned at t = -mu, -nu and
-    infinity; (mu, nu) only fix the affine chart and must differ.  The
+    ``b`` and ``c`` are the cover's torsion pair as
+    :func:`bilinear_quadruple_surface` returned it, so its genericity is
+    already checked, and no model of the cover is built.  Freezing the
+    base coordinate of the surface and refibering along the other
+    direction gives a genus-one pencil whose relative Jacobian has
+    additive star fibers pinned at t = -mu, -nu and infinity; (mu, nu)
+    only fix the affine chart and must differ.  The
     rationality conditions of the normalization (rational cubic root,
     square discriminant) do not depend on the chart.  The reconstructed
-    pair (f, g) satisfies, for the two torsion factors b and c of the
-    cover, full_torsion_surfaces(b + c, b - c)["f"] == f and likewise for
-    g.
+    pair (f, g) satisfies full_torsion_surfaces(b + c, b - c)["f"] == f
+    and likewise for g.
     """
     muv, nuv = rat(mu), rat(nu)
     if muv == nuv:
         raise ParameterConstraintViolated("chart parameters must be distinct")
-    b, c = surface.torsion_factors
     # the coefficient of x^i in the quartic is the pencil form
     # (b_i - c_i) t + (b_i mu - c_i nu) h, b_i = b.coeffs[4 - i], read here
     # over the common denominator b.den * c.den

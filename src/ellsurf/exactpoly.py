@@ -275,7 +275,7 @@ def _int_pow(num: Sequence[int], den: int, n: int) -> tuple[list[int], int]:
     content of ``num``, so a pair in lowest terms stays in lowest terms.
     """
     if n < 0:
-        raise ValueError("negative power")
+        raise DegreeTooLow("negative power")
     out = [1]
     base, k = num, n
     while k:

@@ -4,10 +4,12 @@ bidegree-(2,2) correspondence built from them.
 A curve w^2 = P(x), with P of declared degree four, has a Jacobian
 elliptic curve eta^2 = xi^3 + f*xi + g whose coefficients (f, g) are
 polynomial in the coefficients of P.  This module provides that
-reduction, the exact pointwise map from the curve to its Jacobian, the
-symmetric coupling polynomial relating two copies of the curve,
-j-invariants for both presentations, and the double-quadric branch data
-generated by a quartic curve together with two line parameters.
+reduction, the exact pointwise map from the curve to its Jacobian
+(``abel_jacobi``, whose image is the pair (xi, eta), or ``None`` for the
+point at infinity), the symmetric coupling polynomial relating two
+copies of the curve, j-invariants for both presentations, and the
+double-quadric branch data generated by a quartic curve together with
+two line parameters.
 
 The coupling polynomials in two affine coordinates x and x0 are
 bidegree-(2,2) ``BiHomPoly`` forms in the pairs (U, V) and (S, T), with
@@ -48,7 +50,6 @@ from .exactpoly import (
 )
 
 __all__ = [
-    "AJImage",
     "BasePointRamified",
     "NormalizationViolated",
     "NotOnCurve",
@@ -276,32 +277,13 @@ def discr_relation_check(h: QuarticCurve) -> tuple[Fraction, Fraction, Fraction]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AJImage:
-    """A point of the Jacobian cubic: either finite or at infinity."""
-
-    xi: Fraction | None
-    eta: Fraction | None
-
-    @staticmethod
-    def infinity() -> AJImage:
-        return AJImage(None, None)
-
-    @staticmethod
-    def at(xi: RationalLike, eta: RationalLike) -> AJImage:
-        return AJImage(rat(xi), rat(eta))
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.xi is None
-
-
 def abel_jacobi(
     h: QuarticCurve,
     base: tuple[RationalLike, RationalLike],
     pt: tuple[RationalLike, RationalLike],
-) -> AJImage:
-    """Map a point of the curve to its Jacobian cubic.
+) -> tuple[Fraction, Fraction] | None:
+    """Map a point of the curve to its Jacobian cubic: the image (xi, eta),
+    or ``None`` for the point at infinity.
 
     ``base`` is the point sent to infinity.  Its conjugate (same x,
     opposite w) has a closed-form image requiring w != 0 there; a
@@ -318,7 +300,7 @@ def abel_jacobi(
     if px == x0 and pw == -w0:
         if w0 == 0:
             raise BasePointRamified("no formula at a ramified base point")
-        return AJImage.infinity()
+        return None
     # P'(x) is dF/dU at (x, 1), and Q'(x) likewise for the form Q
     dp = form_partials(h.form)[0]
     if px == x0:
@@ -327,12 +309,12 @@ def abel_jacobi(
         dq = form_partials(q)[0]
         value_p, value_q = h.rhs(x0), q(x0, 1)  # P(x0) = w0^2 is nonzero here
         bracket = dp(x0, 1) * value_q - value_p * dq(x0, 1)
-        return AJImage.at(-value_q / value_p, bracket / (2 * w0**3))
+        return -value_q / value_p, bracket / (2 * w0**3)
     pairing = correspondence_polys(h)[0]
     dx = px - x0
     xi = 2 * (pairing(px, 1, x0, 1) - pw * w0) / dx**2
     eta = 4 * pw * w0 * (pw - w0) / dx**3 - (dp(px, 1) * w0 + dp(x0, 1) * pw) / dx**2
-    return AJImage.at(xi, eta)
+    return xi, eta
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,8 @@ def _parse_terms(
 
 
 def parse_kodaira_type(text: str) -> KodairaType:
-    """The fiber type of a label like ``I3``, ``I0*`` or ``IV*``, or ``ValueError``."""
+    """The fiber type of a label like ``I3``, ``I0*`` or ``IV*``; any other
+    label raises ``ParseError``."""
     t = text.strip()
     if t in ("II", "III", "IV", "II*", "III*", "IV*"):
         return KodairaType(t)
@@ -236,7 +237,7 @@ def parse_kodaira_type(text: str) -> KodairaType:
     index = body[1:] if body.startswith("I") else ""
     if index.isascii() and index.isdigit() and _over_digit_cap(index) is None:
         return KodairaType("I*" if star else "I", int(index))
-    raise ValueError(f"unrecognized fiber label {text!r}")
+    raise ParseError(f"unrecognized fiber label {text!r}")
 
 
 # kind -> (the expectations it takes besides ``error``, how a message names
@@ -415,7 +416,7 @@ def _parse_fiber_multiset(text: str, line: int, col: int) -> dict[str, int]:
         count, text_label = _parse_int(m.group(1), line, at, "fiber count"), m.group(2)
         try:
             label = parse_kodaira_type(text_label).label
-        except ValueError:
+        except ParseError:
             raise ParseError(f"unknown fiber label {text_label!r}", line, at) from None
         if label in counts:
             raise ParseError(f"fiber label {label} listed twice", line, at)

@@ -185,21 +185,19 @@ def full_torsion_tower_generic(f: HomPoly, g: HomPoly) -> bool:
     )
 
 
-def sample_generic_quadruple(rng: random.Random) -> du.BilinearQuadruple:
-    """Four bilinear curves passing the genericity gates, with separable
-    torsion factors (twelve distinct branch places)."""
+def sample_generic_quadruple(rng: random.Random):
+    """The rows of four bilinear curves passing the genericity gates, with
+    separable torsion factors (twelve distinct branch places)."""
     while True:
         rows = tuple(
             tuple(Fraction(rng.randint(-5, 5)) for _ in range(4)) for _ in range(4)
         )
         try:
-            quad = du.BilinearQuadruple.of(rows)
-            surface = du.bilinear_quadruple_surface(quad)
+            b, c = du.bilinear_quadruple_surface(rows)
         except du.GenericityViolated:
             continue
-        b, c = surface.torsion_factors
         if separable(b * c * (b - c)):
-            return quad
+            return rows
 
 
 def _interpolated_row(base, x1, x2, lam1, lam2):
@@ -212,9 +210,9 @@ def _interpolated_row(base, x1, x2, lam1, lam2):
     return (p1, a1 - p1 * x1, p3, b1 - p3 * x1)
 
 
-def sample_refiber_quadruple(rng: random.Random) -> du.BilinearQuadruple:
-    """Quadruple whose pairs (0,3) and (1,2) meet over rational s values,
-    so the refibration's rationality gates always pass."""
+def sample_refiber_quadruple(rng: random.Random):
+    """The rows of a quadruple whose pairs (0,3) and (1,2) meet over
+    rational s values, so the refibration's rationality gates always pass."""
     while True:
         row0 = tuple(Fraction(rng.randint(-5, 5)) for _ in range(4))
         row1 = tuple(Fraction(rng.randint(-5, 5)) for _ in range(4))
@@ -227,13 +225,12 @@ def sample_refiber_quadruple(rng: random.Random) -> du.BilinearQuadruple:
             row2 = _interpolated_row(
                 row1, Fraction(xs[2]), Fraction(xs[3]), lams[2], lams[3]
             )
-            quad = du.BilinearQuadruple.of((row0, row1, row2, row3))
-            surface = du.bilinear_quadruple_surface(quad)
+            rows = (row0, row1, row2, row3)
+            b, c = du.bilinear_quadruple_surface(rows)
         except du.GenericityViolated:
             continue
-        b, c = surface.torsion_factors
         if separable(b * c * (b - c)):
-            return quad
+            return rows
 
 
 def sample_three_lines_params(rng: random.Random, **fixed) -> du.ThreeLinesCubicParams:

@@ -210,15 +210,19 @@ def test_the_fibers_checks_compute_each_models_invariants_once(monkeypatch):
 # models built per trial by checks that read part of a duality table:
 # a correspondence-*-fibers trial builds the two models it classifies, not
 # the twelve of correspondence_surfaces; a full-torsion-alternate trial the
-# two-torsion model alone, and no short model of the Jacobian tower;
-# refibration-match no short model either; and extraction-identity one
-# ruling swap, for the cover it reads whole
+# two-torsion model alone, and no short model of the Jacobian tower; a
+# quadruple-cover trial the one model of the torsion pair it accepted;
+# refibration-match and refibered-pencil-stars, which read the torsion
+# pair, no two-torsion model and no short model; and extraction-identity
+# one ruling swap, for the cover it reads whole
 _BUILT_PER_TRIAL = {
     "correspondence-cover-fibers": {"model": 2, "short": 0},
     "correspondence-quotient-fibers": {"model": 2, "short": 0},
     "correspondence-rational-fibers": {"model": 2, "short": 0},
     "full-torsion-alternate-fibers": {"model": 1, "short": 0},
-    "refibration-match": {"short": 0},
+    "quadruple-cover-fibers": {"model": 1},
+    "refibration-match": {"model": 0, "short": 0},
+    "refibered-pencil-stars": {"model": 0},
     "extraction-identity": {"ruling_swap": 1},
 }
 

@@ -719,6 +719,20 @@ def test_the_full_torsion_builders_are_the_tables_entries():
         assert hermite_pair_forms(*tor["a"]) == (tor["f"], tor["g"])
 
 
+def test_the_full_torsion_table_finds_its_torsion_points_once(monkeypatch):
+    calls = []
+
+    def counted(*forms):
+        calls.append(forms)
+        return torsion_points(*forms)
+
+    torsion_points = du._torsion_points
+    monkeypatch.setattr(du, "_torsion_points", counted)
+    tor = du.full_torsion_surfaces(*sample_full_torsion_forms(random.Random(334)))
+    assert len(calls) == 1
+    assert tor["alt"] == du.full_torsion_pair(*calls[0]).model()
+
+
 _QUARTIC = (1, 0, 0, 0, 1)
 # (trace, difference) that the full-torsion table refuses, with its error
 _TORSION_FAULTS = {
@@ -871,51 +885,56 @@ def test_quadruple_pair_eliminant_identity():
     # product identity forced by the 2x2 minors of four vectors
     rng = random.Random(220)
     for _ in range(10):
-        quad = du.BilinearQuadruple.of(
-            tuple(tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(4))
-        )
-        b = quad.pair_form(0, 1) * quad.pair_form(2, 3)
-        c = quad.pair_form(0, 2) * quad.pair_form(1, 3)
-        d = quad.pair_form(0, 3) * quad.pair_form(1, 2)
+        rows = tuple(tuple(Fraction(rng.randint(-9, 9)) for _ in range(4)) for _ in range(4))
+        b = du._pair_form(rows, 0, 1) * du._pair_form(rows, 2, 3)
+        c = du._pair_form(rows, 0, 2) * du._pair_form(rows, 1, 3)
+        d = du._pair_form(rows, 0, 3) * du._pair_form(rows, 1, 2)
         assert b - c == -1 * d
         for i, j in itertools.permutations(range(4), 2):
-            assert quad.pair_form(i, j) == _hand_pair_form(quad.rows, i, j)
+            assert du._pair_form(rows, i, j) == _hand_pair_form(rows, i, j)
 
 
 def test_quadruple_genericity_gates():
     base = ((1, 2, 3, 5), (2, -1, 1, 4), (0, 1, 1, -3), (1, 1, -2, 1))
     with pytest.raises(du.GenericityViolated) as err:
-        du.bilinear_quadruple_surface(
-            du.BilinearQuadruple.of(((1, 2, 2, 4),) + base[1:])
-        )
+        du.bilinear_quadruple_surface(((1, 2, 2, 4),) + base[1:])
     assert "reducible" in str(err.value)
     with pytest.raises(du.GenericityViolated) as err:
-        du.bilinear_quadruple_surface(
-            du.BilinearQuadruple.of((base[0], (2, 4, 6, 10)) + base[2:])
-        )
+        du.bilinear_quadruple_surface((base[0], (2, 4, 6, 10)) + base[2:])
     assert "share a component" in str(err.value)
     # curves 0 and 1 meeting at a double point
     tangent = ((1, 0, 0, 1), (0, -1, 1, -2)) + base[2:]
     with pytest.raises(du.GenericityViolated) as err:
-        du.bilinear_quadruple_surface(du.BilinearQuadruple.of(tangent))
+        du.bilinear_quadruple_surface(tangent)
     assert "tangent" in str(err.value)
     # curves 0, 1, 2 sharing the point (s, U) = (0, 1)
     triple = ((1, 1, 0, -1), (2, 1, 1, -1), (1, 1, 1, -1), base[3])
     with pytest.raises(du.GenericityViolated) as err:
-        du.bilinear_quadruple_surface(du.BilinearQuadruple.of(triple))
+        du.bilinear_quadruple_surface(triple)
     assert "0, 1 and 2 meet in a point" in str(err.value)
+
+
+def test_quadruple_rows_are_a_four_by_four_rational_matrix():
+    base = ((1, 2, 3, 5), (2, -1, 1, 4), (0, 1, 1, -3), (1, 1, -2, 1))
+    with pytest.raises(DegreeMismatch, match="4 x 4"):
+        du.bilinear_quadruple_surface(base[:3])
+    with pytest.raises(DegreeMismatch, match="4 x 4"):
+        du.bilinear_quadruple_surface(((1, 2, 3, 5, 7),) + base[1:])
+    with pytest.raises(TypeError):
+        du.bilinear_quadruple_surface(((1.0, 2, 3, 5),) + base[1:])
+    rows = (iter(row) for row in base)
+    assert du.bilinear_quadruple_surface(rows) == du.bilinear_quadruple_surface(base)
 
 
 def test_quadruple_cover_configuration_and_torsion():
     rng = random.Random(221)
     for _ in range(5):
-        quad = sample_generic_quadruple(rng)
-        surface = du.bilinear_quadruple_surface(quad)
-        cfg = fiber_configuration(surface.model)
+        b, c = du.bilinear_quadruple_surface(sample_generic_quadruple(rng))
+        model = du.AlternatePair(b + c, b * c).model()
+        cfg = fiber_configuration(model)
         assert cfg.summary() == {"I2": 12}
         assert cfg.euler_total == 24
-        b, c = surface.torsion_factors
-        sections = two_torsion_sections(surface.model)
+        sections = two_torsion_sections(model)
         assert len(sections) == 3
         assert b in sections and c in sections
 
@@ -1165,33 +1184,27 @@ def test_shifts_compose_by_adding_their_parameters(rows, rho1, rho2):
 
 
 def test_refibration_generic_draw_fails_square_gate():
-    quad = du.BilinearQuadruple.of(
-        ((1, 2, 3, 5), (2, -1, 1, 4), (0, 1, 1, -3), (1, 1, -2, 1))
-    )
+    rows = ((1, 2, 3, 5), (2, -1, 1, 4), (0, 1, 1, -3), (1, 1, -2, 1))
     with pytest.raises(du.NonSquareDiscriminant):
-        du.refibration_jacobian(du.bilinear_quadruple_surface(quad))
+        du.refibration_jacobian(*du.bilinear_quadruple_surface(rows))
 
 
 def test_refibration_chart_gate():
-    quad = du.BilinearQuadruple.of(
-        ((1, 2, 3, 5), (2, -1, 1, 4), (0, 1, 1, -3), (1, 1, -2, 1))
-    )
+    rows = ((1, 2, 3, 5), (2, -1, 1, 4), (0, 1, 1, -3), (1, 1, -2, 1))
     with pytest.raises(du.ParameterConstraintViolated):
-        du.refibration_jacobian(du.bilinear_quadruple_surface(quad), 3, 3)
+        du.refibration_jacobian(*du.bilinear_quadruple_surface(rows), 3, 3)
 
 
 def test_refibration_matches_full_torsion_route():
     rng = random.Random(228)
     for _ in range(5):
-        quad = sample_refiber_quadruple(rng)
-        surface = du.bilinear_quadruple_surface(quad)
-        b, c = surface.torsion_factors
-        rj = du.refibration_jacobian(surface)
+        b, c = du.bilinear_quadruple_surface(sample_refiber_quadruple(rng))
+        rj = du.refibration_jacobian(b, c)
         tor = du.full_torsion_surfaces(b + c, b - c)
         assert rj.f == tor["f"]
         assert rj.g == tor["g"]
         assert (rj.params.mu, rj.params.nu) == (0, 1)
-        other = du.refibration_jacobian(surface, 2, 5)
+        other = du.refibration_jacobian(b, c, 2, 5)
         assert (other.f, other.g) == (rj.f, rj.g)
         assert (other.params.mu, other.params.nu) == (2, 5)
 
@@ -1200,8 +1213,7 @@ def test_refibration_star_configuration():
     rng = random.Random(229)
     done = 0
     while done < 3:
-        quad = sample_refiber_quadruple(rng)
-        rj = du.refibration_jacobian(du.bilinear_quadruple_surface(quad))
+        rj = du.refibration_jacobian(*du.bilinear_quadruple_surface(sample_refiber_quadruple(rng)))
         if not three_lines_generic(rj.params):
             continue
         if star_chain_profile(rj.params)[0] != 6:

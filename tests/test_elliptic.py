@@ -44,7 +44,7 @@ from ellsurf.exactpoly import (
     refine_against,
     squarefree_split,
 )
-from ellsurf.scenario import parse_hompoly, parse_kodaira_type
+from ellsurf.scenario import ParseError, parse_hompoly, parse_kodaira_type
 from tate_oracle import t as T_SYM
 from tate_oracle import form_multiplicities, tate_fiber_at_origin
 
@@ -93,9 +93,9 @@ class TestKodairaType:
             assert fiber.euler == e
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="unrecognized fiber label"):
             parse_kodaira_type("V")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="unrecognized fiber label"):
             parse_kodaira_type("I-3")
         with pytest.raises(ValueError):
             KodairaType("II", 1)
@@ -484,13 +484,14 @@ def _valuation_corpus() -> list[WeierstrassModel]:
     cover = corpus.sample_cover_parameters(rng, r)
     trace, left, right = corpus.sample_isogeny_forms(rng)
     pair = du.AlternatePair(trace, left * right)
+    b, c = du.bilinear_quadruple_surface(corpus.sample_generic_quadruple(rng))
     models += [
         r.model(),
         du.base_change_k3(r, *cover),
         du.twist_model(r, *cover),
         pair.model(),
         du.two_isogeny_dual(pair).model(),
-        du.bilinear_quadruple_surface(corpus.sample_generic_quadruple(rng)).model,
+        du.AlternatePair(b + c, b * c).model(),
         du.three_lines_cubic_model(corpus.sample_three_lines_params(rng)),
         # c4 = 0, with II* over s = 0 and II at infinity
         WeierstrassModel(HomPoly.zero(V, 2), HomPoly.zero(V, 4), P("s^5*t")),

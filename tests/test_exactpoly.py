@@ -1445,7 +1445,7 @@ class TestPowers:
 
     def test_a_negative_power_is_refused(self):
         for poly in (UniPoly.of(1, 2), UniPoly.zero(), HomPoly.of(ST, [1, 2]), HomPoly.zero(ST, 1)):
-            with pytest.raises(ValueError):
+            with pytest.raises(DegreeTooLow):
                 poly ** -1
 
 

@@ -22,8 +22,8 @@ correspondence and full-torsion tables only in the two checks that read
 needs.  Each construction has one home: only ``elliptic`` builds a
 model on a zero ``a2`` form by hand (everywhere else it is
 ``WeierstrassModel.short``), only ``AlternatePair.model`` builds one on a
-zero ``a6`` form, and ``refibration_jacobian`` reads the quadruple cover
-it is given without building one.  Each construction takes its inputs
+zero ``a6`` form, and ``refibration_jacobian`` reads the torsion pair
+it is given without building the cover.  Each construction takes its inputs
 one way: the quadric double cover, its ruling swap and its deformation
 begin with (trace, left, right), the correspondence builders take
 (gamma, alpha, delta) after their kind, as do the triple's check and
@@ -543,8 +543,8 @@ def test_the_routes_of_a_cross_route_check_never_reach_each_other():
         assert one not in _reaches(graph, other), (other, one)
 
 
-def test_the_refibration_reads_the_surface_it_is_given():
-    # refibration_jacobian takes the cover its callers built and checked
+def test_the_refibration_reads_the_torsion_pair_it_is_given():
+    # refibration_jacobian takes the torsion pair its callers built and checked
     assert "bilinear_quadruple_surface" not in _reaches(_package_graph(), "refibration_jacobian")
 
 
@@ -1040,7 +1040,8 @@ def test_only_the_checks_that_read_a_whole_table_build_it():
 # double cover, its ruling swap and its deformation begin with the trace
 # and the split norm's factors, and the correspondence builders, the
 # triple's check and its exchange constraint read the curve's triple
-# (gamma, alpha, delta), after their kind if they take one
+# (gamma, alpha, delta), after their kind if they take one; the
+# refibration reads the quadruple cover's torsion pair (b, c)
 _QUADRIC_FORMS = ("trace", "left", "right")
 _CURVE_TRIPLE = ("gamma", "alpha", "delta")
 _INPUT_CONVENTIONS = {
@@ -1055,6 +1056,7 @@ _INPUT_CONVENTIONS = {
     "_correspondence_pairs": ("kind", *_CURVE_TRIPLE),
     "check_triple": _CURVE_TRIPLE,
     "exchange_constraint": _CURVE_TRIPLE,
+    "refibration_jacobian": ("b", "c"),
 }
 
 
